@@ -12,7 +12,7 @@
 use dcds_core::det::{det_successors_by_commitment, DetState};
 use dcds_core::nondet::nondet_successors_by_commitment;
 use dcds_core::Dcds;
-use dcds_reldata::{Facts, StateRef, StateStore, Value};
+use dcds_reldata::Value;
 use std::collections::BTreeSet;
 
 /// What a bounded exploration observed.
@@ -142,58 +142,6 @@ pub fn observe_state_bound(dcds: &Dcds, depth: usize, max_states: usize) -> Boun
     }
 }
 
-/// [`observe_state_bound`] over the compact state store: the BFS frontier
-/// holds [`StateRef`] handles (each successor stored as a delta over its
-/// parent) instead of owned instances, so a wide frontier costs memory
-/// proportional to the *changes* along it. Duplicate successors keep
-/// duplicate frontier entries — this monitor deliberately does NOT dedup,
-/// so `examined`, `max_observed`, and `exhausted` replay the owned
-/// monitor's exactly.
-pub fn observe_state_bound_compact(
-    dcds: &Dcds,
-    depth: usize,
-    max_states: usize,
-) -> BoundObservation {
-    let mut pool = dcds.working_pool();
-    let num_rels = dcds.data.schema.len() as u32;
-    let mut store = StateStore::new();
-    let r0 = store
-        .insert(None, &Facts::from_instance(&dcds.data.initial))
-        .state;
-    let mut frontier: Vec<StateRef> = vec![r0];
-    let mut examined = 0usize;
-    let mut max_observed = dcds.data.initial.active_domain().len();
-    let mut exhausted = true;
-    for _ in 0..depth {
-        let mut next_frontier = Vec::new();
-        for &r in &frontier {
-            if examined >= max_states {
-                exhausted = false;
-                break;
-            }
-            examined += 1;
-            let inst = store.instance(r, num_rels);
-            let parent_ids = store.resolve(r);
-            for (_, _, _, next) in nondet_successors_by_commitment(dcds, &inst, &mut pool) {
-                max_observed = max_observed.max(next.active_domain().len());
-                let child = store
-                    .insert_child(r, &parent_ids, &Facts::from_instance(&next))
-                    .state;
-                next_frontier.push(child);
-            }
-        }
-        frontier = next_frontier;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    BoundObservation {
-        max_observed,
-        exhausted,
-        examined,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,19 +205,5 @@ mod tests {
         let dcds = example_5_2();
         let obs = observe_state_bound(&dcds, 6, 3);
         assert!(!obs.exhausted);
-    }
-
-    #[test]
-    fn compact_state_bound_matches_owned() {
-        // Identical BoundObservation on every (depth, budget) profile —
-        // including budget-truncated ones, where keeping duplicate
-        // frontier entries (no dedup) is what preserves `examined`.
-        for dcds in [example_4_3(ServiceKind::Nondeterministic), example_5_2()] {
-            for (depth, budget) in [(5usize, 10_000usize), (4, 50), (6, 3), (0, 10)] {
-                let owned = observe_state_bound(&dcds, depth, budget);
-                let compact = observe_state_bound_compact(&dcds, depth, budget);
-                assert_eq!(owned, compact, "depth={depth} budget={budget}");
-            }
-        }
     }
 }

@@ -12,9 +12,11 @@
 //!
 //! # Construction
 //!
-//! The BFS is **level-synchronised** and built from four phases per level,
-//! so the expensive work parallelises over the whole frontier while every
-//! order-sensitive effect stays serial:
+//! The construction is written once ([`build`]), generic over the
+//! [`ClassStorage`] that holds its states. The BFS is **level-synchronised**;
+//! each level is stepped in `level_chunk`-sized batches of frontier states,
+//! and each batch runs four phases, so the expensive work parallelises
+//! while every order-sensitive effect stays serial:
 //!
 //! 1. *enumerate* (parallel): per frontier state, legal assignments,
 //!    `DO(I, ασ)` pre-instances, and the equality commitments of the new
@@ -23,20 +25,24 @@
 //!    ([`dcds_reldata::SigCensus`]) so successor signatures can be derived
 //!    incrementally instead of from scratch;
 //! 2. *mint* (serial, frontier order): instantiate each commitment's fresh
-//!    cells from the shared [`ConstantPool`] — the exact mint sequence a
-//!    serial loop would produce;
+//!    cells from the shared [`ConstantPool`];
 //! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks):
 //!    [`det_step_with_pre`], the successor's [`Facts`] encoding, its
 //!    invariant signature — derived from the source state's census by the
-//!    fact diff — and, when the level-start index already has a matching
+//!    fact diff — and, when the class index already has a matching
 //!    signature bucket, its canonical key;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
-//!    allocate state ids, record edges, apply the state budget.
+//!    admit new classes to the storage, record edges, apply the state
+//!    budget. The store derives each admitted state's query index from
+//!    its parent's here, while the parent is still in memory; owned
+//!    storage builds it from scratch in phase 1 of the next level.
 //!
-//! Because phases 2 and 4 replay the serial engine's effect order exactly,
-//! the output (`Ts`, states, outcome, pool) is **bit-identical for every
-//! thread count** — `dcds_core::par::par_map` returns results in input
-//! order regardless of scheduling. The determinism tests assert this.
+//! Chunking bounds the per-level scratch (pre-instances, stepped
+//! successors) on wide levels. Because phases 2 and 4 run in global
+//! frontier/task order, the output (`Ts`, outcome, pool, counters) is
+//! **bit-identical for every thread count, chunk size and storage** —
+//! `dcds_core::par::par_map` returns results in input order regardless of
+//! scheduling. The determinism and differential tests assert this.
 //!
 //! # Deduplication
 //!
@@ -50,19 +56,21 @@
 //! the exact map decides membership: the per-probe cost is independent of
 //! how many classes share the signature. The branch-and-bound key search
 //! handles symmetric instances in a single descent, so *every* class is
-//! keyed — the former permutation-budget bail-out and its
-//! backtracking-matcher fallback are gone.
+//! keyed.
 
+use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
 use dcds_core::det::{det_step_with_pre, DetState};
 use dcds_core::do_op::{
     do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
     state_index, PreInstance,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{enumerate_commitments, ActionId, CommitTarget, Commitment, Dcds, StateId, Ts};
+use dcds_core::{
+    enumerate_commitments, ActionId, CommitTarget, Commitment, Dcds, StateId, StateSpace,
+};
 use dcds_folang::Assignment;
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, SigCensus, Value};
+use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, InstanceIndex, SigCensus, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
@@ -75,13 +83,13 @@ pub enum AbsOutcome {
     Truncated,
 }
 
-/// The result of the deterministic abstraction.
-#[derive(Debug, Clone)]
-pub struct DetAbstraction {
+/// The result of the deterministic abstraction. `T` is the transition
+/// system: a [`StateSpace`] from the public entry points, the storage's
+/// own system from [`build`].
+#[derive(Debug)]
+pub struct DetAbstraction<T = StateSpace> {
     /// The abstract transition system (states labeled by instances).
-    pub ts: Ts,
-    /// The full `⟨I, M⟩` state behind each abstract state.
-    pub states: Vec<DetState>,
+    pub ts: T,
     /// Saturated or truncated.
     pub outcome: AbsOutcome,
     /// The constant pool extended with the representative fresh values the
@@ -105,7 +113,7 @@ pub enum DedupStrategy {
     PairwiseIso,
 }
 
-/// Options for [`det_abstraction_opts`].
+/// Options for [`det_abstraction_traced`].
 #[derive(Debug, Clone, Copy)]
 pub struct AbsOptions {
     /// Deduplication strategy.
@@ -117,12 +125,10 @@ pub struct AbsOptions {
     /// hits — the pre-fast-path cost model, kept as an ablation baseline
     /// for the benchmark harness. Output is identical either way.
     pub eager_keys: bool,
-    /// Frontier states stepped per batch inside one BFS level of the
-    /// compact engine. Bounds the transient per-level scratch
-    /// (pre-instances, stepped successors) without altering any output:
-    /// all serial decisions still run in global frontier/task order.
-    /// Ignored by the legacy (owned-instance) engines. `0` is treated
-    /// as `1`.
+    /// Frontier states stepped per batch inside one BFS level. Bounds the
+    /// transient per-level scratch (pre-instances, stepped successors)
+    /// without altering any output: all serial decisions still run in
+    /// global frontier/task order. `0` is treated as `1`.
     pub level_chunk: usize,
 }
 
@@ -143,57 +149,71 @@ impl Default for AbsOptions {
 }
 
 /// Build the deterministic abstract transition system, up to `max_states`
-/// isomorphism classes.
+/// isomorphism classes, with default options.
 pub fn det_abstraction(dcds: &Dcds, max_states: usize) -> DetAbstraction {
-    det_abstraction_opts(dcds, max_states, AbsOptions::default())
+    det_abstraction_traced(dcds, max_states, AbsOptions::default(), &Obs::disabled())
 }
 
-/// [`det_abstraction`] with an explicit deduplication strategy.
-pub fn det_abstraction_with(
+/// [`det_abstraction`] with explicit options and an observability handle:
+/// an overall span, one `frontier_level` span per BFS level,
+/// frontier/dedup metrics, and rate-limited heartbeats. With a disabled
+/// handle there are no clock reads and no recording.
+///
+/// The storage is picked from the budget: [`Owned`] up to
+/// [`OWNED_MAX_STATES`], [`Store`] above. Output is identical for every
+/// `opts.threads` value (including 1) and either storage; see the module
+/// docs. The registry is only updated from the serial phases, so every
+/// metric except the `*_us` timing histograms is bit-identical at every
+/// thread count.
+pub fn det_abstraction_traced(
     dcds: &Dcds,
     max_states: usize,
-    strategy: DedupStrategy,
+    opts: AbsOptions,
+    obs: &Obs,
 ) -> DetAbstraction {
-    det_abstraction_opts(
-        dcds,
-        max_states,
-        AbsOptions {
-            strategy,
-            ..AbsOptions::default()
-        },
-    )
+    if max_states <= OWNED_MAX_STATES {
+        build::<Owned>(dcds, max_states, opts, obs).map_ts(StateSpace::Owned)
+    } else {
+        build::<Store>(dcds, max_states, opts, obs).map_ts(StateSpace::Store)
+    }
+}
+
+impl<T> DetAbstraction<T> {
+    fn map_ts<U>(self, f: impl FnOnce(T) -> U) -> DetAbstraction<U> {
+        DetAbstraction {
+            ts: f(self.ts),
+            outcome: self.outcome,
+            pool: self.pool,
+            counters: self.counters,
+        }
+    }
 }
 
 /// One signature's isomorphism classes, split by key status.
 #[derive(Debug, Default)]
-pub(crate) struct SigGroup {
+struct SigGroup {
     /// Every member class, in insertion order — the scan order of the
     /// [`DedupStrategy::PairwiseIso`] ablation.
-    pub(crate) members: Vec<usize>,
+    members: Vec<usize>,
     /// Admitted without a key attempt; lazily keyed (once, ever) when a
     /// keyed probe first collides with this signature.
-    pub(crate) unkeyed: Vec<usize>,
+    unkeyed: Vec<usize>,
     /// Number of members whose key lives in the exact-match map.
-    pub(crate) keyed: u64,
+    keyed: u64,
 }
 
 /// Fold one canonical-key computation into the engine counters.
-pub(crate) fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
+fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
     counters.canon_keys_computed += 1;
     counters.canon_orders_enumerated += stats.orders_enumerated;
     counters.canon_prune_cutoffs += stats.prune_cutoffs;
 }
 
-/// Publish the `canon.*` metrics stanza — pruning effectiveness per run,
-/// alongside the `abs.*` counters [`EngineCounters::publish`] emits.
-pub(crate) fn publish_canon(obs: &Obs, counters: &EngineCounters) {
-    obs.counter_add("canon.keys_computed", counters.canon_keys_computed);
-    obs.counter_add("canon.orders_enumerated", counters.canon_orders_enumerated);
-    obs.counter_add("canon.prune_cutoffs", counters.canon_prune_cutoffs);
-}
-
 /// Index of the isomorphism classes seen so far: an exact-match map over
-/// canonical keys in front of signature groups.
+/// canonical keys in front of signature groups. Each class keeps the
+/// storage's handle `C` to its representative; the representative's facts
+/// are materialised from the storage only when a lazy key or a pairwise
+/// check needs them.
 ///
 /// Canonical keys are computed lazily: a class admitted through an empty
 /// signature group never pays for canonicalisation unless a later probe
@@ -215,23 +235,23 @@ pub(crate) fn publish_canon(obs: &Obs, counters: &EngineCounters) {
 /// exactly once (with `canon_orders_enumerated` / `canon_prune_cutoffs`
 /// summing the search effort), and `iso_checks_performed` counts each
 /// backtracking-matcher call of the `PairwiseIso` ablation.
-struct ClassIndex {
+struct ClassIndex<C> {
     strategy: DedupStrategy,
     rigid: BTreeSet<Value>,
-    /// Per class: the fact encoding (probe target for the matchers).
-    class_facts: Vec<Facts>,
+    /// Per class: the storage handle of its representative.
+    classes: Vec<C>,
     /// Canonical key → class, global across signatures.
     exact: HashMap<CanonKey, usize>,
     /// Signature → its classes, grouped by key status.
     groups: HashMap<u64, SigGroup>,
 }
 
-impl ClassIndex {
+impl<C> ClassIndex<C> {
     fn new(strategy: DedupStrategy, rigid: BTreeSet<Value>) -> Self {
         ClassIndex {
             strategy,
             rigid,
-            class_facts: Vec::new(),
+            classes: Vec::new(),
             exact: HashMap::new(),
             groups: HashMap::new(),
         }
@@ -247,8 +267,9 @@ impl ClassIndex {
     /// key a worker may have computed speculatively (`None` = not
     /// attempted); the slot is filled in if the merge has to compute one,
     /// so a subsequent [`ClassIndex::insert`] can reuse it.
-    fn find(
+    fn find<S: ClassStorage<Class = C>>(
         &mut self,
+        storage: &S,
         facts: &Facts,
         sig: u64,
         probe_key: &mut Option<CanonKey>,
@@ -257,11 +278,11 @@ impl ClassIndex {
         let ClassIndex {
             strategy,
             rigid,
-            class_facts,
+            classes,
             exact,
             groups,
         } = self;
-        let total = class_facts.len() as u64;
+        let total = classes.len() as u64;
         let Some(group) = groups.get_mut(&sig).filter(|g| !g.members.is_empty()) else {
             // The signature proves the class is new: every resident
             // class's pairwise check is avoided, under both strategies.
@@ -274,24 +295,23 @@ impl ClassIndex {
         if *strategy == DedupStrategy::PairwiseIso {
             for &ix in &group.members {
                 counters.iso_checks_performed += 1;
-                if class_facts[ix].isomorphic(facts, rigid) {
+                if storage.class_facts(&classes[ix]).isomorphic(facts, rigid) {
                     return Some(ix);
                 }
             }
             return None;
         }
         // CanonicalKey strategy: materialise the probe's key on first need.
-        if probe_key.is_none() {
+        let pk = probe_key.get_or_insert_with(|| {
             let (k, stats) = facts.canonical_key_stats(rigid);
             credit_canon(counters, stats);
-            *probe_key = Some(k);
-        }
-        let pk = probe_key.as_ref().unwrap();
+            k
+        });
         // Key every unkeyed resident of the group — each at most once over
         // the whole construction — so the exact-map probe below replaces a
         // scan of the group.
         for ix in std::mem::take(&mut group.unkeyed) {
-            let (ck, stats) = class_facts[ix].canonical_key_stats(rigid);
+            let (ck, stats) = storage.class_facts(&classes[ix]).canonical_key_stats(rigid);
             credit_canon(counters, stats);
             exact.insert(ck, ix);
             group.keyed += 1;
@@ -305,9 +325,9 @@ impl ClassIndex {
     /// Admit a new class. `probe_key` is whatever [`ClassIndex::find`] (or
     /// a worker) computed — possibly nothing, which is the signature fast
     /// path's whole point.
-    fn insert(&mut self, facts: Facts, sig: u64, probe_key: Option<CanonKey>) {
-        let ix = self.class_facts.len();
-        self.class_facts.push(facts);
+    fn insert(&mut self, class: C, sig: u64, probe_key: Option<CanonKey>) {
+        let ix = self.classes.len();
+        self.classes.push(class);
         let group = self.groups.entry(sig).or_default();
         group.members.push(ix);
         match probe_key {
@@ -320,6 +340,14 @@ impl ClassIndex {
     }
 }
 
+/// A frontier state: its id, its `⟨I, M⟩` structure (dropped once the
+/// level is expanded), and its query index if the storage derived one.
+struct FrontierState {
+    id: StateId,
+    state: DetState,
+    index: Option<InstanceIndex>,
+}
+
 /// What the parallel enumeration phase computes per `(state, ασ)`: the
 /// action, its assignment, the pre-instance, and the equality commitments
 /// over the not-yet-mapped calls.
@@ -329,43 +357,25 @@ type EnumeratedStep = (ActionId, Assignment, PreInstance, Vec<Commitment>);
 /// minted evaluation choice.
 struct StepTask<'a> {
     frontier_ix: usize,
-    source: StateId,
     pre: &'a PreInstance,
     choice: std::collections::BTreeMap<dcds_core::ServiceCall, Value>,
 }
 
 /// A stepped successor awaiting the serial merge: the state, its facts,
 /// its signature, and the eagerly-computed canonical key with the search
-/// stats the merge will account for in task order.
-pub(crate) type SteppedChild = (DetState, Facts, u64, Option<(CanonKey, CanonStats)>);
+/// stats the merge will account for in task order. `None` when the
+/// commitment representative violates the constraints.
+type Stepped = Option<(DetState, Facts, u64, Option<(CanonKey, CanonStats)>)>;
 
-/// The outcome of one phase-3 task.
-struct StepResult {
-    source: StateId,
-    /// `None` when the commitment representative violates the constraints.
-    next: Option<SteppedChild>,
-}
-
-/// [`det_abstraction`] with explicit options. Output is identical for
-/// every `opts.threads` value (including 1); see the module docs.
-pub fn det_abstraction_opts(dcds: &Dcds, max_states: usize, opts: AbsOptions) -> DetAbstraction {
-    det_abstraction_traced(dcds, max_states, opts, &Obs::disabled())
-}
-
-/// [`det_abstraction_opts`] with an observability handle: an overall span,
-/// one `frontier_level` span per BFS level, frontier/dedup metrics, and
-/// rate-limited heartbeats. With a disabled handle this is exactly
-/// `det_abstraction_opts` — no clock reads, no allocation.
-///
-/// The registry is only updated from the serial phases (and from the final
-/// [`EngineCounters::publish`]), so every metric except the `*_us` timing
-/// histograms is bit-identical at every thread count.
-pub fn det_abstraction_traced(
+/// The deterministic abstraction over an explicit storage `S` — the one
+/// body behind [`det_abstraction`] and [`det_abstraction_traced`], public
+/// so tests and benchmarks can name a storage.
+pub fn build<S: ClassStorage>(
     dcds: &Dcds,
     max_states: usize,
     opts: AbsOptions,
     obs: &Obs,
-) -> DetAbstraction {
+) -> DetAbstraction<S::Ts> {
     let _run = span!(
         obs,
         "det_abstraction",
@@ -376,25 +386,27 @@ pub fn det_abstraction_traced(
     let rigid = dcds.rigid_constants();
     let num_rels = dcds.data.schema.len();
     let threads = opts.threads.max(1);
+    let level_chunk = opts.level_chunk.max(1);
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
 
     let s0 = DetState::initial(dcds);
-    let mut ts = Ts::new(s0.instance.clone());
-    let mut states = vec![s0.clone()];
-    let mut index = ClassIndex::new(opts.strategy, rigid.clone());
     let f0 = s0.to_facts(num_rels);
     let sig0 = f0.signature(&rigid);
-    let key0 = if opts.strategy == DedupStrategy::CanonicalKey {
+    let key0 = (opts.strategy == DedupStrategy::CanonicalKey).then(|| {
         let (k, stats) = f0.canonical_key_stats(&rigid);
         credit_canon(&mut counters, stats);
-        Some(k)
-    } else {
-        None
-    };
-    index.insert(f0, sig0, key0);
+        k
+    });
+    let (mut storage, class0) = S::with_initial_class(dcds, &s0.instance, f0);
+    let mut index = ClassIndex::new(opts.strategy, rigid.clone());
+    index.insert(class0, sig0, key0);
 
-    let mut frontier: Vec<StateId> = vec![ts.initial()];
+    let mut frontier = vec![FrontierState {
+        id: StateId::from_index(0),
+        state: s0,
+        index: None,
+    }];
     let mut outcome = AbsOutcome::Complete;
     let mut level = 0usize;
 
@@ -412,136 +424,142 @@ pub fn det_abstraction_traced(
             format!(
                 "abstraction level {level}: frontier {}, {} classes total",
                 frontier.len(),
-                ts.num_states()
+                storage.num_states()
             )
         });
 
-        // Phase 1 (parallel): legal assignments, pre-instances, and
-        // commitments per frontier state. Nothing here touches the pool.
-        let enumerated: Vec<Vec<EnumeratedStep>> =
-            par_map_obs(&frontier, threads, obs, "enumerate", |&sid| {
-                let state = &states[sid.index()];
-                let idx = state_index(dcds, &state.instance);
-                legal_assignments_indexed(dcds, &state.instance, Some(&idx))
-                    .into_iter()
-                    .map(|(action, sigma)| {
-                        let pre =
-                            do_action_indexed(dcds, &state.instance, action, &sigma, Some(&idx));
-                        let new_calls: Vec<dcds_core::ServiceCall> = pre
-                            .calls()
-                            .into_iter()
-                            .filter(|c| !state.call_map.contains_key(c))
-                            .collect();
-                        let mut known: BTreeSet<Value> = state.known_values();
-                        known.extend(rigid.iter().copied());
-                        let known: Vec<Value> = known.into_iter().collect();
-                        let commitments = enumerate_commitments(&new_calls, &known);
-                        (action, sigma, pre, commitments)
-                    })
-                    .collect()
-            });
-
-        // Census (parallel): each frontier state's value-occurrence
-        // census, so every successor's signature derives from a fact diff
-        // instead of a from-scratch pass.
-        let censuses: Vec<SigCensus> = par_map_obs(&frontier, threads, obs, "census", |&sid| {
-            let f = states[sid.index()].to_facts(num_rels);
-            SigCensus::new(f.iter(), &rigid)
-        });
-
-        // Phase 2 (serial, frontier order): mint the fresh cells of every
-        // commitment — the exact mint sequence of the serial engine.
-        let mut tasks: Vec<StepTask> = Vec::new();
-        for (frontier_ix, (sid, per_state)) in frontier.iter().zip(&enumerated).enumerate() {
-            for (_action, _sigma, pre, commitments) in per_state {
-                for commitment in commitments {
-                    let cells = dcds_core::commitment::fresh_cell_count(commitment);
-                    let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
-                    let choice = commitment
-                        .iter()
-                        .map(|(c, t)| {
-                            let v = match t {
-                                CommitTarget::Known(v) => *v,
-                                CommitTarget::Fresh(cell) => fresh[*cell],
-                            };
-                            (c.clone(), v)
-                        })
-                        .collect();
-                    tasks.push(StepTask {
-                        frontier_ix,
-                        source: *sid,
-                        pre,
-                        choice,
-                    });
-                }
-            }
-        }
-
-        // Phase 3 (parallel): evaluate every commitment representative,
-        // encode it, and — on a signature hit against the level-start
-        // index — canonicalise it eagerly so the serial merge rarely has
-        // to.
-        let step_timer = obs.timer();
-        let stepped: Vec<StepResult> = par_map_obs(&tasks, threads, obs, "step", |task| {
-            let state = &states[frontier[task.frontier_ix].index()];
-            let next = det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
-                let facts = next.to_facts(num_rels);
-                let sig = censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
-                let key = if opts.strategy == DedupStrategy::CanonicalKey
-                    && (opts.eager_keys || index.bucket_occupied(sig))
-                {
-                    Some(facts.canonical_key_stats(&rigid))
-                } else {
-                    None
-                };
-                (next, facts, sig, key)
-            });
-            StepResult {
-                source: task.source,
-                next,
-            }
-        });
-        drop(tasks);
-        obs.time_us("abs.step_phase_us", step_timer);
-
-        // Phase 4 (serial, task order): deduplicate, allocate ids, record
-        // edges — byte-for-byte the serial engine's merge order.
-        let merge_timer = obs.timer();
-        let mut next_frontier: Vec<StateId> = Vec::new();
+        let mut next_frontier: Vec<FrontierState> = Vec::new();
         let mut dedup_hits = 0u64;
         let mut edges_added = 0u64;
-        for result in stepped {
-            let Some((next, facts, sig, key)) = result.next else {
-                continue;
-            };
-            counters.successors_generated += 1;
-            // Worker canonicalised eagerly; account for it exactly once.
-            if let Some((_, stats)) = &key {
-                credit_canon(&mut counters, *stats);
-            }
-            let mut key: Option<CanonKey> = key.map(|(k, _)| k);
-            let found = index.find(&facts, sig, &mut key, &mut counters);
-            let next_id = match found {
-                Some(class_ix) => {
-                    dedup_hits += 1;
-                    StateId::from_index(class_ix)
-                }
-                None => {
-                    if ts.num_states() >= max_states {
-                        outcome = AbsOutcome::Truncated;
-                        continue;
+        for chunk in frontier.chunks(level_chunk) {
+            // Phase 1 (parallel): legal assignments, pre-instances, and
+            // commitments per frontier state. Nothing here touches the pool.
+            let enumerated: Vec<Vec<EnumeratedStep>> =
+                par_map_obs(chunk, threads, obs, "enumerate", |entry| {
+                    let state = &entry.state;
+                    let built;
+                    let idx = match &entry.index {
+                        Some(idx) => idx,
+                        None => {
+                            built = state_index(dcds, &state.instance);
+                            &built
+                        }
+                    };
+                    legal_assignments_indexed(dcds, &state.instance, Some(idx))
+                        .into_iter()
+                        .map(|(action, sigma)| {
+                            let pre =
+                                do_action_indexed(dcds, &state.instance, action, &sigma, Some(idx));
+                            let new_calls: Vec<dcds_core::ServiceCall> = pre
+                                .calls()
+                                .into_iter()
+                                .filter(|c| !state.call_map.contains_key(c))
+                                .collect();
+                            let mut known: BTreeSet<Value> = state.known_values();
+                            known.extend(rigid.iter().copied());
+                            let known: Vec<Value> = known.into_iter().collect();
+                            let commitments = enumerate_commitments(&new_calls, &known);
+                            (action, sigma, pre, commitments)
+                        })
+                        .collect()
+                });
+
+            // Census (parallel): each frontier state's value-occurrence
+            // census, so every successor's signature derives from a fact
+            // diff instead of a from-scratch pass.
+            let censuses: Vec<SigCensus> = par_map_obs(chunk, threads, obs, "census", |entry| {
+                let f = entry.state.to_facts(num_rels);
+                SigCensus::new(f.iter(), &rigid)
+            });
+
+            // Phase 2 (serial, frontier order): mint the fresh cells of
+            // every commitment — the exact mint sequence of a serial loop.
+            let mut tasks: Vec<StepTask> = Vec::new();
+            for (frontier_ix, per_state) in enumerated.iter().enumerate() {
+                for (_action, _sigma, pre, commitments) in per_state {
+                    for commitment in commitments {
+                        let cells = dcds_core::commitment::fresh_cell_count(commitment);
+                        let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
+                        let choice = commitment
+                            .iter()
+                            .map(|(c, t)| {
+                                let v = match t {
+                                    CommitTarget::Known(v) => *v,
+                                    CommitTarget::Fresh(cell) => fresh[*cell],
+                                };
+                                (c.clone(), v)
+                            })
+                            .collect();
+                        tasks.push(StepTask {
+                            frontier_ix,
+                            pre,
+                            choice,
+                        });
                     }
-                    let id = ts.add_state(next.instance.clone());
-                    states.push(next);
-                    index.insert(facts, sig, key);
-                    next_frontier.push(id);
-                    id
                 }
-            };
-            ts.add_edge(result.source, next_id);
-            edges_added += 1;
+            }
+
+            // Phase 3 (parallel): evaluate every commitment representative,
+            // encode it, and — on a signature hit against the class index
+            // as it stood at the start of the batch — canonicalise it
+            // eagerly so the serial merge rarely has to.
+            let step_timer = obs.timer();
+            let stepped: Vec<Stepped> = par_map_obs(&tasks, threads, obs, "step", |task| {
+                let state = &chunk[task.frontier_ix].state;
+                det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
+                    let facts = next.to_facts(num_rels);
+                    let sig =
+                        censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
+                    let key = (opts.strategy == DedupStrategy::CanonicalKey
+                        && (opts.eager_keys || index.bucket_occupied(sig)))
+                    .then(|| facts.canonical_key_stats(&rigid));
+                    (next, facts, sig, key)
+                })
+            });
+            obs.time_us("abs.step_phase_us", step_timer);
+
+            // Phase 4 (serial, task order): deduplicate, admit new classes
+            // — with the query indexes the storage derives from their
+            // parents' — and record edges.
+            let merge_timer = obs.timer();
+            for (task, next) in tasks.iter().zip(stepped) {
+                let Some((next, facts, sig, key)) = next else {
+                    continue;
+                };
+                let source = chunk[task.frontier_ix].id;
+                counters.successors_generated += 1;
+                // Worker canonicalised eagerly; account for it exactly once.
+                if let Some((_, stats)) = &key {
+                    credit_canon(&mut counters, *stats);
+                }
+                let mut key: Option<CanonKey> = key.map(|(k, _)| k);
+                let next_id = match index.find(&storage, &facts, sig, &mut key, &mut counters) {
+                    Some(class_ix) => {
+                        dedup_hits += 1;
+                        StateId::from_index(class_ix)
+                    }
+                    None => {
+                        if storage.num_states() >= max_states {
+                            outcome = AbsOutcome::Truncated;
+                            continue;
+                        }
+                        let (id, class) = storage.add_class(source, &next.instance, facts);
+                        index.insert(class, sig, key);
+                        let parent = chunk[task.frontier_ix].index.as_ref();
+                        let child_index = storage.child_index(id, &next.instance, parent);
+                        next_frontier.push(FrontierState {
+                            id,
+                            state: next,
+                            index: child_index,
+                        });
+                        id
+                    }
+                };
+                storage.add_edge(source, next_id);
+                edges_added += 1;
+            }
+            obs.time_us("abs.merge_phase_us", merge_timer);
         }
-        obs.time_us("abs.merge_phase_us", merge_timer);
         level_span.set("new_classes", next_frontier.len() as u64);
         event!(
             obs,
@@ -550,7 +568,7 @@ pub fn det_abstraction_traced(
             level = level,
             frontier = frontier.len(),
             new_classes = next_frontier.len(),
-            states = ts.num_states(),
+            states = storage.num_states(),
             edges = edges_added,
             dedup_hits = dedup_hits,
         );
@@ -560,19 +578,21 @@ pub fn det_abstraction_traced(
 
     obs.counter_add("abs.levels", level as u64);
     counters.publish(obs, "abs");
-    publish_canon(obs, &counters);
+    obs.counter_add("canon.keys_computed", counters.canon_keys_computed);
+    obs.counter_add("canon.orders_enumerated", counters.canon_orders_enumerated);
+    obs.counter_add("canon.prune_cutoffs", counters.canon_prune_cutoffs);
+    storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
     obs.progress_flush(|| {
         format!(
             "abstraction done: {} classes, {} levels ({outcome:?})",
-            ts.num_states(),
+            storage.num_states(),
             level
         )
     });
 
     DetAbstraction {
-        ts,
-        states,
+        ts: storage.finish(),
         outcome,
         pool,
         counters,
@@ -583,6 +603,29 @@ pub fn det_abstraction_traced(
 mod tests {
     use super::*;
     use dcds_core::{DcdsBuilder, ServiceKind};
+    use dcds_reldata::Instance;
+
+    /// A storage beside an empty class index, for driving the index
+    /// directly.
+    fn index_over<S: ClassStorage>(
+        strategy: DedupStrategy,
+        rigid: BTreeSet<Value>,
+    ) -> (S, ClassIndex<S::Class>) {
+        let (storage, _) = S::with_initial_class(&example_4_3(), &Instance::new(), Facts::new());
+        (storage, ClassIndex::new(strategy, rigid))
+    }
+
+    /// Admit `facts` as a new class, as the merge phase does.
+    fn admit<S: ClassStorage>(
+        storage: &mut S,
+        index: &mut ClassIndex<S::Class>,
+        facts: Facts,
+        sig: u64,
+        key: Option<CanonKey>,
+    ) {
+        let (_, class) = storage.add_class(StateId::from_index(0), &Instance::new(), facts);
+        index.insert(class, sig, key);
+    }
 
     fn example_4_1() -> Dcds {
         DcdsBuilder::new()
@@ -637,17 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_strategies_agree() {
-        for dcds in [example_4_1(), example_4_2()] {
-            let a = det_abstraction_with(&dcds, 200, DedupStrategy::CanonicalKey);
-            let b = det_abstraction_with(&dcds, 200, DedupStrategy::PairwiseIso);
-            assert_eq!(a.ts.num_states(), b.ts.num_states());
-            assert_eq!(a.ts.num_edges(), b.ts.num_edges());
-            assert_eq!(a.outcome, b.outcome);
-        }
-    }
-
-    #[test]
     fn example_4_1_saturates_finite() {
         // Figure 3b: the abstraction of the weakly acyclic Example 4.1 is
         // finite. Initial state + 5 commitment successors (some of which
@@ -669,7 +701,8 @@ mod tests {
         assert_eq!(abs2.outcome, AbsOutcome::Complete);
         assert!(abs2.ts.num_states() < abs1.ts.num_states());
         // Initial state has exactly 2 successors in Figure 2b.
-        assert_eq!(abs2.ts.successors(abs2.ts.initial()).len(), 2);
+        let ts = abs2.ts.into_ts();
+        assert_eq!(ts.successors(ts.initial()).len(), 2);
     }
 
     #[test]
@@ -684,9 +717,9 @@ mod tests {
     #[test]
     fn abstraction_states_satisfy_constraints() {
         let dcds = example_4_2();
-        let abs = det_abstraction(&dcds, 200);
-        for s in abs.ts.state_ids() {
-            assert!(dcds.data.satisfies_constraints(abs.ts.db(s)));
+        let ts = det_abstraction(&dcds, 200).ts.into_ts();
+        for s in ts.state_ids() {
+            assert!(dcds.data.satisfies_constraints(ts.db(s)));
         }
     }
 
@@ -694,42 +727,12 @@ mod tests {
     fn deterministic_closure_no_new_calls_loop() {
         // Once every issued call is recorded, states self-loop (Figure 3b's
         // bottom row): every non-initial state has at least one successor.
-        let abs = det_abstraction(&example_4_1(), 200);
-        for s in abs.ts.state_ids() {
+        let ts = det_abstraction(&example_4_1(), 200).ts.into_ts();
+        for s in ts.state_ids() {
             assert!(
-                !abs.ts.successors(s).is_empty(),
+                !ts.successors(s).is_empty(),
                 "state {s:?} has no successors"
             );
-        }
-    }
-
-    #[test]
-    fn thread_counts_agree_exactly() {
-        // The determinism contract at unit-test scale (the integration
-        // suite covers more systems): states, edges, outcome, and the pool
-        // are identical for 1, 2, and 8 workers.
-        for dcds in [example_4_1(), example_4_2(), example_4_3()] {
-            let runs: Vec<DetAbstraction> = [1usize, 2, 8]
-                .into_iter()
-                .map(|threads| {
-                    det_abstraction_opts(
-                        &dcds,
-                        60,
-                        AbsOptions {
-                            strategy: DedupStrategy::CanonicalKey,
-                            threads,
-                            ..AbsOptions::default()
-                        },
-                    )
-                })
-                .collect();
-            for other in &runs[1..] {
-                assert_eq!(runs[0].ts, other.ts);
-                assert_eq!(runs[0].states, other.states);
-                assert_eq!(runs[0].outcome, other.outcome);
-                assert_eq!(runs[0].pool.len(), other.pool.len());
-                assert_eq!(runs[0].counters, other.counters);
-            }
         }
     }
 
@@ -738,14 +741,11 @@ mod tests {
         // The fast path only skips work, never changes the quotient.
         for dcds in [example_4_1(), example_4_2(), example_4_3()] {
             let lazy = det_abstraction(&dcds, 60);
-            let eager = det_abstraction_opts(
-                &dcds,
-                60,
-                AbsOptions {
-                    eager_keys: true,
-                    ..AbsOptions::default()
-                },
-            );
+            let opts = AbsOptions {
+                eager_keys: true,
+                ..AbsOptions::default()
+            };
+            let eager = det_abstraction_traced(&dcds, 60, opts, &Obs::disabled());
             assert_eq!(lazy.ts, eager.ts);
             assert_eq!(lazy.outcome, eager.outcome);
             // Eager canonicalises at least as often.
@@ -816,19 +816,25 @@ mod tests {
         let rigid = BTreeSet::new();
         let mut deltas = Vec::new();
         for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-            let mut index = ClassIndex::new(strategy, rigid.clone());
+            let (mut storage, mut index) = index_over::<Owned>(strategy, rigid.clone());
             let mut counters = EngineCounters::default();
             for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
                 let sig = class.signature(&rigid);
                 let mut key = None;
-                assert_eq!(index.find(&class, sig, &mut key, &mut counters), None);
-                index.insert(class, sig, key);
+                assert_eq!(
+                    index.find(&storage, &class, sig, &mut key, &mut counters),
+                    None
+                );
+                admit(&mut storage, &mut index, class, sig, key);
             }
             let probe = unary_facts(1, &[3]);
             let sig = probe.signature(&rigid);
             let before = counters;
             let mut key = None;
-            assert_eq!(index.find(&probe, sig, &mut key, &mut counters), None);
+            assert_eq!(
+                index.find(&storage, &probe, sig, &mut key, &mut counters),
+                None
+            );
             assert!(key.is_none(), "empty-group probe must not compute a key");
             deltas.push((
                 counters.sig_filter_skips - before.sig_filter_skips,
@@ -841,19 +847,19 @@ mod tests {
         assert_eq!(deltas[0], deltas[1], "strategies must account identically");
     }
 
-    #[test]
-    fn keyed_index_resolves_thousands_of_same_signature_classes() {
-        // The collision-heavy regression: perfect matchings of 12 tags all
-        // share one signature, so the old per-group linear scan made the
-        // k-th admission pay O(k) key comparisons. The exact-match map
-        // must resolve every probe without a single backtracking call.
+    /// The collision-heavy regression: perfect matchings of 12 tags all
+    /// share one signature, so the old per-group linear scan made the k-th
+    /// admission pay O(k) key comparisons. The exact-match map must
+    /// resolve every probe without a single backtracking call — and
+    /// without the store materialising a class's facts more than once.
+    fn resolve_same_signature_collisions<S: ClassStorage>() {
         let tags: Vec<usize> = (0..12).collect();
         let rigid: BTreeSet<Value> = tags.iter().map(|&t| Value::from_index(t)).collect();
         let mut matchings = Vec::new();
         perfect_matchings(&tags, 1500, &mut matchings);
         assert_eq!(matchings.len(), 1500);
 
-        let mut index = ClassIndex::new(DedupStrategy::CanonicalKey, rigid.clone());
+        let (mut storage, mut index) = index_over::<S>(DedupStrategy::CanonicalKey, rigid.clone());
         let mut counters = EngineCounters::default();
         let sig0 = matching_facts(&matchings[0], 100).signature(&rigid);
         for m in &matchings {
@@ -861,8 +867,11 @@ mod tests {
             let sig = facts.signature(&rigid);
             assert_eq!(sig, sig0, "matchings must collide on one signature");
             let mut key = None;
-            assert_eq!(index.find(&facts, sig, &mut key, &mut counters), None);
-            index.insert(facts, sig, key);
+            assert_eq!(
+                index.find(&storage, &facts, sig, &mut key, &mut counters),
+                None
+            );
+            admit(&mut storage, &mut index, facts, sig, key);
         }
         // Re-probe every class under a fresh-value renaming: each must hit
         // its own class, purely through the exact map.
@@ -870,7 +879,7 @@ mod tests {
             let probe = matching_facts(m, 5000 + expect_ix);
             let mut key = None;
             assert_eq!(
-                index.find(&probe, sig0, &mut key, &mut counters),
+                index.find(&storage, &probe, sig0, &mut key, &mut counters),
                 Some(expect_ix)
             );
         }
@@ -889,6 +898,16 @@ mod tests {
     }
 
     #[test]
+    fn keyed_index_resolves_thousands_of_same_signature_classes() {
+        resolve_same_signature_collisions::<Owned>();
+    }
+
+    #[test]
+    fn store_index_resolves_same_signature_collisions_exactly() {
+        resolve_same_signature_collisions::<Store>();
+    }
+
+    #[test]
     fn symmetric_classes_resolve_through_the_exact_map() {
         // Nine interchangeable fresh values defeat colour refinement — the
         // case that used to exceed the permutation budget and fall back to
@@ -896,18 +915,22 @@ mod tests {
         // the whole 9! orbit into a single descent, so the probe resolves
         // through the exact-match map with zero isomorphism checks.
         let rigid = BTreeSet::new();
-        let mut index = ClassIndex::new(DedupStrategy::CanonicalKey, rigid.clone());
+        let (mut storage, mut index) =
+            index_over::<Owned>(DedupStrategy::CanonicalKey, rigid.clone());
         let mut counters = EngineCounters::default();
         let a = unary_facts(0, &(100..109).collect::<Vec<_>>());
         let sig = a.signature(&rigid);
         let mut key = None;
-        assert_eq!(index.find(&a, sig, &mut key, &mut counters), None);
-        index.insert(a, sig, key);
+        assert_eq!(index.find(&storage, &a, sig, &mut key, &mut counters), None);
+        admit(&mut storage, &mut index, a, sig, key);
 
         let b = unary_facts(0, &(200..209).collect::<Vec<_>>());
         assert_eq!(b.signature(&rigid), sig);
         let mut key = None;
-        assert_eq!(index.find(&b, sig, &mut key, &mut counters), Some(0));
+        assert_eq!(
+            index.find(&storage, &b, sig, &mut key, &mut counters),
+            Some(0)
+        );
         assert!(key.is_some(), "symmetric class must key successfully");
         // Probe key + lazily keying the resident class.
         assert_eq!(counters.canon_keys_computed, 2);

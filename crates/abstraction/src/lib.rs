@@ -17,6 +17,18 @@
 //!   fresh ones; terminates for state-bounded systems (Theorem 5.4),
 //!   yielding a finite system persistence-preserving bisimilar to the
 //!   concrete one (Figure 7b).
+//! * [`storage`] — where the two constructions keep their states. Each
+//!   construction is written once, generic over a [`Storage`] (seen
+//!   through [`ClassStorage`] by the det abstraction and [`StateStorage`]
+//!   by RCYCL): [`Owned`] (a [`dcds_core::Ts`] of shared instances,
+//!   fastest) or [`Store`] (delta states in a compact store, several
+//!   times less memory, bytes per state flat to millions of states). The
+//!   entry points pick the storage from the state budget
+//!   ([`OWNED_MAX_STATES`]) and return a [`dcds_core::StateSpace`];
+//!   `det_abs::build` and `rcycl::build` name a storage explicitly.
+//! * [`mod@reference`] — deliberately small serial versions of both
+//!   constructions, written straight from the paper: the oracle the
+//!   engines are differentially tested against.
 //! * [`pruning`] — validation that a finite system really is a pruning:
 //!   per-state coverage of every satisfiable equality commitment.
 //! * [`bounds`] — empirical run-/state-boundedness monitors (the semantic
@@ -24,24 +36,17 @@
 //!   witnesses up to exploration limits).
 
 pub mod bounds;
-pub mod compact;
 pub mod det_abs;
 pub mod pruning;
 pub mod rcycl;
+pub mod reference;
+pub mod storage;
 
-pub use bounds::{
-    observe_run_bound, observe_state_bound, observe_state_bound_compact, BoundObservation,
-};
-pub use compact::{
-    det_abstraction_compact, det_abstraction_compact_opts, det_abstraction_compact_traced,
-    rcycl_compact, rcycl_compact_opts, rcycl_compact_traced, CompactDetAbstraction, CompactRcycl,
-};
+pub use bounds::{observe_run_bound, observe_state_bound, BoundObservation};
 pub use det_abs::{
-    det_abstraction, det_abstraction_opts, det_abstraction_traced, det_abstraction_with,
-    AbsOptions, AbsOutcome, DedupStrategy, DetAbstraction, DEFAULT_LEVEL_CHUNK,
+    det_abstraction, det_abstraction_traced, AbsOptions, AbsOutcome, DedupStrategy, DetAbstraction,
+    DEFAULT_LEVEL_CHUNK,
 };
-pub use pruning::{
-    commitment_coverage_holds, commitment_coverage_holds_compact,
-    commitment_coverage_holds_compact_traced, commitment_coverage_holds_traced,
-};
-pub use rcycl::{rcycl, rcycl_opts, rcycl_traced, RcyclResult};
+pub use pruning::commitment_coverage_holds;
+pub use rcycl::{rcycl, rcycl_traced, RcyclResult};
+pub use storage::{ClassStorage, Owned, StateStorage, Storage, Store, OWNED_MAX_STATES};

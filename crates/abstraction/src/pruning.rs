@@ -9,7 +9,7 @@
 //! its isomorphism type.
 
 use dcds_core::nondet::nondet_successors_by_commitment;
-use dcds_core::{CompactTs, Dcds, Ts};
+use dcds_core::{Dcds, Ts};
 use dcds_obs::{span, Obs};
 use dcds_reldata::Facts;
 use std::collections::BTreeSet;
@@ -20,13 +20,10 @@ use std::collections::BTreeSet;
 /// `I_rep` fixing the rigid constants *and* the values of `ADOM(I)`
 /// (the commitment speaks about identity w.r.t. the current state's
 /// values).
-pub fn commitment_coverage_holds(dcds: &Dcds, ts: &Ts) -> bool {
-    commitment_coverage_holds_traced(dcds, ts, &Obs::disabled())
-}
-
-/// [`commitment_coverage_holds`] with an observability handle: one overall
-/// span, per-state heartbeats, and coverage-check counters.
-pub fn commitment_coverage_holds_traced(dcds: &Dcds, ts: &Ts, obs: &Obs) -> bool {
+///
+/// `obs` records one overall span, per-state heartbeats, and
+/// coverage-check counters; pass [`Obs::disabled`] for none.
+pub fn commitment_coverage_holds(dcds: &Dcds, ts: &Ts, obs: &Obs) -> bool {
     let mut run = span!(obs, "commitment_coverage", states = ts.num_states());
     let rigid = dcds.rigid_constants();
     let mut pool = dcds.working_pool();
@@ -52,55 +49,6 @@ pub fn commitment_coverage_holds_traced(dcds: &Dcds, ts: &Ts, obs: &Obs) -> bool
                 .successors(s)
                 .iter()
                 .any(|&t| Facts::from_instance(ts.db(t)).isomorphic(&rep_facts, &fixed));
-            if !covered {
-                obs.counter_add("coverage.reps_checked", reps_checked);
-                run.set("covered", false);
-                return false;
-            }
-        }
-    }
-    obs.counter_add("coverage.reps_checked", reps_checked);
-    run.set("covered", true);
-    true
-}
-
-/// [`commitment_coverage_holds`] over a store-backed system (e.g. the
-/// output of [`crate::rcycl_compact`]): candidate successors' fact sets
-/// are materialised straight from the [`dcds_reldata::StateStore`] — no
-/// owned `Instance` per isomorphism probe. Verdict and check order are
-/// identical to the owned checker on `ts.to_ts()`.
-pub fn commitment_coverage_holds_compact(dcds: &Dcds, ts: &CompactTs) -> bool {
-    commitment_coverage_holds_compact_traced(dcds, ts, &Obs::disabled())
-}
-
-/// [`commitment_coverage_holds_compact`] with an observability handle;
-/// same spans and counters as the owned checker.
-pub fn commitment_coverage_holds_compact_traced(dcds: &Dcds, ts: &CompactTs, obs: &Obs) -> bool {
-    let mut run = span!(obs, "commitment_coverage", states = ts.num_states());
-    let rigid = dcds.rigid_constants();
-    let mut pool = dcds.working_pool();
-    let mut reps_checked = 0u64;
-    let store = ts.store();
-    for s in ts.state_ids() {
-        obs.heartbeat(|| {
-            format!(
-                "coverage: state {}/{}, {} representatives checked",
-                s.index(),
-                ts.num_states(),
-                reps_checked
-            )
-        });
-        let inst = ts.db(s);
-        let reps = nondet_successors_by_commitment(dcds, &inst, &mut pool);
-        for (_, _, _, rep) in &reps {
-            reps_checked += 1;
-            let mut fixed: BTreeSet<_> = rigid.clone();
-            fixed.extend(inst.active_domain());
-            let rep_facts = Facts::from_instance(rep);
-            let covered = ts
-                .successors(s)
-                .iter()
-                .any(|&t| store.facts(ts.state_ref(t)).isomorphic(&rep_facts, &fixed));
             if !covered {
                 obs.counter_add("coverage.reps_checked", reps_checked);
                 run.set("covered", false);
@@ -139,32 +87,28 @@ mod tests {
         let dcds = example_5_1();
         let res = rcycl(&dcds, 100);
         assert!(res.complete);
-        assert!(commitment_coverage_holds(&dcds, &res.ts));
-    }
-
-    #[test]
-    fn compact_coverage_agrees_with_owned() {
-        let dcds = example_5_1();
-        let owned = rcycl(&dcds, 100);
-        let compact = crate::rcycl_compact(&dcds, 100);
-        assert!(commitment_coverage_holds(&dcds, &owned.ts));
-        assert!(commitment_coverage_holds_compact(&dcds, &compact.ts));
+        assert!(commitment_coverage_holds(
+            &dcds,
+            &res.ts.to_ts(),
+            &Obs::disabled()
+        ));
     }
 
     #[test]
     fn dropping_a_branch_breaks_coverage() {
         let dcds = example_5_1();
         let res = rcycl(&dcds, 100);
+        let ts = res.ts.to_ts();
         // Rebuild the system with one state's edges removed, reusing the
         // original's shared state handles: O(states), no instance copies.
-        let mut broken = Ts::new_shared(res.ts.db_shared(res.ts.initial()));
-        let mut map = vec![broken.initial(); res.ts.num_states()];
-        for s in res.ts.state_ids().skip(1) {
-            map[s.index()] = broken.add_state_shared(res.ts.db_shared(s));
+        let mut broken = Ts::new_shared(ts.db_shared(ts.initial()));
+        let mut map = vec![broken.initial(); ts.num_states()];
+        for s in ts.state_ids().skip(1) {
+            map[s.index()] = broken.add_state_shared(ts.db_shared(s));
         }
         let mut first = true;
-        for s in res.ts.state_ids() {
-            for &t in res.ts.successors(s) {
+        for s in ts.state_ids() {
+            for &t in ts.successors(s) {
                 if first {
                     // Drop the first edge found.
                     first = false;
@@ -173,6 +117,6 @@ mod tests {
                 broken.add_edge(map[s.index()], map[t.index()]);
             }
         }
-        assert!(!commitment_coverage_holds(&dcds, &broken));
+        assert!(!commitment_coverage_holds(&dcds, &broken, &Obs::disabled()));
     }
 }

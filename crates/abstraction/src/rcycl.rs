@@ -25,23 +25,34 @@
 //! state-bounded input every run terminates with a finite eventually
 //! recycling pruning `Θ_S ∼ Υ_S`; for state-unbounded inputs we stop at
 //! `max_states` and report truncation.
+//!
+//! The algorithm is written once ([`build`]), generic over the
+//! [`StateStorage`] that holds its states; the public entry points pick the
+//! storage from the state budget.
 
+use crate::storage::{Owned, StateStorage, Store, OWNED_MAX_STATES};
 use dcds_core::do_op::{
     do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
     state_index, PreInstance,
 };
 use dcds_core::nondet::{evals_over, nondet_step_with_pre};
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{Dcds, StateId, Ts};
+use dcds_core::{Dcds, StateId, StateSpace};
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{ConstantPool, Instance, Value};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use dcds_reldata::{ConstantPool, Instance, InstanceIndex, Value};
+use std::collections::{BTreeSet, VecDeque};
 
-/// Result of running RCYCL.
-#[derive(Debug, Clone)]
-pub struct RcyclResult {
+/// Steps whose `EVALS_F` enumeration would exceed this many evaluations
+/// are skipped and the result is marked incomplete.
+pub(crate) const MAX_EVALS_PER_STEP: f64 = 20_000.0;
+
+/// Result of running RCYCL. `T` is the transition system: a
+/// [`StateSpace`] from the public entry points, the storage's own system
+/// from [`build`].
+#[derive(Debug)]
+pub struct RcyclResult<T = StateSpace> {
     /// The pruning (a transition system over instances).
-    pub ts: Ts,
+    pub ts: T,
     /// Did the algorithm saturate (true) or hit `max_states` (false)?
     pub complete: bool,
     /// All values ever used (the final `UsedValues`).
@@ -68,30 +79,54 @@ pub struct RcyclResult {
 /// budget: their per-step call count is fixed by the specification and
 /// their `F` recycles a bounded value pool.)
 pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
-    rcycl_opts(dcds, max_states, configured_threads())
+    rcycl_traced(dcds, max_states, configured_threads(), &Obs::disabled())
 }
 
-/// [`rcycl`] with an explicit worker-thread count. Output is identical for
-/// every `threads` value (including 1, the serial ablation baseline).
+/// [`rcycl`] with an explicit worker-thread count and an observability
+/// handle: one span per dequeued state, θ-fan-out metrics, and
+/// rate-limited heartbeats. The storage is picked from the budget:
+/// [`Owned`] up to [`OWNED_MAX_STATES`], [`Store`] above.
 ///
-/// Unlike the deterministic abstraction, RCYCL's outer loop cannot be
-/// level-parallelised without changing the answer: `UsedValues` evolves
-/// per `(I, α, σ)` triple and feeds the very next triple's
-/// `RecyclableValues` pick. What *is* embarrassingly parallel is the inside
-/// of a triple — the up-to-`|F|^n` evaluations θ are independent
+/// Output is identical for every `threads` value (including 1, the
+/// serial ablation baseline) and either storage. RCYCL's outer loop
+/// cannot be level-parallelised without changing the answer: `UsedValues`
+/// evolves per `(I, α, σ)` triple and feeds the very next triple's
+/// `RecyclableValues` pick. What *is* embarrassingly parallel is the
+/// inside of a triple — the up-to-`|F|^n` evaluations θ are independent
 /// constraint-checked query evaluations against one shared `DO(I, ασ)`
 /// pre-instance — and the per-state `DO` precomputation. Both are farmed
-/// out with [`par_map`](dcds_core::par::par_map) and merged serially in enumeration order, so the
-/// pruning, `UsedValues`, and the pool match the serial run exactly.
-pub fn rcycl_opts(dcds: &Dcds, max_states: usize, threads: usize) -> RcyclResult {
-    rcycl_traced(dcds, max_states, threads, &Obs::disabled())
+/// out with [`par_map`](dcds_core::par::par_map) and merged serially in
+/// enumeration order, so the pruning, `UsedValues`, and the pool match the
+/// serial run exactly.
+pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
+    if max_states <= OWNED_MAX_STATES {
+        build::<Owned>(dcds, max_states, threads, obs).map_ts(StateSpace::Owned)
+    } else {
+        build::<Store>(dcds, max_states, threads, obs).map_ts(StateSpace::Store)
+    }
 }
 
-/// [`rcycl_opts`] with an observability handle: one span per dequeued
-/// state, θ-fan-out metrics, and rate-limited heartbeats. A disabled
-/// handle makes this exactly `rcycl_opts`.
-pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
-    const MAX_EVALS_PER_STEP: f64 = 20_000.0;
+impl<T> RcyclResult<T> {
+    fn map_ts<U>(self, f: impl FnOnce(T) -> U) -> RcyclResult<U> {
+        RcyclResult {
+            ts: f(self.ts),
+            complete: self.complete,
+            used_values: self.used_values,
+            triples_processed: self.triples_processed,
+            pool: self.pool,
+            counters: self.counters,
+        }
+    }
+}
+
+/// RCYCL over an explicit storage `S` — the one body behind [`rcycl`] and
+/// [`rcycl_traced`], public so tests and benchmarks can name a storage.
+pub fn build<S: StateStorage>(
+    dcds: &Dcds,
+    max_states: usize,
+    threads: usize,
+    obs: &Obs,
+) -> RcyclResult<S::Ts> {
     let _run = span!(obs, "rcycl", threads = threads, max_states = max_states);
     let query_stats0 = query_stats_snapshot(dcds);
     let rigid = dcds.rigid_constants();
@@ -99,26 +134,21 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
 
-    let mut ts = Ts::new(dcds.data.initial.clone());
-    let mut index: HashMap<Instance, StateId> = HashMap::new();
-    index.insert(dcds.data.initial.clone(), ts.initial());
-    let mut used_values: BTreeSet<Value> = dcds.data.initial.active_domain();
+    let initial = &dcds.data.initial;
+    let mut storage = S::with_initial_state(dcds, initial);
+    let mut used_values: BTreeSet<Value> = initial.active_domain();
     used_values.extend(rigid.iter().copied());
 
-    // Worklist of states whose (α, σ) triples are not yet Visited. A state
-    // is re-enqueued when new legal assignments can appear — they cannot
-    // (legality depends only on I), so one pass per state suffices; the
-    // `Visited` set still guards against duplicates from re-added states.
-    let mut queue: VecDeque<StateId> = VecDeque::new();
-    queue.push_back(ts.initial());
-    let mut visited_states: BTreeSet<StateId> = BTreeSet::new();
+    // Worklist of states whose (α, σ) triples are not yet Visited, each
+    // with its query index if the storage derived one. Legality depends
+    // only on I, so one pass per state suffices, and every state is
+    // queued exactly once: when it is admitted.
+    let mut queue: VecDeque<(StateId, Option<InstanceIndex>)> = VecDeque::new();
+    queue.push_back((StateId::from_index(0), None));
     let mut complete = true;
     let mut triples = 0usize;
 
-    while let Some(sid) = queue.pop_front() {
-        if !visited_states.insert(sid) {
-            continue;
-        }
+    while let Some((sid, state_idx)) = queue.pop_front() {
         counters.states_expanded += 1;
         // No levels to hang events on: report every 1024 dequeued states.
         if counters.states_expanded % 1024 == 0 {
@@ -127,7 +157,7 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                 "progress",
                 engine = "rcycl",
                 expanded = counters.states_expanded,
-                states = ts.num_states(),
+                states = storage.num_states(),
                 queued = queue.len(),
                 triples = triples,
             );
@@ -136,16 +166,17 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
         obs.heartbeat(|| {
             format!(
                 "rcycl: {} states, {} queued, {} triples processed",
-                ts.num_states(),
+                storage.num_states(),
                 queue.len(),
                 triples
             )
         });
-        let inst = ts.db(sid).clone();
+        let inst = storage.db(sid);
+        let adom = inst.active_domain();
         // `DO(I, ασ)` depends only on the state, not on `UsedValues`:
-        // build one hash index for the dequeued state and precompute every
-        // triple's pre-instance in parallel against it.
-        let state_idx = state_index(dcds, &inst);
+        // precompute every triple's pre-instance in parallel against the
+        // state's hash index.
+        let state_idx = state_idx.unwrap_or_else(|| state_index(dcds, &inst));
         let triples_for_state = legal_assignments_indexed(dcds, &inst, Some(&state_idx));
         let pres: Vec<PreInstance> =
             par_map_obs(&triples_for_state, threads, obs, "do", |(action, sigma)| {
@@ -156,13 +187,13 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
             triples += 1;
             let calls = pre.calls();
             let n = calls.len();
-            // RecyclableValues := UsedValues − (ADOM(I₀) ∪ ADOM(I)).
-            let mut recyclable: Vec<Value> = used_values
+            // RecyclableValues := UsedValues − (ADOM(I₀) ∪ ADOM(I)), in
+            // ascending order.
+            let recyclable: Vec<Value> = used_values
                 .iter()
                 .copied()
-                .filter(|v| !rigid.contains(v) && !inst.active_domain().contains(v))
+                .filter(|v| !rigid.contains(v) && !adom.contains(v))
                 .collect();
-            recyclable.sort_unstable();
             let v_set: Vec<Value> = if recyclable.len() >= n {
                 recyclable.into_iter().take(n).collect()
             } else {
@@ -170,7 +201,7 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                 (0..n).map(|_| pool.mint("v")).collect()
             };
             // F := ADOM(I₀) ∪ ADOM(I) ∪ V.
-            let mut f_set: BTreeSet<Value> = inst.active_domain();
+            let mut f_set: BTreeSet<Value> = adom.clone();
             f_set.extend(rigid.iter().copied());
             f_set.extend(v_set.iter().copied());
             if (f_set.len() as f64).powi(n as i32) > MAX_EVALS_PER_STEP {
@@ -188,21 +219,21 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                 });
             for next in nexts.into_iter().flatten() {
                 counters.successors_generated += 1;
-                let next_id = match index.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        if ts.num_states() >= max_states {
+                let next_id = match storage.lookup(&next) {
+                    Ok(id) => id,
+                    Err(probe) => {
+                        if storage.num_states() >= max_states {
                             complete = false;
                             continue;
                         }
-                        let id = ts.add_state(next.clone());
-                        index.insert(next, id);
-                        queue.push_back(id);
+                        let id = storage.add_state(sid, &next, probe);
+                        let index = storage.child_index(id, &next, Some(&state_idx));
+                        queue.push_back((id, index));
                         id
                     }
                 };
-                used_values.extend(ts.db(next_id).active_domain());
-                ts.add_edge(sid, next_id);
+                used_values.extend(next.active_domain());
+                storage.add_edge(sid, next_id);
             }
         }
     }
@@ -210,25 +241,26 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
     obs.counter_add("rcycl.triples_processed", triples as u64);
     obs.gauge_max("rcycl.used_values", used_values.len() as i64);
     counters.publish(obs, "rcycl");
+    storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
     event!(
         obs,
         "progress",
         engine = "rcycl",
         expanded = counters.states_expanded,
-        states = ts.num_states(),
+        states = storage.num_states(),
         queued = 0u64,
         triples = triples,
     );
     obs.progress_flush(|| {
         format!(
             "rcycl done: {} states, {triples} triples (complete: {complete})",
-            ts.num_states()
+            storage.num_states()
         )
     });
 
     RcyclResult {
-        ts,
+        ts: storage.finish(),
         complete,
         used_values,
         triples_processed: triples,
@@ -283,7 +315,7 @@ mod tests {
         let res = rcycl(&example_5_1(), 100);
         assert!(res.complete);
         assert!(res.ts.num_states() <= 10, "got {}", res.ts.num_states());
-        assert_eq!(res.ts.max_state_adom(), 1);
+        assert_eq!(res.ts.to_ts().max_state_adom(), 1);
     }
 
     #[test]
@@ -294,43 +326,23 @@ mod tests {
         assert!(!res.complete);
         assert_eq!(res.ts.num_states(), 80);
         // Growing states witness the unboundedness.
-        assert!(res.ts.max_state_adom() >= 3);
+        assert!(res.ts.to_ts().max_state_adom() >= 3);
     }
 
     #[test]
     fn every_state_satisfies_constraints() {
         let dcds = example_5_1();
-        let res = rcycl(&dcds, 100);
-        for s in res.ts.state_ids() {
-            assert!(dcds.data.satisfies_constraints(res.ts.db(s)));
+        let ts = rcycl(&dcds, 100).ts.into_ts();
+        for s in ts.state_ids() {
+            assert!(dcds.data.satisfies_constraints(ts.db(s)));
         }
     }
 
     #[test]
     fn pruning_is_finitely_branching() {
-        let res = rcycl(&example_5_1(), 100);
-        for s in res.ts.state_ids() {
-            assert!(res.ts.successors(s).len() <= 4);
-        }
-    }
-
-    #[test]
-    fn thread_counts_agree_exactly() {
-        // The θ fan-out parallelism must not change the pruning: same
-        // states in the same order, same edges, same UsedValues, same pool.
-        for (dcds, budget) in [(example_5_1(), 100usize), (example_5_2(), 80)] {
-            let runs: Vec<RcyclResult> = [1usize, 2, 8]
-                .into_iter()
-                .map(|t| rcycl_opts(&dcds, budget, t))
-                .collect();
-            for other in &runs[1..] {
-                assert_eq!(runs[0].ts, other.ts);
-                assert_eq!(runs[0].complete, other.complete);
-                assert_eq!(runs[0].used_values, other.used_values);
-                assert_eq!(runs[0].triples_processed, other.triples_processed);
-                assert_eq!(runs[0].pool.len(), other.pool.len());
-                assert_eq!(runs[0].counters, other.counters);
-            }
+        let ts = rcycl(&example_5_1(), 100).ts.into_ts();
+        for s in ts.state_ids() {
+            assert!(ts.successors(s).len() <= 4);
         }
     }
 

@@ -1,0 +1,348 @@
+//! Where the abstraction engines keep their states.
+//!
+//! The deterministic abstraction and RCYCL are each written once, generic
+//! over a [`Storage`]. The storage decides only how states are held and
+//! how a child's query index is built; every decision of the construction
+//! (minting, commitments, dedup, the state budget, counters, metrics) is
+//! made by the shared engine body, so both storages build the same system
+//! state for state and edge for edge.
+//!
+//! * [`Owned`] keeps one shared [`Instance`] per state in a [`Ts`] and
+//!   builds each expanded state's [`InstanceIndex`] from scratch. It is
+//!   the faster of the two.
+//! * [`Store`] keeps each state as a delta over its parent in a
+//!   [`StateStore`] and derives a child's index from its parent's with
+//!   the copy-on-write [`InstanceIndex::rebuild_delta`]. It needs several
+//!   times less memory, and its bytes per state stay flat up to millions
+//!   of states.
+//!
+//! The public entry points pick the storage from the state budget; see
+//! [`OWNED_MAX_STATES`].
+
+use dcds_core::{CompactTs, Dcds, StateId, Ts};
+use dcds_obs::Obs;
+use dcds_reldata::{AccessPath, FactId, Facts, Instance, InstanceIndex, StateRef, StateStore};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Largest state budget the public entry points serve with [`Owned`]
+/// storage; larger budgets use [`Store`]. It equals the CLI's default
+/// `--max-states`.
+///
+/// Measured on a shared 2-vCPU Xeon VM (release builds, one thread), both
+/// storages returning identical states, edges and counters. At or below
+/// the threshold, `dcds check --format json --profile` on the spec
+/// families of `perfbench/` (least self time of 60 alternating pairs;
+/// these runs converted the store to an owned [`Ts`] for the model
+/// checker):
+///
+/// | workload            | storage | search ms | driver ms        | total ms |
+/// |---------------------|---------|-----------|------------------|----------|
+/// | RCYCL, 3072 states  | owned   | 38.8      | 0.1              | 59.3     |
+/// | RCYCL, 3072 states  | store   | 48.7      | 6.5 (`to_ts`)    | 79.6     |
+/// | det, 352 states     | owned   | 57.4      | —                | 90.4     |
+/// | det, 352 states     | store   | 63.5      | —                | 99.7     |
+///
+/// Above it, `det_abs::build` / `rcycl::build` keeping their result
+/// (median of 3 alternating runs; wall time, peak RSS of the process):
+///
+/// | workload                    | states  | owned           | store           |
+/// |-----------------------------|---------|-----------------|-----------------|
+/// | det, `service_chain(16)`    | 20 000  | 1.87 s, 287 MiB | 1.81 s, 217 MiB |
+/// | det, `service_chain(16)`    | 100 000 | 13.6 s, 955 MiB | 14.7 s, 554 MiB |
+/// | RCYCL, `phased_rings(4)`    | 20 000  | 0.29 s, 40 MiB  | 0.50 s, 13 MiB  |
+/// | RCYCL, `phased_rings(4)`    | 80 000  | 1.39 s, 148 MiB | 2.02 s, 28 MiB  |
+///
+/// So the store trades up to ~50% more time for 1.3–5× less memory, and
+/// it only wins while the system stays in the store. A caller that needs
+/// an owned [`Ts`] holds both at the peak: `dcds check` on the 80 000-state
+/// RCYCL system took 3.2 s / 255 MiB owned against 5.0 s / 256 MiB through
+/// the store and `into_ts`. The CLI, whose model checker and dot output
+/// take a [`Ts`], therefore builds in [`Owned`] storage at every budget.
+pub const OWNED_MAX_STATES: usize = 10_000;
+
+/// How an abstraction engine holds its states: what both engines need.
+///
+/// State ids are dense and assigned in admission order, starting with the
+/// initial state at 0. The deterministic abstraction admits states through
+/// [`ClassStorage`] (it deduplicates by isomorphism class itself); RCYCL
+/// through [`StateStorage`] (exact equality of databases).
+pub trait Storage: Sized + Sync {
+    /// The finished transition system.
+    type Ts;
+
+    /// Number of states admitted so far.
+    fn num_states(&self) -> usize;
+
+    /// Record the edge `from → to` (idempotent).
+    fn add_edge(&mut self, from: StateId, to: StateId);
+
+    /// The query index of the just-admitted state `s` (database `db`),
+    /// derived from its parent's index while that is still alive — or
+    /// `None` to build it from scratch when `s` is expanded.
+    fn child_index(
+        &self,
+        s: StateId,
+        db: &Instance,
+        parent: Option<&InstanceIndex>,
+    ) -> Option<InstanceIndex>;
+
+    /// Publish storage-specific metrics.
+    fn publish(&self, obs: &Obs);
+
+    /// The finished transition system.
+    fn finish(self) -> Self::Ts;
+}
+
+/// The deterministic abstraction's view of a [`Storage`]: states are
+/// isomorphism-class representatives, each with a handle for the class
+/// index.
+pub trait ClassStorage: Storage {
+    /// What the class index keeps per class.
+    type Class: Send + Sync;
+
+    /// A storage holding only the initial state: database `db0` with fact
+    /// encoding `facts0`. Returns the initial state's class.
+    fn with_initial_class(dcds: &Dcds, db0: &Instance, facts0: Facts) -> (Self, Self::Class);
+
+    /// Admit a new isomorphism class reached from `parent`: database `db`,
+    /// fact encoding `facts`.
+    fn add_class(&mut self, parent: StateId, db: &Instance, facts: Facts)
+        -> (StateId, Self::Class);
+
+    /// The fact encoding of a class's representative.
+    fn class_facts<'a>(&'a self, class: &'a Self::Class) -> Cow<'a, Facts>;
+}
+
+/// RCYCL's view of a [`Storage`]: states are databases, deduplicated by
+/// exact equality.
+pub trait StateStorage: Storage {
+    /// Work a failed [`StateStorage::lookup`] hands on to
+    /// [`StateStorage::add_state`].
+    type Probe;
+
+    /// A storage holding only the initial state, database `db0`.
+    fn with_initial_state(dcds: &Dcds, db0: &Instance) -> Self;
+
+    /// The database of a state.
+    fn db(&self, s: StateId) -> Arc<Instance>;
+
+    /// The state whose database is exactly `db`, if any.
+    fn lookup(&self, db: &Instance) -> Result<StateId, Self::Probe>;
+
+    /// Admit `db`, reached from `parent`, after `lookup` missed.
+    fn add_state(&mut self, parent: StateId, db: &Instance, probe: Self::Probe) -> StateId;
+}
+
+/// Owned storage: a [`Ts`] of shared instances.
+#[derive(Debug)]
+pub struct Owned {
+    ts: Ts,
+    /// Exact-database dedup for [`StateStorage`]; unused (empty) under
+    /// [`ClassStorage`].
+    ids: HashMap<Arc<Instance>, StateId>,
+}
+
+impl Storage for Owned {
+    type Ts = Ts;
+
+    fn num_states(&self) -> usize {
+        self.ts.num_states()
+    }
+
+    fn add_edge(&mut self, from: StateId, to: StateId) {
+        self.ts.add_edge(from, to);
+    }
+
+    fn child_index(
+        &self,
+        _: StateId,
+        _: &Instance,
+        _: Option<&InstanceIndex>,
+    ) -> Option<InstanceIndex> {
+        None
+    }
+
+    fn publish(&self, _obs: &Obs) {}
+
+    fn finish(self) -> Ts {
+        self.ts
+    }
+}
+
+impl ClassStorage for Owned {
+    type Class = Facts;
+
+    fn with_initial_class(_dcds: &Dcds, db0: &Instance, facts0: Facts) -> (Self, Facts) {
+        let ts = Ts::new(db0.clone());
+        let ids = HashMap::new();
+        (Owned { ts, ids }, facts0)
+    }
+
+    fn add_class(&mut self, _parent: StateId, db: &Instance, facts: Facts) -> (StateId, Facts) {
+        (self.ts.add_state(db.clone()), facts)
+    }
+
+    fn class_facts<'a>(&'a self, class: &'a Facts) -> Cow<'a, Facts> {
+        Cow::Borrowed(class)
+    }
+}
+
+impl StateStorage for Owned {
+    type Probe = ();
+
+    fn with_initial_state(_dcds: &Dcds, db0: &Instance) -> Self {
+        let db0 = Arc::new(db0.clone());
+        let ts = Ts::new_shared(Arc::clone(&db0));
+        let ids = HashMap::from([(db0, ts.initial())]);
+        Owned { ts, ids }
+    }
+
+    fn db(&self, s: StateId) -> Arc<Instance> {
+        self.ts.db_shared(s)
+    }
+
+    fn lookup(&self, db: &Instance) -> Result<StateId, ()> {
+        self.ids.get(db).copied().ok_or(())
+    }
+
+    fn add_state(&mut self, _parent: StateId, db: &Instance, _probe: ()) -> StateId {
+        let db = Arc::new(db.clone());
+        let id = self.ts.add_state_shared(Arc::clone(&db));
+        self.ids.insert(db, id);
+        id
+    }
+}
+
+/// Compact storage: states as deltas in a [`StateStore`].
+#[derive(Debug)]
+pub struct Store {
+    store: StateStore,
+    /// Store handle of each state, indexed by [`StateId`].
+    refs: Vec<StateRef>,
+    succ: Vec<Vec<StateId>>,
+    /// Colors `< num_rels` are database facts; the rest encode call maps.
+    num_rels: u32,
+    paths: Vec<AccessPath>,
+    /// The fact ids of the parent last admitted from: a parent's children
+    /// arrive consecutively, so it is resolved once for all of them.
+    resolved: Option<(StateId, Vec<FactId>)>,
+}
+
+impl Store {
+    fn insert(&mut self, parent: StateId, facts: &Facts) -> StateId {
+        let parent_ref = self.refs[parent.index()];
+        if self.resolved.as_ref().map(|(p, _)| *p) != Some(parent) {
+            self.resolved = Some((parent, self.store.resolve(parent_ref)));
+        }
+        let parent_ids = &self.resolved.as_ref().expect("just resolved").1;
+        let ins = self.store.insert_child(parent_ref, parent_ids, facts);
+        debug_assert!(!ins.existing, "a new state duplicates a stored one");
+        let id = StateId::from_index(self.refs.len());
+        // `lookup` maps store handles straight back to state ids.
+        debug_assert_eq!(ins.state.index(), id.index());
+        self.refs.push(ins.state);
+        self.succ.push(Vec::new());
+        id
+    }
+}
+
+impl Store {
+    fn with_initial(dcds: &Dcds, facts0: &Facts) -> Self {
+        let mut store = StateStore::new();
+        let r0 = store.insert(None, facts0).state;
+        Store {
+            store,
+            refs: vec![r0],
+            succ: vec![Vec::new()],
+            num_rels: dcds.data.schema.len() as u32,
+            paths: dcds.plans().access_paths().to_vec(),
+            resolved: None,
+        }
+    }
+}
+
+impl Storage for Store {
+    type Ts = CompactTs;
+
+    fn num_states(&self) -> usize {
+        self.refs.len()
+    }
+
+    fn add_edge(&mut self, from: StateId, to: StateId) {
+        let out = &mut self.succ[from.index()];
+        if !out.contains(&to) {
+            out.push(to);
+        }
+    }
+
+    fn child_index(
+        &self,
+        s: StateId,
+        db: &Instance,
+        parent: Option<&InstanceIndex>,
+    ) -> Option<InstanceIndex> {
+        let touched = self.store.delta_rels(self.refs[s.index()], self.num_rels);
+        Some(match (parent, touched) {
+            (Some(parent), Some(touched)) => {
+                InstanceIndex::rebuild_delta(parent, db, &touched, self.paths.iter().cloned())
+            }
+            _ => InstanceIndex::build(db, self.paths.iter().cloned()),
+        })
+    }
+
+    fn publish(&self, obs: &Obs) {
+        let stats = self.store.stats();
+        obs.gauge_max("store.bytes", stats.bytes as i64);
+        obs.gauge_max("store.facts_interned", stats.facts_interned as i64);
+        obs.gauge_max("store.delta_states", stats.delta_states as i64);
+    }
+
+    fn finish(self) -> CompactTs {
+        CompactTs::from_parts(self.store, self.refs, self.succ, self.num_rels)
+    }
+}
+
+impl ClassStorage for Store {
+    type Class = StateRef;
+
+    fn with_initial_class(dcds: &Dcds, _db0: &Instance, facts0: Facts) -> (Self, StateRef) {
+        let store = Store::with_initial(dcds, &facts0);
+        let r0 = store.refs[0];
+        (store, r0)
+    }
+
+    fn add_class(&mut self, parent: StateId, _db: &Instance, facts: Facts) -> (StateId, StateRef) {
+        let id = self.insert(parent, &facts);
+        (id, self.refs[id.index()])
+    }
+
+    fn class_facts<'a>(&'a self, class: &'a StateRef) -> Cow<'a, Facts> {
+        Cow::Owned(self.store.facts(*class))
+    }
+}
+
+impl StateStorage for Store {
+    type Probe = Facts;
+
+    fn with_initial_state(dcds: &Dcds, db0: &Instance) -> Self {
+        Store::with_initial(dcds, &Facts::from_instance(db0))
+    }
+
+    fn db(&self, s: StateId) -> Arc<Instance> {
+        Arc::new(self.store.instance(self.refs[s.index()], self.num_rels))
+    }
+
+    fn lookup(&self, db: &Instance) -> Result<StateId, Facts> {
+        let facts = Facts::from_instance(db);
+        match self.store.find(&facts) {
+            Some(r) => Ok(StateId::from_index(r.index())),
+            None => Err(facts),
+        }
+    }
+
+    fn add_state(&mut self, parent: StateId, _db: &Instance, facts: Facts) -> StateId {
+        self.insert(parent, &facts)
+    }
+}

@@ -1,7 +1,8 @@
 //! Memory-regression smoke for the compact state store.
 //!
 //! Runs one deterministic and one RCYCL workload at a fixed 50k-state
-//! budget through the compact engines and fails (exit 1) if the store's
+//! budget — far enough above `OWNED_MAX_STATES` that the engines keep
+//! their states in the compact store — and fails (exit 1) if the store's
 //! deterministic bytes-per-state estimate exceeds a pinned ceiling. The
 //! estimate (`StoreStats::bytes`) is derived from element counts and
 //! `size_of`, not allocator introspection, so it is stable across runs
@@ -13,9 +14,10 @@
 //! Wired into `scripts/check.sh` and CI; keep it fast (seconds, not
 //! minutes).
 
-use dcds_abstraction::{det_abstraction_compact_opts, rcycl_compact_opts, AbsOptions};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, OWNED_MAX_STATES};
 use dcds_bench::synthetic;
-use dcds_reldata::StoreStats;
+use dcds_core::StateSpace;
+use dcds_obs::Obs;
 use std::process::ExitCode;
 
 /// Fixed workload size: big enough that per-state overheads dominate
@@ -28,7 +30,11 @@ const BUDGET: usize = 50_000;
 const DET_CEILING: f64 = 280.0;
 const RCYCL_CEILING: f64 = 190.0;
 
-fn report(name: &str, states: usize, stats: &StoreStats, ceiling: f64) -> bool {
+fn report(name: &str, ts: &StateSpace, ceiling: f64) -> bool {
+    let states = ts.num_states();
+    let stats = ts
+        .store_stats()
+        .expect("budgets above OWNED_MAX_STATES use the store");
     let per_state = stats.bytes as f64 / states.max(1) as f64;
     let ok = per_state <= ceiling;
     println!(
@@ -46,28 +52,21 @@ fn main() -> ExitCode {
     // One worker: the store's byte estimate is thread-independent (the
     // differential suites cover thread counts), and per-call scoped-thread
     // spawns would dominate the smoke's runtime on small CI boxes.
-    let det = det_abstraction_compact_opts(
+    const { assert!(BUDGET > OWNED_MAX_STATES) };
+    let opts = AbsOptions {
+        threads: 1,
+        ..AbsOptions::default()
+    };
+    let det = det_abstraction_traced(
         &synthetic::service_chain(16),
         BUDGET,
-        AbsOptions {
-            threads: 1,
-            ..AbsOptions::default()
-        },
+        opts,
+        &Obs::disabled(),
     );
-    let det_ok = report(
-        "det_abstraction_compact(service_chain(16))",
-        det.ts.num_states(),
-        &det.ts.store_stats(),
-        DET_CEILING,
-    );
+    let det_ok = report("det_abstraction(service_chain(16))", &det.ts, DET_CEILING);
 
-    let rc = rcycl_compact_opts(&synthetic::phased_rings(4), BUDGET, 1);
-    let rc_ok = report(
-        "rcycl_compact(phased_rings(4))",
-        rc.ts.num_states(),
-        &rc.ts.store_stats(),
-        RCYCL_CEILING,
-    );
+    let rc = rcycl_traced(&synthetic::phased_rings(4), BUDGET, 1, &Obs::disabled());
+    let rc_ok = report("rcycl(phased_rings(4))", &rc.ts, RCYCL_CEILING);
 
     if det_ok && rc_ok {
         println!("memory smoke passed");

@@ -22,14 +22,14 @@
 //! queries of the travel-request system, at 1 thread, with and without the
 //! per-state hash index — asserting bit-identical results.
 //!
-//! Last, drives the **compact state store** (arena + delta states +
-//! copy-on-write indexes) to 500k/1M-state budgets — far beyond what the
-//! owned-`Instance` engines are run at — recording states/sec, the
+//! Last, drives the engines to 500k/1M-state budgets, where the budget
+//! rule keeps their states in the **compact state store** (arena + delta
+//! states + copy-on-write indexes), recording states/sec, the
 //! deterministic bytes-per-state high-water estimate, and the delta-share
 //! ratio, and asserting (a) bytes/state grows less than 2× from 100k to
-//! 500k states and (b) the compact engines are bit-identical to the
-//! legacy ones (states, edges, pool, every counter) on an overlapping
-//! budget at 1, 2, 4 and 8 threads.
+//! 500k states and (b) the owned and store storages build bit-identical
+//! systems (states, edges, pool, every counter) on an overlapping budget
+//! at 1, 2, 4 and 8 threads.
 //!
 //! Writes `BENCH_abstraction.json`, `BENCH_mucalc.json`, `BENCH_query.json`
 //! and `BENCH_scale.json` into the current directory so the perf
@@ -63,15 +63,14 @@
 //! rewritten (only `BENCH_diff.json` is produced).
 
 use dcds_abstraction::{
-    det_abstraction_compact_opts, det_abstraction_compact_traced, det_abstraction_opts,
-    det_abstraction_traced, rcycl_compact_opts, rcycl_opts, AbsOptions, DedupStrategy,
+    det_abs, det_abstraction_traced, rcycl_traced, AbsOptions, DedupStrategy, Store,
 };
 use dcds_bench::report::{self, Kind, Thresholds};
-use dcds_bench::{examples, queries, synthetic, travel};
-use dcds_core::{parse_dcds, Dcds, EngineCounters, Ts};
+use dcds_bench::{examples, parity, queries, synthetic, travel};
+use dcds_core::{parse_dcds, Dcds, EngineCounters, StateSpace, Ts};
 use dcds_folang::{eval_ucq, CompiledPlan, EvalCtx, Formula, QTerm, Ucq};
 use dcds_mucalc::mc::{eval, Valuation};
-use dcds_mucalc::{check_traced, eval_with_opts, parse_mu, sugar, McCounters, McOptions, Mu};
+use dcds_mucalc::{check_traced, eval_traced, parse_mu, sugar, McCounters, McOptions, Mu};
 use dcds_obs::{Obs, ObsConfig};
 use dcds_reldata::{Instance, InstanceIndex};
 use dcds_symbolic::{check_safety, SymOptions, SymVerdict};
@@ -122,15 +121,12 @@ fn bench_det(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Workl
     let mut counters = EngineCounters::default();
     for threads in THREAD_COUNTS {
         let (secs, abs) = time_best(reps, || {
-            det_abstraction_opts(
-                dcds,
-                max_states,
-                AbsOptions {
-                    strategy: DedupStrategy::CanonicalKey,
-                    threads,
-                    ..AbsOptions::default()
-                },
-            )
+            let opts = AbsOptions {
+                strategy: DedupStrategy::CanonicalKey,
+                threads,
+                ..AbsOptions::default()
+            };
+            det_abstraction_traced(dcds, max_states, opts, &Obs::disabled())
         });
         sig_hit_rate = abs.counters.sig_hit_rate();
         counters = abs.counters;
@@ -142,16 +138,13 @@ fn bench_det(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Workl
         });
     }
     let (eager_secs, _) = time_best(reps, || {
-        det_abstraction_opts(
-            dcds,
-            max_states,
-            AbsOptions {
-                strategy: DedupStrategy::CanonicalKey,
-                threads: 1,
-                eager_keys: true,
-                ..AbsOptions::default()
-            },
-        )
+        let opts = AbsOptions {
+            strategy: DedupStrategy::CanonicalKey,
+            threads: 1,
+            eager_keys: true,
+            ..AbsOptions::default()
+        };
+        det_abstraction_traced(dcds, max_states, opts, &Obs::disabled())
     });
     Workload {
         name,
@@ -168,7 +161,9 @@ fn bench_rcycl(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Wor
     let mut runs = Vec::new();
     let mut counters = EngineCounters::default();
     for threads in THREAD_COUNTS {
-        let (secs, res) = time_best(reps, || rcycl_opts(dcds, max_states, threads));
+        let (secs, res) = time_best(reps, || {
+            rcycl_traced(dcds, max_states, threads, &Obs::disabled())
+        });
         counters = res.counters;
         runs.push(ThreadRun {
             threads,
@@ -219,7 +214,8 @@ fn bench_mc(
     let mut counters = McCounters::default();
     for threads in THREAD_COUNTS {
         let (secs, (ext, c)) = time_best(reps, || {
-            eval_with_opts(phi, ts, &mut Valuation::default(), McOptions { threads })
+            let opts = McOptions { threads };
+            eval_traced(phi, ts, &mut Valuation::default(), opts, &Obs::disabled())
         });
         assert_eq!(ext, oracle, "engine disagrees with naive oracle on {name}");
         counters = c;
@@ -241,7 +237,7 @@ fn mc_workloads(reps: usize) -> Vec<McWorkload> {
 
     // Example 5.1 (nondeterministic) — RCYCL pruning, a µLP safety property.
     let e51 = examples::example_5_1();
-    let pruning = rcycl_opts(&e51, 100, 1);
+    let pruning = rcycl_traced(&e51, 100, 1, &Obs::disabled());
     assert!(pruning.complete);
     let r = e51.data.schema.rel_id("R").unwrap();
     let q = e51.data.schema.rel_id("Q").unwrap();
@@ -255,14 +251,14 @@ fn mc_workloads(reps: usize) -> Vec<McWorkload> {
     out.push(bench_mc(
         "example_5_1 via RCYCL",
         "AG exists x. live(x) & (R(x) | Q(x))",
-        &pruning.ts,
+        &pruning.ts.to_ts(),
         &phi,
         reps,
     ));
 
     // service_cycle(6) (deterministic) — a µLP reachability property.
     let cyc = synthetic::service_cycle(6);
-    let abs = det_abstraction_opts(&cyc, 1500, AbsOptions::default());
+    let abs = det_abstraction_traced(&cyc, 1500, AbsOptions::default(), &Obs::disabled());
     let last = cyc.data.schema.rel_id("R5").unwrap();
     let phi = sugar::ef(Mu::exists(
         "X",
@@ -271,7 +267,7 @@ fn mc_workloads(reps: usize) -> Vec<McWorkload> {
     out.push(bench_mc(
         "service_cycle(6) via det abstraction",
         "EF exists x. live(x) & R5(x)",
-        &abs.ts,
+        &abs.ts.to_ts(),
         &phi,
         reps,
     ));
@@ -279,7 +275,7 @@ fn mc_workloads(reps: usize) -> Vec<McWorkload> {
     // Travel request system (Appendix E) — RCYCL, the paper's safety
     // property "no confirmation without travel data".
     let req = travel::request_system_small();
-    let res = rcycl_opts(&req, 5000, 1);
+    let res = rcycl_traced(&req, 5000, 1, &Obs::disabled());
     assert!(res.complete);
     let status = req.data.schema.rel_id("Status").unwrap();
     let travel_rel = req.data.schema.rel_id("Travel").unwrap();
@@ -293,7 +289,7 @@ fn mc_workloads(reps: usize) -> Vec<McWorkload> {
     out.push(bench_mc(
         "travel request (small) via RCYCL",
         "AG !(confirmed & no Travel tuple)",
-        &res.ts,
+        &res.ts.to_ts(),
         &phi,
         reps,
     ));
@@ -399,9 +395,10 @@ fn query_runs(reps: usize, scale: usize) -> Vec<QueryRun> {
     // the RCYCL abstraction — the exact queries the transition hot path
     // runs, on the instances it runs them against.
     let req = travel::request_system_small();
-    let res = rcycl_opts(&req, 5000, 1);
+    let res = rcycl_traced(&req, 5000, 1, &Obs::disabled());
     assert!(res.complete);
-    let instances: Vec<Instance> = res.ts.state_ids().map(|s| res.ts.db(s).clone()).collect();
+    let ts = res.ts.to_ts();
+    let instances: Vec<Instance> = ts.state_ids().map(|s| ts.db(s).clone()).collect();
     let mut ucqs: Vec<Ucq> = req
         .process
         .rules
@@ -437,7 +434,8 @@ fn query_runs(reps: usize, scale: usize) -> Vec<QueryRun> {
     out
 }
 
-/// One compact-engine run at a fixed state budget.
+/// One engine run at a fixed state budget above `OWNED_MAX_STATES`, so
+/// the states live in the compact store.
 struct ScaleRun {
     budget: usize,
     secs: f64,
@@ -449,20 +447,8 @@ struct ScaleRun {
     facts_interned: usize,
     delta_share: f64,
     complete: bool,
-    /// Dedup probe work: exact canonical keys materialised.
-    canon_keys_computed: u64,
-    /// Canonicalization search: vertex orders fully encoded by the
-    /// branch-and-bound labeling (1 per key on symmetric classes).
-    canon_orders_enumerated: u64,
-    /// Canonicalization search: permutation subtrees cut on prefix
-    /// divergence before reaching a full order.
-    canon_prune_cutoffs: u64,
-    /// Dedup probe work: probes answered by an empty signature group.
-    sig_filter_skips: u64,
-    /// Dedup probe work: pairwise checks the index made unnecessary.
-    iso_checks_avoided: u64,
-    /// Dedup probe work: backtracking isomorphism checks actually run.
-    iso_checks_performed: u64,
+    /// Dedup probe work and canonical-key search effort.
+    counters: EngineCounters,
 }
 
 impl ScaleRun {
@@ -487,60 +473,51 @@ struct ScaleWorkload {
     /// dedup-throughput check (det engines must stay at or above 0.5; a
     /// linear class-index scan collapses this towards `lo / hi`).
     throughput_ratio: f64,
-    /// Budget at which compact and legacy were asserted bit-identical at
-    /// every thread count.
+    /// Budget at which the owned and store storages were asserted
+    /// bit-identical at every thread count.
     overlap_budget: usize,
+}
+
+fn scale_run(
+    budget: usize,
+    secs: f64,
+    ts: &StateSpace,
+    complete: bool,
+    counters: EngineCounters,
+) -> ScaleRun {
+    let stats = ts
+        .store_stats()
+        .expect("scale budgets lie above OWNED_MAX_STATES, in the store");
+    ScaleRun {
+        budget,
+        secs,
+        states: ts.num_states(),
+        edges: ts.num_edges(),
+        bytes: stats.bytes,
+        facts_interned: stats.facts_interned,
+        delta_share: stats.delta_share(),
+        complete,
+        counters,
+    }
 }
 
 fn scale_run_det(dcds: &Dcds, budget: usize) -> ScaleRun {
     let t0 = Instant::now();
-    let abs = det_abstraction_compact_opts(
-        dcds,
-        budget,
-        AbsOptions {
-            threads: 1,
-            ..AbsOptions::default()
-        },
-    );
-    let stats = abs.ts.store_stats();
-    ScaleRun {
-        budget,
-        secs: t0.elapsed().as_secs_f64(),
-        states: abs.ts.num_states(),
-        edges: abs.ts.num_edges(),
-        bytes: stats.bytes,
-        facts_interned: stats.facts_interned,
-        delta_share: stats.delta_share(),
-        complete: abs.outcome == dcds_abstraction::AbsOutcome::Complete,
-        canon_keys_computed: abs.counters.canon_keys_computed,
-        canon_orders_enumerated: abs.counters.canon_orders_enumerated,
-        canon_prune_cutoffs: abs.counters.canon_prune_cutoffs,
-        sig_filter_skips: abs.counters.sig_filter_skips,
-        iso_checks_avoided: abs.counters.iso_checks_avoided,
-        iso_checks_performed: abs.counters.iso_checks_performed,
-    }
+    let opts = AbsOptions {
+        threads: 1,
+        ..AbsOptions::default()
+    };
+    let abs = det_abstraction_traced(dcds, budget, opts, &Obs::disabled());
+    let secs = t0.elapsed().as_secs_f64();
+    let complete = abs.outcome == dcds_abstraction::AbsOutcome::Complete;
+    scale_run(budget, secs, &abs.ts, complete, abs.counters)
 }
 
 fn scale_run_rcycl(dcds: &Dcds, budget: usize) -> ScaleRun {
     let t0 = Instant::now();
-    let res = rcycl_compact_opts(dcds, budget, 1);
-    let stats = res.ts.store_stats();
-    ScaleRun {
-        budget,
-        secs: t0.elapsed().as_secs_f64(),
-        states: res.ts.num_states(),
-        edges: res.ts.num_edges(),
-        bytes: stats.bytes,
-        facts_interned: stats.facts_interned,
-        delta_share: stats.delta_share(),
-        complete: res.complete,
-        canon_keys_computed: res.counters.canon_keys_computed,
-        canon_orders_enumerated: res.counters.canon_orders_enumerated,
-        canon_prune_cutoffs: res.counters.canon_prune_cutoffs,
-        sig_filter_skips: res.counters.sig_filter_skips,
-        iso_checks_avoided: res.counters.iso_checks_avoided,
-        iso_checks_performed: res.counters.iso_checks_performed,
-    }
+    let res = rcycl_traced(dcds, budget, 1, &Obs::disabled());
+    let secs = t0.elapsed().as_secs_f64();
+    scale_run(budget, secs, &res.ts, res.complete, res.counters)
 }
 
 /// Ratio of `measure` between the workload's two gate budgets
@@ -555,49 +532,21 @@ fn gate_ratio(runs: &[ScaleRun], budgets: (usize, usize), measure: fn(&ScaleRun)
     at(budgets.1) / at(budgets.0)
 }
 
-/// Assert the det compact engine is bit-identical to the legacy engine —
-/// same states, edges, outcome, minted pool, and every counter (including
-/// canonical keys computed) — at every thread count.
+/// Assert both storages build the same system at every thread count.
 fn assert_det_overlap(dcds: &Dcds, budget: usize) {
     for threads in THREAD_COUNTS {
         let opts = AbsOptions {
             threads,
             ..AbsOptions::default()
         };
-        let legacy = det_abstraction_opts(dcds, budget, opts);
-        let compact = det_abstraction_compact_opts(dcds, budget, opts);
-        assert_eq!(
-            compact.ts.to_ts(),
-            legacy.ts,
-            "det compact diverged from legacy at {threads} threads"
-        );
-        assert_eq!(compact.outcome, legacy.outcome);
-        assert_eq!(compact.pool.len(), legacy.pool.len());
-        assert_eq!(
-            compact.counters, legacy.counters,
-            "det compact counters diverged at {threads} threads"
-        );
+        parity::det_storages_agree(dcds, budget, opts);
     }
 }
 
 /// The RCYCL analogue of [`assert_det_overlap`].
 fn assert_rcycl_overlap(dcds: &Dcds, budget: usize) {
     for threads in THREAD_COUNTS {
-        let legacy = rcycl_opts(dcds, budget, threads);
-        let compact = rcycl_compact_opts(dcds, budget, threads);
-        assert_eq!(
-            compact.ts.to_ts(),
-            legacy.ts,
-            "rcycl compact diverged from legacy at {threads} threads"
-        );
-        assert_eq!(compact.complete, legacy.complete);
-        assert_eq!(compact.used_values, legacy.used_values);
-        assert_eq!(compact.triples_processed, legacy.triples_processed);
-        assert_eq!(compact.pool.len(), legacy.pool.len());
-        assert_eq!(
-            compact.counters, legacy.counters,
-            "rcycl compact counters diverged at {threads} threads"
-        );
+        parity::rcycl_storages_agree(dcds, budget, threads);
     }
 }
 
@@ -610,7 +559,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     assert_det_overlap(&chain, det_overlap);
     let det = ScaleWorkload {
         name: "service_chain(16)".into(),
-        engine: "det_abstraction_compact",
+        engine: "det_abstraction",
         runs: vec![
             scale_run_det(&chain, 100_000),
             scale_run_det(&chain, 500_000),
@@ -637,7 +586,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     assert_det_overlap(&coll, coll_overlap);
     let collisions = ScaleWorkload {
         name: "collision_pairs(12)".into(),
-        engine: "det_abstraction_compact",
+        engine: "det_abstraction",
         runs: vec![scale_run_det(&coll, 30_000), scale_run_det(&coll, 60_000)],
         gate_budgets: (30_000, 60_000),
         bytes_growth: 0.0,
@@ -650,7 +599,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     assert_rcycl_overlap(&rings, rcycl_overlap);
     let rcycl = ScaleWorkload {
         name: "phased_rings(5)".into(),
-        engine: "rcycl_compact",
+        engine: "rcycl",
         runs: vec![
             scale_run_rcycl(&rings, 100_000),
             scale_run_rcycl(&rings, 500_000),
@@ -1102,7 +1051,7 @@ fn main() {
     let obs = Obs::enabled(ObsConfig::default());
     {
         let e51 = examples::example_5_1();
-        let pruning = rcycl_opts(&e51, 100, 1);
+        let pruning = rcycl_traced(&e51, 100, 1, &Obs::disabled());
         let r = e51.data.schema.rel_id("R").unwrap();
         let q = e51.data.schema.rel_id("Q").unwrap();
         let phi = sugar::ag(Mu::exists(
@@ -1112,7 +1061,7 @@ fn main() {
                     .or(Mu::Query(Formula::Atom(q, vec![QTerm::var("X")]))),
             ),
         ));
-        let _ = check_traced(&phi, &pruning.ts, McOptions { threads: 1 }, &obs)
+        let _ = check_traced(&phi, &pruning.ts.to_ts(), McOptions { threads: 1 }, &obs)
             .expect("mucalc snapshot run");
     }
     let snapshot = obs.finish().expect("obs enabled").metrics;
@@ -1227,7 +1176,7 @@ fn main() {
     }
     artifacts.push(("BENCH_query.json", json));
 
-    // ---- compact state store at scale ----
+    // ---- engines at scale (compact state store) ----
     // The scale stage drives half-million-state budgets; in smoke mode it
     // is skipped outright (its keys simply drop out of the comparison).
     if smoke {
@@ -1238,7 +1187,7 @@ fn main() {
         return;
     }
     let scale_loads = scale_workloads();
-    println!("\ncompact-store scale report  (1 thread; legacy parity asserted at 1/2/4/8)");
+    println!("\ncompact-store scale report  (1 thread; owned/store parity asserted at 1/2/4/8)");
     for w in &scale_loads {
         println!("\n{} — {}", w.engine, w.name);
         println!(
@@ -1262,16 +1211,16 @@ fn main() {
                 "  canon at {} states: {} keys ({} orders, {} cutoffs), \
                  {} sig-bucket skips, {} iso checks",
                 r.states,
-                r.canon_keys_computed,
-                r.canon_orders_enumerated,
-                r.canon_prune_cutoffs,
-                r.sig_filter_skips,
-                r.iso_checks_performed
+                r.counters.canon_keys_computed,
+                r.counters.canon_orders_enumerated,
+                r.counters.canon_prune_cutoffs,
+                r.counters.sig_filter_skips,
+                r.counters.iso_checks_performed
             );
         }
         println!(
             "  {}k -> {}k: bytes/state x{:.2} (must stay < 2x), states/s x{:.2}{}; \
-             bit-identical to legacy at {} states, threads 1/2/4/8",
+             owned/store bit-identical at {} states, threads 1/2/4/8",
             w.gate_budgets.0 / 1000,
             w.gate_budgets.1 / 1000,
             w.bytes_growth,
@@ -1285,10 +1234,11 @@ fn main() {
         );
     }
 
-    // Instrumented small compact run so the artifact carries the store
-    // gauges (`store.bytes`, `store.facts_interned`, `store.delta_states`).
+    // Instrumented small store-backed run so the artifact carries the
+    // store gauges (`store.bytes`, `store.facts_interned`,
+    // `store.delta_states`).
     let obs = Obs::enabled(ObsConfig::default());
-    let _ = det_abstraction_compact_traced(
+    let _ = det_abs::build::<Store>(
         &synthetic::service_chain(16),
         10_000,
         AbsOptions {
@@ -1303,14 +1253,14 @@ fn main() {
     let _ = writeln!(json, "  \"benchmark\": \"compact-store-scale\",");
     let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(json, "  \"threads\": 1,");
-    let _ = writeln!(json, "  \"legacy_parity_thread_counts\": [1, 2, 4, 8],");
+    let _ = writeln!(json, "  \"storage_parity_thread_counts\": [1, 2, 4, 8],");
     let _ = writeln!(json, "  \"workloads\": [");
     for (wi, w) in scale_loads.iter().enumerate() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", w.name);
         let _ = writeln!(json, "      \"engine\": \"{}\",", w.engine);
         let _ = writeln!(json, "      \"overlap_budget\": {},", w.overlap_budget);
-        let _ = writeln!(json, "      \"legacy_bit_identical\": true,");
+        let _ = writeln!(json, "      \"storages_bit_identical\": true,");
         let _ = writeln!(json, "      \"runs\": [");
         for (ri, r) in w.runs.iter().enumerate() {
             let _ = writeln!(
@@ -1331,12 +1281,12 @@ fn main() {
                 json_f64(r.delta_share),
                 r.facts_interned,
                 r.complete,
-                r.canon_keys_computed,
-                r.canon_orders_enumerated,
-                r.canon_prune_cutoffs,
-                r.sig_filter_skips,
-                r.iso_checks_avoided,
-                r.iso_checks_performed,
+                r.counters.canon_keys_computed,
+                r.counters.canon_orders_enumerated,
+                r.counters.canon_prune_cutoffs,
+                r.counters.sig_filter_skips,
+                r.counters.iso_checks_avoided,
+                r.counters.iso_checks_performed,
                 if ri + 1 < w.runs.len() { "," } else { "" }
             );
         }

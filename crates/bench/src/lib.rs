@@ -20,6 +20,7 @@
 
 pub mod examples;
 pub mod figures;
+pub mod parity;
 pub mod queries;
 pub mod report;
 pub mod rng;

@@ -356,12 +356,13 @@ mod tests {
         let res = dcds_abstraction::rcycl(&dcds, 3000);
         // Every state: 3 ring slots + Tick + Phase — flat regardless of
         // how deep exploration went.
-        for s in res.ts.state_ids() {
-            assert_eq!(res.ts.db(s).len(), 5);
+        let ts = res.ts.into_ts();
+        for s in ts.state_ids() {
+            assert_eq!(ts.db(s).len(), 5);
         }
         // The product space dwarfs small budgets.
         assert!(!res.complete);
-        assert_eq!(res.ts.num_states(), 3000);
+        assert_eq!(ts.num_states(), 3000);
     }
 
     #[test]
@@ -370,12 +371,19 @@ mod tests {
         // first k tags (telephone numbers T(k)): each call result is fresh
         // or paired with one unpaired earlier result. For n = 5 the
         // saturated system has T(0) + ... + T(5) = 1+1+2+4+10+26 states.
-        use dcds_abstraction::{det_abstraction_with, AbsOutcome, DedupStrategy};
+        use dcds_abstraction::{det_abstraction_traced, AbsOptions, AbsOutcome, DedupStrategy};
         let dcds = collision_pairs(5);
-        let keyed = det_abstraction_with(&dcds, 500, DedupStrategy::CanonicalKey);
+        let with = |strategy| {
+            let opts = AbsOptions {
+                strategy,
+                ..AbsOptions::default()
+            };
+            det_abstraction_traced(&dcds, 500, opts, &dcds_obs::Obs::disabled())
+        };
+        let keyed = with(DedupStrategy::CanonicalKey);
         assert_eq!(keyed.outcome, AbsOutcome::Complete);
         assert_eq!(keyed.ts.num_states(), 44);
-        let pairwise = det_abstraction_with(&dcds, 500, DedupStrategy::PairwiseIso);
+        let pairwise = with(DedupStrategy::PairwiseIso);
         assert_eq!(pairwise.ts.num_states(), 44);
         assert_eq!(keyed.ts.num_edges(), pairwise.ts.num_edges());
     }

@@ -8,14 +8,15 @@
 //! These tests pin that promise on the paper's travel-request system and a
 //! parameterised synthetic system.
 
-use dcds_abstraction::{det_abstraction_opts, rcycl_opts, AbsOptions};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
 use dcds_bench::{synthetic, travel};
 use dcds_core::explore::{CommitmentOracle, Limits};
 use dcds_core::{
-    do_action, do_action_indexed, explore_det_opts, legal_assignments, legal_assignments_indexed,
+    do_action, do_action_indexed, explore_det_traced, legal_assignments, legal_assignments_indexed,
     state_index, Dcds,
 };
 use dcds_folang::Var;
+use dcds_obs::Obs;
 
 /// All per-state query entry points agree across the three paths (legacy,
 /// plan over scans, plan over index) on every reachable state of the
@@ -26,10 +27,11 @@ fn do_and_legal_agree_on_all_rcycl_states() {
     let ((pe, te), (pr, tr)) = dcds.plans().coverage();
     assert!(pe > 0 && pr > 0, "no plans compiled: {pe}/{te}, {pr}/{tr}");
 
-    let res = rcycl_opts(&dcds, 5000, 1);
+    let res = rcycl_traced(&dcds, 5000, 1, &Obs::disabled());
     assert!(res.complete, "travel pruning should saturate");
-    for s in res.ts.state_ids() {
-        let inst = res.ts.db(s);
+    let ts = res.ts.into_ts();
+    for s in ts.state_ids() {
+        let inst = ts.db(s);
         let idx = state_index(&dcds, inst);
 
         let legal = legal_assignments(&dcds, inst);
@@ -68,9 +70,9 @@ fn non_parameter_sigma_takes_identical_fallback() {
 }
 
 fn assert_thread_invariant_rcycl(dcds: &Dcds, max_states: usize) {
-    let baseline = rcycl_opts(dcds, max_states, 1);
+    let baseline = rcycl_traced(dcds, max_states, 1, &Obs::disabled());
     for threads in [2usize, 4, 8] {
-        let run = rcycl_opts(dcds, max_states, threads);
+        let run = rcycl_traced(dcds, max_states, threads, &Obs::disabled());
         assert_eq!(baseline.ts, run.ts, "rcycl ts differs at {threads} threads");
         assert_eq!(baseline.complete, run.complete);
         assert_eq!(baseline.used_values, run.used_values);
@@ -89,28 +91,30 @@ fn rcycl_thread_count_invariant_with_plans() {
 #[test]
 fn det_abstraction_thread_count_invariant_with_plans() {
     let dcds = travel::audit_system_small();
-    let baseline = det_abstraction_opts(
+    let baseline = det_abstraction_traced(
         &dcds,
         2000,
         AbsOptions {
             threads: 1,
             ..AbsOptions::default()
         },
+        &Obs::disabled(),
     );
     for threads in [2usize, 4, 8] {
-        let run = det_abstraction_opts(
+        let run = det_abstraction_traced(
             &dcds,
             2000,
             AbsOptions {
                 threads,
                 ..AbsOptions::default()
             },
+            &Obs::disabled(),
         );
         assert_eq!(
             baseline.ts, run.ts,
             "det_abs ts differs at {threads} threads"
         );
-        assert_eq!(baseline.states, run.states);
+        assert_eq!(baseline.counters, run.counters);
     }
 }
 
@@ -123,9 +127,15 @@ fn explore_det_thread_count_invariant_with_plans() {
         max_states: 500,
         ..Limits::default()
     };
-    let baseline = explore_det_opts(&dcds, limits, &mut CommitmentOracle, 1);
+    let baseline = explore_det_traced(&dcds, limits, &mut CommitmentOracle, 1, &Obs::disabled());
     for threads in [2usize, 4, 8] {
-        let run = explore_det_opts(&dcds, limits, &mut CommitmentOracle, threads);
+        let run = explore_det_traced(
+            &dcds,
+            limits,
+            &mut CommitmentOracle,
+            threads,
+            &Obs::disabled(),
+        );
         assert_eq!(
             baseline.ts, run.ts,
             "explore_det ts differs at {threads} threads"

@@ -6,11 +6,15 @@
 //! memory is the *delta* a transition made, not the instance. States can
 //! still be materialised on demand ([`CompactTs::db`]) and the whole
 //! system can be converted to an owned [`Ts`] ([`CompactTs::to_ts`]) —
-//! which the differential tests use to assert the compact engines are
-//! bit-identical to the legacy owned-instance path.
+//! which the differential tests use to assert that both state storages of
+//! an abstraction engine build the same system.
+//!
+//! [`StateSpace`] is either form: what an abstraction engine returns when
+//! the storage was picked from its state budget.
 
 use crate::ts::{StateId, Ts};
 use dcds_reldata::{Instance, StateRef, StateStore, StoreStats};
+use std::borrow::Cow;
 
 /// An explicit transition system whose states live in a [`StateStore`].
 #[derive(Debug)]
@@ -53,11 +57,6 @@ impl CompactTs {
         self.initial
     }
 
-    /// The store handle of a state.
-    pub fn state_ref(&self, s: StateId) -> StateRef {
-        self.states[s.index()]
-    }
-
     /// Materialise the database labeling a state.
     pub fn db(&self, s: StateId) -> Instance {
         self.store.instance(self.states[s.index()], self.num_rels)
@@ -83,18 +82,12 @@ impl CompactTs {
         (0..self.states.len()).map(StateId::from_index)
     }
 
-    /// The backing store.
-    pub fn store(&self) -> &StateStore {
-        &self.store
-    }
-
     /// Deterministic storage statistics (see [`StoreStats`]).
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }
 
-    /// Materialise the whole system as an owned [`Ts`] — the oracle form
-    /// the differential tests compare against the legacy engines.
+    /// Materialise the whole system as an owned [`Ts`].
     pub fn to_ts(&self) -> Ts {
         let mut ts = Ts::new(self.db(self.initial));
         for s in self.state_ids().skip(1) {
@@ -106,6 +99,69 @@ impl CompactTs {
             }
         }
         ts
+    }
+}
+
+/// A finite transition system in either storage: owned instances (a
+/// [`Ts`]) or the compact store (a [`CompactTs`]).
+///
+/// Equality is structural, as for [`Ts`]: two state spaces are equal when
+/// they have the same states in the same order with the same edges,
+/// whatever their storage.
+#[derive(Debug)]
+pub enum StateSpace {
+    /// One shared [`Instance`] per state.
+    Owned(Ts),
+    /// States as deltas in a [`StateStore`].
+    Store(CompactTs),
+}
+
+impl StateSpace {
+    /// Number of states.
+    pub fn num_states(&self) -> usize {
+        match self {
+            StateSpace::Owned(ts) => ts.num_states(),
+            StateSpace::Store(ts) => ts.num_states(),
+        }
+    }
+
+    /// Number of edges.
+    pub fn num_edges(&self) -> usize {
+        match self {
+            StateSpace::Owned(ts) => ts.num_edges(),
+            StateSpace::Store(ts) => ts.num_edges(),
+        }
+    }
+
+    /// The system as an owned [`Ts`]: borrowed when it already is one,
+    /// materialised from the store otherwise.
+    pub fn to_ts(&self) -> Cow<'_, Ts> {
+        match self {
+            StateSpace::Owned(ts) => Cow::Borrowed(ts),
+            StateSpace::Store(ts) => Cow::Owned(ts.to_ts()),
+        }
+    }
+
+    /// [`StateSpace::to_ts`] by value.
+    pub fn into_ts(self) -> Ts {
+        match self {
+            StateSpace::Owned(ts) => ts,
+            StateSpace::Store(ts) => ts.to_ts(),
+        }
+    }
+
+    /// Store statistics, when the states live in a store.
+    pub fn store_stats(&self) -> Option<StoreStats> {
+        match self {
+            StateSpace::Owned(_) => None,
+            StateSpace::Store(ts) => Some(ts.store_stats()),
+        }
+    }
+}
+
+impl PartialEq for StateSpace {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_ts() == other.to_ts()
     }
 }
 

@@ -13,7 +13,6 @@
 //! abstraction keeps, so prefixes explored with it are isomorphic-faithful.
 
 use crate::commitment::{enumerate_commitments, CommitTarget};
-use crate::compact::CompactTs;
 use crate::dcds::Dcds;
 use crate::det::{det_step_with_pre, DetState};
 use crate::do_op::{
@@ -25,11 +24,8 @@ use crate::par::{configured_threads, par_map_obs};
 use crate::term::ServiceCall;
 use crate::ts::{StateId, Ts};
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{
-    ConstantPool, Facts, Instance, InstanceIndex, RelId, StateRef, StateStore, Value,
-};
+use dcds_reldata::{ConstantPool, Instance, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Bounds on exploration.
 #[derive(Debug, Clone, Copy)]
@@ -186,28 +182,18 @@ pub struct NondetExploration {
 /// BFS over the deterministic concrete transition system, branching as the
 /// oracle dictates, deduplicating identical `⟨I, M⟩` states.
 pub fn explore_det(dcds: &Dcds, limits: Limits, oracle: &mut dyn ValueOracle) -> DetExploration {
-    explore_det_opts(dcds, limits, oracle, configured_threads())
+    explore_det_traced(dcds, limits, oracle, configured_threads(), &Obs::disabled())
 }
 
-/// [`explore_det`] with an explicit worker-thread count.
+/// [`explore_det`] with an explicit worker-thread count and an
+/// observability handle: per-level spans, frontier-size metrics, and
+/// rate-limited heartbeats.
 ///
 /// The BFS is level-synchronised and phase-split like the abstraction
 /// engine: query evaluation (`DO`, the step per θ) runs in parallel over
 /// the frontier, while the oracle — which is stateful and mints from the
 /// pool — is invoked serially in exactly the order the serial engine would
 /// use. Output is identical for every `threads` value, including 1.
-pub fn explore_det_opts(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-) -> DetExploration {
-    explore_det_traced(dcds, limits, oracle, threads, &Obs::disabled())
-}
-
-/// [`explore_det_opts`] with an observability handle: per-level spans,
-/// frontier-size metrics, and rate-limited heartbeats. A disabled handle
-/// makes this exactly `explore_det_opts`.
 pub fn explore_det_traced(
     dcds: &Dcds,
     limits: Limits,
@@ -340,21 +326,11 @@ pub fn explore_nondet(
     limits: Limits,
     oracle: &mut dyn ValueOracle,
 ) -> NondetExploration {
-    explore_nondet_opts(dcds, limits, oracle, configured_threads())
+    explore_nondet_traced(dcds, limits, oracle, configured_threads(), &Obs::disabled())
 }
 
-/// [`explore_nondet`] with an explicit worker-thread count; same phase
-/// split and determinism contract as [`explore_det_opts`].
-pub fn explore_nondet_opts(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-) -> NondetExploration {
-    explore_nondet_traced(dcds, limits, oracle, threads, &Obs::disabled())
-}
-
-/// [`explore_nondet_opts`] with an observability handle; same contract as
+/// [`explore_nondet`] with an explicit worker-thread count and an
+/// observability handle; same phase split and determinism contract as
 /// [`explore_det_traced`].
 pub fn explore_nondet_traced(
     dcds: &Dcds,
@@ -458,440 +434,6 @@ pub fn explore_nondet_traced(
     NondetExploration { ts, outcome, pool }
 }
 
-/// Result of a compact deterministic exploration: the same prefix as
-/// [`DetExploration`] (the differential tests assert `to_ts()` equality)
-/// with the states held in a [`StateStore`] instead of owned instances.
-#[derive(Debug)]
-pub struct CompactDetExploration {
-    /// States in the store.
-    pub ts: CompactTs,
-    /// Per-state service-call maps (parallel to `ts` state ids).
-    pub call_maps: Vec<BTreeMap<ServiceCall, Value>>,
-    /// Completeness within the oracle's branching.
-    pub outcome: ExploreOutcome,
-    /// The constant pool extended with minted fresh values.
-    pub pool: ConstantPool,
-}
-
-/// Result of a compact nondeterministic exploration; mirrors
-/// [`NondetExploration`] with the states held in a [`StateStore`].
-#[derive(Debug)]
-pub struct CompactNondetExploration {
-    /// States in the store.
-    pub ts: CompactTs,
-    /// Completeness within the oracle's branching.
-    pub outcome: ExploreOutcome,
-    /// The constant pool extended with minted fresh values.
-    pub pool: ConstantPool,
-}
-
-/// A frontier state of the compact exploration BFS: its id, its transient
-/// owned structure (dropped when the level completes), and its
-/// copy-on-write query index.
-struct CompactLevelState<S> {
-    id: StateId,
-    state: S,
-    index: Arc<InstanceIndex>,
-}
-
-/// A state admitted during the merge phase, awaiting its COW index.
-struct PendingLevelState<S> {
-    id: StateId,
-    state: S,
-    /// Index into the current frontier of the parent it stepped from.
-    parent_ix: usize,
-    /// Relations its delta touched; `None` = stored as a root.
-    touched: Option<Vec<RelId>>,
-}
-
-/// [`explore_det`] over the compact state store.
-pub fn explore_det_compact(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-) -> CompactDetExploration {
-    explore_det_compact_opts(dcds, limits, oracle, configured_threads())
-}
-
-/// [`explore_det_compact`] with an explicit worker-thread count.
-pub fn explore_det_compact_opts(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-) -> CompactDetExploration {
-    explore_det_compact_traced(dcds, limits, oracle, threads, &Obs::disabled())
-}
-
-/// [`explore_det_compact_opts`] with an observability handle.
-///
-/// The phase structure replays [`explore_det_traced`] exactly — the oracle
-/// runs serially in the same order, so the prefix, call maps, outcome, and
-/// pool are bit-identical to the owned engine at every thread count — with
-/// two compact-path differences: successor states are stored as deltas
-/// over their parent (dedup via the store's exact fact-set hashing, which
-/// coincides with `HashMap<DetState, _>` because [`DetState::to_facts`] is
-/// injective), and each frontier state's [`InstanceIndex`] is derived from
-/// its parent's via [`InstanceIndex::rebuild_delta`] instead of being
-/// rebuilt from scratch per level.
-pub fn explore_det_compact_traced(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-    obs: &Obs,
-) -> CompactDetExploration {
-    let _run = span!(obs, "explore_det_compact", threads = threads);
-    let query_stats0 = query_stats_snapshot(dcds);
-    let threads = threads.max(1);
-    let num_rels = dcds.data.schema.len();
-    let mut pool = dcds.working_pool();
-    let rigid = dcds.rigid_constants();
-    let paths = dcds.plans().access_paths();
-
-    let mut store = StateStore::new();
-    let s0 = DetState::initial(dcds);
-    let r0 = store.insert(None, &s0.to_facts(num_rels)).state;
-    let mut refs: Vec<StateRef> = vec![r0];
-    let mut succ: Vec<Vec<StateId>> = vec![Vec::new()];
-    let mut call_maps = vec![s0.call_map.clone()];
-
-    let idx0 = Arc::new(state_index(dcds, &s0.instance));
-    let mut level: Vec<CompactLevelState<DetState>> = vec![CompactLevelState {
-        id: StateId::from_index(0),
-        state: s0,
-        index: idx0,
-    }];
-    let mut depth = 0usize;
-    let mut outcome = ExploreOutcome::Complete;
-
-    while !level.is_empty() {
-        if depth >= limits.max_depth {
-            outcome = ExploreOutcome::Truncated;
-            break;
-        }
-        let mut level_span = span!(obs, "explore_level", depth = depth, frontier = level.len());
-        obs.histogram("explore.frontier_states", level.len() as u64);
-        obs.gauge_max("explore.max_frontier", level.len() as i64);
-        obs.heartbeat(|| {
-            format!(
-                "explore depth {depth}: frontier {}, {} states total",
-                level.len(),
-                refs.len()
-            )
-        });
-        // Phase 1 (parallel): `DO` and the not-yet-mapped calls per
-        // `(state, ασ)`, probing the frontier state's COW index.
-        let enumerated: Vec<Vec<Enumerated>> =
-            par_map_obs(&level, threads, obs, "enumerate", |entry| {
-                let state = &entry.state;
-                legal_assignments_indexed(dcds, &state.instance, Some(&entry.index))
-                    .into_iter()
-                    .map(|(action, sigma)| {
-                        let pre = do_action_indexed(
-                            dcds,
-                            &state.instance,
-                            action,
-                            &sigma,
-                            Some(&entry.index),
-                        );
-                        let new_calls: BTreeSet<ServiceCall> = pre
-                            .calls()
-                            .into_iter()
-                            .filter(|c| !state.call_map.contains_key(c))
-                            .collect();
-                        let mut known = state.known_values();
-                        known.extend(rigid.iter().copied());
-                        (pre, new_calls, known)
-                    })
-                    .collect()
-            });
-        // Phase 2 (serial): the oracle, in the serial invocation order.
-        let mut tasks: Vec<(usize, usize, BTreeMap<ServiceCall, Value>)> = Vec::new();
-        for (state_ix, per_state) in enumerated.iter().enumerate() {
-            for (pre_ix, (_, new_calls, known)) in per_state.iter().enumerate() {
-                for theta in oracle.evaluations(new_calls, known, &mut pool) {
-                    tasks.push((state_ix, pre_ix, theta));
-                }
-            }
-        }
-        // Phase 3 (parallel): one step per θ, plus the fact encoding the
-        // merge will dedup on.
-        let stepped: Vec<Option<(DetState, Facts)>> =
-            par_map_obs(&tasks, threads, obs, "step", |(state_ix, pre_ix, theta)| {
-                let state = &level[*state_ix].state;
-                let (pre, _, _) = &enumerated[*state_ix][*pre_ix];
-                det_step_with_pre(dcds, state, pre, theta).map(|next| {
-                    let facts = next.to_facts(num_rels);
-                    (next, facts)
-                })
-            });
-        // Phase 4 (serial, task order): dedup against the store, edges,
-        // admissions as deltas over the parent.
-        let mut pending: Vec<PendingLevelState<DetState>> = Vec::new();
-        let mut resolved_parent: Option<(usize, Vec<dcds_reldata::FactId>)> = None;
-        for ((state_ix, _, _), next) in tasks.iter().zip(stepped) {
-            let Some((next, facts)) = next else { continue };
-            let sid = level[*state_ix].id;
-            // Look up before inserting: a budget-truncated successor must
-            // leave no trace in the append-only store.
-            let next_id = match store.find(&facts) {
-                Some(existing) => StateId::from_index(existing.index()),
-                None => {
-                    if refs.len() >= limits.max_states {
-                        outcome = ExploreOutcome::Truncated;
-                        continue;
-                    }
-                    let parent_ref = refs[sid.index()];
-                    if resolved_parent.as_ref().map(|(s, _)| *s) != Some(*state_ix) {
-                        resolved_parent = Some((*state_ix, store.resolve(parent_ref)));
-                    }
-                    let parent_ids = &resolved_parent.as_ref().unwrap().1;
-                    let ins = store.insert_child(parent_ref, parent_ids, &facts);
-                    debug_assert!(!ins.existing);
-                    let id = StateId::from_index(refs.len());
-                    debug_assert_eq!(ins.state.index(), id.index());
-                    refs.push(ins.state);
-                    succ.push(Vec::new());
-                    call_maps.push(next.call_map.clone());
-                    let touched = store.delta_rels(ins.state, num_rels as u32);
-                    pending.push(PendingLevelState {
-                        id,
-                        state: next,
-                        parent_ix: *state_ix,
-                        touched,
-                    });
-                    id
-                }
-            };
-            let out = &mut succ[sid.index()];
-            if !out.contains(&next_id) {
-                out.push(next_id);
-            }
-        }
-        obs.counter_add("explore.states_expanded", level.len() as u64);
-        obs.counter_add("explore.tasks_stepped", tasks.len() as u64);
-        level_span.set("new_states", pending.len() as u64);
-        event!(
-            obs,
-            "level",
-            engine = "explore_det_compact",
-            level = depth,
-            frontier = level.len(),
-            tasks = tasks.len(),
-            new_states = pending.len(),
-            states = refs.len(),
-            store_bytes = store.stats().bytes,
-        );
-        // Phase 5 (parallel): derive the new frontier's COW indexes while
-        // the parent indexes are still alive.
-        level = par_map_obs(&pending, threads, obs, "index", |child| {
-            let idx = match &child.touched {
-                Some(touched) => InstanceIndex::rebuild_delta(
-                    &level[child.parent_ix].index,
-                    &child.state.instance,
-                    touched,
-                    paths.iter().cloned(),
-                ),
-                None => state_index(dcds, &child.state.instance),
-            };
-            CompactLevelState {
-                id: child.id,
-                state: child.state.clone(),
-                index: Arc::new(idx),
-            }
-        });
-        depth += 1;
-    }
-    obs.counter_add("explore.levels", depth as u64);
-    publish_query_stats_delta(dcds, obs, &query_stats0);
-    obs.progress_flush(|| format!("explore done: {} states, {depth} levels", refs.len()));
-    CompactDetExploration {
-        ts: CompactTs::from_parts(store, refs, succ, num_rels as u32),
-        call_maps,
-        outcome,
-        pool,
-    }
-}
-
-/// [`explore_nondet`] over the compact state store.
-pub fn explore_nondet_compact(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-) -> CompactNondetExploration {
-    explore_nondet_compact_opts(dcds, limits, oracle, configured_threads())
-}
-
-/// [`explore_nondet_compact`] with an explicit worker-thread count.
-pub fn explore_nondet_compact_opts(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-) -> CompactNondetExploration {
-    explore_nondet_compact_traced(dcds, limits, oracle, threads, &Obs::disabled())
-}
-
-/// [`explore_nondet_compact_opts`] with an observability handle; same
-/// contract as [`explore_det_compact_traced`] (instance dedup via the
-/// store's exact fact-set hashing coincides with `HashMap<Instance, _>`).
-pub fn explore_nondet_compact_traced(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-    obs: &Obs,
-) -> CompactNondetExploration {
-    let _run = span!(obs, "explore_nondet_compact", threads = threads);
-    let query_stats0 = query_stats_snapshot(dcds);
-    let threads = threads.max(1);
-    let num_rels = dcds.data.schema.len();
-    let mut pool = dcds.working_pool();
-    let rigid = dcds.rigid_constants();
-    let paths = dcds.plans().access_paths();
-
-    let mut store = StateStore::new();
-    let r0 = store
-        .insert(None, &Facts::from_instance(&dcds.data.initial))
-        .state;
-    let mut refs: Vec<StateRef> = vec![r0];
-    let mut succ: Vec<Vec<StateId>> = vec![Vec::new()];
-
-    let idx0 = Arc::new(state_index(dcds, &dcds.data.initial));
-    let mut level: Vec<CompactLevelState<Instance>> = vec![CompactLevelState {
-        id: StateId::from_index(0),
-        state: dcds.data.initial.clone(),
-        index: idx0,
-    }];
-    let mut depth = 0usize;
-    let mut outcome = ExploreOutcome::Complete;
-
-    while !level.is_empty() {
-        if depth >= limits.max_depth {
-            outcome = ExploreOutcome::Truncated;
-            break;
-        }
-        let mut level_span = span!(obs, "explore_level", depth = depth, frontier = level.len());
-        obs.histogram("explore.frontier_states", level.len() as u64);
-        obs.gauge_max("explore.max_frontier", level.len() as i64);
-        obs.heartbeat(|| {
-            format!(
-                "explore depth {depth}: frontier {}, {} states total",
-                level.len(),
-                refs.len()
-            )
-        });
-        let enumerated: Vec<Vec<Enumerated>> =
-            par_map_obs(&level, threads, obs, "enumerate", |entry| {
-                let inst = &entry.state;
-                legal_assignments_indexed(dcds, inst, Some(&entry.index))
-                    .into_iter()
-                    .map(|(action, sigma)| {
-                        let pre = do_action_indexed(dcds, inst, action, &sigma, Some(&entry.index));
-                        let calls = pre.calls();
-                        let mut known = inst.active_domain();
-                        known.extend(rigid.iter().copied());
-                        (pre, calls, known)
-                    })
-                    .collect()
-            });
-        let mut tasks: Vec<(usize, usize, BTreeMap<ServiceCall, Value>)> = Vec::new();
-        for (state_ix, per_state) in enumerated.iter().enumerate() {
-            for (pre_ix, (_, calls, known)) in per_state.iter().enumerate() {
-                for theta in oracle.evaluations(calls, known, &mut pool) {
-                    tasks.push((state_ix, pre_ix, theta));
-                }
-            }
-        }
-        let stepped: Vec<Option<(Instance, Facts)>> =
-            par_map_obs(&tasks, threads, obs, "step", |(state_ix, pre_ix, theta)| {
-                let (pre, _, _) = &enumerated[*state_ix][*pre_ix];
-                nondet_step_with_pre(dcds, pre, theta).map(|next| {
-                    let facts = Facts::from_instance(&next);
-                    (next, facts)
-                })
-            });
-        let mut pending: Vec<PendingLevelState<Instance>> = Vec::new();
-        let mut resolved_parent: Option<(usize, Vec<dcds_reldata::FactId>)> = None;
-        for ((state_ix, _, _), next) in tasks.iter().zip(stepped) {
-            let Some((next, facts)) = next else { continue };
-            let sid = level[*state_ix].id;
-            let next_id = match store.find(&facts) {
-                Some(existing) => StateId::from_index(existing.index()),
-                None => {
-                    if refs.len() >= limits.max_states {
-                        outcome = ExploreOutcome::Truncated;
-                        continue;
-                    }
-                    let parent_ref = refs[sid.index()];
-                    if resolved_parent.as_ref().map(|(s, _)| *s) != Some(*state_ix) {
-                        resolved_parent = Some((*state_ix, store.resolve(parent_ref)));
-                    }
-                    let parent_ids = &resolved_parent.as_ref().unwrap().1;
-                    let ins = store.insert_child(parent_ref, parent_ids, &facts);
-                    debug_assert!(!ins.existing);
-                    let id = StateId::from_index(refs.len());
-                    debug_assert_eq!(ins.state.index(), id.index());
-                    refs.push(ins.state);
-                    succ.push(Vec::new());
-                    let touched = store.delta_rels(ins.state, num_rels as u32);
-                    pending.push(PendingLevelState {
-                        id,
-                        state: next,
-                        parent_ix: *state_ix,
-                        touched,
-                    });
-                    id
-                }
-            };
-            let out = &mut succ[sid.index()];
-            if !out.contains(&next_id) {
-                out.push(next_id);
-            }
-        }
-        obs.counter_add("explore.states_expanded", level.len() as u64);
-        obs.counter_add("explore.tasks_stepped", tasks.len() as u64);
-        level_span.set("new_states", pending.len() as u64);
-        event!(
-            obs,
-            "level",
-            engine = "explore_nondet_compact",
-            level = depth,
-            frontier = level.len(),
-            tasks = tasks.len(),
-            new_states = pending.len(),
-            states = refs.len(),
-            store_bytes = store.stats().bytes,
-        );
-        level = par_map_obs(&pending, threads, obs, "index", |child| {
-            let idx = match &child.touched {
-                Some(touched) => InstanceIndex::rebuild_delta(
-                    &level[child.parent_ix].index,
-                    &child.state,
-                    touched,
-                    paths.iter().cloned(),
-                ),
-                None => state_index(dcds, &child.state),
-            };
-            CompactLevelState {
-                id: child.id,
-                state: child.state.clone(),
-                index: Arc::new(idx),
-            }
-        });
-        depth += 1;
-    }
-    obs.counter_add("explore.levels", depth as u64);
-    publish_query_stats_delta(dcds, obs, &query_stats0);
-    obs.progress_flush(|| format!("explore done: {} states, {depth} levels", refs.len()));
-    CompactNondetExploration {
-        ts: CompactTs::from_parts(store, refs, succ, num_rels as u32),
-        outcome,
-        pool,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,7 +521,7 @@ mod tests {
             .into_iter()
             .map(|t| {
                 let mut oracle = CommitmentOracle;
-                explore_det_opts(&dcds, limits, &mut oracle, t)
+                explore_det_traced(&dcds, limits, &mut oracle, t, &Obs::disabled())
             })
             .collect();
         for other in &runs[1..] {
@@ -998,52 +540,13 @@ mod tests {
                     samples: 4,
                     fresh_per_step: 1,
                 };
-                explore_nondet_opts(&nd, limits, &mut oracle, t)
+                explore_nondet_traced(&nd, limits, &mut oracle, t, &Obs::disabled())
             })
             .collect();
         for other in &nd_runs[1..] {
             assert_eq!(nd_runs[0].ts, other.ts);
             assert_eq!(nd_runs[0].outcome, other.outcome);
             assert_eq!(nd_runs[0].pool.len(), other.pool.len());
-        }
-    }
-
-    #[test]
-    fn compact_exploration_matches_owned() {
-        // The store-backed twins must reproduce the owned prefix exactly:
-        // same Ts, call maps, outcome, and pool at every thread count.
-        let limits = Limits {
-            max_states: 100,
-            max_depth: 3,
-        };
-        let det = example_4_3(ServiceKind::Deterministic);
-        for threads in [1usize, 2, 8] {
-            let mut oracle = CommitmentOracle;
-            let owned = explore_det_opts(&det, limits, &mut oracle, threads);
-            let mut oracle = CommitmentOracle;
-            let compact = explore_det_compact_opts(&det, limits, &mut oracle, threads);
-            assert_eq!(compact.ts.to_ts(), owned.ts, "t={threads}");
-            assert_eq!(compact.call_maps, owned.call_maps);
-            assert_eq!(compact.outcome, owned.outcome);
-            assert_eq!(compact.pool.len(), owned.pool.len());
-        }
-        let nd = example_4_3(ServiceKind::Nondeterministic);
-        for threads in [1usize, 2, 8] {
-            let mut oracle = SampledOracle {
-                seed: 11,
-                samples: 4,
-                fresh_per_step: 1,
-            };
-            let owned = explore_nondet_opts(&nd, limits, &mut oracle, threads);
-            let mut oracle = SampledOracle {
-                seed: 11,
-                samples: 4,
-                fresh_per_step: 1,
-            };
-            let compact = explore_nondet_compact_opts(&nd, limits, &mut oracle, threads);
-            assert_eq!(compact.ts.to_ts(), owned.ts, "t={threads}");
-            assert_eq!(compact.outcome, owned.outcome);
-            assert_eq!(compact.pool.len(), owned.pool.len());
         }
     }
 

@@ -52,7 +52,7 @@ pub mod ts;
 pub use action::{Action, ActionId, Effect};
 pub use builder::DcdsBuilder;
 pub use commitment::{enumerate_commitments, CommitTarget, Commitment};
-pub use compact::CompactTs;
+pub use compact::{CompactTs, StateSpace};
 pub use data_layer::DataLayer;
 pub use dcds::{Dcds, ValidationError};
 pub use det::DetState;
@@ -62,10 +62,7 @@ pub use do_op::{
     PlanCache, PreInstance,
 };
 pub use explore::{
-    explore_det, explore_det_compact, explore_det_compact_opts, explore_det_compact_traced,
-    explore_det_opts, explore_det_traced, explore_nondet, explore_nondet_compact,
-    explore_nondet_compact_opts, explore_nondet_compact_traced, explore_nondet_opts,
-    explore_nondet_traced, CompactDetExploration, CompactNondetExploration, ExploreOutcome, Limits,
+    explore_det, explore_det_traced, explore_nondet, explore_nondet_traced, ExploreOutcome, Limits,
 };
 pub use par::{configured_threads, par_map, par_map_obs, par_map_with, EngineCounters};
 pub use parser::parse_dcds;

@@ -82,7 +82,7 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Options for [`check_with_opts`] / [`eval_with_opts`].
+/// Options for [`check_traced`] / [`eval_traced`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McOptions {
     /// Worker threads for per-state query evaluation (values `< 1` are
@@ -187,15 +187,10 @@ pub struct McRun {
 }
 
 /// Model-check a **closed** formula with the staged engine, returning the
-/// verdict, the extension, and the run counters.
-pub fn check_with_opts(f: &Mu, ts: &Ts, opts: McOptions) -> Result<McRun, CheckError> {
-    check_traced(f, ts, opts, &Obs::disabled())
-}
-
-/// [`check_with_opts`] with an observability handle: an overall `mc_check`
-/// span, one span per fixpoint evaluation, iteration heartbeats, and the
-/// run counters published under `mc.*`. A disabled handle makes this
-/// exactly `check_with_opts`.
+/// verdict, the extension, and the run counters. `obs` records an overall
+/// `mc_check` span, one span per fixpoint evaluation, iteration
+/// heartbeats, and the run counters under `mc.*`; pass
+/// [`Obs::disabled`] for none.
 pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun, CheckError> {
     let free = f.free_vars();
     if !free.is_empty() {
@@ -215,17 +210,8 @@ pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun
 
 /// Evaluate the extension of a (possibly open) formula with the staged
 /// engine under an explicit valuation — the drop-in counterpart of
-/// [`crate::mc::eval`] used by the differential tests.
-pub fn eval_with_opts(
-    f: &Mu,
-    ts: &Ts,
-    val: &mut Valuation,
-    opts: McOptions,
-) -> (BTreeSet<StateId>, McCounters) {
-    eval_traced(f, ts, val, opts, &Obs::disabled())
-}
-
-/// [`eval_with_opts`] with an observability handle.
+/// [`crate::mc::eval`] used by the differential tests — recording into
+/// `obs`.
 pub fn eval_traced(
     f: &Mu,
     ts: &Ts,
@@ -722,8 +708,13 @@ mod tests {
             let oracle = mc::eval(&phi, &ts, &mut Valuation::default());
             let mut reference = None;
             for threads in [1, 2, 8] {
-                let (ext, counters) =
-                    eval_with_opts(&phi, &ts, &mut Valuation::default(), McOptions { threads });
+                let (ext, counters) = eval_traced(
+                    &phi,
+                    &ts,
+                    &mut Valuation::default(),
+                    McOptions { threads },
+                    &Obs::disabled(),
+                );
                 assert_eq!(ext, oracle, "engine vs oracle on {phi:?}");
                 match &reference {
                     None => reference = Some((ext, counters)),
@@ -748,7 +739,13 @@ mod tests {
             schema.rel_id("Grad").unwrap(),
             vec![QTerm::Const(a), QTerm::Const(m)],
         ));
-        let run = check_with_opts(&sugar::ef(grad), &ts, McOptions::default()).unwrap();
+        let run = check_traced(
+            &sugar::ef(grad),
+            &ts,
+            McOptions::default(),
+            &Obs::disabled(),
+        )
+        .unwrap();
         assert!(run.holds);
         // EF needs ≥ 2 Kleene iterations; the ground Grad(a,m) leaf is
         // computed once and a cache hit afterwards.
@@ -764,7 +761,13 @@ mod tests {
         // νZ.(∃x. LIVE(x) ∧ Stud(x)) ∧ []Z — the quantified conjunct is
         // predicate-closed, so iterations 2.. answer it from the cache.
         let some_stud = Mu::exists("X", Mu::live("X").and(stud(&schema, "X")));
-        let run = check_with_opts(&sugar::ag(some_stud), &ts, McOptions::default()).unwrap();
+        let run = check_traced(
+            &sugar::ag(some_stud),
+            &ts,
+            McOptions::default(),
+            &Obs::disabled(),
+        )
+        .unwrap();
         let c = run.counters;
         assert!(c.fixpoint_iterations >= 2);
         // The hoisted conjunct costs one computation regardless of the
@@ -775,19 +778,21 @@ mod tests {
     #[test]
     fn open_formulas_are_rejected_by_name() {
         let (_, _, ts) = sample();
-        let err = check_with_opts(&Mu::live("X"), &ts, McOptions::default()).unwrap_err();
+        let err =
+            check_traced(&Mu::live("X"), &ts, McOptions::default(), &Obs::disabled()).unwrap_err();
         assert_eq!(err, CheckError::FreeIndividuals(vec![Var::new("X")]));
         assert!(err.to_string().contains("X"), "{err}");
 
         let open_pred = Mu::Pvar(PredVar::new("Z")).diamond();
-        let err2 = check_with_opts(&open_pred, &ts, McOptions::default()).unwrap_err();
+        let err2 =
+            check_traced(&open_pred, &ts, McOptions::default(), &Obs::disabled()).unwrap_err();
         assert_eq!(err2, CheckError::FreePredicates(vec![PredVar::new("Z")]));
         assert!(err2.to_string().contains("Z"), "{err2}");
 
         // The wrong-verdict shape from the issue: ¬LIVE(x) with x free
         // evaluated to ∅ (naive: all − all); now it is an error instead.
         let trap = Mu::live("X").not();
-        assert!(check_with_opts(&trap, &ts, McOptions::default()).is_err());
+        assert!(check_traced(&trap, &ts, McOptions::default(), &Obs::disabled()).is_err());
     }
 
     #[test]
@@ -798,7 +803,7 @@ mod tests {
                 continue;
             }
             let naive = mc::eval(&phi, &ts, &mut Valuation::default()).contains(&ts.initial());
-            let run = check_with_opts(&phi, &ts, McOptions { threads: 4 }).unwrap();
+            let run = check_traced(&phi, &ts, McOptions { threads: 4 }, &Obs::disabled()).unwrap();
             assert_eq!(run.holds, naive, "{phi:?}");
         }
     }

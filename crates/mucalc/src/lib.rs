@@ -17,7 +17,7 @@
 //!
 //! * [`engine`] — the production path: a staged evaluator with a
 //!   query-extension cache and parallel per-state query evaluation
-//!   ([`engine::check_with_opts`] exposes thread control and
+//!   ([`engine::check_traced`] exposes thread control and
 //!   [`engine::McCounters`] observability);
 //! * [`mc`] — a naive direct evaluator of the extension function of
 //!   Figure 1, kept as the differential-testing oracle;
@@ -44,10 +44,7 @@ pub mod sugar;
 
 pub use ast::{Mu, PredVar};
 pub use diagnostics::{counterexample_ag, witness_ef};
-pub use engine::{
-    check_traced, check_with_opts, eval_traced, eval_with_opts, CheckError, McCounters, McOptions,
-    McRun,
-};
+pub use engine::{check_traced, eval_traced, CheckError, McCounters, McOptions, McRun};
 pub use fragments::{classify, Fragment, FragmentError};
 pub use mc::{check, eval, Valuation};
 pub use parser::parse_mu;

@@ -190,9 +190,10 @@ fn restore_pred(val: &mut Valuation, z: &PredVar, saved: Option<BTreeSet<StateId
 /// evaluates to a wrong verdict (e.g. a free-variable atom under `Not`
 /// becomes "all states"), so it must never reach the fixpoint engine.
 /// Evaluation itself runs on the staged engine of [`crate::engine`]; use
-/// [`crate::engine::check_with_opts`] for thread control and counters.
+/// [`crate::engine::check_traced`] for thread control and counters.
 pub fn check(f: &Mu, ts: &Ts) -> Result<bool, crate::engine::CheckError> {
-    crate::engine::check_with_opts(f, ts, crate::engine::McOptions::default()).map(|run| run.holds)
+    let opts = crate::engine::McOptions::default();
+    crate::engine::check_traced(f, ts, opts, &dcds_obs::Obs::disabled()).map(|run| run.holds)
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //!
 //! * **spans** — hierarchical wall-clock intervals with key/value fields,
 //!   created with the [`span!`] macro and recorded into a lock-cheap
-//!   per-thread buffer; buffers merge into the shared sink when a thread
-//!   exits (which for `dcds_core::par` scoped workers is exactly the join
-//!   point of the parallel phase) or when [`Obs::finish`] flushes the
-//!   calling thread;
+//!   per-thread buffer; buffers merge into the shared sink when a thread's
+//!   outermost span closes (for `dcds_core::par` scoped workers, before
+//!   the join point of the parallel phase), when a thread exits, or when
+//!   [`Obs::finish`] flushes the calling thread;
 //! * **metrics** — a registry of named counters, gauges, and fixed-bucket
 //!   histograms ([`metrics`]). Engines update the registry only from their
 //!   serial phases, so every value is bit-identical at every thread count
@@ -578,7 +578,11 @@ impl Drop for SpanGuard {
                 depth: a.depth,
                 fields: a.fields,
             });
-            if b.buf.len() >= LOCAL_FLUSH_THRESHOLD {
+            // A thread's outermost span closing is where its events must
+            // reach the sink: a scoped worker that is not joined explicitly
+            // only merges in its TLS destructor, which can run after the
+            // scope has already returned.
+            if b.depth == 0 || b.buf.len() >= LOCAL_FLUSH_THRESHOLD {
                 b.flush();
             }
         });

@@ -121,11 +121,6 @@ impl StateStore {
         StateStore::default()
     }
 
-    /// The underlying fact arena.
-    pub fn arena(&self) -> &TupleArena {
-        &self.arena
-    }
-
     /// Number of states stored.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -224,11 +219,6 @@ impl StateStore {
             Node::Root { facts } => facts.len(),
             Node::Delta { len, .. } => *len as usize,
         }
-    }
-
-    /// Number of facts in state `r` (without resolving it).
-    pub fn state_len(&self, r: StateRef) -> usize {
-        self.node_len(r)
     }
 
     /// The relations a delta state touches relative to its parent, or

@@ -93,17 +93,17 @@ fn main() {
         println!(
             "{name}\n  fragment: {:?}\n  holds: {}",
             classify(phi).unwrap(),
-            check(phi, &pruning.ts).unwrap()
+            check(phi, &pruning.ts.to_ts()).unwrap()
         );
     }
 
     // Diagnostics: a counterexample path for a property that fails —
     // AG (some student is enrolled) fails immediately after graduation.
     let always_stud = parse_mu("exists S . live(S) & Stud(S)", &mut schema, &mut pool).unwrap();
-    if let Some(path) = dcds_verify::mucalc::counterexample_ag(&always_stud, &pruning.ts) {
+    if let Some(path) = dcds_verify::mucalc::counterexample_ag(&always_stud, &pruning.ts.to_ts()) {
         println!(
             "\ncounterexample to AG(some student enrolled):\n  {}",
-            diagnostics::render_path(&path, &pruning.ts, &schema, &pool)
+            diagnostics::render_path(&path, &pruning.ts.to_ts(), &schema, &pool)
         );
     }
 }

@@ -70,21 +70,18 @@
 //! syntax error itself is reported as a `DCDS000` diagnostic in the
 //! selected format).
 
-use dcds_verify::abstraction::{
-    det_abstraction_compact_traced, det_abstraction_traced, rcycl_compact_traced, rcycl_traced,
-    AbsOptions, AbsOutcome,
-};
+use dcds_verify::abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned};
 use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
 };
-use dcds_verify::cli::{flag_value, has_flag, threads_flag, ObsCli};
+use dcds_verify::cli::{Flags, ObsCli};
 use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
 use dcds_verify::mucalc::{check_traced, classify, diagnostics, parse_mu, McOptions, SafetyMode};
 use dcds_verify::obs::{export::json_escape, span, Obs};
-use dcds_verify::reldata::{ConstantPool, InstanceDisplay, StoreStats};
+use dcds_verify::reldata::{ConstantPool, InstanceDisplay};
 use dcds_verify::symbolic::{check_safety_traced, render_trace, SymOptions, SymVerdict};
 use std::process::ExitCode;
 
@@ -101,6 +98,9 @@ const EXIT_VIOLATED: u8 = 1;
 /// `dcds check`: inconclusive — the abstraction hit the state budget.
 const EXIT_INCONCLUSIVE: u8 = 2;
 
+/// Any `dcds` command: a flag the subcommand does not take.
+const EXIT_USAGE: u8 = 2;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -116,12 +116,11 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   dcds analyze  <spec.dcds> [obs flags]
-  dcds abstract <spec.dcds> [--max-states N] [--threads N] [--dot] [--compact]
-                [obs flags]
+  dcds abstract <spec.dcds> [--max-states N] [--threads N] [--dot] [obs flags]
   dcds check    <spec.dcds> <formula> [--engine explicit|symbolic]
                 [--max-states N] [--threads N] [--witness]
                 [--max-iters N] [--max-clauses N]
-                [--format text|json] [--compact] [obs flags]
+                [--format text|json] [obs flags]
   dcds run      <spec.dcds> [--steps N] [--seed S]
   dcds dot      <spec.dcds> [--graph dataflow|depgraph]
   dcds fmt      <spec.dcds>
@@ -142,40 +141,68 @@ obs flags (analyze, abstract, check, lint):
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size).
-`--compact` builds the abstraction through the arena/delta state store
-(flat per-state memory; bit-identical output) and reports store stats.
+Any command exits 2 on a flag it does not take.
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
 --deny warnings), and 2 when the spec cannot be parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let cmd = args.first().ok_or("missing command")?;
-    match cmd.as_str() {
-        "analyze" => analyze(
-            args.get(1).ok_or("missing spec path")?,
-            &ObsCli::parse(args)?,
+    // The flags each subcommand takes, and whether it takes the
+    // observability bundle; the dispatch below reads flags only through
+    // the `Flags` checked against this.
+    let (takes, obs): (&[&str], bool) = match cmd.as_str() {
+        "analyze" => (&[], true),
+        "abstract" => (&["--max-states", "--threads", "--dot"], true),
+        "check" => (
+            &[
+                "--engine",
+                "--max-states",
+                "--threads",
+                "--witness",
+                "--format",
+                "--max-iters",
+                "--max-clauses",
+                "--confirm-nodes",
+            ],
+            true,
         ),
+        "run" => (&["--steps", "--seed"], false),
+        "dot" => (&["--graph"], false),
+        "fmt" => (&[], false),
+        "lint" => (&["--deny", "--format"], true),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    let flags = match Flags::new(args, takes, obs) {
+        Ok(flags) => flags,
+        Err(flag) => {
+            eprintln!("error: unknown flag `{flag}`");
+            eprintln!();
+            eprintln!("{USAGE}");
+            return Ok(ExitCode::from(EXIT_USAGE));
+        }
+    };
+    match cmd.as_str() {
+        "analyze" => analyze(args.get(1).ok_or("missing spec path")?, &flags.obs()?),
         "abstract" => do_abstract(
             args.get(1).ok_or("missing spec path")?,
-            flag_value(args, "--max-states")?.unwrap_or(10_000),
-            threads_flag(args)?.unwrap_or_else(configured_threads),
-            has_flag(args, "--dot"),
-            has_flag(args, "--compact"),
-            &ObsCli::parse(args)?,
+            flags.value("--max-states")?.unwrap_or(10_000),
+            flags.threads()?.unwrap_or_else(configured_threads),
+            flags.has("--dot"),
+            &flags.obs()?,
         ),
         "check" => {
             let path = args.get(1).ok_or("missing spec path")?;
             let formula = args.get(2).ok_or("missing formula")?;
-            return match parse_engine(args)? {
+            return match parse_engine(&flags)? {
                 Engine::Explicit => do_check(
                     path,
                     formula,
-                    flag_value(args, "--max-states")?.unwrap_or(10_000),
-                    threads_flag(args)?.unwrap_or_else(configured_threads),
-                    has_flag(args, "--witness"),
-                    parse_format(args)?,
-                    has_flag(args, "--compact"),
-                    &ObsCli::parse(args)?,
+                    flags.value("--max-states")?.unwrap_or(10_000),
+                    flags.threads()?.unwrap_or_else(configured_threads),
+                    flags.has("--witness"),
+                    parse_format(&flags)?,
+                    &flags.obs()?,
                 ),
                 Engine::Symbolic => {
                     let defaults = SymOptions::default();
@@ -183,55 +210,47 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         path,
                         formula,
                         SymOptions {
-                            max_iters: flag_value(args, "--max-iters")?
-                                .unwrap_or(defaults.max_iters),
-                            max_clauses: flag_value(args, "--max-clauses")?
+                            max_iters: flags.value("--max-iters")?.unwrap_or(defaults.max_iters),
+                            max_clauses: flags
+                                .value("--max-clauses")?
                                 .unwrap_or(defaults.max_clauses),
-                            confirm_nodes: flag_value(args, "--confirm-nodes")?
+                            confirm_nodes: flags
+                                .value("--confirm-nodes")?
                                 .unwrap_or(defaults.confirm_nodes),
                         },
-                        has_flag(args, "--witness"),
-                        parse_format(args)?,
-                        &ObsCli::parse(args)?,
+                        flags.has("--witness"),
+                        parse_format(&flags)?,
+                        &flags.obs()?,
                     )
                 }
             };
         }
         "run" => do_run(
             args.get(1).ok_or("missing spec path")?,
-            flag_value(args, "--steps")?.unwrap_or(10),
-            flag_value::<u64>(args, "--seed")?.unwrap_or(42),
+            flags.value("--steps")?.unwrap_or(10),
+            flags.value::<u64>("--seed")?.unwrap_or(42),
         ),
         "dot" => do_dot(
             args.get(1).ok_or("missing spec path")?,
-            args.iter()
-                .position(|a| a == "--graph")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-                .unwrap_or("dataflow"),
+            flags.word("--graph").unwrap_or("dataflow"),
         ),
         "fmt" => do_fmt(args.get(1).ok_or("missing spec path")?),
         "lint" => {
+            let deny_warnings = flags.has("--deny");
+            if deny_warnings && flags.word("--deny") != Some("warnings") {
+                return Err("--deny takes `warnings`".into());
+            }
             return do_lint(
                 args.get(1).ok_or("missing spec path")?,
-                args.iter()
-                    .position(|a| a == "--deny")
-                    .map(|i| {
-                        args.get(i + 1)
-                            .filter(|v| v.as_str() == "warnings")
-                            .map(|_| ())
-                            .ok_or("--deny takes `warnings`")
-                    })
-                    .transpose()?
-                    .is_some(),
-                match parse_format(args)? {
+                deny_warnings,
+                match parse_format(&flags)? {
                     OutputFormat::Text => LintFormat::Text,
                     OutputFormat::Json => LintFormat::Json,
                 },
-                &ObsCli::parse(args)?,
-            )
+                &flags.obs()?,
+            );
         }
-        other => Err(format!("unknown command `{other}`")),
+        _ => unreachable!("every command is in the flag table"),
     }
     .map(|()| ExitCode::SUCCESS)
 }
@@ -253,26 +272,16 @@ enum Engine {
     Symbolic,
 }
 
-fn parse_engine(args: &[String]) -> Result<Engine, String> {
-    match args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+fn parse_engine(flags: &Flags) -> Result<Engine, String> {
+    match flags.word("--engine") {
         None | Some("explicit") => Ok(Engine::Explicit),
         Some("symbolic") => Ok(Engine::Symbolic),
         Some(other) => Err(format!("unknown engine `{other}` (explicit|symbolic)")),
     }
 }
 
-fn parse_format(args: &[String]) -> Result<OutputFormat, String> {
-    match args
-        .iter()
-        .position(|a| a == "--format")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+fn parse_format(flags: &Flags) -> Result<OutputFormat, String> {
+    match flags.word("--format") {
         None | Some("text") => Ok(OutputFormat::Text),
         Some("json") => Ok(OutputFormat::Json),
         Some(other) => Err(format!("unknown format `{other}` (text|json)")),
@@ -370,117 +379,31 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
     obs_cli.finish(&obs)
 }
 
+/// Build the finite abstraction the spec's services call for, in
+/// [`Owned`] storage at every budget: the model checker and the dot output
+/// take an owned [`Ts`], and converting the compact store into one costs
+/// time and leaves no memory saved at the peak (see
+/// [`OWNED_MAX_STATES`](dcds_verify::abstraction::OWNED_MAX_STATES)).
 fn build_abstraction(
     dcds: &Dcds,
     max_states: usize,
     threads: usize,
-    compact: bool,
     obs: &Obs,
-) -> (
-    Ts,
-    ConstantPool,
-    bool,
-    &'static str,
-    EngineCounters,
-    Option<StoreStats>,
-) {
-    if compact {
-        return build_abstraction_compact(dcds, max_states, threads, obs);
-    }
+) -> (Ts, ConstantPool, bool, &'static str, EngineCounters) {
     if dcds.is_deterministic() {
-        let abs = det_abstraction_traced(
-            dcds,
-            max_states,
-            AbsOptions {
-                threads,
-                ..AbsOptions::default()
-            },
-            obs,
-        );
+        let opts = AbsOptions {
+            threads,
+            ..AbsOptions::default()
+        };
+        let abs = det_abs::build::<Owned>(dcds, max_states, opts, obs);
         let complete = abs.outcome == AbsOutcome::Complete;
-        (
-            abs.ts,
-            abs.pool,
-            complete,
-            "deterministic abstraction (Thm 4.3)",
-            abs.counters,
-            None,
-        )
+        let how = "deterministic abstraction (Thm 4.3)";
+        (abs.ts, abs.pool, complete, how, abs.counters)
     } else {
-        let res = rcycl_traced(dcds, max_states, threads, obs);
-        (
-            res.ts,
-            res.pool,
-            res.complete,
-            "RCYCL pruning (Thm 5.4)",
-            res.counters,
-            None,
-        )
+        let res = rcycl::build::<Owned>(dcds, max_states, threads, obs);
+        let how = "RCYCL pruning (Thm 5.4)";
+        (res.ts, res.pool, res.complete, how, res.counters)
     }
-}
-
-/// [`build_abstraction`] through the arena/delta state store. The compact
-/// engines are bit-identical to the legacy ones; the resulting `CompactTs`
-/// is materialised to an owned [`Ts`] once, here, because every downstream
-/// consumer (model checker, dot output) takes `&Ts`.
-fn build_abstraction_compact(
-    dcds: &Dcds,
-    max_states: usize,
-    threads: usize,
-    obs: &Obs,
-) -> (
-    Ts,
-    ConstantPool,
-    bool,
-    &'static str,
-    EngineCounters,
-    Option<StoreStats>,
-) {
-    if dcds.is_deterministic() {
-        let abs = det_abstraction_compact_traced(
-            dcds,
-            max_states,
-            AbsOptions {
-                threads,
-                ..AbsOptions::default()
-            },
-            obs,
-        );
-        let complete = abs.outcome == AbsOutcome::Complete;
-        let stats = abs.ts.store_stats();
-        (
-            abs.ts.to_ts(),
-            abs.pool,
-            complete,
-            "deterministic abstraction (Thm 4.3, compact store)",
-            abs.counters,
-            Some(stats),
-        )
-    } else {
-        let res = rcycl_compact_traced(dcds, max_states, threads, obs);
-        let stats = res.ts.store_stats();
-        (
-            res.ts.to_ts(),
-            res.pool,
-            res.complete,
-            "RCYCL pruning (Thm 5.4, compact store)",
-            res.counters,
-            Some(stats),
-        )
-    }
-}
-
-/// Human-readable store-stats line (stderr commentary, not a result).
-fn report_store_stats(stats: &StoreStats) {
-    eprintln!(
-        "compact store: {} bytes, {} facts interned, {} delta / {} root states, \
-         delta share {:.1}%",
-        stats.bytes,
-        stats.facts_interned,
-        stats.delta_states,
-        stats.root_states,
-        stats.delta_share() * 100.0
-    );
 }
 
 fn do_abstract(
@@ -488,7 +411,6 @@ fn do_abstract(
     max_states: usize,
     threads: usize,
     dot: bool,
-    compact: bool,
     obs_cli: &ObsCli,
 ) -> Result<(), String> {
     let obs = obs_cli.session("abstract", path)?;
@@ -497,8 +419,7 @@ fn do_abstract(
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    let (ts, pool, complete, how, counters, store_stats) =
-        build_abstraction(&dcds, max_states, threads, compact, &obs);
+    let (ts, pool, complete, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     println!(
         "{how}: {} states, {} edges, max |adom(state)| = {}, complete = {complete}",
         ts.num_states(),
@@ -515,9 +436,6 @@ fn do_abstract(
             rate * 100.0
         );
     }
-    if let Some(stats) = &store_stats {
-        report_store_stats(stats);
-    }
     if !complete {
         eprintln!(
             "note: budget of {max_states} states hit — the system may be run-/state-unbounded; \
@@ -531,7 +449,6 @@ fn do_abstract(
     obs_cli.finish(&obs)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn do_check(
     path: &str,
     formula: &str,
@@ -539,7 +456,6 @@ fn do_check(
     threads: usize,
     witness: bool,
     format: OutputFormat,
-    compact: bool,
     obs_cli: &ObsCli,
 ) -> Result<ExitCode, String> {
     let obs = obs_cli.session("check", path)?;
@@ -552,11 +468,7 @@ fn do_check(
     let mut pool_for_parse = dcds.data.pool.clone();
     let phi = parse_mu(formula, &mut schema, &mut pool_for_parse).map_err(|e| e.to_string())?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
-    let (ts, pool, complete, how, counters, store_stats) =
-        build_abstraction(&dcds, max_states, threads, compact, &obs);
-    if let Some(stats) = &store_stats {
-        report_store_stats(stats);
-    }
+    let (ts, pool, complete, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     let run = check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
     let verdict = run.holds;
     match format {

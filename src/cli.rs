@@ -38,6 +38,81 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// The observability flags of the recording commands (see [`ObsCli`]).
+const OBS_FLAGS: [&str; 6] = [
+    "--trace",
+    "--stats",
+    "--metrics-json",
+    "--profile",
+    "--profile-alloc",
+    "--events",
+];
+
+/// A subcommand's command line (`args[0]` is the subcommand), checked
+/// against the flags the subcommand takes so that a misspelt flag is not
+/// silently ignored. Flags are read through it; reading one that was not
+/// declared is a bug, caught in debug builds.
+#[derive(Debug)]
+pub struct Flags<'a> {
+    args: &'a [String],
+    takes: &'a [&'a str],
+    obs: bool,
+}
+
+impl<'a> Flags<'a> {
+    /// Check `args` against `takes`, plus the observability bundle when
+    /// `obs`. `Err` names the first `--flag` the subcommand does not take.
+    pub fn new(args: &'a [String], takes: &'a [&'a str], obs: bool) -> Result<Self, &'a str> {
+        let flags = Flags { args, takes, obs };
+        match args
+            .iter()
+            .skip(1)
+            .map(String::as_str)
+            .find(|a| a.starts_with("--") && !flags.takes(a))
+        {
+            Some(unknown) => Err(unknown),
+            None => Ok(flags),
+        }
+    }
+
+    fn takes(&self, flag: &str) -> bool {
+        self.takes.contains(&flag) || self.obs && OBS_FLAGS.contains(&flag)
+    }
+
+    fn read(&self, flag: &str) -> &'a [String] {
+        debug_assert!(self.takes(flag), "`{flag}` is read but not declared");
+        self.args
+    }
+
+    /// `--flag <value>`, parsed; see [`flag_value`].
+    pub fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        flag_value(self.read(flag), flag)
+    }
+
+    /// Is the bare `--flag` present?
+    pub fn has(&self, flag: &str) -> bool {
+        has_flag(self.read(flag), flag)
+    }
+
+    /// The word after `--flag`, if the flag is present and followed by one.
+    pub fn word(&self, flag: &str) -> Option<&'a str> {
+        let args = self.read(flag);
+        let i = args.iter().position(|a| a == flag)?;
+        args.get(i + 1).map(String::as_str)
+    }
+
+    /// `--threads`; see [`threads_flag`].
+    pub fn threads(&self) -> Result<Option<usize>, String> {
+        threads_flag(self.read("--threads"))
+    }
+
+    /// The observability bundle; see [`ObsCli::parse`].
+    pub fn obs(&self) -> Result<ObsCli, String> {
+        debug_assert!(self.obs, "observability flags read but not declared");
+        ObsCli::parse(self.args)
+    }
+}
+
 /// `--threads`, shared by `abstract` and `check` and range-checked once:
 /// the engines treat the count as a divisor of the work, so 0 is a usage
 /// error, not a silent serial fallback. Parsed as `u32` — thread counts
@@ -131,14 +206,6 @@ impl ObsCli {
         Ok(obs)
     }
 
-    /// Backwards-compatible handle without run metadata.
-    pub fn handle(&self) -> Obs {
-        self.session("", "").unwrap_or_else(|e| {
-            eprintln!("warning: {e}");
-            Obs::disabled()
-        })
-    }
-
     /// Drain the handle and write whatever was requested: a `run_end`
     /// event and final progress flush first, then the Chrome trace,
     /// folded-stack profile(s), metrics JSON, and the text summary (with
@@ -217,6 +284,25 @@ mod tests {
         assert!(threads_flag(&argv(&["--threads", "many"])).is_err());
         // u32 overflow is a parse error, not a wrap-around.
         assert!(threads_flag(&argv(&["--threads", "99999999999"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let args = argv(&["abstract", "s.dcds", "--max-state", "5"]);
+        assert_eq!(
+            Flags::new(&args, &["--max-states"], true).unwrap_err(),
+            "--max-state"
+        );
+        // Observability flags only where the subcommand records.
+        let args = argv(&["run", "s.dcds", "--stats"]);
+        assert_eq!(
+            Flags::new(&args, &["--steps"], false).unwrap_err(),
+            "--stats"
+        );
+        let args = argv(&["lint", "s.dcds", "--stats", "--format", "json"]);
+        let flags = Flags::new(&args, &["--format"], true).unwrap();
+        assert_eq!(flags.word("--format"), Some("json"));
+        assert!(flags.obs().unwrap().stats);
     }
 
     #[test]

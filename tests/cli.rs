@@ -176,29 +176,90 @@ fn check_format_json_is_one_object_on_stdout() {
 }
 
 #[test]
-fn check_compact_format_json_keeps_stdout_clean() {
-    // `--compact` adds a human store-stats line; it must land on stderr so
-    // stdout stays exactly one machine-readable JSON object, byte-for-byte
-    // parseable by `jq`-style consumers.
-    let (code, stdout, stderr) = dcds_streams(&[
+fn check_large_budget_gives_the_default_budget_answer() {
+    // A budget above the engines' owned-storage threshold (10000 states)
+    // changes nothing the CLI reports: stdout stays exactly one JSON
+    // object, with the same RCYCL pruning and verdict as the default.
+    let args = [
         "check",
-        &spec("ping_pong.dcds"),
-        "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z",
+        &spec("travel_request.dcds"),
+        "nu Z . true & [] Z",
         "--format",
         "json",
-        "--compact",
-    ]);
-    assert_eq!(code, 0, "{stdout}{stderr}");
-    let line = stdout.trim();
-    assert_eq!(line.lines().count(), 1, "one JSON object: {stdout}");
+    ];
+    let (code, default, err) = dcds_streams(&args);
+    assert_eq!(code, 0, "{err}");
+    let mut large_args = args.to_vec();
+    large_args.extend(["--max-states", "20000"]);
+    let (code, large, err) = dcds_streams(&large_args);
+    assert_eq!(code, 0, "{err}");
+    let line = large.trim();
+    assert_eq!(line.lines().count(), 1, "one JSON object: {large}");
     assert!(line.starts_with("{\"fragment\":"), "{line}");
     assert!(line.ends_with('}'), "{line}");
-    assert!(line.contains("\"verdict\":true"), "{line}");
-    assert!(line.contains("compact store"), "{line}");
-    assert!(!stdout.contains("compact store: "), "{stdout}");
-    assert!(!stdout.contains("mc engine"), "{stdout}");
-    // The human commentary lives on stderr.
-    assert!(stderr.contains("compact store: "), "{stderr}");
+    assert!(line.contains("\"complete\":true"), "{line}");
+    assert_eq!(default, large);
+}
+
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    for args in [
+        vec![
+            "check",
+            &spec("ping_pong.dcds"),
+            "nu Z . true & [] Z",
+            "--compact",
+        ],
+        vec!["abstract", &spec("ping_pong.dcds"), "--max-state", "5"],
+        vec!["run", &spec("ping_pong.dcds"), "--stats"],
+    ] {
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        let (code, stdout, stderr) = dcds_streams(&args);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{stdout}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn benchmark_flags_are_accepted() {
+    // Every flag the spec-to-verdict benchmark passes must keep working.
+    let dir = std::env::temp_dir();
+    let out = dir.join(format!("dcds_cli_bench_{}", std::process::id()));
+    let profile = format!("{}.folded", out.display());
+    let metrics = format!("{}.metrics", out.display());
+    for engine in ["explicit", "symbolic"] {
+        let (code, stdout, stderr) = dcds_streams(&[
+            "check",
+            &spec("ping_pong.dcds"),
+            "nu Z . (! (exists X . exists Y . R(X) & Q(Y))) & [] Z",
+            "--threads",
+            "1",
+            "--format",
+            "json",
+            "--engine",
+            engine,
+            "--profile",
+            &profile,
+            "--profile-alloc",
+            "--metrics-json",
+            &metrics,
+        ]);
+        assert_eq!(code, 0, "{engine}: {stdout}{stderr}");
+        assert!(stdout.trim().ends_with("\"verdict\":true}"), "{stdout}");
+        assert!(std::fs::metadata(&profile).is_ok());
+        assert!(std::fs::metadata(format!("{profile}.alloc")).is_ok());
+        assert!(std::fs::metadata(&metrics).is_ok());
+    }
+    let (code, stdout, stderr) =
+        dcds_streams(&["lint", &spec("ping_pong.dcds"), "--format", "json"]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    for path in [profile.clone(), format!("{profile}.alloc"), metrics] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Differential testing of the staged model-checking engine against the
 //! naive Kleene evaluator it replaced: on random µLA formulas over a real
-//! RCYCL abstraction, `engine::eval_with_opts` must compute the exact same
+//! RCYCL abstraction, `engine::eval_traced` must compute the exact same
 //! extension as `mc::eval` — at every thread count — and its counters must
 //! not depend on the thread count.
 
@@ -11,7 +11,8 @@
 use dcds_verify::bench::examples;
 use dcds_verify::folang::{Formula, QTerm};
 use dcds_verify::mucalc::mc::{eval, Valuation};
-use dcds_verify::mucalc::{check_with_opts, eval_with_opts, McOptions, Mu, PredVar};
+use dcds_verify::mucalc::{check_traced, eval_traced, McOptions, Mu, PredVar};
+use dcds_verify::obs::Obs;
 use dcds_verify::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -87,8 +88,8 @@ proptest! {
         let oracle = eval(&phi, &ts, &mut Valuation::default());
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
-            let (ext, counters) = eval_with_opts(
-                &phi, &ts, &mut Valuation::default(), McOptions { threads });
+            let (ext, counters) = eval_traced(
+                &phi, &ts, &mut Valuation::default(), McOptions { threads }, &Obs::disabled());
             prop_assert_eq!(&ext, &oracle,
                 "engine at {} threads disagrees with naive on {:?}", threads, phi);
             runs.push(counters);
@@ -97,7 +98,7 @@ proptest! {
         prop_assert_eq!(runs[0], runs[1]);
         prop_assert_eq!(runs[0], runs[2]);
         // The top-level entry point agrees with the extension-level one.
-        let run = check_with_opts(&phi, &ts, McOptions::default()).unwrap();
+        let run = check_traced(&phi, &ts, McOptions::default(), &Obs::disabled()).unwrap();
         prop_assert_eq!(run.holds, oracle.contains(&ts.initial()));
         prop_assert_eq!(&run.extension, &oracle);
     }

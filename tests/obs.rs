@@ -20,9 +20,7 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use dcds_verify::abstraction::{
-    det_abstraction_opts, det_abstraction_traced, rcycl_opts, rcycl_traced, AbsOptions,
-};
+use dcds_verify::abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
 use dcds_verify::bench::{examples, travel};
 use dcds_verify::core::par_map_obs;
 use dcds_verify::folang::Formula;
@@ -77,7 +75,7 @@ fn det_abstraction_tracing_is_invisible_and_metrics_deterministic() {
         };
         let obs = Obs::enabled(ObsConfig::default());
         let traced = det_abstraction_traced(&dcds, 80, opts, &obs);
-        let plain = det_abstraction_opts(&dcds, 80, opts);
+        let plain = det_abstraction_traced(&dcds, 80, opts, &Obs::disabled());
         assert_eq!(
             traced.ts, plain.ts,
             "tracing changed the abstraction at {threads} threads"
@@ -102,7 +100,7 @@ fn rcycl_tracing_is_invisible_and_metrics_deterministic() {
     for threads in THREADS {
         let obs = Obs::enabled(ObsConfig::default());
         let traced = rcycl_traced(&dcds, 150, threads, &obs);
-        let plain = rcycl_opts(&dcds, 150, threads);
+        let plain = rcycl_traced(&dcds, 150, threads, &Obs::disabled());
         assert_eq!(
             traced.ts, plain.ts,
             "tracing changed the pruning at {threads} threads"
@@ -123,7 +121,7 @@ fn rcycl_tracing_is_invisible_and_metrics_deterministic() {
 fn model_checker_metrics_are_thread_count_deterministic() {
     // Example 5.1 under RCYCL with the paper's µLP safety property.
     let e51 = examples::example_5_1();
-    let pruning = rcycl_opts(&e51, 100, 1);
+    let pruning = rcycl_traced(&e51, 100, 1, &Obs::disabled());
     assert!(pruning.complete);
     let r = e51.data.schema.rel_id("R").unwrap();
     let q = e51.data.schema.rel_id("Q").unwrap();
@@ -139,7 +137,7 @@ fn model_checker_metrics_are_thread_count_deterministic() {
     let mut runs = Vec::new();
     for threads in THREADS {
         let obs = Obs::enabled(ObsConfig::default());
-        let run = check_traced(&phi, &pruning.ts, McOptions { threads }, &obs).unwrap();
+        let run = check_traced(&phi, &pruning.ts.to_ts(), McOptions { threads }, &obs).unwrap();
         snapshots.push(obs.finish().unwrap().metrics);
         runs.push(run);
     }

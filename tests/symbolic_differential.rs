@@ -4,7 +4,7 @@
 //! weakly acyclic deterministic systems — a definitive symbolic verdict
 //! must agree with two independent oracles computed on the complete
 //! explicit abstraction: the naive Kleene evaluator ([`mucalc::check`])
-//! and the staged engine ([`mucalc::check_with_opts`]). The symbolic
+//! and the staged engine ([`mucalc::check_traced`]). The symbolic
 //! engine works on the *infinite-state* system directly, so agreement
 //! here exercises the regression, subsumption, normalisation, and
 //! trace-confirmation layers end to end.
@@ -15,7 +15,8 @@
 use dcds_verify::abstraction::{det_abstraction, rcycl, AbsOutcome};
 use dcds_verify::bench::rng::SplitMix64;
 use dcds_verify::core::{parse_dcds, Dcds, DcdsBuilder, ServiceKind, Ts};
-use dcds_verify::mucalc::{check, check_with_opts, parse_mu, McOptions};
+use dcds_verify::mucalc::{check, check_traced, parse_mu, McOptions};
+use dcds_verify::obs::Obs;
 use dcds_verify::symbolic::{check_safety, SymOptions, SymVerdict};
 
 /// Build the complete explicit abstraction; panics if the budget is hit
@@ -24,11 +25,11 @@ fn explicit_ts(dcds: &Dcds) -> Ts {
     if dcds.is_deterministic() {
         let abs = det_abstraction(dcds, 50_000);
         assert_eq!(abs.outcome, AbsOutcome::Complete, "abstraction truncated");
-        abs.ts
+        abs.ts.into_ts()
     } else {
         let p = rcycl(dcds, 50_000);
         assert!(p.complete, "rcycl truncated");
-        p.ts
+        p.ts.into_ts()
     }
 }
 
@@ -42,7 +43,7 @@ fn differential(dcds: &Dcds, ts: &Ts, formula: &str, label: &str) -> Option<bool
         .unwrap_or_else(|e| panic!("{label}: {formula}: {e}"));
 
     let naive = check(&phi, ts).unwrap_or_else(|e| panic!("{label}: naive: {e}"));
-    let staged = check_with_opts(&phi, ts, McOptions::default())
+    let staged = check_traced(&phi, ts, McOptions::default(), &Obs::disabled())
         .unwrap_or_else(|e| panic!("{label}: staged: {e}"))
         .holds;
     assert_eq!(
