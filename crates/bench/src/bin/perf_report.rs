@@ -272,6 +272,28 @@ fn mc_workloads(reps: usize) -> Vec<McWorkload> {
         reps,
     ));
 
+    // collision_pairs(7) (deterministic) — the perfbench `det` invariant:
+    // no value shared by three tags (the constraint allows only pairs).
+    let coll = synthetic::collision_pairs(7);
+    let abs = det_abstraction_traced(&coll, 1000, AbsOptions::default(), &Obs::disabled());
+    assert_eq!(abs.outcome, dcds_abstraction::AbsOutcome::Complete);
+    let e = coll.data.schema.rel_id("E").unwrap();
+    let shares = |tag: &str| {
+        let t = coll.data.pool.get(tag).unwrap();
+        Mu::Query(Formula::Atom(e, vec![QTerm::Const(t), QTerm::var("V")]))
+    };
+    let phi = sugar::ag(Mu::forall(
+        "V",
+        shares("a0").and(shares("a1")).and(shares("a2")).not(),
+    ));
+    out.push(bench_mc(
+        "collision_pairs(7) via det abstraction",
+        "AG forall v. !(E(a0,v) & E(a1,v) & E(a2,v))",
+        &abs.ts.to_ts(),
+        &phi,
+        reps,
+    ));
+
     // Travel request system (Appendix E) — RCYCL, the paper's safety
     // property "no confirmation without travel data".
     let req = travel::request_system_small();

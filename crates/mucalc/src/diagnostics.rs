@@ -1,7 +1,7 @@
 //! Diagnostics: witness and counterexample paths for the common property
 //! shapes.
 //!
-//! The naive fixpoint checker computes extension *sets*; for the two most
+//! The model checkers compute extension *sets*; for the two most
 //! common verification idioms it is easy (and very useful) to also produce
 //! a path a human can read:
 //!
@@ -10,12 +10,16 @@
 //! * a **witness for `EF φ`**: a shortest path from the initial state to a
 //!   φ-state.
 //!
-//! Both work on any state-set produced by [`crate::mc::eval`], so callers
-//! can diagnose arbitrary formulas by evaluating the relevant subformula.
+//! Both take the state property `φ` itself — [`ag_ef_property`] extracts it
+//! from a whole `νZ. φ ∧ [−]Z` / `µZ. φ ∨ ⟨−⟩Z` formula — and compute its
+//! extension with the staged engine.
 
 use crate::ast::Mu;
-use crate::mc::{eval, Valuation};
+use crate::engine::{eval_traced, McOptions};
+use crate::mc::Valuation;
+use crate::safety::{split_ag_ef, SafetyMode};
 use dcds_core::{StateId, Ts};
+use dcds_obs::Obs;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Shortest path (as state ids, starting at the initial state) to any state
@@ -51,10 +55,23 @@ pub fn shortest_path_to(ts: &Ts, targets: &BTreeSet<StateId>) -> Option<Vec<Stat
     Some(path)
 }
 
+/// The state property `φ` of an `AG φ` / `EF φ` formula, when `φ` does not
+/// mention the fixpoint variable: the formulas a single path explains.
+pub fn ag_ef_property(f: &Mu) -> Option<(SafetyMode, &Mu)> {
+    let (mode, z, phi) = split_ag_ef(f)?;
+    (!phi.free_pred_vars().contains(z)).then_some((mode, phi))
+}
+
+/// The extension of a closed state property.
+fn extension(phi: &Mu, ts: &Ts) -> BTreeSet<StateId> {
+    let opts = McOptions::default();
+    eval_traced(phi, ts, &mut Valuation::default(), opts, &Obs::disabled()).0
+}
+
 /// A shortest counterexample to `AG φ`: a path to a state violating φ.
 /// `None` means `AG φ` holds.
 pub fn counterexample_ag(phi: &Mu, ts: &Ts) -> Option<Vec<StateId>> {
-    let sat = eval(phi, ts, &mut Valuation::default());
+    let sat = extension(phi, ts);
     let violating: BTreeSet<StateId> = ts.state_ids().filter(|s| !sat.contains(s)).collect();
     shortest_path_to(ts, &violating)
 }
@@ -62,7 +79,7 @@ pub fn counterexample_ag(phi: &Mu, ts: &Ts) -> Option<Vec<StateId>> {
 /// A shortest witness for `EF φ`: a path to a state satisfying φ.
 /// `None` means `EF φ` fails.
 pub fn witness_ef(phi: &Mu, ts: &Ts) -> Option<Vec<StateId>> {
-    let sat = eval(phi, ts, &mut Valuation::default());
+    let sat = extension(phi, ts);
     shortest_path_to(ts, &sat)
 }
 
@@ -136,6 +153,30 @@ mod tests {
         assert_eq!(w.len(), 3);
         // EF false: no witness.
         assert!(witness_ef(&Mu::Query(Formula::False), &ts).is_none());
+    }
+
+    #[test]
+    fn ag_ef_property_takes_the_state_property() {
+        use crate::sugar::{af, ag, ef};
+        let (schema, _, _) = sample();
+        let phi = p_nonempty(&schema);
+        assert_eq!(
+            ag_ef_property(&ag(phi.clone())),
+            Some((SafetyMode::AlwaysGood, &phi))
+        );
+        assert_eq!(
+            ag_ef_property(&ef(phi.clone())),
+            Some((SafetyMode::EventuallyBad, &phi))
+        );
+        assert_eq!(ag_ef_property(&af(phi.clone())), None);
+        assert_eq!(ag_ef_property(&phi), None);
+        // A φ mentioning Z is not a state property.
+        let z = crate::ast::PredVar::new("Z");
+        let rec = Mu::Gfp(
+            z.clone(),
+            Box::new(Mu::Pvar(z.clone()).diamond().and(Mu::Pvar(z).boxed())),
+        );
+        assert_eq!(ag_ef_property(&rec), None);
     }
 
     #[test]

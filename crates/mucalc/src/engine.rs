@@ -2,19 +2,36 @@
 //! of the Figure 1 extension function.
 //!
 //! The naive evaluator in [`crate::mc`] recomputes every FO query on every
-//! state in every Kleene iteration. This engine exploits the two facts that
-//! make verification over a *fixed* finite abstraction special (Thm 4.4 /
+//! state in every Kleene iteration, and walks every quantifier value by
+//! value over `ADOM(Θ)`. This engine exploits the facts that make
+//! verification over a *fixed* finite abstraction special (Thm 4.4 /
 //! `PROP(Φ)`): `ADOM(Θ)` and the state databases never change during a run,
-//! so
+//! and the paper's atomic formulas are whole first-order *queries*, so
 //!
-//! 1. **query-extension caching** — the extension of any subformula with no
+//! 1. **quantifier-block fusion** — before anything else, every maximal
+//!    modal-free, predicate-variable-free block rooted at a quantifier is
+//!    rewritten into **one** `Mu::Query` leaf: `∃x.β` becomes
+//!    `Query(∃x.fo(β))` and `∀x.¬β` becomes `¬Query(∃x.fo(β))`, where `fo`
+//!    distributes `∃`/`∧` over `∨` and drops a `LIVE(x)` conjunct whenever
+//!    `x` occurs in a relational atom of the same disjunct (that atom
+//!    already puts `x`'s value in the state's active domain). The rewrite
+//!    applies only when the result is a range-restricted UCQ — accepted by
+//!    [`Ucq::from_formula`] and by [`CompiledPlan::compile`] with the
+//!    block's free variables as parameters. Such a query is
+//!    domain-independent: every satisfying binding takes its values from
+//!    the state's facts, hence from `ADOM(Θ)`, so the plan's natural-join
+//!    answer equals the per-value iteration over `ADOM(Θ)` (and an
+//!    unassigned free variable empties both). A fused block costs one plan
+//!    evaluation per state instead of one per (state, domain value);
+//!    blocks outside the fragment keep the per-binding path below.
+//! 2. **query-extension caching** — the extension of any subformula with no
 //!    free predicate variables is a pure function of (subformula, values of
 //!    its free individual variables). Extensions are cached under that key,
 //!    so `Mu::Query` / `Mu::Live` atoms are evaluated once per distinct
 //!    binding instead of once per fixpoint iteration. The same cache
 //!    *hoists closed subformulas out of fixpoint loops*: after the first
 //!    iteration every predicate-closed subtree is a lookup.
-//! 2. **parallel extension computation** — the per-state `holds` evaluation
+//! 3. **parallel extension computation** — the per-state `holds` evaluation
 //!    of an FO query is embarrassingly parallel; it runs on the
 //!    deterministic [`dcds_core::par`] scoped-thread pool. Results come
 //!    back in state order, so the output (verdict, extension, counters) is
@@ -23,15 +40,16 @@
 //! Fixpoints keep the naive early-exit paths (∃ stops at `all`, ∀ stops at
 //! `∅`), which never change the computed extension.
 //!
-//! [`crate::mc::eval`] remains in-tree as the differential-testing oracle;
-//! `tests/mc_engine_differential.rs` and the unit tests below check
-//! agreement on random and hand-written formulas.
+//! [`crate::mc::eval`] remains in-tree, unfused, as the differential-testing
+//! oracle; `tests/mc_engine_differential.rs` and the unit tests below check
+//! agreement on seeded random and hand-written formulas, fusion edge shapes
+//! included.
 
 use crate::ast::{Mu, PredVar};
 use crate::mc::Valuation;
 use dcds_core::par::par_map;
 use dcds_core::{StateId, Ts};
-use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, PlanStats, QTerm, Ucq, Var};
+use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Ucq, Var};
 use dcds_obs::{event, span, Obs};
 use dcds_reldata::{AccessPath, InstanceIndex, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -100,7 +118,10 @@ impl Default for McOptions {
 /// and independent of the thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct McCounters {
-    /// Per-state FO query / `LIVE` evaluations actually performed.
+    /// Per-state FO query / `LIVE` evaluations actually performed. A fused
+    /// quantifier block is one query, so it counts once per state per
+    /// distinct binding of its free variables — not once per domain value
+    /// its quantifiers range over.
     pub query_state_evals: u64,
     /// Extension requests answered from the query-extension cache.
     pub cache_hits: u64,
@@ -225,6 +246,8 @@ pub fn eval_traced(
         states = ts.num_states(),
         threads = opts.threads
     );
+    let fused = fuse(f);
+    let f = &fused;
     let mut infos = Vec::new();
     index(f, &mut infos);
     // Compile each query leaf once per run (pre-order ids mirror `index`);
@@ -262,6 +285,7 @@ pub fn eval_traced(
         infos,
         plans,
         state_idx,
+        adoms: None,
         plan_stats: PlanStats::default(),
         threads,
         cache: HashMap::new(),
@@ -319,6 +343,160 @@ fn compile_plans(f: &Mu, plans: &mut Vec<Option<CompiledPlan>>) {
     }
 }
 
+/// One disjunct of a quantifier block in prenex normal form:
+/// `∃vars. ⋀lits ∧ ⋀LIVE(lives)`, with `lits` FO atoms and equalities.
+#[derive(Clone, Default)]
+struct Conj {
+    vars: Vec<Var>,
+    lits: Vec<Formula>,
+    lives: Vec<QTerm>,
+}
+
+impl Conj {
+    /// Variables occurring in the literals but not bound by `vars`.
+    fn free(&self) -> BTreeSet<Var> {
+        let mut out: BTreeSet<Var> = self.lits.iter().flat_map(Formula::free_vars).collect();
+        out.extend(self.lives.iter().filter_map(|t| t.as_var().cloned()));
+        for v in &self.vars {
+            out.remove(v);
+        }
+        out
+    }
+}
+
+/// Blocks whose distribution over `∨` would exceed this many disjuncts stay
+/// on the per-binding path.
+const MAX_DISJUNCTS: usize = 64;
+
+/// The fusion pass (see the module doc): replace every maximal
+/// modal-free, predicate-variable-free block rooted at `∃x` or `∀x.¬` by a
+/// single query leaf; every other node is kept as is.
+fn fuse(f: &Mu) -> Mu {
+    let fused = match f {
+        Mu::Exists(v, g) => fused_query(v, g).map(Mu::Query),
+        Mu::Forall(v, g) => match g.as_ref() {
+            Mu::Not(b) => fused_query(v, b).map(|q| Mu::Query(q).not()),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(leaf) = fused {
+        return leaf;
+    }
+    let kid = |g: &Mu| Box::new(fuse(g));
+    match f {
+        Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => f.clone(),
+        Mu::Not(g) => Mu::Not(kid(g)),
+        Mu::And(g, h) => Mu::And(kid(g), kid(h)),
+        Mu::Or(g, h) => Mu::Or(kid(g), kid(h)),
+        Mu::Implies(g, h) => Mu::Implies(kid(g), kid(h)),
+        Mu::Exists(v, g) => Mu::Exists(v.clone(), kid(g)),
+        Mu::Forall(v, g) => Mu::Forall(v.clone(), kid(g)),
+        Mu::Diamond(g) => Mu::Diamond(kid(g)),
+        Mu::Box_(g) => Mu::Box_(kid(g)),
+        Mu::Lfp(z, g) => Mu::Lfp(z.clone(), kid(g)),
+        Mu::Gfp(z, g) => Mu::Gfp(z.clone(), kid(g)),
+    }
+}
+
+/// `∃v.body` as one FO query, or `None` when the block is not a
+/// range-restricted UCQ once its covered `LIVE` conjuncts are dropped.
+fn fused_query(v: &Var, body: &Mu) -> Option<Formula> {
+    let mut disjuncts = Vec::new();
+    for c in quantify(v, mu_dnf(body)?) {
+        let covered = |t: &QTerm| {
+            c.lits
+                .iter()
+                .any(|l| matches!(l, Formula::Atom(_, args) if args.contains(t)))
+        };
+        if !c.lives.iter().all(covered) {
+            return None;
+        }
+        let conj = Formula::conj(c.lits);
+        disjuncts.push(
+            c.vars
+                .into_iter()
+                .rev()
+                .fold(conj, |g, x| Formula::Exists(x, Box::new(g))),
+        );
+    }
+    let q = Formula::disj(disjuncts);
+    let ucq = Ucq::from_formula(&q)?;
+    CompiledPlan::compile(&ucq, &q.free_vars()).ok()?;
+    Some(q)
+}
+
+/// Prenex DNF of a block built from queries, `LIVE`, `∧`, `∨` and `∃`.
+fn mu_dnf(f: &Mu) -> Option<Vec<Conj>> {
+    match f {
+        Mu::Query(q) => fo_dnf(q),
+        Mu::Live(t) => Some(vec![Conj {
+            lives: vec![t.clone()],
+            ..Conj::default()
+        }]),
+        Mu::And(g, h) => product(mu_dnf(g)?, mu_dnf(h)?),
+        Mu::Or(g, h) => union(mu_dnf(g)?, mu_dnf(h)?),
+        Mu::Exists(v, g) => Some(quantify(v, mu_dnf(g)?)),
+        _ => None,
+    }
+}
+
+/// Prenex DNF of a positive existential FO query.
+fn fo_dnf(f: &Formula) -> Option<Vec<Conj>> {
+    match f {
+        Formula::True => Some(vec![Conj::default()]),
+        Formula::False => Some(Vec::new()),
+        Formula::Atom(..) | Formula::Eq(..) => Some(vec![Conj {
+            lits: vec![f.clone()],
+            ..Conj::default()
+        }]),
+        Formula::And(g, h) => product(fo_dnf(g)?, fo_dnf(h)?),
+        Formula::Or(g, h) => union(fo_dnf(g)?, fo_dnf(h)?),
+        Formula::Exists(v, g) => Some(quantify(v, fo_dnf(g)?)),
+        Formula::Not(_) | Formula::Implies(..) | Formula::Forall(..) => None,
+    }
+}
+
+/// `∃v` over every disjunct. A binder repeated in one disjunct (shadowing)
+/// is left for [`Ucq::from_formula`] to reject.
+fn quantify(v: &Var, mut dnf: Vec<Conj>) -> Vec<Conj> {
+    for c in &mut dnf {
+        c.vars.insert(0, v.clone());
+    }
+    dnf
+}
+
+fn union(mut a: Vec<Conj>, b: Vec<Conj>) -> Option<Vec<Conj>> {
+    a.extend(b);
+    (a.len() <= MAX_DISJUNCTS).then_some(a)
+}
+
+/// Distribute `∧` over `∨`, pulling each side's quantifiers to the front;
+/// `None` if that would capture a free variable of the other side.
+fn product(a: Vec<Conj>, b: Vec<Conj>) -> Option<Vec<Conj>> {
+    if a.len() * b.len() > MAX_DISJUNCTS {
+        return None;
+    }
+    let mut out = Vec::with_capacity(a.len() * b.len());
+    for x in &a {
+        let x_free = x.free();
+        for y in &b {
+            let y_free = y.free();
+            let captures = y.vars.iter().any(|w| x_free.contains(w))
+                || x.vars.iter().any(|w| y_free.contains(w));
+            if captures {
+                return None;
+            }
+            let mut c = x.clone();
+            c.vars.extend(y.vars.iter().cloned());
+            c.lits.extend(y.lits.iter().cloned());
+            c.lives.extend(y.lives.iter().cloned());
+            out.push(c);
+        }
+    }
+    Some(out)
+}
+
 /// Static per-subformula facts, computed once per run by [`index`].
 struct NodeInfo {
     /// Subtree size in nodes (this node included) — pre-order child ids
@@ -374,6 +552,9 @@ struct Engine<'a> {
     /// Per-state hash indexes aligned with `states`; empty when no leaf
     /// compiled.
     state_idx: Vec<InstanceIndex>,
+    /// Per-state active domains aligned with `states`, built on the first
+    /// bound `LIVE` and reused by every later one.
+    adoms: Option<Vec<BTreeSet<Value>>>,
     plan_stats: PlanStats,
     threads: usize,
     cache: HashMap<CacheKey, BTreeSet<StateId>>,
@@ -465,10 +646,14 @@ impl Engine<'_> {
                     None => self.all.clone(),
                     Some(d) => {
                         self.counters.query_state_evals += self.states.len() as u64;
-                        self.states
+                        let (ts, states) = (self.ts, &self.states);
+                        let adoms = self.adoms.get_or_insert_with(|| {
+                            par_map(states, self.threads, |&s| ts.db(s).active_domain())
+                        });
+                        states
                             .iter()
-                            .copied()
-                            .filter(|&s| self.ts.db(s).active_domain().contains(&d))
+                            .zip(adoms.iter())
+                            .filter_map(|(&s, adom)| adom.contains(&d).then_some(s))
                             .collect()
                     }
                 }
@@ -793,6 +978,82 @@ mod tests {
         // evaluated to ∅ (naive: all − all); now it is an error instead.
         let trap = Mu::live("X").not();
         assert!(check_traced(&trap, &ts, McOptions::default(), &Obs::disabled()).is_err());
+    }
+
+    /// Parse over the schema R/1, Q/1, S/1, P/1, E/2.
+    fn parse(src: &str) -> Mu {
+        let mut schema = Schema::new();
+        for (name, arity) in [("R", 1), ("Q", 1), ("S", 1), ("P", 1), ("E", 2)] {
+            schema.add_relation(name, arity).unwrap();
+        }
+        crate::parse_mu(src, &mut schema, &mut ConstantPool::new()).unwrap()
+    }
+
+    fn quantifiers(f: &Mu) -> usize {
+        match f {
+            Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => 0,
+            Mu::Exists(_, g) | Mu::Forall(_, g) => 1 + quantifiers(g),
+            Mu::Not(g) | Mu::Diamond(g) | Mu::Box_(g) | Mu::Lfp(_, g) | Mu::Gfp(_, g) => {
+                quantifiers(g)
+            }
+            Mu::And(g, h) | Mu::Or(g, h) | Mu::Implies(g, h) => quantifiers(g) + quantifiers(h),
+        }
+    }
+
+    fn compiled_leaves(f: &Mu) -> usize {
+        let mut plans = Vec::new();
+        compile_plans(f, &mut plans);
+        plans.iter().flatten().count()
+    }
+
+    #[test]
+    fn fusion_turns_paper_idioms_into_one_compiled_leaf() {
+        // The µLP idiom of the README, the CLI tests and BENCH_mucalc.
+        let fused = fuse(&parse("exists X . live(X) & (R(X) | Q(X))"));
+        assert!(matches!(fused, Mu::Query(_)), "{fused:?}");
+        assert_eq!(compiled_leaves(&fused), 1);
+        // The perfbench `det` property: the ∀¬ block is one leaf beside the
+        // ground phase query.
+        let det = fuse(&parse(
+            "nu Z . (forall V . !(E('a', V) & E('b', V) & E('c', V))) \
+             & (mu Y . P('p7') | <> Y) & [] Z",
+        ));
+        assert_eq!(quantifiers(&det), 0, "{det:?}");
+        assert_eq!(compiled_leaves(&det), 2, "{det:?}");
+        // The perfbench `rcycl` property.
+        let rcycl = fuse(&parse("nu Z . (forall X . !(R(X) & Q(X))) & [] Z"));
+        assert_eq!(quantifiers(&rcycl), 0, "{rcycl:?}");
+        assert_eq!(compiled_leaves(&rcycl), 1, "{rcycl:?}");
+        // Nested and multi-variable blocks fuse whole.
+        let nested = fuse(&parse(
+            "exists X . live(X) & R(X) & (exists Y . live(Y) & E(X, Y) & Q(Y))",
+        ));
+        assert!(matches!(nested, Mu::Query(_)), "{nested:?}");
+        // Under a modal-level quantifier the inner block fuses with `X` as
+        // a plan parameter; the guarded outer quantifier stays.
+        let guarded = fuse(&parse("forall X . live(X) -> <> (exists Y . E(X, Y))"));
+        assert_eq!(quantifiers(&guarded), 1, "{guarded:?}");
+        assert_eq!(compiled_leaves(&guarded), 1, "{guarded:?}");
+    }
+
+    #[test]
+    fn fusion_leaves_formulas_outside_the_fragment_unchanged() {
+        for src in [
+            "forall X . R(X) -> S(X)",
+            "forall X . R(X)",
+            "exists V . R('a')",
+            "exists X . R(X) | Q('a')",
+            "forall X . live(X) -> (exists V . V = X)",
+            "exists X . live(X)",
+            "exists X . live(X) & !R(X)",
+            "exists X . live(X) & <> R(X)",
+        ] {
+            let f = parse(src);
+            assert_eq!(fuse(&f), f, "{src}");
+        }
+        // Shadowing keeps the outer block; only the inner one fuses.
+        let shadow = fuse(&parse("exists X . R(X) & (exists X . Q(X))"));
+        assert_eq!(quantifiers(&shadow), 1, "{shadow:?}");
     }
 
     #[test]

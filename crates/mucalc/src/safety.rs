@@ -94,49 +94,45 @@ impl std::error::Error for SafetyError {}
 
 /// Recognise a safety formula and extract the reachability question.
 pub fn extract_safety(f: &Mu) -> Result<SafetyProperty, SafetyError> {
-    match f {
-        // νZ. φ ∧ [−]Z (either conjunct order).
-        Mu::Gfp(z, body) => {
-            if let Mu::And(l, r) = body.as_ref() {
-                let phi = match (is_box_z(l, z), is_box_z(r, z)) {
-                    (true, _) => r,
-                    (_, true) => l,
-                    _ => return Err(SafetyError::NotSafetyShape),
-                };
-                let good = state_property(phi, z)?;
-                return Ok(SafetyProperty {
-                    mode: SafetyMode::AlwaysGood,
-                    bad: Formula::Not(Box::new(good)),
-                });
-            }
-            Err(SafetyError::NotSafetyShape)
+    let (mode, z, phi) = split_ag_ef(f).ok_or(SafetyError::NotSafetyShape)?;
+    let prop = state_property(phi, z)?;
+    let bad = match mode {
+        SafetyMode::AlwaysGood => Formula::Not(Box::new(prop)),
+        SafetyMode::EventuallyBad => prop,
+    };
+    Ok(SafetyProperty { mode, bad })
+}
+
+/// Match `νZ. φ ∧ [−]Z` (AG) or `µZ. φ ∨ ⟨−⟩Z` (EF), either operand
+/// order, returning the mode, `Z` and `φ`. `φ` may still mention `Z`, and
+/// may be any µL formula.
+pub fn split_ag_ef(f: &Mu) -> Option<(SafetyMode, &PredVar, &Mu)> {
+    let (mode, z, l, r) = match f {
+        Mu::Gfp(z, body) => match body.as_ref() {
+            Mu::And(l, r) => (SafetyMode::AlwaysGood, z, l, r),
+            _ => return None,
+        },
+        Mu::Lfp(z, body) => match body.as_ref() {
+            Mu::Or(l, r) => (SafetyMode::EventuallyBad, z, l, r),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    // The recursion slot: `[−]Z` under ν, `⟨−⟩Z` under µ.
+    let is_step = |g: &Mu| match (mode, g) {
+        (SafetyMode::AlwaysGood, Mu::Box_(inner))
+        | (SafetyMode::EventuallyBad, Mu::Diamond(inner)) => {
+            matches!(inner.as_ref(), Mu::Pvar(w) if w == z)
         }
-        // µZ. φ ∨ ⟨−⟩Z (either disjunct order).
-        Mu::Lfp(z, body) => {
-            if let Mu::Or(l, r) = body.as_ref() {
-                let phi = match (is_diamond_z(l, z), is_diamond_z(r, z)) {
-                    (true, _) => r,
-                    (_, true) => l,
-                    _ => return Err(SafetyError::NotSafetyShape),
-                };
-                let bad = state_property(phi, z)?;
-                return Ok(SafetyProperty {
-                    mode: SafetyMode::EventuallyBad,
-                    bad,
-                });
-            }
-            Err(SafetyError::NotSafetyShape)
-        }
-        _ => Err(SafetyError::NotSafetyShape),
+        _ => false,
+    };
+    if is_step(l) {
+        Some((mode, z, r))
+    } else if is_step(r) {
+        Some((mode, z, l))
+    } else {
+        None
     }
-}
-
-fn is_box_z(f: &Mu, z: &PredVar) -> bool {
-    matches!(f, Mu::Box_(inner) if matches!(inner.as_ref(), Mu::Pvar(w) if w == z))
-}
-
-fn is_diamond_z(f: &Mu, z: &PredVar) -> bool {
-    matches!(f, Mu::Diamond(inner) if matches!(inner.as_ref(), Mu::Pvar(w) if w == z))
 }
 
 /// Flatten a modality-free µL state property into one FO formula.

@@ -26,6 +26,10 @@ cargo test -q -p dcds-bench --test engine_differential --test plan_paths
 cargo test -q -p dcds-reldata --test store_differential
 # Symbolic engine vs the naive Kleene evaluator and the staged checker.
 cargo test -q --test symbolic_differential
+# Staged model checker (fused quantifier blocks) vs the naive Kleene
+# evaluator on seeded random formulas and the fusion edge shapes, at
+# 1/2/4 threads.
+cargo test -q --test mc_engine_differential
 
 echo "== compact-store memory smoke"
 # Fixed 50k-state workloads, kept in the compact store by the budget rule;

@@ -515,20 +515,26 @@ fn do_check(
             println!("verdict: {verdict}");
         }
     }
-    if witness && !verdict {
-        if let Some(path_states) = diagnostics::counterexample_ag(&phi, &ts) {
-            eprintln!(
-                "shortest path to a violating state:\n  {}",
-                diagnostics::render_path(&path_states, &ts, &dcds.data.schema, &pool)
-            );
-        }
-    }
-    if witness && verdict {
-        if let Some(w) = diagnostics::witness_ef(&phi, &ts) {
-            eprintln!(
-                "a satisfying state (shortest path):\n  {}",
-                diagnostics::render_path(&w, &ts, &dcds.data.schema, &pool)
-            );
+    if witness {
+        // A path explains an AG violation or an EF success; the state
+        // property's own extension picks the path's last state.
+        let render = |p: &[_]| diagnostics::render_path(p, &ts, &dcds.data.schema, &pool);
+        match diagnostics::ag_ef_property(&phi) {
+            Some((SafetyMode::AlwaysGood, good)) if !verdict => {
+                if let Some(p) = diagnostics::counterexample_ag(good, &ts) {
+                    eprintln!("shortest path to a violating state:\n  {}", render(&p));
+                }
+            }
+            Some((SafetyMode::EventuallyBad, goal)) if verdict => {
+                if let Some(p) = diagnostics::witness_ef(goal, &ts) {
+                    eprintln!("a satisfying state (shortest path):\n  {}", render(&p));
+                }
+            }
+            Some(_) => {}
+            None => eprintln!(
+                "note: --witness covers AG (`nu Z . phi & [] Z`) and EF \
+                 (`mu Z . phi | <> Z`) properties only"
+            ),
         }
     }
     drop(run_span);

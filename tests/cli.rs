@@ -88,7 +88,41 @@ fn check_verdicts_witnesses_and_exit_codes() {
     ]);
     assert_eq!(code2, 1, "{text2}");
     assert!(text2.contains("verdict: false"));
-    assert!(text2.contains("violating state"));
+    // The path runs from s0 (which has an R fact) to a state without one.
+    let ag_path = path_after(&text2, "shortest path to a violating state:");
+    assert!(ag_path.len() >= 2, "{text2}");
+    assert!(ag_path[0].starts_with("s0:"), "{text2}");
+    assert!(!ag_path.last().unwrap().contains("R("), "{text2}");
+
+    // An EF witness ends in a state satisfying the goal.
+    let (code3, text3) = dcds_code(&[
+        "check",
+        &spec("ping_pong.dcds"),
+        "mu Z . (exists X . live(X) & Q(X)) | <> Z",
+        "--witness",
+    ]);
+    assert_eq!(code3, 0, "{text3}");
+    let ef_path = path_after(&text3, "a satisfying state (shortest path):");
+    assert!(ef_path.last().unwrap().contains("Q("), "{text3}");
+
+    // Other shapes get a note instead of a misleading path.
+    let (code4, text4) = dcds_code(&[
+        "check",
+        &spec("ping_pong.dcds"),
+        "exists X . live(X) & R(X)",
+        "--witness",
+    ]);
+    assert_eq!(code4, 0, "{text4}");
+    assert!(text4.contains("AG"), "{text4}");
+    assert!(!text4.contains("shortest path"), "{text4}");
+}
+
+/// The states of the rendered path printed on the line after `header`.
+fn path_after(text: &str, header: &str) -> Vec<String> {
+    let mut lines = text.lines().skip_while(|l| !l.contains(header));
+    assert!(lines.next().is_some(), "no `{header}` in {text}");
+    let path = lines.next().unwrap_or_else(|| panic!("no path in {text}"));
+    path.trim().split("  ->  ").map(str::to_owned).collect()
 }
 
 #[test]

@@ -1,63 +1,191 @@
 //! Differential testing of the staged model-checking engine against the
-//! naive Kleene evaluator it replaced: on random µLA formulas over a real
-//! RCYCL abstraction, `engine::eval_traced` must compute the exact same
-//! extension as `mc::eval` — at every thread count — and its counters must
-//! not depend on the thread count.
+//! naive Kleene evaluator it replaced: `engine::eval_traced` — quantifier
+//! blocks fused into single compiled queries — must compute the exact same
+//! extension as the unfused `mc::eval`, at every thread count, and its
+//! counters must not depend on the thread count.
+//!
+//! Formulas come from a seeded SplitMix64 generator (so the suite runs
+//! offline and reproducibly) plus a hand-written list of the shapes the
+//! fusion pass treats specially. Systems: Example 5.1 and the small travel
+//! request system through RCYCL, `service_cycle` and `collision_pairs`
+//! through the deterministic abstraction.
 
-// Property tests require the external `proptest` crate, which the offline
-// build environment cannot fetch; see the crate manifest for how to enable.
-#![cfg(feature = "proptest")]
-
-use dcds_verify::bench::examples;
+use dcds_verify::bench::rng::SplitMix64;
+use dcds_verify::bench::{examples, synthetic, travel};
 use dcds_verify::folang::{Formula, QTerm};
+use dcds_verify::mucalc::fragments::check_monotone;
 use dcds_verify::mucalc::mc::{eval, Valuation};
-use dcds_verify::mucalc::{check_traced, eval_traced, McOptions, Mu, PredVar};
+use dcds_verify::mucalc::{check_traced, eval_traced, sugar, McOptions, Mu, PredVar};
 use dcds_verify::obs::Obs;
 use dcds_verify::prelude::*;
-use proptest::prelude::*;
+use dcds_verify::reldata::{RelId, Value};
 use std::collections::BTreeMap;
 
-/// A random closed µLA formula over schema {R/1, Q/1} with quantified
-/// variables V0..V2 and at most one fixpoint binder.
-fn arb_mu_la() -> impl Strategy<Value = Mu> {
-    let leaf = prop_oneof![
-        Just(Mu::Query(Formula::True)),
-        Just(Mu::Query(Formula::False)),
-        (0usize..2, 0usize..3).prop_map(|(rel, v)| {
-            Mu::Query(Formula::Atom(
-                dcds_verify::reldata::RelId::from_index(rel),
-                vec![QTerm::var(&format!("V{v}"))],
-            ))
-        }),
-        (0usize..3, 0usize..3).prop_map(|(v, w)| Mu::Query(Formula::eq(
-            QTerm::var(&format!("V{v}")),
-            QTerm::var(&format!("V{w}"))
-        ))),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|f| f.not()),
-            (inner.clone(), inner.clone()).prop_map(|(f, g)| f.and(g)),
-            (inner.clone(), inner.clone()).prop_map(|(f, g)| f.or(g)),
-            inner.clone().prop_map(|f| f.diamond()),
-            inner.clone().prop_map(|f| f.boxed()),
-            (0usize..3, inner.clone()).prop_map(|(v, f)| {
-                let name = format!("V{v}");
-                Mu::exists(name.as_str(), Mu::live(&name).and(f))
-            }),
-            (0usize..3, inner.clone()).prop_map(|(v, f)| {
-                let name = format!("V{v}");
-                Mu::forall(name.as_str(), Mu::live(&name).implies(f))
-            }),
-            inner.clone().prop_map(|f| Mu::lfp(
-                "Zp",
-                f.diamond().or(Mu::Pvar(PredVar::new("Zp")).diamond())
-            )),
-            inner
-                .clone()
-                .prop_map(|f| Mu::gfp("Zq", f.or(Mu::Pvar(PredVar::new("Zq")).boxed()))),
-        ]
-    })
+/// One system under test: its transition system, schema, and the constant
+/// pool that names its values.
+struct System {
+    name: &'static str,
+    ts: Ts,
+    schema: Schema,
+    pool: ConstantPool,
+}
+
+fn systems() -> Vec<System> {
+    let mut out = Vec::new();
+    for (name, dcds, budget) in [
+        ("example_5_1", examples::example_5_1(), 100),
+        ("travel_small", travel::request_system_small(), 5000),
+    ] {
+        let res = rcycl(&dcds, budget);
+        assert!(res.complete, "{name}");
+        out.push(System {
+            name,
+            ts: res.ts.to_ts().into_owned(),
+            schema: dcds.data.schema.clone(),
+            pool: res.pool,
+        });
+    }
+    for (name, dcds, budget) in [
+        ("service_cycle(3)", synthetic::service_cycle(3), 60),
+        ("collision_pairs(4)", synthetic::collision_pairs(4), 1000),
+    ] {
+        let abs = det_abstraction(&dcds, budget);
+        out.push(System {
+            name,
+            ts: abs.ts.to_ts().into_owned(),
+            schema: dcds.data.schema.clone(),
+            pool: abs.pool,
+        });
+    }
+    out
+}
+
+/// Staged engine at 1/2/4 threads against the naive oracle, under `val`;
+/// for closed formulas also the `check_traced` entry point.
+fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) {
+    let oracle = eval(phi, &sys.ts, &mut val.clone());
+    let mut first = None;
+    for threads in [1usize, 2, 4] {
+        let (ext, counters) = eval_traced(
+            phi,
+            &sys.ts,
+            &mut val.clone(),
+            McOptions { threads },
+            &Obs::disabled(),
+        );
+        assert_eq!(
+            ext, oracle,
+            "{}: engine at {threads} threads disagrees with naive on {phi:?} under {:?}",
+            sys.name, val.individuals
+        );
+        match first {
+            None => first = Some(counters),
+            Some(c) => assert_eq!(
+                c, counters,
+                "{}: counters depend on the thread count on {phi:?}",
+                sys.name
+            ),
+        }
+    }
+    if phi.is_closed() {
+        let run = check_traced(phi, &sys.ts, McOptions::default(), &Obs::disabled()).unwrap();
+        assert_eq!(run.holds, oracle.contains(&sys.ts.initial()), "{phi:?}");
+        assert_eq!(run.extension, oracle, "{phi:?}");
+    }
+}
+
+/// Random µL formulas over a system's schema: variables V0..V2, a few of
+/// its constants, at most three nested operators, fixpoint variables only
+/// in positive positions.
+struct Gen<'a> {
+    rng: SplitMix64,
+    rels: Vec<(RelId, usize)>,
+    consts: &'a [Value],
+}
+
+impl Gen<'_> {
+    fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
+        xs[self.rng.gen_range(xs.len())].clone()
+    }
+
+    fn var(&mut self) -> String {
+        format!("V{}", self.rng.gen_range(3))
+    }
+
+    fn term(&mut self) -> QTerm {
+        if !self.consts.is_empty() && self.rng.gen_bool(0.25) {
+            QTerm::Const(self.pick(self.consts))
+        } else {
+            QTerm::var(&self.var())
+        }
+    }
+
+    fn atom(&mut self) -> Formula {
+        let (rel, arity) = self.rels[self.rng.gen_range(self.rels.len())];
+        Formula::Atom(rel, (0..arity).map(|_| self.term()).collect())
+    }
+
+    /// A query leaf: mostly atoms, sometimes a small FO formula, inside or
+    /// outside the UCQ fragment.
+    fn query(&mut self) -> Formula {
+        match self.rng.gen_range(8) {
+            0 => Formula::True,
+            1 => Formula::False,
+            2 => Formula::eq(self.term(), self.term()),
+            3 => {
+                let v = self.var();
+                let body = self.atom().and(self.atom());
+                Formula::exists(v.as_str(), body)
+            }
+            4 => self.atom().or(self.atom()),
+            5 => self.atom().not(),
+            _ => self.atom(),
+        }
+    }
+
+    fn mu(&mut self, depth: usize) -> Mu {
+        if depth == 0 || self.rng.gen_bool(0.2) {
+            return if self.rng.gen_bool(0.25) {
+                match self.term() {
+                    QTerm::Var(v) => Mu::live(v.name()),
+                    c => Mu::Live(c),
+                }
+            } else {
+                Mu::Query(self.query())
+            };
+        }
+        let d = depth - 1;
+        match self.rng.gen_range(13) {
+            0 => self.mu(d).not(),
+            1 => self.mu(d).and(self.mu(d)),
+            2 => self.mu(d).or(self.mu(d)),
+            3 => self.mu(d).implies(self.mu(d)),
+            4 => self.mu(d).diamond(),
+            5 => self.mu(d).boxed(),
+            6 => {
+                let v = self.var();
+                Mu::exists(v.as_str(), self.mu(d))
+            }
+            7 => {
+                let v = self.var();
+                Mu::exists(v.as_str(), Mu::live(&v).and(self.mu(d)))
+            }
+            8 => {
+                let v = self.var();
+                Mu::forall(v.as_str(), self.mu(d).not())
+            }
+            9 => {
+                let v = self.var();
+                Mu::forall(v.as_str(), Mu::live(&v).implies(self.mu(d)))
+            }
+            10 => {
+                let v = self.var();
+                Mu::forall(v.as_str(), self.mu(d))
+            }
+            11 => Mu::lfp("Zp", self.mu(d).or(Mu::Pvar(PredVar::new("Zp")).diamond())),
+            _ => Mu::gfp("Zq", self.mu(d).and(Mu::Pvar(PredVar::new("Zq")).boxed())),
+        }
+    }
 }
 
 /// Close a formula by guarded-existentially quantifying its free variables.
@@ -70,36 +198,140 @@ fn close(f: Mu) -> Mu {
     out
 }
 
-fn system() -> Ts {
-    let e51 = examples::example_5_1();
-    let pruning = rcycl(&e51, 100);
-    assert!(pruning.complete);
-    pruning.ts
+#[test]
+fn engine_agrees_with_naive_on_seeded_random_formulas() {
+    for (k, sys) in systems().iter().enumerate() {
+        let rels: Vec<(RelId, usize)> = sys
+            .schema
+            .rel_ids()
+            .map(|r| (r, sys.schema.arity(r)))
+            .collect();
+        let adom: Vec<Value> = sys.ts.adom_union().into_iter().collect();
+        // Three constants of the system plus one value no state holds.
+        let mut consts: Vec<Value> = adom.iter().copied().take(3).collect();
+        let outside = (0..).map(Value::from_index).find(|v| !adom.contains(v));
+        consts.extend(outside);
+        let mut gen = Gen {
+            rng: SplitMix64::new(0x5eed_0000 + k as u64),
+            rels,
+            consts: &consts,
+        };
+        for _ in 0..100 {
+            let open = gen.mu(3);
+            let closed = close(open.clone());
+            if check_monotone(&closed, &mut BTreeMap::new(), true).is_err() {
+                continue;
+            }
+            assert_agrees(sys, &closed, &Valuation::default());
+            // The open formula under a random partial valuation: unassigned
+            // variables must empty a fused block exactly as they empty its
+            // per-binding evaluation.
+            let mut val = Valuation::default();
+            for v in open.free_vars() {
+                if gen.rng.gen_bool(0.7) {
+                    val.individuals.insert(v, gen.pick(&consts));
+                }
+            }
+            assert_agrees(sys, &open, &val);
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-    #[test]
-    fn engine_agrees_with_naive_at_all_thread_counts(f in arb_mu_la()) {
-        let phi = close(f);
-        prop_assume!(dcds_verify::mucalc::fragments::check_monotone(
-            &phi, &mut BTreeMap::new(), true).is_ok());
-        let ts = system();
-        let oracle = eval(&phi, &ts, &mut Valuation::default());
-        let mut runs = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let (ext, counters) = eval_traced(
-                &phi, &ts, &mut Valuation::default(), McOptions { threads }, &Obs::disabled());
-            prop_assert_eq!(&ext, &oracle,
-                "engine at {} threads disagrees with naive on {:?}", threads, phi);
-            runs.push(counters);
+/// The shapes the fusion pass rewrites or deliberately leaves alone;
+/// `{U}`/`{W}` stand for unary relations, `{B}` for a binary one and
+/// `{c}`/`{d}`/`{e}` for constants of the system.
+const SHAPES: &[&str] = &[
+    // ∃ / ∀¬ over conjunctive queries, multi-variable and nested blocks.
+    "exists X . {U}(X)",
+    "exists X, Y . {U}(X) & {W}(Y)",
+    "forall X . !({U}(X) & {W}(X))",
+    "forall X . !{U}(X)",
+    "exists X . {U}(X) & (exists Y . {W}(Y) & X = Y)",
+    // LIVE conjuncts with and without a covering atom.
+    "exists X . live(X) & {U}(X)",
+    "exists X . live(X)",
+    "exists X . live(X) & X = '{c}'",
+    "exists X . live(X) & !{U}(X)",
+    // ∃ over ∨.
+    "exists X . live(X) & ({U}(X) | {W}(X))",
+    "exists X . {U}(X) | {W}(X)",
+    "exists X . {U}(X) | {W}('{c}')",
+    // Vacuous, shadowing, equality-only.
+    "exists V . {U}('{c}')",
+    "exists X . {U}(X) & (exists X . {W}(X))",
+    "forall X . live(X) -> (exists V . V = X)",
+    // Free variables bound by an outer modal-level quantifier.
+    "exists X . live(X) & <> (exists Y . {W}(Y) & X = Y)",
+    "forall X . live(X) -> [] (exists Y . {U}(Y) & Y = X)",
+    "exists X . live(X) & {U}(X) & <> !(exists Y . {W}(Y) & Y = X)",
+    // ... and one an inner quantifier would capture if pulled out.
+    "exists Y . live(Y) & <> (exists X . {U}(X) & (exists Y . {W}(Y)) & {U}(Y))",
+    "exists Y . live(Y) & [] (exists X . {U}(Y) & ((exists Y . {W}(Y)) | {U}(X)))",
+    // ∀ over a non-negated body.
+    "forall X . {U}(X)",
+    "forall X . live(X) -> {U}(X)",
+    "forall X . live(X) -> !{U}(X)",
+];
+
+const BINARY_SHAPES: &[&str] = &[
+    "exists X, Y . {B}(X, Y)",
+    "exists X . live(X) & (exists Y . {B}(X, Y) & {B}(Y, X))",
+    "forall V . !({B}('{c}', V) & {B}('{d}', V))",
+    "forall V . !({B}('{c}', V) & {B}('{d}', V) & {B}('{e}', V))",
+    "exists X . (exists Y . {B}(X, Y)) & (exists Y . {B}(Y, X))",
+    "exists X . live(X) & <> (exists Y . {B}(X, Y) | {B}(Y, X))",
+];
+
+#[test]
+fn engine_agrees_with_naive_on_fusion_edge_shapes() {
+    for sys in systems() {
+        let by_arity = |n: usize| -> Vec<String> {
+            sys.schema
+                .rel_ids()
+                .filter(|&r| sys.schema.arity(r) == n)
+                .map(|r| sys.schema.name(r).to_owned())
+                .collect()
+        };
+        let (unary, binary) = (by_arity(1), by_arity(2));
+        let names: Vec<String> = sys
+            .ts
+            .adom_union()
+            .into_iter()
+            .map(|v| sys.pool.name(v).to_owned())
+            .take(3)
+            .collect();
+        let mut shapes: Vec<&str> = SHAPES.to_vec();
+        if !binary.is_empty() {
+            shapes.extend(BINARY_SHAPES);
         }
-        // Counters are a function of the run, not of the schedule.
-        prop_assert_eq!(runs[0], runs[1]);
-        prop_assert_eq!(runs[0], runs[2]);
-        // The top-level entry point agrees with the extension-level one.
-        let run = check_traced(&phi, &ts, McOptions::default(), &Obs::disabled()).unwrap();
-        prop_assert_eq!(run.holds, oracle.contains(&ts.initial()));
-        prop_assert_eq!(&run.extension, &oracle);
+        let mut checked = 0;
+        for (i, u) in unary.iter().enumerate() {
+            let w = &unary[(i + 1) % unary.len()];
+            for shape in &shapes {
+                let mut src = shape.replace("{U}", u).replace("{W}", w);
+                if let Some(b) = binary.first() {
+                    src = src.replace("{B}", b);
+                }
+                for (ph, n) in ["{c}", "{d}", "{e}"].iter().zip(names.iter().cycle()) {
+                    src = src.replace(ph, n);
+                }
+                let phi = parse_mu(&src, &mut sys.schema.clone(), &mut sys.pool.clone())
+                    .unwrap_or_else(|e| panic!("{}: {src}: {e}", sys.name));
+                for f in [
+                    phi.clone(),
+                    sugar::ag(phi.clone()),
+                    sugar::ef(phi.clone()),
+                    phi.clone().not().diamond(),
+                ] {
+                    assert_agrees(&sys, &f, &Valuation::default());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(
+            checked > 0,
+            "{}: no unary relation to instantiate",
+            sys.name
+        );
     }
 }
