@@ -267,8 +267,8 @@ impl Dcds {
     pub fn rigid_constants(&self) -> BTreeSet<Value> {
         let mut rigid = self.data.rigid_constants();
         for c in &self.data.constraints {
-            rigid.extend(c.query.constants());
-            for (t1, t2) in &c.equalities {
+            rigid.extend(c.query().constants());
+            for (t1, t2) in c.equalities() {
                 for t in [t1, t2] {
                     if let dcds_folang::QTerm::Const(v) = t {
                         rigid.insert(*v);
@@ -277,7 +277,7 @@ impl Dcds {
             }
         }
         for c in &self.data.fo_constraints {
-            rigid.extend(c.sentence.constants());
+            rigid.extend(c.sentence().constants());
         }
         for rule in &self.process.rules {
             rigid.extend(rule.condition.constants());

@@ -136,14 +136,14 @@ impl fmt::Display for DcdsDisplay<'_> {
         writeln!(f, "}}")?;
         for ec in &dcds.data.constraints {
             let eqs = Formula::conj(
-                ec.equalities
+                ec.equalities()
                     .iter()
                     .map(|(a, b)| Formula::Eq(a.clone(), b.clone())),
             );
             writeln!(
                 f,
                 "constraint {} -> {};",
-                FormulaDisplay::new(&ec.query, schema, pool),
+                FormulaDisplay::new(ec.query(), schema, pool),
                 FormulaDisplay::new(&eqs, schema, pool)
             )?;
         }
@@ -151,7 +151,7 @@ impl fmt::Display for DcdsDisplay<'_> {
             writeln!(
                 f,
                 "assert {};",
-                FormulaDisplay::new(&ic.sentence, schema, pool)
+                FormulaDisplay::new(ic.sentence(), schema, pool)
             )?;
         }
         for action in &dcds.process.actions {

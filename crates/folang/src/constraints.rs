@@ -13,21 +13,65 @@
 //! satisfies all the equalities. Keys (the `right`/`succ` tricks of Theorems
 //! 4.1 and 6.2) and the Section-6 encoding of arbitrary FO integrity
 //! constraints are expressed this way.
+//!
+//! # Denial plans
+//!
+//! Every successor the engines keep must satisfy every constraint, so each
+//! constraint is compiled once, when it is built, into a *denial plan*: a
+//! guard `G` (a conjunction of atoms and equalities) and a quantifier-free
+//! consequent `ψ`, with the constraint read as `∀x̄. G → ψ`. The guard
+//! becomes a [`CompiledPlan`] whose output slots are `ψ`'s variables, `ψ`
+//! becomes a slot-resolved predicate (`Instance::contains` for atoms, plus
+//! `=`, `¬`, `∧`, `∨`, `→`), and the instance satisfies the constraint iff
+//! no guard row falsifies `ψ` — the join stops at the first row that does.
+//!
+//! * An FO sentence is flattened by [`GuardForm::of`]: nested `∀x̄` and
+//!   `→` with conjunctive premises, so `A → ∀y. B → ψ` reads as
+//!   `∀y. A ∧ B → ψ`.
+//! * An equality constraint contributes one guard per UCQ disjunct of its
+//!   premise, with `ψ` the conjunction of its equalities.
+//!
+//! **Soundness.** Under the active-domain semantics a `∀`-bound variable
+//! ranges over `ADOM(I)`. The plan is used only when every such variable
+//! (every free variable of the premise, for equality constraints) occurs in
+//! a guard atom: a guard row then binds it to a value of some tuple, hence
+//! of `ADOM(I)`, and every assignment satisfying `G` is a guard row, so
+//! quantifying over `ADOM(I)` and joining the guard's tuples find the same
+//! counterexamples — on the empty instance both find none. Flattening must
+//! not rebind a variable (`∀x. A → ∀x. B` would conflate two scopes), and
+//! `ψ` must be quantifier-free, since it is evaluated on the row alone.
+//!
+//! **Fallback.** Every other constraint — a variable in no guard atom, a
+//! quantifier in the consequent, shadowing, a premise outside the UCQs —
+//! is checked by the guided reference evaluator ([`crate::eval`]) on every
+//! call, and [`FoConstraint::fallback`] / [`EqualityConstraint::fallback`]
+//! say why. Debug builds cross-check every compiled check against that
+//! reference.
 
-use crate::ast::{Formula, QTerm};
+use crate::ast::{Assignment, Formula, QTerm, Var};
 use crate::eval::{answers, holds_closed};
+use crate::plan::{CompiledPlan, EvalCtx, PlanError};
+use crate::ucq::{collect_conjuncts, ConjunctiveQuery, Ucq};
 use crate::QueryError;
-use dcds_reldata::{Instance, RelId, Schema, Value};
+use dcds_reldata::{Instance, RelId, Schema, Tuple, Value};
+use std::collections::BTreeSet;
 
 /// An equality constraint `Q -> /\ z_j = y_j`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct EqualityConstraint {
-    /// The premise query; its free variables scope the equalities.
-    pub query: Formula,
-    /// Conjunction of required equalities over the query's free variables
-    /// and constants.
-    pub equalities: Vec<(QTerm, QTerm)>,
+    query: Formula,
+    equalities: Vec<(QTerm, QTerm)>,
+    path: Result<DenialPlan, FallbackReason>,
 }
+
+impl PartialEq for EqualityConstraint {
+    fn eq(&self, other: &Self) -> bool {
+        // The check path is a function of the formulas.
+        self.query == other.query && self.equalities == other.equalities
+    }
+}
+
+impl Eq for EqualityConstraint {}
 
 impl EqualityConstraint {
     /// Build a constraint, checking the equality terms only use free
@@ -43,7 +87,7 @@ impl EqualityConstraint {
                 }
             }
         }
-        Ok(EqualityConstraint { query, equalities })
+        Ok(Self::build(query, equalities))
     }
 
     /// A *key constraint* on relation `rel`: the positions in `key` determine
@@ -66,26 +110,61 @@ impl EqualityConstraint {
             .filter(|i| !key.contains(i))
             .map(|i| (xs[i].clone(), ys[i].clone()))
             .collect();
-        EqualityConstraint { query, equalities }
+        Self::build(query, equalities)
+    }
+
+    fn build(query: Formula, equalities: Vec<(QTerm, QTerm)>) -> Self {
+        let path = match Ucq::from_formula(&query) {
+            Some(ucq) => {
+                let consequent = Formula::conj(
+                    equalities
+                        .iter()
+                        .map(|(t1, t2)| Formula::Eq(t1.clone(), t2.clone())),
+                );
+                DenialPlan::compile(ucq.disjuncts, &consequent)
+            }
+            None => Err(FallbackReason::NonUcqPremise),
+        };
+        EqualityConstraint {
+            query,
+            equalities,
+            path,
+        }
+    }
+
+    /// The premise query; its free variables scope the equalities.
+    pub fn query(&self) -> &Formula {
+        &self.query
+    }
+
+    /// Conjunction of required equalities over the query's free variables
+    /// and constants.
+    pub fn equalities(&self) -> &[(QTerm, QTerm)] {
+        &self.equalities
+    }
+
+    /// Why the constraint is checked by the reference evaluator, or `None`
+    /// when it runs as a compiled denial plan.
+    pub fn fallback(&self) -> Option<&FallbackReason> {
+        self.path.as_ref().err()
     }
 
     /// Does the instance satisfy the constraint? For each answer θ of the
     /// premise, every equality must hold under θ.
     pub fn satisfied(&self, inst: &Instance) -> bool {
-        for theta in answers(&self.query, inst) {
-            for (t1, t2) in &self.equalities {
-                let v1 = resolve(t1, &theta);
-                let v2 = resolve(t2, &theta);
-                if v1 != v2 {
-                    return false;
-                }
-            }
-        }
-        true
+        check(&self.path, inst, || self.reference_satisfied(inst))
+    }
+
+    fn reference_satisfied(&self, inst: &Instance) -> bool {
+        answers(&self.query, inst).iter().all(|theta| {
+            self.equalities
+                .iter()
+                .all(|(t1, t2)| resolve(t1, theta) == resolve(t2, theta))
+        })
     }
 }
 
-fn resolve(t: &QTerm, theta: &crate::ast::Assignment) -> Option<Value> {
+fn resolve(t: &QTerm, theta: &Assignment) -> Option<Value> {
     match t {
         QTerm::Const(c) => Some(*c),
         QTerm::Var(v) => theta.get(v).copied(),
@@ -97,11 +176,19 @@ fn resolve(t: &QTerm, theta: &crate::ast::Assignment) -> Option<Value> {
 /// constraints"). The paper shows these reduce to equality constraints; we
 /// also support them natively, and `dcds-reductions::fo_constraints`
 /// implements the paper's reduction for cross-validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FoConstraint {
-    /// The closed formula that must hold in every state.
-    pub sentence: Formula,
+    sentence: Formula,
+    path: Result<DenialPlan, FallbackReason>,
 }
+
+impl PartialEq for FoConstraint {
+    fn eq(&self, other: &Self) -> bool {
+        self.sentence == other.sentence
+    }
+}
+
+impl Eq for FoConstraint {}
 
 impl FoConstraint {
     /// Build from a closed formula.
@@ -109,12 +196,273 @@ impl FoConstraint {
         if let Some(v) = sentence.free_vars().into_iter().next() {
             return Err(QueryError::UnboundVariable(v.name().to_owned()));
         }
-        Ok(FoConstraint { sentence })
+        let path = Self::denial(&sentence);
+        Ok(FoConstraint { sentence, path })
+    }
+
+    /// The fragment gate of the module docs, in order: no shadowing, every
+    /// `∀` variable in a guard atom, a quantifier-free consequent (checked
+    /// while compiling it).
+    fn denial(sentence: &Formula) -> Result<DenialPlan, FallbackReason> {
+        let form = GuardForm::of(sentence);
+        if let Some(v) = form.shadowed {
+            return Err(FallbackReason::Shadowed(v));
+        }
+        let guard = ConjunctiveQuery {
+            head: Vec::new(),
+            atoms: form.atoms,
+            equalities: form.equalities,
+        };
+        let guarded = guard.atom_vars();
+        if let Some(v) = form.bound.into_iter().find(|v| !guarded.contains(v)) {
+            return Err(FallbackReason::UnguardedVar(v));
+        }
+        DenialPlan::compile(vec![guard], form.consequent)
+    }
+
+    /// The closed formula that must hold in every state.
+    pub fn sentence(&self) -> &Formula {
+        &self.sentence
+    }
+
+    /// Why the sentence is checked by the reference evaluator, or `None`
+    /// when it runs as a compiled denial plan.
+    pub fn fallback(&self) -> Option<&FallbackReason> {
+        self.path.as_ref().err()
     }
 
     /// Does the instance satisfy the sentence?
     pub fn satisfied(&self, inst: &Instance) -> bool {
+        check(&self.path, inst, || self.reference_satisfied(inst))
+    }
+
+    fn reference_satisfied(&self, inst: &Instance) -> bool {
         holds_closed(&self.sentence, inst).unwrap_or(false)
+    }
+}
+
+/// Why a constraint is outside the denial-plan fragment (see the module
+/// docs) and is checked by the reference evaluator instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FallbackReason {
+    /// A quantified variable (or a premise variable of an equality
+    /// constraint) occurs in no guard atom.
+    UnguardedVar(Var),
+    /// The consequent contains a quantifier.
+    QuantifiedConsequent,
+    /// A `∀` rebinds a variable of an enclosing `∀`.
+    Shadowed(Var),
+    /// The equality constraint's premise is not a union of conjunctive
+    /// queries.
+    NonUcqPremise,
+}
+
+impl FallbackReason {
+    /// A stable short name, for machine-readable reports.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FallbackReason::UnguardedVar(_) => "unguarded-variable",
+            FallbackReason::QuantifiedConsequent => "quantified-consequent",
+            FallbackReason::Shadowed(_) => "shadowing",
+            FallbackReason::NonUcqPremise => "non-ucq-premise",
+        }
+    }
+}
+
+impl std::fmt::Display for FallbackReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FallbackReason::UnguardedVar(v) => write!(f, "variable {v} occurs in no guard atom"),
+            FallbackReason::QuantifiedConsequent => write!(f, "the consequent has a quantifier"),
+            FallbackReason::Shadowed(v) => write!(f, "a nested quantifier rebinds {v}"),
+            FallbackReason::NonUcqPremise => {
+                write!(f, "the premise is not a union of conjunctive queries")
+            }
+        }
+    }
+}
+
+/// A sentence read as `∀x̄. G → ψ`: the `∀` variables and the `→` premises
+/// that are conjunctions of atoms, equalities and `true` are peeled off the
+/// front, and whatever remains is the consequent `ψ`. The reading is a
+/// plain syntactic walk; each consumer applies its own gate (the denial
+/// plans above, symbolic pruning in `dcds-symbolic`).
+#[derive(Debug, Clone)]
+pub struct GuardForm<'f> {
+    /// The `∀` variables, outermost first (a shadowing rebind repeats).
+    pub bound: Vec<Var>,
+    /// Guard atoms, from every peeled premise.
+    pub atoms: Vec<(RelId, Vec<QTerm>)>,
+    /// Guard equalities, from every peeled premise.
+    pub equalities: Vec<(QTerm, QTerm)>,
+    /// The consequent `ψ`.
+    pub consequent: &'f Formula,
+    /// The first `∀` variable that rebinds an enclosing one. Then the
+    /// flattened guard conflates two scopes: it is implied by the sentence
+    /// but not equivalent to it.
+    pub shadowed: Option<Var>,
+}
+
+impl<'f> GuardForm<'f> {
+    /// Peel `∀`s and conjunctive `→` premises off `sentence`.
+    pub fn of(sentence: &'f Formula) -> Self {
+        let mut form = GuardForm {
+            bound: Vec::new(),
+            atoms: Vec::new(),
+            equalities: Vec::new(),
+            consequent: sentence,
+            shadowed: None,
+        };
+        loop {
+            match form.consequent {
+                Formula::Forall(v, body) => {
+                    if form.shadowed.is_none() && form.bound.contains(v) {
+                        form.shadowed = Some(v.clone());
+                    }
+                    form.bound.push(v.clone());
+                    form.consequent = body;
+                }
+                Formula::Implies(premise, rest) => {
+                    let (mut atoms, mut equalities) = (Vec::new(), Vec::new());
+                    if collect_conjuncts(premise, &mut atoms, &mut equalities).is_none() {
+                        break;
+                    }
+                    form.atoms.extend(atoms);
+                    form.equalities.extend(equalities);
+                    form.consequent = rest;
+                }
+                _ => break,
+            }
+        }
+        form
+    }
+}
+
+/// Run the denial plan when there is one — cross-checked against the
+/// reference in debug builds — and the reference otherwise.
+fn check(
+    path: &Result<DenialPlan, FallbackReason>,
+    inst: &Instance,
+    reference: impl Fn() -> bool,
+) -> bool {
+    match path {
+        Ok(plan) => {
+            let sat = plan.satisfied(inst);
+            debug_assert_eq!(sat, reference(), "denial plan disagrees with the reference");
+            sat
+        }
+        Err(_) => reference(),
+    }
+}
+
+/// A compiled `∀x̄. G₁ ∨ ... ∨ Gₖ → ψ`: the guards as one plan whose
+/// outputs are `ψ`'s variables, and `ψ` resolved against each guard's
+/// slots.
+#[derive(Debug, Clone)]
+struct DenialPlan {
+    guard: CompiledPlan,
+    consequents: Vec<Pred>,
+}
+
+impl DenialPlan {
+    fn compile(
+        mut guards: Vec<ConjunctiveQuery>,
+        consequent: &Formula,
+    ) -> Result<Self, FallbackReason> {
+        let outputs: Vec<Var> = consequent.free_vars().into_iter().collect();
+        for cq in &mut guards {
+            cq.head = outputs.clone();
+        }
+        let guard =
+            CompiledPlan::compile(&Ucq { disjuncts: guards }, &BTreeSet::new()).map_err(|e| {
+                let (PlanError::UnboundHeadVar(v) | PlanError::UnboundEqualityVar(v)) = e;
+                FallbackReason::UnguardedVar(Var::new(&v))
+            })?;
+        let consequents = (0..guard.disjuncts())
+            .map(|i| Pred::compile(consequent, &|v| guard.out_slot(i, v)))
+            .collect::<Result<_, _>>()?;
+        Ok(DenialPlan { guard, consequents })
+    }
+
+    /// No guard row falsifies its consequent; stops at the first that does.
+    fn satisfied(&self, inst: &Instance) -> bool {
+        !self
+            .guard
+            .any_row(&EvalCtx::scan(inst), &Assignment::new(), |i, regs| {
+                !self.consequents[i].holds(inst, regs)
+            })
+    }
+}
+
+/// A value source of a compiled consequent.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    Const(Value),
+    Slot(usize),
+}
+
+impl Arg {
+    fn value(self, regs: &[Option<Value>]) -> Value {
+        match self {
+            Arg::Const(c) => c,
+            Arg::Slot(s) => regs[s].expect("consequent slot bound by the guard"),
+        }
+    }
+}
+
+/// A quantifier-free consequent over guard slots (`g → h` compiles to
+/// `¬g ∨ h`).
+#[derive(Debug, Clone)]
+enum Pred {
+    Const(bool),
+    Atom(RelId, Vec<Arg>),
+    Eq(Arg, Arg),
+    Not(Box<Pred>),
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
+}
+
+impl Pred {
+    fn compile(
+        f: &Formula,
+        slot_of: &impl Fn(&Var) -> Option<usize>,
+    ) -> Result<Pred, FallbackReason> {
+        let arg = |t: &QTerm| match t {
+            QTerm::Const(c) => Ok(Arg::Const(*c)),
+            QTerm::Var(v) => slot_of(v)
+                .map(Arg::Slot)
+                .ok_or_else(|| FallbackReason::UnguardedVar(v.clone())),
+        };
+        let sub = |g: &Formula| Pred::compile(g, slot_of).map(Box::new);
+        Ok(match f {
+            Formula::True => Pred::Const(true),
+            Formula::False => Pred::Const(false),
+            Formula::Atom(rel, terms) => {
+                Pred::Atom(*rel, terms.iter().map(arg).collect::<Result<_, _>>()?)
+            }
+            Formula::Eq(t1, t2) => Pred::Eq(arg(t1)?, arg(t2)?),
+            Formula::Not(g) => Pred::Not(sub(g)?),
+            Formula::And(g, h) => Pred::And(sub(g)?, sub(h)?),
+            Formula::Or(g, h) => Pred::Or(sub(g)?, sub(h)?),
+            Formula::Implies(g, h) => Pred::Or(Box::new(Pred::Not(sub(g)?)), sub(h)?),
+            Formula::Exists(..) | Formula::Forall(..) => {
+                return Err(FallbackReason::QuantifiedConsequent)
+            }
+        })
+    }
+
+    fn holds(&self, inst: &Instance, regs: &[Option<Value>]) -> bool {
+        match self {
+            Pred::Const(b) => *b,
+            Pred::Atom(rel, args) => {
+                let vals: Vec<Value> = args.iter().map(|a| a.value(regs)).collect();
+                inst.contains(*rel, &Tuple::from(vals))
+            }
+            Pred::Eq(a, b) => a.value(regs) == b.value(regs),
+            Pred::Not(g) => !g.holds(inst, regs),
+            Pred::And(g, h) => g.holds(inst, regs) && h.holds(inst, regs),
+            Pred::Or(g, h) => g.holds(inst, regs) || h.holds(inst, regs),
+        }
     }
 }
 

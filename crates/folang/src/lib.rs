@@ -16,7 +16,8 @@
 //!   orders fixed at compile time, hoisted equality checks, and hash-index
 //!   probing via [`dcds_reldata::InstanceIndex`] ([`plan`]);
 //! * equality constraints `Q -> /\ z_i = y_i` and arbitrary FO sentences as
-//!   integrity constraints ([`constraints`]);
+//!   integrity constraints, checked through compiled denial plans when they
+//!   are guard-shaped ([`constraints`]);
 //! * a safe-range (range-restriction) analyzer, the classical syntactic
 //!   criterion for domain independence ([`safety`]);
 //! * a lexer and parser for a datalog-flavoured surface syntax (uppercase
@@ -36,7 +37,7 @@ pub mod safety;
 pub mod ucq;
 
 pub use ast::{Assignment, Formula, QTerm, Var};
-pub use constraints::{EqualityConstraint, FoConstraint};
+pub use constraints::{EqualityConstraint, FallbackReason, FoConstraint, GuardForm};
 pub use eval::{answers, answers_over, holds, holds_closed, holds_unguided};
 pub use eval_cq::eval_ucq;
 pub use lexer::{Lexer, Span, Token, TokenKind};

@@ -262,7 +262,10 @@ impl CompiledPlan {
         ctx.count(|s| &s.plan_evals);
         let mut out = BTreeSet::new();
         for cq in &self.cqs {
-            cq.run(ctx, seed, &mut out, false);
+            cq.run(ctx, seed, &mut |regs| {
+                out.insert(cq.row(regs));
+                false
+            });
         }
         out
     }
@@ -271,10 +274,41 @@ impl CompiledPlan {
     /// produced row.
     pub fn holds(&self, ctx: &EvalCtx<'_>, seed: &Assignment) -> bool {
         ctx.count(|s| &s.plan_evals);
-        let mut scratch = BTreeSet::new();
+        self.cqs.iter().any(|cq| cq.run(ctx, seed, &mut |_| true))
+    }
+
+    /// Row-level evaluation without materialising rows: calls `sink` with
+    /// the disjunct index and the register file of each produced row, and
+    /// stops as soon as `sink` returns `true` (the return value reports
+    /// whether it did). Rows of one disjunct may repeat; the sink reads
+    /// output variables through [`CompiledPlan::out_slot`]. Unlike
+    /// [`CompiledPlan::eval`] and [`CompiledPlan::holds`], it does not
+    /// count a plan evaluation (join steps are still counted).
+    pub fn any_row(
+        &self,
+        ctx: &EvalCtx<'_>,
+        seed: &Assignment,
+        mut sink: impl FnMut(usize, &[Option<Value>]) -> bool,
+    ) -> bool {
         self.cqs
             .iter()
-            .any(|cq| cq.run(ctx, seed, &mut scratch, true))
+            .enumerate()
+            .any(|(i, cq)| cq.run(ctx, seed, &mut |regs| sink(i, regs)))
+    }
+
+    /// Number of disjuncts (compiled conjunctive queries).
+    pub fn disjuncts(&self) -> usize {
+        self.cqs.len()
+    }
+
+    /// The register slot holding output variable `v` in the rows of
+    /// disjunct `disjunct`, or `None` if `v` is not one of its outputs.
+    pub fn out_slot(&self, disjunct: usize, v: &Var) -> Option<usize> {
+        self.cqs[disjunct]
+            .out_vars
+            .iter()
+            .find(|(w, _)| w == v)
+            .map(|(_, s)| *s)
     }
 }
 
@@ -469,14 +503,14 @@ fn compile_cq(cq: &ConjunctiveQuery, params: &BTreeSet<Var>) -> Result<CompiledC
 }
 
 impl CompiledCq {
-    /// Run the plan, inserting result rows into `out`. With `stop` set,
-    /// returns `true` as soon as the first row is produced.
-    fn run(
+    /// Run the plan, handing the register file of every produced row to
+    /// `sink`; returns `true` as soon as `sink` does. The sink is a generic
+    /// parameter, so each caller gets its own monomorphised join loop.
+    fn run<F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         ctx: &EvalCtx<'_>,
         seed: &Assignment,
-        out: &mut BTreeSet<Assignment>,
-        stop: bool,
+        sink: &mut F,
     ) -> bool {
         let mut regs: Vec<Option<Value>> = vec![None; self.nslots];
         for (v, s) in &self.param_slots {
@@ -488,30 +522,31 @@ impl CompiledCq {
         if self.pre_checks.iter().any(|eq| !eq.holds(&regs)) {
             return false;
         }
-        self.dfs(0, &mut regs, ctx, out, stop)
+        self.dfs(0, &mut regs, ctx, sink)
     }
 
-    fn dfs(
+    /// The output row held by a complete register file.
+    fn row(&self, regs: &[Option<Value>]) -> Assignment {
+        self.out_vars
+            .iter()
+            .map(|(v, s)| {
+                (
+                    v.clone(),
+                    regs[*s].expect("head slot bound after all steps"),
+                )
+            })
+            .collect()
+    }
+
+    fn dfs<F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         depth: usize,
         regs: &mut Vec<Option<Value>>,
         ctx: &EvalCtx<'_>,
-        out: &mut BTreeSet<Assignment>,
-        stop: bool,
+        sink: &mut F,
     ) -> bool {
         let Some(step) = self.steps.get(depth) else {
-            let row: Assignment = self
-                .out_vars
-                .iter()
-                .map(|(v, s)| {
-                    (
-                        v.clone(),
-                        regs[*s].expect("head slot bound after all steps"),
-                    )
-                })
-                .collect();
-            out.insert(row);
-            return stop;
+            return sink(regs);
         };
         // Candidate tuples: a hash probe when an index covers the step's
         // access path, otherwise a scan in instance iteration order. Index
@@ -522,25 +557,22 @@ impl CompiledCq {
                 let key: Vec<Value> = step.key_srcs.iter().map(|s| s.value(regs)).collect();
                 if let Some(bucket) = index.probe(step.rel, &step.key_positions, &key) {
                     ctx.count(|s| &s.index_probes);
-                    return self.extend(step, depth, bucket.iter(), regs, ctx, out, stop);
+                    return self.extend(step, depth, bucket.iter(), regs, ctx, sink);
                 }
             }
         }
         ctx.count(|s| &s.relation_scans);
-        let tuples: Vec<&dcds_reldata::Tuple> = ctx.inst.tuples(step.rel).collect();
-        self.extend(step, depth, tuples.into_iter(), regs, ctx, out, stop)
+        self.extend(step, depth, ctx.inst.tuples(step.rel), regs, ctx, sink)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn extend<'t>(
+    fn extend<'t, F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         step: &Step,
         depth: usize,
         tuples: impl Iterator<Item = &'t dcds_reldata::Tuple>,
         regs: &mut Vec<Option<Value>>,
         ctx: &EvalCtx<'_>,
-        out: &mut BTreeSet<Assignment>,
-        stop: bool,
+        sink: &mut F,
     ) -> bool {
         let mut written: Vec<usize> = Vec::new();
         for tuple in tuples {
@@ -582,7 +614,7 @@ impl CompiledCq {
                 ok = false;
             }
             if ok {
-                let found = self.dfs(depth + 1, regs, ctx, out, stop);
+                let found = self.dfs(depth + 1, regs, ctx, sink);
                 for &s in &written {
                     regs[s] = None;
                 }

@@ -222,7 +222,7 @@ fn disjunct_to_cq(mut f: &Formula, head: Vec<Var>) -> Option<ConjunctiveQuery> {
 }
 
 /// Collect a conjunction of atoms / equalities / `true` leaves.
-fn collect_conjuncts(
+pub(crate) fn collect_conjuncts(
     f: &Formula,
     atoms: &mut Vec<(RelId, Vec<QTerm>)>,
     equalities: &mut Vec<(QTerm, QTerm)>,

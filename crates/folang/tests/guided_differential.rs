@@ -1,5 +1,6 @@
 //! Seeded differential test: atom-guided quantifier-block evaluation
-//! against plain active-domain enumeration.
+//! against plain active-domain enumeration, and compiled constraint
+//! checks against both.
 //!
 //! The guided path joins the tuples of guard atoms to bind quantifier
 //! blocks (including multi-atom guards where no single atom covers the
@@ -8,11 +9,22 @@
 //! identical to the unguided `|adom|^k` enumeration on every formula, so
 //! random guard-shaped sentences are evaluated both ways and compared.
 //!
+//! Every generated sentence is also checked as an integrity constraint
+//! ([`FoConstraint::satisfied`]): guard-shaped ones run as compiled denial
+//! plans, the rest fall back to the guided evaluator, and each test
+//! asserts which path a constraint took, so a silent fallback cannot pass
+//! as agreement. Equality constraints (random UCQ premises, keys) are
+//! checked against an `answers`-based reference.
+//!
 //! Runs offline: pseudo-randomness is a local SplitMix64, not the `rand`
 //! crate, so the exact same formulas replay on every run and platform.
 
-use dcds_folang::{holds_closed, holds_unguided, Assignment, Formula, QTerm};
+use dcds_folang::{
+    answers, holds_closed, holds_unguided, Assignment, EqualityConstraint, FallbackReason,
+    FoConstraint, Formula, QTerm, Var,
+};
 use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple, Value};
+use std::collections::BTreeSet;
 
 struct SplitMix64(u64);
 
@@ -104,6 +116,7 @@ fn random_leaf(
 fn guided_joins_agree_with_enumeration_on_forall_guards() {
     // ∀-blocks with 1–3-atom guards: no single atom need cover the block,
     // which is exactly the case the multi-atom join handles.
+    let mut compiled = 0;
     for seed in 0..6u64 {
         let mut rng = SplitMix64(0x9a1_ded ^ seed.wrapping_mul(0x9e37_79b9));
         for _ in 0..60 {
@@ -118,18 +131,34 @@ fn guided_joins_agree_with_enumeration_on_forall_guards() {
             if rng.gen_range(2) == 0 {
                 rhs = rhs.or(random_leaf(&mut rng, &schema, &rels, &consts, vars));
             }
-            let mut f = lhs.implies(rhs);
-            for v in vars.iter().rev() {
-                f = Formula::forall(*v, f);
-            }
+            // Compiled iff every quantified variable occurs in a guard atom.
+            let guarded = atom_vars(&lhs);
+            let expect = vars
+                .iter()
+                .find(|v| !guarded.contains(&Var::new(v)))
+                .map(|v| FallbackReason::UnguardedVar(Var::new(v)));
+            // The sentence, and the same guard with the consequent negated.
+            let close = |mut f: Formula| {
+                for v in vars.iter().rev() {
+                    f = Formula::forall(*v, f);
+                }
+                f
+            };
+            let negated = close(lhs.clone().implies(rhs.clone().not()));
+            let f = close(lhs.implies(rhs));
             let guided = holds_closed(&f, &inst).unwrap();
             let unguided = holds_unguided(&f, &inst, &Assignment::new()).unwrap();
             assert_eq!(
                 guided, unguided,
                 "diverged on {f:?} over {inst:?} (seed {seed})"
             );
+            compiled += usize::from(expect.is_none());
+            check_constraint(&f, expect.clone(), &[&inst, &Instance::new()]);
+            check_constraint(&negated, expect, &[&inst, &Instance::new()]);
         }
     }
+    // Both paths are exercised in bulk.
+    assert!((100..360).contains(&compiled), "{compiled} of 360 compiled");
 }
 
 #[test]
@@ -157,8 +186,290 @@ fn guided_joins_agree_with_enumeration_on_exists_conjunctions() {
                 guided, unguided,
                 "diverged on {f:?} over {inst:?} (seed {seed})"
             );
+            // An ∃ sentence is all consequent: the reference evaluator.
+            check_constraint(&f, Some(FallbackReason::QuantifiedConsequent), &[&inst]);
         }
     }
+}
+
+/// Variables of the top-level conjunct atoms.
+fn atom_vars(f: &Formula) -> BTreeSet<Var> {
+    match f {
+        Formula::And(g, h) => atom_vars(g).union(&atom_vars(h)).cloned().collect(),
+        Formula::Atom(_, terms) => terms.iter().filter_map(|t| t.as_var().cloned()).collect(),
+        _ => BTreeSet::new(),
+    }
+}
+
+/// Check `sentence` as an FO constraint on every instance: it must take
+/// the expected path (`None`: compiled) and agree with the guided and the
+/// unguided evaluator.
+fn check_constraint(sentence: &Formula, expect: Option<FallbackReason>, insts: &[&Instance]) {
+    let c = FoConstraint::new(sentence.clone()).unwrap();
+    assert_eq!(c.fallback(), expect.as_ref(), "path of {sentence:?}");
+    for inst in insts {
+        let reference = holds_closed(sentence, inst).unwrap();
+        assert_eq!(
+            holds_unguided(sentence, inst, &Assignment::new()).unwrap(),
+            reference,
+            "{sentence:?} over {inst:?}"
+        );
+        assert_eq!(c.satisfied(inst), reference, "{sentence:?} over {inst:?}");
+    }
+}
+
+/// The `answers`-based reference for an equality constraint: every answer
+/// of the premise satisfies every equality.
+fn equality_reference(c: &EqualityConstraint, inst: &Instance) -> bool {
+    let value = |t: &QTerm, theta: &Assignment| match t {
+        QTerm::Const(v) => Some(*v),
+        QTerm::Var(v) => theta.get(v).copied(),
+    };
+    answers(c.query(), inst).iter().all(|theta| {
+        c.equalities()
+            .iter()
+            .all(|(a, b)| value(a, theta) == value(b, theta))
+    })
+}
+
+#[test]
+fn compiled_equality_constraints_agree_with_answers() {
+    // Premises: one or two disjuncts of 1–3 atoms, sometimes with an
+    // equality on an atom variable. Compiled iff the disjuncts share their
+    // free variables (otherwise the premise is no UCQ).
+    let mut compiled = 0;
+    for seed in 0..6u64 {
+        let mut rng = SplitMix64(0x0e9_c057 ^ seed.wrapping_mul(0x9e37_79b9));
+        for _ in 0..60 {
+            let (schema, consts, rels, inst) = setup(&mut rng);
+            let nvars = 1 + rng.gen_range(3);
+            let vars = &VAR_NAMES[..nvars];
+            let ndisjuncts = 1 + rng.gen_range(2);
+            let disjuncts: Vec<Formula> = (0..ndisjuncts)
+                .map(|_| {
+                    let mut d = random_atom(&mut rng, &schema, &rels, &consts, vars);
+                    for _ in 0..rng.gen_range(3) {
+                        d = d.and(random_atom(&mut rng, &schema, &rels, &consts, vars));
+                    }
+                    let avars: Vec<Var> = atom_vars(&d).into_iter().collect();
+                    if !avars.is_empty() && rng.gen_range(4) == 0 {
+                        let v = avars[rng.gen_range(avars.len())].clone();
+                        let c = consts[rng.gen_range(consts.len())];
+                        d = d.and(Formula::eq(QTerm::Var(v), QTerm::Const(c)));
+                    }
+                    d
+                })
+                .collect();
+            let same_free = disjuncts
+                .iter()
+                .all(|d| d.free_vars() == disjuncts[0].free_vars());
+            let premise = Formula::disj(disjuncts);
+            let free: Vec<Var> = premise.free_vars().into_iter().collect();
+            let term = |rng: &mut SplitMix64| {
+                if free.is_empty() || rng.gen_range(3) == 0 {
+                    QTerm::Const(consts[rng.gen_range(consts.len())])
+                } else {
+                    QTerm::Var(free[rng.gen_range(free.len())].clone())
+                }
+            };
+            let eqs: Vec<(QTerm, QTerm)> = (0..1 + rng.gen_range(2))
+                .map(|_| (term(&mut rng), term(&mut rng)))
+                .collect();
+            let c = EqualityConstraint::new(premise, eqs).unwrap();
+            let expect = (!same_free).then_some(FallbackReason::NonUcqPremise);
+            assert_eq!(c.fallback(), expect.as_ref(), "path of {c:?}");
+            compiled += usize::from(expect.is_none());
+            for inst in [&inst, &Instance::new()] {
+                assert_eq!(
+                    c.satisfied(inst),
+                    equality_reference(&c, inst),
+                    "{c:?} over {inst:?} (seed {seed})"
+                );
+            }
+        }
+    }
+    assert!((100..360).contains(&compiled), "{compiled} of 360 compiled");
+}
+
+#[test]
+fn key_constraints_compile_and_agree_with_answers() {
+    for seed in 0..4u64 {
+        let mut rng = SplitMix64(0x0000_6e75 ^ seed.wrapping_mul(0x9e37_79b9));
+        for _ in 0..40 {
+            let (schema, _, rels, inst) = setup(&mut rng);
+            let rel = rels[rng.gen_range(rels.len())];
+            let key: Vec<usize> = (0..schema.arity(rel))
+                .filter(|_| rng.gen_range(2) == 0)
+                .collect();
+            let c = EqualityConstraint::key(&schema, rel, &key);
+            assert_eq!(c.fallback(), None, "{c:?}");
+            for inst in [&inst, &Instance::new()] {
+                assert_eq!(c.satisfied(inst), equality_reference(&c, inst), "{c:?}");
+            }
+        }
+    }
+}
+
+/// A schema with a nullary relation beside `setup`'s, and random
+/// instances over it (the nullary fact present about half the time).
+fn shape_instances() -> (Vec<RelId>, Vec<Value>, Vec<Instance>) {
+    let mut schema = Schema::new();
+    let rels = vec![
+        schema.add_relation("P", 1).unwrap(),
+        schema.add_relation("Q", 2).unwrap(),
+        schema.add_relation("V", 0).unwrap(),
+    ];
+    let mut pool = ConstantPool::new();
+    let consts: Vec<Value> = (0..3).map(|i| pool.intern(&format!("c{i}"))).collect();
+    let mut rng = SplitMix64(0x005b_a9e5);
+    let mut insts = vec![Instance::new()];
+    for _ in 0..80 {
+        let mut inst = Instance::new();
+        for _ in 0..rng.gen_range(6) {
+            let r = rels[rng.gen_range(rels.len())];
+            let t: Vec<Value> = (0..schema.arity(r))
+                .map(|_| consts[rng.gen_range(consts.len())])
+                .collect();
+            inst.insert(r, Tuple::new(t));
+        }
+        insts.push(inst);
+    }
+    (rels, consts, insts)
+}
+
+#[test]
+fn constraint_shapes_take_the_expected_path() {
+    let (rels, c, insts) = shape_instances();
+    let (p, q, verified) = (rels[0], rels[1], rels[2]);
+    let x = || QTerm::var("X");
+    let y = || QTerm::var("Y");
+    let s = || QTerm::var("S");
+    let at = |r: RelId, ts: Vec<QTerm>| Formula::Atom(r, ts);
+    let k = |i: usize| QTerm::Const(c[i]);
+    let forall2 = |a: &str, b: &str, f: Formula| Formula::forall(a, Formula::forall(b, f));
+    let insts: Vec<&Instance> = insts.iter().collect();
+    let compiled: Vec<Formula> = vec![
+        // The travel-request shape: a 0-ary guard, then a nested ∀.
+        at(verified, vec![]).implies(Formula::forall(
+            "S",
+            at(p, vec![s()]).implies(Formula::eq(s(), k(0)).or(Formula::eq(s(), k(1)))),
+        )),
+        // Consequent atoms and negated atoms.
+        forall2(
+            "X",
+            "Y",
+            at(q, vec![x(), y()]).implies(at(p, vec![x()]).and(at(p, vec![y()]).not())),
+        ),
+        // Constants in the guard and the consequent; `→` inside ψ.
+        Formula::forall(
+            "X",
+            at(q, vec![x(), k(0)]).implies(
+                Formula::neq(x(), k(1)).and(at(p, vec![x()]).implies(at(q, vec![k(2), x()]))),
+            ),
+        ),
+        // A repeated variable and a guard equality.
+        forall2(
+            "X",
+            "Y",
+            at(q, vec![x(), x()])
+                .and(at(p, vec![y()]))
+                .and(Formula::eq(x(), y()))
+                .implies(Formula::False),
+        ),
+        // Ground sentences: a bare atom, and `true → ψ`.
+        at(p, vec![k(0)]),
+        Formula::True.implies(at(verified, vec![]).or(at(p, vec![k(1)]))),
+    ];
+    for f in &compiled {
+        check_constraint(f, None, &insts);
+    }
+    let fallback: Vec<(Formula, FallbackReason)> = vec![
+        // A ∀ variable in no atom.
+        (
+            forall2(
+                "X",
+                "Y",
+                at(p, vec![x()]).implies(Formula::eq(x(), y()).or(at(q, vec![x(), y()]))),
+            ),
+            FallbackReason::UnguardedVar(Var::new("Y")),
+        ),
+        // ∃ in the consequent.
+        (
+            Formula::forall(
+                "X",
+                at(p, vec![x()]).implies(Formula::exists("Y", at(q, vec![x(), y()]))),
+            ),
+            FallbackReason::QuantifiedConsequent,
+        ),
+        // Shadowing: the inner X is a different variable.
+        (
+            Formula::forall(
+                "X",
+                at(p, vec![x()]).implies(Formula::forall(
+                    "X",
+                    at(q, vec![x(), x()]).implies(Formula::eq(x(), k(0))),
+                )),
+            ),
+            FallbackReason::Shadowed(Var::new("X")),
+        ),
+        // An equality variable in no atom.
+        (
+            forall2(
+                "X",
+                "Y",
+                at(p, vec![x()])
+                    .and(Formula::eq(x(), y()))
+                    .implies(at(q, vec![x(), y()])),
+            ),
+            FallbackReason::UnguardedVar(Var::new("Y")),
+        ),
+        // A vacuous ∀ over a ground body (empty-domain sensitive).
+        (
+            Formula::forall("X", Formula::True.implies(at(p, vec![k(0)]))),
+            FallbackReason::UnguardedVar(Var::new("X")),
+        ),
+    ];
+    for (f, why) in fallback {
+        check_constraint(&f, Some(why), &insts);
+    }
+}
+
+#[test]
+fn equality_constraint_shapes_take_the_expected_path() {
+    let (rels, c, insts) = shape_instances();
+    let (p, q) = (rels[0], rels[1]);
+    let x = || QTerm::var("X");
+    let y = || QTerm::var("Y");
+    let at = |r: RelId, ts: Vec<QTerm>| Formula::Atom(r, ts);
+    let check = |premise: Formula, eqs: Vec<(QTerm, QTerm)>, expect: Option<FallbackReason>| {
+        let ec = EqualityConstraint::new(premise, eqs).unwrap();
+        assert_eq!(ec.fallback(), expect.as_ref(), "{ec:?}");
+        for inst in &insts {
+            assert_eq!(ec.satisfied(inst), equality_reference(&ec, inst), "{ec:?}");
+        }
+    };
+    let (c0, c1) = (QTerm::Const(c[0]), QTerm::Const(c[1]));
+    // Multi-disjunct premise with an existential variable.
+    check(
+        at(p, vec![x()]).or(Formula::exists("Y", at(q, vec![x(), y()]))),
+        vec![(x(), c0.clone())],
+        None,
+    );
+    // `false` premise: no guard rows at all; `true`: one empty row.
+    check(Formula::False, vec![(c0.clone(), c1.clone())], None);
+    check(Formula::True, vec![(c0, c1)], None);
+    // An equality variable in no atom.
+    check(
+        at(p, vec![x()]).and(Formula::eq(x(), y())),
+        vec![(x(), y())],
+        Some(FallbackReason::UnguardedVar(Var::new("Y"))),
+    );
+    // Negation: no UCQ.
+    check(
+        at(p, vec![x()]).and(at(q, vec![x(), x()]).not()),
+        vec![(x(), QTerm::Const(c[2]))],
+        Some(FallbackReason::NonUcqPremise),
+    );
 }
 
 #[test]
@@ -201,6 +512,7 @@ fn triple_collision_constraint_shape() {
     ]);
     assert!(!holds_closed(&f, &triple).unwrap());
     assert!(!holds_unguided(&f, &triple, &Assignment::new()).unwrap());
+    check_constraint(&f, None, &[&pairs, &triple, &Instance::new()]);
 }
 
 #[test]

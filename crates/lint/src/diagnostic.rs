@@ -138,8 +138,9 @@ impl Diagnostic {
 
 /// The stable code table. Codes are grouped by pass family:
 /// `DCDS000` parse, `DCDS00x` arity/consistency, `DCDS02x` binding,
-/// `DCDS04x` dead code, `DCDS06x` boundedness advisories, `DCDS08x`
-/// engine-routing advisories, `DCDS099` lowering/validation catch-all.
+/// `DCDS04x` dead code and slow paths, `DCDS06x` boundedness advisories,
+/// `DCDS08x` engine-routing advisories, `DCDS099` lowering/validation
+/// catch-all.
 pub mod codes {
     /// Syntax error — the spec could not be parsed at all.
     pub const PARSE_ERROR: &str = "DCDS000";
@@ -180,6 +181,9 @@ pub mod codes {
     pub const RELATION_NEVER_READ: &str = "DCDS042";
     /// A rule condition is trivially unsatisfiable (congruence closure).
     pub const UNSATISFIABLE_CONDITION: &str = "DCDS043";
+    /// A `constraint`/`assert` is outside the compiled-constraint fragment
+    /// and runs the reference FO evaluator on every successor.
+    pub const CONSTRAINT_REFERENCE_PATH: &str = "DCDS044";
     /// Deterministic services and the dependency graph is not weakly
     /// acyclic: run-boundedness (Thm 4.7) is not guaranteed.
     pub const NOT_WEAKLY_ACYCLIC: &str = "DCDS060";
@@ -284,6 +288,11 @@ pub const CODE_TABLE: &[(&str, Severity, &str)] = &[
         codes::UNSATISFIABLE_CONDITION,
         Severity::Warning,
         "trivially unsatisfiable rule condition",
+    ),
+    (
+        codes::CONSTRAINT_REFERENCE_PATH,
+        Severity::Note,
+        "constraint checked by the reference evaluator, not a compiled plan",
     ),
     (
         codes::NOT_WEAKLY_ACYCLIC,

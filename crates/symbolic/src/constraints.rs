@@ -14,10 +14,10 @@
 //! ```
 //!
 //! which covers both [`EqualityConstraint`](dcds_folang::EqualityConstraint)s
-//! (`Q → ⋀ eqs` with a
-//! conjunctive premise; a single disjunct) and the `assert` sentences of
-//! spec files when they normalise to nested `∀`/`→` over equality
-//! disjunctions — e.g. both constraints of `specs/travel_request.dcds`.
+//! (`Q → ⋀ eqs` with a UCQ premise: one guarded constraint per premise
+//! disjunct, each with a single consequent disjunct) and the `assert`
+//! sentences of spec files whose [`GuardForm`] has an equality-disjunction
+//! consequent — e.g. both constraints of `specs/travel_request.dcds`.
 //!
 //! A clause is pruned when the constraint body embeds into its atoms (a
 //! *forced* match: in every model of the clause the body then holds for
@@ -27,7 +27,7 @@
 use crate::clause::Clause;
 use dcds_analysis::cc::{Cc, TermId};
 use dcds_core::DataLayer;
-use dcds_folang::{Formula, QTerm, Ucq, Var};
+use dcds_folang::{Formula, GuardForm, QTerm, Ucq, Var};
 use dcds_reldata::RelId;
 use std::collections::BTreeMap;
 
@@ -49,88 +49,50 @@ pub struct GuardedConstraint {
 pub fn guarded_constraints(data: &DataLayer) -> Vec<GuardedConstraint> {
     let mut out = Vec::new();
     for c in &data.constraints {
-        if let Some(g) = from_equality_constraint(&c.query, &c.equalities) {
-            out.push(g);
-        }
+        out.extend(from_equality_constraint(c.query(), c.equalities()));
     }
     for c in &data.fo_constraints {
-        if let Some(g) = from_sentence(&c.sentence) {
-            out.push(g);
-        }
+        out.extend(from_sentence(c.sentence()));
     }
     out
 }
 
-/// `Q → ⋀ eqs` with a UCQ premise: one guarded constraint per premise
-/// disjunct, each with the single equality-conjunction consequent.
+/// `Q → ⋀ eqs` with a UCQ premise `D₁ ∨ ... ∨ Dₖ`: one guarded constraint
+/// per premise disjunct, each with the single equality-conjunction
+/// consequent — `(⋁ Dᵢ) → eqs` implies every `Dᵢ → eqs`.
 fn from_equality_constraint(
     query: &Formula,
     equalities: &[(QTerm, QTerm)],
-) -> Option<GuardedConstraint> {
-    let ucq = Ucq::from_formula(query)?;
-    // Multiple premise disjuncts would need one constraint each; keep the
-    // common single-disjunct case (keys, functional dependencies).
-    if ucq.disjuncts.len() != 1 {
-        return None;
-    }
-    let cq = &ucq.disjuncts[0];
-    Some(GuardedConstraint {
-        body_atoms: cq.atoms.clone(),
-        body_eqs: cq.equalities.clone(),
-        disjuncts: vec![equalities.to_vec()],
-    })
+) -> Vec<GuardedConstraint> {
+    let Some(ucq) = Ucq::from_formula(query) else {
+        return Vec::new();
+    };
+    ucq.disjuncts
+        .into_iter()
+        .map(|cq| GuardedConstraint {
+            body_atoms: cq.atoms,
+            body_eqs: cq.equalities,
+            disjuncts: vec![equalities.to_vec()],
+        })
+        .collect()
 }
 
-/// Normalise `∀ x̄ . body → consequent` nests (conjunction-of-atoms bodies,
-/// equality-disjunction consequents).
+/// A sentence in [`GuardForm`] whose consequent is an equality
+/// disjunction. A shadowing `∀` is fine here: the flattened guard is then
+/// implied by the sentence, which is all pruning needs.
 fn from_sentence(f: &Formula) -> Option<GuardedConstraint> {
-    let mut body_atoms = Vec::new();
-    let mut body_eqs = Vec::new();
-    let mut cur = f;
-    loop {
-        match cur {
-            Formula::Forall(_, g) => cur = g,
-            Formula::Implies(p, q) => {
-                collect_premise(p, &mut body_atoms, &mut body_eqs)?;
-                cur = q;
-            }
-            _ => break,
-        }
-    }
-    let disjuncts = collect_consequent(cur)?;
+    let form = GuardForm::of(f);
+    let disjuncts = collect_consequent(form.consequent)?;
     // A constraint with no relational guard cannot be matched against
     // clause atoms; skip it.
-    if body_atoms.is_empty() && !disjuncts.is_empty() {
+    if form.atoms.is_empty() && !disjuncts.is_empty() {
         return None;
     }
     Some(GuardedConstraint {
-        body_atoms,
-        body_eqs,
+        body_atoms: form.atoms,
+        body_eqs: form.equalities,
         disjuncts,
     })
-}
-
-fn collect_premise(
-    f: &Formula,
-    atoms: &mut Vec<(RelId, Vec<QTerm>)>,
-    eqs: &mut Vec<(QTerm, QTerm)>,
-) -> Option<()> {
-    match f {
-        Formula::True => Some(()),
-        Formula::Atom(rel, ts) => {
-            atoms.push((*rel, ts.clone()));
-            Some(())
-        }
-        Formula::Eq(a, b) => {
-            eqs.push((a.clone(), b.clone()));
-            Some(())
-        }
-        Formula::And(g, h) => {
-            collect_premise(g, atoms, eqs)?;
-            collect_premise(h, atoms, eqs)
-        }
-        _ => None,
-    }
 }
 
 /// The consequent: `false`, or a disjunction whose leaves are equalities
@@ -373,6 +335,24 @@ mod tests {
             level: 0,
         };
         assert!(!clause_violates(&ok, &[g]));
+    }
+
+    #[test]
+    fn every_premise_disjunct_of_an_equality_constraint_prunes() {
+        // Constraint: P(X) ∨ Q(X) → X = a. Clause: ∃S. Q(S) ∧ S ≠ a — only
+        // the second premise disjunct matches it.
+        let premise = Formula::Atom(rel(0), vec![QTerm::var("X")])
+            .or(Formula::Atom(rel(1), vec![QTerm::var("X")]));
+        let guards = from_equality_constraint(&premise, &[(QTerm::var("X"), QTerm::Const(val(0)))]);
+        assert_eq!(guards.len(), 2);
+        let c = Clause {
+            atoms: vec![(rel(1), vec![STerm::Var(0)])],
+            eqs: vec![],
+            neqs: vec![(STerm::Var(0), STerm::Const(val(0)))],
+            level: 0,
+        };
+        assert!(clause_violates(&c, &guards));
+        assert!(!clause_violates(&c, &guards[..1]));
     }
 
     #[test]

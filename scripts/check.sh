@@ -16,8 +16,9 @@ cargo test -q
 # so the differential suites below already ran; the named reruns keep the
 # gate loud if a target is ever renamed or feature-gated away.
 echo "== differential suites"
-# Query plans: reference / nested-loop / plan-scan / plan+index, and the
-# guided multi-atom joins.
+# Query plans: reference / nested-loop / plan-scan / plan+index, the
+# guided multi-atom joins, and compiled constraint checks against both
+# evaluators (with the path each constraint took).
 cargo test -q -p dcds-folang --test plan_differential --test guided_differential
 # Engines: both state storages against the reference constructions at
 # 1/2/4/8 threads, plus thread-count invariance with plans and indexes.
