@@ -51,8 +51,8 @@
 //! in front of the groups. A successor whose signature group is empty is
 //! provably a new class — no canonicalisation happens at all (the common
 //! case; see the `sig_filter_skips` counter). Only on a signature hit is
-//! the canonical key computed (lazily, both for the probe and — once,
-//! ever — for each resident class), after which a single hash probe of
+//! the canonical key computed (lazily for the probe, and once, ever, for
+//! each resident class), after which a single hash probe of
 //! the exact map decides membership: the per-probe cost is independent of
 //! how many classes share the signature. The branch-and-bound key search
 //! handles symmetric instances in a single descent, so *every* class is
@@ -99,32 +99,12 @@ pub struct DetAbstraction<T = StateSpace> {
     pub counters: EngineCounters,
 }
 
-/// State-deduplication strategy for the abstraction BFS — exposed so the
-/// benchmark suite can ablate the design choice DESIGN.md makes (canonical
-/// keys give O(1) lookup at the cost of canonicalisation per colliding
-/// state; pairwise matching avoids canonicalisation but scans the class
-/// list). Both strategies are pre-filtered by the invariant signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DedupStrategy {
-    /// Canonical-form keys, computed lazily per signature bucket (the
-    /// default).
-    CanonicalKey,
-    /// Signature-bucketed scan with the backtracking isomorphism matcher.
-    PairwiseIso,
-}
-
 /// Options for [`det_abstraction_traced`].
 #[derive(Debug, Clone, Copy)]
 pub struct AbsOptions {
-    /// Deduplication strategy.
-    pub strategy: DedupStrategy,
     /// Worker threads for the parallel phases. `1` is the serial engine
-    /// (same output, no worker pool) — the ablation baseline.
+    /// (same output, no worker pool).
     pub threads: usize,
-    /// Canonicalise *every* successor instead of only on signature-bucket
-    /// hits — the pre-fast-path cost model, kept as an ablation baseline
-    /// for the benchmark harness. Output is identical either way.
-    pub eager_keys: bool,
     /// Frontier states stepped per batch inside one BFS level. Bounds the
     /// transient per-level scratch (pre-instances, stepped successors)
     /// without altering any output: all serial decisions still run in
@@ -140,9 +120,7 @@ pub const DEFAULT_LEVEL_CHUNK: usize = 4096;
 impl Default for AbsOptions {
     fn default() -> Self {
         AbsOptions {
-            strategy: DedupStrategy::CanonicalKey,
             threads: configured_threads(),
-            eager_keys: false,
             level_chunk: DEFAULT_LEVEL_CHUNK,
         }
     }
@@ -192,9 +170,8 @@ impl<T> DetAbstraction<T> {
 /// One signature's isomorphism classes, split by key status.
 #[derive(Debug, Default)]
 struct SigGroup {
-    /// Every member class, in insertion order — the scan order of the
-    /// [`DedupStrategy::PairwiseIso`] ablation.
-    members: Vec<usize>,
+    /// Number of member classes.
+    members: u64,
     /// Admitted without a key attempt; lazily keyed (once, ever) when a
     /// keyed probe first collides with this signature.
     unkeyed: Vec<usize>,
@@ -212,8 +189,7 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 /// Index of the isomorphism classes seen so far: an exact-match map over
 /// canonical keys in front of signature groups. Each class keeps the
 /// storage's handle `C` to its representative; the representative's facts
-/// are materialised from the storage only when a lazy key or a pairwise
-/// check needs them.
+/// are materialised from the storage only when a lazy key needs them.
 ///
 /// Canonical keys are computed lazily: a class admitted through an empty
 /// signature group never pays for canonicalisation unless a later probe
@@ -222,21 +198,18 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 /// index classes are pairwise non-isomorphic, and isomorphic fact sets
 /// share a signature, so at most one class can match and a hit is always
 /// inside the probe's own signature group. The pruned key search succeeds
-/// on every input, so under `CanonicalKey` each class is keyed at most
-/// once, ever, and no probe falls back to the backtracking matcher.
+/// on every input, so each class is keyed at most once, ever, and no
+/// probe needs a pairwise isomorphism check.
 ///
-/// Counter semantics (uniform across both [`DedupStrategy`] variants):
-/// every probe credits `iso_checks_avoided` with the classes the
-/// signature filter excluded (`total − |group|`; all of them when the
-/// group is empty, which also counts one `sig_filter_skips`). Under
-/// `CanonicalKey` a keyed probe additionally credits one avoided check
-/// per keyed group member (the exact-map probe stands in for comparing
-/// against each of them), `canon_keys_computed` counts every key search
-/// exactly once (with `canon_orders_enumerated` / `canon_prune_cutoffs`
-/// summing the search effort), and `iso_checks_performed` counts each
-/// backtracking-matcher call of the `PairwiseIso` ablation.
+/// Counter semantics: every probe credits `iso_checks_avoided` with the
+/// classes the signature filter excluded (`total − |group|`; all of them
+/// when the group is empty, which also counts one `sig_filter_skips`). A
+/// keyed probe additionally credits one avoided check per keyed group
+/// member (the exact-map probe stands in for comparing against each of
+/// them), and `canon_keys_computed` counts every key search exactly once
+/// (with `canon_orders_enumerated` / `canon_prune_cutoffs` summing the
+/// search effort).
 struct ClassIndex<C> {
-    strategy: DedupStrategy,
     rigid: BTreeSet<Value>,
     /// Per class: the storage handle of its representative.
     classes: Vec<C>,
@@ -247,9 +220,8 @@ struct ClassIndex<C> {
 }
 
 impl<C> ClassIndex<C> {
-    fn new(strategy: DedupStrategy, rigid: BTreeSet<Value>) -> Self {
+    fn new(rigid: BTreeSet<Value>) -> Self {
         ClassIndex {
-            strategy,
             rigid,
             classes: Vec::new(),
             exact: HashMap::new(),
@@ -260,7 +232,7 @@ impl<C> ClassIndex<C> {
     /// Is this signature's group non-empty? (Workers consult the
     /// level-start snapshot to decide whether to canonicalise eagerly.)
     fn bucket_occupied(&self, sig: u64) -> bool {
-        self.groups.get(&sig).is_some_and(|g| !g.members.is_empty())
+        self.groups.get(&sig).is_some_and(|g| g.members > 0)
     }
 
     /// Find the class of `facts`, if already present. `probe_key` carries a
@@ -276,32 +248,22 @@ impl<C> ClassIndex<C> {
         counters: &mut EngineCounters,
     ) -> Option<usize> {
         let ClassIndex {
-            strategy,
             rigid,
             classes,
             exact,
             groups,
         } = self;
         let total = classes.len() as u64;
-        let Some(group) = groups.get_mut(&sig).filter(|g| !g.members.is_empty()) else {
+        let Some(group) = groups.get_mut(&sig).filter(|g| g.members > 0) else {
             // The signature proves the class is new: every resident
-            // class's pairwise check is avoided, under both strategies.
+            // class's pairwise check is avoided.
             counters.sig_filter_skips += 1;
             counters.iso_checks_avoided += total;
             return None;
         };
         // The signature filter rules out every class outside this group.
-        counters.iso_checks_avoided += total - group.members.len() as u64;
-        if *strategy == DedupStrategy::PairwiseIso {
-            for &ix in &group.members {
-                counters.iso_checks_performed += 1;
-                if storage.class_facts(&classes[ix]).isomorphic(facts, rigid) {
-                    return Some(ix);
-                }
-            }
-            return None;
-        }
-        // CanonicalKey strategy: materialise the probe's key on first need.
+        counters.iso_checks_avoided += total - group.members;
+        // Materialise the probe's key on first need.
         let pk = probe_key.get_or_insert_with(|| {
             let (k, stats) = facts.canonical_key_stats(rigid);
             credit_canon(counters, stats);
@@ -329,7 +291,7 @@ impl<C> ClassIndex<C> {
         let ix = self.classes.len();
         self.classes.push(class);
         let group = self.groups.entry(sig).or_default();
-        group.members.push(ix);
+        group.members += 1;
         match probe_key {
             Some(k) => {
                 self.exact.insert(k, ix);
@@ -393,14 +355,11 @@ pub fn build<S: ClassStorage>(
     let s0 = DetState::initial(dcds);
     let f0 = s0.to_facts(num_rels);
     let sig0 = f0.signature(&rigid);
-    let key0 = (opts.strategy == DedupStrategy::CanonicalKey).then(|| {
-        let (k, stats) = f0.canonical_key_stats(&rigid);
-        credit_canon(&mut counters, stats);
-        k
-    });
+    let (key0, stats0) = f0.canonical_key_stats(&rigid);
+    credit_canon(&mut counters, stats0);
     let (mut storage, class0) = S::with_initial_class(dcds, &s0.instance, f0);
-    let mut index = ClassIndex::new(opts.strategy, rigid.clone());
-    index.insert(class0, sig0, key0);
+    let mut index = ClassIndex::new(rigid.clone());
+    index.insert(class0, sig0, Some(key0));
 
     let mut frontier = vec![FrontierState {
         id: StateId::from_index(0),
@@ -510,9 +469,9 @@ pub fn build<S: ClassStorage>(
                     let facts = next.to_facts(num_rels);
                     let sig =
                         censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
-                    let key = (opts.strategy == DedupStrategy::CanonicalKey
-                        && (opts.eager_keys || index.bucket_occupied(sig)))
-                    .then(|| facts.canonical_key_stats(&rigid));
+                    let key = index
+                        .bucket_occupied(sig)
+                        .then(|| facts.canonical_key_stats(&rigid));
                     (next, facts, sig, key)
                 })
             });
@@ -607,12 +566,9 @@ mod tests {
 
     /// A storage beside an empty class index, for driving the index
     /// directly.
-    fn index_over<S: ClassStorage>(
-        strategy: DedupStrategy,
-        rigid: BTreeSet<Value>,
-    ) -> (S, ClassIndex<S::Class>) {
+    fn index_over<S: ClassStorage>(rigid: BTreeSet<Value>) -> (S, ClassIndex<S::Class>) {
         let (storage, _) = S::with_initial_class(&example_4_3(), &Instance::new(), Facts::new());
-        (storage, ClassIndex::new(strategy, rigid))
+        (storage, ClassIndex::new(rigid))
     }
 
     /// Admit `facts` as a new class, as the merge phase does.
@@ -736,23 +692,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eager_keys_ablation_gives_identical_output() {
-        // The fast path only skips work, never changes the quotient.
-        for dcds in [example_4_1(), example_4_2(), example_4_3()] {
-            let lazy = det_abstraction(&dcds, 60);
-            let opts = AbsOptions {
-                eager_keys: true,
-                ..AbsOptions::default()
-            };
-            let eager = det_abstraction_traced(&dcds, 60, opts, &Obs::disabled());
-            assert_eq!(lazy.ts, eager.ts);
-            assert_eq!(lazy.outcome, eager.outcome);
-            // Eager canonicalises at least as often.
-            assert!(eager.counters.canon_keys_computed >= lazy.counters.canon_keys_computed);
-        }
-    }
-
     /// Unary fact sets over explicit raw values, for driving the index
     /// directly.
     fn unary_facts(color: u32, values: &[usize]) -> Facts {
@@ -808,50 +747,44 @@ mod tests {
     }
 
     #[test]
-    fn empty_group_probe_counters_uniform_across_strategies() {
-        // Satellite fix: an empty-signature-group probe must credit the
-        // signature filter identically under both strategies — one
-        // `sig_filter_skips` and one avoided check per resident class —
+    fn empty_group_probe_counters() {
+        // An empty-signature-group probe credits the signature filter —
+        // one `sig_filter_skips` and one avoided check per resident class —
         // without computing any canonical key.
         let rigid = BTreeSet::new();
-        let mut deltas = Vec::new();
-        for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-            let (mut storage, mut index) = index_over::<Owned>(strategy, rigid.clone());
-            let mut counters = EngineCounters::default();
-            for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
-                let sig = class.signature(&rigid);
-                let mut key = None;
-                assert_eq!(
-                    index.find(&storage, &class, sig, &mut key, &mut counters),
-                    None
-                );
-                admit(&mut storage, &mut index, class, sig, key);
-            }
-            let probe = unary_facts(1, &[3]);
-            let sig = probe.signature(&rigid);
-            let before = counters;
+        let (mut storage, mut index) = index_over::<Owned>(rigid.clone());
+        let mut counters = EngineCounters::default();
+        for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
+            let sig = class.signature(&rigid);
             let mut key = None;
             assert_eq!(
-                index.find(&storage, &probe, sig, &mut key, &mut counters),
+                index.find(&storage, &class, sig, &mut key, &mut counters),
                 None
             );
-            assert!(key.is_none(), "empty-group probe must not compute a key");
-            deltas.push((
-                counters.sig_filter_skips - before.sig_filter_skips,
-                counters.iso_checks_avoided - before.iso_checks_avoided,
-                counters.iso_checks_performed - before.iso_checks_performed,
-                counters.canon_keys_computed - before.canon_keys_computed,
-            ));
+            admit(&mut storage, &mut index, class, sig, key);
         }
-        assert_eq!(deltas[0], (1, 2, 0, 0));
-        assert_eq!(deltas[0], deltas[1], "strategies must account identically");
+        let probe = unary_facts(1, &[3]);
+        let sig = probe.signature(&rigid);
+        let before = counters;
+        let mut key = None;
+        assert_eq!(
+            index.find(&storage, &probe, sig, &mut key, &mut counters),
+            None
+        );
+        assert!(key.is_none(), "empty-group probe must not compute a key");
+        let deltas = (
+            counters.sig_filter_skips - before.sig_filter_skips,
+            counters.iso_checks_avoided - before.iso_checks_avoided,
+            counters.canon_keys_computed - before.canon_keys_computed,
+        );
+        assert_eq!(deltas, (1, 2, 0));
     }
 
     /// The collision-heavy regression: perfect matchings of 12 tags all
     /// share one signature, so the old per-group linear scan made the k-th
     /// admission pay O(k) key comparisons. The exact-match map must
-    /// resolve every probe without a single backtracking call — and
-    /// without the store materialising a class's facts more than once.
+    /// resolve every probe with one key per class — and without the store
+    /// materialising a class's facts more than once.
     fn resolve_same_signature_collisions<S: ClassStorage>() {
         let tags: Vec<usize> = (0..12).collect();
         let rigid: BTreeSet<Value> = tags.iter().map(|&t| Value::from_index(t)).collect();
@@ -859,7 +792,7 @@ mod tests {
         perfect_matchings(&tags, 1500, &mut matchings);
         assert_eq!(matchings.len(), 1500);
 
-        let (mut storage, mut index) = index_over::<S>(DedupStrategy::CanonicalKey, rigid.clone());
+        let (mut storage, mut index) = index_over::<S>(rigid.clone());
         let mut counters = EngineCounters::default();
         let sig0 = matching_facts(&matchings[0], 100).signature(&rigid);
         for m in &matchings {
@@ -883,10 +816,6 @@ mod tests {
                 Some(expect_ix)
             );
         }
-        assert_eq!(
-            counters.iso_checks_performed, 0,
-            "keyed classes must never reach the backtracking matcher"
-        );
         // One key per admission probe (the first class is keyed lazily
         // when the second probe collides, the rest at their own probe) and
         // one per re-probe — each class's resident key computed once, ever.
@@ -913,10 +842,9 @@ mod tests {
         // case that used to exceed the permutation budget and fall back to
         // the backtracking matcher. The branch-and-bound search collapses
         // the whole 9! orbit into a single descent, so the probe resolves
-        // through the exact-match map with zero isomorphism checks.
+        // through the exact-match map.
         let rigid = BTreeSet::new();
-        let (mut storage, mut index) =
-            index_over::<Owned>(DedupStrategy::CanonicalKey, rigid.clone());
+        let (mut storage, mut index) = index_over::<Owned>(rigid.clone());
         let mut counters = EngineCounters::default();
         let a = unary_facts(0, &(100..109).collect::<Vec<_>>());
         let sig = a.signature(&rigid);
@@ -934,7 +862,6 @@ mod tests {
         assert!(key.is_some(), "symmetric class must key successfully");
         // Probe key + lazily keying the resident class.
         assert_eq!(counters.canon_keys_computed, 2);
-        assert_eq!(counters.iso_checks_performed, 0);
         // One descent each; transposition pruning cuts the other 9!-1
         // orders with 9*8/2 = 36 cutoffs per key search.
         assert_eq!(counters.canon_orders_enumerated, 2);

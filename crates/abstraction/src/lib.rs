@@ -44,7 +44,7 @@ pub mod storage;
 
 pub use bounds::{observe_run_bound, observe_state_bound, BoundObservation};
 pub use det_abs::{
-    det_abstraction, det_abstraction_traced, AbsOptions, AbsOutcome, DedupStrategy, DetAbstraction,
+    det_abstraction, det_abstraction_traced, AbsOptions, AbsOutcome, DetAbstraction,
     DEFAULT_LEVEL_CHUNK,
 };
 pub use pruning::commitment_coverage_holds;

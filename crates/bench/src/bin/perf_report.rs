@@ -1,15 +1,11 @@
 //! Std-only timing harness for the abstraction engines and the staged
 //! µ-calculus model-checking engine (no criterion).
 //!
-//! Times `det_abstraction` and RCYCL on the synthetic workload families
-//! along two axes:
-//!
-//! * **thread scaling** — the phase-split parallel BFS at 1, 2, 4, 8
-//!   workers (wall-clock; speedups only materialise on multicore
-//!   hardware, so the report records `hardware_threads` next to them);
-//! * **canonical-key fast path** — the signature-bucketed lazy index
-//!   against the eager ablation that canonicalises every successor (the
-//!   pre-fast-path cost model), at a fixed thread count.
+//! Times `det_abstraction` and RCYCL on the synthetic workload families at
+//! one worker thread, recording the engine counters and, for the det
+//! engine, the share of dedup probes the signature fast path resolved
+//! without a canonical key. (Output is identical at every thread count;
+//! the determinism suites check that, so no thread sweep is timed here.)
 //!
 //! Then times the staged model checker (`dcds_mucalc::engine`) against the
 //! naive Kleene evaluator (`dcds_mucalc::mc`, kept as the differential
@@ -18,9 +14,9 @@
 //! evaluators agree on the full extension.
 //!
 //! Finally, times the compiled query plans (`dcds_folang::plan`) against
-//! the nested-loop `eval_ucq` on join-heavy synthetic workloads and on the
-//! queries of the travel-request system, at 1 thread, with and without the
-//! per-state hash index — asserting bit-identical results.
+//! the nested-loop `eval_ucq` reference on join-heavy synthetic workloads
+//! and on the queries of the travel-request system, at 1 thread, with and
+//! without the per-state hash index — asserting bit-identical results.
 //!
 //! Last, drives the engines to 500k/1M-state budgets, where the budget
 //! rule keeps their states in the **compact state store** (arena + delta
@@ -62,9 +58,7 @@
 //! rep, the heavyweight scale stage skipped, and no `BENCH_*.json`
 //! rewritten (only `BENCH_diff.json` is produced).
 
-use dcds_abstraction::{
-    det_abs, det_abstraction_traced, rcycl_traced, AbsOptions, DedupStrategy, Store,
-};
+use dcds_abstraction::{det_abs, det_abstraction_traced, rcycl_traced, AbsOptions, Store};
 use dcds_bench::report::{self, Kind, Thresholds};
 use dcds_bench::{examples, parity, queries, synthetic, travel};
 use dcds_core::{parse_dcds, Dcds, EngineCounters, StateSpace, Ts};
@@ -94,92 +88,49 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, result.unwrap())
 }
 
-struct ThreadRun {
-    threads: usize,
-    secs: f64,
-    states: usize,
-    edges: usize,
-}
-
+/// One abstraction workload, timed at one worker thread.
 struct Workload {
     name: String,
     engine: &'static str,
-    runs: Vec<ThreadRun>,
+    /// Best-of-`reps` wall-clock seconds.
+    secs: f64,
+    states: usize,
+    edges: usize,
     /// Fraction of dedup probes resolved by the signature fast path alone.
     sig_hit_rate: Option<f64>,
-    /// eager-ablation seconds at 1 thread (det workloads only).
-    eager_secs: Option<f64>,
-    /// lazy seconds at 1 thread (denominator partner of `eager_secs`).
-    lazy_secs: Option<f64>,
-    /// Engine counters (thread-independent; taken from the last run).
+    /// Engine counters (thread-independent).
     counters: EngineCounters,
 }
 
 fn bench_det(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Workload {
-    let mut runs = Vec::new();
-    let mut sig_hit_rate = None;
-    let mut counters = EngineCounters::default();
-    for threads in THREAD_COUNTS {
-        let (secs, abs) = time_best(reps, || {
-            let opts = AbsOptions {
-                strategy: DedupStrategy::CanonicalKey,
-                threads,
-                ..AbsOptions::default()
-            };
-            det_abstraction_traced(dcds, max_states, opts, &Obs::disabled())
-        });
-        sig_hit_rate = abs.counters.sig_hit_rate();
-        counters = abs.counters;
-        runs.push(ThreadRun {
-            threads,
-            secs,
-            states: abs.ts.num_states(),
-            edges: abs.ts.num_edges(),
-        });
-    }
-    let (eager_secs, _) = time_best(reps, || {
-        let opts = AbsOptions {
-            strategy: DedupStrategy::CanonicalKey,
-            threads: 1,
-            eager_keys: true,
-            ..AbsOptions::default()
-        };
+    let opts = AbsOptions {
+        threads: 1,
+        ..AbsOptions::default()
+    };
+    let (secs, abs) = time_best(reps, || {
         det_abstraction_traced(dcds, max_states, opts, &Obs::disabled())
     });
     Workload {
         name,
         engine: "det_abstraction",
-        lazy_secs: Some(runs[0].secs),
-        runs,
-        sig_hit_rate,
-        eager_secs: Some(eager_secs),
-        counters,
+        secs,
+        states: abs.ts.num_states(),
+        edges: abs.ts.num_edges(),
+        sig_hit_rate: abs.counters.sig_hit_rate(),
+        counters: abs.counters,
     }
 }
 
 fn bench_rcycl(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Workload {
-    let mut runs = Vec::new();
-    let mut counters = EngineCounters::default();
-    for threads in THREAD_COUNTS {
-        let (secs, res) = time_best(reps, || {
-            rcycl_traced(dcds, max_states, threads, &Obs::disabled())
-        });
-        counters = res.counters;
-        runs.push(ThreadRun {
-            threads,
-            secs,
-            states: res.ts.num_states(),
-            edges: res.ts.num_edges(),
-        });
-    }
+    let (secs, res) = time_best(reps, || rcycl_traced(dcds, max_states, 1, &Obs::disabled()));
     Workload {
         name,
         engine: "rcycl",
-        runs,
+        secs,
+        states: res.ts.num_states(),
+        edges: res.ts.num_edges(),
         sig_hit_rate: None,
-        eager_secs: None,
-        lazy_secs: None,
-        counters,
+        counters: res.counters,
     }
 }
 
@@ -834,9 +785,8 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // State budgets sized so the 1-thread runs take long enough for thread
-    // scaling to be visible above the phase-split overhead (the original
-    // ~10 ms budgets measured only overhead); `--scale` multiplies them.
+    // State budgets sized so each run takes long enough to time above
+    // scheduler noise; `--scale` multiplies them.
     let rings_budget = 2000 * scale;
     let chain_budget = 1200 * scale;
     let cycle_budget = 5000 * scale;
@@ -876,40 +826,15 @@ fn main() {
     ];
 
     // Human-readable table.
-    println!("abstraction perf report  (hardware_threads = {hardware_threads}, best of {reps})");
-    if hardware_threads == 1 {
-        println!(
-            "  NOTE: single hardware thread — the speedup column is scheduler \
-             noise, not thread scaling, and is excluded from regression gates"
-        );
-    }
+    println!("abstraction perf report  (1 thread, best of {reps})");
     for w in &workloads {
-        let base = w.runs[0].secs;
         println!("\n{} — {}", w.engine, w.name);
-        println!(
-            "  {:>7}  {:>10}  {:>8}  {:>7}  {:>7}",
-            "threads", "secs", "speedup", "states", "edges"
-        );
-        for r in &w.runs {
-            println!(
-                "  {:>7}  {:>10.4}  {:>7.2}x  {:>7}  {:>7}",
-                r.threads,
-                r.secs,
-                base / r.secs,
-                r.states,
-                r.edges
-            );
-        }
+        println!("  {:>10}  {:>7}  {:>7}", "secs", "states", "edges");
+        println!("  {:>10.4}  {:>7}  {:>7}", w.secs, w.states, w.edges);
         if let Some(rate) = w.sig_hit_rate {
             println!(
                 "  signature fast path: {:.1}% of dedup probes resolved without canonicalisation",
                 rate * 100.0
-            );
-        }
-        if let (Some(eager), Some(lazy)) = (w.eager_secs, w.lazy_secs) {
-            println!(
-                "  canonical-key fast path: lazy {lazy:.4}s vs eager {eager:.4}s ({:.2}x) at 1 thread",
-                eager / lazy
             );
         }
     }
@@ -930,53 +855,27 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"benchmark\": \"abstraction-parallel\",");
     let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
-    // On a single-core runner the speedup tables measure scheduler noise;
-    // `report::extract` keys off `hardware_threads` to keep `speedup_vs_1`
-    // out of the regression gates in that case.
-    let _ = writeln!(
-        json,
-        "  \"speedup_vs_1_is_noise\": {},",
-        hardware_threads == 1
-    );
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"workloads\": [");
     for (wi, w) in workloads.iter().enumerate() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", w.name);
         let _ = writeln!(json, "      \"engine\": \"{}\",", w.engine);
-        let _ = writeln!(json, "      \"runs\": [");
-        for (ri, r) in w.runs.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "        {{\"threads\": {}, \"secs\": {}, \"speedup_vs_1\": {}, \"states\": {}, \"edges\": {}}}{}",
-                r.threads,
-                json_f64(r.secs),
-                json_f64(w.runs[0].secs / r.secs),
-                r.states,
-                r.edges,
-                if ri + 1 < w.runs.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(json, "      ],");
+        // A one-element `runs` list keeps the `abstraction/<w>/t1/secs`
+        // regression keys of earlier baselines.
+        let _ = writeln!(
+            json,
+            "      \"runs\": [{{\"threads\": 1, \"secs\": {}, \"states\": {}, \"edges\": {}}}],",
+            json_f64(w.secs),
+            w.states,
+            w.edges
+        );
         let _ = writeln!(
             json,
             "      \"sig_fast_path_hit_rate\": {},",
             w.sig_hit_rate
                 .map(json_f64)
                 .unwrap_or_else(|| "null".into())
-        );
-        let _ = writeln!(
-            json,
-            "      \"eager_keys_secs_1_thread\": {},",
-            w.eager_secs.map(json_f64).unwrap_or_else(|| "null".into())
-        );
-        let _ = writeln!(
-            json,
-            "      \"fast_path_speedup_1_thread\": {},",
-            match (w.eager_secs, w.lazy_secs) {
-                (Some(e), Some(l)) => json_f64(e / l),
-                _ => "null".into(),
-            }
         );
         let _ = writeln!(json, "      \"counters\": {}", w.counters.to_json());
         let _ = writeln!(
@@ -1231,13 +1130,12 @@ fn main() {
         if let Some(r) = w.runs.last() {
             println!(
                 "  canon at {} states: {} keys ({} orders, {} cutoffs), \
-                 {} sig-bucket skips, {} iso checks",
+                 {} sig-bucket skips",
                 r.states,
                 r.counters.canon_keys_computed,
                 r.counters.canon_orders_enumerated,
                 r.counters.canon_prune_cutoffs,
-                r.counters.sig_filter_skips,
-                r.counters.iso_checks_performed
+                r.counters.sig_filter_skips
             );
         }
         println!(
@@ -1292,7 +1190,7 @@ fn main() {
                  \"delta_share\": {}, \"facts_interned\": {}, \"complete\": {}, \
                  \"canon_keys_computed\": {}, \"canon_orders_enumerated\": {}, \
                  \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}, \
-                 \"iso_checks_avoided\": {}, \"iso_checks_performed\": {}}}{}",
+                 \"iso_checks_avoided\": {}}}{}",
                 r.budget,
                 json_f64(r.secs),
                 r.states,
@@ -1308,7 +1206,6 @@ fn main() {
                 r.counters.canon_prune_cutoffs,
                 r.counters.sig_filter_skips,
                 r.counters.iso_checks_avoided,
-                r.counters.iso_checks_performed,
                 if ri + 1 < w.runs.len() { "," } else { "" }
             );
         }

@@ -268,14 +268,6 @@ pub fn extract(doc: &Value) -> BTreeMap<String, Metric> {
     };
     match bench {
         "abstraction-parallel" => {
-            // Thread-scaling ratios are only comparable when the machine
-            // can actually run threads in parallel; on a single-core
-            // runner `speedup_vs_1` is scheduler noise, so those keys are
-            // excluded and only the raw timings gate.
-            let scaling_meaningful = doc
-                .get("hardware_threads")
-                .and_then(Value::as_f64)
-                .is_some_and(|n| n > 1.0);
             for w in workloads {
                 let name = w.get("name").and_then(Value::as_str).unwrap_or("?");
                 for r in w.get("runs").map(Value::items).unwrap_or(&[]) {
@@ -285,13 +277,6 @@ pub fn extract(doc: &Value) -> BTreeMap<String, Metric> {
                         r.get("secs").and_then(Value::as_f64),
                         Kind::Time,
                     );
-                    if scaling_meaningful && threads > 1.0 {
-                        put(
-                            format!("abstraction/{name}/t{threads}/speedup_vs_1"),
-                            r.get("speedup_vs_1").and_then(Value::as_f64),
-                            Kind::Throughput,
-                        );
-                    }
                 }
             }
         }
@@ -507,32 +492,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(extract(&abs).len(), 2);
-
-        // With real hardware parallelism the speedups gate too; on a
-        // single hardware thread they are noise and stay excluded.
-        let multi = parse(
-            r#"{"benchmark": "abstraction-parallel", "hardware_threads": 8,
-                "workloads": [
-                {"name": "w", "runs": [
-                    {"threads": 1, "secs": 0.5, "speedup_vs_1": 1.0},
-                    {"threads": 8, "secs": 0.1, "speedup_vs_1": 5.0}]}]}"#,
-        )
-        .unwrap();
-        let metrics = extract(&multi);
-        assert_eq!(metrics.len(), 3);
-        assert_eq!(
-            metrics["abstraction/w/t8/speedup_vs_1"].kind,
-            Kind::Throughput
-        );
-        let single = parse(
-            r#"{"benchmark": "abstraction-parallel", "hardware_threads": 1,
-                "workloads": [
-                {"name": "w", "runs": [
-                    {"threads": 1, "secs": 0.5, "speedup_vs_1": 1.0},
-                    {"threads": 8, "secs": 0.4, "speedup_vs_1": 1.25}]}]}"#,
-        )
-        .unwrap();
-        assert!(!extract(&single).keys().any(|k| k.contains("speedup_vs_1")));
 
         let mc = parse(
             r#"{"benchmark": "mucalc-staged-engine", "workloads": [

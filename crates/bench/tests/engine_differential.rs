@@ -6,15 +6,15 @@
 //! The owned and store storages must build **bit-identical** results:
 //! same transition system (states in the same order, same edges), same
 //! outcome/completeness, same minted constant pool, and the same value of
-//! every engine counter — including canonical keys computed and iso
-//! checks performed, i.e. the same dedup decisions, not just the same
-//! final answer — under both dedup strategies. Both must equal the reference construction
-//! (`dcds_abstraction::reference`) on the system, the outcome and the
-//! pool.
+//! every engine counter — including canonical keys computed and
+//! signature-filter skips, i.e. the same dedup decisions, not just the
+//! same final answer. Both must equal the reference construction
+//! (`dcds_abstraction::reference`, pairwise isomorphism checks) on the
+//! system, the outcome and the pool.
 
 use dcds_abstraction::{
-    det_abs, det_abstraction, rcycl, reference, AbsOptions, AbsOutcome, DedupStrategy, Owned,
-    Store, OWNED_MAX_STATES,
+    det_abs, det_abstraction, rcycl, reference, AbsOptions, AbsOutcome, Owned, Store,
+    OWNED_MAX_STATES,
 };
 use dcds_bench::synthetic::{self, RandomParams};
 use dcds_bench::{examples, parity};
@@ -25,21 +25,15 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn assert_det_identical(dcds: &Dcds, budget: usize) {
     let (ref_ts, ref_outcome, ref_pool) = reference::det_abstraction(dcds, budget);
-    for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-        for threads in THREAD_COUNTS {
-            let opts = AbsOptions {
-                strategy,
-                threads,
-                ..AbsOptions::default()
-            };
-            let owned = parity::det_storages_agree(dcds, budget, opts);
-            assert_eq!(
-                owned.ts, ref_ts,
-                "det engine ({strategy:?}) differs from the reference"
-            );
-            assert_eq!(owned.outcome, ref_outcome);
-            assert_eq!(owned.pool.len(), ref_pool.len());
-        }
+    for threads in THREAD_COUNTS {
+        let opts = AbsOptions {
+            threads,
+            ..AbsOptions::default()
+        };
+        let owned = parity::det_storages_agree(dcds, budget, opts);
+        assert_eq!(owned.ts, ref_ts, "det engine differs from the reference");
+        assert_eq!(owned.outcome, ref_outcome);
+        assert_eq!(owned.pool.len(), ref_pool.len());
     }
 }
 

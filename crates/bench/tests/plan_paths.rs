@@ -4,23 +4,25 @@
 //! integration seam: `do_action` vs `do_action_indexed` (with and without a
 //! prebuilt per-state index), `legal_assignments` vs its indexed twin, and
 //! whole-engine runs (`rcycl`, `det_abstraction`, `explore_det`) at 1, 2,
-//! 4, and 8 worker threads with plans and indexes enabled throughout.
-//! These tests pin that promise on the paper's travel-request system and a
-//! parameterised synthetic system.
+//! 4, and 8 worker threads with plans and indexes enabled throughout. `DO`
+//! is also checked against its definition for σ that are not exactly the
+//! action's parameters. These tests pin that promise on the paper's
+//! travel-request system and small synthetic systems.
 
 use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
 use dcds_bench::{synthetic, travel};
 use dcds_core::explore::{CommitmentOracle, Limits};
 use dcds_core::{
     do_action, do_action_indexed, explore_det_traced, legal_assignments, legal_assignments_indexed,
-    state_index, Dcds,
+    state_index, ActionId, Dcds, DcdsBuilder, PreInstance,
 };
-use dcds_folang::Var;
+use dcds_folang::{answers, Assignment, Var};
 use dcds_obs::Obs;
+use dcds_reldata::Instance;
 
-/// All per-state query entry points agree across the three paths (legacy,
-/// plan over scans, plan over index) on every reachable state of the
-/// travel-request pruning.
+/// All per-state query entry points agree across the three paths (the
+/// unindexed entry point, plan over scans, plan over index) on every
+/// reachable state of the travel-request pruning.
 #[test]
 fn do_and_legal_agree_on_all_rcycl_states() {
     let dcds = travel::request_system_small();
@@ -49,24 +51,85 @@ fn do_and_legal_agree_on_all_rcycl_states() {
     }
 }
 
-/// A σ whose domain is not exactly the action's parameter list must take
-/// the legacy path — and still agree with `do_action` (which is the
-/// documented semantics for arbitrary public-API σ).
+/// `DO` by the definition: every answer θ of `(q⁺ ∧ Q⁻)σ` under the
+/// guided active-domain evaluator grounds the head facts under `σθ`.
+fn reference_do(dcds: &Dcds, inst: &Instance, action: ActionId, sigma: &Assignment) -> PreInstance {
+    let mut out = PreInstance::new();
+    for effect in &dcds.process.action(action).effects {
+        let query = effect.qplus.to_formula().and(effect.qminus.clone());
+        for theta in answers(&query.apply(sigma), inst) {
+            let mut full = theta;
+            full.extend(sigma.iter().map(|(v, c)| (v.clone(), *c)));
+            for (rel, terms) in &effect.head {
+                let grounded: Option<Vec<_>> = terms.iter().map(|t| t.ground(&full)).collect();
+                if let Some(g) = grounded {
+                    out.insert(*rel, g);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `alpha(X)` with the parameter in a `q⁺` atom, only in the head, and
+/// absent beside a `Q⁻` filter; every `q⁺` is range-restricted, so the
+/// natural-join and active-domain readings of `q⁺σ` agree for any σ.
+fn parameterised_system() -> Dcds {
+    DcdsBuilder::new()
+        .relation("P", 1)
+        .relation("R", 2)
+        .relation("Q", 1)
+        .init_fact("P", &["a"])
+        .init_fact("P", &["b"])
+        .init_fact("R", &["a", "c"])
+        .init_fact("R", &["b", "d"])
+        .init_fact("Q", &["d"])
+        .action("alpha", &["X"], |a| {
+            a.effect("R(X, Y)", "Q(Y)");
+            a.effect("true", "P(X)");
+            a.effect("R(Z, Y) & !Q(Y)", "P(Y)");
+        })
+        .rule("P(X)", "alpha")
+        .build()
+        .unwrap()
+}
+
+/// A σ whose domain is not exactly the action's parameter list — padded
+/// with a variable outside `q⁺`, or missing a parameter — gets a plan
+/// compiled for it, and `do_action` still computes `DO` by definition.
 #[test]
 fn non_parameter_sigma_takes_identical_fallback() {
-    let dcds = travel::request_system_small();
-    let inst = &dcds.data.initial;
-    let idx = state_index(&dcds, inst);
-    let spurious = dcds.data.pool.get("readyForRequest").unwrap();
-    for (action, sigma) in legal_assignments(&dcds, inst) {
-        let mut padded = sigma.clone();
-        padded.insert(Var::new("__not_a_param"), spurious);
-        let base = do_action(&dcds, inst, action, &padded);
-        assert_eq!(
-            base,
-            do_action_indexed(&dcds, inst, action, &padded, Some(&idx))
-        );
+    let mut missing_nonempty = 0;
+    for dcds in [travel::request_system_small(), parameterised_system()] {
+        let inst = &dcds.data.initial;
+        let idx = state_index(&dcds, inst);
+        let spurious = *inst.active_domain().iter().next().unwrap();
+        for (action, sigma) in legal_assignments(&dcds, inst) {
+            let mut padded = sigma.clone();
+            padded.insert(Var::new("__not_a_param"), spurious);
+            let mut sigmas = vec![padded];
+            for p in &dcds.process.action(action).params {
+                let mut missing = sigma.clone();
+                missing.remove(p);
+                if !reference_do(&dcds, inst, action, &missing).is_empty() {
+                    missing_nonempty += 1;
+                }
+                sigmas.push(missing);
+            }
+            for s in &sigmas {
+                let expect = reference_do(&dcds, inst, action, s);
+                assert_eq!(do_action(&dcds, inst, action, s), expect, "σ = {s:?}");
+                assert_eq!(
+                    do_action_indexed(&dcds, inst, action, s, Some(&idx)),
+                    expect
+                );
+            }
+        }
     }
+    assert!(
+        missing_nonempty > 0,
+        "no σ missing a parameter produced facts"
+    );
 }
 
 fn assert_thread_invariant_rcycl(dcds: &Dcds, max_states: usize) {

@@ -142,9 +142,9 @@ impl Dcds {
             let params: BTreeSet<_> = action.params.iter().cloned().collect();
             for (eix, effect) in action.effects.iter().enumerate() {
                 // q+ validity. Action parameters may occur in q+'s atoms; the
-                // UCQ validator requires head vars to occur in atoms, so we
-                // check disjunct arities directly and head-variable coverage
-                // modulo parameters.
+                // UCQ validator requires head and equality vars to occur in
+                // atoms, so we check disjunct arities directly and variable
+                // coverage modulo parameters.
                 for cq in &effect.qplus.disjuncts {
                     for (rel, terms) in &cq.atoms {
                         let expected = self.data.schema.arity(*rel);
@@ -172,6 +172,20 @@ impl Dcds {
                                     v.name()
                                 ),
                             });
+                        }
+                    }
+                    for (t1, t2) in &cq.equalities {
+                        for v in [t1, t2].into_iter().filter_map(|t| t.as_var()) {
+                            if !avars.contains(v) && !params.contains(v) {
+                                return Err(ValidationError::Effect {
+                                    action: action.name.clone(),
+                                    effect: eix,
+                                    detail: format!(
+                                        "equality variable {} of q+ occurs in no atom and is not a parameter",
+                                        v.name()
+                                    ),
+                                });
+                            }
                         }
                     }
                 }
@@ -319,5 +333,49 @@ impl Dcds {
     /// True when every service is nondeterministic (Section 5 applies).
     pub fn is_nondeterministic(&self) -> bool {
         self.process.services.all_nondeterministic()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::DcdsBuilder;
+    use dcds_folang::{QTerm, Var};
+
+    /// `alpha(P): R(X) ⇝ R(X)` with `extra` appended to q⁺'s equalities,
+    /// re-validated through the struct API (the spec parser would move such
+    /// an equality into Q⁻).
+    fn with_qplus_equality(extra: (QTerm, QTerm)) -> Result<Dcds, ValidationError> {
+        let base = DcdsBuilder::new()
+            .relation("R", 1)
+            .init_fact("R", &["a"])
+            .action("alpha", &["P"], |a| {
+                a.effect("R(X)", "R(X)");
+            })
+            .rule("R(P)", "alpha")
+            .build()
+            .unwrap();
+        let mut process = base.process.clone();
+        process.actions[0].effects[0].qplus.disjuncts[0]
+            .equalities
+            .push(extra);
+        Dcds::new(base.data.clone(), process)
+    }
+
+    #[test]
+    fn qplus_equality_variable_must_be_range_restricted() {
+        let var = |n: &str| QTerm::Var(Var::new(n));
+        // Over an atom variable and a parameter: range-restricted.
+        assert!(with_qplus_equality((var("X"), var("P"))).is_ok());
+        // `Y` occurs in no atom and is not a parameter.
+        let err = with_qplus_equality((var("X"), var("Y"))).unwrap_err();
+        assert_eq!(
+            err,
+            ValidationError::Effect {
+                action: "alpha".into(),
+                effect: 0,
+                detail: "equality variable Y of q+ occurs in no atom and is not a parameter".into(),
+            }
+        );
     }
 }

@@ -9,10 +9,7 @@
 use crate::action::ActionId;
 use crate::dcds::Dcds;
 use crate::term::{GTerm, ServiceCall};
-use dcds_folang::ast::QTerm;
-use dcds_folang::{
-    eval_ucq, holds, Assignment, CompiledPlan, ConjunctiveQuery, EvalCtx, PlanStats, Ucq, Var,
-};
+use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, PlanStats, Ucq, Var};
 use dcds_reldata::{AccessPath, Instance, InstanceIndex, RelId, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -86,13 +83,14 @@ impl PreInstance {
 /// Compiled query plans for a DCDS: one [`CompiledPlan`] per effect `q⁺`
 /// (with the action parameters as pre-bound inputs) and one per rule
 /// condition that is recognisably a UCQ. Built once per system — see
-/// [`Dcds::plans`] — and shared across the whole exploration; queries
-/// outside the compilable fragment keep `None` and evaluation falls back to
-/// the legacy evaluators, so behaviour is bit-identical either way.
+/// [`Dcds::plans`] — and shared across the whole exploration. Validated
+/// `q⁺` is range-restricted modulo the parameters, so every effect
+/// compiles; rule conditions outside the compilable fragment keep `None`
+/// and are answered by the reference active-domain evaluator.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     /// `effect_plans[action][effect]`.
-    effect_plans: Vec<Vec<Option<CompiledPlan>>>,
+    effect_plans: Vec<Vec<CompiledPlan>>,
     /// One optional plan per condition–action rule.
     rule_plans: Vec<Option<CompiledPlan>>,
     /// Union of the access paths every compiled plan probes — what a
@@ -111,10 +109,8 @@ impl PlanCache {
             let params: BTreeSet<Var> = action.params.iter().cloned().collect();
             let mut per_effect = Vec::with_capacity(action.effects.len());
             for effect in &action.effects {
-                let plan = CompiledPlan::compile(&effect.qplus, &params).ok();
-                if let Some(p) = &plan {
-                    paths.extend(p.access_paths());
-                }
+                let plan = compile_qplus(&effect.qplus, &params);
+                paths.extend(plan.access_paths());
                 per_effect.push(plan);
             }
             effect_plans.push(per_effect);
@@ -136,11 +132,6 @@ impl PlanCache {
         }
     }
 
-    /// The plan for one effect of one action, if it compiled.
-    pub fn effect_plan(&self, action: ActionId, effect: usize) -> Option<&CompiledPlan> {
-        self.effect_plans.get(action.index())?.get(effect)?.as_ref()
-    }
-
     /// The plan for a rule condition, if it compiled.
     pub fn rule_plan(&self, rule: usize) -> Option<&CompiledPlan> {
         self.rule_plans.get(rule)?.as_ref()
@@ -151,14 +142,12 @@ impl PlanCache {
         &self.paths
     }
 
-    /// How many effects (resp. rules) compiled, out of how many.
+    /// How many effects (resp. rules) compiled, out of how many. Every
+    /// effect compiles; only rule conditions can fall outside the fragment.
     pub fn coverage(&self) -> ((usize, usize), (usize, usize)) {
-        let effects: Vec<&Option<CompiledPlan>> = self.effect_plans.iter().flatten().collect();
+        let effects = self.effect_plans.iter().flatten().count();
         (
-            (
-                effects.iter().filter(|p| p.is_some()).count(),
-                effects.len(),
-            ),
+            (effects, effects),
             (
                 self.rule_plans.iter().filter(|p| p.is_some()).count(),
                 self.rule_plans.len(),
@@ -196,43 +185,20 @@ pub fn publish_query_stats_delta(
     }
 }
 
-/// Substitute an assignment into a UCQ: parameters bound by σ become
-/// constants (and are dropped from the head, their values being supplied by
-/// σ at grounding time).
-fn substitute_ucq(ucq: &Ucq, sigma: &Assignment) -> Ucq {
-    let disjuncts = ucq
+/// Compile `q⁺` with `bound` as pre-bound inputs, keeping the disjuncts
+/// that are range-restricted modulo `bound`. A dropped disjunct has an
+/// unbound head or equality variable, which the natural join reads as
+/// ranging over nothing, so it contributes no answer. Validated effects
+/// under their own parameters drop nothing; only unvalidated systems
+/// ([`Dcds::from_parts`]) and public-API σ that miss a parameter do.
+fn compile_qplus(qplus: &Ucq, bound: &BTreeSet<Var>) -> CompiledPlan {
+    let disjuncts = qplus
         .disjuncts
         .iter()
-        .map(|cq| ConjunctiveQuery {
-            head: cq
-                .head
-                .iter()
-                .filter(|v| !sigma.contains_key(*v))
-                .cloned()
-                .collect(),
-            atoms: cq
-                .atoms
-                .iter()
-                .map(|(rel, terms)| (*rel, terms.iter().map(|t| subst_qterm(t, sigma)).collect()))
-                .collect(),
-            equalities: cq
-                .equalities
-                .iter()
-                .map(|(t1, t2)| (subst_qterm(t1, sigma), subst_qterm(t2, sigma)))
-                .collect(),
-        })
+        .filter(|cq| CompiledPlan::compile(&Ucq::single((*cq).clone()), bound).is_ok())
+        .cloned()
         .collect();
-    Ucq { disjuncts }
-}
-
-fn subst_qterm(t: &QTerm, sigma: &Assignment) -> QTerm {
-    match t {
-        QTerm::Var(v) => sigma
-            .get(v)
-            .map(|&c| QTerm::Const(c))
-            .unwrap_or_else(|| t.clone()),
-        QTerm::Const(_) => t.clone(),
-    }
+    CompiledPlan::compile(&Ucq { disjuncts }, bound).expect("every kept disjunct compiles")
 }
 
 /// `DO(I, ασ)`: apply the action under the parameter assignment, producing
@@ -247,10 +213,14 @@ pub fn do_action(
 }
 
 /// [`do_action`] evaluating `q⁺` through the cached compiled plans, probing
-/// `index` when one is supplied (see [`state_index`]). Effects whose query
-/// did not compile — or a σ that is not exactly the action's parameter
-/// assignment — take the legacy substitute-and-join path; the result is
-/// bit-identical in every case.
+/// `index` when one is supplied (see [`state_index`]).
+///
+/// The cached plans take exactly `params(α)` as inputs. Any other σ
+/// (possible through this public API) is answered by a plan compiled for
+/// it, with every variable σ binds as an input: a binding outside `q⁺` is
+/// ignored, a parameter σ leaves open is bound by the join, and a disjunct
+/// in which no atom binds it yields nothing — what substituting σ into
+/// `q⁺` and joining returns.
 pub fn do_action_indexed(
     dcds: &Dcds,
     inst: &Instance,
@@ -261,32 +231,28 @@ pub fn do_action_indexed(
     let cache = dcds.plans();
     let action_id = action;
     let action = dcds.process.action(action);
-    // The plans were compiled with exactly `params(α)` as input slots; any
-    // other σ domain (possible through this public API) changes which
-    // variables substitution eliminates, so it must use the legacy path.
     let sigma_is_params =
         sigma.len() == action.params.len() && action.params.iter().all(|p| sigma.contains_key(p));
+    let adhoc: Vec<CompiledPlan>;
+    let plans = if sigma_is_params {
+        &cache.effect_plans[action_id.index()]
+    } else {
+        let bound: BTreeSet<Var> = sigma.keys().cloned().collect();
+        adhoc = action
+            .effects
+            .iter()
+            .map(|effect| compile_qplus(&effect.qplus, &bound))
+            .collect();
+        &adhoc
+    };
+    let ctx = match index {
+        Some(ix) => EvalCtx::with_index(inst, ix),
+        None => EvalCtx::scan(inst),
+    }
+    .stats(&cache.stats);
     let mut out = PreInstance::new();
-    for (eix, effect) in action.effects.iter().enumerate() {
-        let plan = if sigma_is_params {
-            cache.effect_plan(action_id, eix)
-        } else {
-            None
-        };
-        let thetas: BTreeSet<Assignment> = match plan {
-            Some(plan) => {
-                let mut ctx = match index {
-                    Some(ix) => EvalCtx::with_index(inst, ix),
-                    None => EvalCtx::scan(inst),
-                };
-                ctx = ctx.stats(&cache.stats);
-                plan.eval(&ctx, sigma)
-            }
-            None => {
-                cache.stats.fallback_evals.fetch_add(1, Ordering::Relaxed);
-                eval_ucq(&substitute_ucq(&effect.qplus, sigma), inst)
-            }
-        };
+    for (effect, plan) in action.effects.iter().zip(plans) {
+        let thetas = plan.eval(&ctx, sigma);
         let qminus = effect.qminus.apply(sigma);
         for theta in thetas {
             // θ covers the (remaining) head variables of q+; the filter Q-

@@ -169,13 +169,11 @@ pub struct EngineCounters {
     /// Expensive canonical keys actually computed.
     pub canon_keys_computed: u64,
     /// Dedup probes answered by an empty signature bucket — each one is a
-    /// canonicalisation (or pairwise scan) that never happened.
+    /// canonicalisation that never happened.
     pub sig_filter_skips: u64,
     /// Pairwise isomorphism checks skipped thanks to unequal signatures or
     /// canonical-key hits.
     pub iso_checks_avoided: u64,
-    /// Pairwise isomorphism checks actually performed.
-    pub iso_checks_performed: u64,
     /// Complete value orders whose encoding the canonical-key search
     /// materialised (branch-and-bound leaves).
     pub canon_orders_enumerated: u64,
@@ -187,14 +185,13 @@ pub struct EngineCounters {
 impl EngineCounters {
     /// The counters as `(name, value)` pairs — single source of truth for
     /// [`EngineCounters::to_json`] and [`EngineCounters::publish`].
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
+    pub fn entries(&self) -> [(&'static str, u64); 7] {
         [
             ("states_expanded", self.states_expanded),
             ("successors_generated", self.successors_generated),
             ("canon_keys_computed", self.canon_keys_computed),
             ("sig_filter_skips", self.sig_filter_skips),
             ("iso_checks_avoided", self.iso_checks_avoided),
-            ("iso_checks_performed", self.iso_checks_performed),
             ("canon_orders_enumerated", self.canon_orders_enumerated),
             ("canon_prune_cutoffs", self.canon_prune_cutoffs),
         ]
@@ -228,7 +225,7 @@ impl EngineCounters {
     /// Fraction of dedup probes the signature fast path resolved without
     /// exact work, in `[0, 1]`; `None` when there were no probes.
     pub fn sig_hit_rate(&self) -> Option<f64> {
-        let probes = self.sig_filter_skips + self.canon_keys_computed + self.iso_checks_performed;
+        let probes = self.sig_filter_skips + self.canon_keys_computed;
         if probes == 0 {
             None
         } else {
@@ -242,14 +239,13 @@ impl std::fmt::Display for EngineCounters {
         write!(
             f,
             "expanded {} states, {} successors; {} canonical keys ({} orders, {} cutoffs), \
-             {} sig-bucket skips, {} iso checks ({} avoided)",
+             {} sig-bucket skips, {} iso checks avoided",
             self.states_expanded,
             self.successors_generated,
             self.canon_keys_computed,
             self.canon_orders_enumerated,
             self.canon_prune_cutoffs,
             self.sig_filter_skips,
-            self.iso_checks_performed,
             self.iso_checks_avoided,
         )
     }

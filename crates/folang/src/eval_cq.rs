@@ -1,12 +1,16 @@
-//! Join-based evaluation of (unions of) conjunctive queries.
+//! Nested-loop join evaluation of (unions of) conjunctive queries: the
+//! natural-join test reference for the compiled plans.
 //!
-//! The reference evaluator in [`crate::eval`] enumerates assignments over the
-//! active domain, which is exponential in the number of variables. For the
-//! positive parts `q+` of effect specifications — evaluated at every
-//! transition of the concrete and abstract transition systems — we instead
-//! join atom by atom, which is the standard worst-case-adequate strategy for
-//! CQs. Property tests in `tests/eval_agreement.rs` check the two evaluators
-//! agree on random UCQs.
+//! Each disjunct is joined atom by atom over whole-relation scans, with
+//! `BTreeMap` assignments cloned per extension, and its equalities are
+//! checked after the join. A variable that no atom binds ranges over
+//! nothing, so a disjunct with such a head or equality variable has no
+//! answers. No engine evaluates queries this way: [`crate::plan`] compiles
+//! every production UCQ. This module stays as a small, obviously correct
+//! second reading of the same semantics, which `tests/plan_differential.rs`,
+//! the bench crate's query workloads and `perf_report`'s query stage
+//! compare the plans against, next to the active-domain
+//! [`crate::eval::answers`].
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};

@@ -10,8 +10,8 @@
 //! * a reference evaluator under the **active-domain semantics** the paper
 //!   adopts (answers are assignments of free variables to the active domain
 //!   of the instance) ([`eval`]);
-//! * a join-based evaluator for (U)CQs, cross-checked against the reference
-//!   evaluator by property tests ([`eval_cq`]);
+//! * a nested-loop join evaluator for (U)CQs, kept as the natural-join
+//!   test reference for the compiled plans ([`eval_cq`]);
 //! * compiled evaluation plans for (U)CQs — numbered variable slots, join
 //!   orders fixed at compile time, hoisted equality checks, and hash-index
 //!   probing via [`dcds_reldata::InstanceIndex`] ([`plan`]);

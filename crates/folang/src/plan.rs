@@ -1,11 +1,11 @@
 //! Compiled evaluation plans for (unions of) conjunctive queries.
 //!
-//! [`crate::eval_cq`] re-derives a greedy join order on every call, scans
-//! whole relations with nested loops, and threads `BTreeMap` assignments
-//! that are cloned per extension. The positive parts `q+` of effect
-//! specifications are evaluated at *every* transition of the concrete and
-//! abstract systems, against a query that never changes — so we compile each
-//! (U)CQ once into a [`CompiledPlan`]:
+//! The positive parts `q+` of effect specifications are evaluated at
+//! *every* transition of the concrete and abstract systems, against a query
+//! that never changes — so we compile each (U)CQ once into a
+//! [`CompiledPlan`] instead of re-deriving a join order, scanning whole
+//! relations and cloning `BTreeMap` assignments per call, as the
+//! nested-loop reference [`crate::eval_cq`] does:
 //!
 //! * variables are numbered **slots** and partial assignments become a flat
 //!   `Vec<Option<Value>>` register file (no tree maps, no per-extension
@@ -28,10 +28,12 @@
 //! exactly the condition under which the natural join semantics below, the
 //! nested-loop [`crate::eval_cq::eval_ucq`], and the active-domain
 //! [`crate::eval::answers`] coincide. Queries outside the fragment are
-//! rejected at compile time ([`PlanError`]) and callers fall back to the
-//! legacy evaluators. Evaluation visits candidate tuples in instance
-//! iteration order (indexes are order-normalised), so outputs are
-//! bit-identical with `eval_ucq` at every thread count.
+//! rejected at compile time ([`PlanError`]); validated effect queries are
+//! always inside it, and rule conditions or formula leaves outside it are
+//! answered by the reference evaluator in [`crate::eval`]. Evaluation
+//! visits candidate tuples in instance iteration order (indexes are
+//! order-normalised), so outputs are bit-identical with `eval_ucq` at every
+//! thread count.
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};
@@ -39,8 +41,8 @@ use dcds_reldata::{AccessPath, Instance, InstanceIndex, RelId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Why a query cannot be compiled (and the caller should use the legacy
-/// evaluators instead).
+/// Why a query cannot be compiled (and the caller should use the reference
+/// evaluator instead).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// A head variable occurs in no atom and is not a parameter.
@@ -80,8 +82,8 @@ pub struct PlanStats {
     pub index_probes: AtomicU64,
     /// Join steps answered by a relation scan (no index, or no bound position).
     pub relation_scans: AtomicU64,
-    /// Evaluations that bypassed the plan layer (query outside the
-    /// compilable fragment, or a non-standard parameter assignment).
+    /// Rule conditions outside the compilable fragment, answered by the
+    /// reference evaluator instead of a plan.
     pub fallback_evals: AtomicU64,
 }
 
@@ -228,8 +230,8 @@ impl CompiledPlan {
     /// Compile a UCQ, treating `params` as pre-bound input variables.
     ///
     /// Fails iff some disjunct is not range-restricted modulo `params`
-    /// (a head or equality variable in no atom); callers should fall back
-    /// to the legacy evaluators in that case.
+    /// (a head or equality variable in no atom); callers should use the
+    /// reference evaluator in that case.
     pub fn compile(ucq: &Ucq, params: &BTreeSet<Var>) -> Result<CompiledPlan, PlanError> {
         let cqs = ucq
             .disjuncts

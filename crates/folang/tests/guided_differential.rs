@@ -192,6 +192,51 @@ fn guided_joins_agree_with_enumeration_on_exists_conjunctions() {
     }
 }
 
+#[test]
+fn guided_joins_agree_with_enumeration_on_exists_disjunctions() {
+    // ∃-closed UCQ formulas: a disjunction of conjunctive bodies, each
+    // with its own inner ∃-block, closed over the variables left free.
+    let mut held = 0;
+    for seed in 0..6u64 {
+        let mut rng = SplitMix64(0xd15_1ac7 ^ seed.wrapping_mul(0x9e37_79b9));
+        for _ in 0..60 {
+            let (schema, consts, rels, inst) = setup(&mut rng);
+            let nvars = 2 + rng.gen_range(3);
+            let vars = &VAR_NAMES[..nvars];
+            let mut ucq: Option<Formula> = None;
+            for _ in 0..2 + rng.gen_range(2) {
+                let mut body = random_atom(&mut rng, &schema, &rels, &consts, vars);
+                for _ in 0..rng.gen_range(3) {
+                    body = body.and(random_atom(&mut rng, &schema, &rels, &consts, vars));
+                }
+                if rng.gen_range(2) == 0 {
+                    body = body.and(random_leaf(&mut rng, &schema, &rels, &consts, vars));
+                }
+                for v in vars.iter().filter(|_| rng.gen_range(2) == 0) {
+                    body = Formula::exists(*v, body);
+                }
+                ucq = Some(match ucq {
+                    Some(u) => u.or(body),
+                    None => body,
+                });
+            }
+            let mut f = ucq.expect("at least two disjuncts");
+            for v in f.free_vars() {
+                f = Formula::Exists(v, Box::new(f));
+            }
+            let guided = holds_closed(&f, &inst).unwrap();
+            let unguided = holds_unguided(&f, &inst, &Assignment::new()).unwrap();
+            assert_eq!(
+                guided, unguided,
+                "diverged on {f:?} over {inst:?} (seed {seed})"
+            );
+            held += usize::from(guided);
+        }
+    }
+    // Both verdicts occur in bulk.
+    assert!((60..300).contains(&held), "{held} of 360 held");
+}
+
 /// Variables of the top-level conjunct atoms.
 fn atom_vars(f: &Formula) -> BTreeSet<Var> {
     match f {

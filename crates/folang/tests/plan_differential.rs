@@ -1,11 +1,8 @@
-//! Always-on differential test for the compiled query plans.
+//! Seeded differential test for the compiled query plans.
 //!
-//! The proptest suite (`eval_agreement.rs`) is feature-gated because the
-//! `proptest` crate is not available in offline builds, so this file
-//! carries the differential weight unconditionally: a deterministic
-//! SplitMix64 generator produces random schemas, instances, and UCQs
-//! (with equalities and parameter bindings), and every case is checked
-//! four ways —
+//! Runs offline: a deterministic SplitMix64 generator produces random
+//! schemas, instances, and UCQs (with equalities and parameter bindings),
+//! and every case is checked four ways —
 //!
 //! 1. the reference active-domain evaluator (`answers`),
 //! 2. the nested-loop join evaluator (`eval_ucq`),

@@ -13,7 +13,7 @@
 //! systems, for 1, 2, and 8 worker threads.
 
 use dcds_verify::abstraction::{
-    det_abstraction_traced, rcycl_traced, AbsOptions, DedupStrategy, DetAbstraction, RcyclResult,
+    det_abstraction_traced, rcycl_traced, reference, AbsOptions, DetAbstraction, RcyclResult,
 };
 use dcds_verify::bench::{examples, travel};
 use dcds_verify::core::explore::{explore_det_traced, CommitmentOracle, Limits};
@@ -22,7 +22,7 @@ use dcds_verify::obs::Obs;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn det_runs(dcds: &Dcds, max_states: usize, strategy: DedupStrategy) -> Vec<DetAbstraction> {
+fn det_runs(dcds: &Dcds, max_states: usize) -> Vec<DetAbstraction> {
     THREAD_COUNTS
         .into_iter()
         .map(|threads| {
@@ -30,7 +30,6 @@ fn det_runs(dcds: &Dcds, max_states: usize, strategy: DedupStrategy) -> Vec<DetA
                 dcds,
                 max_states,
                 AbsOptions {
-                    strategy,
                     threads,
                     ..AbsOptions::default()
                 },
@@ -106,17 +105,15 @@ fn det_abstraction_examples_are_thread_count_invariant() {
             60,
         ),
     ] {
-        for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-            let runs = det_runs(&dcds, budget, strategy);
-            assert_det_runs_identical(name, &runs);
-        }
+        let runs = det_runs(&dcds, budget);
+        assert_det_runs_identical(name, &runs);
     }
 }
 
 #[test]
 fn det_abstraction_travel_audit_is_thread_count_invariant() {
     let dcds = travel::audit_system_small();
-    let runs = det_runs(&dcds, 80, DedupStrategy::CanonicalKey);
+    let runs = det_runs(&dcds, 80);
     assert_det_runs_identical("travel audit (small)", &runs);
     // The workload is non-trivial: every run expanded real frontiers.
     assert!(runs[0].counters.states_expanded > 1);
@@ -166,31 +163,20 @@ fn bounded_explorer_is_thread_count_invariant() {
 }
 
 #[test]
-fn dedup_strategies_agree_on_travel_audit() {
-    // The signature-bucketed lazy canonical-key index and the
-    // signature-bucketed pairwise matcher define the same quotient.
+fn det_abstraction_matches_reference_on_travel_audit() {
+    // The signature-bucketed canonical-key index defines the same quotient
+    // as the pairwise-isomorphism reference construction.
     let dcds = travel::audit_system_small();
-    let a = det_abstraction_traced(
+    let abs = det_abstraction_traced(
         &dcds,
         80,
         AbsOptions {
-            strategy: DedupStrategy::CanonicalKey,
             threads: 4,
             ..AbsOptions::default()
         },
         &Obs::disabled(),
     );
-    let b = det_abstraction_traced(
-        &dcds,
-        80,
-        AbsOptions {
-            strategy: DedupStrategy::PairwiseIso,
-            threads: 4,
-            ..AbsOptions::default()
-        },
-        &Obs::disabled(),
-    );
-    assert_eq!(a.ts.num_states(), b.ts.num_states());
-    assert_eq!(a.ts.num_edges(), b.ts.num_edges());
-    assert_eq!(a.outcome, b.outcome);
+    let (ref_ts, ref_outcome, _) = reference::det_abstraction(&dcds, 80);
+    assert_eq!(abs.outcome, ref_outcome);
+    assert_eq!(abs.ts.into_ts(), ref_ts);
 }
