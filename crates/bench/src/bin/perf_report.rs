@@ -33,10 +33,11 @@
 //! and prints the same numbers as tables. Every artifact embeds a
 //! `metrics_snapshot` from an instrumented run of a representative
 //! workload (for `BENCH_scale` that includes the `store.*` gauges).
-//! `BENCH_mucalc.json` also carries a `symbolic` stanza: the backward
-//! regression engine proving the `unbounded_safe` AG property, with the
-//! full `SymCounters` (iterations, kept clauses, subsumption, peak
-//! frontier) next to its wall time.
+//! `BENCH_mucalc.json` also carries a list of `symbolic` stanzas: the
+//! backward regression engine proving the `unbounded_safe` AG property and
+//! the `bad_free_shuffle` family's, each with the full `SymCounters`
+//! (iterations, kept clauses, subsumption, peak frontier) next to its wall
+//! time.
 //!
 //! Usage: `cargo run --release --bin perf_report [-- --reps N] [-- --scale K]
 //! [-- --baseline DIR] [-- --smoke]`
@@ -641,32 +642,59 @@ fn has_arg(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// The symbolic-engine stanza of `BENCH_mucalc.json`: prove the
-/// `unbounded_safe` AG property (undecidable for the explicit engines —
-/// the spec is run-unbounded) by backward regression, and report the wall
-/// time next to the full `SymCounters`.
-fn bench_symbolic(reps: usize) -> (f64, dcds_symbolic::SymCounters) {
+/// One symbolic-engine stanza of `BENCH_mucalc.json`.
+struct SymLoad {
+    spec: &'static str,
+    property: String,
+    /// Best-of-`reps` wall-clock seconds.
+    secs: f64,
+    counters: dcds_symbolic::SymCounters,
+}
+
+/// The symbolic-engine stanzas of `BENCH_mucalc.json`: prove AG
+/// properties the explicit engines cannot decide (both specs are
+/// run-unbounded) by backward regression, and report each wall time next
+/// to the full `SymCounters`. `unbounded_safe` closes after one regression;
+/// `bad_free_shuffle` is the benchmark's symbolic workload, slow enough
+/// for `--baseline` to gate the regression and subsumption layers.
+fn bench_symbolic(reps: usize) -> Vec<SymLoad> {
     let src = include_str!(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../specs/unbounded_safe.dcds"
     ));
-    let dcds = parse_dcds(src).expect("unbounded_safe.dcds parses");
-    let mut schema = dcds.data.schema.clone();
-    let mut pool = dcds.data.pool.clone();
-    let phi = parse_mu(
-        "nu Z . (forall Y . Flag(Y) -> Y = 'ok') & [] Z",
-        &mut schema,
-        &mut pool,
-    )
-    .expect("safety property parses");
-    let (secs, run) = time_best(reps, || {
-        check_safety(&dcds, &phi, &SymOptions::default()).expect("symbolic run succeeds")
-    });
-    assert!(
-        matches!(run.verdict, SymVerdict::Holds(_)),
-        "unbounded_safe must verify symbolically"
-    );
-    (secs, run.counters)
+    let loads = [
+        (
+            "unbounded_safe",
+            parse_dcds(src).expect("unbounded_safe.dcds parses"),
+            "nu Z . (forall Y . Flag(Y) -> Y = 'ok') & [] Z".to_owned(),
+        ),
+        (
+            "bad_free_shuffle(8,4)",
+            synthetic::bad_free_shuffle(8),
+            synthetic::bad_free_shuffle_property(4),
+        ),
+    ];
+    loads
+        .into_iter()
+        .map(|(spec, dcds, property)| {
+            let mut schema = dcds.data.schema.clone();
+            let mut pool = dcds.data.pool.clone();
+            let phi = parse_mu(&property, &mut schema, &mut pool).expect("safety property parses");
+            let (secs, run) = time_best(reps, || {
+                check_safety(&dcds, &phi, &SymOptions::default()).expect("symbolic run succeeds")
+            });
+            assert!(
+                matches!(run.verdict, SymVerdict::Holds(_)),
+                "{spec} must verify symbolically"
+            );
+            SymLoad {
+                spec,
+                property,
+                secs,
+                counters: run.counters,
+            }
+        })
+        .collect()
 }
 
 /// Absolute states/s floor for `collision_pairs` in the scale stage — the
@@ -987,25 +1015,30 @@ fn main() {
     }
     let snapshot = obs.finish().expect("obs enabled").metrics;
 
-    // Symbolic backward-reachability stanza: the engine the explicit
-    // benchmarks cannot cover (the spec is run-unbounded).
-    let (sym_secs, sym_counters) = bench_symbolic(reps);
-    println!(
-        "\nsymbolic engine — unbounded_safe, AG flag stays 'ok' (best of {reps})\n  \
-         {sym_secs:.4}s, {} iterations, {} kept clauses, {} subsumed, peak frontier {}",
-        sym_counters.iterations,
-        sym_counters.kept,
-        sym_counters.subsumed,
-        sym_counters.peak_frontier
-    );
-    let _ = writeln!(
-        json,
-        "  \"symbolic\": {{\"spec\": \"unbounded_safe\", \
-         \"property\": \"AG forall Y . Flag(Y) -> Y = 'ok'\", \"holds\": true, \
-         \"secs\": {}, \"counters\": {}}},",
-        json_f64(sym_secs),
-        sym_counters.to_json()
-    );
+    // Symbolic backward-reachability stanzas: the engine the explicit
+    // benchmarks cannot cover (the specs are run-unbounded).
+    let sym_loads = bench_symbolic(reps);
+    let _ = writeln!(json, "  \"symbolic\": [");
+    for (i, w) in sym_loads.iter().enumerate() {
+        let c = &w.counters;
+        println!(
+            "\nsymbolic engine — {} (best of {reps})\n  \
+             {:.4}s, {} iterations, {} candidates, {} kept clauses, {} subsumed, \
+             peak frontier {}",
+            w.spec, w.secs, c.iterations, c.candidates, c.kept, c.subsumed, c.peak_frontier
+        );
+        let _ = writeln!(
+            json,
+            "    {{\"spec\": \"{}\", \"property\": \"{}\", \"holds\": true, \
+             \"secs\": {}, \"counters\": {}}}{}",
+            w.spec,
+            w.property,
+            json_f64(w.secs),
+            c.to_json(),
+            if i + 1 < sym_loads.len() { "," } else { "" }
+        );
+    }
+    let _ = writeln!(json, "  ],");
 
     let _ = writeln!(json, "  \"metrics_snapshot\": {}", snapshot.to_json());
     json.push_str("}\n");

@@ -297,7 +297,7 @@ pub fn extract(doc: &Value) -> BTreeMap<String, Metric> {
                     );
                 }
             }
-            if let Some(sym) = doc.get("symbolic") {
+            for sym in doc.get("symbolic").map(Value::items).unwrap_or(&[]) {
                 let name = sym.get("spec").and_then(Value::as_str).unwrap_or("?");
                 put(
                     format!("symbolic/{name}/secs"),
@@ -497,12 +497,14 @@ mod tests {
             r#"{"benchmark": "mucalc-staged-engine", "workloads": [
                 {"name": "m", "naive_secs": 0.2,
                  "runs": [{"threads": 1, "secs": 0.05}]}],
-                "symbolic": {"spec": "unbounded_safe", "secs": 0.3}}"#,
+                "symbolic": [{"spec": "unbounded_safe", "secs": 0.3},
+                             {"spec": "shuffle", "secs": 0.02}]}"#,
         )
         .unwrap();
         let metrics = extract(&mc);
-        assert_eq!(metrics.len(), 3);
+        assert_eq!(metrics.len(), 4);
         assert!(metrics.contains_key("symbolic/unbounded_safe/secs"));
+        assert!(metrics.contains_key("symbolic/shuffle/secs"));
     }
 
     #[test]

@@ -235,6 +235,72 @@ pub fn collision_pairs(n: usize) -> Dcds {
     b.build().expect("collision pairs")
 }
 
+/// The run-unbounded family of the symbolic engine: a value chase through
+/// the deterministic service `f` (`Chase(X) ~> Chase(f(X))`) makes it not
+/// weakly acyclic, so only the symbolic engine decides it. Under a phase
+/// token cycling through `p0 … p{phases-1}`, `G`, `H` and `K` shuffle
+/// values among themselves (even phases `K → H → G`, odd ones `H → K`),
+/// while no effect ever fills `Bad` beyond itself. The property
+/// [`bad_free_shuffle_property`] is therefore safe, but regression has to
+/// enumerate how values could have been shuffled into `H` before the clause
+/// set closes. Facts and effects come in the order of the generator's spec
+/// text, so relations and values are numbered alike and the engine does
+/// the same work.
+pub fn bad_free_shuffle(phases: usize) -> Dcds {
+    let phases = phases.max(1);
+    let mut b = DcdsBuilder::new();
+    for rel in ["Phase", "Chase", "G", "H", "K", "Bad"] {
+        b = b.relation(rel, 1);
+    }
+    b = b
+        .service("f", 1, ServiceKind::Deterministic)
+        .init_fact("Phase", &["p0"])
+        .init_fact("Chase", &["c0"])
+        .init_fact("G", &["g0"])
+        .init_fact("H", &["h0"])
+        .init_fact("K", &["k0"]);
+    for p in 0..phases {
+        let next = (p + 1) % phases;
+        b = b.action(&format!("shuffle{p}"), &[], |a| {
+            a.effect(&format!("Phase('p{p}')"), &format!("Phase('p{next}')"));
+            a.effect("Chase(X)", "Chase(f(X))");
+            a.effect("G(X)", "H(X)");
+            a.effect("H(X)", "H(X)");
+            a.effect("Bad(X)", "Bad(X)");
+            if p % 2 == 0 {
+                a.effect("K(X)", "H(X)");
+                a.effect("H(X)", "G(X)");
+            } else {
+                a.effect("H(X)", "K(X)");
+                a.effect("G(X)", "G(X)");
+                a.effect("K(X)", "K(X)");
+            }
+        });
+    }
+    for p in 0..phases {
+        b = b.rule(&format!("Phase('p{p}')"), &format!("shuffle{p}"));
+    }
+    b.build().expect("bad-free shuffle")
+}
+
+/// The safe AG property of [`bad_free_shuffle`]: `H` never holds `arity`
+/// pairwise distinct values the first of which is also in `Bad`.
+pub fn bad_free_shuffle_property(arity: usize) -> String {
+    let xs: Vec<String> = (0..arity.max(1)).map(|i| format!("X{i}")).collect();
+    let mut body: Vec<String> = xs.iter().map(|x| format!("H({x})")).collect();
+    body.push("Bad(X0)".to_owned());
+    for (i, a) in xs.iter().enumerate() {
+        for b in &xs[i + 1..] {
+            body.push(format!("{a} != {b}"));
+        }
+    }
+    format!(
+        "nu Z . (!(exists {} . {})) & [] Z",
+        xs.join(", "),
+        body.join(" & ")
+    )
+}
+
 /// Parameters for random DCDS generation.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomParams {

@@ -33,6 +33,7 @@ use dcds_obs::{event, span, Obs};
 use dcds_reldata::{ConstantPool, Instance};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Budgets for the symbolic engine.
 #[derive(Debug, Clone)]
@@ -63,7 +64,9 @@ pub struct SymCounters {
     pub iterations: u64,
     /// Clause × action regressions performed.
     pub regressions: u64,
-    /// Candidate clauses built (before normalisation).
+    /// Candidate clauses built (before normalisation). Regression prunes
+    /// production options that clash with the target on a constant before
+    /// building anything, so those never count here.
     pub candidates: u64,
     /// Clauses kept in the backward-reachable set.
     pub kept: u64,
@@ -71,7 +74,8 @@ pub struct SymCounters {
     pub exact_dups: u64,
     /// Candidates dropped by subsumption.
     pub subsumed: u64,
-    /// Candidates dropped as unsatisfiable (normalisation).
+    /// Built candidates that normalisation found contradictory (constant
+    /// clashes are pruned earlier and never reach this count).
     pub unsat_dropped: u64,
     /// Candidates dropped by integrity-constraint pruning.
     pub constraint_pruned: u64,
@@ -260,7 +264,15 @@ fn backward_reach(
 
     // Seed with the bad condition itself (level 0).
     for c in bad_clauses {
-        admit(c, &guards, &mut kept, &mut keys, &mut frontier, counters);
+        admit(
+            c,
+            &guards,
+            &mut kept,
+            &mut keys,
+            &mut frontier,
+            counters,
+            &mut PhaseClock::off(),
+        );
     }
     counters.peak_frontier = counters.peak_frontier.max(frontier.len() as u64);
     let seed_hits = frontier.iter().filter(|c| c.may_hold_in(init)).count() as u64;
@@ -315,13 +327,15 @@ fn backward_reach(
         level += 1;
         counters.iterations += 1;
         let _iter_span = span!(obs, "symbolic.iter", level = level as u64);
+        let mut regress_clock = PhaseClock::new(obs);
+        let mut subsume_clock = PhaseClock::new(obs);
 
         let mut new_frontier: Vec<Clause> = Vec::new();
         'outer: for target in &frontier {
             for &action in &actions {
                 counters.regressions += 1;
                 let budget = opts.max_clauses.saturating_sub(keys.len()).max(1);
-                let out = regress(dcds, target, action, budget);
+                let out = regress_clock.time(|| regress(dcds, target, action, budget));
                 counters.candidates += out.candidates;
                 counters.qminus_dropped += out.qminus_dropped;
                 counters.cond_dropped += out.cond_dropped;
@@ -337,6 +351,7 @@ fn backward_reach(
                         &mut keys,
                         &mut new_frontier,
                         counters,
+                        &mut subsume_clock,
                     );
                     if keys.len() >= opts.max_clauses {
                         clause_budget_hit = true;
@@ -346,6 +361,8 @@ fn backward_reach(
             }
         }
 
+        regress_clock.publish(obs, "sym.regress_us");
+        subsume_clock.publish(obs, "sym.subsume_us");
         counters.peak_frontier = counters.peak_frontier.max(new_frontier.len() as u64);
         event!(
             obs,
@@ -372,8 +389,42 @@ fn backward_reach(
     }
 }
 
+/// Wall time of one engine phase summed over the calls of one level, and
+/// published as one `*_us` sample per level. Inert while observability is
+/// off: the clock is never read.
+struct PhaseClock(Option<Duration>);
+
+impl PhaseClock {
+    fn new(obs: &Obs) -> PhaseClock {
+        PhaseClock(obs.is_enabled().then_some(Duration::ZERO))
+    }
+
+    fn off() -> PhaseClock {
+        PhaseClock(None)
+    }
+
+    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let Some(total) = &mut self.0 else {
+            return f();
+        };
+        let t0 = Instant::now();
+        let r = f();
+        *total += t0.elapsed();
+        r
+    }
+
+    /// Record the level's total into the `name` histogram; like every
+    /// `*_us` histogram it stays out of the deterministic snapshot.
+    fn publish(self, obs: &Obs, name: &'static str) {
+        if let Some(total) = self.0 {
+            obs.histogram(name, total.as_micros() as u64);
+        }
+    }
+}
+
 /// Normalised-candidate admission: constraint pruning, exact-duplicate
-/// and subsumption filtering, then keep.
+/// and subsumption filtering, then keep. Only kept clauses whose relations
+/// all occur in the candidate are probed for subsumption.
 fn admit(
     cand: Clause,
     guards: &[crate::constraints::GuardedConstraint],
@@ -381,6 +432,7 @@ fn admit(
     keys: &mut BTreeSet<ClauseKey>,
     frontier: &mut Vec<Clause>,
     counters: &mut SymCounters,
+    subsume_clock: &mut PhaseClock,
 ) {
     if clause_violates(&cand, guards) {
         counters.constraint_pruned += 1;
@@ -391,7 +443,11 @@ fn admit(
         return;
     }
     let ctx = ClauseCtx::new(cand);
-    if kept.iter().any(|k| subsumes(&k.clause, &ctx)) {
+    let subsumed = subsume_clock.time(|| {
+        kept.iter()
+            .any(|k| k.may_subsume(&ctx) && subsumes(&k.clause, &ctx))
+    });
+    if subsumed {
         counters.subsumed += 1;
         return;
     }

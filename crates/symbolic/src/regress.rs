@@ -8,6 +8,11 @@
 //! must be produced by some (effect, head fact, q⁺ disjunct) choice, while
 //! the state must also let some condition–action rule fire `α`.
 //!
+//! A choice whose head fact puts a constant where the target atom holds a
+//! different constant can never produce the atom; such choices are pruned
+//! before any candidate is built, so the enumeration only builds clauses
+//! that could survive normalisation on that account.
+//!
 //! Per-atom variable copies are exact: `DO` unions the heads over *all*
 //! answers of each effect, so distinct target atoms may be produced by
 //! distinct answers, and equal answers are the special case where the
@@ -38,7 +43,9 @@ use std::collections::BTreeMap;
 pub struct RegressOut {
     /// Normalised precondition clauses (unsatisfiable candidates dropped).
     pub clauses: Vec<Clause>,
-    /// Candidate clauses built before normalisation.
+    /// Candidate clauses built before normalisation. Production options
+    /// that clash with the target on a constant are never built, so this
+    /// counts only candidates that survive that pruning.
     pub candidates: u64,
     /// Times a non-UCQ effect filter `Q⁻` was dropped (over-approximation).
     pub qminus_dropped: u64,
@@ -139,11 +146,11 @@ pub fn regress(dcds: &Dcds, target: &Clause, action: ActionId, limit: usize) -> 
 
     // Production options per target atom.
     let mut options: Vec<Vec<AtomOption>> = Vec::with_capacity(target.atoms.len());
-    for (rel, _) in &target.atoms {
+    for (rel, terms) in &target.atoms {
         let mut opts = Vec::new();
         for (eix, effect) in act.effects.iter().enumerate() {
-            for (hix, (hrel, _)) in effect.head.iter().enumerate() {
-                if hrel != rel {
+            for (hix, (hrel, hterms)) in effect.head.iter().enumerate() {
+                if hrel != rel || constant_clash(terms, hterms) {
                     continue;
                 }
                 for qix in 0..effect.qplus.disjuncts.len() {
@@ -210,6 +217,17 @@ pub fn regress(dcds: &Dcds, target: &Clause, action: ActionId, limit: usize) -> 
         }
     }
     out
+}
+
+/// Does some position hold a constant in the target atom and a different
+/// constant in the head fact? Every candidate built from that head would
+/// equate two distinct constants, which [`Clause::normalize`] rejects, so
+/// the option is dropped before any candidate is built.
+fn constant_clash(target: &[STerm], head: &[ETerm]) -> bool {
+    target
+        .iter()
+        .zip(head)
+        .any(|pair| matches!(pair, (STerm::Const(a), ETerm::Base(BaseTerm::Const(b))) if a != b))
 }
 
 /// Fresh-variable allocator plus the shared maps of one candidate.
@@ -411,5 +429,75 @@ fn base_resolved(t: &BaseTerm, copy: &BTreeMap<Var, SVar>, vars: &mut CandidateV
                 STerm::Var(vars.fresh())
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcds_core::DcdsBuilder;
+
+    /// Two actions passing a phase token `p0 → p1 → p0`, each sustaining
+    /// `R`.
+    fn phased() -> Dcds {
+        DcdsBuilder::new()
+            .relation("Phase", 1)
+            .relation("R", 1)
+            .init_fact("Phase", &["p0"])
+            .init_fact("R", &["a"])
+            .action("step0", &[], |a| {
+                a.effect("Phase('p0')", "Phase('p1')");
+                a.effect("R(X)", "R(X)");
+            })
+            .action("step1", &[], |a| {
+                a.effect("Phase('p1')", "Phase('p0')");
+                a.effect("R(X)", "R(X)");
+            })
+            .rule("Phase('p0')", "step0")
+            .rule("Phase('p1')", "step1")
+            .build()
+            .unwrap()
+    }
+
+    /// `∃x. Phase(phase) ∧ R(x)`.
+    fn phase_target(dcds: &Dcds, phase: &str) -> Clause {
+        let schema = &dcds.data.schema;
+        let value = dcds.data.pool.get(phase).unwrap();
+        Clause {
+            atoms: vec![
+                (schema.rel_id("Phase").unwrap(), vec![STerm::Const(value)]),
+                (schema.rel_id("R").unwrap(), vec![STerm::Var(0)]),
+            ],
+            eqs: vec![],
+            neqs: vec![],
+            level: 0,
+        }
+    }
+
+    #[test]
+    fn a_constant_no_head_produces_builds_no_candidate() {
+        // `a` is a value of the spec, but no head writes it into `Phase`.
+        let dcds = phased();
+        let target = phase_target(&dcds, "a");
+        for name in ["step0", "step1"] {
+            let out = regress(&dcds, &target, dcds.action_id(name).unwrap(), 100);
+            assert_eq!(out.candidates, 0, "{name}");
+            assert!(out.clauses.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_phase_guarded_target_regresses_only_through_its_producer() {
+        let dcds = phased();
+        let target = phase_target(&dcds, "p1");
+        let step0 = regress(&dcds, &target, dcds.action_id("step0").unwrap(), 100);
+        let step1 = regress(&dcds, &target, dcds.action_id("step1").unwrap(), 100);
+        assert_eq!((step0.candidates, step1.candidates), (1, 0));
+        // The precondition: the token sat at `p0`, and `R` was non-empty.
+        let p0 = STerm::Const(dcds.data.pool.get("p0").unwrap());
+        let pre = &step0.clauses[0];
+        let phase = dcds.data.schema.rel_id("Phase").unwrap();
+        assert!(pre.atoms.contains(&(phase, vec![p0])), "{pre:?}");
+        assert!(step1.clauses.is_empty());
     }
 }

@@ -7,6 +7,12 @@
 //! closure), every equality of `C` onto an equality `D` entails, and every
 //! disequality of `C` onto a disequality `D` entails.
 //!
+//! Every atom of `C` must land on an atom of `D` over the same relation,
+//! so `C` can only subsume `D` when `C`'s relations are a subset of `D`'s.
+//! [`ClauseCtx::may_subsume`] tests that on precomputed bitsets before the
+//! search clones a closure. A set, not a multiset: several atoms of `C`
+//! may map onto one atom of `D`.
+//!
 //! The search is sound but deliberately incomplete (application arguments
 //! must be bound before an application position can be checked); a missed
 //! subsumption only keeps a redundant clause around, never changes a
@@ -17,6 +23,27 @@ use dcds_analysis::cc::{Cc, TermId};
 use dcds_reldata::RelId;
 use std::collections::BTreeMap;
 
+/// A set of relations, as a bitset indexed by [`RelId`].
+#[derive(Default)]
+struct RelSet(Vec<u64>);
+
+impl RelSet {
+    fn insert(&mut self, rel: RelId) {
+        let (word, bit) = (rel.index() / 64, rel.index() % 64);
+        if self.0.len() <= word {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << bit;
+    }
+
+    fn is_subset(&self, other: &RelSet) -> bool {
+        self.0
+            .iter()
+            .enumerate()
+            .all(|(i, w)| (w & !other.0.get(i).copied().unwrap_or(0)) == 0)
+    }
+}
+
 /// A kept clause together with its interned congruence closure, built once
 /// and cloned per subsumption probe.
 pub struct ClauseCtx {
@@ -26,6 +53,8 @@ pub struct ClauseCtx {
     cc: Cc,
     /// The clause's atoms with positions as closure term ids.
     atom_ids: Vec<(RelId, Vec<TermId>)>,
+    /// The relations of the clause's atoms.
+    rels: RelSet,
 }
 
 impl ClauseCtx {
@@ -33,9 +62,11 @@ impl ClauseCtx {
     pub fn new(clause: Clause) -> ClauseCtx {
         let mut cc = Cc::new();
         let mut atom_ids = Vec::with_capacity(clause.atoms.len());
+        let mut rels = RelSet::default();
         for (rel, ts) in &clause.atoms {
             let ids: Vec<TermId> = ts.iter().map(|t| t.intern(&mut cc)).collect();
             atom_ids.push((*rel, ids));
+            rels.insert(*rel);
         }
         let eq_ids: Vec<(TermId, TermId)> = clause
             .eqs
@@ -57,7 +88,15 @@ impl ClauseCtx {
             clause,
             cc,
             atom_ids,
+            rels,
         }
+    }
+
+    /// Can this clause subsume `d` at all? False when one of its relations
+    /// has no atom in `d`, which [`subsumes`] would then reject; true
+    /// otherwise, so the filter never loses a subsumption.
+    pub fn may_subsume(&self, d: &ClauseCtx) -> bool {
+        self.rels.is_subset(&d.rels)
     }
 }
 
@@ -265,5 +304,55 @@ mod tests {
         let c = clause(vec![]);
         let d = ClauseCtx::new(clause(vec![(rel(0), vec![STerm::Var(0)])]));
         assert!(subsumes(&c, &d));
+    }
+
+    #[test]
+    fn relation_prefilter_never_rejects_a_subsumption() {
+        let x = || STerm::Var(0);
+        let y = || STerm::Var(1);
+        let a = || STerm::Const(val(0));
+        // Relations 64 and up sit past the first bitset word.
+        let clauses = vec![
+            clause(vec![]),
+            clause(vec![(rel(0), vec![x()])]),
+            clause(vec![(rel(0), vec![x()]), (rel(0), vec![y()])]),
+            clause(vec![(rel(0), vec![a()])]),
+            clause(vec![(rel(0), vec![a()]), (rel(1), vec![a()])]),
+            clause(vec![(rel(64), vec![x()])]),
+            clause(vec![(rel(64), vec![a()]), (rel(1), vec![a()])]),
+            clause(vec![(rel(130), vec![x()]), (rel(0), vec![x()])]),
+            clause(vec![
+                (rel(130), vec![a()]),
+                (rel(64), vec![a()]),
+                (rel(0), vec![a()]),
+            ]),
+        ];
+        let ctxs: Vec<ClauseCtx> = clauses.iter().cloned().map(ClauseCtx::new).collect();
+        let mut subsumptions = 0;
+        for c in &ctxs {
+            for d in &ctxs {
+                if subsumes(&c.clause, d) {
+                    subsumptions += 1;
+                    assert!(c.may_subsume(d), "{:?} ⊑ {:?}", c.clause, d.clause);
+                }
+            }
+        }
+        assert!(
+            subsumptions > ctxs.len(),
+            "the pairs must include real work"
+        );
+
+        // Two atoms of `C` onto one atom of `D`: R(x) ∧ R(y) subsumes R(a).
+        assert!(ctxs[2].may_subsume(&ctxs[3]) && subsumes(&ctxs[2].clause, &ctxs[3]));
+        // The empty clause passes the filter against anything, and nothing
+        // with an atom passes it against the empty clause.
+        assert!(ctxs.iter().all(|d| ctxs[0].may_subsume(d)));
+        assert!(ctxs[1..].iter().all(|c| !c.may_subsume(&ctxs[0])));
+        // A relation `D` lacks rejects the pair, whichever word it sits in.
+        assert!(!ctxs[5].may_subsume(&ctxs[4]));
+        assert!(ctxs[5].may_subsume(&ctxs[6]));
+        assert!(!ctxs[7].may_subsume(&ctxs[6]));
+        assert!(ctxs[7].may_subsume(&ctxs[8]) && subsumes(&ctxs[7].clause, &ctxs[8]));
+        assert!(!ctxs[8].may_subsume(&ctxs[7]));
     }
 }

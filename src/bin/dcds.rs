@@ -49,7 +49,8 @@
 //! Scripting/CI contract: **0** — the property holds on a complete
 //! abstraction; **1** — the property is violated on a complete abstraction;
 //! **2** — inconclusive (the state budget was hit, so the abstraction is
-//! truncated and the verdict only valid up to the budget). Parse and usage
+//! truncated and no verdict is drawn: `verdict: inconclusive (…)` in text,
+//! `"verdict":null` with a `"reason"` in JSON). Parse and usage
 //! errors keep the ordinary failure path (exit 1 with a message on stderr,
 //! distinguishable from a violation verdict by the `error:` prefix).
 //!
@@ -471,14 +472,24 @@ fn do_check(
     let (ts, pool, complete, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     let run = check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
     let verdict = run.holds;
+    // A truncated abstraction decides nothing, so no verdict is reported:
+    // the same output contract as the symbolic engine's inconclusive runs.
+    let inconclusive = (!complete).then(|| format!("state budget of {max_states} states hit"));
     match format {
         OutputFormat::Json => {
             // One JSON object: the machine-readable counterpart of the
             // text report, counters included (serde-free `to_json`).
+            let (verdict, reason) = match &inconclusive {
+                None => (verdict.to_string(), String::new()),
+                Some(r) => (
+                    "null".to_string(),
+                    format!(",\"reason\":\"{}\"", json_escape(r)),
+                ),
+            };
             println!(
                 "{{\"fragment\":\"{}\",\"abstraction\":{{\"how\":\"{}\",\"states\":{},\
                  \"edges\":{},\"complete\":{}}},\"engine_counters\":{},\"mc_counters\":{},\
-                 \"verdict\":{}}}",
+                 \"verdict\":{verdict}{reason}}}",
                 json_escape(&format!("{fragment:?}")),
                 json_escape(how),
                 ts.num_states(),
@@ -486,7 +497,6 @@ fn do_check(
                 complete,
                 counters.to_json(),
                 run.counters.to_json(),
-                verdict
             );
         }
         OutputFormat::Text => {
@@ -497,8 +507,7 @@ fn do_check(
             );
             if !complete {
                 eprintln!(
-                    "WARNING: the abstraction is truncated; the verdict is only valid \
-                     up to the budget"
+                    "WARNING: the abstraction is truncated; raise --max-states for a verdict"
                 );
             }
             eprintln!(
@@ -512,7 +521,10 @@ fn do_check(
                     rate * 100.0
                 );
             }
-            println!("verdict: {verdict}");
+            match &inconclusive {
+                None => println!("verdict: {verdict}"),
+                Some(r) => println!("verdict: inconclusive ({r})"),
+            }
         }
     }
     if witness {

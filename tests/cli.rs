@@ -137,6 +137,28 @@ fn check_truncated_abstraction_is_inconclusive() {
     ]);
     assert_eq!(code, 2, "{text}");
     assert!(text.contains("truncated"), "{text}");
+    assert!(
+        text.contains("verdict: inconclusive (state budget of 3 states hit)"),
+        "{text}"
+    );
+    assert!(!text.contains("verdict: true"), "{text}");
+
+    // The JSON report carries no verdict either, only the reason.
+    let (code, stdout, _stderr) = dcds_streams(&[
+        "check",
+        &spec("unbounded_safe.dcds"),
+        "nu Z . true & [] Z",
+        "--max-states",
+        "50",
+        "--format",
+        "json",
+    ]);
+    assert_eq!(code, 2, "{stdout}");
+    assert!(stdout.contains("\"complete\":false"), "{stdout}");
+    assert!(
+        stdout.contains("\"verdict\":null,\"reason\":\"state budget of 50 states hit\"}"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -14,6 +14,7 @@
 
 use dcds_verify::abstraction::{det_abstraction, rcycl, AbsOutcome};
 use dcds_verify::bench::rng::SplitMix64;
+use dcds_verify::bench::synthetic;
 use dcds_verify::core::{parse_dcds, Dcds, DcdsBuilder, ServiceKind, Ts};
 use dcds_verify::mucalc::{check, check_traced, parse_mu, McOptions};
 use dcds_verify::obs::Obs;
@@ -215,4 +216,39 @@ fn seeded_random_weakly_acyclic_systems_agree() {
         definitive >= 3 * (definitive + inconclusive) / 4,
         "too many inconclusive verdicts: {definitive} definitive vs {inconclusive} inconclusive"
     );
+}
+
+#[test]
+fn bad_free_shuffle_counters_are_pinned() {
+    // The run-unbounded workload of the spec-to-verdict benchmark (8
+    // phases, 4 values). Its search counters are fixed by construction;
+    // they pin the clause set the regression and subsumption layers keep.
+    let dcds = synthetic::bad_free_shuffle(8);
+    let mut schema = dcds.data.schema.clone();
+    let mut pool = dcds.data.pool.clone();
+    let phi = parse_mu(
+        &synthetic::bad_free_shuffle_property(4),
+        &mut schema,
+        &mut pool,
+    )
+    .unwrap();
+    let run = check_safety(&dcds, &phi, &SymOptions::default()).unwrap();
+    assert!(matches!(run.verdict, SymVerdict::Holds(None)));
+    let c = &run.counters;
+    assert_eq!(
+        (
+            c.iterations,
+            c.regressions,
+            c.kept,
+            c.exact_dups,
+            c.subsumed
+        ),
+        (3, 1864, 233, 1260, 128)
+    );
+    assert_eq!(c.peak_frontier, 144);
+    // Options that clash on a constant are never built, so every
+    // candidate is satisfiable: each one is kept (all but the seeded bad
+    // clause), a duplicate, or subsumed.
+    assert_eq!(c.unsat_dropped, 0);
+    assert_eq!(c.candidates, 1620);
 }
