@@ -59,15 +59,14 @@
 //! keyed.
 
 use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
+use dcds_core::commitment::instantiate;
 use dcds_core::det::{det_step_with_pre, DetState};
 use dcds_core::do_op::{
     do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
     state_index, PreInstance,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{
-    enumerate_commitments, ActionId, CommitTarget, Commitment, Dcds, StateId, StateSpace,
-};
+use dcds_core::{enumerate_commitments, ActionId, Commitment, Dcds, StateId, StateSpace};
 use dcds_folang::Assignment;
 use dcds_obs::{event, span, Obs};
 use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, InstanceIndex, SigCensus, Value};
@@ -437,22 +436,10 @@ pub fn build<S: ClassStorage>(
             for (frontier_ix, per_state) in enumerated.iter().enumerate() {
                 for (_action, _sigma, pre, commitments) in per_state {
                     for commitment in commitments {
-                        let cells = dcds_core::commitment::fresh_cell_count(commitment);
-                        let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
-                        let choice = commitment
-                            .iter()
-                            .map(|(c, t)| {
-                                let v = match t {
-                                    CommitTarget::Known(v) => *v,
-                                    CommitTarget::Fresh(cell) => fresh[*cell],
-                                };
-                                (c.clone(), v)
-                            })
-                            .collect();
                         tasks.push(StepTask {
                             frontier_ix,
                             pre,
-                            choice,
+                            choice: instantiate(commitment, &mut pool),
                         });
                     }
                 }

@@ -88,7 +88,7 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
 /// [`Owned`] up to [`OWNED_MAX_STATES`], [`Store`] above.
 ///
 /// Output is identical for every `threads` value (including 1, the
-/// serial ablation baseline) and either storage. RCYCL's outer loop
+/// serial schedule) and either storage. RCYCL's outer loop
 /// cannot be level-parallelised without changing the answer: `UsedValues`
 /// evolves per `(I, α, σ)` triple and feeds the very next triple's
 /// `RecyclableValues` pick. What *is* embarrassingly parallel is the

@@ -9,9 +9,9 @@
 //!
 //! Then times the staged model checker (`dcds_mucalc::engine`) against the
 //! naive Kleene evaluator (`dcds_mucalc::mc`, kept as the differential
-//! oracle) on properties over real abstractions, at 1, 2, 4, 8 threads,
-//! recording the query-extension cache hit rate and checking that both
-//! evaluators agree on the full extension.
+//! oracle) on properties over real abstractions, at one thread, recording
+//! the query-extension cache hit rate and checking that both evaluators
+//! agree on the full extension.
 //!
 //! Finally, times the compiled query plans (`dcds_folang::plan`) against
 //! the nested-loop `eval_ucq` reference on join-heavy synthetic workloads
@@ -135,25 +135,22 @@ fn bench_rcycl(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Wor
     }
 }
 
-struct McThreadRun {
-    threads: usize,
-    secs: f64,
-}
-
 struct McWorkload {
     name: &'static str,
     property: &'static str,
     states: usize,
     /// Naive Kleene evaluator (the differential oracle), 1 thread.
     naive_secs: f64,
-    /// Staged engine at each thread count.
-    runs: Vec<McThreadRun>,
+    /// Staged engine, 1 thread.
+    secs: f64,
     counters: McCounters,
     holds: bool,
 }
 
 /// Time the naive evaluator vs the staged engine on one (system, property)
-/// pair, asserting extension-level agreement at every thread count.
+/// pair at one thread, asserting extension-level agreement. (The engine's
+/// output and counters are identical at every thread count;
+/// `mc_engine_differential` checks that, so no thread sweep is timed.)
 fn bench_mc(
     name: &'static str,
     property: &'static str,
@@ -162,23 +159,17 @@ fn bench_mc(
     reps: usize,
 ) -> McWorkload {
     let (naive_secs, oracle) = time_best(reps, || eval(phi, ts, &mut Valuation::default()));
-    let mut runs = Vec::new();
-    let mut counters = McCounters::default();
-    for threads in THREAD_COUNTS {
-        let (secs, (ext, c)) = time_best(reps, || {
-            let opts = McOptions { threads };
-            eval_traced(phi, ts, &mut Valuation::default(), opts, &Obs::disabled())
-        });
-        assert_eq!(ext, oracle, "engine disagrees with naive oracle on {name}");
-        counters = c;
-        runs.push(McThreadRun { threads, secs });
-    }
+    let (secs, (ext, counters)) = time_best(reps, || {
+        let opts = McOptions { threads: 1 };
+        eval_traced(phi, ts, &mut Valuation::default(), opts, &Obs::disabled())
+    });
+    assert_eq!(ext, oracle, "engine disagrees with naive oracle on {name}");
     McWorkload {
         name,
         property,
         states: ts.num_states(),
         naive_secs,
-        runs,
+        secs,
         counters,
         holds: oracle.contains(&ts.initial()),
     }
@@ -930,15 +921,11 @@ fn main() {
             w.name, w.property, w.states, w.holds
         );
         println!("  naive oracle: {:>10.4}s", w.naive_secs);
-        println!("  {:>7}  {:>10}  {:>12}", "threads", "secs", "vs naive");
-        for r in &w.runs {
-            println!(
-                "  {:>7}  {:>10.4}  {:>11.2}x",
-                r.threads,
-                r.secs,
-                w.naive_secs / r.secs
-            );
-        }
+        println!(
+            "  engine:       {:>10.4}s  ({:.2}x vs naive, 1 thread)",
+            w.secs,
+            w.naive_secs / w.secs
+        );
         if let Some(rate) = w.counters.cache_hit_rate() {
             println!(
                 "  query-extension cache: {:.1}% hit rate ({} hits / {} misses), \
@@ -968,16 +955,12 @@ fn main() {
         let _ = writeln!(json, "      \"holds\": {},", w.holds);
         let _ = writeln!(json, "      \"naive_secs\": {},", json_f64(w.naive_secs));
         let _ = writeln!(json, "      \"runs\": [");
-        for (ri, r) in w.runs.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "        {{\"threads\": {}, \"secs\": {}, \"speedup_vs_naive\": {}}}{}",
-                r.threads,
-                json_f64(r.secs),
-                json_f64(w.naive_secs / r.secs),
-                if ri + 1 < w.runs.len() { "," } else { "" }
-            );
-        }
+        let _ = writeln!(
+            json,
+            "        {{\"threads\": 1, \"secs\": {}, \"speedup_vs_naive\": {}}}",
+            json_f64(w.secs),
+            json_f64(w.naive_secs / w.secs),
+        );
         let _ = writeln!(json, "      ],");
         let _ = writeln!(
             json,

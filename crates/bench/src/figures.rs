@@ -14,7 +14,7 @@ use dcds_analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks,
 };
-use dcds_core::explore::{explore_det, explore_nondet, CommitmentOracle, Limits};
+use dcds_core::explore::{explore_det, explore_nondet, Limits};
 use dcds_core::{Dcds, ServiceKind, Ts};
 use dcds_folang::Formula;
 use dcds_mucalc::{check, check_prop, propositionalize, sugar, Mu};
@@ -63,14 +63,12 @@ pub fn fig2() -> String {
     let mut out = String::from(
         "Figure 2 — Example 4.2 (deterministic, equality constraint P(x)&Q(y,z) -> x=y)\n\n",
     );
-    let mut oracle = CommitmentOracle;
     let concrete = explore_det(
         &dcds,
         Limits {
             max_states: 64,
             max_depth: 2,
         },
-        &mut oracle,
     );
     out += &ts_summary(
         &concrete.ts,
@@ -95,14 +93,12 @@ pub fn fig2() -> String {
 pub fn fig3() -> String {
     let dcds = examples::example_4_1();
     let mut out = String::from("Figure 3 — Example 4.1 (deterministic, no constraints)\n\n");
-    let mut oracle = CommitmentOracle;
     let concrete = explore_det(
         &dcds,
         Limits {
             max_states: 64,
             max_depth: 2,
         },
-        &mut oracle,
     );
     out += &ts_summary(
         &concrete.ts,
@@ -196,14 +192,12 @@ pub fn fig7() -> String {
     let mut out = String::from(
         "Figure 7 — Example 4.3 with nondeterministic f: state-bounded, RCYCL saturates\n\n",
     );
-    let mut oracle = CommitmentOracle;
     let concrete = explore_nondet(
         &dcds,
         Limits {
             max_states: 64,
             max_depth: 3,
         },
-        &mut oracle,
     );
     out += &ts_summary(
         &concrete.ts,
@@ -304,14 +298,12 @@ pub fn table1() -> String {
         use dcds_reductions::tm::{halting_machine, looping_machine};
         use dcds_reductions::tm_to_dcds;
         let halting = tm_to_dcds(&halting_machine(), &[]).unwrap();
-        let mut oracle = CommitmentOracle;
         let exp = explore_det(
             &halting,
             Limits {
                 max_states: 400,
                 max_depth: 4,
             },
-            &mut oracle,
         );
         let halted_rel = halting.data.schema.rel_id("halted").unwrap();
         let reached = exp.ts.state_ids().any(|s| {
@@ -370,14 +362,12 @@ pub fn table1() -> String {
     // --- Deterministic, run-bounded, muL: ? / no finite abstraction (Thm 4.5). ---
     {
         let dcds = examples::theorem_4_5_system();
-        let mut oracle = CommitmentOracle;
         let prefix = explore_det(
             &dcds,
             Limits {
                 max_states: 500,
                 max_depth: 1,
             },
-            &mut oracle,
         );
         // Phi_n: exist n pairwise distinct values each eventually in Q.
         let q = dcds.data.schema.rel_id("Q").unwrap();

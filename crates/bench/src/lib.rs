@@ -10,7 +10,8 @@
 //!   µLP model checking end-to-end;
 //! * [`synthetic`] — parametric workload families (copy chains, service
 //!   chains/cycles, accumulators, flush ladders, random systems) used by
-//!   the Criterion benchmarks to measure scaling;
+//!   `perf_report`, `memsmoke` and the differential suites to measure
+//!   scaling;
 //! * [`figures`] — regeneration of every figure and table of the paper's
 //!   narrative (Figures 2–10, Table 1), each returning a plain-text report
 //!   printed by the corresponding `fig*`/`table1` binary;

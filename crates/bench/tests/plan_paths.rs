@@ -3,18 +3,17 @@
 //! The query-plan layer promises bit-identical behaviour along every
 //! integration seam: `do_action` vs `do_action_indexed` (with and without a
 //! prebuilt per-state index), `legal_assignments` vs its indexed twin, and
-//! whole-engine runs (`rcycl`, `det_abstraction`, `explore_det`) at 1, 2,
-//! 4, and 8 worker threads with plans and indexes enabled throughout. `DO`
+//! whole-engine runs (`rcycl`, `det_abstraction`) at 1, 2, 4, and 8 worker
+//! threads with plans and indexes enabled throughout. `DO`
 //! is also checked against its definition for σ that are not exactly the
 //! action's parameters. These tests pin that promise on the paper's
 //! travel-request system and small synthetic systems.
 
 use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
 use dcds_bench::{synthetic, travel};
-use dcds_core::explore::{CommitmentOracle, Limits};
 use dcds_core::{
-    do_action, do_action_indexed, explore_det_traced, legal_assignments, legal_assignments_indexed,
-    state_index, ActionId, Dcds, DcdsBuilder, PreInstance,
+    do_action, do_action_indexed, legal_assignments, legal_assignments_indexed, state_index,
+    ActionId, Dcds, DcdsBuilder, PreInstance,
 };
 use dcds_folang::{answers, Assignment, Var};
 use dcds_obs::Obs;
@@ -178,31 +177,5 @@ fn det_abstraction_thread_count_invariant_with_plans() {
             "det_abs ts differs at {threads} threads"
         );
         assert_eq!(baseline.counters, run.counters);
-    }
-}
-
-/// Concrete exploration is identical at 1/2/4/8 threads (the oracle is
-/// reseeded per run; `CommitmentOracle` is deterministic by construction).
-#[test]
-fn explore_det_thread_count_invariant_with_plans() {
-    let dcds = synthetic::service_chain(4);
-    let limits = Limits {
-        max_states: 500,
-        ..Limits::default()
-    };
-    let baseline = explore_det_traced(&dcds, limits, &mut CommitmentOracle, 1, &Obs::disabled());
-    for threads in [2usize, 4, 8] {
-        let run = explore_det_traced(
-            &dcds,
-            limits,
-            &mut CommitmentOracle,
-            threads,
-            &Obs::disabled(),
-        );
-        assert_eq!(
-            baseline.ts, run.ts,
-            "explore_det ts differs at {threads} threads"
-        );
-        assert_eq!(baseline.outcome, run.outcome);
     }
 }

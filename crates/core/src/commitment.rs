@@ -11,7 +11,7 @@
 //! produce isomorphic successors, which is the engine of Theorems 4.3 / 5.4.
 
 use crate::term::ServiceCall;
-use dcds_reldata::Value;
+use dcds_reldata::{ConstantPool, Value};
 use std::collections::BTreeMap;
 
 /// Where a call's result lands under a commitment.
@@ -83,6 +83,22 @@ pub fn fresh_cell_count(c: &Commitment) -> usize {
         .map_or(0, |m| m + 1)
 }
 
+/// The representative evaluation of a commitment: known targets keep their
+/// value, and each fresh cell gets one constant minted from `pool`, in cell
+/// order.
+pub fn instantiate(c: &Commitment, pool: &mut ConstantPool) -> BTreeMap<ServiceCall, Value> {
+    let fresh: Vec<Value> = (0..fresh_cell_count(c)).map(|_| pool.mint("v")).collect();
+    c.iter()
+        .map(|(call, target)| {
+            let v = match *target {
+                CommitTarget::Known(v) => v,
+                CommitTarget::Fresh(cell) => fresh[cell],
+            };
+            (call.clone(), v)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +159,30 @@ mod tests {
         let cs = enumerate_commitments(&[], &vals(3));
         assert_eq!(cs.len(), 1);
         assert!(cs[0].is_empty());
+    }
+
+    #[test]
+    fn instantiate_mints_one_value_per_cell_in_cell_order() {
+        let known = vals(1);
+        let calls = [call(0, &known), call(1, &known), call(2, &known)];
+        let commitment: Commitment = calls
+            .iter()
+            .cloned()
+            .zip([
+                CommitTarget::Fresh(1),
+                CommitTarget::Known(known[0]),
+                CommitTarget::Fresh(0),
+            ])
+            .collect();
+        let mut pool = ConstantPool::new();
+        pool.intern("a");
+        let before = pool.len();
+        let theta = instantiate(&commitment, &mut pool);
+        assert_eq!(pool.len(), before + 2);
+        let minted: Vec<Value> = (before..pool.len()).map(Value::from_index).collect();
+        assert_eq!(theta[&calls[0]], minted[1]);
+        assert_eq!(theta[&calls[1]], known[0]);
+        assert_eq!(theta[&calls[2]], minted[0]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! system of Theorem 4.3 retains.
 
 use crate::action::ActionId;
-use crate::commitment::{enumerate_commitments, CommitTarget, Commitment};
+use crate::commitment::{enumerate_commitments, instantiate, Commitment};
 use crate::dcds::Dcds;
 use crate::do_op::{do_action, legal_assignments, resolve_with_map};
 use crate::term::ServiceCall;
@@ -144,18 +144,7 @@ pub fn det_successors_by_commitment(
         known.extend(rigid.iter().copied());
         let known: Vec<Value> = known.into_iter().collect();
         for commitment in enumerate_commitments(&new_calls, &known) {
-            let cells = crate::commitment::fresh_cell_count(&commitment);
-            let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
-            let choice: BTreeMap<ServiceCall, Value> = commitment
-                .iter()
-                .map(|(c, t)| {
-                    let v = match t {
-                        CommitTarget::Known(v) => *v,
-                        CommitTarget::Fresh(cell) => fresh[*cell],
-                    };
-                    (c.clone(), v)
-                })
-                .collect();
+            let choice = instantiate(&commitment, pool);
             if let Some(next) = det_step_with_pre(dcds, state, &pre, &choice) {
                 out.push((action, sigma.clone(), commitment, next));
             }
@@ -168,6 +157,7 @@ pub fn det_successors_by_commitment(
 mod tests {
     use super::*;
     use crate::builder::DcdsBuilder;
+    use crate::commitment::CommitTarget;
     use crate::service::ServiceKind;
 
     fn example_4_1() -> Dcds {

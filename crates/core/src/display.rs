@@ -241,7 +241,6 @@ mod tests {
                 max_states: 100,
                 max_depth: 2,
             },
-            &mut crate::explore::CommitmentOracle,
         );
         let e2 = crate::explore::explore_det(
             &d2,
@@ -249,7 +248,6 @@ mod tests {
                 max_states: 100,
                 max_depth: 2,
             },
-            &mut crate::explore::CommitmentOracle,
         );
         assert_eq!(e1.ts.num_states(), e2.ts.num_states());
         assert_eq!(e1.ts.num_edges(), e2.ts.num_edges());

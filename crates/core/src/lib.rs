@@ -18,8 +18,8 @@
 //! Section 4.1, [`det`]) or **nondeterministically** (evaluations, Section
 //! 5.1, [`nondet`]). Both semantics induce a (generally infinite) concrete
 //! transition system; [`ts`] holds the explicit finite transition systems we
-//! materialise, and [`explore`] performs bounded concrete exploration with
-//! pluggable value oracles.
+//! materialise, and [`explore`] performs bounded concrete exploration, one
+//! successor per equality commitment.
 //!
 //! [`commitment`] implements *equality commitments* (Appendix C.3), the
 //! device by which the infinitely many successor evaluations are grouped
@@ -61,9 +61,7 @@ pub use do_op::{
     do_action, do_action_indexed, legal_assignments, legal_assignments_indexed, state_index,
     PlanCache, PreInstance,
 };
-pub use explore::{
-    explore_det, explore_det_traced, explore_nondet, explore_nondet_traced, ExploreOutcome, Limits,
-};
+pub use explore::{explore_det, explore_nondet, ExploreOutcome, Limits};
 pub use par::{configured_threads, par_map, par_map_obs, par_map_with, EngineCounters};
 pub use parser::parse_dcds;
 pub use process::{CaRule, FsProcess, ProcessLayer};

@@ -13,7 +13,7 @@
 //! ([`evals_over`], used by Algorithm RCYCL).
 
 use crate::action::ActionId;
-use crate::commitment::{enumerate_commitments, CommitTarget, Commitment};
+use crate::commitment::{enumerate_commitments, instantiate, Commitment};
 use crate::dcds::Dcds;
 use crate::do_op::{do_action, legal_assignments, resolve_with_map};
 use crate::term::ServiceCall;
@@ -113,19 +113,8 @@ pub fn nondet_successors_by_commitment(
         known.extend(rigid.iter().copied());
         let known: Vec<Value> = known.into_iter().collect();
         for commitment in enumerate_commitments(&calls, &known) {
-            let cells = crate::commitment::fresh_cell_count(&commitment);
-            let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
-            let theta: BTreeMap<ServiceCall, Value> = commitment
-                .iter()
-                .map(|(c, t)| {
-                    let v = match t {
-                        CommitTarget::Known(v) => *v,
-                        CommitTarget::Fresh(cell) => fresh[*cell],
-                    };
-                    (c.clone(), v)
-                })
-                .collect();
-            if let Some(next) = nondet_step(dcds, inst, action, &sigma, &theta) {
+            let theta = instantiate(&commitment, pool);
+            if let Some(next) = nondet_step_with_pre(dcds, &pre, &theta) {
                 out.push((action, sigma.clone(), commitment, next));
             }
         }

@@ -1,7 +1,7 @@
 //! A minimal scoped-thread work pool (std-only).
 //!
-//! The state-space engines (deterministic abstraction, RCYCL, the bounded
-//! concrete explorers) expand BFS frontiers whose items are independent:
+//! The abstraction engines (deterministic abstraction, RCYCL) expand BFS
+//! frontiers whose items are independent:
 //! successor enumeration, `det_step`/`nondet_step` evaluation, signatures
 //! and canonical keys can all be computed per item with no shared mutable
 //! state. This module gives them a [`par_map`] primitive built directly on
@@ -18,8 +18,8 @@
 //! Thread count: explicit argument, or [`configured_threads`] which honours
 //! the `DCDS_THREADS` environment variable and falls back to the machine's
 //! available parallelism. `threads <= 1` (or a single item) short-circuits
-//! to a plain serial loop in the calling thread — the "serial engine" the
-//! ablation benchmarks compare against is literally that path.
+//! to a plain serial loop in the calling thread, which is the engines'
+//! serial schedule (`DCDS_THREADS=1`).
 
 use dcds_obs::{span, Obs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,7 +54,7 @@ pub fn configured_threads() -> usize {
 ///
 /// `f` runs concurrently and must therefore be `Sync`; per-item work must
 /// not depend on execution order (the engines route all order-sensitive
-/// work — constant minting, oracle sampling, index merging — through their
+/// work — constant minting, dedup, index merging — through their
 /// serial phases instead).
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -156,7 +156,7 @@ where
 /// Observability counters shared by the state-space engines.
 ///
 /// Filled in by the construction and returned by value in the engine
-/// results (`DetAbstraction`, `RcyclResult`, the explorations); the `dcds`
+/// results (`DetAbstraction`, `RcyclResult`); the `dcds`
 /// CLI prints them. All counts are exact — they are accumulated in the
 /// serial merge phases or via atomics in the workers — and independent of
 /// the thread count.

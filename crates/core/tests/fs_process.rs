@@ -5,7 +5,7 @@
 //! a `__pc` relation. This test runs the compiled system and checks the
 //! control flow is respected.
 
-use dcds_core::explore::{explore_nondet, CommitmentOracle, Limits};
+use dcds_core::explore::{explore_nondet, Limits};
 use dcds_core::{
     Action, ActionId, DataLayer, Dcds, ETerm, Effect, FsProcess, ProcessLayer, ServiceCatalog,
     ServiceKind,
@@ -79,14 +79,12 @@ fn control_flow_alternates() {
     let out = dcds.data.schema.rel_id("Out").unwrap();
     let q0 = dcds.data.pool.get("q0").unwrap();
     let q1 = dcds.data.pool.get("q1").unwrap();
-    let mut oracle = CommitmentOracle;
     let res = explore_nondet(
         &dcds,
         Limits {
             max_states: 200,
             max_depth: 4,
         },
-        &mut oracle,
     );
     assert!(res.ts.num_states() > 1);
     for s in res.ts.state_ids() {

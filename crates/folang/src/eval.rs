@@ -29,11 +29,10 @@ pub fn holds_closed(f: &Formula, inst: &Instance) -> Result<bool, QueryError> {
     holds(f, inst, &Assignment::new())
 }
 
-/// ABLATION ENTRY POINT: evaluate with atom-guided quantifier blocks
-/// disabled — plain `|adom|^k` enumeration, the behaviour before the
-/// guided-evaluation optimisation. Exists so the benchmark suite can
-/// quantify what the optimisation buys; semantics are identical (asserted
-/// by tests).
+/// Evaluate with atom-guided quantifier blocks disabled — plain
+/// `|adom|^k` enumeration, straight from the active-domain semantics. The
+/// reference that `guided_differential` checks [`holds`] against; the
+/// semantics are identical.
 pub fn holds_unguided(f: &Formula, inst: &Instance, asg: &Assignment) -> Result<bool, QueryError> {
     let adom = inst.active_domain();
     let mut env: BTreeMap<Var, Value> = asg.clone();

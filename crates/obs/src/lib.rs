@@ -2,9 +2,9 @@
 //!
 //! Std-only tracing and metrics substrate for the DCDS verification stack.
 //!
-//! The engines (`det_abstraction`, RCYCL, the bounded explorers, the staged
-//! µ-calculus evaluator) are level-synchronised BFS/fixpoint loops whose
-//! cost is wildly uneven across levels and iterations. This crate gives
+//! The engines (`det_abstraction`, RCYCL, the staged µ-calculus evaluator,
+//! the symbolic backward search) are level-synchronised BFS/fixpoint loops
+//! whose cost is wildly uneven across levels and iterations. This crate gives
 //! every engine one observability story:
 //!
 //! * **spans** — hierarchical wall-clock intervals with key/value fields,

@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn projection_preserves_original_schema_reachability() {
-        use dcds_core::explore::{explore_det, explore_nondet, CommitmentOracle, Limits};
+        use dcds_core::explore::{explore_det, explore_nondet, Limits};
         use dcds_reldata::Facts;
         use std::collections::BTreeSet;
         let d = example_4_3_det();
@@ -271,10 +271,8 @@ mod tests {
             max_states: 400,
             max_depth: 3,
         };
-        let mut o1 = CommitmentOracle;
-        let det = explore_det(&d, limits, &mut o1);
-        let mut o2 = CommitmentOracle;
-        let nondet = explore_nondet(&n, limits, &mut o2);
+        let det = explore_det(&d, limits);
+        let nondet = explore_nondet(&n, limits);
         // Original-schema relations.
         let orig: BTreeSet<_> = d.data.schema.rel_ids().collect();
         let rigid = d.rigid_constants();

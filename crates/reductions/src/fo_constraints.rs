@@ -65,7 +65,7 @@ pub fn encode_fo_constraint(dcds: &Dcds, ic: &Formula) -> Result<Dcds, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcds_core::explore::{explore_nondet, CommitmentOracle, Limits};
+    use dcds_core::explore::{explore_nondet, Limits};
     use dcds_core::{DcdsBuilder, ServiceKind};
     use dcds_folang::parse_formula;
 
@@ -111,12 +111,9 @@ mod tests {
             max_states: 300,
             max_depth: 2,
         };
-        let mut o0 = CommitmentOracle;
-        let unconstrained = explore_nondet(&base, limits, &mut o0);
-        let mut o1 = CommitmentOracle;
-        let nat = explore_nondet(&native, limits, &mut o1);
-        let mut o2 = CommitmentOracle;
-        let enc = explore_nondet(&encoded, limits, &mut o2);
+        let unconstrained = explore_nondet(&base, limits);
+        let nat = explore_nondet(&native, limits);
+        let enc = explore_nondet(&encoded, limits);
 
         // The unconstrained system reaches duplicate-id states; the others
         // do not.

@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn projection_matches_original_reachability() {
-        use dcds_core::explore::{explore_det, explore_nondet, CommitmentOracle, Limits};
+        use dcds_core::explore::{explore_det, explore_nondet, Limits};
         use dcds_reldata::Facts;
         use std::collections::BTreeSet;
         let n = example_5_1_nondet();
@@ -239,10 +239,8 @@ mod tests {
             max_states: 600,
             max_depth: 2,
         };
-        let mut o1 = CommitmentOracle;
-        let nres = explore_nondet(&n, limits, &mut o1);
-        let mut o2 = CommitmentOracle;
-        let dres = explore_det(&d, limits, &mut o2);
+        let nres = explore_nondet(&n, limits);
+        let dres = explore_det(&d, limits);
         let orig: BTreeSet<_> = n.data.schema.rel_ids().collect();
         let rigid = n.rigid_constants();
         let keys = |ts: &dcds_core::Ts| -> BTreeSet<dcds_reldata::CanonKey> {

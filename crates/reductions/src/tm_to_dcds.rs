@@ -143,7 +143,7 @@ mod tests {
     use super::*;
     use crate::tm::{busy_beaver_2, halting_machine, looping_machine, TmOutcome};
     use dcds_abstraction::det_abstraction;
-    use dcds_core::explore::{explore_det, CommitmentOracle, Limits};
+    use dcds_core::explore::{explore_det, Limits};
     use dcds_folang::Formula;
     use dcds_mucalc::{check, sugar, Mu};
 
@@ -157,14 +157,12 @@ mod tests {
     fn halting_machine_raises_halted() {
         let tm = halting_machine();
         let dcds = tm_to_dcds(&tm, &[]).unwrap();
-        let mut oracle = CommitmentOracle;
         let res = explore_det(
             &dcds,
             Limits {
                 max_states: 500,
                 max_depth: 4,
             },
-            &mut oracle,
         );
         assert!(halted_somewhere(&res.ts, &dcds));
     }
@@ -190,7 +188,6 @@ mod tests {
             panic!("BB2 halts");
         };
         let dcds = tm_to_dcds(&tm, &[]).unwrap();
-        let mut oracle = CommitmentOracle;
         // Not halted strictly before `steps` transitions...
         let shallow = explore_det(
             &dcds,
@@ -198,19 +195,16 @@ mod tests {
                 max_states: 4000,
                 max_depth: steps,
             },
-            &mut oracle,
         );
         assert!(!halted_somewhere(&shallow.ts, &dcds));
         // ... and halted somewhere at depth steps + 1 (the flag is raised
         // one step after entering the halt state).
-        let mut oracle2 = CommitmentOracle;
         let deep = explore_det(
             &dcds,
             Limits {
                 max_states: 20_000,
                 max_depth: steps + 1,
             },
-            &mut oracle2,
         );
         assert!(halted_somewhere(&deep.ts, &dcds));
     }
@@ -219,14 +213,12 @@ mod tests {
     fn key_constraint_keeps_right_linear() {
         let tm = busy_beaver_2();
         let dcds = tm_to_dcds(&tm, &[]).unwrap();
-        let mut oracle = CommitmentOracle;
         let res = explore_det(
             &dcds,
             Limits {
                 max_states: 2000,
                 max_depth: 4,
             },
-            &mut oracle,
         );
         let right = dcds.data.schema.rel_id("right").unwrap();
         for s in res.ts.state_ids() {

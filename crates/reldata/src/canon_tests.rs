@@ -9,7 +9,8 @@
 //!    (`k ≥ 10`, i.e. well over `8!` class-respecting orders) canonicalise
 //!    in a single descent and key renamed copies identically;
 //! 3. key equality coincides exactly with the backtracking matcher's
-//!    [`Facts::isomorphic`] verdict.
+//!    [`Facts::isomorphic`] verdict, which is reflexive and symmetric and
+//!    whose [`Facts::isomorphism`] witness is exact and fixes rigid values.
 
 use crate::{CanonKey, ConstantPool, Facts, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -208,6 +209,17 @@ fn key_equality_coincides_with_isomorphism() {
                 "rigid-fixing renaming changed the key (seed {seed})"
             );
             assert!(f1.isomorphic(&f2, &rigid));
+            assert!(f1.isomorphic(&f1, &rigid), "isomorphism is not reflexive");
+            assert!(f2.isomorphic(&f1, &rigid), "isomorphism is not symmetric");
+            let h = f1
+                .isomorphism(&f2, &rigid)
+                .expect("a renamed copy has a witness");
+            assert_eq!(f1.rename(&h), f2, "the witness is not exact");
+            assert!(
+                h.iter().all(|(x, y)| !rigid.contains(x) || x == y),
+                "the witness moves a rigid value"
+            );
+            assert_eq!(f2.len(), f1.len(), "renaming changed the fact count");
             let f3 = random_facts(&mut rng, &vals);
             let keys_equal = k1 == f3.canonical_key(&rigid);
             assert_eq!(

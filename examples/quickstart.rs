@@ -91,14 +91,12 @@ fn main() {
     // 5. Sanity: a bounded concrete prefix agrees with the abstraction on
     //    the witnessed state bound.
     // ------------------------------------------------------------------
-    let mut oracle = CommitmentOracle;
     let prefix = explore_nondet(
         &dcds,
         Limits {
             max_states: 200,
             max_depth: 4,
         },
-        &mut oracle,
     );
     println!(
         "concrete prefix: {} states, max |adom| = {} (abstraction: {})",

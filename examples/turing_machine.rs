@@ -43,14 +43,12 @@ fn main() {
             TmOutcome::Halted { steps, .. } => {
                 // Explore one step past the halting depth: `halted` must be
                 // raised on the simulating run.
-                let mut oracle = CommitmentOracle;
                 let prefix = explore_det(
                     &dcds,
                     Limits {
                         max_states: 20_000,
                         max_depth: steps + 1,
                     },
-                    &mut oracle,
                 );
                 println!(
                     "bounded exploration (depth {}): {} states, halted reached = {}",

@@ -29,7 +29,7 @@ cargo test -q -p dcds-reldata --test store_differential
 cargo test -q --test symbolic_differential
 # Staged model checker (fused quantifier blocks) vs the naive Kleene
 # evaluator on seeded random formulas and the fusion edge shapes, at
-# 1/2/4 threads.
+# 1/2/4 threads; closed µLA formulas also through PROP(Φ).
 cargo test -q --test mc_engine_differential
 
 echo "== compact-store memory smoke"

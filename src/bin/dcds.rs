@@ -99,7 +99,8 @@ const EXIT_VIOLATED: u8 = 1;
 /// `dcds check`: inconclusive — the abstraction hit the state budget.
 const EXIT_INCONCLUSIVE: u8 = 2;
 
-/// Any `dcds` command: a flag the subcommand does not take.
+/// Any `dcds` command: a flag the subcommand does not take, or a flag given
+/// twice.
 const EXIT_USAGE: u8 = 2;
 
 fn main() -> ExitCode {
@@ -142,7 +143,7 @@ obs flags (analyze, abstract, check, lint):
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size).
-Any command exits 2 on a flag it does not take.
+Any command exits 2 on a flag it does not take or that is given twice.
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
 --deny warnings), and 2 when the spec cannot be parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
@@ -176,8 +177,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     };
     let flags = match Flags::new(args, takes, obs) {
         Ok(flags) => flags,
-        Err(flag) => {
-            eprintln!("error: unknown flag `{flag}`");
+        Err(message) => {
+            eprintln!("error: {message}");
             eprintln!();
             eprintln!("{USAGE}");
             return Ok(ExitCode::from(EXIT_USAGE));
@@ -206,6 +207,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     &flags.obs()?,
                 ),
                 Engine::Symbolic => {
+                    // The symbolic engine is serial, but `--threads` is
+                    // range-checked exactly as for the explicit engine.
+                    flags.threads()?;
                     let defaults = SymOptions::default();
                     do_check_symbolic(
                         path,

@@ -61,18 +61,25 @@ pub struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     /// Check `args` against `takes`, plus the observability bundle when
-    /// `obs`. `Err` names the first `--flag` the subcommand does not take.
-    pub fn new(args: &'a [String], takes: &'a [&'a str], obs: bool) -> Result<Self, &'a str> {
+    /// `obs`. `Err` names the first `--flag` the subcommand does not take,
+    /// or that is given twice (the readers would silently keep the first).
+    pub fn new(args: &'a [String], takes: &'a [&'a str], obs: bool) -> Result<Self, String> {
         let flags = Flags { args, takes, obs };
-        match args
+        let given: Vec<&str> = args
             .iter()
             .skip(1)
             .map(String::as_str)
-            .find(|a| a.starts_with("--") && !flags.takes(a))
-        {
-            Some(unknown) => Err(unknown),
-            None => Ok(flags),
+            .filter(|a| a.starts_with("--"))
+            .collect();
+        for (i, flag) in given.iter().enumerate() {
+            if !flags.takes(flag) {
+                return Err(format!("unknown flag `{flag}`"));
+            }
+            if given[..i].contains(flag) {
+                return Err(format!("flag `{flag}` given twice"));
+            }
         }
+        Ok(flags)
     }
 
     fn takes(&self, flag: &str) -> bool {
@@ -291,14 +298,29 @@ mod tests {
         let args = argv(&["abstract", "s.dcds", "--max-state", "5"]);
         assert_eq!(
             Flags::new(&args, &["--max-states"], true).unwrap_err(),
-            "--max-state"
+            "unknown flag `--max-state`"
         );
         // Observability flags only where the subcommand records.
         let args = argv(&["run", "s.dcds", "--stats"]);
         assert_eq!(
             Flags::new(&args, &["--steps"], false).unwrap_err(),
-            "--stats"
+            "unknown flag `--stats`"
         );
+        // A repeated flag is rejected, observability flags included.
+        let args = argv(&[
+            "abstract",
+            "s.dcds",
+            "--max-states",
+            "5",
+            "--max-states",
+            "7",
+        ]);
+        assert_eq!(
+            Flags::new(&args, &["--max-states"], true).unwrap_err(),
+            "flag `--max-states` given twice"
+        );
+        let args = argv(&["abstract", "s.dcds", "--stats", "--stats"]);
+        assert!(Flags::new(&args, &[], true).is_err());
         let args = argv(&["lint", "s.dcds", "--stats", "--format", "json"]);
         let flags = Flags::new(&args, &["--format"], true).unwrap();
         assert_eq!(flags.word("--format"), Some("json"));

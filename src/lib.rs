@@ -83,7 +83,7 @@ pub mod prelude {
     pub use dcds_analysis::gr_acyclicity::{is_gr_acyclic, is_gr_plus_acyclic};
     pub use dcds_analysis::{dataflow_graph, dependency_graph, is_weakly_acyclic};
     pub use dcds_bisim::{history_bisimilar, persistence_bisimilar};
-    pub use dcds_core::explore::{explore_det, explore_nondet, CommitmentOracle, Limits};
+    pub use dcds_core::explore::{explore_det, explore_nondet, Limits};
     pub use dcds_core::{parse_dcds, Dcds, DcdsBuilder, ServiceKind, Ts};
     pub use dcds_folang::{parse_formula, Formula};
     pub use dcds_mucalc::{

@@ -97,7 +97,7 @@ fn state_bounds_track_gr_verdicts() {
 fn theorems_6_1_6_2_round_trip() {
     // det → nondet → det: the double rewrite preserves the original-schema
     // reachable isomorphism types on a bounded horizon.
-    use dcds_verify::core::explore::{explore_det, CommitmentOracle, Limits};
+    use dcds_verify::core::explore::{explore_det, Limits};
     use dcds_verify::reldata::Facts;
     use std::collections::BTreeSet;
 
@@ -109,10 +109,8 @@ fn theorems_6_1_6_2_round_trip() {
         max_states: 500,
         max_depth: 2,
     };
-    let mut o1 = CommitmentOracle;
-    let e0 = explore_det(&d0, limits, &mut o1);
-    let mut o2 = CommitmentOracle;
-    let e2 = explore_det(&d2, limits, &mut o2);
+    let e0 = explore_det(&d0, limits);
+    let e2 = explore_det(&d2, limits);
 
     let orig: BTreeSet<_> = d0.data.schema.rel_ids().collect();
     let rigid = d0.rigid_constants();

@@ -201,6 +201,24 @@ fn check_threads_agree_and_zero_is_rejected() {
     let (ca, ta) = dcds_code(&["abstract", &spec("ping_pong.dcds"), "--threads", "0"]);
     assert_ne!(ca, 0);
     assert!(ta.contains("--threads must be at least 1"), "{ta}");
+
+    // The symbolic engine is serial but range-checks `--threads` too.
+    let symbolic = |threads| {
+        dcds_code(&[
+            "check",
+            &spec("unbounded_safe.dcds"),
+            "nu Z . true & [] Z",
+            "--engine",
+            "symbolic",
+            "--threads",
+            threads,
+        ])
+    };
+    let (cs0, ts0) = symbolic("0");
+    assert_ne!(cs0, 0);
+    assert!(ts0.contains("--threads must be at least 1"), "{ts0}");
+    let (cs1, ts1) = symbolic("1");
+    assert_eq!(cs1, 0, "{ts1}");
 }
 
 #[test]
@@ -277,6 +295,45 @@ fn unknown_flags_exit_2_naming_the_flag() {
             stderr.contains(&format!("unknown flag `{flag}`")),
             "{stderr}"
         );
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    // A repeated flag would silently resolve to its first occurrence; it
+    // takes the same path.
+    let spec = spec("unbounded_safe.dcds");
+    let safe = "nu Z . true & [] Z";
+    for (args, flag) in [
+        (
+            vec!["abstract", &spec, "--max-states", "5", "--max-states", "7"],
+            "--max-states",
+        ),
+        (
+            vec![
+                "check", &spec, safe, "--engine", "symbolic", "--engine", "explicit",
+            ],
+            "--engine",
+        ),
+        (
+            vec![
+                "check",
+                &spec,
+                safe,
+                "--threads",
+                "1",
+                "--stats",
+                "--threads",
+                "1",
+            ],
+            "--threads",
+        ),
+    ] {
+        let (code, stdout, stderr) = dcds_streams(&args);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{stdout}");
+        assert!(
+            stderr.contains(&format!("flag `{flag}` given twice")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
 

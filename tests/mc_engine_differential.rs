@@ -2,7 +2,9 @@
 //! naive Kleene evaluator it replaced: `engine::eval_traced` — quantifier
 //! blocks fused into single compiled queries — must compute the exact same
 //! extension as the unfused `mc::eval`, at every thread count, and its
-//! counters must not depend on the thread count.
+//! counters must not depend on the thread count. Closed µLA formulas are
+//! also checked through `PROP(Φ)` and the propositional model checker
+//! (Theorem 4.4).
 //!
 //! Formulas come from a seeded SplitMix64 generator (so the suite runs
 //! offline and reproducibly) plus a hand-written list of the shapes the
@@ -15,7 +17,10 @@ use dcds_verify::bench::{examples, synthetic, travel};
 use dcds_verify::folang::{Formula, QTerm};
 use dcds_verify::mucalc::fragments::check_monotone;
 use dcds_verify::mucalc::mc::{eval, Valuation};
-use dcds_verify::mucalc::{check_traced, eval_traced, sugar, McOptions, Mu, PredVar};
+use dcds_verify::mucalc::prop_mc::eval_prop;
+use dcds_verify::mucalc::{
+    check_traced, classify, eval_traced, propositionalize, sugar, Fragment, McOptions, Mu, PredVar,
+};
 use dcds_verify::obs::Obs;
 use dcds_verify::prelude::*;
 use dcds_verify::reldata::{RelId, Value};
@@ -91,6 +96,17 @@ fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) {
         let run = check_traced(phi, &sys.ts, McOptions::default(), &Obs::disabled()).unwrap();
         assert_eq!(run.holds, oracle.contains(&sys.ts.initial()), "{phi:?}");
         assert_eq!(run.extension, oracle, "{phi:?}");
+        // Theorem 4.4's pipeline: on µLA (and so µLP) formulas, PROP(Φ)
+        // over the union of the active domains agrees on every state.
+        if matches!(classify(phi), Ok(Fragment::MuLA | Fragment::MuLP)) {
+            let prop = propositionalize(phi, &sys.ts.adom_union()).unwrap();
+            assert_eq!(
+                eval_prop(&prop, &sys.ts, &mut BTreeMap::new()),
+                oracle,
+                "{}: PROP disagrees with naive on {phi:?}",
+                sys.name
+            );
+        }
     }
 }
 

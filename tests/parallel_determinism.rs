@@ -1,9 +1,9 @@
 //! Parallel engines are bit-identical to the serial ones.
 //!
-//! The abstraction engines and the bounded explorers are level-synchronised
-//! and phase-split: query evaluation fans out over worker threads, while
-//! every order-sensitive effect (constant minting, oracle calls, dedup and
-//! state-id allocation) replays the serial order. The contract is not
+//! The abstraction engines are level-synchronised and phase-split: query
+//! evaluation fans out over worker threads, while every order-sensitive
+//! effect (constant minting, dedup and state-id allocation) replays the
+//! serial order. The contract is not
 //! "isomorphic output" but **structural equality**: same states in the same
 //! order, same edges, same outcome, same pool, same counters — at every
 //! thread count.
@@ -16,7 +16,6 @@ use dcds_verify::abstraction::{
     det_abstraction_traced, rcycl_traced, reference, AbsOptions, DetAbstraction, RcyclResult,
 };
 use dcds_verify::bench::{examples, travel};
-use dcds_verify::core::explore::{explore_det_traced, CommitmentOracle, Limits};
 use dcds_verify::core::{Dcds, ServiceKind};
 use dcds_verify::obs::Obs;
 
@@ -138,28 +137,6 @@ fn rcycl_travel_request_is_thread_count_invariant() {
     assert_rcycl_runs_identical("travel request (small)", &runs);
     // The travel pruning has a real θ fan-out per triple.
     assert!(runs[0].counters.successors_generated > 100);
-}
-
-#[test]
-fn bounded_explorer_is_thread_count_invariant() {
-    let dcds = examples::example_4_3(ServiceKind::Deterministic);
-    let limits = Limits {
-        max_states: 150,
-        max_depth: 4,
-    };
-    let runs: Vec<_> = THREAD_COUNTS
-        .into_iter()
-        .map(|threads| {
-            let mut oracle = CommitmentOracle;
-            explore_det_traced(&dcds, limits, &mut oracle, threads, &Obs::disabled())
-        })
-        .collect();
-    for (other, threads) in runs[1..].iter().zip(&THREAD_COUNTS[1..]) {
-        assert_eq!(runs[0].ts, other.ts, "Ts differs at {threads} threads");
-        assert_eq!(runs[0].call_maps, other.call_maps);
-        assert_eq!(runs[0].outcome, other.outcome);
-        assert_eq!(runs[0].pool.len(), other.pool.len());
-    }
 }
 
 #[test]
