@@ -48,5 +48,5 @@ pub use det_abs::{
     DEFAULT_LEVEL_CHUNK,
 };
 pub use pruning::commitment_coverage_holds;
-pub use rcycl::{rcycl, rcycl_traced, RcyclResult};
+pub use rcycl::{rcycl, rcycl_traced, RcyclResult, MAX_EVALS_PER_STEP};
 pub use storage::{ClassStorage, Owned, StateStorage, Storage, Store, OWNED_MAX_STATES};

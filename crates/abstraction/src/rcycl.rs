@@ -26,6 +26,17 @@
 //! recycling pruning `Θ_S ∼ Υ_S`; for state-unbounded inputs we stop at
 //! `max_states` and report truncation.
 //!
+//! Two bookkeeping steps are computed without changing their result:
+//!
+//! * `Σ ∪= {I_next}` looks `I_next` up by its fact key (see
+//!   [`StateStorage`]), written for each θ into reused buffers from a
+//!   per-triple template of `DO(I, ασ)`. Only a key no state has yet
+//!   becomes an [`Instance`] and is checked against `E`: every state kept
+//!   already satisfies `E` (bar an unvalidated `I₀`, which is checked).
+//! * `UsedValues ∪= ADOM(I_next)` adds `θ(CALLS)` only, and only when `V`
+//!   was freshly minted: `ADOM(I_next) ⊆ ADOM(I₀) ∪ ADOM(I) ∪ θ(CALLS)`,
+//!   whose first two parts, and a recycled `V`, are already used.
+//!
 //! The algorithm is written once ([`build`]), generic over the
 //! [`StateStorage`] that holds its states; the public entry points pick the
 //! storage from the state budget.
@@ -35,16 +46,21 @@ use dcds_core::do_op::{
     do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
     state_index, PreInstance,
 };
-use dcds_core::nondet::{evals_over, nondet_step_with_pre};
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{Dcds, StateId, StateSpace};
-use dcds_obs::{event, span, Obs};
-use dcds_reldata::{ConstantPool, Instance, InstanceIndex, Value};
+use dcds_core::{Dcds, GTerm, ServiceCall, StateId, StateSpace};
+use dcds_obs::{event, span, Obs, PhaseClock};
+use dcds_reldata::{ConstantPool, Instance, InstanceIndex, RelId, Tuple, Value};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Steps whose `EVALS_F` enumeration would exceed this many evaluations
 /// are skipped and the result is marked incomplete.
-pub(crate) const MAX_EVALS_PER_STEP: f64 = 20_000.0;
+pub const MAX_EVALS_PER_STEP: u32 = 20_000;
+
+/// Whether an `EVALS_F` enumeration of `|f|^n` evaluations exceeds
+/// [`MAX_EVALS_PER_STEP`].
+pub(crate) fn over_eval_budget(f: usize, n: usize) -> bool {
+    (f as f64).powi(n as i32) > f64::from(MAX_EVALS_PER_STEP)
+}
 
 /// Result of running RCYCL. `T` is the transition system: a
 /// [`StateSpace`] from the public entry points, the storage's own system
@@ -53,8 +69,14 @@ pub(crate) const MAX_EVALS_PER_STEP: f64 = 20_000.0;
 pub struct RcyclResult<T = StateSpace> {
     /// The pruning (a transition system over instances).
     pub ts: T,
-    /// Did the algorithm saturate (true) or hit `max_states` (false)?
+    /// Did the algorithm saturate (true), or hit `max_states` or skip a
+    /// step over the evaluation budget (false)?
     pub complete: bool,
+    /// Was a new state dropped because `max_states` states were kept?
+    pub state_budget_hit: bool,
+    /// Number of `(I, α, σ)` triples skipped because their `EVALS_F`
+    /// would exceed [`MAX_EVALS_PER_STEP`] evaluations.
+    pub eval_budget_skips: usize,
     /// All values ever used (the final `UsedValues`).
     pub used_values: BTreeSet<Value>,
     /// Number of `(I, α, σ)` triples processed.
@@ -83,21 +105,20 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
 }
 
 /// [`rcycl`] with an explicit worker-thread count and an observability
-/// handle: one span per dequeued state, θ-fan-out metrics, and
-/// rate-limited heartbeats. The storage is picked from the budget:
-/// [`Owned`] up to [`OWNED_MAX_STATES`], [`Store`] above.
+/// handle: one span per dequeued state, θ-fan-out metrics, per-phase
+/// timers, and rate-limited heartbeats. The storage is picked from the
+/// budget: [`Owned`] up to [`OWNED_MAX_STATES`], [`Store`] above.
 ///
 /// Output is identical for every `threads` value (including 1, the
-/// serial schedule) and either storage. RCYCL's outer loop
-/// cannot be level-parallelised without changing the answer: `UsedValues`
-/// evolves per `(I, α, σ)` triple and feeds the very next triple's
-/// `RecyclableValues` pick. What *is* embarrassingly parallel is the
-/// inside of a triple — the up-to-`|F|^n` evaluations θ are independent
-/// constraint-checked query evaluations against one shared `DO(I, ασ)`
-/// pre-instance — and the per-state `DO` precomputation. Both are farmed
-/// out with [`par_map`](dcds_core::par::par_map) and merged serially in
-/// enumeration order, so the pruning, `UsedValues`, and the pool match the
-/// serial run exactly.
+/// serial schedule) and either storage. RCYCL's outer loop cannot be
+/// level-parallelised without changing the answer: `UsedValues` evolves
+/// per `(I, α, σ)` triple and feeds the very next triple's
+/// `RecyclableValues` pick. Only the per-state `DO` precomputation runs
+/// on the workers (with [`par_map`](dcds_core::par::par_map), results in
+/// triple order). The θ loop is serial: each evaluation θ writes the
+/// successor's fact key into reused buffers and probes the storage with
+/// it, and only a key the storage has not seen is turned into an
+/// [`Instance`] and checked against the constraints.
 pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
     if max_states <= OWNED_MAX_STATES {
         build::<Owned>(dcds, max_states, threads, obs).map_ts(StateSpace::Owned)
@@ -111,12 +132,145 @@ impl<T> RcyclResult<T> {
         RcyclResult {
             ts: f(self.ts),
             complete: self.complete,
+            state_budget_hit: self.state_budget_hit,
+            eval_budget_skips: self.eval_budget_skips,
             used_values: self.used_values,
             triples_processed: self.triples_processed,
             pool: self.pool,
             counters: self.counters,
         }
     }
+}
+
+/// `DO(I, ασ)` compiled for the θ loop: each pre-fact as a relation and
+/// its terms, a call standing as its slot, its position in
+/// [`PreInstance::calls`] order.
+struct Template {
+    /// `|CALLS(DO(I, ασ))|`.
+    calls: usize,
+    facts: Vec<(u32, Vec<Slot>)>,
+}
+
+/// One term of a [`Template`] fact: a value index, or a call slot.
+#[derive(Clone, Copy)]
+enum Slot {
+    Val(u32),
+    Call(usize),
+}
+
+impl Template {
+    fn new(pre: &PreInstance) -> Template {
+        let calls: Vec<ServiceCall> = pre.calls().into_iter().collect();
+        let facts = pre
+            .facts()
+            .map(|(rel, terms)| {
+                let slots = terms
+                    .iter()
+                    .map(|t| match t {
+                        GTerm::Val(v) => Slot::Val(v.index() as u32),
+                        GTerm::Call(c) => {
+                            Slot::Call(calls.binary_search(c).expect("every call is in CALLS"))
+                        }
+                    })
+                    .collect();
+                (rel.index() as u32, slots)
+            })
+            .collect();
+        Template {
+            calls: calls.len(),
+            facts,
+        }
+    }
+}
+
+/// The θ loop's reused buffers: θ itself, enumerated as an odometer over
+/// `F`, and the fact key of the successor `DO(I, ασ)θ`.
+#[derive(Default)]
+struct ThetaKeys {
+    /// θ, indexed by call slot.
+    theta: Vec<Value>,
+    /// The position in `F` of each `theta` entry.
+    digits: Vec<usize>,
+    /// The resolved facts as `[rel, v₁…v_k]` rows, in template order.
+    rows: Vec<u32>,
+    /// The `rows` range of each fact, sorted and deduplicated by content.
+    spans: Vec<(usize, usize)>,
+    /// The rows of `spans`, concatenated.
+    key: Vec<u32>,
+}
+
+impl ThetaKeys {
+    /// Start at the first θ over `f` for `n` calls: every call mapped to
+    /// the least value. `f` is nonempty when `n > 0`.
+    fn start(&mut self, n: usize, f: &[Value]) {
+        self.theta.clear();
+        self.theta.extend((0..n).map(|_| f[0]));
+        self.digits.clear();
+        self.digits.resize(n, 0);
+    }
+
+    /// Step to the next θ in [`evals_over`](dcds_core::nondet::evals_over)
+    /// order: the last call fastest, values ascending. False once every θ
+    /// has been visited.
+    fn advance(&mut self, f: &[Value]) -> bool {
+        for i in (0..self.digits.len()).rev() {
+            self.digits[i] += 1;
+            if self.digits[i] < f.len() {
+                self.theta[i] = f[self.digits[i]];
+                return true;
+            }
+            self.digits[i] = 0;
+            self.theta[i] = f[0];
+        }
+        false
+    }
+
+    /// Write the fact key of `DO(I, ασ)θ` for the current θ. Resolution
+    /// can merge two pre-facts, hence the dedup.
+    fn build(&mut self, tpl: &Template) -> &[u32] {
+        self.rows.clear();
+        self.spans.clear();
+        self.key.clear();
+        for (rel, slots) in &tpl.facts {
+            let start = self.rows.len();
+            self.rows.push(*rel);
+            self.rows.extend(slots.iter().map(|s| match *s {
+                Slot::Val(v) => v,
+                Slot::Call(c) => self.theta[c].index() as u32,
+            }));
+            self.spans.push((start, self.rows.len()));
+        }
+        let rows = &self.rows;
+        self.spans
+            .sort_unstable_by(|a, b| rows[a.0..a.1].cmp(&rows[b.0..b.1]));
+        self.spans.dedup_by(|a, b| rows[a.0..a.1] == rows[b.0..b.1]);
+        for &(start, end) in &self.spans {
+            self.key.extend_from_slice(&rows[start..end]);
+        }
+        &self.key
+    }
+
+    /// The database of the last built key.
+    fn instance(&self) -> Instance {
+        Instance::from_facts(self.spans.iter().map(|&(start, end)| {
+            let rel = RelId::from_index(self.rows[start] as usize);
+            let values: Vec<Value> = self.rows[start + 1..end]
+                .iter()
+                .map(|&v| Value::from_index(v as usize))
+                .collect();
+            (rel, Tuple::from(values))
+        }))
+    }
+}
+
+/// What one θ contributes to the pruning.
+enum Successor {
+    /// `DO(I, ασ)θ` violates the constraints.
+    Rejected,
+    /// A new state, dropped because `max_states` states are kept.
+    OverBudget,
+    /// The state `DO(I, ασ)θ`, already kept or just admitted.
+    State(StateId),
 }
 
 /// RCYCL over an explicit storage `S` — the one body behind [`rcycl`] and
@@ -133,9 +287,16 @@ pub fn build<S: StateStorage>(
     let threads = threads.max(1);
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
+    let mut do_clock = PhaseClock::new(obs);
+    let mut theta_clock = PhaseClock::new(obs);
+    let mut admit_clock = PhaseClock::new(obs);
 
     let initial = &dcds.data.initial;
     let mut storage = S::with_initial_state(dcds, initial);
+    // Every admitted state passed the constraints, so a key hit needs no
+    // check — except on an `I₀` that was never validated against them.
+    let initial_id = StateId::from_index(0);
+    let initial_ok = dcds.data.satisfies_constraints(initial);
     let mut used_values: BTreeSet<Value> = initial.active_domain();
     used_values.extend(rigid.iter().copied());
 
@@ -144,9 +305,11 @@ pub fn build<S: StateStorage>(
     // only on I, so one pass per state suffices, and every state is
     // queued exactly once: when it is admitted.
     let mut queue: VecDeque<(StateId, Option<InstanceIndex>)> = VecDeque::new();
-    queue.push_back((StateId::from_index(0), None));
-    let mut complete = true;
+    queue.push_back((initial_id, None));
+    let mut state_budget_hit = false;
+    let mut eval_budget_skips = 0usize;
     let mut triples = 0usize;
+    let mut keys = ThetaKeys::default();
 
     while let Some((sid, state_idx)) = queue.pop_front() {
         counters.states_expanded += 1;
@@ -173,20 +336,28 @@ pub fn build<S: StateStorage>(
         });
         let inst = storage.db(sid);
         let adom = inst.active_domain();
+        // ADOM(I₀) ∪ ADOM(I), ascending: the part of F every triple shares.
+        let known: Vec<Value> = adom.union(&rigid).copied().collect();
         // `DO(I, ασ)` depends only on the state, not on `UsedValues`:
-        // precompute every triple's pre-instance in parallel against the
+        // precompute every triple's template in parallel against the
         // state's hash index.
         let state_idx = state_idx.unwrap_or_else(|| state_index(dcds, &inst));
         let triples_for_state = legal_assignments_indexed(dcds, &inst, Some(&state_idx));
-        let pres: Vec<PreInstance> =
+        let templates: Vec<Template> = do_clock.time(|| {
             par_map_obs(&triples_for_state, threads, obs, "do", |(action, sigma)| {
-                do_action_indexed(dcds, &inst, *action, sigma, Some(&state_idx))
-            });
-        state_span.set("triples", pres.len() as u64);
-        for pre in &pres {
+                Template::new(&do_action_indexed(
+                    dcds,
+                    &inst,
+                    *action,
+                    sigma,
+                    Some(&state_idx),
+                ))
+            })
+        });
+        state_span.set("triples", templates.len() as u64);
+        for tpl in &templates {
             triples += 1;
-            let calls = pre.calls();
-            let n = calls.len();
+            let n = tpl.calls;
             // RecyclableValues := UsedValues − (ADOM(I₀) ∪ ADOM(I)), in
             // ascending order.
             let recyclable: Vec<Value> = used_values
@@ -194,52 +365,78 @@ pub fn build<S: StateStorage>(
                 .copied()
                 .filter(|v| !rigid.contains(v) && !adom.contains(v))
                 .collect();
-            let v_set: Vec<Value> = if recyclable.len() >= n {
-                recyclable.into_iter().take(n).collect()
-            } else {
+            let fresh = recyclable.len() < n;
+            let v_set: Vec<Value> = if fresh {
                 // Fresh values from C − UsedValues.
                 (0..n).map(|_| pool.mint("v")).collect()
+            } else {
+                recyclable.into_iter().take(n).collect()
             };
-            // F := ADOM(I₀) ∪ ADOM(I) ∪ V.
-            let mut f_set: BTreeSet<Value> = adom.clone();
-            f_set.extend(rigid.iter().copied());
-            f_set.extend(v_set.iter().copied());
-            if (f_set.len() as f64).powi(n as i32) > MAX_EVALS_PER_STEP {
-                complete = false;
-                obs.counter_add("rcycl.eval_budget_skips", 1);
+            // F := ADOM(I₀) ∪ ADOM(I) ∪ V, ascending; V is disjoint from
+            // the rest.
+            let mut f = known.clone();
+            f.extend(v_set);
+            f.sort_unstable();
+            if over_eval_budget(f.len(), n) {
+                eval_budget_skips += 1;
                 continue;
             }
-            // The θ fan-out: independent evaluations of one pre-instance,
-            // merged below in enumeration order.
-            let thetas = evals_over(&calls, &f_set);
-            obs.histogram("rcycl.theta_fanout", thetas.len() as u64);
-            let nexts: Vec<Option<Instance>> =
-                par_map_obs(&thetas, threads, obs, "theta", |theta| {
-                    nondet_step_with_pre(dcds, pre, theta)
-                });
-            for next in nexts.into_iter().flatten() {
-                counters.successors_generated += 1;
-                let next_id = match storage.lookup(&next) {
-                    Ok(id) => id,
-                    Err(probe) => {
-                        if storage.num_states() >= max_states {
-                            complete = false;
-                            continue;
+            let fanout = f.len().pow(n as u32);
+            obs.histogram("rcycl.theta_fanout", fanout as u64);
+            if fanout == 0 {
+                continue;
+            }
+            keys.start(n, &f);
+            loop {
+                let found = theta_clock.time(|| storage.lookup(keys.build(tpl)));
+                let succ = match found {
+                    Some(id) if id == initial_id && !initial_ok => Successor::Rejected,
+                    Some(id) => Successor::State(id),
+                    None => admit_clock.time(|| {
+                        let next = keys.instance();
+                        if !dcds.data.satisfies_constraints(&next) {
+                            return Successor::Rejected;
                         }
-                        let id = storage.add_state(sid, &next, probe);
-                        let index = storage.child_index(id, &next, Some(&state_idx));
+                        if storage.num_states() >= max_states {
+                            return Successor::OverBudget;
+                        }
+                        let (id, index) = storage.add_state(sid, &keys.key, next, Some(&state_idx));
                         queue.push_back((id, index));
-                        id
-                    }
+                        Successor::State(id)
+                    }),
                 };
-                used_values.extend(next.active_domain());
-                storage.add_edge(sid, next_id);
+                match succ {
+                    Successor::Rejected => {}
+                    Successor::OverBudget => {
+                        counters.successors_generated += 1;
+                        state_budget_hit = true;
+                    }
+                    Successor::State(id) => {
+                        counters.successors_generated += 1;
+                        // ADOM(I_next) ⊆ ADOM(I) ∪ ADOM(I₀) ∪ θ(CALLS),
+                        // and only a freshly minted V adds values.
+                        if fresh {
+                            used_values.extend(keys.theta.iter().copied());
+                        }
+                        storage.add_edge(sid, id);
+                    }
+                }
+                if !keys.advance(&f) {
+                    break;
+                }
             }
         }
     }
 
+    let complete = !state_budget_hit && eval_budget_skips == 0;
+    if eval_budget_skips > 0 {
+        obs.counter_add("rcycl.eval_budget_skips", eval_budget_skips as u64);
+    }
     obs.counter_add("rcycl.triples_processed", triples as u64);
     obs.gauge_max("rcycl.used_values", used_values.len() as i64);
+    do_clock.publish(obs, "rcycl.do_us");
+    theta_clock.publish(obs, "rcycl.theta_us");
+    admit_clock.publish(obs, "rcycl.admit_us");
     counters.publish(obs, "rcycl");
     storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
@@ -262,6 +459,8 @@ pub fn build<S: StateStorage>(
     RcyclResult {
         ts: storage.finish(),
         complete,
+        state_budget_hit,
+        eval_budget_skips,
         used_values,
         triples_processed: triples,
         pool,

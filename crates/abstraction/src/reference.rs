@@ -11,7 +11,7 @@
 //! outcome, the same minted pool.
 
 use crate::det_abs::AbsOutcome;
-use crate::rcycl::MAX_EVALS_PER_STEP;
+use crate::rcycl::over_eval_budget;
 use dcds_core::det::{det_successors_by_commitment, DetState};
 use dcds_core::do_op::{do_action, legal_assignments};
 use dcds_core::nondet::{evals_over, nondet_step_with_pre};
@@ -59,11 +59,11 @@ pub fn det_abstraction(dcds: &Dcds, max_states: usize) -> (Ts, AbsOutcome, Const
 
 /// Appendix C.3: Algorithm RCYCL up to `max_states` states.
 ///
-/// Returns the pruning, whether it saturated, and the pool extended with
-/// the fresh values minted. A triple whose `EVALS_F` would exceed
-/// `2·10⁴` evaluations is skipped and the result marked incomplete, as
-/// the engine does.
-pub fn rcycl(dcds: &Dcds, max_states: usize) -> (Ts, bool, ConstantPool) {
+/// Returns the pruning, whether it saturated, the pool extended with the
+/// fresh values minted, and the final `UsedValues`. A triple whose
+/// `EVALS_F` would exceed `2·10⁴` evaluations is skipped and the result
+/// marked incomplete, as the engine does.
+pub fn rcycl(dcds: &Dcds, max_states: usize) -> (Ts, bool, ConstantPool, BTreeSet<Value>) {
     let rigid = dcds.rigid_constants();
     let mut pool = dcds.working_pool();
     let initial = dcds.data.initial.clone();
@@ -96,7 +96,7 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> (Ts, bool, ConstantPool) {
             let mut f: BTreeSet<Value> = adom.clone();
             f.extend(rigid.iter().copied());
             f.extend(v);
-            if (f.len() as f64).powi(calls.len() as i32) > MAX_EVALS_PER_STEP {
+            if over_eval_budget(f.len(), calls.len()) {
                 complete = false;
                 continue;
             }
@@ -122,5 +122,5 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> (Ts, bool, ConstantPool) {
             }
         }
     }
-    (ts, complete, pool)
+    (ts, complete, pool, used)
 }

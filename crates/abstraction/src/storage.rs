@@ -8,20 +8,24 @@
 //! state for state and edge for edge.
 //!
 //! * [`Owned`] keeps one shared [`Instance`] per state in a [`Ts`] and
-//!   builds each expanded state's [`InstanceIndex`] from scratch. It is
-//!   the faster of the two.
+//!   builds each expanded state's [`InstanceIndex`] from scratch. For
+//!   RCYCL it also maps each state's fact key to its id. It is the faster
+//!   of the two.
 //! * [`Store`] keeps each state as a delta over its parent in a
 //!   [`StateStore`] and derives a child's index from its parent's with
-//!   the copy-on-write [`InstanceIndex::rebuild_delta`]. It needs several
-//!   times less memory, and its bytes per state stay flat up to millions
-//!   of states.
+//!   the copy-on-write [`InstanceIndex::rebuild_delta`]. RCYCL's fact keys
+//!   are looked up in the store's own interned-fact dedup table. It needs
+//!   several times less memory, and its bytes per state stay flat up to
+//!   millions of states.
 //!
 //! The public entry points pick the storage from the state budget; see
 //! [`OWNED_MAX_STATES`].
 
 use dcds_core::{CompactTs, Dcds, StateId, Ts};
 use dcds_obs::Obs;
-use dcds_reldata::{AccessPath, FactId, Facts, Instance, InstanceIndex, StateRef, StateStore};
+use dcds_reldata::{
+    AccessPath, FactId, Facts, Instance, InstanceIndex, StateRef, StateStore, Value,
+};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,32 +120,52 @@ pub trait ClassStorage: Storage {
 }
 
 /// RCYCL's view of a [`Storage`]: states are databases, deduplicated by
-/// exact equality.
+/// exact equality of their fact keys.
+///
+/// A database's *fact key* lists its facts in [`Instance::facts`] order,
+/// each written as `[rel, v₁, …, v_k]` (relation and value indexes). A
+/// relation's arity is fixed by the schema, so equal keys are equal
+/// databases.
 pub trait StateStorage: Storage {
-    /// Work a failed [`StateStorage::lookup`] hands on to
-    /// [`StateStorage::add_state`].
-    type Probe;
-
     /// A storage holding only the initial state, database `db0`.
     fn with_initial_state(dcds: &Dcds, db0: &Instance) -> Self;
 
     /// The database of a state.
     fn db(&self, s: StateId) -> Arc<Instance>;
 
-    /// The state whose database is exactly `db`, if any.
-    fn lookup(&self, db: &Instance) -> Result<StateId, Self::Probe>;
+    /// The state whose database has fact key `key`, if any.
+    fn lookup(&self, key: &[u32]) -> Option<StateId>;
 
-    /// Admit `db`, reached from `parent`, after `lookup` missed.
-    fn add_state(&mut self, parent: StateId, db: &Instance, probe: Self::Probe) -> StateId;
+    /// Admit `db`, whose fact key is `key`, reached from `parent` (query
+    /// index `parent_index`) after `lookup` missed. Returns the new state
+    /// and its query index, as [`Storage::child_index`] derives it.
+    fn add_state(
+        &mut self,
+        parent: StateId,
+        key: &[u32],
+        db: Instance,
+        parent_index: Option<&InstanceIndex>,
+    ) -> (StateId, Option<InstanceIndex>);
 }
 
-/// Owned storage: a [`Ts`] of shared instances.
+/// The fact key of `db` (see [`StateStorage`]).
+fn fact_key(db: &Instance) -> Vec<u32> {
+    let mut key = Vec::new();
+    for (rel, t) in db.facts() {
+        key.push(rel.index() as u32);
+        key.extend(t.iter().map(|v| v.index() as u32));
+    }
+    key
+}
+
+/// Owned storage: a [`Ts`] of shared instances. An admitted RCYCL state
+/// is moved into the [`Ts`], not copied; the dedup map holds its fact key.
 #[derive(Debug)]
 pub struct Owned {
     ts: Ts,
-    /// Exact-database dedup for [`StateStorage`]; unused (empty) under
-    /// [`ClassStorage`].
-    ids: HashMap<Arc<Instance>, StateId>,
+    /// Exact-database dedup for [`StateStorage`], by fact key; unused
+    /// (empty) under [`ClassStorage`].
+    ids: HashMap<Box<[u32]>, StateId>,
 }
 
 impl Storage for Owned {
@@ -190,12 +214,9 @@ impl ClassStorage for Owned {
 }
 
 impl StateStorage for Owned {
-    type Probe = ();
-
     fn with_initial_state(_dcds: &Dcds, db0: &Instance) -> Self {
-        let db0 = Arc::new(db0.clone());
-        let ts = Ts::new_shared(Arc::clone(&db0));
-        let ids = HashMap::from([(db0, ts.initial())]);
+        let ts = Ts::new(db0.clone());
+        let ids = HashMap::from([(fact_key(db0).into_boxed_slice(), ts.initial())]);
         Owned { ts, ids }
     }
 
@@ -203,19 +224,25 @@ impl StateStorage for Owned {
         self.ts.db_shared(s)
     }
 
-    fn lookup(&self, db: &Instance) -> Result<StateId, ()> {
-        self.ids.get(db).copied().ok_or(())
+    fn lookup(&self, key: &[u32]) -> Option<StateId> {
+        self.ids.get(key).copied()
     }
 
-    fn add_state(&mut self, _parent: StateId, db: &Instance, _probe: ()) -> StateId {
-        let db = Arc::new(db.clone());
-        let id = self.ts.add_state_shared(Arc::clone(&db));
-        self.ids.insert(db, id);
-        id
+    fn add_state(
+        &mut self,
+        _parent: StateId,
+        key: &[u32],
+        db: Instance,
+        _parent_index: Option<&InstanceIndex>,
+    ) -> (StateId, Option<InstanceIndex>) {
+        let id = self.ts.add_state(db);
+        self.ids.insert(key.into(), id);
+        (id, None)
     }
 }
 
-/// Compact storage: states as deltas in a [`StateStore`].
+/// Compact storage: states as deltas in a [`StateStore`], whose own
+/// dedup table answers RCYCL's lookups.
 #[derive(Debug)]
 pub struct Store {
     store: StateStore,
@@ -224,6 +251,8 @@ pub struct Store {
     succ: Vec<Vec<StateId>>,
     /// Colors `< num_rels` are database facts; the rest encode call maps.
     num_rels: u32,
+    /// Arity of each relation, to split a fact key into facts.
+    arities: Vec<usize>,
     paths: Vec<AccessPath>,
     /// The fact ids of the parent last admitted from: a parent's children
     /// arrive consecutively, so it is resolved once for all of them.
@@ -257,6 +286,7 @@ impl Store {
             refs: vec![r0],
             succ: vec![Vec::new()],
             num_rels: dcds.data.schema.len() as u32,
+            arities: dcds.data.schema.iter().map(|(_, r)| r.arity()).collect(),
             paths: dcds.plans().access_paths().to_vec(),
             resolved: None,
         }
@@ -324,8 +354,6 @@ impl ClassStorage for Store {
 }
 
 impl StateStorage for Store {
-    type Probe = Facts;
-
     fn with_initial_state(dcds: &Dcds, db0: &Instance) -> Self {
         Store::with_initial(dcds, &Facts::from_instance(db0))
     }
@@ -334,15 +362,31 @@ impl StateStorage for Store {
         Arc::new(self.store.instance(self.refs[s.index()], self.num_rels))
     }
 
-    fn lookup(&self, db: &Instance) -> Result<StateId, Facts> {
-        let facts = Facts::from_instance(db);
-        match self.store.find(&facts) {
-            Some(r) => Ok(StateId::from_index(r.index())),
-            None => Err(facts),
+    fn lookup(&self, key: &[u32]) -> Option<StateId> {
+        // Split the key into facts by arity and find their interned ids;
+        // a fact never interned is in no stored state.
+        let mut ids = Vec::new();
+        let mut values = Vec::new();
+        let mut rest = key;
+        while let Some((&rel, tail)) = rest.split_first() {
+            let (args, next) = tail.split_at(self.arities[rel as usize]);
+            values.clear();
+            values.extend(args.iter().map(|&v| Value::from_index(v as usize)));
+            ids.push(self.store.fact_id(rel, &values)?);
+            rest = next;
         }
+        let r = self.store.find_ids(&ids)?;
+        Some(StateId::from_index(r.index()))
     }
 
-    fn add_state(&mut self, parent: StateId, _db: &Instance, facts: Facts) -> StateId {
-        self.insert(parent, &facts)
+    fn add_state(
+        &mut self,
+        parent: StateId,
+        _key: &[u32],
+        db: Instance,
+        parent_index: Option<&InstanceIndex>,
+    ) -> (StateId, Option<InstanceIndex>) {
+        let id = self.insert(parent, &Facts::from_instance(&db));
+        (id, self.child_index(id, &db, parent_index))
     }
 }

@@ -38,6 +38,8 @@ pub fn rcycl_storages_agree(dcds: &Dcds, budget: usize, threads: usize) -> Rcycl
         "rcycl storages diverged at {threads} threads"
     );
     assert_eq!(store.complete, owned.complete);
+    assert_eq!(store.state_budget_hit, owned.state_budget_hit);
+    assert_eq!(store.eval_budget_skips, owned.eval_budget_skips);
     assert_eq!(store.used_values, owned.used_values);
     assert_eq!(store.triples_processed, owned.triples_processed);
     assert_eq!(store.pool.len(), owned.pool.len());

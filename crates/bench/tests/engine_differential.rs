@@ -38,12 +38,18 @@ fn assert_det_identical(dcds: &Dcds, budget: usize) {
 }
 
 fn assert_rcycl_identical(dcds: &Dcds, budget: usize) {
-    let (ref_ts, ref_complete, ref_pool) = reference::rcycl(dcds, budget);
+    let (ref_ts, ref_complete, ref_pool, ref_used) = reference::rcycl(dcds, budget);
     for threads in THREAD_COUNTS {
         let owned = parity::rcycl_storages_agree(dcds, budget, threads);
         assert_eq!(owned.ts, ref_ts, "RCYCL engine differs from the reference");
         assert_eq!(owned.complete, ref_complete);
         assert_eq!(owned.pool.len(), ref_pool.len());
+        // The engine grows UsedValues from θ's image alone; the reference
+        // by the definition, `∪= ADOM(I_next)`.
+        assert_eq!(
+            owned.used_values, ref_used,
+            "UsedValues differ at {threads} threads"
+        );
     }
 }
 
@@ -116,6 +122,126 @@ fn rcycl_storages_match_reference_on_synthetic_families() {
     assert_rcycl_identical(&synthetic::phased_rings(3), 500);
     assert_rcycl_identical(&synthetic::flush_ladder(), 500);
     assert_rcycl_identical(&synthetic::accumulator(2), 120);
+}
+
+/// RCYCL looks each θ-successor up by its fact key before building it,
+/// and runs the constraints only on a key it has not seen. These systems
+/// exercise the corners of that path.
+mod key_path {
+    use super::*;
+    use dcds_core::DcdsBuilder;
+    use dcds_obs::ObsConfig;
+    use dcds_reldata::Tuple;
+
+    /// Two calls into `Q`, whose constraint keeps only the θ that give
+    /// both the same value.
+    fn constrained_pair() -> Dcds {
+        DcdsBuilder::new()
+            .relation("R", 1)
+            .relation("Q", 1)
+            .service("f", 1, ServiceKind::Nondeterministic)
+            .service("g", 1, ServiceKind::Nondeterministic)
+            .init_fact("R", &["a"])
+            .constraint("Q(X) & Q(Y) -> X = Y")
+            .action("alpha", &[], |a| {
+                a.effect("R(X)", "Q(f(X))");
+                a.effect("R(X)", "Q(g(X))");
+                a.effect("Q(X)", "R(X)");
+            })
+            .rule("true", "alpha")
+            .build()
+            .unwrap()
+    }
+
+    /// `R(f(a))` beside the constant fact `R(b)`: θ(f(a)) = b resolves
+    /// both pre-facts to one fact.
+    fn merging_heads() -> Dcds {
+        DcdsBuilder::new()
+            .relation("R", 1)
+            .service("f", 1, ServiceKind::Nondeterministic)
+            .init_fact("R", &["a"])
+            .action("alpha", &[], |a| {
+                a.effect("R(X)", "R(f(X))");
+                a.effect("R(X)", "R('b')");
+            })
+            .rule("true", "alpha")
+            .build()
+            .unwrap()
+    }
+
+    /// An unvalidated system whose `I₀ = {R(a), R(c)}` breaks "at most
+    /// one R"; `copy` maps `I₀` to itself, which must be rejected.
+    fn invalid_initial() -> Dcds {
+        let valid = DcdsBuilder::new()
+            .relation("R", 1)
+            .relation("Q", 1)
+            .service("f", 1, ServiceKind::Nondeterministic)
+            .init_fact("R", &["a"])
+            .constraint("R(X) & R(Y) -> X = Y")
+            .action("copy", &[], |a| {
+                a.effect("R(X)", "R(X)");
+            })
+            .action("call", &[], |a| {
+                a.effect("R(X)", "Q(f(X))");
+                a.effect("Q(X)", "R(X)");
+            })
+            .rule("true", "copy")
+            .rule("true", "call")
+            .build()
+            .unwrap();
+        let mut data = valid.data.clone();
+        let r = data.schema.rel_id("R").unwrap();
+        let c = data.pool.intern("c");
+        data.initial.insert(r, Tuple::from([c]));
+        Dcds::from_parts(data, valid.process.clone())
+    }
+
+    /// Total θ fan-out of one traced RCYCL run, against the successors it
+    /// kept.
+    fn fanout_and_successors(dcds: &Dcds, budget: usize) -> (u64, u64) {
+        let obs = Obs::enabled(ObsConfig::default());
+        let res = rcycl::build::<Owned>(dcds, budget, 1, &obs);
+        let metrics = obs.finish().unwrap().metrics;
+        let fanout = metrics.histogram("rcycl.theta_fanout").unwrap().sum;
+        let fanout = u64::try_from(fanout).unwrap();
+        (fanout, res.counters.successors_generated)
+    }
+
+    #[test]
+    fn constraints_reject_some_theta_successors() {
+        let dcds = constrained_pair();
+        let (fanout, kept) = fanout_and_successors(&dcds, 200);
+        assert!(kept > 0 && kept < fanout, "{kept} of {fanout}");
+        assert_rcycl_identical(&dcds, 200);
+    }
+
+    #[test]
+    fn resolution_merges_pre_facts() {
+        let dcds = merging_heads();
+        let res = rcycl::build::<Owned>(&dcds, 200, 1, &Obs::disabled());
+        // From {R(a)}, θ(f(a)) = b reaches the one-fact state {R(b)}.
+        let s0 = res.ts.initial();
+        assert!(res
+            .ts
+            .successors(s0)
+            .iter()
+            .any(|&s| res.ts.db(s).len() == 1));
+        assert_rcycl_identical(&dcds, 200);
+    }
+
+    #[test]
+    fn an_unvalidated_initial_state_is_not_a_successor() {
+        let dcds = invalid_initial();
+        assert!(!dcds.data.satisfies_constraints(&dcds.data.initial));
+        let res = rcycl::build::<Owned>(&dcds, 200, 1, &Obs::disabled());
+        let s0 = res.ts.initial();
+        assert!(!res.ts.successors(s0).is_empty());
+        assert!(res
+            .ts
+            .state_ids()
+            .all(|s| !res.ts.successors(s).contains(&s0)));
+        assert_rcycl_identical(&dcds, 200);
+    }
 }
 
 #[test]

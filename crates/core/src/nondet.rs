@@ -10,7 +10,7 @@
 //! exposed here are point steps ([`nondet_step`]), commitment
 //! representatives ([`nondet_successors_by_commitment`]), and the
 //! `EVALS_F`-style enumeration over an explicit finite value set
-//! ([`evals_over`], used by Algorithm RCYCL).
+//! ([`evals_over`], used by the reference Algorithm RCYCL).
 
 use crate::action::ActionId;
 use crate::commitment::{enumerate_commitments, instantiate, Commitment};
@@ -35,11 +35,8 @@ pub fn nondet_step(
     nondet_step_with_pre(dcds, &pre, theta)
 }
 
-/// [`nondet_step`] for a caller that has already computed `DO(I, ασ)`.
-///
-/// RCYCL evaluates up to `|F|^n` evaluations θ against the *same*
-/// pre-instance; computing `DO` once per `ασ` instead of once per θ
-/// removes a full query-evaluation pass from the innermost loop.
+/// [`nondet_step`] for a caller that has already computed `DO(I, ασ)`
+/// and steps it under many evaluations θ.
 pub fn nondet_step_with_pre(
     dcds: &Dcds,
     pre: &crate::do_op::PreInstance,

@@ -513,6 +513,44 @@ impl Obs {
     }
 }
 
+/// Wall time of one engine phase, summed over the calls of a level or a
+/// run and published as one `*_us` histogram sample. Inert while
+/// observability is off: the clock is never read.
+#[derive(Debug)]
+pub struct PhaseClock(Option<Duration>);
+
+impl PhaseClock {
+    /// A clock that runs iff `obs` is enabled.
+    pub fn new(obs: &Obs) -> PhaseClock {
+        PhaseClock(obs.is_enabled().then_some(Duration::ZERO))
+    }
+
+    /// A clock that never runs.
+    pub fn off() -> PhaseClock {
+        PhaseClock(None)
+    }
+
+    /// Run `f`, adding its wall time to the total when the clock runs.
+    #[inline]
+    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let Some(total) = &mut self.0 else {
+            return f();
+        };
+        let t0 = Instant::now();
+        let r = f();
+        *total += t0.elapsed();
+        r
+    }
+
+    /// Record the total into the `name` histogram; like every `*_us`
+    /// histogram it stays out of the deterministic snapshot.
+    pub fn publish(self, obs: &Obs, name: &'static str) {
+        if let Some(total) = self.0 {
+            obs.histogram(name, total.as_micros() as u64);
+        }
+    }
+}
+
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")

@@ -19,7 +19,7 @@
 //! independent of interning order anyway.
 
 use crate::iso::hash2;
-use crate::{Facts, Tuple};
+use crate::{Facts, Tuple, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -49,9 +49,9 @@ pub struct TupleArena {
     value_slots: usize,
 }
 
-fn fact_hash(color: u32, tuple: &Tuple) -> u64 {
+fn fact_hash(color: u32, values: &[Value]) -> u64 {
     let mut h = hash2(0xfac7, color as u64);
-    for v in tuple.iter() {
+    for v in values {
         h = hash2(h, v.index() as u64 + 1);
     }
     h
@@ -65,7 +65,7 @@ impl TupleArena {
 
     /// Intern one fact, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, color: u32, tuple: &Tuple) -> FactId {
-        let h = fact_hash(color, tuple);
+        let h = fact_hash(color, tuple.values());
         let candidates = self.lookup.entry(h).or_default();
         for &id in candidates.iter() {
             let (c, t) = &self.facts[id.index()];
@@ -87,12 +87,13 @@ impl TupleArena {
         facts.iter().map(|(c, t)| self.intern(c, t)).collect()
     }
 
-    /// The id of a fact if it has been interned, without interning it.
-    pub fn get_id(&self, color: u32, tuple: &Tuple) -> Option<FactId> {
-        let h = fact_hash(color, tuple);
+    /// The id of the fact `color(values)` if it has been interned,
+    /// without interning it.
+    pub fn get_id(&self, color: u32, values: &[Value]) -> Option<FactId> {
+        let h = fact_hash(color, values);
         self.lookup.get(&h)?.iter().copied().find(|&id| {
             let (c, t) = &self.facts[id.index()];
-            *c == color && t == tuple
+            *c == color && t.values() == values
         })
     }
 

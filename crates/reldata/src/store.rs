@@ -245,9 +245,21 @@ impl StateStore {
     pub fn find(&self, facts: &Facts) -> Option<StateRef> {
         let mut ids = Vec::with_capacity(facts.len());
         for (c, t) in facts.iter() {
-            ids.push(self.arena.get_id(c, t)?);
+            ids.push(self.fact_id(c, t.values())?);
         }
-        let h = TupleArena::hash_ids(&ids);
+        self.find_ids(&ids)
+    }
+
+    /// The id of the fact `color(values)` if it has been interned. A fact
+    /// that was never interned occurs in no stored state.
+    pub fn fact_id(&self, color: u32, values: &[Value]) -> Option<FactId> {
+        self.arena.get_id(color, values)
+    }
+
+    /// [`StateStore::find`] by fact ids, given in the order [`Facts`]
+    /// iterates.
+    pub fn find_ids(&self, ids: &[FactId]) -> Option<StateRef> {
+        let h = TupleArena::hash_ids(ids);
         self.dedup
             .get(&h)?
             .iter()

@@ -29,11 +29,10 @@ use dcds_core::{ActionId, Dcds, DetState};
 use dcds_folang::{holds_closed, Assignment, Formula};
 use dcds_mucalc::safety::{extract_safety, SafetyError, SafetyMode};
 use dcds_mucalc::Mu;
-use dcds_obs::{event, span, Obs};
+use dcds_obs::{event, span, Obs, PhaseClock};
 use dcds_reldata::{ConstantPool, Instance};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Budgets for the symbolic engine.
 #[derive(Debug, Clone)]
@@ -386,39 +385,6 @@ fn backward_reach(
             unconfirmed_hit = true;
         }
         frontier = new_frontier;
-    }
-}
-
-/// Wall time of one engine phase summed over the calls of one level, and
-/// published as one `*_us` sample per level. Inert while observability is
-/// off: the clock is never read.
-struct PhaseClock(Option<Duration>);
-
-impl PhaseClock {
-    fn new(obs: &Obs) -> PhaseClock {
-        PhaseClock(obs.is_enabled().then_some(Duration::ZERO))
-    }
-
-    fn off() -> PhaseClock {
-        PhaseClock(None)
-    }
-
-    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let Some(total) = &mut self.0 else {
-            return f();
-        };
-        let t0 = Instant::now();
-        let r = f();
-        *total += t0.elapsed();
-        r
-    }
-
-    /// Record the level's total into the `name` histogram; like every
-    /// `*_us` histogram it stays out of the deterministic snapshot.
-    fn publish(self, obs: &Obs, name: &'static str) {
-        if let Some(total) = self.0 {
-            obs.histogram(name, total.as_micros() as u64);
-        }
     }
 }
 

@@ -48,8 +48,9 @@
 //!
 //! Scripting/CI contract: **0** — the property holds on a complete
 //! abstraction; **1** — the property is violated on a complete abstraction;
-//! **2** — inconclusive (the state budget was hit, so the abstraction is
-//! truncated and no verdict is drawn: `verdict: inconclusive (…)` in text,
+//! **2** — inconclusive (the state budget was hit, or RCYCL skipped a step
+//! over its per-step evaluation budget, so the abstraction is truncated
+//! and no verdict is drawn: `verdict: inconclusive (…)` in text,
 //! `"verdict":null` with a `"reason"` in JSON). Parse and usage
 //! errors keep the ordinary failure path (exit 1 with a message on stderr,
 //! distinguishable from a violation verdict by the `error:` prefix).
@@ -71,7 +72,7 @@
 //! syntax error itself is reported as a `DCDS000` diagnostic in the
 //! selected format).
 
-use dcds_verify::abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned};
+use dcds_verify::abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned, MAX_EVALS_PER_STEP};
 use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
@@ -96,7 +97,7 @@ static ALLOC: dcds_verify::obs::alloc::CountingAlloc = dcds_verify::obs::alloc::
 const EXIT_HOLDS: u8 = 0;
 /// `dcds check`: property violated (complete abstraction).
 const EXIT_VIOLATED: u8 = 1;
-/// `dcds check`: inconclusive — the abstraction hit the state budget.
+/// `dcds check`: inconclusive — the abstraction hit a budget.
 const EXIT_INCONCLUSIVE: u8 = 2;
 
 /// Any `dcds` command: a flag the subcommand does not take, or a flag given
@@ -139,7 +140,7 @@ obs flags (analyze, abstract, check, lint):
   --events FILE|-       live line-JSON event stream (- = stdout)
 
 `dcds check` exits 0 when the property holds, 1 when it is violated, and
-2 when the verdict is inconclusive (state budget hit).
+2 when the verdict is inconclusive (state or evaluation budget hit).
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size).
@@ -384,6 +385,37 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
     obs_cli.finish(&obs)
 }
 
+/// What cut an abstraction short, if anything.
+#[derive(Debug, Clone, Copy)]
+struct Truncation {
+    /// The state budget dropped a new state.
+    states: bool,
+    /// RCYCL steps skipped over the per-step evaluation budget.
+    eval_skips: usize,
+}
+
+impl Truncation {
+    fn complete(self) -> bool {
+        !self.states && self.eval_skips == 0
+    }
+
+    /// Why the abstraction decides nothing, naming every budget that
+    /// tripped; `None` when it is complete.
+    fn reason(self, max_states: usize) -> Option<String> {
+        let mut hit = Vec::new();
+        if self.states {
+            hit.push(format!("state budget of {max_states} states hit"));
+        }
+        if self.eval_skips > 0 {
+            hit.push(format!(
+                "evaluation budget of {MAX_EVALS_PER_STEP} evaluations per step hit ({} steps skipped)",
+                self.eval_skips
+            ));
+        }
+        (!hit.is_empty()).then(|| hit.join("; "))
+    }
+}
+
 /// Build the finite abstraction the spec's services call for, in
 /// [`Owned`] storage at every budget: the model checker and the dot output
 /// take an owned [`Ts`], and converting the compact store into one costs
@@ -394,20 +426,27 @@ fn build_abstraction(
     max_states: usize,
     threads: usize,
     obs: &Obs,
-) -> (Ts, ConstantPool, bool, &'static str, EngineCounters) {
+) -> (Ts, ConstantPool, Truncation, &'static str, EngineCounters) {
     if dcds.is_deterministic() {
         let opts = AbsOptions {
             threads,
             ..AbsOptions::default()
         };
         let abs = det_abs::build::<Owned>(dcds, max_states, opts, obs);
-        let complete = abs.outcome == AbsOutcome::Complete;
+        let cut = Truncation {
+            states: abs.outcome == AbsOutcome::Truncated,
+            eval_skips: 0,
+        };
         let how = "deterministic abstraction (Thm 4.3)";
-        (abs.ts, abs.pool, complete, how, abs.counters)
+        (abs.ts, abs.pool, cut, how, abs.counters)
     } else {
         let res = rcycl::build::<Owned>(dcds, max_states, threads, obs);
+        let cut = Truncation {
+            states: res.state_budget_hit,
+            eval_skips: res.eval_budget_skips,
+        };
         let how = "RCYCL pruning (Thm 5.4)";
-        (res.ts, res.pool, res.complete, how, res.counters)
+        (res.ts, res.pool, cut, how, res.counters)
     }
 }
 
@@ -424,7 +463,8 @@ fn do_abstract(
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    let (ts, pool, complete, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
+    let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
+    let complete = cut.complete();
     println!(
         "{how}: {} states, {} edges, max |adom(state)| = {}, complete = {complete}",
         ts.num_states(),
@@ -441,9 +481,9 @@ fn do_abstract(
             rate * 100.0
         );
     }
-    if !complete {
+    if let Some(reason) = cut.reason(max_states) {
         eprintln!(
-            "note: budget of {max_states} states hit — the system may be run-/state-unbounded; \
+            "note: {reason} — the system may be run-/state-unbounded; \
              see `dcds analyze` for the static verdicts"
         );
     }
@@ -473,12 +513,13 @@ fn do_check(
     let mut pool_for_parse = dcds.data.pool.clone();
     let phi = parse_mu(formula, &mut schema, &mut pool_for_parse).map_err(|e| e.to_string())?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
-    let (ts, pool, complete, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
+    let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
+    let complete = cut.complete();
     let run = check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
     let verdict = run.holds;
     // A truncated abstraction decides nothing, so no verdict is reported:
     // the same output contract as the symbolic engine's inconclusive runs.
-    let inconclusive = (!complete).then(|| format!("state budget of {max_states} states hit"));
+    let inconclusive = cut.reason(max_states);
     match format {
         OutputFormat::Json => {
             // One JSON object: the machine-readable counterpart of the
@@ -509,10 +550,12 @@ fn do_check(
                 "abstraction: {how}, {} states, complete = {complete}",
                 ts.num_states()
             );
-            if !complete {
-                eprintln!(
+            match &inconclusive {
+                None => {}
+                Some(_) if cut.eval_skips == 0 => eprintln!(
                     "WARNING: the abstraction is truncated; raise --max-states for a verdict"
-                );
+                ),
+                Some(reason) => eprintln!("WARNING: the abstraction is truncated: {reason}"),
             }
             eprintln!(
                 "mc engine ({threads} thread{}): {}",

@@ -162,6 +162,67 @@ fn check_truncated_abstraction_is_inconclusive() {
 }
 
 #[test]
+fn check_names_the_evaluation_budget_when_rcycl_skips_steps() {
+    // Every step doubles R, so the calls per step grow until `EVALS_F`
+    // exceeds the per-step evaluation budget; the state budget is never
+    // reached at the default, and the report must not claim it was.
+    let path = std::env::temp_dir().join(format!("dcds_cli_doubler_{}.dcds", std::process::id()));
+    std::fs::write(
+        &path,
+        "schema { R 1; } services { f 1 nondet; g 1 nondet; } init { R('a'); }\n\
+         action alpha() { R(X) ~> R(f(X)), R(g(X)); } rule true => alpha;\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let phi = "nu Z . true & [] Z";
+
+    let (code, stdout, _stderr) = dcds_streams(&["check", path, phi, "--format", "json"]);
+    assert_eq!(code, 2, "{stdout}");
+    assert!(stdout.contains("\"states\":98,"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "\"verdict\":null,\"reason\":\"evaluation budget of 20000 evaluations per step hit \
+             (70 steps skipped)\"}"
+        ),
+        "{stdout}"
+    );
+
+    let (code, text) = dcds_code(&["check", path, phi]);
+    assert_eq!(code, 2, "{text}");
+    assert!(
+        text.contains(
+            "WARNING: the abstraction is truncated: evaluation budget of 20000 evaluations \
+             per step hit (70 steps skipped)"
+        ),
+        "{text}"
+    );
+    assert!(!text.contains("--max-states"), "{text}");
+    assert!(!text.contains("state budget"), "{text}");
+
+    // With both budgets tripped, the reason names both.
+    let (code, stdout, _stderr) =
+        dcds_streams(&["check", path, phi, "--max-states", "50", "--format", "json"]);
+    assert_eq!(code, 2, "{stdout}");
+    assert!(
+        stdout.contains(
+            "\"reason\":\"state budget of 50 states hit; evaluation budget of 20000 \
+             evaluations per step hit (32 steps skipped)\"}"
+        ),
+        "{stdout}"
+    );
+    let (code, text) = dcds_code(&["check", path, phi, "--max-states", "50"]);
+    assert_eq!(code, 2, "{text}");
+    assert!(
+        text.contains(
+            "verdict: inconclusive (state budget of 50 states hit; evaluation budget of 20000 \
+             evaluations per step hit (32 steps skipped))"
+        ),
+        "{text}"
+    );
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn check_rejects_open_formulas_by_name() {
     let (code, text) = dcds_code(&["check", &spec("ping_pong.dcds"), "live(X) & R(X)"]);
     assert_eq!(code, 1, "{text}");
