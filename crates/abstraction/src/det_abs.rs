@@ -15,22 +15,20 @@
 //! The construction is written once ([`build`]), generic over the
 //! [`ClassStorage`] that holds its states. The BFS is **level-synchronised**;
 //! each level is stepped in `level_chunk`-sized batches of frontier states,
-//! and each batch runs four phases, so the expensive work parallelises
-//! while every order-sensitive effect stays serial:
+//! and each batch runs four phases — two parallel passes between serial
+//! ones — so the expensive work parallelises while every order-sensitive
+//! effect stays serial:
 //!
 //! 1. *enumerate* (parallel): per frontier state, legal assignments,
 //!    `DO(I, ασ)` pre-instances, and the equality commitments of the new
-//!    calls — none of which touch the constant pool; a parallel *census*
-//!    pass also builds each frontier state's value-occurrence census
-//!    ([`dcds_reldata::SigCensus`]) so successor signatures can be derived
-//!    incrementally instead of from scratch;
+//!    calls — none of which touch the constant pool;
 //! 2. *mint* (serial, frontier order): instantiate each commitment's fresh
 //!    cells from the shared [`ConstantPool`];
 //! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks):
 //!    [`det_step_with_pre`], the successor's [`Facts`] encoding, its
-//!    invariant signature — derived from the source state's census by the
-//!    fact diff — and, when the class index already has a matching
-//!    signature bucket, its canonical key;
+//!    invariant signature ([`Facts::signature`], from scratch) and, when
+//!    the class index already has a matching signature bucket, its
+//!    canonical key;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
 //!    admit new classes to the storage, record edges, apply the state
 //!    budget. The store derives each admitted state's query index from
@@ -69,7 +67,7 @@ use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
 use dcds_core::{enumerate_commitments, ActionId, Commitment, Dcds, StateId, StateSpace};
 use dcds_folang::Assignment;
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, InstanceIndex, SigCensus, Value};
+use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, InstanceIndex, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
@@ -200,14 +198,10 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 /// on every input, so each class is keyed at most once, ever, and no
 /// probe needs a pairwise isomorphism check.
 ///
-/// Counter semantics: every probe credits `iso_checks_avoided` with the
-/// classes the signature filter excluded (`total − |group|`; all of them
-/// when the group is empty, which also counts one `sig_filter_skips`). A
-/// keyed probe additionally credits one avoided check per keyed group
-/// member (the exact-map probe stands in for comparing against each of
-/// them), and `canon_keys_computed` counts every key search exactly once
-/// (with `canon_orders_enumerated` / `canon_prune_cutoffs` summing the
-/// search effort).
+/// Counter semantics: a probe into an empty signature group counts one
+/// `sig_filter_skips`, and `canon_keys_computed` counts every key search
+/// exactly once (with `canon_orders_enumerated` / `canon_prune_cutoffs`
+/// summing the search effort).
 struct ClassIndex<C> {
     rigid: BTreeSet<Value>,
     /// Per class: the storage handle of its representative.
@@ -252,16 +246,11 @@ impl<C> ClassIndex<C> {
             exact,
             groups,
         } = self;
-        let total = classes.len() as u64;
         let Some(group) = groups.get_mut(&sig).filter(|g| g.members > 0) else {
-            // The signature proves the class is new: every resident
-            // class's pairwise check is avoided.
+            // The signature proves the class is new.
             counters.sig_filter_skips += 1;
-            counters.iso_checks_avoided += total;
             return None;
         };
-        // The signature filter rules out every class outside this group.
-        counters.iso_checks_avoided += total - group.members;
         // Materialise the probe's key on first need.
         let pk = probe_key.get_or_insert_with(|| {
             let (k, stats) = facts.canonical_key_stats(rigid);
@@ -277,9 +266,6 @@ impl<C> ClassIndex<C> {
             exact.insert(ck, ix);
             group.keyed += 1;
         }
-        // One hash probe stands in for a key comparison against every
-        // keyed member of the group.
-        counters.iso_checks_avoided += group.keyed;
         exact.get(pk).copied()
     }
 
@@ -422,14 +408,6 @@ pub fn build<S: ClassStorage>(
                         .collect()
                 });
 
-            // Census (parallel): each frontier state's value-occurrence
-            // census, so every successor's signature derives from a fact
-            // diff instead of a from-scratch pass.
-            let censuses: Vec<SigCensus> = par_map_obs(chunk, threads, obs, "census", |entry| {
-                let f = entry.state.to_facts(num_rels);
-                SigCensus::new(f.iter(), &rigid)
-            });
-
             // Phase 2 (serial, frontier order): mint the fresh cells of
             // every commitment — the exact mint sequence of a serial loop.
             let mut tasks: Vec<StepTask> = Vec::new();
@@ -454,8 +432,7 @@ pub fn build<S: ClassStorage>(
                 let state = &chunk[task.frontier_ix].state;
                 det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
                     let facts = next.to_facts(num_rels);
-                    let sig =
-                        censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
+                    let sig = facts.signature(&rigid);
                     let key = index
                         .bucket_occupied(sig)
                         .then(|| facts.canonical_key_stats(&rigid));
@@ -524,9 +501,6 @@ pub fn build<S: ClassStorage>(
 
     obs.counter_add("abs.levels", level as u64);
     counters.publish(obs, "abs");
-    obs.counter_add("canon.keys_computed", counters.canon_keys_computed);
-    obs.counter_add("canon.orders_enumerated", counters.canon_orders_enumerated);
-    obs.counter_add("canon.prune_cutoffs", counters.canon_prune_cutoffs);
     storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
     obs.progress_flush(|| {
@@ -735,9 +709,8 @@ mod tests {
 
     #[test]
     fn empty_group_probe_counters() {
-        // An empty-signature-group probe credits the signature filter —
-        // one `sig_filter_skips` and one avoided check per resident class —
-        // without computing any canonical key.
+        // An empty-signature-group probe credits the signature filter with
+        // one `sig_filter_skips`, without computing any canonical key.
         let rigid = BTreeSet::new();
         let (mut storage, mut index) = index_over::<Owned>(rigid.clone());
         let mut counters = EngineCounters::default();
@@ -761,10 +734,9 @@ mod tests {
         assert!(key.is_none(), "empty-group probe must not compute a key");
         let deltas = (
             counters.sig_filter_skips - before.sig_filter_skips,
-            counters.iso_checks_avoided - before.iso_checks_avoided,
             counters.canon_keys_computed - before.canon_keys_computed,
         );
-        assert_eq!(deltas, (1, 2, 0));
+        assert_eq!(deltas, (1, 0));
     }
 
     /// The collision-heavy regression: perfect matchings of 12 tags all

@@ -1205,8 +1205,7 @@ fn main() {
                  \"states_per_sec\": {}, \"store_bytes\": {}, \"bytes_per_state\": {}, \
                  \"delta_share\": {}, \"facts_interned\": {}, \"complete\": {}, \
                  \"canon_keys_computed\": {}, \"canon_orders_enumerated\": {}, \
-                 \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}, \
-                 \"iso_checks_avoided\": {}}}{}",
+                 \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}}}{}",
                 r.budget,
                 json_f64(r.secs),
                 r.states,
@@ -1221,7 +1220,6 @@ fn main() {
                 r.counters.canon_orders_enumerated,
                 r.counters.canon_prune_cutoffs,
                 r.counters.sig_filter_skips,
-                r.counters.iso_checks_avoided,
                 if ri + 1 < w.runs.len() { "," } else { "" }
             );
         }

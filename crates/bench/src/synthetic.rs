@@ -448,6 +448,43 @@ mod tests {
     }
 
     #[test]
+    fn dedup_counters_are_pinned() {
+        // Every dedup decision of the det abstraction, pinned: a change to
+        // signatures, canonical keys or colour refinement that moves one
+        // bucket hit, key search or search leaf shows up here.
+        use dcds_abstraction::{det_abstraction, AbsOutcome};
+        use dcds_core::EngineCounters;
+        let abs = det_abstraction(&collision_pairs(7), 1000);
+        assert_eq!(abs.outcome, AbsOutcome::Complete);
+        assert_eq!((abs.ts.num_states(), abs.ts.num_edges()), (352, 351));
+        assert_eq!(
+            abs.counters,
+            EngineCounters {
+                states_expanded: 352,
+                successors_generated: 351,
+                canon_keys_computed: 289,
+                sig_filter_skips: 127,
+                canon_orders_enumerated: 289,
+                canon_prune_cutoffs: 0,
+            }
+        );
+        let abs = det_abstraction(&parallel_rings(3), 2000);
+        assert_eq!(abs.outcome, AbsOutcome::Truncated);
+        assert_eq!((abs.ts.num_states(), abs.ts.num_edges()), (2000, 2014));
+        assert_eq!(
+            abs.counters,
+            EngineCounters {
+                states_expanded: 2000,
+                successors_generated: 26662,
+                canon_keys_computed: 570,
+                sig_filter_skips: 26310,
+                canon_orders_enumerated: 570,
+                canon_prune_cutoffs: 0,
+            }
+        );
+    }
+
+    #[test]
     fn random_is_deterministic_in_seed() {
         let p = RandomParams::default();
         let a = random_dcds(42, p);

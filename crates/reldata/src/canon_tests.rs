@@ -230,3 +230,53 @@ fn key_equality_coincides_with_isomorphism() {
         }
     }
 }
+
+/// A directed path `a → x₀ → … → x₉` hanging off one rigid constant `a`:
+/// `order` lists the free values' names in path order, and `reversed`
+/// flips every edge, so that `a` becomes the sink.
+fn rigid_path(pool: &mut ConstantPool, a: Value, order: &[&str], reversed: bool) -> Facts {
+    let mut nodes = vec![a];
+    nodes.extend(order.iter().map(|name| pool.intern(name)));
+    let mut f = Facts::new();
+    for w in nodes.windows(2) {
+        let (from, to) = if reversed { (w[1], w[0]) } else { (w[0], w[1]) };
+        f.insert(0, Tuple::from([from, to]));
+    }
+    f
+}
+
+/// Refinement depth: every free value of a 10-value path is told apart
+/// only by its distance from the rigid end or the free end, so colour
+/// refinement needs five rounds to split the path into singletons. A stop
+/// rule that halts early leaves interior values in shared classes and the
+/// search branches; the pinned effort counters catch that.
+#[test]
+fn long_rigid_paths_refine_to_singletons() {
+    let mut pool = ConstantPool::new();
+    let a = pool.intern("a");
+    let rigid: BTreeSet<Value> = [a].into_iter().collect();
+    let names: Vec<String> = (0..10).map(|i| format!("x{i}")).collect();
+    let xs: Vec<&str> = names.iter().map(String::as_str).collect();
+    // The renamed copy interns its values in the opposite order, so its
+    // dense slots run against the path.
+    let renamed: Vec<String> = (0..10).rev().map(|i| format!("y{i}")).collect();
+    for name in &renamed {
+        pool.intern(name);
+    }
+    let ys: Vec<&str> = renamed.iter().rev().map(String::as_str).collect();
+
+    let path = rigid_path(&mut pool, a, &xs, false);
+    let (key, stats) = path.canonical_key_stats(&rigid);
+    assert_eq!(key.var_count(), 10);
+    assert_eq!(key, path.exhaustive_canonical_key(&rigid));
+    assert_eq!((stats.orders_enumerated, stats.prune_cutoffs), (1, 0));
+
+    let copy = rigid_path(&mut pool, a, &ys, false);
+    assert_eq!(copy.canonical_key_stats(&rigid), (key.clone(), stats));
+
+    let reversed = rigid_path(&mut pool, a, &xs, true);
+    let (rkey, rstats) = reversed.canonical_key_stats(&rigid);
+    assert_ne!(rkey, key);
+    assert_eq!(rkey, reversed.exhaustive_canonical_key(&rigid));
+    assert_eq!((rstats.orders_enumerated, rstats.prune_cutoffs), (1, 0));
+}

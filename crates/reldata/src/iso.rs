@@ -43,21 +43,15 @@ pub struct Facts {
     facts: BTreeSet<(u32, Tuple)>,
 }
 
-/// A value inside a canonical form: rigid values survive as themselves,
-/// non-rigid values are replaced by canonical indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CanonVal {
-    /// A rigid constant (kept as-is).
-    Rigid(Value),
-    /// The `n`-th non-rigid value in canonical order.
-    Var(u32),
-}
-
 /// Canonical form of a [`Facts`] structure modulo renaming of non-rigid
 /// values. Equal keys ⇔ isomorphic fact sets (w.r.t. the same rigid set).
+///
+/// It holds the sorted facts, each value written as its search code: a
+/// rigid value as its pool index, the `i`-th non-rigid value in canonical
+/// order as `FREE_BASE + i`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonKey {
-    facts: Vec<(u32, Vec<CanonVal>)>,
+    facts: Vec<(u32, Vec<u64>)>,
 }
 
 /// Search effort counters reported by [`Facts::canonical_key_stats`].
@@ -72,20 +66,11 @@ pub struct CanonStats {
 }
 
 impl CanonKey {
-    /// The canonical facts (sorted).
-    pub fn facts(&self) -> &[(u32, Vec<CanonVal>)] {
-        &self.facts
-    }
-
     /// Number of distinct non-rigid values in the original fact set.
     pub fn var_count(&self) -> usize {
-        let mut seen = BTreeSet::new();
+        let mut seen: BTreeSet<u64> = BTreeSet::new();
         for (_, t) in &self.facts {
-            for v in t {
-                if let CanonVal::Var(i) = v {
-                    seen.insert(*i);
-                }
-            }
+            seen.extend(t.iter().copied().filter(|&code| code >= FREE_BASE));
         }
         seen.len()
     }
@@ -257,7 +242,7 @@ impl Facts {
                 })
                 .collect();
             enc.sort();
-            return (decode_key(enc), stats);
+            return (CanonKey { facts: enc }, stats);
         }
         let colors = ctx.refine();
         // Group the free slots by refined color; class *order* is canonical
@@ -272,7 +257,7 @@ impl Facts {
         stats.orders_enumerated = search.orders;
         stats.prune_cutoffs = search.cutoffs;
         let best = search.best.expect("at least one ordering exists");
-        (decode_key(best), stats)
+        (CanonKey { facts: best }, stats)
     }
 
     /// Reference implementation of the canonical key: enumerate *every*
@@ -297,7 +282,7 @@ impl Facts {
             classes.entry(colors[&v]).or_default().push(v);
         }
         let class_list: Vec<Vec<Value>> = classes.into_values().collect();
-        let mut best: Option<Vec<(u32, Vec<CanonVal>)>> = None;
+        let mut best: Option<Vec<(u32, Vec<u64>)>> = None;
         let mut assignment: Vec<Value> = Vec::with_capacity(free.len());
         permute_classes(&class_list, 0, &mut assignment, &mut |order| {
             let mut canon_ix: BTreeMap<Value, u32> = BTreeMap::new();
@@ -316,31 +301,12 @@ impl Facts {
     }
 }
 
-/// Canonical-index codes are `u64`s chosen to be order-isomorphic to
-/// [`CanonVal`]: a rigid value encodes as its pool index (`< 2^32`), the
-/// `i`-th free value as `FREE_BASE + i`. Comparing code vectors therefore
-/// ranks encodings exactly as comparing the decoded `CanonVal` vectors.
+/// Value codes of the search and of [`CanonKey`]: a rigid value encodes as
+/// its pool index (`< 2^32`), the `i`-th free value in canonical order as
+/// `FREE_BASE + i`. Every rigid code ranks below every free code, and free
+/// codes rank by canonical index, so the lex-min encoding is taken directly
+/// over the codes.
 const FREE_BASE: u64 = 1 << 32;
-
-fn decode_key(enc: Vec<(u32, Vec<u64>)>) -> CanonKey {
-    let facts = enc
-        .into_iter()
-        .map(|(c, vals)| {
-            let vals = vals
-                .into_iter()
-                .map(|code| {
-                    if code < FREE_BASE {
-                        CanonVal::Rigid(Value::from_index(code as usize))
-                    } else {
-                        CanonVal::Var((code - FREE_BASE) as u32)
-                    }
-                })
-                .collect();
-            (c, vals)
-        })
-        .collect();
-    CanonKey { facts }
-}
 
 /// Dense working form of a fact set: the active domain is mapped to slot
 /// indices `0..n` (in value order) once, so refinement and the order search
@@ -398,10 +364,12 @@ impl DenseCtx {
         }
     }
 
-    /// Iterated color refinement on dense slots. Bit-identical to the
-    /// historical `BTreeMap` formulation: same initial colors, same per-round
-    /// signature folding, same partition-stability stopping rule — the final
-    /// `u64` colors (and hence canonical class *order*) are unchanged.
+    /// Iterated color refinement on dense slots. Each round hashes a slot's
+    /// previous color with the multiset of its fact contexts, so the new
+    /// partition refines the old one, and an equal number of distinct colors
+    /// means an equal partition: refinement stops at the first round that
+    /// adds no color. The last round's colors are returned; their values fix
+    /// the canonical class order.
     fn refine(&self) -> Vec<u64> {
         let n = self.adom.len();
         let mut colors: Vec<u64> = (0..n)
@@ -413,6 +381,15 @@ impl DenseCtx {
             .collect();
         let mut next = vec![0u64; n];
         let mut sig: Vec<u64> = Vec::new();
+        let mut sorted: Vec<u64> = Vec::with_capacity(n);
+        let mut count_colors = |colors: &[u64]| {
+            sorted.clear();
+            sorted.extend_from_slice(colors);
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.len()
+        };
+        let mut blocks = count_colors(&colors);
         // Refine until stable (bounded by |adom| rounds).
         for _ in 0..n.max(1) {
             for s in 0..n {
@@ -434,11 +411,12 @@ impl DenseCtx {
                 }
                 next[s] = h;
             }
-            let stable = partition_blocks(&next) == partition_blocks(&colors);
             std::mem::swap(&mut colors, &mut next);
-            if stable {
+            let grown = count_colors(&colors);
+            if grown == blocks {
                 break;
             }
+            blocks = grown;
         }
         colors
     }
@@ -448,16 +426,6 @@ impl DenseCtx {
     fn identity_code(&self, s: u32) -> u64 {
         self.rigid_code[s as usize].unwrap_or(FREE_BASE + s as u64)
     }
-}
-
-/// The partition induced by a slot coloring, blocks ordered by color value
-/// and members ascending (mirrors the historical `partition_of` on values).
-fn partition_blocks(colors: &[u64]) -> Vec<Vec<u32>> {
-    let mut groups: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    for (s, &c) in colors.iter().enumerate() {
-        groups.entry(c).or_default().push(s as u32);
-    }
-    groups.into_values().collect()
 }
 
 /// Branch-and-bound search for the lex-min encoding over class-respecting
@@ -765,17 +733,17 @@ fn encode_with(
     facts: &Facts,
     rigid: &BTreeSet<Value>,
     canon_ix: &BTreeMap<Value, u32>,
-) -> Vec<(u32, Vec<CanonVal>)> {
-    let mut out: Vec<(u32, Vec<CanonVal>)> = facts
+) -> Vec<(u32, Vec<u64>)> {
+    let mut out: Vec<(u32, Vec<u64>)> = facts
         .iter()
         .map(|(c, t)| {
             let vals = t
                 .iter()
                 .map(|v| {
                     if rigid.contains(&v) {
-                        CanonVal::Rigid(v)
+                        v.index() as u64
                     } else {
-                        CanonVal::Var(canon_ix[&v])
+                        FREE_BASE + canon_ix[&v] as u64
                     }
                 })
                 .collect();

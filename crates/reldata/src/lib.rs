@@ -38,7 +38,6 @@ pub use index::{AccessPath, InstanceIndex};
 pub use instance::Instance;
 pub use iso::{CanonKey, CanonStats, Facts};
 pub use schema::{RelId, RelSchema, Schema};
-pub use sig::SigCensus;
 pub use store::{FactsView, Inserted, StateRef, StateStore, StoreStats, MAX_DELTA_DEPTH};
 pub use tuple::Tuple;
 pub use value::{ConstantPool, Value};

@@ -27,255 +27,15 @@
 //! need no further work. That asymmetry is what the abstraction engines
 //! exploit: an empty signature bucket proves the class is new without ever
 //! canonicalising it.
+//!
+//! The signature is computed from scratch in two passes over the facts
+//! (count occurrences, then fold). It is the prefilter of
+//! [`Facts::isomorphism`] and the bucket key of the deterministic
+//! abstraction's class index.
 
 use crate::iso::hash2;
-use crate::{Facts, Tuple, Value};
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-use std::collections::HashMap;
-
-/// Per-fact signature term: everything the commutative fold adds for one
-/// fact. `occ` maps a (non-rigid) value to its global occurrence count.
-/// Shared by the from-scratch computation and the incremental census so the
-/// two cannot drift apart.
-fn fact_hash(c: u32, t: &Tuple, rigid: &BTreeSet<Value>, occ: impl Fn(Value) -> u64) -> u64 {
-    let mut h = hash2(c as u64 + 1, t.arity() as u64);
-    for (p, v) in t.iter().enumerate() {
-        let contrib = if rigid.contains(&v) {
-            hash2(1, v.index() as u64)
-        } else {
-            // First position of `v` inside this tuple: captures the
-            // equality pattern among the tuple's components without
-            // referencing the value's identity.
-            let first = t.iter().position(|w| w == v).unwrap_or(p);
-            hash2(2, hash2(occ(v), first as u64))
-        };
-        h = hash2(h, hash2(p as u64, contrib));
-    }
-    hash2(h, 0x57a7)
-}
-
-/// The signature computation, generic over how the facts are iterated so
-/// both [`Facts`] and the compact store's `FactsView` share one
-/// implementation (and therefore produce bit-identical signatures).
-/// `facts()` must yield the same sequence on every call.
-pub(crate) fn signature_of<'a, I: Iterator<Item = (u32, &'a Tuple)>>(
-    facts: impl Fn() -> I,
-    len: usize,
-    rigid: &BTreeSet<Value>,
-) -> u64 {
-    // Global occurrence count of each value over all (fact, position)
-    // slots — invariant under any renaming bijection.
-    let mut occ: BTreeMap<Value, u64> = BTreeMap::new();
-    for (_, t) in facts() {
-        for v in t.iter() {
-            *occ.entry(v).or_insert(0) += 1;
-        }
-    }
-    let mut total: u64 = hash2(0x5157, len as u64);
-    total = total.wrapping_add(hash2(0x51c2, occ.len() as u64));
-    for (c, t) in facts() {
-        // Commutative fold: the fact set is unordered.
-        total = total.wrapping_add(fact_hash(c, t, rigid, |v| occ[&v]));
-    }
-    total
-}
-
-/// Value-occurrence census of a fact set, retained so the signatures of
-/// *derived* fact sets (a child state differing by a few facts) can be
-/// computed incrementally instead of from scratch.
-///
-/// The signature is a commutative `wrapping_add` fold of per-fact terms, so
-/// a child's signature follows from the parent's sum by subtracting the
-/// terms of removed facts, adding terms for added facts, and re-deriving the
-/// terms of surviving facts whose values' occurrence counts changed (those
-/// counts feed the per-fact hash). The two global summands re-derive from
-/// the child's fact count and distinct-value count. The result is asserted
-/// bit-identical to the from-scratch `signature_of` under
-/// `debug_assertions`.
-pub struct SigCensus<'r> {
-    rigid: &'r BTreeSet<Value>,
-    /// Parent facts in iteration (sorted) order.
-    facts: Vec<(u32, Tuple)>,
-    /// Global occurrence count per value (rigid included).
-    occ: HashMap<Value, u64>,
-    /// Distinct values in the parent (`occ.len()`, kept for clarity).
-    occ_len: usize,
-    /// Per-fact fold term, aligned with `facts`.
-    contrib: Vec<u64>,
-    /// Per value: deduplicated indices of parent facts containing it.
-    postings: HashMap<Value, Vec<u32>>,
-    /// Wrapping sum of all `contrib` terms.
-    sum: u64,
-}
-
-impl<'r> SigCensus<'r> {
-    /// Build the census of a parent fact set. `facts` must yield the fact
-    /// set in its canonical (sorted) iteration order.
-    pub fn new<'a, I: Iterator<Item = (u32, &'a Tuple)>>(
-        facts: I,
-        rigid: &'r BTreeSet<Value>,
-    ) -> Self {
-        let facts: Vec<(u32, Tuple)> = facts.map(|(c, t)| (c, t.clone())).collect();
-        let mut occ: HashMap<Value, u64> = HashMap::new();
-        let mut postings: HashMap<Value, Vec<u32>> = HashMap::new();
-        for (fi, (_, t)) in facts.iter().enumerate() {
-            for v in t.iter() {
-                *occ.entry(v).or_insert(0) += 1;
-                let list = postings.entry(v).or_default();
-                if list.last() != Some(&(fi as u32)) {
-                    list.push(fi as u32);
-                }
-            }
-        }
-        let mut sum: u64 = 0;
-        let mut contrib = Vec::with_capacity(facts.len());
-        for (c, t) in &facts {
-            let term = fact_hash(*c, t, rigid, |v| occ[&v]);
-            contrib.push(term);
-            sum = sum.wrapping_add(term);
-        }
-        let occ_len = occ.len();
-        SigCensus {
-            rigid,
-            facts,
-            occ,
-            occ_len,
-            contrib,
-            postings,
-            sum,
-        }
-    }
-
-    /// Signature of the parent fact set itself.
-    pub fn signature(&self) -> u64 {
-        hash2(0x5157, self.facts.len() as u64)
-            .wrapping_add(hash2(0x51c2, self.occ_len as u64))
-            .wrapping_add(self.sum)
-    }
-
-    /// Signature of a *derived* fact set, computed incrementally from the
-    /// parent's census. `child()` must yield the derived fact set in sorted
-    /// iteration order (the order of [`Facts::iter`] / `FactsView::iter`);
-    /// `child_len` is its fact count. Cost is proportional to the diff plus
-    /// the facts touching values whose occurrence counts changed, not to the
-    /// child's size.
-    pub fn child_signature<'a, I: Iterator<Item = (u32, &'a Tuple)>>(
-        &self,
-        child: impl Fn() -> I,
-        child_len: usize,
-    ) -> u64 {
-        // Sorted two-pointer diff against the parent facts.
-        let mut removed: Vec<u32> = Vec::new();
-        let mut added: Vec<(u32, &Tuple)> = Vec::new();
-        let mut pi = 0usize;
-        for (c, t) in child() {
-            loop {
-                if pi >= self.facts.len() {
-                    added.push((c, t));
-                    break;
-                }
-                let pf = &self.facts[pi];
-                match (pf.0, &pf.1).cmp(&(c, t)) {
-                    std::cmp::Ordering::Less => {
-                        removed.push(pi as u32);
-                        pi += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        pi += 1;
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        added.push((c, t));
-                        break;
-                    }
-                }
-            }
-        }
-        while pi < self.facts.len() {
-            removed.push(pi as u32);
-            pi += 1;
-        }
-
-        // Net occurrence-count change per value.
-        let mut delta: HashMap<Value, i64> = HashMap::new();
-        for &ri in &removed {
-            for v in self.facts[ri as usize].1.iter() {
-                *delta.entry(v).or_insert(0) -= 1;
-            }
-        }
-        for (_, t) in &added {
-            for v in t.iter() {
-                *delta.entry(v).or_insert(0) += 1;
-            }
-        }
-
-        // New counts for changed values; distinct-value count transitions;
-        // non-rigid changed values force re-hashing of surviving facts that
-        // contain them (rigid contributions never read `occ`).
-        let mut occ_len = self.occ_len as i64;
-        let mut new_occ: HashMap<Value, u64> = HashMap::new();
-        let mut affected: Vec<Value> = Vec::new();
-        for (&v, &d) in &delta {
-            if d == 0 {
-                continue;
-            }
-            let old = self.occ.get(&v).copied().unwrap_or(0);
-            let new = (old as i64 + d) as u64;
-            if old == 0 {
-                occ_len += 1;
-            }
-            if new == 0 {
-                occ_len -= 1;
-            }
-            new_occ.insert(v, new);
-            if !self.rigid.contains(&v) {
-                affected.push(v);
-            }
-        }
-        let occ_of = |v: Value| match new_occ.get(&v) {
-            Some(&n) => n,
-            None => self.occ[&v],
-        };
-
-        let mut sum = self.sum;
-        for &ri in &removed {
-            sum = sum.wrapping_sub(self.contrib[ri as usize]);
-        }
-        // Surviving parent facts whose terms changed (deduplicated;
-        // `removed` is ascending by construction, so binary search works).
-        let mut touch: Vec<u32> = Vec::new();
-        for &v in &affected {
-            if let Some(list) = self.postings.get(&v) {
-                for &fi in list {
-                    if removed.binary_search(&fi).is_err() {
-                        touch.push(fi);
-                    }
-                }
-            }
-        }
-        touch.sort_unstable();
-        touch.dedup();
-        for &fi in &touch {
-            let (c, t) = &self.facts[fi as usize];
-            sum = sum.wrapping_sub(self.contrib[fi as usize]);
-            sum = sum.wrapping_add(fact_hash(*c, t, self.rigid, occ_of));
-        }
-        for &(c, t) in &added {
-            sum = sum.wrapping_add(fact_hash(c, t, self.rigid, occ_of));
-        }
-
-        let total = hash2(0x5157, child_len as u64)
-            .wrapping_add(hash2(0x51c2, occ_len as u64))
-            .wrapping_add(sum);
-        debug_assert_eq!(
-            total,
-            signature_of(&child, child_len, self.rigid),
-            "incremental signature diverged from the from-scratch computation"
-        );
-        total
-    }
-}
+use crate::{Facts, Value};
+use std::collections::{BTreeMap, BTreeSet};
 
 impl Facts {
     /// The order-invariant 64-bit signature of this fact set with respect
@@ -285,13 +45,34 @@ impl Facts {
     /// `a.signature(rigid) == b.signature(rigid)`. The converse does not
     /// hold in general; confirm equal signatures with an exact check.
     pub fn signature(&self, rigid: &BTreeSet<Value>) -> u64 {
-        signature_of(|| self.iter(), self.len(), rigid)
-    }
-
-    /// Occurrence census of this fact set, for incrementally deriving the
-    /// signatures of children that differ by a few facts (see [`SigCensus`]).
-    pub fn sig_census<'r>(&self, rigid: &'r BTreeSet<Value>) -> SigCensus<'r> {
-        SigCensus::new(self.iter(), rigid)
+        // Global occurrence count of each value over all (fact, position)
+        // slots — invariant under any renaming bijection.
+        let mut occ: BTreeMap<Value, u64> = BTreeMap::new();
+        for (_, t) in self.iter() {
+            for v in t.iter() {
+                *occ.entry(v).or_insert(0) += 1;
+            }
+        }
+        let mut total: u64 = hash2(0x5157, self.len() as u64);
+        total = total.wrapping_add(hash2(0x51c2, occ.len() as u64));
+        for (c, t) in self.iter() {
+            let mut h = hash2(c as u64 + 1, t.arity() as u64);
+            for (p, v) in t.iter().enumerate() {
+                let contrib = if rigid.contains(&v) {
+                    hash2(1, v.index() as u64)
+                } else {
+                    // First position of `v` inside this tuple: captures the
+                    // equality pattern among the tuple's components without
+                    // referencing the value's identity.
+                    let first = t.iter().position(|w| w == v).unwrap_or(p);
+                    hash2(2, hash2(occ[&v], first as u64))
+                };
+                h = hash2(h, hash2(p as u64, contrib));
+            }
+            // Commutative fold: the fact set is unordered.
+            total = total.wrapping_add(hash2(h, 0x57a7));
+        }
+        total
     }
 }
 
@@ -370,61 +151,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn census_signature_matches_scratch_on_mutations() {
-        let mut pool = ConstantPool::new();
-        let v = vals(&mut pool, &["a", "b", "c", "d", "e"]);
-        let rigid: BTreeSet<Value> = [v[0]].into_iter().collect();
-        let mut parent = Facts::new();
-        parent.insert(0, Tuple::from([v[0], v[1]]));
-        parent.insert(1, Tuple::from([v[1], v[2]]));
-        parent.insert(2, Tuple::from([v[3]]));
-        let census = parent.sig_census(&rigid);
-        assert_eq!(census.signature(), parent.signature(&rigid));
-
-        // Child: drop one fact, add two — one reusing an existing value
-        // (occurrence count changes, survivors re-hash) and one introducing
-        // a fresh value (distinct-value count changes).
-        let mut child = Facts::new();
-        child.insert(0, Tuple::from([v[0], v[1]]));
-        child.insert(1, Tuple::from([v[1], v[2]]));
-        child.insert(0, Tuple::from([v[2], v[4]]));
-        child.insert(2, Tuple::from([v[1]]));
-        assert_eq!(
-            census.child_signature(|| child.iter(), child.len()),
-            child.signature(&rigid)
-        );
-
-        // Identical child: the diff is empty.
-        assert_eq!(
-            census.child_signature(|| parent.iter(), parent.len()),
-            parent.signature(&rigid)
-        );
-
-        // Empty child: everything removed.
-        let empty_facts = Facts::new();
-        assert_eq!(
-            census.child_signature(|| empty_facts.iter(), 0),
-            empty_facts.signature(&rigid)
-        );
-    }
-
-    #[test]
-    fn census_child_from_empty_parent() {
-        let mut pool = ConstantPool::new();
-        let v = vals(&mut pool, &["a", "b"]);
-        let empty = BTreeSet::new();
-        let parent = Facts::new();
-        let census = parent.sig_census(&empty);
-        let mut child = Facts::new();
-        child.insert(0, Tuple::from([v[0], v[1]]));
-        child.insert(0, Tuple::from([v[1], v[1]]));
-        assert_eq!(
-            census.child_signature(|| child.iter(), child.len()),
-            child.signature(&empty)
-        );
     }
 
     #[test]

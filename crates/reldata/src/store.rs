@@ -19,13 +19,12 @@
 //!   of one state and handles double as cheap state identity.
 //!
 //! A [`FactsView`] resolves a state to its facts in exactly the order
-//! [`crate::Facts`] iterates — sorted by `(color, tuple)` — so signatures,
-//! canonical keys, display, and isomorphism checks computed through the
-//! store are bit-identical to the owned-`Facts` path.
+//! [`crate::Facts`] iterates — sorted by `(color, tuple)` — so
+//! [`FactsView::to_facts`] rebuilds the owned set without sorting, and
+//! signatures, canonical keys and isomorphism checks are taken on that.
 
 use crate::arena::{FactId, TupleArena};
-use crate::sig::signature_of;
-use crate::{CanonKey, Facts, Instance, RelId, Tuple, Value};
+use crate::{Facts, Instance, RelId, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
@@ -437,25 +436,6 @@ impl<'a> FactsView<'a> {
                 .map(|(c, t)| (RelId::from_index(c as usize), t.clone())),
         )
     }
-
-    /// The order-invariant signature — bit-identical to
-    /// [`Facts::signature`] on the materialised set.
-    pub fn signature(&self, rigid: &BTreeSet<Value>) -> u64 {
-        signature_of(|| self.iter(), self.ids.len(), rigid)
-    }
-
-    /// The exact canonical key — identical to [`Facts::canonical_key`]
-    /// on the materialised set.
-    pub fn canonical_key(&self, rigid: &BTreeSet<Value>) -> CanonKey {
-        self.to_facts().canonical_key(rigid)
-    }
-
-    /// Occurrence census for incrementally deriving child-state signatures
-    /// (see [`crate::SigCensus`]) — equivalent to materialising the facts
-    /// and calling [`Facts::sig_census`].
-    pub fn sig_census<'r>(&self, rigid: &'r BTreeSet<Value>) -> crate::SigCensus<'r> {
-        crate::SigCensus::new(self.iter(), rigid)
-    }
 }
 
 #[cfg(test)]
@@ -586,10 +566,7 @@ mod tests {
         let mut store = StateStore::new();
         let f0 = facts_of(&[(0, &[v[0], v[1]]), (1, &[v[1]]), (2, &[v[2], v[3]])]);
         let r0 = store.insert(None, &f0).state;
-        let rigid: BTreeSet<Value> = [v[0]].into_iter().collect();
         let view = store.view(r0);
-        assert_eq!(view.signature(&rigid), f0.signature(&rigid));
-        assert_eq!(view.canonical_key(&rigid), f0.canonical_key(&rigid));
         assert_eq!(view.to_facts(), f0);
         let inst = view.to_instance(2);
         assert_eq!(inst.len(), 2);

@@ -5,9 +5,9 @@
 //! existing state — the shape of an action's effect) are applied to both
 //! representations in lockstep; every stored state must then materialise
 //! **bit-identically**: same fact iteration order, same `Facts` and
-//! `Instance`, same signature and canonical key under random rigid sets,
-//! same `InstanceIndex` probe answers whether the index is built from
-//! scratch or copy-on-write from the parent's.
+//! `Instance`, same dedup lookup, same `InstanceIndex` probe answers
+//! whether the index is built from scratch or copy-on-write from the
+//! parent's.
 //!
 //! Runs offline: pseudo-randomness is a local SplitMix64 (Steele, Lea &
 //! Flood, OOPSLA 2014), not the `rand` crate, so the exact same chains
@@ -16,7 +16,6 @@
 use dcds_reldata::{
     ConstantPool, Facts, Instance, InstanceIndex, RelId, StateRef, StateStore, Tuple, Value,
 };
-use std::collections::BTreeSet;
 
 /// SplitMix64 (local copy — this crate has no path to the bench crate's
 /// `rng` module without a dependency cycle).
@@ -70,14 +69,6 @@ fn mutate(rng: &mut SplitMix64, base: &Facts, vals: &[Value]) -> Facts {
         out.insert(c, t);
     }
     out
-}
-
-/// Random rigid subset of the value universe.
-fn random_rigid(rng: &mut SplitMix64, vals: &[Value]) -> BTreeSet<Value> {
-    vals.iter()
-        .copied()
-        .filter(|_| rng.gen_range(2) == 0)
-        .collect()
 }
 
 /// Every probe answer of `idx` must equal the scratch-built index's over
@@ -171,39 +162,6 @@ fn random_mutation_chains_materialise_identically() {
             assert_eq!(view.to_instance(NUM_RELS), inst);
             assert_eq!(store.instance(refs[i], NUM_RELS), inst);
 
-            // Signatures and canonical keys under random rigid sets.
-            for _ in 0..3 {
-                let rigid = random_rigid(&mut rng, &vals);
-                assert_eq!(
-                    facts.signature(&rigid),
-                    view.signature(&rigid),
-                    "signature diverged (seed {seed})"
-                );
-                assert_eq!(
-                    facts.canonical_key(&rigid),
-                    view.canonical_key(&rigid),
-                    "canonical key diverged (seed {seed})"
-                );
-                // Incrementally-derived signature (parent census + diff)
-                // must equal the from-scratch one, through both the owned
-                // and the store-backed census entry points.
-                let parent_view = store.view(refs[parents[i]]);
-                assert_eq!(
-                    owned[parents[i]]
-                        .sig_census(&rigid)
-                        .child_signature(|| facts.iter(), facts.len()),
-                    facts.signature(&rigid),
-                    "incremental signature diverged (seed {seed})"
-                );
-                assert_eq!(
-                    parent_view
-                        .sig_census(&rigid)
-                        .child_signature(|| view.iter(), view.len()),
-                    facts.signature(&rigid),
-                    "store-backed incremental signature diverged (seed {seed})"
-                );
-            }
-
             // Dedup lookup finds exactly this state.
             assert_eq!(store.find(facts), Some(refs[i]));
 
@@ -228,14 +186,13 @@ fn random_mutation_chains_materialise_identically() {
     }
 }
 
-/// Incremental signatures across delta re-root boundaries: a linear chain
-/// long enough to cross `MAX_DELTA_DEPTH` (children at depths 31, 32, 33
-/// sit just before, on, and just after the store's re-root point) must
-/// derive every child signature from its parent's census bit-identically to
-/// the from-scratch computation, no matter how the store represents the
-/// parent internally.
+/// Materialisation across delta re-root boundaries: a linear chain long
+/// enough to cross `MAX_DELTA_DEPTH` (children at depths 31, 32, 33 sit
+/// just before, on, and just after the store's re-root point) must resolve
+/// every state to exactly its facts and find it again by them, no matter
+/// how the store represents the state or its ancestors internally.
 #[test]
-fn incremental_signatures_survive_reroot_boundaries() {
+fn states_materialise_across_reroot_boundaries() {
     use dcds_reldata::MAX_DELTA_DEPTH;
     let chain_len = MAX_DELTA_DEPTH + 8;
     for seed in 0..4u64 {
@@ -244,7 +201,6 @@ fn incremental_signatures_survive_reroot_boundaries() {
         let vals: Vec<Value> = (0..NUM_VALUES)
             .map(|i| pool.intern(&format!("v{i}")))
             .collect();
-        let rigid = random_rigid(&mut rng, &vals);
 
         let mut root = Facts::new();
         for _ in 0..2 + rng.gen_range(4) {
@@ -252,36 +208,39 @@ fn incremental_signatures_survive_reroot_boundaries() {
             root.insert(c, t);
         }
         let mut store = StateStore::new();
-        let mut prev_facts = root.clone();
-        let mut prev_ref = store.insert(None, &root).state;
+        let mut chain = vec![(store.insert(None, &root).state, root)];
         for depth in 1..=chain_len {
+            let (prev_ref, prev_facts) = chain.last().expect("root inserted");
             // Force novel children so the chain actually deepens.
             let child = loop {
-                let cand = mutate(&mut rng, &prev_facts, &vals);
-                if cand != prev_facts {
+                let cand = mutate(&mut rng, prev_facts, &vals);
+                if chain.iter().all(|(_, f)| *f != cand) {
                     break cand;
                 }
             };
-            let ins = store.insert(Some(prev_ref), &child);
-            let child_view = store.view(ins.state);
-            let expected = child.signature(&rigid);
+            let r = store.insert(Some(*prev_ref), &child).state;
             assert_eq!(
-                prev_facts
-                    .sig_census(&rigid)
-                    .child_signature(|| child_view.iter(), child_view.len()),
-                expected,
-                "owned census diverged at depth {depth} (seed {seed})"
+                store.view(r).to_facts(),
+                child,
+                "materialisation diverged at depth {depth} (seed {seed})"
             );
             assert_eq!(
-                store
-                    .view(prev_ref)
-                    .sig_census(&rigid)
-                    .child_signature(|| child.iter(), child.len()),
-                expected,
-                "store census diverged at depth {depth} (seed {seed})"
+                store.find(&child),
+                Some(r),
+                "lookup missed at depth {depth} (seed {seed})"
             );
-            prev_facts = child;
-            prev_ref = ins.state;
+            chain.push((r, child));
+        }
+        // No chain of `MAX_DELTA_DEPTH + 8` links is one delta chain.
+        assert!(store.stats().root_states >= 2, "seed {seed}");
+        // Later re-roots leave every earlier state intact.
+        for (depth, (r, facts)) in chain.iter().enumerate() {
+            assert_eq!(
+                store.view(*r).to_facts(),
+                *facts,
+                "depth {depth} (seed {seed})"
+            );
+            assert_eq!(store.find(facts), Some(*r), "depth {depth} (seed {seed})");
         }
     }
 }

@@ -51,9 +51,12 @@
 //! **2** — inconclusive (the state budget was hit, or RCYCL skipped a step
 //! over its per-step evaluation budget, so the abstraction is truncated
 //! and no verdict is drawn: `verdict: inconclusive (…)` in text,
-//! `"verdict":null` with a `"reason"` in JSON). Parse and usage
-//! errors keep the ordinary failure path (exit 1 with a message on stderr,
-//! distinguishable from a violation verdict by the `error:` prefix).
+//! `"verdict":null` with a `"reason"` in JSON). Errors keep the ordinary
+//! failure path (exit 1 with a message on stderr, distinguishable from a
+//! violation verdict by the `error:` prefix), except usage errors: any
+//! command exits **2**, printing the usage, on a missing argument or a flag
+//! that is unknown, repeated, malformed (`--max-states abc`) or meant for
+//! the other `check` engine (`--max-iters` without `--engine symbolic`).
 //!
 //! `--engine symbolic` keeps the same contract but decides AG/EF safety
 //! properties by regression-based backward reachability, with no
@@ -77,7 +80,7 @@ use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
 };
-use dcds_verify::cli::{Flags, ObsCli};
+use dcds_verify::cli::{Flags, ObsCli, UsageError};
 use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
@@ -100,21 +103,40 @@ const EXIT_VIOLATED: u8 = 1;
 /// `dcds check`: inconclusive — the abstraction hit a budget.
 const EXIT_INCONCLUSIVE: u8 = 2;
 
-/// Any `dcds` command: a flag the subcommand does not take, or a flag given
-/// twice.
+/// Any `dcds` command: a [`UsageError`].
 const EXIT_USAGE: u8 = 2;
+
+/// Why a command stopped without an exit code of its own.
+enum Failure {
+    /// The command line is malformed: exit 2.
+    Usage(UsageError),
+    /// The command failed while running: exit 1.
+    Run(String),
+}
+
+impl From<UsageError> for Failure {
+    fn from(e: UsageError) -> Self {
+        Failure::Usage(e)
+    }
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Run(msg)
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+    let (msg, code) = match run(&args) {
+        Ok(code) => return code,
+        Err(Failure::Usage(UsageError(msg))) => (msg, ExitCode::from(EXIT_USAGE)),
+        Err(Failure::Run(msg)) => (msg, ExitCode::FAILURE),
+    };
+    eprintln!("error: {msg}");
+    eprintln!();
+    eprintln!("{USAGE}");
+    code
 }
 
 const USAGE: &str = "usage:
@@ -143,14 +165,18 @@ obs flags (analyze, abstract, check, lint):
 2 when the verdict is inconclusive (state or evaluation budget hit).
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
-(regression depth) and `--max-clauses` (clause set size).
-Any command exits 2 on a flag it does not take or that is given twice.
+(regression depth) and `--max-clauses` (clause set size); `--max-states`
+belongs to the explicit engine only.
+Any command exits 2 on a missing argument or a flag that it does not take,
+that is given twice, malformed, or meant for the other `check` engine.
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
 --deny warnings), and 2 when the spec cannot be parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let cmd = args.first().ok_or("missing command")?;
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
+    let cmd = args
+        .first()
+        .ok_or_else(|| UsageError("missing command".into()))?;
     // The flags each subcommand takes, and whether it takes the
     // observability bundle; the dispatch below reads flags only through
     // the `Flags` checked against this.
@@ -174,30 +200,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "dot" => (&["--graph"], false),
         "fmt" => (&[], false),
         "lint" => (&["--deny", "--format"], true),
-        other => return Err(format!("unknown command `{other}`")),
+        other => return Err(UsageError(format!("unknown command `{other}`")).into()),
     };
-    let flags = match Flags::new(args, takes, obs) {
-        Ok(flags) => flags,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            return Ok(ExitCode::from(EXIT_USAGE));
-        }
-    };
+    let flags = Flags::new(args, takes, obs)?;
+    let spec = "spec path";
     match cmd.as_str() {
-        "analyze" => analyze(args.get(1).ok_or("missing spec path")?, &flags.obs()?),
+        "analyze" => analyze(flags.arg(1, spec)?, &flags.obs()?),
         "abstract" => do_abstract(
-            args.get(1).ok_or("missing spec path")?,
+            flags.arg(1, spec)?,
             flags.value("--max-states")?.unwrap_or(10_000),
             flags.threads()?.unwrap_or_else(configured_threads),
             flags.has("--dot"),
             &flags.obs()?,
         ),
         "check" => {
-            let path = args.get(1).ok_or("missing spec path")?;
-            let formula = args.get(2).ok_or("missing formula")?;
-            return match parse_engine(&flags)? {
+            let path = flags.arg(1, spec)?;
+            let formula = flags.arg(2, "formula")?;
+            let engine = parse_engine(&flags)?;
+            reject_other_engine_flags(&flags, engine)?;
+            return Ok(match engine {
                 Engine::Explicit => do_check(
                     path,
                     formula,
@@ -229,36 +250,36 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         &flags.obs()?,
                     )
                 }
-            };
+            }?);
         }
         "run" => do_run(
-            args.get(1).ok_or("missing spec path")?,
+            flags.arg(1, spec)?,
             flags.value("--steps")?.unwrap_or(10),
             flags.value::<u64>("--seed")?.unwrap_or(42),
         ),
         "dot" => do_dot(
-            args.get(1).ok_or("missing spec path")?,
+            flags.arg(1, spec)?,
             flags.word("--graph").unwrap_or("dataflow"),
         ),
-        "fmt" => do_fmt(args.get(1).ok_or("missing spec path")?),
+        "fmt" => do_fmt(flags.arg(1, spec)?),
         "lint" => {
             let deny_warnings = flags.has("--deny");
             if deny_warnings && flags.word("--deny") != Some("warnings") {
-                return Err("--deny takes `warnings`".into());
+                return Err(UsageError("--deny takes `warnings`".into()).into());
             }
-            return do_lint(
-                args.get(1).ok_or("missing spec path")?,
+            return Ok(do_lint(
+                flags.arg(1, spec)?,
                 deny_warnings,
                 match parse_format(&flags)? {
                     OutputFormat::Text => LintFormat::Text,
                     OutputFormat::Json => LintFormat::Json,
                 },
                 &flags.obs()?,
-            );
+            )?);
         }
         _ => unreachable!("every command is in the flag table"),
-    }
-    .map(|()| ExitCode::SUCCESS)
+    }?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Output format of `dcds check` (and, mapped onto [`LintFormat`], `lint`).
@@ -278,19 +299,39 @@ enum Engine {
     Symbolic,
 }
 
-fn parse_engine(flags: &Flags) -> Result<Engine, String> {
+fn parse_engine(flags: &Flags) -> Result<Engine, UsageError> {
     match flags.word("--engine") {
         None | Some("explicit") => Ok(Engine::Explicit),
         Some("symbolic") => Ok(Engine::Symbolic),
-        Some(other) => Err(format!("unknown engine `{other}` (explicit|symbolic)")),
+        Some(other) => Err(UsageError(format!(
+            "unknown engine `{other}` (explicit|symbolic)"
+        ))),
     }
 }
 
-fn parse_format(flags: &Flags) -> Result<OutputFormat, String> {
+/// `check`'s flags that only the explicit engine reads.
+const EXPLICIT_ONLY: [&str; 1] = ["--max-states"];
+/// `check`'s flags that only the symbolic engine reads.
+const SYMBOLIC_ONLY: [&str; 3] = ["--max-iters", "--max-clauses", "--confirm-nodes"];
+
+/// `check` takes the flags of both engines; one that the chosen engine
+/// would ignore is a usage error naming it.
+fn reject_other_engine_flags(flags: &Flags, engine: Engine) -> Result<(), UsageError> {
+    let (other, why) = match engine {
+        Engine::Explicit => (&SYMBOLIC_ONLY[..], "needs `--engine symbolic`"),
+        Engine::Symbolic => (&EXPLICIT_ONLY[..], "does not apply to `--engine symbolic`"),
+    };
+    match other.iter().find(|flag| flags.has(flag)) {
+        Some(flag) => Err(UsageError(format!("flag `{flag}` {why}"))),
+        None => Ok(()),
+    }
+}
+
+fn parse_format(flags: &Flags) -> Result<OutputFormat, UsageError> {
     match flags.word("--format") {
         None | Some("text") => Ok(OutputFormat::Text),
         Some("json") => Ok(OutputFormat::Json),
-        Some(other) => Err(format!("unknown format `{other}` (text|json)")),
+        Some(other) => Err(UsageError(format!("unknown format `{other}` (text|json)"))),
     }
 }
 

@@ -33,6 +33,12 @@ pub fn string_flag(args: &[String], flag: &str) -> Result<Option<String>, String
     }
 }
 
+/// A command line a subcommand cannot run: a missing argument, or a flag
+/// that is unknown, repeated, malformed or meant for another mode. `dcds`
+/// prints it with the usage and exits 2.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageError(pub String);
+
 /// Is the bare `--flag` present?
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -63,7 +69,7 @@ impl<'a> Flags<'a> {
     /// Check `args` against `takes`, plus the observability bundle when
     /// `obs`. `Err` names the first `--flag` the subcommand does not take,
     /// or that is given twice (the readers would silently keep the first).
-    pub fn new(args: &'a [String], takes: &'a [&'a str], obs: bool) -> Result<Self, String> {
+    pub fn new(args: &'a [String], takes: &'a [&'a str], obs: bool) -> Result<Self, UsageError> {
         let flags = Flags { args, takes, obs };
         let given: Vec<&str> = args
             .iter()
@@ -73,10 +79,10 @@ impl<'a> Flags<'a> {
             .collect();
         for (i, flag) in given.iter().enumerate() {
             if !flags.takes(flag) {
-                return Err(format!("unknown flag `{flag}`"));
+                return Err(UsageError(format!("unknown flag `{flag}`")));
             }
             if given[..i].contains(flag) {
-                return Err(format!("flag `{flag}` given twice"));
+                return Err(UsageError(format!("flag `{flag}` given twice")));
             }
         }
         Ok(flags)
@@ -91,9 +97,17 @@ impl<'a> Flags<'a> {
         self.args
     }
 
+    /// The `i`-th positional argument, named `what` when it is missing.
+    pub fn arg(&self, i: usize, what: &str) -> Result<&'a str, UsageError> {
+        self.args
+            .get(i)
+            .map(String::as_str)
+            .ok_or_else(|| UsageError(format!("missing {what}")))
+    }
+
     /// `--flag <value>`, parsed; see [`flag_value`].
-    pub fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        flag_value(self.read(flag), flag)
+    pub fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, UsageError> {
+        flag_value(self.read(flag), flag).map_err(UsageError)
     }
 
     /// Is the bare `--flag` present?
@@ -109,14 +123,14 @@ impl<'a> Flags<'a> {
     }
 
     /// `--threads`; see [`threads_flag`].
-    pub fn threads(&self) -> Result<Option<usize>, String> {
-        threads_flag(self.read("--threads"))
+    pub fn threads(&self) -> Result<Option<usize>, UsageError> {
+        threads_flag(self.read("--threads")).map_err(UsageError)
     }
 
     /// The observability bundle; see [`ObsCli::parse`].
-    pub fn obs(&self) -> Result<ObsCli, String> {
+    pub fn obs(&self) -> Result<ObsCli, UsageError> {
         debug_assert!(self.obs, "observability flags read but not declared");
-        ObsCli::parse(self.args)
+        ObsCli::parse(self.args).map_err(UsageError)
     }
 }
 
@@ -297,13 +311,13 @@ mod tests {
     fn unknown_flags_are_named() {
         let args = argv(&["abstract", "s.dcds", "--max-state", "5"]);
         assert_eq!(
-            Flags::new(&args, &["--max-states"], true).unwrap_err(),
+            Flags::new(&args, &["--max-states"], true).unwrap_err().0,
             "unknown flag `--max-state`"
         );
         // Observability flags only where the subcommand records.
         let args = argv(&["run", "s.dcds", "--stats"]);
         assert_eq!(
-            Flags::new(&args, &["--steps"], false).unwrap_err(),
+            Flags::new(&args, &["--steps"], false).unwrap_err().0,
             "unknown flag `--stats`"
         );
         // A repeated flag is rejected, observability flags included.
@@ -316,7 +330,7 @@ mod tests {
             "7",
         ]);
         assert_eq!(
-            Flags::new(&args, &["--max-states"], true).unwrap_err(),
+            Flags::new(&args, &["--max-states"], true).unwrap_err().0,
             "flag `--max-states` given twice"
         );
         let args = argv(&["abstract", "s.dcds", "--stats", "--stats"]);

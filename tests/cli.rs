@@ -396,6 +396,75 @@ fn unknown_flags_exit_2_naming_the_flag() {
         );
         assert!(stderr.contains("usage:"), "{stderr}");
     }
+    // `check` takes both engines' flags, but a flag the chosen engine would
+    // ignore is a usage error naming it.
+    for (args, message) in [
+        (
+            vec!["check", &spec, safe, "--max-iters", "4"],
+            "flag `--max-iters` needs `--engine symbolic`",
+        ),
+        (
+            vec![
+                "check",
+                &spec,
+                safe,
+                "--engine",
+                "explicit",
+                "--max-clauses",
+                "1",
+            ],
+            "flag `--max-clauses` needs `--engine symbolic`",
+        ),
+        (
+            vec!["check", &spec, safe, "--confirm-nodes", "9"],
+            "flag `--confirm-nodes` needs `--engine symbolic`",
+        ),
+        (
+            vec![
+                "check",
+                &spec,
+                safe,
+                "--engine",
+                "symbolic",
+                "--max-states",
+                "5",
+            ],
+            "flag `--max-states` does not apply to `--engine symbolic`",
+        ),
+        // A malformed value takes the same path: exit 1 would read as
+        // "violated" for `check`.
+        (
+            vec!["check", &spec, safe, "--max-states", "abc"],
+            "--max-states needs a number",
+        ),
+        (
+            vec!["check", &spec, safe, "--threads", "x"],
+            "--threads needs a number",
+        ),
+        (
+            vec!["abstract", &spec, "--threads", "x"],
+            "--threads needs a number",
+        ),
+        (vec!["run", &spec, "--steps", "x"], "--steps needs a number"),
+        (
+            vec![
+                "check",
+                &spec,
+                safe,
+                "--engine",
+                "symbolic",
+                "--max-iters",
+                "many",
+            ],
+            "--max-iters needs a number",
+        ),
+    ] {
+        let (code, stdout, stderr) = dcds_streams(&args);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{stdout}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
 }
 
 #[test]
@@ -850,7 +919,8 @@ fn symbolic_engine_rejects_non_safety_formulas() {
         "--engine",
         "bogus",
     ]);
-    assert_eq!(code2, 1, "{text2}");
+    // A malformed flag value is a usage error.
+    assert_eq!(code2, 2, "{text2}");
     assert!(text2.contains("unknown engine"), "{text2}");
 }
 
