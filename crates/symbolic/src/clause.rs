@@ -20,6 +20,22 @@
 //! SAFE verdict (no clause covers the initial instance at the fixpoint) is
 //! sound, and purported hits are confirmed concretely before an UNSAFE
 //! verdict is reported.
+//!
+//! # Normal form
+//!
+//! [`Clause::normalize`] solves variable equalities, drops tautologies and
+//! vacuous disequalities, sorts and deduplicates, and rejects clauses whose
+//! congruence closure is contradictory. The closure is built only when an
+//! equality survives solving: without a merge every class is a single
+//! term, syntactically equal terms intern to one id, and `t ≠ t` has
+//! already been rejected, so the closure could find no conflict.
+//!
+//! Variables are then renamed to first-occurrence order over the sorted
+//! clause. Sorting can move a first occurrence, so the renaming repeats, in
+//! place through a dense `Vec` map, until a round's first-occurrence map is
+//! the identity (at most four rounds). Imperfect canonicalisation only
+//! weakens duplicate detection, never soundness: subsumption catches what
+//! renaming misses.
 
 use dcds_analysis::cc::{Cc, TermId};
 use dcds_core::FuncId;
@@ -68,23 +84,25 @@ impl STerm {
         }
     }
 
-    fn collect_vars(&self, out: &mut Vec<SVar>) {
+    /// Call `f` on every variable occurrence, left to right.
+    pub fn for_each_var(&self, f: &mut impl FnMut(SVar)) {
         match self {
             STerm::Const(_) => {}
-            STerm::Var(v) => out.push(*v),
-            STerm::App(_, args) => {
-                for a in args {
-                    a.collect_vars(out);
-                }
-            }
+            STerm::Var(v) => f(*v),
+            STerm::App(_, args) => args.iter().for_each(|a| a.for_each_var(f)),
         }
     }
 
-    fn rename(&self, map: &BTreeMap<SVar, SVar>) -> STerm {
+    fn collect_vars(&self, out: &mut Vec<SVar>) {
+        self.for_each_var(&mut |v| out.push(v));
+    }
+
+    /// Rename every variable `v` to `map[v]`, in place.
+    fn rename(&mut self, map: &[SVar]) {
         match self {
-            STerm::Const(_) => self.clone(),
-            STerm::Var(v) => STerm::Var(map[v]),
-            STerm::App(f, args) => STerm::App(*f, args.iter().map(|a| a.rename(map)).collect()),
+            STerm::Const(_) => {}
+            STerm::Var(v) => *v = map[*v as usize],
+            STerm::App(_, args) => args.iter_mut().for_each(|a| a.rename(map)),
         }
     }
 
@@ -103,16 +121,9 @@ impl STerm {
     }
 }
 
-/// Structural content of a clause, used for exact-duplicate detection
-/// (levels are bookkeeping, not meaning).
-pub type ClauseKey = (
-    Vec<(RelId, Vec<STerm>)>,
-    Vec<(STerm, STerm)>,
-    Vec<(STerm, STerm)>,
-);
-
-/// An existentially quantified conjunction (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An existentially quantified conjunction (see module docs). The order
+/// compares atoms, then equalities, then disequalities, then the level.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Clause {
     /// Relational atoms that must all hold.
     pub atoms: Vec<(RelId, Vec<STerm>)>,
@@ -148,21 +159,14 @@ impl Clause {
         }
     }
 
-    fn map_terms(&mut self, mut f: impl FnMut(&STerm) -> STerm) {
-        for (_, ts) in &mut self.atoms {
-            for t in ts.iter_mut() {
-                *t = f(t);
-            }
-        }
-        for (a, b) in self.eqs.iter_mut().chain(self.neqs.iter_mut()) {
-            *a = f(a);
-            *b = f(b);
-        }
+    fn terms_mut(&mut self) -> impl Iterator<Item = &mut STerm> {
+        let atoms = self.atoms.iter_mut().flat_map(|(_, ts)| ts.iter_mut());
+        let pairs = self.eqs.iter_mut().chain(self.neqs.iter_mut());
+        atoms.chain(pairs.flat_map(|(a, b)| [a, b]))
     }
 
-    /// Structural key ignoring the level.
-    pub fn key(&self) -> ClauseKey {
-        (self.atoms.clone(), self.eqs.clone(), self.neqs.clone())
+    fn map_terms(&mut self, mut f: impl FnMut(&STerm) -> STerm) {
+        self.terms_mut().for_each(|t| *t = f(t));
     }
 
     /// Normalise the clause; `None` means it is unsatisfiable (dropping it
@@ -172,8 +176,19 @@ impl Clause {
     /// check), drop tautological (dis)equalities, reject contradictory
     /// ones, discharge disequalities on otherwise-unconstrained variables
     /// (satisfiable over the infinite domain), run the congruence closure
-    /// over the residue, and rename variables canonically.
-    pub fn normalize(mut self) -> Option<Clause> {
+    /// over the residue when an equality survives, and rename variables
+    /// canonically (see the module docs).
+    pub fn normalize(self) -> Option<Clause> {
+        let solved = self.solve()?;
+        if !solved.eqs.is_empty() && solved.build_cc().conflict().is_some() {
+            return None;
+        }
+        Some(solved.canonical())
+    }
+
+    /// The steps of [`Clause::normalize`] before the congruence closure:
+    /// the result is sorted, deduplicated and has every pair oriented.
+    fn solve(mut self) -> Option<Clause> {
         // Solve var = term equalities.
         loop {
             let mut changed = false;
@@ -244,24 +259,11 @@ impl Clause {
         });
 
         // Order pairs canonically and deduplicate.
-        for (a, b) in self.eqs.iter_mut().chain(self.neqs.iter_mut()) {
-            if a > b {
-                std::mem::swap(a, b);
-            }
-        }
-        self.atoms.sort();
+        self.orient_and_sort();
         self.atoms.dedup();
-        self.eqs.sort();
         self.eqs.dedup();
-        self.neqs.sort();
         self.neqs.dedup();
-
-        // Congruence closure over the residue.
-        if self.build_cc().conflict().is_some() {
-            return None;
-        }
-
-        Some(self.canonical())
+        Some(self)
     }
 
     /// Build the congruence closure of the clause: intern every term,
@@ -293,34 +295,55 @@ impl Clause {
     }
 
     /// Rename variables to first-occurrence order over the sorted clause,
-    /// iterating until the renaming is stable (sorting can change the
-    /// occurrence order, so a couple of rounds are needed; imperfect
-    /// canonicalisation only weakens duplicate detection, never
-    /// soundness — subsumption catches what renaming misses).
+    /// in place, until the first-occurrence map is the identity (at most
+    /// four rounds). Renaming by the identity would change nothing, so the
+    /// rounds end exactly where repeating them would stop changing the
+    /// clause.
     fn canonical(mut self) -> Clause {
+        let mut map: Vec<SVar> = Vec::new();
         for _ in 0..4 {
-            let mut order = Vec::new();
-            self.for_each_term(|t| t.collect_vars(&mut order));
-            let mut map: BTreeMap<SVar, SVar> = BTreeMap::new();
-            for v in order {
-                let next = map.len() as SVar;
-                map.entry(v).or_insert(next);
-            }
-            let before = self.clone();
-            self.map_terms(|t| t.rename(&map));
-            for (a, b) in self.eqs.iter_mut().chain(self.neqs.iter_mut()) {
-                if a > b {
-                    std::mem::swap(a, b);
-                }
-            }
-            self.atoms.sort();
-            self.eqs.sort();
-            self.neqs.sort();
-            if self == before {
+            if self.first_occurrence_map(&mut map) {
                 break;
             }
+            self.terms_mut().for_each(|t| t.rename(&map));
+            self.orient_and_sort();
         }
         self
+    }
+
+    /// Fill `map[v]` with the rank of variable `v`'s first occurrence;
+    /// true when every variable keeps its index.
+    fn first_occurrence_map(&self, map: &mut Vec<SVar>) -> bool {
+        const UNSEEN: SVar = SVar::MAX;
+        map.clear();
+        let mut next: SVar = 0;
+        let mut identity = true;
+        let mut visit = |v: SVar| {
+            let ix = v as usize;
+            if ix >= map.len() {
+                map.resize(ix + 1, UNSEEN);
+            }
+            if map[ix] == UNSEEN {
+                map[ix] = next;
+                identity &= v == next;
+                next += 1;
+            }
+        };
+        self.for_each_term(|t| t.for_each_var(&mut visit));
+        identity
+    }
+
+    /// Put the smaller term first in every pair, then sort the atoms and
+    /// both pair lists.
+    fn orient_and_sort(&mut self) {
+        for (a, b) in self.eqs.iter_mut().chain(self.neqs.iter_mut()) {
+            if a > b {
+                std::mem::swap(a, b);
+            }
+        }
+        self.atoms.sort();
+        self.eqs.sort();
+        self.neqs.sort();
     }
 
     /// Permissive satisfaction check against a concrete instance: could a
@@ -559,7 +582,93 @@ mod tests {
             neqs: vec![],
             level: 1,
         };
-        assert_eq!(a.normalize().unwrap().key(), b.normalize().unwrap().key());
+        let (a, b) = (a.normalize().unwrap(), b.normalize().unwrap());
+        assert_eq!((a.atoms, a.eqs, a.neqs), (b.atoms, b.eqs, b.neqs));
+    }
+
+    /// The renaming before it worked in place: a `BTreeMap` per round over
+    /// a cloned clause, stopping after the first round that changes
+    /// nothing.
+    fn canonical_reference(mut c: Clause) -> Clause {
+        fn rename(t: &STerm, map: &BTreeMap<SVar, SVar>) -> STerm {
+            match t {
+                STerm::Const(_) => t.clone(),
+                STerm::Var(v) => STerm::Var(map[v]),
+                STerm::App(f, args) => {
+                    STerm::App(*f, args.iter().map(|a| rename(a, map)).collect())
+                }
+            }
+        }
+        for _ in 0..4 {
+            let mut order = Vec::new();
+            c.for_each_term(|t| t.collect_vars(&mut order));
+            let mut map: BTreeMap<SVar, SVar> = BTreeMap::new();
+            for v in order {
+                let next = map.len() as SVar;
+                map.entry(v).or_insert(next);
+            }
+            let before = c.clone();
+            c.map_terms(|t| rename(t, &map));
+            for (a, b) in c.eqs.iter_mut().chain(c.neqs.iter_mut()) {
+                if a > b {
+                    std::mem::swap(a, b);
+                }
+            }
+            c.atoms.sort();
+            c.eqs.sort();
+            c.neqs.sort();
+            if c == before {
+                break;
+            }
+        }
+        c
+    }
+
+    /// `normalize` before the closure became conditional and the renaming
+    /// in place.
+    fn normalize_reference(c: Clause) -> Option<Clause> {
+        let solved = c.solve()?;
+        if solved.build_cc().conflict().is_some() {
+            return None;
+        }
+        Some(canonical_reference(solved))
+    }
+
+    #[test]
+    fn normal_form_matches_the_reference_on_generated_clauses() {
+        let mut rng = crate::gen::Rng::new(0x5eed_c1a5);
+        let (mut unsat, mut residual_eqs, mut renumbered, mut apps) = (0, 0, 0, 0);
+        for _ in 0..10_000 {
+            let raw = crate::gen::raw_clause(&mut rng);
+            let fast = raw.clone().normalize();
+            assert_eq!(fast, normalize_reference(raw.clone()), "{raw:?}");
+            match fast {
+                None => unsat += 1,
+                Some(n) => {
+                    residual_eqs += usize::from(!n.eqs.is_empty());
+                    // Sorting moved a first occurrence after the first
+                    // renaming round, so a later round had work to do.
+                    let once = {
+                        let mut c = raw.solve().unwrap();
+                        let mut map = Vec::new();
+                        if !c.first_occurrence_map(&mut map) {
+                            c.terms_mut().for_each(|t| t.rename(&map));
+                            c.orient_and_sort();
+                        }
+                        c
+                    };
+                    renumbered += usize::from(once != n);
+                    let mut app = false;
+                    n.for_each_term(|t| app |= matches!(t, STerm::App(..)));
+                    apps += usize::from(app);
+                }
+            }
+        }
+        assert!(
+            unsat >= 500 && residual_eqs >= 500 && renumbered >= 20 && apps >= 500,
+            "unsat {unsat}, residual equalities {residual_eqs}, \
+             renamed more than once {renumbered}, with applications {apps}"
+        );
     }
 
     #[test]

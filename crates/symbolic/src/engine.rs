@@ -19,7 +19,7 @@
 //! That makes UNREACHABLE sound as computed, and is why REACHABLE is
 //! never claimed from a clause hit alone.
 
-use crate::clause::{Clause, ClauseKey};
+use crate::clause::Clause;
 use crate::constraints::{clause_violates, guarded_constraints};
 use crate::regress::regress;
 use crate::subsume::{subsumes, ClauseCtx};
@@ -255,26 +255,19 @@ fn backward_reach(
     let guards = guarded_constraints(&dcds.data);
     let init = &dcds.data.initial;
 
-    let mut kept: Vec<ClauseCtx> = Vec::new();
-    let mut keys: BTreeSet<ClauseKey> = BTreeSet::new();
-    let mut frontier: Vec<Clause> = Vec::new();
+    let mut set = ClauseSet::default();
+    // The clauses to regress next, as indices into `set.kept`.
+    let mut frontier: Vec<usize> = Vec::new();
     let mut unconfirmed_hit = false;
     let mut clause_budget_hit = false;
 
     // Seed with the bad condition itself (level 0).
     for c in bad_clauses {
-        admit(
-            c,
-            &guards,
-            &mut kept,
-            &mut keys,
-            &mut frontier,
-            counters,
-            &mut PhaseClock::off(),
-        );
+        set.admit(c, &guards, &mut frontier, counters, &mut PhaseClock::off());
     }
+    obs.counter_add("sym.subsume_probes", std::mem::take(&mut set.probes));
     counters.peak_frontier = counters.peak_frontier.max(frontier.len() as u64);
-    let seed_hits = frontier.iter().filter(|c| c.may_hold_in(init)).count() as u64;
+    let seed_hits = set.hits(&frontier, init);
     counters.init_hits += seed_hits;
     if seed_hits > 0 {
         // Depth 0: Bad at the initial instance directly.
@@ -327,14 +320,17 @@ fn backward_reach(
         counters.iterations += 1;
         let _iter_span = span!(obs, "symbolic.iter", level = level as u64);
         let mut regress_clock = PhaseClock::new(obs);
+        let mut normalize_clock = PhaseClock::new(obs);
         let mut subsume_clock = PhaseClock::new(obs);
 
-        let mut new_frontier: Vec<Clause> = Vec::new();
-        'outer: for target in &frontier {
+        let mut new_frontier: Vec<usize> = Vec::new();
+        'outer: for &target in &frontier {
             for &action in &actions {
                 counters.regressions += 1;
-                let budget = opts.max_clauses.saturating_sub(keys.len()).max(1);
-                let out = regress_clock.time(|| regress(dcds, target, action, budget));
+                let budget = opts.max_clauses.saturating_sub(set.seen.len()).max(1);
+                let target = &set.kept[target].clause;
+                let out = regress_clock
+                    .time(|| regress(dcds, target, action, budget, &mut normalize_clock));
                 counters.candidates += out.candidates;
                 counters.qminus_dropped += out.qminus_dropped;
                 counters.cond_dropped += out.cond_dropped;
@@ -343,16 +339,14 @@ fn backward_reach(
                     clause_budget_hit = true;
                 }
                 for cand in out.clauses {
-                    admit(
+                    set.admit(
                         cand,
                         &guards,
-                        &mut kept,
-                        &mut keys,
                         &mut new_frontier,
                         counters,
                         &mut subsume_clock,
                     );
-                    if keys.len() >= opts.max_clauses {
+                    if set.seen.len() >= opts.max_clauses {
                         clause_budget_hit = true;
                         break 'outer;
                     }
@@ -361,7 +355,9 @@ fn backward_reach(
         }
 
         regress_clock.publish(obs, "sym.regress_us");
+        normalize_clock.publish(obs, "sym.normalize_us");
         subsume_clock.publish(obs, "sym.subsume_us");
+        obs.counter_add("sym.subsume_probes", std::mem::take(&mut set.probes));
         counters.peak_frontier = counters.peak_frontier.max(new_frontier.len() as u64);
         event!(
             obs,
@@ -374,7 +370,7 @@ fn backward_reach(
             subsumed = counters.subsumed,
         );
         // Any new clause covering the initial instance?
-        let hits = new_frontier.iter().filter(|c| c.may_hold_in(init)).count() as u64;
+        let hits = set.hits(&new_frontier, init);
         counters.init_hits += hits;
         if hits > 0 {
             if let Some(trace) =
@@ -388,38 +384,66 @@ fn backward_reach(
     }
 }
 
-/// Normalised-candidate admission: constraint pruning, exact-duplicate
-/// and subsumption filtering, then keep. Only kept clauses whose relations
-/// all occur in the candidate are probed for subsumption.
-fn admit(
-    cand: Clause,
-    guards: &[crate::constraints::GuardedConstraint],
-    kept: &mut Vec<ClauseCtx>,
-    keys: &mut BTreeSet<ClauseKey>,
-    frontier: &mut Vec<Clause>,
-    counters: &mut SymCounters,
-    subsume_clock: &mut PhaseClock,
-) {
-    if clause_violates(&cand, guards) {
-        counters.constraint_pruned += 1;
-        return;
+/// The clause set of a run, and what admission needs to filter it.
+#[derive(Default)]
+struct ClauseSet {
+    /// The kept clauses, each with its subsumption context.
+    kept: Vec<ClauseCtx>,
+    /// The content of every candidate that passed constraint pruning,
+    /// stored at level 0 so that equality ignores the level.
+    seen: BTreeSet<Clause>,
+    /// Subsumption probes that passed [`ClauseCtx::may_subsume`] since the
+    /// count was last published (`sym.subsume_probes`).
+    probes: u64,
+}
+
+impl ClauseSet {
+    /// Normalised-candidate admission: constraint pruning, exact-duplicate
+    /// and subsumption filtering, then keep. The duplicate set is probed
+    /// by reference; only a new candidate's content is copied into it.
+    /// Only kept clauses that pass [`ClauseCtx::may_subsume`] against the
+    /// candidate are probed for subsumption. A kept clause's index goes on
+    /// `frontier`.
+    fn admit(
+        &mut self,
+        mut cand: Clause,
+        guards: &[crate::constraints::GuardedConstraint],
+        frontier: &mut Vec<usize>,
+        counters: &mut SymCounters,
+        subsume_clock: &mut PhaseClock,
+    ) {
+        if clause_violates(&cand, guards) {
+            counters.constraint_pruned += 1;
+            return;
+        }
+        let level = std::mem::replace(&mut cand.level, 0);
+        if self.seen.contains(&cand) {
+            counters.exact_dups += 1;
+            return;
+        }
+        self.seen.insert(cand.clone());
+        cand.level = level;
+        let ctx = ClauseCtx::new(cand);
+        let subsumed = subsume_clock.time(|| {
+            self.kept.iter().filter(|k| k.may_subsume(&ctx)).any(|k| {
+                self.probes += 1;
+                subsumes(k, &ctx)
+            })
+        });
+        if subsumed {
+            counters.subsumed += 1;
+            return;
+        }
+        counters.kept += 1;
+        frontier.push(self.kept.len());
+        self.kept.push(ctx);
     }
-    if !keys.insert(cand.key()) {
-        counters.exact_dups += 1;
-        return;
+
+    /// How many of the kept clauses at `frontier` may hold in `init`.
+    fn hits(&self, frontier: &[usize], init: &Instance) -> u64 {
+        let covers = |&&k: &&usize| self.kept[k].clause.may_hold_in(init);
+        frontier.iter().filter(covers).count() as u64
     }
-    let ctx = ClauseCtx::new(cand);
-    let subsumed = subsume_clock.time(|| {
-        kept.iter()
-            .any(|k| k.may_subsume(&ctx) && subsumes(&k.clause, &ctx))
-    });
-    if subsumed {
-        counters.subsumed += 1;
-        return;
-    }
-    counters.kept += 1;
-    frontier.push(ctx.clause.clone());
-    kept.push(ctx);
 }
 
 /// Bounded concrete reachability search for the bad condition, over the

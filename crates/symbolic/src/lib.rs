@@ -28,6 +28,8 @@
 pub mod clause;
 pub mod constraints;
 pub mod engine;
+#[cfg(test)]
+mod gen;
 pub mod regress;
 pub mod subsume;
 

@@ -35,6 +35,7 @@
 use crate::clause::{Clause, STerm, SVar};
 use dcds_core::{ActionId, BaseTerm, Dcds, ETerm, FuncId, ServiceKind};
 use dcds_folang::{ConjunctiveQuery, Formula, QTerm, Ucq, Var};
+use dcds_obs::PhaseClock;
 use dcds_reldata::RelId;
 use std::collections::BTreeMap;
 
@@ -87,7 +88,14 @@ struct RuleOption<'a> {
 }
 
 /// Regress `target` through `action`, emitting at most `limit` clauses.
-pub fn regress(dcds: &Dcds, target: &Clause, action: ActionId, limit: usize) -> RegressOut {
+/// `normalize_clock` times the normalisation of the candidates.
+pub fn regress(
+    dcds: &Dcds,
+    target: &Clause,
+    action: ActionId,
+    limit: usize,
+    normalize_clock: &mut PhaseClock,
+) -> RegressOut {
     let mut out = RegressOut::default();
     let act = dcds.process.action(action);
 
@@ -199,7 +207,16 @@ pub fn regress(dcds: &Dcds, target: &Clause, action: ActionId, limit: usize) -> 
                 out.truncated = true;
                 break 'rules;
             }
-            build_candidate(dcds, target, action, rule_opt, &options, &pick, &mut out);
+            build_candidate(
+                dcds,
+                target,
+                action,
+                rule_opt,
+                &options,
+                &pick,
+                &mut out,
+                normalize_clock,
+            );
             // Advance the odometer; a full wrap (including the atom-free
             // single-combination case) ends this rule option.
             let mut k = 0;
@@ -254,6 +271,7 @@ fn build_candidate(
     options: &[Vec<AtomOption>],
     pick: &[usize],
     out: &mut RegressOut,
+    normalize_clock: &mut PhaseClock,
 ) {
     let act = dcds.process.action(action);
     let mut vars = CandidateVars {
@@ -327,7 +345,7 @@ fn build_candidate(
         neqs,
         level: target.level + 1,
     };
-    if let Some(n) = cand.normalize() {
+    if let Some(n) = normalize_clock.time(|| cand.normalize()) {
         out.clauses.push(n);
     }
 }
@@ -480,7 +498,13 @@ mod tests {
         let dcds = phased();
         let target = phase_target(&dcds, "a");
         for name in ["step0", "step1"] {
-            let out = regress(&dcds, &target, dcds.action_id(name).unwrap(), 100);
+            let out = regress(
+                &dcds,
+                &target,
+                dcds.action_id(name).unwrap(),
+                100,
+                &mut PhaseClock::off(),
+            );
             assert_eq!(out.candidates, 0, "{name}");
             assert!(out.clauses.is_empty(), "{name}");
         }
@@ -490,8 +514,21 @@ mod tests {
     fn a_phase_guarded_target_regresses_only_through_its_producer() {
         let dcds = phased();
         let target = phase_target(&dcds, "p1");
-        let step0 = regress(&dcds, &target, dcds.action_id("step0").unwrap(), 100);
-        let step1 = regress(&dcds, &target, dcds.action_id("step1").unwrap(), 100);
+        let mut clock = PhaseClock::off();
+        let step0 = regress(
+            &dcds,
+            &target,
+            dcds.action_id("step0").unwrap(),
+            100,
+            &mut clock,
+        );
+        let step1 = regress(
+            &dcds,
+            &target,
+            dcds.action_id("step1").unwrap(),
+            100,
+            &mut clock,
+        );
         assert_eq!((step0.candidates, step1.candidates), (1, 0));
         // The precondition: the token sat at `p0`, and `R` was non-empty.
         let p0 = STerm::Const(dcds.data.pool.get("p0").unwrap());

@@ -27,6 +27,9 @@ cargo test -q -p dcds-bench --test engine_differential --test plan_paths
 cargo test -q -p dcds-reldata --test store_differential
 # Symbolic engine vs the naive Kleene evaluator and the staged checker.
 cargo test -q --test symbolic_differential
+# Symbolic normal form and subsumption search vs their pre-optimisation
+# references on seeded clause pairs (unit tests of `dcds-symbolic`).
+cargo test -q -p dcds-symbolic
 # Staged model checker (fused quantifier blocks) vs the naive Kleene
 # evaluator on seeded random formulas and the fusion edge shapes, at
 # 1/2/4 threads; closed µLA formulas also through PROP(Φ).

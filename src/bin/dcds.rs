@@ -42,7 +42,11 @@
 //! Machine-consumable results (verdicts, abstractions, JSON) go to stdout;
 //! human-only diagnostics — witnesses, engine statistics, truncation
 //! warnings, heartbeats — go to stderr, so `dcds ... > out.txt` captures
-//! the result without the commentary.
+//! the result without the commentary. A closed stdout (`dcds ... | head`)
+//! ends the run quietly with exit status 141 (128 + `SIGPIPE`).
+//!
+//! Flags may come before, between or after the positional arguments: a
+//! positional argument is one that is neither a flag nor a flag's value.
 //!
 //! ## Exit codes (`dcds check`)
 //!
@@ -80,7 +84,7 @@ use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
 };
-use dcds_verify::cli::{Flags, ObsCli, UsageError};
+use dcds_verify::cli::{write_stdout, Flags, ObsCli, UsageError};
 use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
@@ -89,6 +93,21 @@ use dcds_verify::obs::{export::json_escape, span, Obs};
 use dcds_verify::reldata::{ConstantPool, InstanceDisplay};
 use dcds_verify::symbolic::{check_safety_traced, render_trace, SymOptions, SymVerdict};
 use std::process::ExitCode;
+
+/// `print!` through [`write_stdout`], which ends the run quietly when
+/// stdout is a closed pipe.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Counting allocator so `--profile-alloc` can attribute bytes per span
 /// path; a transparent passthrough to the system allocator (one relaxed
@@ -347,7 +366,7 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    println!(
+    outln!(
         "{}: {} relations, {} services ({}), {} actions, {} rules, |I0| = {}",
         path,
         dcds.data.schema.len(),
@@ -369,7 +388,7 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
         let wa = is_weakly_acyclic(&dg);
         (dg, wa)
     };
-    println!("weakly acyclic: {wa}");
+    outln!("weakly acyclic: {wa}");
     if !wa {
         if let Some(cycle) = weak_cycle_witness(&dg) {
             // Witness rendering is a human diagnostic: stderr.
@@ -381,15 +400,15 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
     }
     if wa {
         if let Some(ranks) = position_ranks(&dg) {
-            println!(
+            outln!(
                 "  max position rank: {}",
                 ranks.iter().copied().max().unwrap_or(0)
             );
         }
         if dcds.is_deterministic() {
-            println!("  ⇒ run-bounded (Thm 4.7); µLA decidable (Thm 4.8)");
+            outln!("  ⇒ run-bounded (Thm 4.7); µLA decidable (Thm 4.8)");
             if let Some(bound) = run_bound_estimate(&dcds, &dg) {
-                println!("  Thm 4.7 run bound (proof artifact): {bound:.3e}");
+                outln!("  Thm 4.7 run bound (proof artifact): {bound:.3e}");
             }
         } else {
             eprintln!(
@@ -405,15 +424,15 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
         let grp = gr_acyclicity::is_gr_plus_acyclic(&df);
         (df, gr, grp)
     };
-    println!("GR-acyclic: {gr}");
-    println!("GR+-acyclic: {grp}");
+    outln!("GR-acyclic: {gr}");
+    outln!("GR+-acyclic: {grp}");
     if gr {
         if let Some(bound) = state_bound_estimate(&dcds, &df) {
-            println!("  Thm 5.6 state bound (proof artifact): {bound:.3e}");
+            outln!("  Thm 5.6 state bound (proof artifact): {bound:.3e}");
         }
     }
     if grp {
-        println!("  ⇒ state-bounded (Thm 5.6); µLP decidable via RCYCL (Thm 5.7)");
+        outln!("  ⇒ state-bounded (Thm 5.6); µLP decidable via RCYCL (Thm 5.7)");
     } else if let Some(w) = gr_acyclicity::gr_plus_witness(&df) {
         eprintln!("  unexcused generate→recall pattern:");
         for line in gr_acyclicity::render_witness(&w, &df, &dcds).lines() {
@@ -506,13 +525,13 @@ fn do_abstract(
     };
     let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     let complete = cut.complete();
-    println!(
+    outln!(
         "{how}: {} states, {} edges, max |adom(state)| = {}, complete = {complete}",
         ts.num_states(),
         ts.num_edges(),
         ts.max_state_adom()
     );
-    println!(
+    outln!(
         "engine ({threads} thread{}): {counters}",
         if threads == 1 { "" } else { "s" }
     );
@@ -529,7 +548,7 @@ fn do_abstract(
         );
     }
     if dot {
-        println!("{}", ts.to_dot(&dcds.data.schema, &pool));
+        outln!("{}", ts.to_dot(&dcds.data.schema, &pool));
     }
     drop(run_span);
     obs_cli.finish(&obs)
@@ -572,7 +591,7 @@ fn do_check(
                     format!(",\"reason\":\"{}\"", json_escape(r)),
                 ),
             };
-            println!(
+            outln!(
                 "{{\"fragment\":\"{}\",\"abstraction\":{{\"how\":\"{}\",\"states\":{},\
                  \"edges\":{},\"complete\":{}}},\"engine_counters\":{},\"mc_counters\":{},\
                  \"verdict\":{verdict}{reason}}}",
@@ -586,8 +605,8 @@ fn do_check(
             );
         }
         OutputFormat::Text => {
-            println!("fragment: {fragment:?}");
-            println!(
+            outln!("fragment: {fragment:?}");
+            outln!(
                 "abstraction: {how}, {} states, complete = {complete}",
                 ts.num_states()
             );
@@ -610,8 +629,8 @@ fn do_check(
                 );
             }
             match &inconclusive {
-                None => println!("verdict: {verdict}"),
-                Some(r) => println!("verdict: inconclusive ({r})"),
+                None => outln!("verdict: {verdict}"),
+                Some(r) => outln!("verdict: inconclusive ({r})"),
             }
         }
     }
@@ -697,7 +716,7 @@ fn do_check_symbolic(
                     format!(",\"reason\":\"{}\"", json_escape(r)),
                 ),
             };
-            println!(
+            outln!(
                 "{{\"fragment\":\"{}\",\"engine\":\"symbolic\",\"mode\":\"{mode}\",\
                  \"sym_counters\":{},\"verdict\":{verdict}{reason}}}",
                 json_escape(&format!("{fragment:?}")),
@@ -705,12 +724,12 @@ fn do_check_symbolic(
             );
         }
         OutputFormat::Text => {
-            println!("fragment: {fragment:?}");
-            println!("engine: symbolic backward reachability, mode = {mode}");
+            outln!("fragment: {fragment:?}");
+            outln!("engine: symbolic backward reachability, mode = {mode}");
             match &run.verdict {
-                SymVerdict::Holds(_) => println!("verdict: true"),
-                SymVerdict::Violated(_) => println!("verdict: false"),
-                SymVerdict::Inconclusive(r) => println!("verdict: inconclusive ({r})"),
+                SymVerdict::Holds(_) => outln!("verdict: true"),
+                SymVerdict::Violated(_) => outln!("verdict: false"),
+                SymVerdict::Inconclusive(r) => outln!("verdict: inconclusive ({r})"),
             }
         }
     }
@@ -732,7 +751,7 @@ fn do_run(path: &str, steps: usize, seed: u64) -> Result<(), String> {
     let dcds = load(path)?;
     let schema = dcds.data.schema.clone();
     let mut runner = Runner::new(dcds, AnswerPolicy::Random { seed });
-    println!(
+    outln!(
         "s0: {}",
         InstanceDisplay::new(runner.current(), &schema, runner.pool())
     );
@@ -741,13 +760,13 @@ fn do_run(path: &str, steps: usize, seed: u64) -> Result<(), String> {
         match stepped {
             Ok(action) => {
                 let name = runner.dcds().process.actions[action.index()].name.clone();
-                println!(
+                outln!(
                     "s{i}: --{name}--> {}",
                     InstanceDisplay::new(runner.current(), &schema, runner.pool())
                 );
             }
             Err(e) => {
-                println!("s{i}: {e}");
+                outln!("s{i}: {e}");
                 break;
             }
         }
@@ -758,8 +777,8 @@ fn do_run(path: &str, steps: usize, seed: u64) -> Result<(), String> {
 fn do_dot(path: &str, which: &str) -> Result<(), String> {
     let dcds = load(path)?;
     match which {
-        "dataflow" => println!("{}", dataflow_dot(&dataflow_graph(&dcds), &dcds)),
-        "depgraph" => println!("{}", depgraph_dot(&dependency_graph(&dcds), &dcds)),
+        "dataflow" => outln!("{}", dataflow_dot(&dataflow_graph(&dcds), &dcds)),
+        "depgraph" => outln!("{}", depgraph_dot(&dependency_graph(&dcds), &dcds)),
         other => return Err(format!("unknown graph `{other}` (dataflow|depgraph)")),
     }
     Ok(())
@@ -767,7 +786,7 @@ fn do_dot(path: &str, which: &str) -> Result<(), String> {
 
 fn do_fmt(path: &str) -> Result<(), String> {
     let dcds = load(path)?;
-    print!("{}", to_spec(&dcds));
+    out!("{}", to_spec(&dcds));
     Ok(())
 }
 
@@ -792,8 +811,8 @@ fn do_lint(
     let run_span = span!(obs, "run", command = "lint");
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let emit = |d: &Diagnostic| match format {
-        LintFormat::Text => print!("{}", render_text(d, path, &src)),
-        LintFormat::Json => println!("{}", render_json(d, path)),
+        LintFormat::Text => out!("{}", render_text(d, path, &src)),
+        LintFormat::Json => outln!("{}", render_json(d, path)),
     };
     let report = {
         let _s = span!(obs, "lint", bytes = src.len());
@@ -816,7 +835,7 @@ fn do_lint(
     obs.counter_add("lint.notes", report.notes() as u64);
     if matches!(format, LintFormat::Text) {
         let (e, w, n) = (report.errors(), report.warnings(), report.notes());
-        println!("{path}: {e} error(s), {w} warning(s), {n} note(s)");
+        outln!("{path}: {e} error(s), {w} warning(s), {n} note(s)");
     }
     let failed = report.has_errors() || (deny_warnings && report.warnings() > 0);
     drop(run_span);

@@ -33,6 +33,25 @@ pub fn string_flag(args: &[String], flag: &str) -> Result<Option<String>, String
     }
 }
 
+/// Exit status when stdout is a closed pipe (`dcds … | head`): the status
+/// a shell reports for a process that `SIGPIPE` ended (128 + 13).
+pub const EXIT_CLOSED_STDOUT: i32 = 141;
+
+/// Write to stdout, like `print!`. When the reader has gone (a closed
+/// pipe), end the process quietly with [`EXIT_CLOSED_STDOUT`] where
+/// `print!` would panic; any other write error ends it with a message and
+/// exit 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(EXIT_CLOSED_STDOUT);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// A command line a subcommand cannot run: a missing argument, or a flag
 /// that is unknown, repeated, malformed or meant for another mode. `dcds`
 /// prints it with the usage and exits 2.
@@ -43,6 +62,10 @@ pub struct UsageError(pub String);
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
+
+/// The flags that stand alone; every other flag takes the argument after
+/// it as its value (unless that argument is a flag too).
+const BARE_FLAGS: [&str; 4] = ["--dot", "--witness", "--stats", "--profile-alloc"];
 
 /// The observability flags of the recording commands (see [`ObsCli`]).
 const OBS_FLAGS: [&str; 6] = [
@@ -57,12 +80,16 @@ const OBS_FLAGS: [&str; 6] = [
 /// A subcommand's command line (`args[0]` is the subcommand), checked
 /// against the flags the subcommand takes so that a misspelt flag is not
 /// silently ignored. Flags are read through it; reading one that was not
-/// declared is a bug, caught in debug builds.
+/// declared is a bug, caught in debug builds. Positional arguments are
+/// the ones that are neither flags nor flag values, so flags may come
+/// before, between or after them.
 #[derive(Debug)]
 pub struct Flags<'a> {
     args: &'a [String],
     takes: &'a [&'a str],
     obs: bool,
+    /// The positional arguments, the subcommand first.
+    positional: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
@@ -70,7 +97,21 @@ impl<'a> Flags<'a> {
     /// `obs`. `Err` names the first `--flag` the subcommand does not take,
     /// or that is given twice (the readers would silently keep the first).
     pub fn new(args: &'a [String], takes: &'a [&'a str], obs: bool) -> Result<Self, UsageError> {
-        let flags = Flags { args, takes, obs };
+        let mut positional = Vec::new();
+        let mut rest = args.iter().map(String::as_str).peekable();
+        while let Some(a) = rest.next() {
+            if !a.starts_with("--") {
+                positional.push(a);
+            } else if !BARE_FLAGS.contains(&a) {
+                rest.next_if(|v| !v.starts_with("--"));
+            }
+        }
+        let flags = Flags {
+            args,
+            takes,
+            obs,
+            positional,
+        };
         let given: Vec<&str> = args
             .iter()
             .skip(1)
@@ -97,11 +138,12 @@ impl<'a> Flags<'a> {
         self.args
     }
 
-    /// The `i`-th positional argument, named `what` when it is missing.
+    /// The `i`-th positional argument (the subcommand is the 0th), named
+    /// `what` when it is missing.
     pub fn arg(&self, i: usize, what: &str) -> Result<&'a str, UsageError> {
-        self.args
+        self.positional
             .get(i)
-            .map(String::as_str)
+            .copied()
             .ok_or_else(|| UsageError(format!("missing {what}")))
     }
 
@@ -269,7 +311,7 @@ impl ObsCli {
         if let Some(path) = &self.metrics_json {
             let json = report.metrics.to_json();
             if path == "-" {
-                println!("{json}");
+                write_stdout(format_args!("{json}\n"));
             } else {
                 std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
             }
@@ -305,6 +347,32 @@ mod tests {
         assert!(threads_flag(&argv(&["--threads", "many"])).is_err());
         // u32 overflow is a parse error, not a wrap-around.
         assert!(threads_flag(&argv(&["--threads", "99999999999"])).is_err());
+    }
+
+    #[test]
+    fn positionals_skip_flags_and_their_values() {
+        let args = argv(&[
+            "check",
+            "--format",
+            "json",
+            "--witness",
+            "s.dcds",
+            "--metrics-json",
+            "-",
+            "phi",
+            "--stats",
+        ]);
+        let takes = ["--format", "--witness"];
+        let flags = Flags::new(&args, &takes, true).unwrap();
+        assert_eq!(flags.arg(1, "spec").unwrap(), "s.dcds");
+        assert_eq!(flags.arg(2, "formula").unwrap(), "phi");
+        assert_eq!(flags.arg(3, "more").unwrap_err().0, "missing more");
+        // A bare flag leaves the next argument positional; a flag whose
+        // value is missing does not swallow the flag after it.
+        let args = argv(&["abstract", "--dot", "s.dcds", "--trace", "--stats"]);
+        let flags = Flags::new(&args, &["--dot"], true).unwrap();
+        assert_eq!(flags.arg(1, "spec").unwrap(), "s.dcds");
+        assert!(flags.arg(2, "more").is_err());
     }
 
     #[test]

@@ -936,3 +936,51 @@ fn errors_are_reported() {
     assert!(!ok3);
     assert!(text3.contains("unknown relation"), "{text3}");
 }
+
+#[test]
+fn flags_may_come_before_the_positional_arguments() {
+    let (code, stdout, stderr) = dcds_streams(&["abstract", "--dot", &spec("ping_pong.dcds")]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("digraph"), "{stdout}");
+    let (code, stdout, stderr) = dcds_streams(&[
+        "check",
+        "--format",
+        "json",
+        &spec("ping_pong.dcds"),
+        "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z",
+    ]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.trim().starts_with("{\"fragment\":"), "{stdout}");
+    assert!(stdout.contains("\"verdict\":true"), "{stdout}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // About 200 KB of dot output, more than a pipe buffers, so the run is
+    // still writing when the reader goes away after one line (as
+    // `| head -1` does).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dcds"))
+        .args([
+            "abstract",
+            &spec("accumulator.dcds"),
+            "--dot",
+            "--max-states",
+            "300",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.contains("states"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+}

@@ -17,8 +17,8 @@ use dcds_verify::bench::rng::SplitMix64;
 use dcds_verify::bench::synthetic;
 use dcds_verify::core::{parse_dcds, Dcds, DcdsBuilder, ServiceKind, Ts};
 use dcds_verify::mucalc::{check, check_traced, parse_mu, McOptions};
-use dcds_verify::obs::Obs;
-use dcds_verify::symbolic::{check_safety, SymOptions, SymVerdict};
+use dcds_verify::obs::{Obs, ObsConfig};
+use dcds_verify::symbolic::{check_safety, check_safety_traced, SymOptions, SymVerdict};
 
 /// Build the complete explicit abstraction; panics if the budget is hit
 /// (differential systems must be bounded for the oracle to be exact).
@@ -232,8 +232,12 @@ fn bad_free_shuffle_counters_are_pinned() {
         &mut pool,
     )
     .unwrap();
-    let run = check_safety(&dcds, &phi, &SymOptions::default()).unwrap();
+    let obs = Obs::enabled(ObsConfig::default());
+    let run = check_safety_traced(&dcds, &phi, &SymOptions::default(), &obs).unwrap();
     assert!(matches!(run.verdict, SymVerdict::Holds(None)));
+    // Subsumption probes that pass the relation and constant prefilters.
+    let metrics = obs.finish().unwrap().metrics;
+    assert_eq!(metrics.counter("sym.subsume_probes"), Some(2204));
     let c = &run.counters;
     assert_eq!(
         (
