@@ -15,14 +15,16 @@
 //! * [`figures`] — regeneration of every figure and table of the paper's
 //!   narrative (Figures 2–10, Table 1), each returning a plain-text report
 //!   printed by the corresponding `fig*`/`table1` binary;
+//! * [`e2e`] — the spec-file → verdict rows `perf_report` times through
+//!   the `dcds` binary, and the layer split of their profiles;
 //! * [`report`] — the perf-regression side of `perf_report`: a std-only
 //!   JSON reader for the committed `BENCH_*.json` baselines, metric
 //!   extraction, and threshold gating (`--baseline`).
 
+pub mod e2e;
 pub mod examples;
 pub mod figures;
 pub mod parity;
-pub mod queries;
 pub mod report;
 pub mod rng;
 pub mod synthetic;

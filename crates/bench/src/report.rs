@@ -9,7 +9,8 @@
 //! too.
 //!
 //! The metric model is deliberately coarse: every comparable number is a
-//! flat key (`scale/service_chain(16)/b500000/states_per_sec`) with a
+//! flat key (`e2e/flush_ladder@8000/search_secs`,
+//! `scale/service_chain(16)/b500000/states_per_sec`) with a
 //! [`Kind`] saying which direction is bad. Timings regress when
 //! `current / baseline` exceeds the slowdown threshold, throughputs when
 //! `baseline / current` does, and sizes (bytes/state) when growth exceeds
@@ -260,71 +261,27 @@ pub const GATE_FLOOR_SECS: f64 = 0.010;
 pub fn extract(doc: &Value) -> BTreeMap<String, Metric> {
     let mut out = BTreeMap::new();
     let bench = doc.get("benchmark").and_then(Value::as_str).unwrap_or("");
-    let workloads = doc.get("workloads").map(Value::items).unwrap_or(&[]);
     let mut put = |key: String, value: Option<f64>, kind: Kind| {
         if let Some(v) = value.filter(|v| v.is_finite() && *v > 0.0) {
             out.insert(key, Metric { value: v, kind });
         }
     };
     match bench {
-        "abstraction-parallel" => {
-            for w in workloads {
-                let name = w.get("name").and_then(Value::as_str).unwrap_or("?");
-                for r in w.get("runs").map(Value::items).unwrap_or(&[]) {
-                    let threads = r.get("threads").and_then(Value::as_f64).unwrap_or(0.0);
+        "e2e" => {
+            for row in doc.get("rows").map(Value::items).unwrap_or(&[]) {
+                let name = row.get("name").and_then(Value::as_str).unwrap_or("?");
+                for layer in ["wall", "parse", "search", "verdict"] {
+                    let field = format!("{layer}_secs");
                     put(
-                        format!("abstraction/{name}/t{threads}/secs"),
-                        r.get("secs").and_then(Value::as_f64),
-                        Kind::Time,
-                    );
-                }
-            }
-        }
-        "mucalc-staged-engine" => {
-            for w in workloads {
-                let name = w.get("name").and_then(Value::as_str).unwrap_or("?");
-                put(
-                    format!("mucalc/{name}/naive_secs"),
-                    w.get("naive_secs").and_then(Value::as_f64),
-                    Kind::Time,
-                );
-                for r in w.get("runs").map(Value::items).unwrap_or(&[]) {
-                    let threads = r.get("threads").and_then(Value::as_f64).unwrap_or(0.0);
-                    put(
-                        format!("mucalc/{name}/t{threads}/secs"),
-                        r.get("secs").and_then(Value::as_f64),
-                        Kind::Time,
-                    );
-                }
-            }
-            for sym in doc.get("symbolic").map(Value::items).unwrap_or(&[]) {
-                let name = sym.get("spec").and_then(Value::as_str).unwrap_or("?");
-                put(
-                    format!("symbolic/{name}/secs"),
-                    sym.get("secs").and_then(Value::as_f64),
-                    Kind::Time,
-                );
-            }
-        }
-        "query-plans" => {
-            for w in workloads {
-                let name = w.get("name").and_then(Value::as_str).unwrap_or("?");
-                for field in [
-                    "nested_loop_secs",
-                    "plan_scan_secs",
-                    "plan_indexed_secs",
-                    "index_build_secs",
-                ] {
-                    put(
-                        format!("query/{name}/{field}"),
-                        w.get(field).and_then(Value::as_f64),
+                        format!("e2e/{name}/{field}"),
+                        row.get(&field).and_then(Value::as_f64),
                         Kind::Time,
                     );
                 }
             }
         }
         "compact-store-scale" => {
-            for w in workloads {
+            for w in doc.get("workloads").map(Value::items).unwrap_or(&[]) {
                 let name = w.get("name").and_then(Value::as_str).unwrap_or("?");
                 for r in w.get("runs").map(Value::items).unwrap_or(&[]) {
                     let budget = r.get("budget").and_then(Value::as_f64).unwrap_or(0.0);
@@ -485,26 +442,30 @@ mod tests {
 
     #[test]
     fn extracts_every_artifact_family() {
-        let abs = parse(
-            r#"{"benchmark": "abstraction-parallel", "workloads": [
-                {"name": "w", "runs": [{"threads": 1, "secs": 0.5},
-                                        {"threads": 8, "secs": 0.1}]}]}"#,
+        let e2e = parse(
+            r#"{"benchmark": "e2e", "rows": [
+                {"name": "r", "wall_secs": 0.5, "parse_secs": 0.001,
+                 "search_secs": 0.4, "verdict_secs": 0.05, "driver_secs": 0.01,
+                 "answer": {"verdict": true}},
+                {"name": "s", "wall_secs": 0.2, "parse_secs": 0.0,
+                 "search_secs": 0.1, "verdict_secs": 0.02}]}"#,
         )
         .unwrap();
-        assert_eq!(extract(&abs).len(), 2);
+        let metrics = extract(&e2e);
+        // Driver time is reported, not gated; a zero never compares.
+        assert_eq!(metrics.len(), 7);
+        assert!(metrics.contains_key("e2e/r/wall_secs"));
+        assert!(metrics.contains_key("e2e/r/verdict_secs"));
+        assert!(!metrics.contains_key("e2e/r/driver_secs"));
+        assert!(!metrics.contains_key("e2e/s/parse_secs"));
 
-        let mc = parse(
-            r#"{"benchmark": "mucalc-staged-engine", "workloads": [
-                {"name": "m", "naive_secs": 0.2,
-                 "runs": [{"threads": 1, "secs": 0.05}]}],
-                "symbolic": [{"spec": "unbounded_safe", "secs": 0.3},
-                             {"spec": "shuffle", "secs": 0.02}]}"#,
+        // Other documents flatten to nothing.
+        let retired = parse(
+            r#"{"benchmark": "query-plans", "workloads": [
+                {"name": "q", "plan_scan_secs": 0.5}]}"#,
         )
         .unwrap();
-        let metrics = extract(&mc);
-        assert_eq!(metrics.len(), 4);
-        assert!(metrics.contains_key("symbolic/unbounded_safe/secs"));
-        assert!(metrics.contains_key("symbolic/shuffle/secs"));
+        assert!(extract(&retired).is_empty());
     }
 
     #[test]
@@ -531,13 +492,13 @@ mod tests {
 
         // Sub-floor timings never gate, however wild the ratio.
         let tiny_base = parse(
-            r#"{"benchmark": "query-plans", "workloads": [
-                {"name": "q", "nested_loop_secs": 0.0001}]}"#,
+            r#"{"benchmark": "e2e", "rows": [
+                {"name": "q", "wall_secs": 0.0001}]}"#,
         )
         .unwrap();
         let tiny_cur = parse(
-            r#"{"benchmark": "query-plans", "workloads": [
-                {"name": "q", "nested_loop_secs": 0.0009}]}"#,
+            r#"{"benchmark": "e2e", "rows": [
+                {"name": "q", "wall_secs": 0.0009}]}"#,
         )
         .unwrap();
         let deltas = diff(
@@ -562,16 +523,10 @@ mod tests {
 
     #[test]
     fn disjoint_keys_compare_nothing() {
-        let a = parse(
-            r#"{"benchmark": "abstraction-parallel", "workloads": [
-                {"name": "old", "runs": [{"threads": 1, "secs": 1.0}]}]}"#,
-        )
-        .unwrap();
-        let b = parse(
-            r#"{"benchmark": "abstraction-parallel", "workloads": [
-                {"name": "new", "runs": [{"threads": 1, "secs": 9.0}]}]}"#,
-        )
-        .unwrap();
+        let a =
+            parse(r#"{"benchmark": "e2e", "rows": [{"name": "old", "wall_secs": 1.0}]}"#).unwrap();
+        let b =
+            parse(r#"{"benchmark": "e2e", "rows": [{"name": "new", "wall_secs": 9.0}]}"#).unwrap();
         assert!(diff(&extract(&a), &extract(&b), Thresholds::default()).is_empty());
     }
 }

@@ -197,12 +197,7 @@ impl EngineCounters {
     /// machine consumers (`dcds abstract|check --format json`,
     /// `perf_report`) that previously had to parse the `Display` string.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .entries()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        dcds_obs::export::json_counters(&self.entries())
     }
 
     /// Publish every counter into the observability registry under

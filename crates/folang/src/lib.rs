@@ -10,11 +10,11 @@
 //! * a reference evaluator under the **active-domain semantics** the paper
 //!   adopts (answers are assignments of free variables to the active domain
 //!   of the instance) ([`eval`]);
-//! * a nested-loop join evaluator for (U)CQs, kept as the natural-join
-//!   test reference for the compiled plans ([`eval_cq`]);
-//! * compiled evaluation plans for (U)CQs — numbered variable slots, join
-//!   orders fixed at compile time, hoisted equality checks, and hash-index
-//!   probing via [`dcds_reldata::InstanceIndex`] ([`plan`]);
+//! * compiled evaluation plans for (U)CQs, the one UCQ evaluator —
+//!   numbered variable slots, join orders fixed at compile time, hoisted
+//!   equality checks, and hash-index probing via
+//!   [`dcds_reldata::InstanceIndex`] — checked against the reference
+//!   evaluator ([`plan`]);
 //! * equality constraints `Q -> /\ z_i = y_i` and arbitrary FO sentences as
 //!   integrity constraints, checked through compiled denial plans when they
 //!   are guard-shaped ([`constraints`]);
@@ -28,7 +28,6 @@
 pub mod ast;
 pub mod constraints;
 pub mod eval;
-pub mod eval_cq;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
@@ -39,7 +38,6 @@ pub mod ucq;
 pub use ast::{Assignment, Formula, QTerm, Var};
 pub use constraints::{EqualityConstraint, FallbackReason, FoConstraint, GuardForm};
 pub use eval::{answers, answers_over, holds, holds_closed, holds_unguided};
-pub use eval_cq::eval_ucq;
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse_formula, ParseError, Parser, RelUse};
 pub use plan::{CompiledPlan, EvalCtx, PlanError, PlanStats};

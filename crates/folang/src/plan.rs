@@ -4,8 +4,8 @@
 //! *every* transition of the concrete and abstract systems, against a query
 //! that never changes — so we compile each (U)CQ once into a
 //! [`CompiledPlan`] instead of re-deriving a join order, scanning whole
-//! relations and cloning `BTreeMap` assignments per call, as the
-//! nested-loop reference [`crate::eval_cq`] does:
+//! relations and cloning `BTreeMap` assignments per call, as a nested-loop
+//! join would:
 //!
 //! * variables are numbered **slots** and partial assignments become a flat
 //!   `Vec<Option<Value>>` register file (no tree maps, no per-extension
@@ -25,15 +25,15 @@
 //!
 //! Compilation is gated on range restriction: every head and equality
 //! variable must occur in an atom or be a declared parameter, which is
-//! exactly the condition under which the natural join semantics below, the
-//! nested-loop [`crate::eval_cq::eval_ucq`], and the active-domain
-//! [`crate::eval::answers`] coincide. Queries outside the fragment are
-//! rejected at compile time ([`PlanError`]); validated effect queries are
-//! always inside it, and rule conditions or formula leaves outside it are
-//! answered by the reference evaluator in [`crate::eval`]. Evaluation
-//! visits candidate tuples in instance iteration order (indexes are
-//! order-normalised), so outputs are bit-identical with `eval_ucq` at every
-//! thread count.
+//! exactly the condition under which the natural join semantics below and
+//! the active-domain [`crate::eval::answers`] coincide (the unit tests and
+//! `tests/plan_differential.rs` compare the two). Queries outside the
+//! fragment are rejected at compile time ([`PlanError`]); validated effect
+//! queries are always inside it, and rule conditions or formula leaves
+//! outside it are answered by the reference evaluator in [`crate::eval`].
+//! Evaluation visits candidate tuples in instance iteration order (indexes
+//! are order-normalised), so outputs are bit-identical at every thread
+//! count.
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};
@@ -219,8 +219,8 @@ struct CompiledCq {
 }
 
 /// A compiled union of conjunctive queries. Evaluation returns assignments
-/// over the head variables that are not parameters — exactly what
-/// `eval_ucq` returns after substituting the parameters as constants.
+/// over the head variables that are not parameters — exactly the answers
+/// of the query with the parameters substituted as constants.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     cqs: Vec<CompiledCq>,
@@ -256,8 +256,8 @@ impl CompiledPlan {
     }
 
     /// Evaluate, seeding the parameter slots from `seed`. Returns the set
-    /// of assignments over the non-parameter head variables; bit-identical
-    /// with `eval_ucq` on the parameter-substituted query.
+    /// of assignments over the non-parameter head variables: the answers of
+    /// the parameter-substituted query.
     ///
     /// Panics if `seed` misses a parameter that occurs in the query.
     pub fn eval(&self, ctx: &EvalCtx<'_>, seed: &Assignment) -> BTreeSet<Assignment> {
@@ -373,10 +373,10 @@ fn compile_cq(cq: &ConjunctiveQuery, params: &BTreeSet<Var>) -> Result<CompiledC
         }
     }
 
-    // Join order fixed at compile time: the greedy heuristic of
-    // `eval_cq::join_order`, with parameter slots counting as bound from
-    // the start. (The answer set is order-independent; the order only
-    // shapes how much gets pruned early.)
+    // Join order fixed at compile time: greedily the atom sharing the most
+    // variables with those already bound (ties by position), with
+    // parameter slots counting as bound from the start. (The answer set is
+    // order-independent; the order only shapes how much gets pruned early.)
     let order = {
         let mut remaining: Vec<usize> = (0..cq.atoms.len()).collect();
         let mut bound_vars: BTreeSet<Var> = param_slots.iter().map(|(v, _)| v.clone()).collect();
@@ -642,7 +642,7 @@ impl CompiledCq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval_cq::eval_ucq;
+    use crate::eval::answers;
     use dcds_reldata::{ConstantPool, Schema, Tuple};
 
     fn setup() -> (ConstantPool, Schema, RelId, RelId, Instance) {
@@ -662,54 +662,60 @@ mod tests {
         (pool, schema, p, q, inst)
     }
 
-    fn check_agreement(ucq: &Ucq, inst: &Instance) {
+    /// The plan agrees with the active-domain answers, scanned and
+    /// indexed; returns those answers.
+    fn check_agreement(ucq: &Ucq, inst: &Instance) -> BTreeSet<Assignment> {
         let plan = CompiledPlan::compile(ucq, &BTreeSet::new()).unwrap();
-        let legacy = eval_ucq(ucq, inst);
-        assert_eq!(plan.eval(&EvalCtx::scan(inst), &Assignment::new()), legacy);
+        let reference = answers(&ucq.to_formula(), inst);
+        assert_eq!(
+            plan.eval(&EvalCtx::scan(inst), &Assignment::new()),
+            reference
+        );
         let index = InstanceIndex::build(inst, plan.access_paths());
         assert_eq!(
             plan.eval(&EvalCtx::with_index(inst, &index), &Assignment::new()),
-            legacy
+            reference
         );
         assert_eq!(
             plan.holds(&EvalCtx::scan(inst), &Assignment::new()),
-            !legacy.is_empty()
+            !reference.is_empty()
         );
+        reference
     }
 
     #[test]
     fn agrees_on_joins_constants_and_repeats() {
-        let (pool, _, p, q, inst) = setup();
-        let a = pool.get("a").unwrap();
-        let cases = vec![
-            ConjunctiveQuery {
-                head: vec![Var::new("Y")],
-                atoms: vec![
-                    (p, vec![QTerm::var("X")]),
-                    (q, vec![QTerm::var("X"), QTerm::var("Y")]),
-                    (p, vec![QTerm::var("Y")]),
-                ],
-                equalities: vec![],
-            },
-            ConjunctiveQuery {
-                head: vec![Var::new("X")],
-                atoms: vec![(q, vec![QTerm::var("X"), QTerm::var("X")])],
-                equalities: vec![],
-            },
-            ConjunctiveQuery {
-                head: vec![Var::new("Y")],
-                atoms: vec![(q, vec![QTerm::Const(a), QTerm::var("Y")])],
-                equalities: vec![],
-            },
-            ConjunctiveQuery {
-                head: vec![],
-                atoms: vec![(q, vec![QTerm::var("X"), QTerm::var("Y")])],
-                equalities: vec![],
-            },
-            ConjunctiveQuery::truth(),
+        let (mut pool, mut schema, _, _, inst) = setup();
+        let mut ucq = |src: &str| {
+            let f = crate::parser::parse_formula(src, &mut schema, &mut pool).unwrap();
+            Ucq::from_formula(&f).unwrap()
+        };
+        let unary = [
+            ("P(X)", &["a", "b"][..]),
+            // Only X = a reaches a Y in P.
+            ("exists X . P(X) & Q(X, Y) & P(Y)", &["b"]),
+            // A repeated variable forces equality.
+            ("Q(X, X)", &[]),
+            ("Q(a, Y)", &["b"]),
+            // P gives {a, b}, Q's second column {b, c}.
+            ("P(X) | exists Y . Q(Y, X)", &["a", "b", "c"]),
+        ]
+        .map(|(src, names)| (src, ucq(src), names));
+        let boolean = [
+            ucq("exists X, Y . Q(X, Y)"),
+            Ucq::single(ConjunctiveQuery::truth()),
         ];
-        for cq in cases {
-            check_agreement(&Ucq::single(cq), &inst);
+        for (src, q, names) in unary {
+            let got: Vec<Value> = check_agreement(&q, &inst)
+                .iter()
+                .flat_map(|row| row.values().copied())
+                .collect();
+            let want: Vec<Value> = names.iter().map(|n| pool.get(n).unwrap()).collect();
+            assert_eq!(got, want, "{src}");
+        }
+        // Projection leaves one empty row, on any instance for `true`.
+        for (q, inst) in boolean.iter().zip([&inst, &Instance::new()]) {
+            assert_eq!(check_agreement(q, inst), [Assignment::new()].into());
         }
     }
 
@@ -729,7 +735,10 @@ mod tests {
         // The equality runs at the step that binds Y, not at the end.
         let hoisted: usize = plan.cqs[0].steps.iter().map(|s| s.eq_checks.len()).sum();
         assert_eq!(hoisted + plan.cqs[0].pre_checks.len(), 1);
-        check_agreement(&Ucq::single(cq), &inst);
+        // Q(X, b) with X in P: only X = a.
+        let got = check_agreement(&Ucq::single(cq), &inst);
+        let a = pool.get("a").unwrap();
+        assert_eq!(got, [[(Var::new("X"), a)].into()].into());
     }
 
     #[test]
@@ -753,7 +762,7 @@ mod tests {
             atoms: vec![(q, vec![QTerm::Const(a), QTerm::var("Y")])],
             equalities: vec![],
         };
-        assert_eq!(rows, eval_ucq(&Ucq::single(substituted), &inst));
+        assert_eq!(rows, answers(&Ucq::single(substituted).to_formula(), &inst));
     }
 
     #[test]
@@ -841,9 +850,6 @@ mod tests {
         assert!(plan
             .eval(&EvalCtx::scan(&inst), &Assignment::new())
             .is_empty());
-        assert_eq!(
-            plan.eval(&EvalCtx::scan(&inst), &Assignment::new()),
-            eval_ucq(&Ucq::single(cq), &inst)
-        );
+        check_agreement(&Ucq::single(cq), &inst);
     }
 }

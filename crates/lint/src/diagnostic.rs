@@ -1,6 +1,7 @@
 //! Structured, span-carrying diagnostics with stable `DCDS0xx` codes.
 
 use dcds_folang::lexer::Span;
+use dcds_obs::export::json_string;
 use std::fmt;
 
 /// How serious a finding is.
@@ -59,25 +60,6 @@ impl Payload {
             }
         }
     }
-}
-
-/// Escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// One finding of a lint pass.

@@ -1,6 +1,7 @@
 //! Rendering diagnostics: rustc-style text and line-delimited JSON.
 
-use crate::diagnostic::{json_string, Diagnostic};
+use crate::diagnostic::Diagnostic;
+use dcds_obs::export::json_string;
 
 /// Render a diagnostic rustc-style:
 ///

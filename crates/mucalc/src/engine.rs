@@ -150,12 +150,7 @@ impl McCounters {
     /// Serde-free JSON object, e.g. `{"query_state_evals":42,...}` — used
     /// by `dcds check --format json`.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .entries()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        dcds_obs::export::json_counters(&self.entries())
     }
 
     /// Publish every counter into the observability registry under
@@ -1008,7 +1003,7 @@ mod tests {
 
     #[test]
     fn fusion_turns_paper_idioms_into_one_compiled_leaf() {
-        // The µLP idiom of the README, the CLI tests and BENCH_mucalc.
+        // The µLP idiom of the README, the CLI tests and BENCH_e2e.
         let fused = fuse(&parse("exists X . live(X) & (R(X) | Q(X))"));
         assert!(matches!(fused, Mu::Query(_)), "{fused:?}");
         assert_eq!(compiled_leaves(&fused), 1);

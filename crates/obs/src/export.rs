@@ -30,6 +30,21 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// `s` as a JSON string literal: escaped and quoted.
+pub fn json_string(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// Named counters as one flat JSON object, `{"name":value,...}`, in the
+/// given order — the serde-free `to_json` of the engines' counter structs.
+pub fn json_counters(entries: &[(&str, u64)]) -> String {
+    let body: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| format!("{}:{v}", json_string(k)))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
 pub(crate) fn json_field_value(v: &FieldValue) -> String {
     match v {
         FieldValue::U64(n) => n.to_string(),
@@ -41,7 +56,7 @@ pub(crate) fn json_field_value(v: &FieldValue) -> String {
                 "null".into()
             }
         }
-        FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
+        FieldValue::Str(s) => json_string(s),
     }
 }
 

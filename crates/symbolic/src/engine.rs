@@ -115,12 +115,7 @@ impl SymCounters {
 
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .entries()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        dcds_obs::export::json_counters(&self.entries())
     }
 
     /// Publish into the observability registry under `symbolic.<name>`.

@@ -42,12 +42,14 @@ echo "== compact-store memory smoke"
 cargo run --release -q -p dcds-bench --bin memsmoke
 
 echo "== perf regression smoke gate"
-# One-rep run of the abstraction/mucalc/query stages (the heavyweight
-# scale stage is skipped) compared against the committed BENCH_*.json
-# baselines; writes BENCH_diff.json and fails on a gross regression.
-# Thresholds are deliberately loose — smoke is best-of-1 on a shared
-# machine — so only order-of-magnitude collapses trip here; the tight
-# gates run with the full `perf_report --baseline` on dedicated hardware.
+# The e2e stage — the `dcds check` binary, built here in release, on
+# every spec-file → verdict row, best of 3 (the heavyweight scale stage
+# is skipped) — compared against the committed BENCH_*.json baselines;
+# writes BENCH_diff.json and fails on a gross regression.
+# Thresholds are deliberately loose — smoke runs on a shared machine — so
+# only order-of-magnitude collapses trip here; `perf_report --smoke
+# --baseline .` at the default thresholds is the tight gate.
+cargo build --release -q --bin dcds
 cargo run --release -q -p dcds-bench --bin perf_report -- \
     --smoke --baseline . --max-slowdown 6 --max-growth 2
 

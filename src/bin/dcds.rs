@@ -48,6 +48,16 @@
 //! Flags may come before, between or after the positional arguments: a
 //! positional argument is one that is neither a flag nor a flag's value.
 //!
+//! ## Exit codes (every command)
+//!
+//! **2** — a usage error, printed with the usage: a missing argument, or a
+//! flag that is unknown, repeated, malformed (`--max-states abc`) or meant
+//! for the other `check` engine (`--max-iters` without `--engine
+//! symbolic`). **3** — a run-time error, printed without the usage: an
+//! unreadable or invalid spec, a formula that does not parse or that the
+//! chosen engine cannot check, an unwritable output file. Both print an
+//! `error:` line on stderr.
+//!
 //! ## Exit codes (`dcds check`)
 //!
 //! Scripting/CI contract: **0** — the property holds on a complete
@@ -55,12 +65,8 @@
 //! **2** — inconclusive (the state budget was hit, or RCYCL skipped a step
 //! over its per-step evaluation budget, so the abstraction is truncated
 //! and no verdict is drawn: `verdict: inconclusive (…)` in text,
-//! `"verdict":null` with a `"reason"` in JSON). Errors keep the ordinary
-//! failure path (exit 1 with a message on stderr, distinguishable from a
-//! violation verdict by the `error:` prefix), except usage errors: any
-//! command exits **2**, printing the usage, on a missing argument or a flag
-//! that is unknown, repeated, malformed (`--max-states abc`) or meant for
-//! the other `check` engine (`--max-iters` without `--engine symbolic`).
+//! `"verdict":null` with a `"reason"` in JSON). Errors exit 2 (usage) or
+//! 3 (run time), never 1, so a script can tell them from a violation.
 //!
 //! `--engine symbolic` keeps the same contract but decides AG/EF safety
 //! properties by regression-based backward reachability, with no
@@ -124,12 +130,14 @@ const EXIT_INCONCLUSIVE: u8 = 2;
 
 /// Any `dcds` command: a [`UsageError`].
 const EXIT_USAGE: u8 = 2;
+/// Any `dcds` command: a run-time error ([`Failure::Run`]).
+const EXIT_ERROR: u8 = 3;
 
 /// Why a command stopped without an exit code of its own.
 enum Failure {
-    /// The command line is malformed: exit 2.
+    /// The command line is malformed: exit 2, with the usage.
     Usage(UsageError),
-    /// The command failed while running: exit 1.
+    /// The command failed while running: exit 3.
     Run(String),
 }
 
@@ -147,15 +155,17 @@ impl From<String> for Failure {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (msg, code) = match run(&args) {
-        Ok(code) => return code,
-        Err(Failure::Usage(UsageError(msg))) => (msg, ExitCode::from(EXIT_USAGE)),
-        Err(Failure::Run(msg)) => (msg, ExitCode::FAILURE),
-    };
-    eprintln!("error: {msg}");
-    eprintln!();
-    eprintln!("{USAGE}");
-    code
+    match run(&args) {
+        Ok(code) => code,
+        Err(Failure::Usage(UsageError(msg))) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            ExitCode::from(EXIT_USAGE)
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(EXIT_ERROR)
+        }
+    }
 }
 
 const USAGE: &str = "usage:
@@ -187,7 +197,8 @@ reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size); `--max-states`
 belongs to the explicit engine only.
 Any command exits 2 on a missing argument or a flag that it does not take,
-that is given twice, malformed, or meant for the other `check` engine.
+that is given twice, malformed, or meant for the other `check` engine, and
+3 on a run-time error (unreadable or invalid spec, bad formula).
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
 --deny warnings), and 2 when the spec cannot be parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
@@ -276,10 +287,13 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             flags.value("--steps")?.unwrap_or(10),
             flags.value::<u64>("--seed")?.unwrap_or(42),
         ),
-        "dot" => do_dot(
-            flags.arg(1, spec)?,
-            flags.word("--graph").unwrap_or("dataflow"),
-        ),
+        "dot" => match flags.word("--graph").unwrap_or("dataflow") {
+            graph @ ("dataflow" | "depgraph") => do_dot(flags.arg(1, spec)?, graph),
+            other => {
+                let msg = format!("unknown graph `{other}` (dataflow|depgraph)");
+                return Err(UsageError(msg).into());
+            }
+        },
         "fmt" => do_fmt(flags.arg(1, spec)?),
         "lint" => {
             let deny_warnings = flags.has("--deny");
@@ -776,10 +790,10 @@ fn do_run(path: &str, steps: usize, seed: u64) -> Result<(), String> {
 
 fn do_dot(path: &str, which: &str) -> Result<(), String> {
     let dcds = load(path)?;
-    match which {
-        "dataflow" => outln!("{}", dataflow_dot(&dataflow_graph(&dcds), &dcds)),
-        "depgraph" => outln!("{}", depgraph_dot(&dependency_graph(&dcds), &dcds)),
-        other => return Err(format!("unknown graph `{other}` (dataflow|depgraph)")),
+    if which == "depgraph" {
+        outln!("{}", depgraph_dot(&dependency_graph(&dcds), &dcds));
+    } else {
+        outln!("{}", dataflow_dot(&dataflow_graph(&dcds), &dcds));
     }
     Ok(())
 }

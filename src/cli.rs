@@ -40,7 +40,7 @@ pub const EXIT_CLOSED_STDOUT: i32 = 141;
 /// Write to stdout, like `print!`. When the reader has gone (a closed
 /// pipe), end the process quietly with [`EXIT_CLOSED_STDOUT`] where
 /// `print!` would panic; any other write error ends it with a message and
-/// exit 1.
+/// exit 3, the exit code of every run-time error.
 pub fn write_stdout(args: std::fmt::Arguments<'_>) {
     use std::io::{ErrorKind, Write};
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
@@ -48,7 +48,7 @@ pub fn write_stdout(args: std::fmt::Arguments<'_>) {
             std::process::exit(EXIT_CLOSED_STDOUT);
         }
         eprintln!("error: cannot write to stdout: {e}");
-        std::process::exit(1);
+        std::process::exit(3);
     }
 }
 

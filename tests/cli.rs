@@ -225,7 +225,7 @@ fn check_names_the_evaluation_budget_when_rcycl_skips_steps() {
 #[test]
 fn check_rejects_open_formulas_by_name() {
     let (code, text) = dcds_code(&["check", &spec("ping_pong.dcds"), "live(X) & R(X)"]);
-    assert_eq!(code, 1, "{text}");
+    assert_eq!(code, 3, "{text}");
     assert!(text.contains("error:"), "{text}");
     assert!(text.contains("not closed"), "{text}");
     assert!(text.contains('X'), "{text}");
@@ -731,7 +731,7 @@ fn run_accepts_full_u64_seeds() {
 fn deeply_nested_formula_is_a_parse_error_not_a_crash() {
     let bomb = format!("{}true{}", "(".repeat(50_000), ")".repeat(50_000));
     let (code, text) = dcds_code(&["check", &spec("ping_pong.dcds"), &bomb]);
-    assert_eq!(code, 1, "{text}");
+    assert_eq!(code, 3, "{text}");
     assert!(text.contains("nesting"), "{text}");
 }
 
@@ -901,7 +901,7 @@ fn symbolic_engine_decides_what_the_explicit_engines_cannot() {
 
 #[test]
 fn symbolic_engine_rejects_non_safety_formulas() {
-    // Outside the AG/EF fragment: ordinary error path, not a verdict.
+    // Outside the AG/EF fragment: a run-time error, not a verdict.
     let (code, text) = dcds_code(&[
         "check",
         &spec("ping_pong.dcds"),
@@ -909,7 +909,7 @@ fn symbolic_engine_rejects_non_safety_formulas() {
         "--engine",
         "symbolic",
     ]);
-    assert_eq!(code, 1, "{text}");
+    assert_eq!(code, 3, "{text}");
     assert!(text.contains("error:"), "{text}");
 
     let (code2, text2) = dcds_code(&[
@@ -922,6 +922,40 @@ fn symbolic_engine_rejects_non_safety_formulas() {
     // A malformed flag value is a usage error.
     assert_eq!(code2, 2, "{text2}");
     assert!(text2.contains("unknown engine"), "{text2}");
+}
+
+/// Run-time errors exit 3 on every command, apart from usage errors (2)
+/// and verdicts (0/1), and print no usage text.
+#[test]
+fn run_time_errors_exit_3_without_the_usage() {
+    let bad = std::env::temp_dir().join(format!("dcds-bad-services-{}.dcds", std::process::id()));
+    std::fs::write(&bad, "services { f 0; }\n").unwrap();
+    let bad = bad.to_str().unwrap();
+    let missing = "/nonexistent/spec.dcds";
+    for args in [
+        &["check", bad, "true"][..],
+        &["check", bad, "true", "--engine", "symbolic"],
+        &["abstract", bad],
+        &["analyze", bad],
+        &["run", bad],
+        &["dot", bad],
+        &["fmt", bad],
+        &["check", missing, "true"],
+        &["abstract", missing],
+        &["lint", missing],
+    ] {
+        let (code, stdout, stderr) = dcds_streams(args);
+        assert_eq!(code, 3, "{args:?}: {stdout}{stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let (_, _, stderr) = dcds_streams(&["check", bad, "true"]);
+    assert!(stderr.contains("expected `det` or `nondet`"), "{stderr}");
+    // An unknown `--graph` is a malformed flag value: a usage error.
+    let (code, _, stderr) = dcds_streams(&["dot", &spec("ping_pong.dcds"), "--graph", "x"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    let _ = std::fs::remove_file(bad);
 }
 
 #[test]

@@ -339,7 +339,8 @@ fn shipped_specs_lint_clean() {
 
 #[test]
 fn unreadable_path_is_a_usage_error() {
+    // A run-time error (exit 3), not the unparsable-spec exit 2.
     let (code, text) = dcds_code(&["lint", "no_such_spec.dcds"]);
-    assert_eq!(code, 1, "{text}");
+    assert_eq!(code, 3, "{text}");
     assert!(text.contains("cannot read"), "{text}");
 }
