@@ -1,148 +1,18 @@
-//! Nested-loop join evaluation of (unions of) conjunctive queries: the
-//! natural-join test reference for the compiled plans.
+//! Evaluation cases for (unions of) conjunctive queries, test-only.
 //!
-//! Each disjunct is joined atom by atom over whole-relation scans, with
-//! `BTreeMap` assignments cloned per extension, and its equalities are
-//! checked after the join. A variable that no atom binds ranges over
-//! nothing, so a disjunct with such a head or equality variable has no
-//! answers. No engine evaluates queries this way: [`crate::plan`] compiles
-//! every production UCQ. This module stays as a small, obviously correct
-//! second reading of the same semantics, which `tests/plan_differential.rs`,
-//! the bench crate's query workloads and `perf_report`'s query stage
-//! compare the plans against, next to the active-domain
-//! [`crate::eval::answers`].
-
-use crate::ast::{Assignment, QTerm, Var};
-use crate::ucq::{ConjunctiveQuery, Ucq};
-use dcds_reldata::{Instance, Value};
-use std::collections::BTreeSet;
-
-/// Evaluate a conjunctive query, returning assignments over its head
-/// variables.
-pub fn eval_cq(cq: &ConjunctiveQuery, inst: &Instance) -> BTreeSet<Assignment> {
-    // Start with the single empty partial assignment; extend through atoms.
-    let mut partials: Vec<Assignment> = vec![Assignment::new()];
-    // Join atoms in an order that maximises early bound variables: greedy
-    // selection of the atom sharing the most variables with those bound.
-    let order = join_order(cq);
-    for &atom_ix in &order {
-        let (rel, terms) = &cq.atoms[atom_ix];
-        let mut next: Vec<Assignment> = Vec::new();
-        for asg in &partials {
-            for tuple in inst.tuples(*rel) {
-                if let Some(extended) = unify(terms, tuple.values(), asg) {
-                    next.push(extended);
-                }
-            }
-        }
-        partials = next;
-        if partials.is_empty() {
-            return BTreeSet::new();
-        }
-    }
-    // Apply equality side conditions, then project to the head. The number
-    // of distinct head variables is loop-invariant: compute it once, not
-    // once per result row.
-    let distinct_head = cq.head.iter().collect::<BTreeSet<_>>().len();
-    let mut out = BTreeSet::new();
-    'outer: for asg in partials {
-        for (t1, t2) in &cq.equalities {
-            let v1 = term_val(t1, &asg);
-            let v2 = term_val(t2, &asg);
-            match (v1, v2) {
-                (Some(a), Some(b)) if a == b => {}
-                _ => continue 'outer,
-            }
-        }
-        let projected: Assignment = cq
-            .head
-            .iter()
-            .filter_map(|v| asg.get(v).map(|&c| (v.clone(), c)))
-            .collect();
-        if projected.len() == distinct_head {
-            out.insert(projected);
-        }
-    }
-    out
-}
-
-/// Evaluate a union of conjunctive queries (set union of disjunct answers).
-pub fn eval_ucq(ucq: &Ucq, inst: &Instance) -> BTreeSet<Assignment> {
-    let mut out = BTreeSet::new();
-    for cq in &ucq.disjuncts {
-        out.extend(eval_cq(cq, inst));
-    }
-    out
-}
-
-/// Greedy join order: repeatedly pick the atom sharing the most variables
-/// with the already-bound set (ties broken by original position).
-fn join_order(cq: &ConjunctiveQuery) -> Vec<usize> {
-    let n = cq.atoms.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut bound: BTreeSet<Var> = BTreeSet::new();
-    let mut order = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &ix)| {
-                let vars = atom_vars(&cq.atoms[ix].1);
-                let shared = vars.intersection(&bound).count();
-                // Prefer atoms with more shared vars, then more constants.
-                let consts = cq.atoms[ix]
-                    .1
-                    .iter()
-                    .filter(|t| matches!(t, QTerm::Const(_)))
-                    .count();
-                (shared, consts, usize::MAX - ix)
-            })
-            .expect("remaining nonempty");
-        order.push(best);
-        bound.extend(atom_vars(&cq.atoms[best].1));
-        remaining.remove(pos);
-    }
-    order
-}
-
-fn atom_vars(terms: &[QTerm]) -> BTreeSet<Var> {
-    terms.iter().filter_map(|t| t.as_var().cloned()).collect()
-}
-
-fn term_val(t: &QTerm, asg: &Assignment) -> Option<Value> {
-    match t {
-        QTerm::Const(c) => Some(*c),
-        QTerm::Var(v) => asg.get(v).copied(),
-    }
-}
-
-/// Try to extend `asg` so that `terms` matches `tuple` componentwise.
-fn unify(terms: &[QTerm], tuple: &[Value], asg: &Assignment) -> Option<Assignment> {
-    debug_assert_eq!(terms.len(), tuple.len());
-    let mut out = asg.clone();
-    for (t, &v) in terms.iter().zip(tuple) {
-        match t {
-            QTerm::Const(c) => {
-                if *c != v {
-                    return None;
-                }
-            }
-            QTerm::Var(x) => match out.get(x) {
-                Some(&bound) if bound != v => return None,
-                Some(_) => {}
-                None => {
-                    out.insert(x.clone(), v);
-                }
-            },
-        }
-    }
-    Some(out)
-}
+//! [`crate::plan`] is the one (U)CQ evaluator. Each case here runs a small
+//! query through a [`CompiledPlan`], scanned and indexed, checks both
+//! against the active-domain [`crate::eval::answers`], and pins the
+//! expected rows.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dcds_reldata::{ConstantPool, RelId, Schema, Tuple};
+    use crate::ast::{Assignment, QTerm, Var};
+    use crate::eval::answers;
+    use crate::plan::{CompiledPlan, EvalCtx};
+    use crate::ucq::{ConjunctiveQuery, Ucq};
+    use dcds_reldata::{ConstantPool, Instance, InstanceIndex, RelId, Schema, Tuple};
+    use std::collections::BTreeSet;
 
     fn setup() -> (ConstantPool, Schema, RelId, RelId, Instance) {
         let mut pool = ConstantPool::new();
@@ -159,6 +29,24 @@ mod tests {
             (q, Tuple::from([b, c])),
         ]);
         (pool, schema, p, q, inst)
+    }
+
+    /// The plan's answers, after checking that scanned, indexed and
+    /// active-domain evaluation agree.
+    fn eval_ucq(ucq: &Ucq, inst: &Instance) -> BTreeSet<Assignment> {
+        let plan = CompiledPlan::compile(ucq, &BTreeSet::new()).unwrap();
+        let scanned = plan.eval(&EvalCtx::scan(inst), &Assignment::new());
+        let index = InstanceIndex::build(inst, plan.access_paths());
+        assert_eq!(
+            plan.eval(&EvalCtx::with_index(inst, &index), &Assignment::new()),
+            scanned
+        );
+        assert_eq!(answers(&ucq.to_formula(), inst), scanned);
+        scanned
+    }
+
+    fn eval_cq(cq: &ConjunctiveQuery, inst: &Instance) -> BTreeSet<Assignment> {
+        eval_ucq(&Ucq::single(cq.clone()), inst)
     }
 
     #[test]
@@ -236,8 +124,7 @@ mod tests {
     #[test]
     fn projection_deduplicates() {
         let (_, _, _, q, inst) = setup();
-        // Head X only; Y projected away — both Q tuples give distinct X here,
-        // so add a boolean version: head empty.
+        // Head empty: both Q tuples project to the one empty row.
         let cq = ConjunctiveQuery {
             head: vec![],
             atoms: vec![(q, vec![QTerm::var("X"), QTerm::var("Y")])],

@@ -28,6 +28,8 @@
 pub mod ast;
 pub mod constraints;
 pub mod eval;
+#[cfg(test)]
+mod eval_cq;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
