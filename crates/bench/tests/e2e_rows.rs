@@ -3,7 +3,10 @@
 //! `to_spec` parses back to one whose abstraction has the same states and
 //! edges, and whose verdict is the same, as the library call on the
 //! original; and that answer is the one the row pins. The shipped travel
-//! spec is checked against its library twin the same way.
+//! spec is checked against its library twin the same way. The model
+//! checker's work on each explicit row — the extension size and every
+//! `McCounters` value — is pinned too, so an engine rewrite is held to the
+//! same work, not only to the same verdicts.
 
 use dcds_abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned};
 use dcds_bench::e2e::{rows, Row, Spec};
@@ -15,7 +18,8 @@ use dcds_symbolic::{check_safety, SymOptions, SymVerdict};
 
 /// The library calls `dcds check` makes for `row`, on `dcds`: the verdict
 /// (`None` when the run decides nothing) and the abstraction's states and
-/// edges, or every symbolic counter.
+/// edges followed by the model checker's extension size and counters, or
+/// every symbolic counter.
 fn library_answer(row: &Row, dcds: &Dcds) -> (Option<bool>, Vec<(&'static str, u64)>) {
     let (mut schema, mut pool) = (dcds.data.schema.clone(), dcds.data.pool.clone());
     let phi = parse_mu(&row.formula, &mut schema, &mut pool).expect("row formula parses");
@@ -46,16 +50,32 @@ fn library_answer(row: &Row, dcds: &Dcds) -> (Option<bool>, Vec<(&'static str, u
         (res.ts, !res.state_budget_hit && res.eval_budget_skips == 0)
     };
     let run = check_traced(&phi, &ts, McOptions { threads: 1 }, &obs).expect("mc run");
-    let size = vec![
+    let mut size = vec![
         ("states", ts.num_states() as u64),
         ("edges", ts.num_edges() as u64),
+        ("extension", run.extension.len() as u64),
     ];
+    size.extend(run.counters.entries());
     (complete.then_some(run.holds), size)
 }
 
+/// The model checker's extension size and counters on each explicit row,
+/// in the order `extension`, then `McCounters::entries`.
+const MC_PINS: &[(&str, [u64; 6])] = &[
+    ("parallel_rings(3)@2000", [2000, 2000, 0, 1, 0, 2000]),
+    ("service_chain(10)@1200", [1200, 1200, 0, 1, 0, 1200]),
+    ("service_cycle(6)@5000", [5000, 5000, 0, 1, 0, 5000]),
+    ("flush_ladder@8000", [22, 22, 0, 1, 0, 22]),
+    ("accumulator(3)@300", [300, 300, 0, 1, 0, 300]),
+    ("example_5_1", [6, 6, 0, 2, 1, 30]),
+    ("service_cycle(6)@1500", [1296, 1500, 6, 2, 7, 34500]),
+    ("collision_pairs(7)", [352, 352, 0, 3, 1, 2112]),
+    ("travel_request", [115, 230, 0, 6, 1, 1035]),
+];
+
 #[test]
 fn written_specs_measure_the_library_workloads() {
-    let mut checked = 0;
+    let (mut checked, mut pinned) = (0, 0);
     for row in rows() {
         let (original, text) = match &row.spec {
             Spec::Family(dcds) => ((**dcds).clone(), to_spec(dcds)),
@@ -73,7 +93,19 @@ fn written_specs_measure_the_library_workloads() {
         if let Some(states) = row.expect.states {
             assert_eq!(want.1[0], ("states", states), "{}", row.name);
         }
+        if let Some((_, pin)) = MC_PINS.iter().find(|(name, _)| *name == row.name) {
+            let work: Vec<u64> = want.1[2..].iter().map(|&(_, v)| v).collect();
+            assert_eq!(
+                work,
+                pin,
+                "{}: model-checker work {:?}",
+                row.name,
+                &want.1[2..]
+            );
+            pinned += 1;
+        }
         checked += 1;
     }
     assert_eq!(checked, 10, "every row but the shipped symbolic spec");
+    assert_eq!(pinned, MC_PINS.len(), "every explicit row is pinned");
 }

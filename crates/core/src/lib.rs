@@ -62,7 +62,9 @@ pub use do_op::{
     PlanCache, PreInstance,
 };
 pub use explore::{explore_det, explore_nondet, ExploreOutcome, Limits};
-pub use par::{configured_threads, par_map, par_map_obs, par_map_with, EngineCounters};
+pub use par::{
+    configured_threads, par_map, par_map_obs, par_map_with, EngineCounters, MAX_THREADS,
+};
 pub use parser::parse_dcds;
 pub use process::{CaRule, FsProcess, ProcessLayer};
 pub use runner::{AnswerPolicy, Runner, StepRecord};

@@ -19,7 +19,9 @@
 //! the `DCDS_THREADS` environment variable and falls back to the machine's
 //! available parallelism. `threads <= 1` (or a single item) short-circuits
 //! to a plain serial loop in the calling thread, which is the engines'
-//! serial schedule (`DCDS_THREADS=1`).
+//! serial schedule (`DCDS_THREADS=1`). Every path is capped at
+//! [`MAX_THREADS`] workers: a pool spawns one OS thread per worker, and
+//! `std::thread::scope` panics when the OS refuses one.
 
 use dcds_obs::{span, Obs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,20 +35,35 @@ pub const THREADS_ENV: &str = "DCDS_THREADS";
 /// identical either way, only the schedule changes.)
 pub const PAR_THRESHOLD: usize = 32;
 
+/// The most workers a pool runs. `dcds --threads` rejects a larger value,
+/// and [`configured_threads`] and [`par_map_with`] clamp to it.
+pub const MAX_THREADS: usize = 256;
+
 /// The worker count used when a caller does not pass one explicitly:
 /// `DCDS_THREADS` if set to a positive integer, otherwise the machine's
-/// available parallelism, otherwise 1.
+/// available parallelism, otherwise 1 — clamped to [`MAX_THREADS`].
 pub fn configured_threads() -> usize {
-    if let Ok(s) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    let requested = std::env::var(THREADS_ENV)
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1);
+    let n = requested.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    n.min(MAX_THREADS)
+}
+
+/// How many workers a pool of `threads` runs over `items` items: one
+/// below [`PAR_THRESHOLD`] items, otherwise `threads`, but never more than
+/// the items or [`MAX_THREADS`].
+fn worker_count(threads: usize, items: usize) -> usize {
+    if items < PAR_THRESHOLD {
+        1
+    } else {
+        threads.min(items).min(MAX_THREADS)
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Apply `f` to every item, on up to `threads` scoped workers, returning
@@ -109,7 +126,7 @@ where
     F: Fn(&mut C, &T) -> R + Sync,
 {
     let n = items.len();
-    let workers = if n < PAR_THRESHOLD { 1 } else { threads.min(n) };
+    let workers = worker_count(threads, n);
     if workers <= 1 {
         let mut ctx = init();
         return items.iter().map(|item| f(&mut ctx, item)).collect();
@@ -269,6 +286,17 @@ mod tests {
         };
         let serial: Vec<u64> = items.iter().map(|&n| spin(n)).collect();
         assert_eq!(par_map(&items, 4, |&n| spin(n)), serial);
+    }
+
+    #[test]
+    fn worker_count_is_clamped() {
+        // Pure arithmetic: no pool is started here.
+        assert_eq!(worker_count(8, PAR_THRESHOLD - 1), 1);
+        assert_eq!(worker_count(8, 1000), 8);
+        assert_eq!(worker_count(1000, 100), 100);
+        assert_eq!(worker_count(4_000_000_000, 3072), MAX_THREADS);
+        assert_eq!(worker_count(usize::MAX, usize::MAX), MAX_THREADS);
+        assert_eq!(worker_count(0, 1000), 0, "callers treat < 2 as serial");
     }
 
     #[test]

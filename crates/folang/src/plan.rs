@@ -15,6 +15,10 @@
 //! * every atom position is classified up front as constant, bound, or free,
 //!   yielding the bound-position mask a [`dcds_reldata::InstanceIndex`]
 //!   probe needs — atom extension becomes a hash lookup instead of a scan;
+//!   a step whose bound positions are a *prefix* of the atom's columns
+//!   needs no index at all: without one it is a **sorted-prefix probe**, a
+//!   range over the relation's sorted tuples
+//!   ([`Instance::tuples_with_prefix`]);
 //! * equality side-conditions are **hoisted** to the earliest join step at
 //!   which both sides are bound (input-only equalities are checked once per
 //!   evaluation, before any join);
@@ -31,9 +35,10 @@
 //! fragment are rejected at compile time ([`PlanError`]); validated effect
 //! queries are always inside it, and rule conditions or formula leaves
 //! outside it are answered by the reference evaluator in [`crate::eval`].
-//! Evaluation visits candidate tuples in instance iteration order (indexes
-//! are order-normalised), so outputs are bit-identical at every thread
-//! count.
+//! Evaluation visits candidate tuples in instance iteration order (index
+//! buckets are order-normalised and a prefix range is a slice of that
+//! order), so outputs are bit-identical whichever source answers a step,
+//! and at every thread count.
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};
@@ -78,9 +83,11 @@ impl std::error::Error for PlanError {}
 pub struct PlanStats {
     /// Compiled-plan evaluations ([`CompiledPlan::eval`] / [`CompiledPlan::holds`]).
     pub plan_evals: AtomicU64,
-    /// Join steps answered by an index probe.
+    /// Join steps answered by an index probe: a hash-index bucket, or a
+    /// sorted-prefix range when no index covers a prefix-keyed step.
     pub index_probes: AtomicU64,
-    /// Join steps answered by a relation scan (no index, or no bound position).
+    /// Join steps answered by a relation scan (no bound position, or a
+    /// non-prefix access path no index covers).
     pub relation_scans: AtomicU64,
     /// Rule conditions outside the compilable fragment, answered by the
     /// reference evaluator instead of a plan.
@@ -116,7 +123,8 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Evaluate by scanning relations.
+    /// Evaluate without an index: prefix-keyed steps probe the sorted
+    /// tuples, every other step scans its relation.
     pub fn scan(inst: &'a Instance) -> Self {
         EvalCtx {
             inst,
@@ -125,8 +133,8 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// Evaluate through a prebuilt index (falling back to scans for access
-    /// paths the index does not cover).
+    /// Evaluate through a prebuilt index (falling back to sorted-prefix
+    /// probes, then scans, for access paths the index does not cover).
     pub fn with_index(inst: &'a Instance, index: &'a InstanceIndex) -> Self {
         EvalCtx {
             inst,
@@ -198,6 +206,9 @@ struct Step {
     /// path — and how to compute the probe key for each.
     key_positions: Vec<usize>,
     key_srcs: Vec<Src>,
+    /// `key_positions` is `0..k` for some `k ≥ 1`: the matching tuples are
+    /// one range of the relation's sorted tuples.
+    prefix_keyed: bool,
     /// Equalities hoisted to this step (both sides bound once it binds).
     eq_checks: Vec<EqCheck>,
     /// No slot bound here is read later: the first passing tuple suffices.
@@ -253,6 +264,16 @@ impl CompiledPlan {
             }
         }
         out.into_iter().collect()
+    }
+
+    /// The access paths of [`CompiledPlan::access_paths`] that are not a
+    /// prefix of their relation's columns: the only ones an index must
+    /// cover for every keyed step to be a probe (prefix-keyed steps probe
+    /// the sorted tuples when no index covers them).
+    pub fn non_prefix_paths(&self) -> Vec<AccessPath> {
+        let mut paths = self.access_paths();
+        paths.retain(|(_, positions)| !is_prefix(positions));
+        paths
     }
 
     /// Evaluate, seeding the parameter slots from `seed`. Returns the set
@@ -312,6 +333,11 @@ impl CompiledPlan {
             .find(|(w, _)| w == v)
             .map(|(_, s)| *s)
     }
+}
+
+/// Are `positions` exactly `0..k` for some `k ≥ 1`?
+fn is_prefix(positions: &[usize]) -> bool {
+    !positions.is_empty() && positions.iter().enumerate().all(|(i, &p)| i == p)
 }
 
 fn src_of(t: &QTerm, slot_of: &BTreeMap<Var, usize>) -> Option<Src> {
@@ -451,6 +477,7 @@ fn compile_cq(cq: &ConjunctiveQuery, params: &BTreeSet<Var>) -> Result<CompiledC
         steps.push(Step {
             rel: *rel,
             terms: pos_terms,
+            prefix_keyed: is_prefix(&key_positions),
             key_positions,
             key_srcs,
             eq_checks: Vec::new(),
@@ -551,16 +578,23 @@ impl CompiledCq {
             return sink(regs);
         };
         // Candidate tuples: a hash probe when an index covers the step's
-        // access path, otherwise a scan in instance iteration order. Index
-        // buckets preserve that order, so both sources enumerate the same
-        // matching tuples in the same sequence.
-        if !step.key_positions.is_empty() {
-            if let Some(index) = ctx.index {
-                let key: Vec<Value> = step.key_srcs.iter().map(|s| s.value(regs)).collect();
-                if let Some(bucket) = index.probe(step.rel, &step.key_positions, &key) {
-                    ctx.count(|s| &s.index_probes);
-                    return self.extend(step, depth, bucket.iter(), regs, ctx, sink);
-                }
+        // access path, else a range of the sorted tuples when the bound
+        // positions are a prefix, else a scan in instance iteration order.
+        // Index buckets and prefix ranges preserve that order, so all three
+        // sources enumerate the same matching tuples in the same sequence.
+        if !step.key_positions.is_empty() && (step.prefix_keyed || ctx.index.is_some()) {
+            let key: Vec<Value> = step.key_srcs.iter().map(|s| s.value(regs)).collect();
+            let bucket = ctx
+                .index
+                .and_then(|index| index.probe(step.rel, &step.key_positions, &key));
+            if let Some(bucket) = bucket {
+                ctx.count(|s| &s.index_probes);
+                return self.extend(step, depth, bucket.iter(), regs, ctx, sink);
+            }
+            if step.prefix_keyed {
+                ctx.count(|s| &s.index_probes);
+                let range = ctx.inst.tuples_with_prefix(step.rel, &key);
+                return self.extend(step, depth, range, regs, ctx, sink);
             }
         }
         ctx.count(|s| &s.relation_scans);
@@ -833,6 +867,40 @@ mod tests {
         assert!(snap["index_probes"] > 0, "{snap:?}");
         // The unbound first step (P scan) cannot probe.
         assert!(snap["relation_scans"] > 0, "{snap:?}");
+
+        // Without an index: the unkeyed P step scans once, and the Q step,
+        // keyed on its first column, is a sorted-prefix probe for each of
+        // P's two tuples — the same counts the index gives.
+        let scan_stats = PlanStats::default();
+        plan.eval(&EvalCtx::scan(&inst).stats(&scan_stats), &Assignment::new());
+        let want = [
+            ("plan_evals", 1),
+            ("index_probes", 2),
+            ("relation_scans", 1),
+            ("fallback_evals", 0),
+        ];
+        assert_eq!(scan_stats.snapshot(), want);
+        assert_eq!(stats.snapshot(), want);
+
+        // A step keyed on a non-prefix column (Q's second) scans without
+        // an index.
+        let suffix = ConjunctiveQuery {
+            head: vec![Var::new("X")],
+            atoms: vec![
+                (p, vec![QTerm::var("Y")]),
+                (q, vec![QTerm::var("X"), QTerm::var("Y")]),
+            ],
+            equalities: vec![],
+        };
+        let plan = CompiledPlan::compile(&Ucq::single(suffix), &BTreeSet::new()).unwrap();
+        assert_eq!(plan.non_prefix_paths(), vec![(q, vec![1])]);
+        let suffix_stats = PlanStats::default();
+        plan.eval(
+            &EvalCtx::scan(&inst).stats(&suffix_stats),
+            &Assignment::new(),
+        );
+        let snap: std::collections::BTreeMap<_, _> = suffix_stats.snapshot().into_iter().collect();
+        assert_eq!((snap["index_probes"], snap["relation_scans"]), (0, 3));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! and every case is checked four ways —
 //!
 //! 1. the reference active-domain evaluator (`answers`),
-//! 2. the compiled plan over relation scans,
+//! 2. the compiled plan without an index: sorted-prefix probes for steps
+//!    keyed on a prefix of their atom's columns, relation scans otherwise,
 //! 3. the compiled plan through a prebuilt [`InstanceIndex`] —
 //!
 //! all of which must return **bit-identical** `BTreeSet<Assignment>`s —
@@ -13,7 +14,7 @@
 //! (`holds_unguided`) must accept every answer row.
 
 use dcds_folang::{answers, holds_unguided, parse_formula};
-use dcds_folang::{Assignment, CompiledPlan, EvalCtx, QTerm, Var};
+use dcds_folang::{Assignment, CompiledPlan, EvalCtx, PlanStats, QTerm, Var};
 use dcds_folang::{ConjunctiveQuery, Ucq};
 use dcds_reldata::{ConstantPool, Instance, InstanceIndex, RelId, Schema, Tuple, Value};
 use std::collections::BTreeSet;
@@ -290,4 +291,84 @@ fn benchmark_join_shapes_agree() {
             assert_eq!(plan.eval(&ctx, &Assignment::new()), reference, "{shape}");
         }
     }
+}
+
+/// Every row a plan produces, in production order, with its disjunct.
+fn row_sequence(plan: &CompiledPlan, ctx: &EvalCtx<'_>) -> Vec<(usize, Vec<Option<Value>>)> {
+    let mut rows = Vec::new();
+    plan.any_row(ctx, &Assignment::new(), |i, regs| {
+        rows.push((i, regs.to_vec()));
+        false
+    });
+    rows
+}
+
+/// Without an index, a prefix-keyed step is a range over the sorted
+/// tuples: it must produce the rows an index bucket produces, in the same
+/// order, and count as the same index probe. Covers constants in column 0,
+/// a variable repeated inside a probed atom, a relation that also holds
+/// tuples of other arities, and a relation absent from the instance.
+#[test]
+fn sorted_prefix_probes_match_index_buckets_in_order() {
+    let mut rng = SplitMix64(0x50f7);
+    let mut schema = Schema::new();
+    let mut pool = ConstantPool::new();
+    let dom: Vec<Value> = (0..5).map(|i| pool.intern(&format!("c{i}"))).collect();
+    let mut instance = Instance::new();
+    for (name, arity, facts) in [("P", 1, 4), ("Q", 2, 14), ("T", 3, 20)] {
+        let rel = schema.add_relation(name, arity).unwrap();
+        for _ in 0..facts {
+            let t: Vec<Value> = (0..arity).map(|_| dom[rng.below(dom.len())]).collect();
+            instance.insert(rel, Tuple::from(t));
+        }
+    }
+    // Q also holds a unary, a ternary and a repeated-value tuple, which
+    // sort among its binary ones; A is declared but holds nothing.
+    let q = schema.rel_id("Q").unwrap();
+    for t in [
+        vec![dom[0]],
+        vec![dom[0], dom[1], dom[2]],
+        vec![dom[1], dom[1]],
+    ] {
+        instance.insert(q, Tuple::from(t));
+    }
+    schema.add_relation("A", 2).unwrap();
+    let mut prefix_only = 0;
+    for src in [
+        "Q(c0, Y)",
+        "T(c0, c1, Z)",
+        "exists X . P(X) & Q(X, Y)",
+        "exists X . P(X) & Q(X, X)",
+        "T(c1, Y, Y)",
+        "exists X, Y . P(X) & T(X, Y, Y)",
+        "exists Y . Q(c0, Y) & A(Y, Z)",
+        "A(c0, Y) | Q(c1, Y)",
+        "exists X . P(X) & Q(Y, X)",
+        "exists X . Q(X, c2)",
+    ] {
+        let formula = parse_formula(src, &mut schema, &mut pool).unwrap();
+        let ucq = Ucq::from_formula(&formula).expect(src);
+        let reference = answers(&ucq.to_formula(), &instance);
+        let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).expect(src);
+        let index = InstanceIndex::build(&instance, plan.access_paths());
+        let scan_stats = PlanStats::default();
+        let index_stats = PlanStats::default();
+        let scan = EvalCtx::scan(&instance).stats(&scan_stats);
+        let indexed = EvalCtx::with_index(&instance, &index).stats(&index_stats);
+        assert_eq!(plan.eval(&scan, &Assignment::new()), reference, "{src}");
+        assert_eq!(plan.eval(&indexed, &Assignment::new()), reference, "{src}");
+        assert_eq!(
+            row_sequence(&plan, &scan),
+            row_sequence(&plan, &indexed),
+            "{src}: row order"
+        );
+        if plan.non_prefix_paths().is_empty() {
+            assert_eq!(scan_stats.snapshot(), index_stats.snapshot(), "{src}");
+            prefix_only += 1;
+        }
+    }
+    assert_eq!(
+        prefix_only, 8,
+        "the last two shapes probe a non-prefix path"
+    );
 }

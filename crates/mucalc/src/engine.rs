@@ -24,18 +24,35 @@
 //!    unassigned free variable empties both). A fused block costs one plan
 //!    evaluation per state instead of one per (state, domain value);
 //!    blocks outside the fragment keep the per-binding path below.
-//! 2. **query-extension caching** — the extension of any subformula with no
-//!    free predicate variables is a pure function of (subformula, values of
-//!    its free individual variables). Extensions are cached under that key,
-//!    so `Mu::Query` / `Mu::Live` atoms are evaluated once per distinct
-//!    binding instead of once per fixpoint iteration. The same cache
-//!    *hoists closed subformulas out of fixpoint loops*: after the first
-//!    iteration every predicate-closed subtree is a lookup.
-//! 3. **parallel extension computation** — the per-state `holds` evaluation
-//!    of an FO query is embarrassingly parallel; it runs on the
-//!    deterministic [`dcds_core::par`] scoped-thread pool. Results come
-//!    back in state order, so the output (verdict, extension, counters) is
-//!    bit-identical at every thread count.
+//! 2. **query-extension caching over bitsets** — extensions are dense
+//!    bitsets over state indices, so `¬ ∧ ∨ →` are word operations, `◇`/`□`
+//!    fill a bitset from the successor lists, and a fixpoint converges on a
+//!    word compare; the public API converts to `BTreeSet<StateId>` once, at
+//!    the end. The extension of any subformula with no free predicate
+//!    variables is a pure function of (subformula, values of its free
+//!    individual variables). Extensions are cached under that key, so
+//!    `Mu::Query` / `Mu::Live` atoms are evaluated once per distinct
+//!    binding instead of once per fixpoint iteration, and a hit copies
+//!    words. The same cache *hoists closed subformulas out of fixpoint
+//!    loops*: after the first iteration every predicate-closed subtree is a
+//!    lookup.
+//! 3. **parallel extension computation** — the per-state evaluation of an
+//!    FO query is embarrassingly parallel; it runs on the deterministic
+//!    [`dcds_core::par`] scoped-thread pool. Results come back in state
+//!    order, so the output (verdict, extension, counters) is bit-identical
+//!    at every thread count.
+//!
+//! Nothing is built up front that a formula may not use. `ADOM(Θ)` is
+//! collected the first time an unfused `∃`/`∀` node needs it, so a formula
+//! whose quantifier blocks all fuse never builds it; the per-state active
+//! domains behind `LIVE(c)` likewise wait for the first bound `LIVE`.
+//! Compiled leaves need no per-state index when every keyed join step is
+//! bound on a prefix of its atom's columns (`Q(X)`, `E('t', V)`): the plan
+//! executor answers such a step by a range over the state's sorted tuples,
+//! in the order an index bucket would give. Only when some leaf probes a
+//! non-prefix access path (`E(X, 'c')`) does the first evaluation of such
+//! a leaf build per-state hash indexes over the non-prefix paths, which
+//! that kind of leaf then reuses for the rest of the run.
 //!
 //! Fixpoints keep the naive early-exit paths (∃ stops at `all`, ∀ stops at
 //! `∅`), which never change the computed extension.
@@ -47,6 +64,7 @@
 
 use crate::ast::{Mu, PredVar};
 use crate::mc::Valuation;
+use crate::stateset::StateSet;
 use dcds_core::par::par_map;
 use dcds_core::{StateId, Ts};
 use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Ucq, Var};
@@ -54,6 +72,7 @@ use dcds_obs::{event, span, Obs};
 use dcds_reldata::{AccessPath, InstanceIndex, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a formula was rejected before evaluation: model checking is defined
 /// for *closed* formulas only, and an open one silently evaluates to a
@@ -247,81 +266,82 @@ pub fn eval_traced(
     index(f, &mut infos);
     // Compile each query leaf once per run (pre-order ids mirror `index`);
     // leaves outside the compilable UCQ fragment stay on the `holds` path.
-    let mut plans = Vec::new();
-    compile_plans(f, &mut plans);
-    let threads = opts.threads.max(1);
-    let states: Vec<StateId> = ts.state_ids().collect();
-    let all: BTreeSet<StateId> = states.iter().copied().collect();
-    let domain: Vec<Value> = {
-        let mut d = ts.adom_union();
-        d.extend(val.individuals.values().copied());
-        d.into_iter().collect()
-    };
-    // One hash index per state, covering every access path any compiled
-    // plan probes; built in parallel up front, reused by every query
-    // evaluation and every fixpoint iteration of the run.
-    let state_idx: Vec<InstanceIndex> = if plans.iter().any(Option::is_some) {
-        let paths: BTreeSet<AccessPath> = plans
-            .iter()
-            .flatten()
-            .flat_map(|p| p.access_paths())
-            .collect();
-        par_map(&states, threads, |&s| {
-            InstanceIndex::build(ts.db(s), paths.iter().cloned())
-        })
-    } else {
-        Vec::new()
-    };
+    let mut leaves = Vec::new();
+    compile_plans(f, &mut leaves);
+    let index_paths: BTreeSet<AccessPath> = leaves
+        .iter()
+        .flatten()
+        .flat_map(|leaf| leaf.plan.non_prefix_paths())
+        .collect();
+    let n = ts.num_states();
+    let preds = val
+        .predicates
+        .iter()
+        .map(|(z, set)| (z.clone(), StateSet::from_ids(n, set)))
+        .collect();
     let mut engine = Engine {
         ts,
-        states,
-        all,
-        domain,
+        states: ts.state_ids().collect(),
+        all: StateSet::full(n),
+        seed_values: val.individuals.values().copied().collect(),
+        domain: None,
         infos,
-        plans,
-        state_idx,
+        leaves,
+        index_paths: index_paths.into_iter().collect(),
+        state_idx: None,
         adoms: None,
+        preds,
         plan_stats: PlanStats::default(),
-        threads,
+        threads: opts.threads.max(1),
         cache: HashMap::new(),
         counters: McCounters::default(),
         obs: obs.clone(),
     };
     let ext = engine.eval_node(f, 0, val);
-    run_span.set("extension", ext.len() as u64);
+    let size = ext.len();
+    run_span.set("extension", size as u64);
     let fixpoint_iterations = engine.counters.fixpoint_iterations;
     engine.counters.publish(obs, "mc");
     obs.progress_flush(|| {
         format!(
-            "mc done: |ext| = {} over {} states, {fixpoint_iterations} fixpoint iterations",
-            ext.len(),
-            engine.ts.num_states()
+            "mc done: |ext| = {size} over {n} states, {fixpoint_iterations} fixpoint iterations"
         )
     });
     // Plan-cache counters are totals of the work performed — independent of
     // the thread count — published here from serial code.
     if obs.is_enabled() {
-        let compiled = engine.plans.iter().flatten().count() as u64;
+        let compiled = engine.leaves.iter().flatten().count() as u64;
         obs.counter_add("mc.plans_compiled", compiled);
         for (name, v) in engine.plan_stats.snapshot() {
             obs.counter_add(format!("mc.query.{name}"), v);
         }
     }
-    (ext, engine.counters)
+    (ext.to_ids(), engine.counters)
+}
+
+/// A compiled query leaf, and whether it probes an access path that only a
+/// hash index answers (one that is not a prefix of its relation's
+/// columns); prefix-keyed steps probe the state's sorted tuples.
+struct Leaf {
+    plan: CompiledPlan,
+    indexed: bool,
 }
 
 /// Compile each `Mu::Query` leaf whose formula falls in the compilable UCQ
 /// fragment, pushing one entry per node in the pre-order of [`index`]. The
 /// query's free variables become plan parameters, so evaluation under a
 /// full assignment is a boolean existence check.
-fn compile_plans(f: &Mu, plans: &mut Vec<Option<CompiledPlan>>) {
+fn compile_plans(f: &Mu, plans: &mut Vec<Option<Leaf>>) {
     let plan = match f {
         Mu::Query(q) => {
             Ucq::from_formula(q).and_then(|ucq| CompiledPlan::compile(&ucq, &q.free_vars()).ok())
         }
         _ => None,
     };
-    plans.push(plan);
+    plans.push(plan.map(|plan| Leaf {
+        indexed: !plan.non_prefix_paths().is_empty(),
+        plan,
+    }));
     match f {
         Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => {}
         Mu::Not(g)
@@ -537,22 +557,31 @@ type CacheKey = (u32, Vec<Option<Value>>);
 
 struct Engine<'a> {
     ts: &'a Ts,
+    /// Every state id, in index order: the items of per-state passes.
     states: Vec<StateId>,
-    all: BTreeSet<StateId>,
-    domain: Vec<Value>,
+    all: StateSet,
+    /// Values of the caller's valuation, which join `ADOM(Θ)` in the
+    /// quantifier domain.
+    seed_values: Vec<Value>,
+    /// `ADOM(Θ)` plus `seed_values`, built on the first unfused `∃`/`∀`.
+    domain: Option<Arc<[Value]>>,
     infos: Vec<NodeInfo>,
-    /// Compiled plan per pre-order node id; `Some` only at `Mu::Query`
+    /// Compiled leaf per pre-order node id; `Some` only at `Mu::Query`
     /// leaves in the compilable fragment.
-    plans: Vec<Option<CompiledPlan>>,
-    /// Per-state hash indexes aligned with `states`; empty when no leaf
-    /// compiled.
-    state_idx: Vec<InstanceIndex>,
+    leaves: Vec<Option<Leaf>>,
+    /// The non-prefix access paths of every compiled leaf.
+    index_paths: Vec<AccessPath>,
+    /// Per-state hash indexes over `index_paths`, aligned with `states`,
+    /// built on the first evaluation of a leaf with `indexed` set.
+    state_idx: Option<Vec<InstanceIndex>>,
     /// Per-state active domains aligned with `states`, built on the first
     /// bound `LIVE` and reused by every later one.
     adoms: Option<Vec<BTreeSet<Value>>>,
+    /// Predicate-variable valuation, as state sets.
+    preds: HashMap<PredVar, StateSet>,
     plan_stats: PlanStats,
     threads: usize,
-    cache: HashMap<CacheKey, BTreeSet<StateId>>,
+    cache: HashMap<CacheKey, StateSet>,
     counters: McCounters,
     obs: Obs,
 }
@@ -568,7 +597,18 @@ impl Engine<'_> {
         id + 1 + self.infos[(id + 1) as usize].size
     }
 
-    fn eval_node(&mut self, f: &Mu, id: u32, val: &mut Valuation) -> BTreeSet<StateId> {
+    /// The quantifier domain `ADOM(Θ)` ∪ the caller's values, built once.
+    fn domain(&mut self) -> Arc<[Value]> {
+        let (ts, seed) = (self.ts, &self.seed_values);
+        let domain = self.domain.get_or_insert_with(|| {
+            let mut d = ts.adom_union();
+            d.extend(seed.iter().copied());
+            d.into_iter().collect()
+        });
+        Arc::clone(domain)
+    }
+
+    fn eval_node(&mut self, f: &Mu, id: u32, val: &mut Valuation) -> StateSet {
         // Cache lookup: sound only for predicate-closed subformulas, keyed
         // by the valuation restricted to the node's free variables.
         let key: Option<CacheKey> = if self.infos[id as usize].cacheable {
@@ -595,7 +635,20 @@ impl Engine<'_> {
         out
     }
 
-    fn compute(&mut self, f: &Mu, id: u32, val: &mut Valuation) -> BTreeSet<StateId> {
+    /// The states some (`any`) or every (`!any`) successor of which is in
+    /// `target`.
+    fn pre_image(&self, target: &StateSet, any: bool) -> StateSet {
+        StateSet::from_fn(self.states.len(), |i| {
+            let mut succ = self.ts.successors(self.states[i]).iter();
+            match any {
+                true => succ.any(|t| target.contains(t.index())),
+                false => succ.all(|t| target.contains(t.index())),
+            }
+        })
+    }
+
+    fn compute(&mut self, f: &Mu, id: u32, val: &mut Valuation) -> StateSet {
+        let n = self.states.len();
         match f {
             Mu::Query(q) => {
                 let mut asg = Assignment::new();
@@ -605,30 +658,34 @@ impl Engine<'_> {
                             asg.insert(v.clone(), d);
                         }
                         // An unassigned free variable cannot be satisfied.
-                        None => return BTreeSet::new(),
+                        None => return StateSet::empty(n),
                     }
                 }
-                self.counters.query_state_evals += self.states.len() as u64;
-                let ts = self.ts;
-                let sat = match &self.plans[id as usize] {
-                    Some(plan) if self.state_idx.len() == self.states.len() => {
-                        let (idxs, stats) = (&self.state_idx, &self.plan_stats);
-                        let states = &self.states;
-                        let ord: Vec<usize> = (0..states.len()).collect();
-                        par_map(&ord, self.threads, |&i| {
-                            let ctx = EvalCtx::with_index(ts.db(states[i]), &idxs[i]).stats(stats);
-                            plan.holds(&ctx, &asg)
+                self.counters.query_state_evals += n as u64;
+                let (ts, threads) = (self.ts, self.threads);
+                let sat = match &self.leaves[id as usize] {
+                    Some(leaf) => {
+                        if leaf.indexed && self.state_idx.is_none() {
+                            let paths = &self.index_paths;
+                            self.state_idx = Some(par_map(&self.states, threads, |&s| {
+                                InstanceIndex::build(ts.db(s), paths.iter().cloned())
+                            }));
+                        }
+                        let idxs = self.state_idx.as_deref().filter(|_| leaf.indexed);
+                        let stats = &self.plan_stats;
+                        par_map(&self.states, threads, |&s| {
+                            let ctx = match idxs {
+                                Some(idxs) => EvalCtx::with_index(ts.db(s), &idxs[s.index()]),
+                                None => EvalCtx::scan(ts.db(s)),
+                            };
+                            leaf.plan.holds(&ctx.stats(stats), &asg)
                         })
                     }
-                    _ => par_map(&self.states, self.threads, |&s| {
+                    None => par_map(&self.states, threads, |&s| {
                         holds(q, ts.db(s), &asg).unwrap_or(false)
                     }),
                 };
-                self.states
-                    .iter()
-                    .zip(sat)
-                    .filter_map(|(&s, ok)| ok.then_some(s))
-                    .collect()
+                StateSet::from_fn(n, |i| sat[i])
             }
             Mu::Live(t) => {
                 let d = match t {
@@ -640,42 +697,47 @@ impl Engine<'_> {
                     // requirement.
                     None => self.all.clone(),
                     Some(d) => {
-                        self.counters.query_state_evals += self.states.len() as u64;
+                        self.counters.query_state_evals += n as u64;
                         let (ts, states) = (self.ts, &self.states);
                         let adoms = self.adoms.get_or_insert_with(|| {
                             par_map(states, self.threads, |&s| ts.db(s).active_domain())
                         });
-                        states
-                            .iter()
-                            .zip(adoms.iter())
-                            .filter_map(|(&s, adom)| adom.contains(&d).then_some(s))
-                            .collect()
+                        StateSet::from_fn(n, |i| adoms[i].contains(&d))
                     }
                 }
             }
-            Mu::Not(g) => &self.all.clone() - &self.eval_node(g, self.kid1(id), val),
+            Mu::Not(g) => {
+                let mut out = self.eval_node(g, self.kid1(id), val);
+                out.complement();
+                out
+            }
             Mu::And(g, h) => {
                 let (k1, k2) = (self.kid1(id), self.kid2(id));
-                &self.eval_node(g, k1, val) & &self.eval_node(h, k2, val)
+                let mut out = self.eval_node(g, k1, val);
+                out.and_with(&self.eval_node(h, k2, val));
+                out
             }
             Mu::Or(g, h) => {
                 let (k1, k2) = (self.kid1(id), self.kid2(id));
-                &self.eval_node(g, k1, val) | &self.eval_node(h, k2, val)
+                let mut out = self.eval_node(g, k1, val);
+                out.or_with(&self.eval_node(h, k2, val));
+                out
             }
             Mu::Implies(g, h) => {
                 let (k1, k2) = (self.kid1(id), self.kid2(id));
-                let ng = &self.all.clone() - &self.eval_node(g, k1, val);
-                &ng | &self.eval_node(h, k2, val)
+                let mut out = self.eval_node(g, k1, val);
+                out.complement();
+                out.or_with(&self.eval_node(h, k2, val));
+                out
             }
             Mu::Exists(v, g) => {
                 let kid = self.kid1(id);
                 let saved = val.individuals.get(v).copied();
-                let mut out = BTreeSet::new();
-                let domain = self.domain.clone();
-                for d in domain {
+                let mut out = StateSet::empty(n);
+                for &d in self.domain().iter() {
                     val.individuals.insert(v.clone(), d);
-                    out.extend(self.eval_node(g, kid, val));
-                    if out.len() == self.all.len() {
+                    out.or_with(&self.eval_node(g, kid, val));
+                    if out.is_full() {
                         break;
                     }
                 }
@@ -686,10 +748,9 @@ impl Engine<'_> {
                 let kid = self.kid1(id);
                 let saved = val.individuals.get(v).copied();
                 let mut out = self.all.clone();
-                let domain = self.domain.clone();
-                for d in domain {
+                for &d in self.domain().iter() {
                     val.individuals.insert(v.clone(), d);
-                    out = &out & &self.eval_node(g, kid, val);
+                    out.and_with(&self.eval_node(g, kid, val));
                     if out.is_empty() {
                         break;
                     }
@@ -699,92 +760,66 @@ impl Engine<'_> {
             }
             Mu::Diamond(g) => {
                 let target = self.eval_node(g, self.kid1(id), val);
-                self.states
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.ts.successors(s).iter().any(|t| target.contains(t)))
-                    .collect()
+                self.pre_image(&target, true)
             }
             Mu::Box_(g) => {
                 let target = self.eval_node(g, self.kid1(id), val);
-                self.states
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.ts.successors(s).iter().all(|t| target.contains(t)))
-                    .collect()
+                self.pre_image(&target, false)
             }
-            Mu::Pvar(z) => val.predicates.get(z).cloned().unwrap_or_default(),
-            Mu::Lfp(z, g) => {
-                let kid = self.kid1(id);
-                let mut fp_span = span!(self.obs, "lfp", node = id);
-                let saved = val.predicates.insert(z.clone(), BTreeSet::new());
-                let mut current = BTreeSet::new();
-                let mut iters = 0u64;
-                loop {
-                    val.predicates.insert(z.clone(), current.clone());
-                    self.counters.fixpoint_iterations += 1;
-                    iters += 1;
-                    event!(
-                        self.obs,
-                        "fixpoint",
-                        op = "lfp",
-                        node = id,
-                        iter = iters,
-                        extension = current.len(),
-                    );
-                    self.obs.heartbeat(|| {
-                        format!(
-                            "mc lfp node {id}: iteration {iters}, |ext| = {}",
-                            current.len()
-                        )
-                    });
-                    let next = self.eval_node(g, kid, val);
-                    if next == current {
-                        break;
-                    }
-                    current = next;
-                }
-                fp_span.set("iterations", iters);
-                fp_span.set("extension", current.len() as u64);
-                restore_pred(val, z, saved);
-                current
-            }
-            Mu::Gfp(z, g) => {
-                let kid = self.kid1(id);
-                let mut fp_span = span!(self.obs, "gfp", node = id);
-                let saved = val.predicates.insert(z.clone(), self.all.clone());
-                let mut current = self.all.clone();
-                let mut iters = 0u64;
-                loop {
-                    val.predicates.insert(z.clone(), current.clone());
-                    self.counters.fixpoint_iterations += 1;
-                    iters += 1;
-                    event!(
-                        self.obs,
-                        "fixpoint",
-                        op = "gfp",
-                        node = id,
-                        iter = iters,
-                        extension = current.len(),
-                    );
-                    self.obs.heartbeat(|| {
-                        format!(
-                            "mc gfp node {id}: iteration {iters}, |ext| = {}",
-                            current.len()
-                        )
-                    });
-                    let next = self.eval_node(g, kid, val);
-                    if next == current {
-                        break;
-                    }
-                    current = next;
-                }
-                fp_span.set("iterations", iters);
-                fp_span.set("extension", current.len() as u64);
-                restore_pred(val, z, saved);
-                current
-            }
+            Mu::Pvar(z) => self
+                .preds
+                .get(z)
+                .cloned()
+                .unwrap_or_else(|| StateSet::empty(n)),
+            Mu::Lfp(z, g) => self.fixpoint("lfp", z, g, id, StateSet::empty(n), val),
+            Mu::Gfp(z, g) => self.fixpoint("gfp", z, g, id, self.all.clone(), val),
         }
+    }
+
+    /// Kleene iteration of `op z . g` from `start` (∅ for `lfp`, all
+    /// states for `gfp`) until two iterates are equal.
+    fn fixpoint(
+        &mut self,
+        op: &'static str,
+        z: &PredVar,
+        g: &Mu,
+        id: u32,
+        start: StateSet,
+        val: &mut Valuation,
+    ) -> StateSet {
+        let kid = self.kid1(id);
+        let mut fp_span = span!(self.obs, op, node = id);
+        let saved = self.preds.insert(z.clone(), start);
+        let mut iters = 0u64;
+        loop {
+            self.counters.fixpoint_iterations += 1;
+            iters += 1;
+            let size = || self.preds[z].len();
+            event!(
+                self.obs,
+                "fixpoint",
+                op = op,
+                node = id,
+                iter = iters,
+                extension = size(),
+            );
+            self.obs
+                .heartbeat(|| format!("mc {op} node {id}: iteration {iters}, |ext| = {}", size()));
+            let next = self.eval_node(g, kid, val);
+            let current = self.preds.get_mut(z).expect("bound above");
+            if next == *current {
+                break;
+            }
+            *current = next;
+        }
+        let current = match saved {
+            Some(outer) => self.preds.insert(z.clone(), outer),
+            None => self.preds.remove(z),
+        }
+        .expect("bound above");
+        fp_span.set("iterations", iters);
+        fp_span.set("extension", current.len() as u64);
+        current
     }
 }
 
@@ -795,17 +830,6 @@ fn restore(val: &mut Valuation, v: &Var, saved: Option<Value>) {
         }
         None => {
             val.individuals.remove(v);
-        }
-    }
-}
-
-fn restore_pred(val: &mut Valuation, z: &PredVar, saved: Option<BTreeSet<StateId>>) {
-    match saved {
-        Some(s) => {
-            val.predicates.insert(z.clone(), s);
-        }
-        None => {
-            val.predicates.remove(z);
         }
     }
 }

@@ -40,6 +40,7 @@ pub mod pretty;
 pub mod prop;
 pub mod prop_mc;
 pub mod safety;
+mod stateset;
 pub mod sugar;
 
 pub use ast::{Mu, PredVar};

@@ -60,6 +60,23 @@ impl Instance {
         self.rels.get(&rel).into_iter().flatten()
     }
 
+    /// Tuples of a relation whose leading components equal `prefix`, in
+    /// iteration order: a range over the sorted tuple set, so its cost is
+    /// a logarithmic seek plus the matches. Tuples shorter than `prefix`
+    /// never match. An empty prefix yields every tuple of the relation.
+    pub fn tuples_with_prefix<'a>(
+        &'a self,
+        rel: RelId,
+        prefix: &'a [Value],
+    ) -> impl Iterator<Item = &'a Tuple> {
+        use std::ops::Bound::{Included, Unbounded};
+        self.rels
+            .get(&rel)
+            .into_iter()
+            .flat_map(move |set| set.range::<[Value], _>((Included(prefix), Unbounded)))
+            .take_while(move |t| t.values().starts_with(prefix))
+    }
+
     /// Number of tuples in a relation.
     pub fn cardinality(&self, rel: RelId) -> usize {
         self.rels.get(&rel).map_or(0, BTreeSet::len)
@@ -264,6 +281,38 @@ mod tests {
         let proj = inst.project(&only_p);
         assert_eq!(proj.len(), 1);
         assert!(proj.contains(p, &Tuple::from([a])));
+    }
+
+    #[test]
+    fn prefix_ranges_match_a_filtered_scan() {
+        let (mut pool, _, p, q) = setup();
+        let [a, b] = ["a", "b"].map(|n| pool.get(n).unwrap());
+        let c = pool.intern("c");
+        // Q holds tuples of arity 1, 2 and 3 so the range crosses arities.
+        let inst = Instance::from_facts([
+            (q, Tuple::from([a])),
+            (q, Tuple::from([a, a])),
+            (q, Tuple::from([a, b])),
+            (q, Tuple::from([a, b, c])),
+            (q, Tuple::from([b, a])),
+            (q, Tuple::from([c, c])),
+            (p, Tuple::from([a])),
+        ]);
+        let prefixes: [&[Value]; 6] = [&[], &[a], &[a, b], &[b], &[c, a], &[a, b, c, a]];
+        for prefix in prefixes {
+            let ranged: Vec<&Tuple> = inst.tuples_with_prefix(q, prefix).collect();
+            let scanned: Vec<&Tuple> = inst
+                .tuples(q)
+                .filter(|t| t.values().starts_with(prefix))
+                .collect();
+            assert_eq!(ranged, scanned, "{prefix:?}");
+        }
+        let absent = pool.intern("absent_rel_value");
+        assert_eq!(
+            inst.tuples_with_prefix(RelId::from_index(7), &[absent])
+                .count(),
+            0
+        );
     }
 
     #[test]

@@ -54,6 +54,15 @@ impl Tuple {
     }
 }
 
+/// Tuples order, compare and hash exactly as their component slices, so a
+/// sorted tuple set can be searched by a borrowed `&[Value]` bound (see
+/// [`crate::Instance::tuples_with_prefix`]).
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Self {
         Tuple(v.into_boxed_slice())

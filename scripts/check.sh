@@ -21,8 +21,10 @@ echo "== differential suites"
 # evaluators (with the path each constraint took).
 cargo test -q -p dcds-folang --test plan_differential --test guided_differential
 # Engines: both state storages against the reference constructions at
-# 1/2/4/8 threads, plus thread-count invariance with plans and indexes.
-cargo test -q -p dcds-bench --test engine_differential --test plan_paths
+# 1/2/4/8 threads, plus thread-count invariance with plans and indexes;
+# the e2e rows' written specs against their library twins, with the model
+# checker's extension size and counters pinned on every explicit row.
+cargo test -q -p dcds-bench --test engine_differential --test plan_paths --test e2e_rows
 # Compact store vs owned facts at the materialisation level.
 cargo test -q -p dcds-reldata --test store_differential
 # Symbolic engine vs the naive Kleene evaluator and the staged checker.
@@ -30,9 +32,11 @@ cargo test -q --test symbolic_differential
 # Symbolic normal form and subsumption search vs their pre-optimisation
 # references on seeded clause pairs (unit tests of `dcds-symbolic`).
 cargo test -q -p dcds-symbolic
-# Staged model checker (fused quantifier blocks) vs the naive Kleene
-# evaluator on seeded random formulas and the fusion edge shapes, at
-# 1/2/4 threads; closed µLA formulas also through PROP(Φ).
+# Staged model checker (fused quantifier blocks, bitset extensions) vs
+# the naive Kleene evaluator on seeded random formulas, the fusion edge
+# shapes, and a 120-state system with non-prefix query leaves and
+# multi-iteration violated AGs, at 1/2/4 threads with identical counters;
+# closed µLA formulas also through PROP(Φ).
 cargo test -q --test mc_engine_differential
 
 echo "== compact-store memory smoke"

@@ -5,7 +5,8 @@
 //! dcds abstract <spec.dcds> [--max-states N] [--threads N] [--dot] [obs flags]
 //!                                                build the finite abstraction
 //!                                                (threads default to DCDS_THREADS
-//!                                                or the machine's parallelism)
+//!                                                or the machine's parallelism;
+//!                                                at most 256)
 //! dcds check    <spec.dcds> <formula> [--engine explicit|symbolic]
 //!               [--max-states N] [--threads N] [--witness]
 //!               [--max-iters N] [--max-clauses N]
@@ -196,6 +197,7 @@ obs flags (analyze, abstract, check, lint):
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size); `--max-states`
 belongs to the explicit engine only.
+`--threads N` takes 1 to 256 workers; DCDS_THREADS is clamped to 256.
 Any command exits 2 on a missing argument or a flag that it does not take,
 that is given twice, malformed, or meant for the other `check` engine, and
 3 on a run-time error (unreadable or invalid spec, bad formula).

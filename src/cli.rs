@@ -4,6 +4,7 @@
 //! scan, `--flag value` pairs, and the observability flag bundle
 //! ([`ObsCli`]) shared by `abstract`, `check`, `analyze`, and `lint`.
 
+use dcds_core::MAX_THREADS;
 use dcds_obs::{alloc, event, export, profile, EventSink, Obs, ObsConfig};
 use std::str::FromStr;
 
@@ -178,12 +179,15 @@ impl<'a> Flags<'a> {
 
 /// `--threads`, shared by `abstract` and `check` and range-checked once:
 /// the engines treat the count as a divisor of the work, so 0 is a usage
-/// error, not a silent serial fallback. Parsed as `u32` — thread counts
-/// beyond four billion are typos, and on 32-bit targets a `usize` parse
-/// would accept values the pool cannot spawn anyway.
+/// error, not a silent serial fallback; and each worker is an OS thread,
+/// so a count above [`MAX_THREADS`] is one too, not a request to spawn a
+/// thread per state.
 pub fn threads_flag(args: &[String]) -> Result<Option<usize>, String> {
     match flag_value::<u32>(args, "--threads")? {
         Some(0) => Err("--threads must be at least 1".into()),
+        Some(n) if n as usize > MAX_THREADS => {
+            Err(format!("--threads must be at most {MAX_THREADS}"))
+        }
         other => Ok(other.map(|n| n as usize)),
     }
 }
@@ -345,6 +349,15 @@ mod tests {
             .unwrap_err()
             .contains("at least 1"));
         assert!(threads_flag(&argv(&["--threads", "many"])).is_err());
+        let cap = MAX_THREADS.to_string();
+        assert_eq!(
+            threads_flag(&argv(&["--threads", &cap])).unwrap(),
+            Some(MAX_THREADS)
+        );
+        for over in [MAX_THREADS + 1, 4_000_000_000] {
+            let err = threads_flag(&argv(&["--threads", &over.to_string()])).unwrap_err();
+            assert!(err.contains("--threads") && err.contains(&cap), "{err}");
+        }
         // u32 overflow is a parse error, not a wrap-around.
         assert!(threads_flag(&argv(&["--threads", "99999999999"])).is_err());
     }

@@ -283,6 +283,30 @@ fn check_threads_agree_and_zero_is_rejected() {
 }
 
 #[test]
+fn threads_above_the_cap_are_a_usage_error() {
+    // Each worker is an OS thread: a count past the cap is refused before
+    // any pool starts, on both engines' commands.
+    let phi = "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z";
+    for args in [
+        vec!["check", &spec("ping_pong.dcds"), phi, "--threads", "257"],
+        vec!["abstract", &spec("ping_pong.dcds"), "--threads", "257"],
+        vec![
+            "check",
+            &spec("ping_pong.dcds"),
+            phi,
+            "--threads",
+            "4000000000",
+        ],
+    ] {
+        let (code, text) = dcds_code(&args);
+        assert_eq!(code, 2, "{args:?}: {text}");
+        assert!(text.contains("--threads must be at most 256"), "{text}");
+    }
+    let (code, text) = dcds_code(&["check", &spec("ping_pong.dcds"), phi, "--threads", "2"]);
+    assert_eq!(code, 0, "{text}");
+}
+
+#[test]
 fn check_format_json_is_one_object_on_stdout() {
     let (code, stdout, stderr) = dcds_streams(&[
         "check",

@@ -10,7 +10,11 @@
 //! offline and reproducibly) plus a hand-written list of the shapes the
 //! fusion pass treats specially. Systems: Example 5.1 and the small travel
 //! request system through RCYCL, `service_cycle` and `collision_pairs`
-//! through the deterministic abstraction.
+//! through the deterministic abstraction. `collision_pairs(6)` (120
+//! states, so state sets span two 64-bit words and the last one is
+//! partial) also runs query leaves whose plans probe a non-prefix access
+//! path next to prefix-keyed ones, and violated AG properties whose
+//! greatest fixpoints iterate several times.
 
 use dcds_verify::bench::rng::SplitMix64;
 use dcds_verify::bench::{examples, synthetic, travel};
@@ -348,6 +352,83 @@ fn engine_agrees_with_naive_on_fusion_edge_shapes() {
             checked > 0,
             "{}: no unary relation to instantiate",
             sys.name
+        );
+    }
+}
+
+/// Leaves on `collision_pairs(6)`: prefix-keyed (`E('a1', V)`,
+/// `Phase('p3')`) and non-prefix ones (`E(X, {c})` for a call result
+/// `{c}`, `E(X, V)` with `V` bound outside, and the join
+/// `E('a1', V) & E(X, V)` whose second step is keyed on column 1). The
+/// cheap ones run under AG, EF and `<>¬` too; the naive oracle walks
+/// `ADOM(Θ)` per quantifier, so the two-variable ones run bare.
+const MIXED_ACCESS: &[(&str, bool)] = &[
+    ("exists X . E(X, 'a0')", true),
+    ("exists X . E(X, '{c}')", true),
+    ("exists V . E('a1', V)", true),
+    ("exists X, V . E('a1', V) & E(X, V) & X = 'a0'", false),
+    ("exists V . live(V) & <> (exists X . E(X, V))", false),
+    (
+        "forall V . live(V) -> [] (exists X . E(X, V) & Seed(X))",
+        false,
+    ),
+];
+
+#[test]
+fn engine_agrees_on_a_multi_word_system_with_non_prefix_leaves() {
+    let dcds = synthetic::collision_pairs(6);
+    let abs = det_abstraction(&dcds, 1000);
+    let sys = System {
+        name: "collision_pairs(6)",
+        ts: abs.ts.to_ts().into_owned(),
+        schema: dcds.data.schema.clone(),
+        pool: abs.pool,
+    };
+    let n = sys.ts.num_states();
+    assert!(n > 64 && !n.is_multiple_of(64), "{n} states");
+    // A call result: the second column of some `E` fact.
+    let e = sys.schema.rel_id("E").unwrap();
+    let c = sys
+        .ts
+        .state_ids()
+        .find_map(|s| sys.ts.db(s).tuples(e).next().map(|t| t[1]))
+        .expect("some state holds an E fact");
+    let c = sys.pool.name(c).to_owned();
+    let parse = |src: &str| {
+        let src = src.replace("{c}", &c);
+        parse_mu(&src, &mut sys.schema.clone(), &mut sys.pool.clone())
+            .unwrap_or_else(|e| panic!("{src}: {e}"))
+    };
+    for &(src, wrapped) in MIXED_ACCESS {
+        let phi = parse(src);
+        let mut forms = vec![phi.clone()];
+        if wrapped {
+            forms.extend([
+                sugar::ag(phi.clone()),
+                sugar::ef(phi.clone()),
+                phi.clone().not().diamond(),
+            ]);
+        }
+        for f in forms {
+            assert_agrees(&sys, &f, &Valuation::default());
+        }
+    }
+    // Violated AG properties: a state one step in holds the call result
+    // `{c}` (through a non-prefix leaf), and one three steps in is in
+    // phase `p3`; the greatest fixpoint peels the states that reach them
+    // level by level.
+    for src in [
+        "nu Z . !(exists X . E(X, '{c}')) & [] Z",
+        "nu Z . !Phase('p3') & [] Z",
+    ] {
+        let phi = parse(src);
+        assert_agrees(&sys, &phi, &Valuation::default());
+        let run = check_traced(&phi, &sys.ts, McOptions { threads: 2 }, &Obs::disabled()).unwrap();
+        assert!(!run.holds, "{src}");
+        assert!(
+            run.counters.fixpoint_iterations >= 3,
+            "{src}: {:?}",
+            run.counters
         );
     }
 }
