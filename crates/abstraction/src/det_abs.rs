@@ -31,9 +31,7 @@
 //!    canonical key;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
 //!    admit new classes to the storage, record edges, apply the state
-//!    budget. The store derives each admitted state's query index from
-//!    its parent's here, while the parent is still in memory; owned
-//!    storage builds it from scratch in phase 1 of the next level.
+//!    budget.
 //!
 //! Chunking bounds the per-level scratch (pre-instances, stepped
 //! successors) on wide levels. Because phases 2 and 4 run in global
@@ -60,14 +58,13 @@ use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
 use dcds_core::commitment::instantiate;
 use dcds_core::det::{det_step_with_pre, DetState};
 use dcds_core::do_op::{
-    do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
-    state_index, PreInstance,
+    do_action, legal_assignments, publish_query_stats_delta, query_stats_snapshot, PreInstance,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
 use dcds_core::{enumerate_commitments, ActionId, Commitment, Dcds, StateId, StateSpace};
 use dcds_folang::Assignment;
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, InstanceIndex, Value};
+use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
@@ -287,12 +284,11 @@ impl<C> ClassIndex<C> {
     }
 }
 
-/// A frontier state: its id, its `⟨I, M⟩` structure (dropped once the
-/// level is expanded), and its query index if the storage derived one.
+/// A frontier state: its id and its `⟨I, M⟩` structure (dropped once the
+/// level is expanded).
 struct FrontierState {
     id: StateId,
     state: DetState,
-    index: Option<InstanceIndex>,
 }
 
 /// What the parallel enumeration phase computes per `(state, ασ)`: the
@@ -349,7 +345,6 @@ pub fn build<S: ClassStorage>(
     let mut frontier = vec![FrontierState {
         id: StateId::from_index(0),
         state: s0,
-        index: None,
     }];
     let mut outcome = AbsOutcome::Complete;
     let mut level = 0usize;
@@ -381,19 +376,10 @@ pub fn build<S: ClassStorage>(
             let enumerated: Vec<Vec<EnumeratedStep>> =
                 par_map_obs(chunk, threads, obs, "enumerate", |entry| {
                     let state = &entry.state;
-                    let built;
-                    let idx = match &entry.index {
-                        Some(idx) => idx,
-                        None => {
-                            built = state_index(dcds, &state.instance);
-                            &built
-                        }
-                    };
-                    legal_assignments_indexed(dcds, &state.instance, Some(idx))
+                    legal_assignments(dcds, &state.instance)
                         .into_iter()
                         .map(|(action, sigma)| {
-                            let pre =
-                                do_action_indexed(dcds, &state.instance, action, &sigma, Some(idx));
+                            let pre = do_action(dcds, &state.instance, action, &sigma);
                             let new_calls: Vec<dcds_core::ServiceCall> = pre
                                 .calls()
                                 .into_iter()
@@ -442,8 +428,7 @@ pub fn build<S: ClassStorage>(
             obs.time_us("abs.step_phase_us", step_timer);
 
             // Phase 4 (serial, task order): deduplicate, admit new classes
-            // — with the query indexes the storage derives from their
-            // parents' — and record edges.
+            // and record edges.
             let merge_timer = obs.timer();
             for (task, next) in tasks.iter().zip(stepped) {
                 let Some((next, facts, sig, key)) = next else {
@@ -468,13 +453,7 @@ pub fn build<S: ClassStorage>(
                         }
                         let (id, class) = storage.add_class(source, &next.instance, facts);
                         index.insert(class, sig, key);
-                        let parent = chunk[task.frontier_ix].index.as_ref();
-                        let child_index = storage.child_index(id, &next.instance, parent);
-                        next_frontier.push(FrontierState {
-                            id,
-                            state: next,
-                            index: child_index,
-                        });
+                        next_frontier.push(FrontierState { id, state: next });
                         id
                     }
                 };

@@ -43,13 +43,12 @@
 
 use crate::storage::{Owned, StateStorage, Store, OWNED_MAX_STATES};
 use dcds_core::do_op::{
-    do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
-    state_index, PreInstance,
+    do_action, legal_assignments, publish_query_stats_delta, query_stats_snapshot, PreInstance,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
 use dcds_core::{Dcds, GTerm, ServiceCall, StateId, StateSpace};
 use dcds_obs::{event, span, Obs, PhaseClock};
-use dcds_reldata::{ConstantPool, Instance, InstanceIndex, RelId, Tuple, Value};
+use dcds_reldata::{ConstantPool, Instance, RelId, Tuple, Value};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Steps whose `EVALS_F` enumeration would exceed this many evaluations
@@ -300,18 +299,16 @@ pub fn build<S: StateStorage>(
     let mut used_values: BTreeSet<Value> = initial.active_domain();
     used_values.extend(rigid.iter().copied());
 
-    // Worklist of states whose (α, σ) triples are not yet Visited, each
-    // with its query index if the storage derived one. Legality depends
-    // only on I, so one pass per state suffices, and every state is
-    // queued exactly once: when it is admitted.
-    let mut queue: VecDeque<(StateId, Option<InstanceIndex>)> = VecDeque::new();
-    queue.push_back((initial_id, None));
+    // Worklist of states whose (α, σ) triples are not yet Visited.
+    // Legality depends only on I, so one pass per state suffices, and
+    // every state is queued exactly once: when it is admitted.
+    let mut queue: VecDeque<StateId> = VecDeque::from([initial_id]);
     let mut state_budget_hit = false;
     let mut eval_budget_skips = 0usize;
     let mut triples = 0usize;
     let mut keys = ThetaKeys::default();
 
-    while let Some((sid, state_idx)) = queue.pop_front() {
+    while let Some(sid) = queue.pop_front() {
         counters.states_expanded += 1;
         // No levels to hang events on: report every 1024 dequeued states.
         if counters.states_expanded % 1024 == 0 {
@@ -339,19 +336,11 @@ pub fn build<S: StateStorage>(
         // ADOM(I₀) ∪ ADOM(I), ascending: the part of F every triple shares.
         let known: Vec<Value> = adom.union(&rigid).copied().collect();
         // `DO(I, ασ)` depends only on the state, not on `UsedValues`:
-        // precompute every triple's template in parallel against the
-        // state's hash index.
-        let state_idx = state_idx.unwrap_or_else(|| state_index(dcds, &inst));
-        let triples_for_state = legal_assignments_indexed(dcds, &inst, Some(&state_idx));
+        // precompute every triple's template in parallel.
+        let triples_for_state = legal_assignments(dcds, &inst);
         let templates: Vec<Template> = do_clock.time(|| {
             par_map_obs(&triples_for_state, threads, obs, "do", |(action, sigma)| {
-                Template::new(&do_action_indexed(
-                    dcds,
-                    &inst,
-                    *action,
-                    sigma,
-                    Some(&state_idx),
-                ))
+                Template::new(&do_action(dcds, &inst, *action, sigma))
             })
         });
         state_span.set("triples", templates.len() as u64);
@@ -400,8 +389,8 @@ pub fn build<S: StateStorage>(
                         if storage.num_states() >= max_states {
                             return Successor::OverBudget;
                         }
-                        let (id, index) = storage.add_state(sid, &keys.key, next, Some(&state_idx));
-                        queue.push_back((id, index));
+                        let id = storage.add_state(sid, &keys.key, next);
+                        queue.push_back(id);
                         Successor::State(id)
                     }),
                 };

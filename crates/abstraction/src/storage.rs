@@ -1,31 +1,26 @@
 //! Where the abstraction engines keep their states.
 //!
 //! The deterministic abstraction and RCYCL are each written once, generic
-//! over a [`Storage`]. The storage decides only how states are held and
-//! how a child's query index is built; every decision of the construction
+//! over a [`Storage`]. The storage decides only how states are held; every
+//! decision of the construction
 //! (minting, commitments, dedup, the state budget, counters, metrics) is
 //! made by the shared engine body, so both storages build the same system
 //! state for state and edge for edge.
 //!
-//! * [`Owned`] keeps one shared [`Instance`] per state in a [`Ts`] and
-//!   builds each expanded state's [`InstanceIndex`] from scratch. For
+//! * [`Owned`] keeps one shared [`Instance`] per state in a [`Ts`]. For
 //!   RCYCL it also maps each state's fact key to its id. It is the faster
 //!   of the two.
 //! * [`Store`] keeps each state as a delta over its parent in a
-//!   [`StateStore`] and derives a child's index from its parent's with
-//!   the copy-on-write [`InstanceIndex::rebuild_delta`]. RCYCL's fact keys
-//!   are looked up in the store's own interned-fact dedup table. It needs
-//!   several times less memory, and its bytes per state stay flat up to
-//!   millions of states.
+//!   [`StateStore`]. RCYCL's fact keys are looked up in the store's own
+//!   interned-fact dedup table. It needs several times less memory, and
+//!   its bytes per state stay flat up to millions of states.
 //!
 //! The public entry points pick the storage from the state budget; see
 //! [`OWNED_MAX_STATES`].
 
 use dcds_core::{CompactTs, Dcds, StateId, Ts};
 use dcds_obs::Obs;
-use dcds_reldata::{
-    AccessPath, FactId, Facts, Instance, InstanceIndex, StateRef, StateStore, Value,
-};
+use dcds_reldata::{FactId, Facts, Instance, StateRef, StateStore, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,29 +31,27 @@ use std::sync::Arc;
 ///
 /// Measured on a shared 2-vCPU Xeon VM (release builds, one thread), both
 /// storages returning identical states, edges and counters. At or below
-/// the threshold, `dcds check --format json --profile` on the spec
-/// families of `perfbench/` (least self time of 60 alternating pairs;
-/// these runs converted the store to an owned [`Ts`] for the model
-/// checker):
+/// the threshold, `det_abs::build` / `rcycl::build` on seed-1 specs of the
+/// `perfbench/` families (least of 20 alternating runs in one process;
+/// `to_ts` converts the store to the owned [`Ts`] the model checker
+/// takes):
 ///
-/// | workload            | storage | search ms | driver ms        | total ms |
-/// |---------------------|---------|-----------|------------------|----------|
-/// | RCYCL, 3072 states  | owned   | 38.8      | 0.1              | 59.3     |
-/// | RCYCL, 3072 states  | store   | 48.7      | 6.5 (`to_ts`)    | 79.6     |
-/// | det, 352 states     | owned   | 57.4      | —                | 90.4     |
-/// | det, 352 states     | store   | 63.5      | —                | 99.7     |
+/// | workload            | owned ms | store ms | store `to_ts` ms |
+/// |---------------------|----------|----------|------------------|
+/// | RCYCL, 3072 states  | 11.3     | 24.3     | 3.4              |
+/// | det, 352 states     | 13.8     | 14.0     | 0.7              |
 ///
-/// Above it, `det_abs::build` / `rcycl::build` keeping their result
-/// (median of 3 alternating runs; wall time, peak RSS of the process):
+/// Above it, the same builds keeping their result (median of 3
+/// alternating runs; wall time, peak RSS of the process):
 ///
 /// | workload                    | states  | owned           | store           |
 /// |-----------------------------|---------|-----------------|-----------------|
-/// | det, `service_chain(16)`    | 20 000  | 1.87 s, 287 MiB | 1.81 s, 217 MiB |
-/// | det, `service_chain(16)`    | 100 000 | 13.6 s, 955 MiB | 14.7 s, 554 MiB |
-/// | RCYCL, `phased_rings(4)`    | 20 000  | 0.29 s, 40 MiB  | 0.50 s, 13 MiB  |
-/// | RCYCL, `phased_rings(4)`    | 80 000  | 1.39 s, 148 MiB | 2.02 s, 28 MiB  |
+/// | det, `service_chain(16)`    | 20 000  | 1.71 s, 277 MiB | 2.04 s, 207 MiB |
+/// | det, `service_chain(16)`    | 100 000 | 13.0 s, 935 MiB | 14.2 s, 534 MiB |
+/// | RCYCL, `phased_rings(4)`    | 20 000  | 0.22 s, 41 MiB  | 0.34 s, 8.6 MiB |
+/// | RCYCL, `phased_rings(4)`    | 80 000  | 0.83 s, 154 MiB | 1.38 s, 24 MiB  |
 ///
-/// So the store trades up to ~50% more time for 1.3–5× less memory, and
+/// So the store trades up to ~65% more time for 1.3–6× less memory, and
 /// it only wins while the system stays in the store. A caller that needs
 /// an owned [`Ts`] holds both at the peak: `dcds check` on the 80 000-state
 /// RCYCL system took 3.2 s / 255 MiB owned against 5.0 s / 256 MiB through
@@ -81,16 +74,6 @@ pub trait Storage: Sized + Sync {
 
     /// Record the edge `from → to` (idempotent).
     fn add_edge(&mut self, from: StateId, to: StateId);
-
-    /// The query index of the just-admitted state `s` (database `db`),
-    /// derived from its parent's index while that is still alive — or
-    /// `None` to build it from scratch when `s` is expanded.
-    fn child_index(
-        &self,
-        s: StateId,
-        db: &Instance,
-        parent: Option<&InstanceIndex>,
-    ) -> Option<InstanceIndex>;
 
     /// Publish storage-specific metrics.
     fn publish(&self, obs: &Obs);
@@ -136,16 +119,9 @@ pub trait StateStorage: Storage {
     /// The state whose database has fact key `key`, if any.
     fn lookup(&self, key: &[u32]) -> Option<StateId>;
 
-    /// Admit `db`, whose fact key is `key`, reached from `parent` (query
-    /// index `parent_index`) after `lookup` missed. Returns the new state
-    /// and its query index, as [`Storage::child_index`] derives it.
-    fn add_state(
-        &mut self,
-        parent: StateId,
-        key: &[u32],
-        db: Instance,
-        parent_index: Option<&InstanceIndex>,
-    ) -> (StateId, Option<InstanceIndex>);
+    /// Admit `db`, whose fact key is `key`, reached from `parent` after
+    /// `lookup` missed.
+    fn add_state(&mut self, parent: StateId, key: &[u32], db: Instance) -> StateId;
 }
 
 /// The fact key of `db` (see [`StateStorage`]).
@@ -177,15 +153,6 @@ impl Storage for Owned {
 
     fn add_edge(&mut self, from: StateId, to: StateId) {
         self.ts.add_edge(from, to);
-    }
-
-    fn child_index(
-        &self,
-        _: StateId,
-        _: &Instance,
-        _: Option<&InstanceIndex>,
-    ) -> Option<InstanceIndex> {
-        None
     }
 
     fn publish(&self, _obs: &Obs) {}
@@ -228,16 +195,10 @@ impl StateStorage for Owned {
         self.ids.get(key).copied()
     }
 
-    fn add_state(
-        &mut self,
-        _parent: StateId,
-        key: &[u32],
-        db: Instance,
-        _parent_index: Option<&InstanceIndex>,
-    ) -> (StateId, Option<InstanceIndex>) {
+    fn add_state(&mut self, _parent: StateId, key: &[u32], db: Instance) -> StateId {
         let id = self.ts.add_state(db);
         self.ids.insert(key.into(), id);
-        (id, None)
+        id
     }
 }
 
@@ -253,7 +214,6 @@ pub struct Store {
     num_rels: u32,
     /// Arity of each relation, to split a fact key into facts.
     arities: Vec<usize>,
-    paths: Vec<AccessPath>,
     /// The fact ids of the parent last admitted from: a parent's children
     /// arrive consecutively, so it is resolved once for all of them.
     resolved: Option<(StateId, Vec<FactId>)>,
@@ -287,7 +247,6 @@ impl Store {
             succ: vec![Vec::new()],
             num_rels: dcds.data.schema.len() as u32,
             arities: dcds.data.schema.iter().map(|(_, r)| r.arity()).collect(),
-            paths: dcds.plans().access_paths().to_vec(),
             resolved: None,
         }
     }
@@ -305,21 +264,6 @@ impl Storage for Store {
         if !out.contains(&to) {
             out.push(to);
         }
-    }
-
-    fn child_index(
-        &self,
-        s: StateId,
-        db: &Instance,
-        parent: Option<&InstanceIndex>,
-    ) -> Option<InstanceIndex> {
-        let touched = self.store.delta_rels(self.refs[s.index()], self.num_rels);
-        Some(match (parent, touched) {
-            (Some(parent), Some(touched)) => {
-                InstanceIndex::rebuild_delta(parent, db, &touched, self.paths.iter().cloned())
-            }
-            _ => InstanceIndex::build(db, self.paths.iter().cloned()),
-        })
     }
 
     fn publish(&self, obs: &Obs) {
@@ -379,14 +323,7 @@ impl StateStorage for Store {
         Some(StateId::from_index(r.index()))
     }
 
-    fn add_state(
-        &mut self,
-        parent: StateId,
-        _key: &[u32],
-        db: Instance,
-        parent_index: Option<&InstanceIndex>,
-    ) -> (StateId, Option<InstanceIndex>) {
-        let id = self.insert(parent, &Facts::from_instance(&db));
-        (id, self.child_index(id, &db, parent_index))
+    fn add_state(&mut self, parent: StateId, _key: &[u32], db: Instance) -> StateId {
+        self.insert(parent, &Facts::from_instance(&db))
     }
 }

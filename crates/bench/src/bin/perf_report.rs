@@ -10,7 +10,7 @@
 //!
 //! **scale stage.** Drives the engines to 500k/1M-state budgets, where
 //! the budget rule keeps their states in the **compact state store**
-//! (arena + delta states + copy-on-write indexes), recording states/sec,
+//! (arena + delta states), recording states/sec,
 //! the deterministic bytes-per-state high-water estimate, and the
 //! delta-share ratio, and asserting (a) bytes/state grows less than 2×
 //! from 100k to 500k states and (b) the owned and store storages build

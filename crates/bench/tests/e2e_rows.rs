@@ -16,10 +16,12 @@ use dcds_mucalc::{check_traced, parse_mu, McOptions};
 use dcds_obs::Obs;
 use dcds_symbolic::{check_safety, SymOptions, SymVerdict};
 
-/// The library calls `dcds check` makes for `row`, on `dcds`: the verdict
-/// (`None` when the run decides nothing) and the abstraction's states and
-/// edges followed by the model checker's extension size and counters, or
-/// every symbolic counter.
+/// The engines' answer for `row`, on `dcds`: the verdict (`None` when the
+/// run decides nothing) and the abstraction's states and edges followed by
+/// the model checker's extension size and counters, or every symbolic
+/// counter. This pins the engines, not the CLI: the model checker runs
+/// here on truncated abstractions too, where `dcds check` skips it
+/// because it reports no verdict.
 fn library_answer(row: &Row, dcds: &Dcds) -> (Option<bool>, Vec<(&'static str, u64)>) {
     let (mut schema, mut pool) = (dcds.data.schema.clone(), dcds.data.pool.clone());
     let phi = parse_mu(&row.formula, &mut schema, &mut pool).expect("row formula parses");

@@ -17,7 +17,7 @@ use dcds_abstraction::{
     OWNED_MAX_STATES,
 };
 use dcds_bench::synthetic::{self, RandomParams};
-use dcds_bench::{examples, parity};
+use dcds_bench::{examples, parity, travel};
 use dcds_core::{Dcds, ServiceKind, StateSpace};
 use dcds_obs::Obs;
 
@@ -63,6 +63,12 @@ fn storages_match_reference_on_paper_examples() {
     assert_det_identical(&examples::example_4_3(ServiceKind::Deterministic), 60);
     assert_rcycl_identical(&examples::example_5_1(), 100);
     assert_rcycl_identical(&examples::example_5_2(), 80);
+    // Appendix E's audit system, full and small, through the det
+    // abstraction: its `CheckTravel` joins are keyed on non-prefix columns
+    // (`Hotel` on its `passed` column, then `Flight` on `trId` and
+    // `passed`), so those steps run as filtered relation scans.
+    assert_det_identical(&travel::audit_system_small(), 400);
+    assert_det_identical(&travel::audit_system(), 400);
 }
 
 #[test]

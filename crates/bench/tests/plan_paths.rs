@@ -1,27 +1,57 @@
 //! Engine-level agreement and determinism for the compiled-plan hot path.
 //!
-//! The query-plan layer promises bit-identical behaviour along every
-//! integration seam: `do_action` vs `do_action_indexed` (with and without a
-//! prebuilt per-state index), `legal_assignments` vs its indexed twin, and
-//! whole-engine runs (`rcycl`, `det_abstraction`) at 1, 2, 4, and 8 worker
-//! threads with plans and indexes enabled throughout. `DO`
-//! is also checked against its definition for σ that are not exactly the
-//! action's parameters. These tests pin that promise on the paper's
-//! travel-request system and small synthetic systems.
+//! `DO` and the legal parameter assignments, which read every state
+//! through compiled plans, are checked against their definitions
+//! (Section 4.1, evaluated by the active-domain reference evaluator) on
+//! every reachable state of the travel-request pruning and of the small
+//! audit system — whose `CheckTravel` joins key `Hotel` and `Flight` on
+//! non-prefix columns, so those steps run as filtered scans — and for σ
+//! that are not exactly the action's parameters. Whole-engine
+//! runs (`rcycl`, `det_abstraction`) are checked at 1, 2, 4 and 8 worker
+//! threads.
 
-use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
-use dcds_bench::{synthetic, travel};
-use dcds_core::{
-    do_action, do_action_indexed, legal_assignments, legal_assignments_indexed, state_index,
-    ActionId, Dcds, DcdsBuilder, PreInstance,
+use dcds_abstraction::{
+    det_abs, det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome, Owned,
 };
+use dcds_bench::{synthetic, travel};
+use dcds_core::{do_action, legal_assignments, ActionId, Dcds, DcdsBuilder, PreInstance, Ts};
 use dcds_folang::{answers, Assignment, Var};
 use dcds_obs::Obs;
 use dcds_reldata::Instance;
 
-/// All per-state query entry points agree across the three paths (the
-/// unindexed entry point, plan over scans, plan over index) on every
-/// reachable state of the travel-request pruning.
+/// The legal assignments by the definition: every answer of each rule's
+/// condition, in rule order, without repeats.
+fn reference_legal(dcds: &Dcds, inst: &Instance) -> Vec<(ActionId, Assignment)> {
+    let mut out: Vec<(ActionId, Assignment)> = Vec::new();
+    for rule in &dcds.process.rules {
+        for sigma in answers(&rule.condition, inst) {
+            if !out.iter().any(|(a, s)| *a == rule.action && *s == sigma) {
+                out.push((rule.action, sigma));
+            }
+        }
+    }
+    out
+}
+
+/// On every state of `ts`, the legal assignments and `DO` of each equal
+/// their definitions.
+fn assert_do_and_legal_match_definition(dcds: &Dcds, ts: &Ts) {
+    for s in ts.state_ids() {
+        let inst = ts.db(s);
+        let legal = legal_assignments(dcds, inst);
+        assert_eq!(legal, reference_legal(dcds, inst), "state {}", s.index());
+        for (action, sigma) in &legal {
+            assert_eq!(
+                do_action(dcds, inst, *action, sigma),
+                reference_do(dcds, inst, *action, sigma),
+                "state {}, σ = {sigma:?}",
+                s.index()
+            );
+        }
+    }
+}
+
+/// Every reachable state of the travel-request pruning.
 #[test]
 fn do_and_legal_agree_on_all_rcycl_states() {
     let dcds = travel::request_system_small();
@@ -30,24 +60,24 @@ fn do_and_legal_agree_on_all_rcycl_states() {
 
     let res = rcycl_traced(&dcds, 5000, 1, &Obs::disabled());
     assert!(res.complete, "travel pruning should saturate");
-    let ts = res.ts.into_ts();
-    for s in ts.state_ids() {
-        let inst = ts.db(s);
-        let idx = state_index(&dcds, inst);
+    assert_do_and_legal_match_definition(&dcds, &res.ts.into_ts());
+}
 
-        let legal = legal_assignments(&dcds, inst);
-        assert_eq!(legal, legal_assignments_indexed(&dcds, inst, None));
-        assert_eq!(legal, legal_assignments_indexed(&dcds, inst, Some(&idx)));
-
-        for (action, sigma) in &legal {
-            let base = do_action(&dcds, inst, *action, sigma);
-            assert_eq!(base, do_action_indexed(&dcds, inst, *action, sigma, None));
-            assert_eq!(
-                base,
-                do_action_indexed(&dcds, inst, *action, sigma, Some(&idx))
-            );
-        }
-    }
+/// Every reachable state of the small audit system's deterministic
+/// abstraction, whose `CheckTravel` plans have keyed steps on non-prefix
+/// columns. (The full audit system's 7-column atoms put the reference
+/// evaluator's `ADOM^7` enumeration out of reach; `engine_differential`
+/// checks its abstraction against the reference construction instead.)
+#[test]
+fn do_and_legal_agree_on_all_audit_states() {
+    let dcds = travel::audit_system_small();
+    let abs = det_abs::build::<Owned>(&dcds, 2000, AbsOptions::default(), &Obs::disabled());
+    assert_eq!(
+        abs.outcome,
+        AbsOutcome::Complete,
+        "the audit abstraction saturates"
+    );
+    assert_do_and_legal_match_definition(&dcds, &abs.ts);
 }
 
 /// `DO` by the definition: every answer θ of `(q⁺ ∧ Q⁻)σ` under the
@@ -101,7 +131,6 @@ fn non_parameter_sigma_takes_identical_fallback() {
     let mut missing_nonempty = 0;
     for dcds in [travel::request_system_small(), parameterised_system()] {
         let inst = &dcds.data.initial;
-        let idx = state_index(&dcds, inst);
         let spurious = *inst.active_domain().iter().next().unwrap();
         for (action, sigma) in legal_assignments(&dcds, inst) {
             let mut padded = sigma.clone();
@@ -118,10 +147,6 @@ fn non_parameter_sigma_takes_identical_fallback() {
             for s in &sigmas {
                 let expect = reference_do(&dcds, inst, action, s);
                 assert_eq!(do_action(&dcds, inst, action, s), expect, "σ = {s:?}");
-                assert_eq!(
-                    do_action_indexed(&dcds, inst, action, s, Some(&idx)),
-                    expect
-                );
             }
         }
     }
@@ -142,7 +167,7 @@ fn assert_thread_invariant_rcycl(dcds: &Dcds, max_states: usize) {
     }
 }
 
-/// RCYCL output is identical at 1/2/4/8 threads with plans + indexes on.
+/// RCYCL output is identical at 1/2/4/8 threads.
 #[test]
 fn rcycl_thread_count_invariant_with_plans() {
     assert_thread_invariant_rcycl(&travel::request_system_small(), 5000);

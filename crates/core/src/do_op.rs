@@ -5,12 +5,18 @@
 //! `Eσθ`. The result is a *pre-instance*: a set of facts whose terms are
 //! values or ground service calls awaiting resolution (deterministic
 //! resolution in [`crate::det`], nondeterministic in [`crate::nondet`]).
+//!
+//! Both `DO` and the legal assignments run the compiled plans of the
+//! system's [`PlanCache`] against the state's instance itself: a join step
+//! keyed on a prefix of its atom's columns reads a range of the sorted
+//! tuples, every other step scans its relation. No per-state index is
+//! built, so an engine passes nothing but the instance.
 
 use crate::action::ActionId;
 use crate::dcds::Dcds;
 use crate::term::{GTerm, ServiceCall};
 use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, PlanStats, Ucq, Var};
-use dcds_reldata::{AccessPath, Instance, InstanceIndex, RelId, Tuple};
+use dcds_reldata::{Instance, RelId, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 
@@ -93,41 +99,39 @@ pub struct PlanCache {
     effect_plans: Vec<Vec<CompiledPlan>>,
     /// One optional plan per condition–action rule.
     rule_plans: Vec<Option<CompiledPlan>>,
-    /// Union of the access paths every compiled plan probes — what a
-    /// per-state [`InstanceIndex`] must cover.
-    paths: Vec<AccessPath>,
-    /// Evaluation counters (plan evals, index probes vs scans, fallbacks).
+    /// Evaluation counters (plan evals, sorted-prefix probes vs scans,
+    /// fallbacks).
     pub stats: PlanStats,
 }
 
 impl PlanCache {
     /// Compile every effect `q⁺` and every UCQ-shaped rule condition.
     pub fn build(dcds: &Dcds) -> PlanCache {
-        let mut paths: BTreeSet<AccessPath> = BTreeSet::new();
-        let mut effect_plans = Vec::with_capacity(dcds.process.actions.len());
-        for action in &dcds.process.actions {
-            let params: BTreeSet<Var> = action.params.iter().cloned().collect();
-            let mut per_effect = Vec::with_capacity(action.effects.len());
-            for effect in &action.effects {
-                let plan = compile_qplus(&effect.qplus, &params);
-                paths.extend(plan.access_paths());
-                per_effect.push(plan);
-            }
-            effect_plans.push(per_effect);
-        }
-        let mut rule_plans = Vec::with_capacity(dcds.process.rules.len());
-        for rule in &dcds.process.rules {
-            let plan = Ucq::from_formula(&rule.condition)
-                .and_then(|ucq| CompiledPlan::compile(&ucq, &BTreeSet::new()).ok());
-            if let Some(p) = &plan {
-                paths.extend(p.access_paths());
-            }
-            rule_plans.push(plan);
-        }
+        let effect_plans = dcds
+            .process
+            .actions
+            .iter()
+            .map(|action| {
+                let params: BTreeSet<Var> = action.params.iter().cloned().collect();
+                action
+                    .effects
+                    .iter()
+                    .map(|effect| compile_qplus(&effect.qplus, &params))
+                    .collect()
+            })
+            .collect();
+        let rule_plans = dcds
+            .process
+            .rules
+            .iter()
+            .map(|rule| {
+                Ucq::from_formula(&rule.condition)
+                    .and_then(|ucq| CompiledPlan::compile(&ucq, &BTreeSet::new()).ok())
+            })
+            .collect();
         PlanCache {
             effect_plans,
             rule_plans,
-            paths: paths.into_iter().collect(),
             stats: PlanStats::default(),
         }
     }
@@ -135,11 +139,6 @@ impl PlanCache {
     /// The plan for a rule condition, if it compiled.
     pub fn rule_plan(&self, rule: usize) -> Option<&CompiledPlan> {
         self.rule_plans.get(rule)?.as_ref()
-    }
-
-    /// The access paths a per-state index should cover.
-    pub fn access_paths(&self) -> &[AccessPath] {
-        &self.paths
     }
 
     /// How many effects (resp. rules) compiled, out of how many. Every
@@ -154,13 +153,6 @@ impl PlanCache {
             ),
         )
     }
-}
-
-/// Build the per-state hash index covering every access path the system's
-/// compiled plans probe. Engines build one per frontier state and reuse it
-/// across all actions, parameter assignments, and effects evaluated there.
-pub fn state_index(dcds: &Dcds, inst: &Instance) -> InstanceIndex {
-    InstanceIndex::build(inst, dcds.plans().access_paths().iter().cloned())
 }
 
 /// Snapshot of the plan-cache counters, for delta publication around a run.
@@ -202,18 +194,8 @@ fn compile_qplus(qplus: &Ucq, bound: &BTreeSet<Var>) -> CompiledPlan {
 }
 
 /// `DO(I, ασ)`: apply the action under the parameter assignment, producing
-/// the pre-instance of grounded effect heads.
-pub fn do_action(
-    dcds: &Dcds,
-    inst: &Instance,
-    action: ActionId,
-    sigma: &Assignment,
-) -> PreInstance {
-    do_action_indexed(dcds, inst, action, sigma, None)
-}
-
-/// [`do_action`] evaluating `q⁺` through the cached compiled plans, probing
-/// `index` when one is supplied (see [`state_index`]).
+/// the pre-instance of grounded effect heads. `q⁺` is evaluated through
+/// the cached compiled plans.
 ///
 /// The cached plans take exactly `params(α)` as inputs. Any other σ
 /// (possible through this public API) is answered by a plan compiled for
@@ -221,12 +203,11 @@ pub fn do_action(
 /// ignored, a parameter σ leaves open is bound by the join, and a disjunct
 /// in which no atom binds it yields nothing — what substituting σ into
 /// `q⁺` and joining returns.
-pub fn do_action_indexed(
+pub fn do_action(
     dcds: &Dcds,
     inst: &Instance,
     action: ActionId,
     sigma: &Assignment,
-    index: Option<&InstanceIndex>,
 ) -> PreInstance {
     let cache = dcds.plans();
     let action_id = action;
@@ -245,11 +226,7 @@ pub fn do_action_indexed(
             .collect();
         &adhoc
     };
-    let ctx = match index {
-        Some(ix) => EvalCtx::with_index(inst, ix),
-        None => EvalCtx::scan(inst),
-    }
-    .stats(&cache.stats);
+    let ctx = EvalCtx::scan(inst).stats(&cache.stats);
     let mut out = PreInstance::new();
     for (effect, plan) in action.effects.iter().zip(plans) {
         let thetas = plan.eval(&ctx, sigma);
@@ -284,34 +261,19 @@ pub fn do_action_indexed(
 /// Legal parameter assignments: for each rule `Q ↦ α`, every answer of `Q`
 /// over the instance provides a legal σ for α (Section 4.1). Returns
 /// deterministic, deduplicated `(action, σ)` pairs.
+///
+/// UCQ-shaped rule conditions are answered through their compiled plans;
+/// conditions outside the fragment — negation, universal quantification,
+/// non-range-restricted equalities — keep the reference active-domain
+/// evaluator. Identical output either way: compiled plans are gated on the
+/// range restriction under which the two semantics coincide.
 pub fn legal_assignments(dcds: &Dcds, inst: &Instance) -> Vec<(ActionId, Assignment)> {
-    legal_assignments_indexed(dcds, inst, None)
-}
-
-/// [`legal_assignments`] answering UCQ-shaped rule conditions through their
-/// compiled plans (probing `index` when supplied); conditions outside the
-/// fragment — negation, universal quantification, non-range-restricted
-/// equalities — keep the reference active-domain evaluator. Identical
-/// output either way: compiled plans are gated on the range restriction
-/// under which the two semantics coincide.
-pub fn legal_assignments_indexed(
-    dcds: &Dcds,
-    inst: &Instance,
-    index: Option<&InstanceIndex>,
-) -> Vec<(ActionId, Assignment)> {
     let cache = dcds.plans();
     let mut seen: BTreeSet<(ActionId, Vec<(Var, dcds_reldata::Value)>)> = BTreeSet::new();
     let mut out = Vec::new();
     for (rix, rule) in dcds.process.rules.iter().enumerate() {
         let answers: BTreeSet<Assignment> = match cache.rule_plan(rix) {
-            Some(plan) => {
-                let mut ctx = match index {
-                    Some(ix) => EvalCtx::with_index(inst, ix),
-                    None => EvalCtx::scan(inst),
-                };
-                ctx = ctx.stats(&cache.stats);
-                plan.eval(&ctx, &Assignment::new())
-            }
+            Some(plan) => plan.eval(&EvalCtx::scan(inst).stats(&cache.stats), &Assignment::new()),
             None => {
                 cache.stats.fallback_evals.fetch_add(1, Ordering::Relaxed);
                 dcds_folang::answers(&rule.condition, inst)

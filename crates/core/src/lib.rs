@@ -57,10 +57,7 @@ pub use data_layer::DataLayer;
 pub use dcds::{Dcds, ValidationError};
 pub use det::DetState;
 pub use display::{to_spec, DcdsDisplay};
-pub use do_op::{
-    do_action, do_action_indexed, legal_assignments, legal_assignments_indexed, state_index,
-    PlanCache, PreInstance,
-};
+pub use do_op::{do_action, legal_assignments, PlanCache, PreInstance};
 pub use explore::{explore_det, explore_nondet, ExploreOutcome, Limits};
 pub use par::{
     configured_threads, par_map, par_map_obs, par_map_with, EngineCounters, MAX_THREADS,

@@ -12,9 +12,8 @@
 //!   of the instance) ([`eval`]);
 //! * compiled evaluation plans for (U)CQs, the one UCQ evaluator —
 //!   numbered variable slots, join orders fixed at compile time, hoisted
-//!   equality checks, and hash-index probing via
-//!   [`dcds_reldata::InstanceIndex`] — checked against the reference
-//!   evaluator ([`plan`]);
+//!   equality checks, and sorted-prefix probes into each instance's
+//!   sorted tuples — checked against the reference evaluator ([`plan`]);
 //! * equality constraints `Q -> /\ z_i = y_i` and arbitrary FO sentences as
 //!   integrity constraints, checked through compiled denial plans when they
 //!   are guard-shaped ([`constraints`]);

@@ -13,12 +13,12 @@
 //! * the greedy join order is fixed at **compile time**, with action
 //!   parameters treated as pre-bound inputs;
 //! * every atom position is classified up front as constant, bound, or free,
-//!   yielding the bound-position mask a [`dcds_reldata::InstanceIndex`]
-//!   probe needs — atom extension becomes a hash lookup instead of a scan;
-//!   a step whose bound positions are a *prefix* of the atom's columns
-//!   needs no index at all: without one it is a **sorted-prefix probe**, a
-//!   range over the relation's sorted tuples
-//!   ([`Instance::tuples_with_prefix`]);
+//!   yielding the positions a join step has bound before it runs. A step
+//!   bound on a *prefix* of its atom's columns is a **sorted-prefix
+//!   probe**: a range over the relation's sorted tuples
+//!   ([`Instance::tuples_with_prefix`]), a logarithmic seek plus the
+//!   matches. Every other step — unbound, or bound only on non-prefix
+//!   columns — scans the relation and filters;
 //! * equality side-conditions are **hoisted** to the earliest join step at
 //!   which both sides are bound (input-only equalities are checked once per
 //!   evaluation, before any join);
@@ -35,14 +35,13 @@
 //! fragment are rejected at compile time ([`PlanError`]); validated effect
 //! queries are always inside it, and rule conditions or formula leaves
 //! outside it are answered by the reference evaluator in [`crate::eval`].
-//! Evaluation visits candidate tuples in instance iteration order (index
-//! buckets are order-normalised and a prefix range is a slice of that
-//! order), so outputs are bit-identical whichever source answers a step,
-//! and at every thread count.
+//! Evaluation visits candidate tuples in instance iteration order (a
+//! prefix range is a slice of that order), so outputs are bit-identical
+//! whether a step probes or scans, and at every thread count.
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};
-use dcds_reldata::{AccessPath, Instance, InstanceIndex, RelId, Value};
+use dcds_reldata::{Instance, RelId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,11 +82,11 @@ impl std::error::Error for PlanError {}
 pub struct PlanStats {
     /// Compiled-plan evaluations ([`CompiledPlan::eval`] / [`CompiledPlan::holds`]).
     pub plan_evals: AtomicU64,
-    /// Join steps answered by an index probe: a hash-index bucket, or a
-    /// sorted-prefix range when no index covers a prefix-keyed step.
+    /// Join steps answered by a sorted-prefix probe: a step bound on a
+    /// prefix of its atom's columns reads one range of the sorted tuples.
     pub index_probes: AtomicU64,
-    /// Join steps answered by a relation scan (no bound position, or a
-    /// non-prefix access path no index covers).
+    /// Join steps answered by a relation scan (no bound position, or bound
+    /// positions that are not a prefix).
     pub relation_scans: AtomicU64,
     /// Rule conditions outside the compilable fragment, answered by the
     /// reference evaluator instead of a plan.
@@ -113,34 +112,19 @@ impl PlanStats {
     }
 }
 
-/// Where an evaluation reads its tuples: always an instance, optionally an
-/// [`InstanceIndex`] over it, optionally a [`PlanStats`] to count into.
+/// Where an evaluation reads its tuples: an instance, optionally with a
+/// [`PlanStats`] to count into.
 #[derive(Clone, Copy)]
 pub struct EvalCtx<'a> {
     inst: &'a Instance,
-    index: Option<&'a InstanceIndex>,
     stats: Option<&'a PlanStats>,
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Evaluate without an index: prefix-keyed steps probe the sorted
-    /// tuples, every other step scans its relation.
+    /// Evaluate over `inst`: prefix-keyed steps probe the sorted tuples,
+    /// every other step scans its relation.
     pub fn scan(inst: &'a Instance) -> Self {
-        EvalCtx {
-            inst,
-            index: None,
-            stats: None,
-        }
-    }
-
-    /// Evaluate through a prebuilt index (falling back to sorted-prefix
-    /// probes, then scans, for access paths the index does not cover).
-    pub fn with_index(inst: &'a Instance, index: &'a InstanceIndex) -> Self {
-        EvalCtx {
-            inst,
-            index: Some(index),
-            stats: None,
-        }
+        EvalCtx { inst, stats: None }
     }
 
     /// Attach an evaluation-counter sink.
@@ -202,13 +186,11 @@ enum PosTerm {
 struct Step {
     rel: RelId,
     terms: Vec<PosTerm>,
-    /// Positions bound before the step runs (ascending) — the index access
-    /// path — and how to compute the probe key for each.
-    key_positions: Vec<usize>,
-    key_srcs: Vec<Src>,
-    /// `key_positions` is `0..k` for some `k ≥ 1`: the matching tuples are
-    /// one range of the relation's sorted tuples.
-    prefix_keyed: bool,
+    /// How to compute the probe key when the positions bound before the
+    /// step runs are `0..k` for some `k ≥ 1`: the matching tuples are then
+    /// one range of the relation's sorted tuples. Empty when the step
+    /// scans.
+    prefix_key: Vec<Src>,
     /// Equalities hoisted to this step (both sides bound once it binds).
     eq_checks: Vec<EqCheck>,
     /// No slot bound here is read later: the first passing tuple suffices.
@@ -250,30 +232,6 @@ impl CompiledPlan {
             .map(|cq| compile_cq(cq, params))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CompiledPlan { cqs })
-    }
-
-    /// The access paths the plan's steps probe — the set to build an
-    /// [`InstanceIndex`] over. Deduplicated and deterministic.
-    pub fn access_paths(&self) -> Vec<AccessPath> {
-        let mut out: BTreeSet<AccessPath> = BTreeSet::new();
-        for cq in &self.cqs {
-            for step in &cq.steps {
-                if !step.key_positions.is_empty() {
-                    out.insert((step.rel, step.key_positions.clone()));
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// The access paths of [`CompiledPlan::access_paths`] that are not a
-    /// prefix of their relation's columns: the only ones an index must
-    /// cover for every keyed step to be a probe (prefix-keyed steps probe
-    /// the sorted tuples when no index covers them).
-    pub fn non_prefix_paths(&self) -> Vec<AccessPath> {
-        let mut paths = self.access_paths();
-        paths.retain(|(_, positions)| !is_prefix(positions));
-        paths
     }
 
     /// Evaluate, seeding the parameter slots from `seed`. Returns the set
@@ -474,12 +432,13 @@ fn compile_cq(cq: &ConjunctiveQuery, params: &BTreeSet<Var>) -> Result<CompiledC
             bound[s] = true;
             first_bound_at[s] = Some(six);
         }
+        if !is_prefix(&key_positions) {
+            key_srcs.clear();
+        }
         steps.push(Step {
             rel: *rel,
             terms: pos_terms,
-            prefix_keyed: is_prefix(&key_positions),
-            key_positions,
-            key_srcs,
+            prefix_key: key_srcs,
             eq_checks: Vec::new(),
             existential: false,
         });
@@ -577,25 +536,15 @@ impl CompiledCq {
         let Some(step) = self.steps.get(depth) else {
             return sink(regs);
         };
-        // Candidate tuples: a hash probe when an index covers the step's
-        // access path, else a range of the sorted tuples when the bound
+        // Candidate tuples: a range of the sorted tuples when the bound
         // positions are a prefix, else a scan in instance iteration order.
-        // Index buckets and prefix ranges preserve that order, so all three
-        // sources enumerate the same matching tuples in the same sequence.
-        if !step.key_positions.is_empty() && (step.prefix_keyed || ctx.index.is_some()) {
-            let key: Vec<Value> = step.key_srcs.iter().map(|s| s.value(regs)).collect();
-            let bucket = ctx
-                .index
-                .and_then(|index| index.probe(step.rel, &step.key_positions, &key));
-            if let Some(bucket) = bucket {
-                ctx.count(|s| &s.index_probes);
-                return self.extend(step, depth, bucket.iter(), regs, ctx, sink);
-            }
-            if step.prefix_keyed {
-                ctx.count(|s| &s.index_probes);
-                let range = ctx.inst.tuples_with_prefix(step.rel, &key);
-                return self.extend(step, depth, range, regs, ctx, sink);
-            }
+        // The range is a slice of that order, so both sources enumerate the
+        // same matching tuples in the same sequence.
+        if !step.prefix_key.is_empty() {
+            ctx.count(|s| &s.index_probes);
+            let key: Vec<Value> = step.prefix_key.iter().map(|s| s.value(regs)).collect();
+            let range = ctx.inst.tuples_with_prefix(step.rel, &key);
+            return self.extend(step, depth, range, regs, ctx, sink);
         }
         ctx.count(|s| &s.relation_scans);
         self.extend(step, depth, ctx.inst.tuples(step.rel), regs, ctx, sink)
@@ -696,18 +645,13 @@ mod tests {
         (pool, schema, p, q, inst)
     }
 
-    /// The plan agrees with the active-domain answers, scanned and
-    /// indexed; returns those answers.
+    /// The plan agrees with the active-domain answers; returns those
+    /// answers.
     fn check_agreement(ucq: &Ucq, inst: &Instance) -> BTreeSet<Assignment> {
         let plan = CompiledPlan::compile(ucq, &BTreeSet::new()).unwrap();
         let reference = answers(&ucq.to_formula(), inst);
         assert_eq!(
             plan.eval(&EvalCtx::scan(inst), &Assignment::new()),
-            reference
-        );
-        let index = InstanceIndex::build(inst, plan.access_paths());
-        assert_eq!(
-            plan.eval(&EvalCtx::with_index(inst, &index), &Assignment::new()),
             reference
         );
         assert_eq!(
@@ -856,34 +800,22 @@ mod tests {
         };
         let ucq = Ucq::single(cq);
         let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).unwrap();
+        // The unkeyed P step scans once, and the Q step, keyed on its first
+        // column, is a sorted-prefix probe for each of P's two tuples.
         let stats = PlanStats::default();
-        let index = InstanceIndex::build(&inst, plan.access_paths());
-        plan.eval(
-            &EvalCtx::with_index(&inst, &index).stats(&stats),
-            &Assignment::new(),
+        plan.eval(&EvalCtx::scan(&inst).stats(&stats), &Assignment::new());
+        assert_eq!(
+            stats.snapshot(),
+            [
+                ("plan_evals", 1),
+                ("index_probes", 2),
+                ("relation_scans", 1),
+                ("fallback_evals", 0),
+            ]
         );
-        let snap: std::collections::BTreeMap<_, _> = stats.snapshot().into_iter().collect();
-        assert_eq!(snap["plan_evals"], 1);
-        assert!(snap["index_probes"] > 0, "{snap:?}");
-        // The unbound first step (P scan) cannot probe.
-        assert!(snap["relation_scans"] > 0, "{snap:?}");
 
-        // Without an index: the unkeyed P step scans once, and the Q step,
-        // keyed on its first column, is a sorted-prefix probe for each of
-        // P's two tuples — the same counts the index gives.
-        let scan_stats = PlanStats::default();
-        plan.eval(&EvalCtx::scan(&inst).stats(&scan_stats), &Assignment::new());
-        let want = [
-            ("plan_evals", 1),
-            ("index_probes", 2),
-            ("relation_scans", 1),
-            ("fallback_evals", 0),
-        ];
-        assert_eq!(scan_stats.snapshot(), want);
-        assert_eq!(stats.snapshot(), want);
-
-        // A step keyed on a non-prefix column (Q's second) scans without
-        // an index.
+        // A step keyed on a non-prefix column (Q's second) scans: once
+        // for P, then once per P tuple.
         let suffix = ConjunctiveQuery {
             head: vec![Var::new("X")],
             atoms: vec![
@@ -893,7 +825,6 @@ mod tests {
             equalities: vec![],
         };
         let plan = CompiledPlan::compile(&Ucq::single(suffix), &BTreeSet::new()).unwrap();
-        assert_eq!(plan.non_prefix_paths(), vec![(q, vec![1])]);
         let suffix_stats = PlanStats::default();
         plan.eval(
             &EvalCtx::scan(&inst).stats(&suffix_stats),

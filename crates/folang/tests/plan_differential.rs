@@ -4,19 +4,19 @@
 //! schemas, instances, and UCQs (with equalities and parameter bindings),
 //! and every case is checked four ways —
 //!
-//! 1. the reference active-domain evaluator (`answers`),
-//! 2. the compiled plan without an index: sorted-prefix probes for steps
-//!    keyed on a prefix of their atom's columns, relation scans otherwise,
-//! 3. the compiled plan through a prebuilt [`InstanceIndex`] —
-//!
-//! all of which must return **bit-identical** `BTreeSet<Assignment>`s —
-//! and 4. the reference evaluator with its atom guidance switched off
-//! (`holds_unguided`) must accept every answer row.
+//! 1. the reference active-domain evaluator (`answers`) and
+//! 2. the compiled plan (sorted-prefix probes for steps keyed on a prefix
+//!    of their atom's columns, filtered relation scans otherwise) must
+//!    return **bit-identical** `BTreeSet<Assignment>`s, the plan producing
+//!    its rows in the same order on every run;
+//! 3. the plan compiled with the head variables as parameters and
+//! 4. the reference evaluator with its atom guidance switched off
+//!    (`holds_unguided`) must accept every answer row.
 
 use dcds_folang::{answers, holds_unguided, parse_formula};
 use dcds_folang::{Assignment, CompiledPlan, EvalCtx, PlanStats, QTerm, Var};
 use dcds_folang::{ConjunctiveQuery, Ucq};
-use dcds_reldata::{ConstantPool, Instance, InstanceIndex, RelId, Schema, Tuple, Value};
+use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple, Value};
 use std::collections::BTreeSet;
 
 /// SplitMix64 (Steele, Lea & Flood) — same generator the bench crate
@@ -140,7 +140,9 @@ fn gen_case(rng: &mut SplitMix64) -> Case {
     }
 }
 
-/// The four evaluators agree bit-for-bit on random parameterless UCQs.
+/// The four evaluators agree on random parameterless UCQs, and the plan
+/// is deterministic: repeated runs produce the same rows in the same order
+/// (the engines rely on this for thread-count-independent output).
 #[test]
 fn four_way_agreement_on_random_ucqs() {
     let mut rng = SplitMix64(0xdcd5);
@@ -149,25 +151,34 @@ fn four_way_agreement_on_random_ucqs() {
         let case = gen_case(&mut rng);
         let formula = case.ucq.to_formula();
         let reference = answers(&formula, &case.instance);
+        let plan = CompiledPlan::compile(&case.ucq, &BTreeSet::new())
+            .unwrap_or_else(|e| panic!("case {case_ix}: expected compilable query: {e}"));
+        let ctx = EvalCtx::scan(&case.instance);
+        assert_eq!(
+            plan.eval(&ctx, &Assignment::new()),
+            reference,
+            "case {case_ix}: plan diverged"
+        );
+        let head = head_of(&case.ucq);
+        assert_eq!(
+            rows_in_order(&plan, &ctx, &head),
+            rows_in_order(&plan, &ctx, &head),
+            "case {case_ix}: row order is not deterministic"
+        );
+
+        let by_row = CompiledPlan::compile(&case.ucq, &head.iter().cloned().collect())
+            .unwrap_or_else(|e| panic!("case {case_ix}: head as parameters: {e}"));
         for row in &reference {
             assert_eq!(
                 holds_unguided(&formula, &case.instance, row),
                 Ok(true),
                 "case {case_ix}: unguided evaluation rejects {row:?}"
             );
+            assert!(
+                by_row.holds(&ctx, row),
+                "case {case_ix}: the parameterised plan rejects {row:?}"
+            );
         }
-
-        let plan = CompiledPlan::compile(&case.ucq, &BTreeSet::new())
-            .unwrap_or_else(|e| panic!("case {case_ix}: expected compilable query: {e}"));
-        let scanned = plan.eval(&EvalCtx::scan(&case.instance), &Assignment::new());
-        assert_eq!(scanned, reference, "case {case_ix}: plan scan diverged");
-
-        let index = InstanceIndex::build(&case.instance, plan.access_paths());
-        let indexed = plan.eval(
-            &EvalCtx::with_index(&case.instance, &index),
-            &Assignment::new(),
-        );
-        assert_eq!(indexed, reference, "case {case_ix}: plan+index diverged");
         if !reference.is_empty() {
             nonempty += 1;
         }
@@ -210,49 +221,17 @@ fn parameterised_plans_agree_with_filtered_answers() {
                     .collect()
             })
             .collect();
-        let index = InstanceIndex::build(&case.instance, plan.access_paths());
-        for ctx in [
-            EvalCtx::scan(&case.instance),
-            EvalCtx::with_index(&case.instance, &index),
-        ] {
-            let got = plan.eval(&ctx, &seed);
-            assert_eq!(got, expected, "case {case_ix}: params {params:?}");
-            assert_eq!(
-                plan.holds(&ctx, &seed),
-                !expected.is_empty(),
-                "case {case_ix}: holds() disagrees with eval()"
-            );
-        }
+        let ctx = EvalCtx::scan(&case.instance);
+        let got = plan.eval(&ctx, &seed);
+        assert_eq!(got, expected, "case {case_ix}: params {params:?}");
+        assert_eq!(
+            plan.holds(&ctx, &seed),
+            !expected.is_empty(),
+            "case {case_ix}: holds() disagrees with eval()"
+        );
         checked += 1;
     }
     assert!(checked > 100, "only {checked}/400 cases exercised params");
-}
-
-/// Evaluation is deterministic and index-independent: repeated runs, with
-/// and without the index, return the same `BTreeSet` (the engines rely on
-/// this for thread-count-independent output).
-#[test]
-fn index_on_off_determinism() {
-    let mut rng = SplitMix64(0x5eed);
-    for _ in 0..100 {
-        let case = gen_case(&mut rng);
-        let plan = CompiledPlan::compile(&case.ucq, &BTreeSet::new()).unwrap();
-        let index = InstanceIndex::build(&case.instance, plan.access_paths());
-        let baseline = plan.eval(&EvalCtx::scan(&case.instance), &Assignment::new());
-        for _ in 0..3 {
-            assert_eq!(
-                plan.eval(&EvalCtx::scan(&case.instance), &Assignment::new()),
-                baseline
-            );
-            assert_eq!(
-                plan.eval(
-                    &EvalCtx::with_index(&case.instance, &index),
-                    &Assignment::new()
-                ),
-                baseline
-            );
-        }
-    }
 }
 
 /// Chain joins, constant-anchored chains, equality stars and unions of
@@ -283,33 +262,46 @@ fn benchmark_join_shapes_agree() {
         let reference = answers(&ucq.to_formula(), &instance);
         assert!(!reference.is_empty(), "{shape}: degenerate case");
         let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).expect(shape);
-        let index = InstanceIndex::build(&instance, plan.access_paths());
-        for ctx in [
-            EvalCtx::scan(&instance),
-            EvalCtx::with_index(&instance, &index),
-        ] {
-            assert_eq!(plan.eval(&ctx, &Assignment::new()), reference, "{shape}");
-        }
+        assert_eq!(
+            plan.eval(&EvalCtx::scan(&instance), &Assignment::new()),
+            reference,
+            "{shape}"
+        );
     }
 }
 
-/// Every row a plan produces, in production order, with its disjunct.
-fn row_sequence(plan: &CompiledPlan, ctx: &EvalCtx<'_>) -> Vec<(usize, Vec<Option<Value>>)> {
+/// The head variables every disjunct answers over.
+fn head_of(ucq: &Ucq) -> Vec<Var> {
+    ucq.disjuncts
+        .first()
+        .map_or_else(Vec::new, |cq| cq.head.clone())
+}
+
+/// Every row a plan produces, in production order, with its disjunct:
+/// the values of `head`, read from the register file.
+fn rows_in_order(plan: &CompiledPlan, ctx: &EvalCtx<'_>, head: &[Var]) -> Vec<(usize, Vec<Value>)> {
     let mut rows = Vec::new();
     plan.any_row(ctx, &Assignment::new(), |i, regs| {
-        rows.push((i, regs.to_vec()));
+        let row = head
+            .iter()
+            .map(|v| regs[plan.out_slot(i, v).expect("head variable")].expect("bound"))
+            .collect();
+        rows.push((i, row));
         false
     });
     rows
 }
 
-/// Without an index, a prefix-keyed step is a range over the sorted
-/// tuples: it must produce the rows an index bucket produces, in the same
-/// order, and count as the same index probe. Covers constants in column 0,
-/// a variable repeated inside a probed atom, a relation that also holds
-/// tuples of other arities, and a relation absent from the instance.
+/// A prefix-keyed step is a range over the sorted tuples: it must produce
+/// the rows a filtered scan produces, in the same order. Each shape is
+/// paired with a twin that binds the keyed columns through equalities
+/// instead, so that the same step scans its relation and filters. Covers
+/// constants in column 0, a variable repeated inside a probed atom, a
+/// relation that also holds tuples of other arities, a relation absent
+/// from the instance, and two shapes keyed on non-prefix columns, which
+/// scan as they are.
 #[test]
-fn sorted_prefix_probes_match_index_buckets_in_order() {
+fn sorted_prefix_probes_match_filtered_scans_in_order() {
     let mut rng = SplitMix64(0x50f7);
     let mut schema = Schema::new();
     let mut pool = ConstantPool::new();
@@ -333,42 +325,74 @@ fn sorted_prefix_probes_match_index_buckets_in_order() {
         instance.insert(q, Tuple::from(t));
     }
     schema.add_relation("A", 2).unwrap();
-    let mut prefix_only = 0;
-    for src in [
-        "Q(c0, Y)",
-        "T(c0, c1, Z)",
-        "exists X . P(X) & Q(X, Y)",
-        "exists X . P(X) & Q(X, X)",
-        "T(c1, Y, Y)",
-        "exists X, Y . P(X) & T(X, Y, Y)",
-        "exists Y . Q(c0, Y) & A(Y, Z)",
-        "A(c0, Y) | Q(c1, Y)",
-        "exists X . P(X) & Q(Y, X)",
-        "exists X . Q(X, c2)",
+    let mut probed = 0;
+    for (src, twin) in [
+        ("Q(c0, Y)", "exists W . Q(W, Y) & W = c0"),
+        ("T(c0, c1, Z)", "exists U, W . T(U, W, Z) & U = c0 & W = c1"),
+        (
+            "exists X . P(X) & Q(X, Y)",
+            "exists X, W . P(X) & Q(W, Y) & W = X",
+        ),
+        (
+            "exists X . P(X) & Q(X, X)",
+            "exists X, W . P(X) & Q(W, W) & W = X",
+        ),
+        ("T(c1, Y, Y)", "exists W . T(W, Y, Y) & W = c1"),
+        (
+            "exists X, Y . P(X) & T(X, Y, Y)",
+            "exists X, Y, W . P(X) & T(W, Y, Y) & W = X",
+        ),
+        (
+            "exists Y . Q(c0, Y) & A(Y, Z)",
+            "exists Y, U, W . Q(U, Y) & A(W, Z) & U = c0 & W = Y",
+        ),
+        (
+            "A(c0, Y) | Q(c1, Y)",
+            "(exists W . A(W, Y) & W = c0) | (exists W . Q(W, Y) & W = c1)",
+        ),
+        ("exists X . P(X) & Q(Y, X)", "exists X . P(X) & Q(Y, X)"),
+        ("exists X . Q(X, c2)", "exists X . Q(X, c2)"),
     ] {
-        let formula = parse_formula(src, &mut schema, &mut pool).unwrap();
-        let ucq = Ucq::from_formula(&formula).expect(src);
+        let mut compile = |text: &str| {
+            let formula = parse_formula(text, &mut schema, &mut pool).unwrap();
+            let ucq = Ucq::from_formula(&formula).expect(text);
+            let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).expect(text);
+            (ucq, plan)
+        };
+        let (ucq, plan) = compile(src);
+        let (_, scanning) = compile(twin);
         let reference = answers(&ucq.to_formula(), &instance);
-        let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).expect(src);
-        let index = InstanceIndex::build(&instance, plan.access_paths());
-        let scan_stats = PlanStats::default();
-        let index_stats = PlanStats::default();
+        let (probe_stats, scan_stats) = (PlanStats::default(), PlanStats::default());
+        let probe = EvalCtx::scan(&instance).stats(&probe_stats);
         let scan = EvalCtx::scan(&instance).stats(&scan_stats);
-        let indexed = EvalCtx::with_index(&instance, &index).stats(&index_stats);
-        assert_eq!(plan.eval(&scan, &Assignment::new()), reference, "{src}");
-        assert_eq!(plan.eval(&indexed, &Assignment::new()), reference, "{src}");
+        assert_eq!(plan.eval(&probe, &Assignment::new()), reference, "{src}");
         assert_eq!(
-            row_sequence(&plan, &scan),
-            row_sequence(&plan, &indexed),
+            scanning.eval(&scan, &Assignment::new()),
+            reference,
+            "{twin}"
+        );
+        let head = head_of(&ucq);
+        assert_eq!(
+            rows_in_order(&plan, &probe, &head),
+            rows_in_order(&scanning, &scan, &head),
             "{src}: row order"
         );
-        if plan.non_prefix_paths().is_empty() {
-            assert_eq!(scan_stats.snapshot(), index_stats.snapshot(), "{src}");
-            prefix_only += 1;
+        // The twin reaches the same steps as often, and scans at each.
+        let [probe_snap, scan_snap] = [&probe_stats, &scan_stats].map(|stats| {
+            stats
+                .snapshot()
+                .into_iter()
+                .collect::<std::collections::BTreeMap<_, _>>()
+        });
+        assert_eq!(scan_snap["index_probes"], 0, "{twin}");
+        assert_eq!(
+            probe_snap["index_probes"] + probe_snap["relation_scans"],
+            scan_snap["relation_scans"],
+            "{src}"
+        );
+        if probe_snap["index_probes"] > 0 {
+            probed += 1;
         }
     }
-    assert_eq!(
-        prefix_only, 8,
-        "the last two shapes probe a non-prefix path"
-    );
+    assert_eq!(probed, 8, "the last two shapes probe non-prefix columns");
 }

@@ -46,13 +46,10 @@
 //! collected the first time an unfused `∃`/`∀` node needs it, so a formula
 //! whose quantifier blocks all fuse never builds it; the per-state active
 //! domains behind `LIVE(c)` likewise wait for the first bound `LIVE`.
-//! Compiled leaves need no per-state index when every keyed join step is
-//! bound on a prefix of its atom's columns (`Q(X)`, `E('t', V)`): the plan
-//! executor answers such a step by a range over the state's sorted tuples,
-//! in the order an index bucket would give. Only when some leaf probes a
-//! non-prefix access path (`E(X, 'c')`) does the first evaluation of such
-//! a leaf build per-state hash indexes over the non-prefix paths, which
-//! that kind of leaf then reuses for the rest of the run.
+//! Compiled leaves read each state's database directly: a join step bound
+//! on a prefix of its atom's columns (`Q(X)`, `E('t', V)`) is a range over
+//! the state's sorted tuples, any other step (`E(X, 'c')`) a filtered scan
+//! of the relation.
 //!
 //! Fixpoints keep the naive early-exit paths (∃ stops at `all`, ∀ stops at
 //! `∅`), which never change the computed extension.
@@ -69,7 +66,7 @@ use dcds_core::par::par_map;
 use dcds_core::{StateId, Ts};
 use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Ucq, Var};
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{AccessPath, InstanceIndex, Value};
+use dcds_reldata::Value;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -227,6 +224,18 @@ pub struct McRun {
 /// heartbeats, and the run counters under `mc.*`; pass
 /// [`Obs::disabled`] for none.
 pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun, CheckError> {
+    ensure_closed(f)?;
+    let (extension, counters) = eval_traced(f, ts, &mut Valuation::default(), opts, obs);
+    Ok(McRun {
+        holds: extension.contains(&ts.initial()),
+        extension,
+        counters,
+    })
+}
+
+/// Reject a formula with free individual or predicate variables: the
+/// check [`check_traced`] makes before evaluating anything.
+pub fn ensure_closed(f: &Mu) -> Result<(), CheckError> {
     let free = f.free_vars();
     if !free.is_empty() {
         return Err(CheckError::FreeIndividuals(free.into_iter().collect()));
@@ -235,12 +244,7 @@ pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun
     if !free_preds.is_empty() {
         return Err(CheckError::FreePredicates(free_preds.into_iter().collect()));
     }
-    let (extension, counters) = eval_traced(f, ts, &mut Valuation::default(), opts, obs);
-    Ok(McRun {
-        holds: extension.contains(&ts.initial()),
-        extension,
-        counters,
-    })
+    Ok(())
 }
 
 /// Evaluate the extension of a (possibly open) formula with the staged
@@ -268,11 +272,6 @@ pub fn eval_traced(
     // leaves outside the compilable UCQ fragment stay on the `holds` path.
     let mut leaves = Vec::new();
     compile_plans(f, &mut leaves);
-    let index_paths: BTreeSet<AccessPath> = leaves
-        .iter()
-        .flatten()
-        .flat_map(|leaf| leaf.plan.non_prefix_paths())
-        .collect();
     let n = ts.num_states();
     let preds = val
         .predicates
@@ -287,8 +286,6 @@ pub fn eval_traced(
         domain: None,
         infos,
         leaves,
-        index_paths: index_paths.into_iter().collect(),
-        state_idx: None,
         adoms: None,
         preds,
         plan_stats: PlanStats::default(),
@@ -319,29 +316,18 @@ pub fn eval_traced(
     (ext.to_ids(), engine.counters)
 }
 
-/// A compiled query leaf, and whether it probes an access path that only a
-/// hash index answers (one that is not a prefix of its relation's
-/// columns); prefix-keyed steps probe the state's sorted tuples.
-struct Leaf {
-    plan: CompiledPlan,
-    indexed: bool,
-}
-
 /// Compile each `Mu::Query` leaf whose formula falls in the compilable UCQ
 /// fragment, pushing one entry per node in the pre-order of [`index`]. The
 /// query's free variables become plan parameters, so evaluation under a
 /// full assignment is a boolean existence check.
-fn compile_plans(f: &Mu, plans: &mut Vec<Option<Leaf>>) {
+fn compile_plans(f: &Mu, plans: &mut Vec<Option<CompiledPlan>>) {
     let plan = match f {
         Mu::Query(q) => {
             Ucq::from_formula(q).and_then(|ucq| CompiledPlan::compile(&ucq, &q.free_vars()).ok())
         }
         _ => None,
     };
-    plans.push(plan.map(|plan| Leaf {
-        indexed: !plan.non_prefix_paths().is_empty(),
-        plan,
-    }));
+    plans.push(plan);
     match f {
         Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => {}
         Mu::Not(g)
@@ -568,12 +554,7 @@ struct Engine<'a> {
     infos: Vec<NodeInfo>,
     /// Compiled leaf per pre-order node id; `Some` only at `Mu::Query`
     /// leaves in the compilable fragment.
-    leaves: Vec<Option<Leaf>>,
-    /// The non-prefix access paths of every compiled leaf.
-    index_paths: Vec<AccessPath>,
-    /// Per-state hash indexes over `index_paths`, aligned with `states`,
-    /// built on the first evaluation of a leaf with `indexed` set.
-    state_idx: Option<Vec<InstanceIndex>>,
+    leaves: Vec<Option<CompiledPlan>>,
     /// Per-state active domains aligned with `states`, built on the first
     /// bound `LIVE` and reused by every later one.
     adoms: Option<Vec<BTreeSet<Value>>>,
@@ -664,21 +645,10 @@ impl Engine<'_> {
                 self.counters.query_state_evals += n as u64;
                 let (ts, threads) = (self.ts, self.threads);
                 let sat = match &self.leaves[id as usize] {
-                    Some(leaf) => {
-                        if leaf.indexed && self.state_idx.is_none() {
-                            let paths = &self.index_paths;
-                            self.state_idx = Some(par_map(&self.states, threads, |&s| {
-                                InstanceIndex::build(ts.db(s), paths.iter().cloned())
-                            }));
-                        }
-                        let idxs = self.state_idx.as_deref().filter(|_| leaf.indexed);
+                    Some(plan) => {
                         let stats = &self.plan_stats;
                         par_map(&self.states, threads, |&s| {
-                            let ctx = match idxs {
-                                Some(idxs) => EvalCtx::with_index(ts.db(s), &idxs[s.index()]),
-                                None => EvalCtx::scan(ts.db(s)),
-                            };
-                            leaf.plan.holds(&ctx.stats(stats), &asg)
+                            plan.holds(&EvalCtx::scan(ts.db(s)).stats(stats), &asg)
                         })
                     }
                     None => par_map(&self.states, threads, |&s| {

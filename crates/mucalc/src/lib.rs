@@ -45,7 +45,9 @@ pub mod sugar;
 
 pub use ast::{Mu, PredVar};
 pub use diagnostics::{counterexample_ag, witness_ef};
-pub use engine::{check_traced, eval_traced, CheckError, McCounters, McOptions, McRun};
+pub use engine::{
+    check_traced, ensure_closed, eval_traced, CheckError, McCounters, McOptions, McRun,
+};
 pub use fragments::{classify, Fragment, FragmentError};
 pub use mc::{check, eval, Valuation};
 pub use parser::parse_mu;

@@ -23,7 +23,6 @@ pub mod arena;
 #[cfg(test)]
 mod canon_tests;
 pub mod display;
-pub mod index;
 pub mod instance;
 pub mod iso;
 pub mod schema;
@@ -34,7 +33,6 @@ pub mod value;
 
 pub use arena::{FactId, TupleArena};
 pub use display::{FactsDisplay, InstanceDisplay};
-pub use index::{AccessPath, InstanceIndex};
 pub use instance::Instance;
 pub use iso::{CanonKey, CanonStats, Facts};
 pub use schema::{RelId, RelSchema, Schema};

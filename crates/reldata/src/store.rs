@@ -26,7 +26,7 @@
 use crate::arena::{FactId, TupleArena};
 use crate::{Facts, Instance, RelId, Tuple, Value};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Handle of a state stored in a [`StateStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -217,25 +217,6 @@ impl StateStore {
         match &self.nodes[r.index()] {
             Node::Root { facts } => facts.len(),
             Node::Delta { len, .. } => *len as usize,
-        }
-    }
-
-    /// The relations a delta state touches relative to its parent, or
-    /// `None` when `r` is a root (callers treat that as "all relations").
-    /// Colors ≥ `num_rels` (call-map entries) are skipped.
-    pub fn delta_rels(&self, r: StateRef, num_rels: u32) -> Option<Vec<RelId>> {
-        match &self.nodes[r.index()] {
-            Node::Root { .. } => None,
-            Node::Delta { adds, removes, .. } => {
-                let mut rels = BTreeSet::new();
-                for &id in adds.iter().chain(removes.iter()) {
-                    let (color, _) = self.arena.get(id);
-                    if color < num_rels {
-                        rels.insert(RelId::from_index(color as usize));
-                    }
-                }
-                Some(rels.into_iter().collect())
-            }
         }
     }
 
@@ -470,11 +451,6 @@ mod tests {
         assert!(!r1.existing);
         assert_eq!(store.facts(r1.state), f1);
         assert_eq!(store.stats().delta_states, 1);
-        // The delta touches only relation 0.
-        assert_eq!(
-            store.delta_rels(r1.state, 2),
-            Some(vec![RelId::from_index(0)])
-        );
     }
 
     #[test]

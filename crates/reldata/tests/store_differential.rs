@@ -5,17 +5,13 @@
 //! existing state — the shape of an action's effect) are applied to both
 //! representations in lockstep; every stored state must then materialise
 //! **bit-identically**: same fact iteration order, same `Facts` and
-//! `Instance`, same dedup lookup, same `InstanceIndex` probe answers
-//! whether the index is built from scratch or copy-on-write from the
-//! parent's.
+//! `Instance`, same dedup lookup.
 //!
 //! Runs offline: pseudo-randomness is a local SplitMix64 (Steele, Lea &
 //! Flood, OOPSLA 2014), not the `rand` crate, so the exact same chains
 //! replay on every run and platform.
 
-use dcds_reldata::{
-    ConstantPool, Facts, Instance, InstanceIndex, RelId, StateRef, StateStore, Tuple, Value,
-};
+use dcds_reldata::{ConstantPool, Facts, Instance, RelId, StateRef, StateStore, Tuple, Value};
 
 /// SplitMix64 (local copy — this crate has no path to the bench crate's
 /// `rng` module without a dependency cycle).
@@ -71,25 +67,6 @@ fn mutate(rng: &mut SplitMix64, base: &Facts, vals: &[Value]) -> Facts {
     out
 }
 
-/// Every probe answer of `idx` must equal the scratch-built index's over
-/// all single-position access paths and a sample of keys.
-fn assert_index_matches(
-    scratch: &InstanceIndex,
-    idx: &InstanceIndex,
-    inst: &Instance,
-    vals: &[Value],
-) {
-    for rel in 0..NUM_RELS {
-        for pos in 0..2usize {
-            for &v in vals {
-                let a = scratch.probe(RelId::from_index(rel as usize), &[pos], &[v]);
-                let b = idx.probe(RelId::from_index(rel as usize), &[pos], &[v]);
-                assert_eq!(a, b, "index probe diverged on {inst:?}");
-            }
-        }
-    }
-}
-
 #[test]
 fn random_mutation_chains_materialise_identically() {
     for seed in 0..8u64 {
@@ -110,7 +87,6 @@ fn random_mutation_chains_materialise_identically() {
         // Owned oracle and store evolve in lockstep: owned[i] <-> refs[i].
         let mut owned: Vec<Facts> = vec![root.clone()];
         let mut refs: Vec<StateRef> = vec![store.insert(None, &root).state];
-        let mut parents: Vec<usize> = vec![0];
 
         for _ in 0..60 {
             let parent = rng.gen_range(owned.len());
@@ -128,22 +104,10 @@ fn random_mutation_chains_materialise_identically() {
                     );
                     owned.push(child);
                     refs.push(ins.state);
-                    parents.push(parent);
                 }
             }
         }
 
-        // Access paths: every single-position path over the schema.
-        let paths: Vec<(RelId, Vec<usize>)> = (0..NUM_RELS as usize)
-            .flat_map(|r| {
-                [
-                    (RelId::from_index(r), vec![0]),
-                    (RelId::from_index(r), vec![1]),
-                ]
-            })
-            .collect();
-
-        let mut indexes: Vec<InstanceIndex> = Vec::new();
         for i in 0..owned.len() {
             let facts = &owned[i];
             let view = store.view(refs[i]);
@@ -164,24 +128,6 @@ fn random_mutation_chains_materialise_identically() {
 
             // Dedup lookup finds exactly this state.
             assert_eq!(store.find(facts), Some(refs[i]));
-
-            // Copy-on-write index == scratch index, probe for probe.
-            let scratch = InstanceIndex::build(&inst, paths.iter().cloned());
-            let cow = if i == 0 {
-                InstanceIndex::build(&inst, paths.iter().cloned())
-            } else {
-                match store.delta_rels(refs[i], NUM_RELS) {
-                    Some(touched) => InstanceIndex::rebuild_delta(
-                        &indexes[parents[i]],
-                        &inst,
-                        &touched,
-                        paths.iter().cloned(),
-                    ),
-                    None => InstanceIndex::build(&inst, paths.iter().cloned()),
-                }
-            };
-            assert_index_matches(&scratch, &cow, &inst, &vals);
-            indexes.push(cow);
         }
     }
 }

@@ -16,14 +16,17 @@ cargo test -q
 # so the differential suites below already ran; the named reruns keep the
 # gate loud if a target is ever renamed or feature-gated away.
 echo "== differential suites"
-# Query plans: reference / nested-loop / plan-scan / plan+index, the
-# guided multi-atom joins, and compiled constraint checks against both
-# evaluators (with the path each constraint took).
+# Query plans against the reference evaluator, sorted-prefix probes
+# against filtered scans row for row, the guided multi-atom joins, and
+# compiled constraint checks against both evaluators (with the path each
+# constraint took).
 cargo test -q -p dcds-folang --test plan_differential --test guided_differential
 # Engines: both state storages against the reference constructions at
-# 1/2/4/8 threads, plus thread-count invariance with plans and indexes;
-# the e2e rows' written specs against their library twins, with the model
-# checker's extension size and counters pinned on every explicit row.
+# 1/2/4/8 threads (the audit systems' non-prefix joins included), DO and
+# the legal assignments against their definitions on every reachable
+# state, and thread-count invariance; the e2e rows' written specs against
+# their library twins, with the model checker's extension size and
+# counters pinned on every explicit row.
 cargo test -q -p dcds-bench --test engine_differential --test plan_paths --test e2e_rows
 # Compact store vs owned facts at the materialisation level.
 cargo test -q -p dcds-reldata --test store_differential
@@ -34,8 +37,9 @@ cargo test -q --test symbolic_differential
 cargo test -q -p dcds-symbolic
 # Staged model checker (fused quantifier blocks, bitset extensions) vs
 # the naive Kleene evaluator on seeded random formulas, the fusion edge
-# shapes, and a 120-state system with non-prefix query leaves and
-# multi-iteration violated AGs, at 1/2/4 threads with identical counters;
+# shapes, and a 120-state system whose query leaves scan on non-prefix
+# columns and whose violated AGs take several iterations, at 1/2/4
+# threads with identical counters;
 # closed µLA formulas also through PROP(Φ).
 cargo test -q --test mc_engine_differential
 

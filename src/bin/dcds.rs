@@ -95,7 +95,9 @@ use dcds_verify::cli::{write_stdout, Flags, ObsCli, UsageError};
 use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
-use dcds_verify::mucalc::{check_traced, classify, diagnostics, parse_mu, McOptions, SafetyMode};
+use dcds_verify::mucalc::{
+    check_traced, classify, diagnostics, ensure_closed, parse_mu, McCounters, McOptions, SafetyMode,
+};
 use dcds_verify::obs::{export::json_escape, span, Obs};
 use dcds_verify::reldata::{ConstantPool, InstanceDisplay};
 use dcds_verify::symbolic::{check_safety_traced, render_trace, SymOptions, SymVerdict};
@@ -589,20 +591,28 @@ fn do_check(
     let mut pool_for_parse = dcds.data.pool.clone();
     let phi = parse_mu(formula, &mut schema, &mut pool_for_parse).map_err(|e| e.to_string())?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
+    ensure_closed(&phi).map_err(|e| e.to_string())?;
     let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     let complete = cut.complete();
-    let run = check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
-    let verdict = run.holds;
-    // A truncated abstraction decides nothing, so no verdict is reported:
-    // the same output contract as the symbolic engine's inconclusive runs.
-    let inconclusive = cut.reason(max_states);
+    // A truncated abstraction decides nothing, so the fixpoint is not run
+    // and no verdict is reported — the same output contract as the
+    // symbolic engine's inconclusive runs — and the model checker's
+    // counters stay at zero.
+    let (verdict, mc_counters) = match cut.reason(max_states) {
+        None => {
+            let run =
+                check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
+            (Ok(run.holds), run.counters)
+        }
+        Some(reason) => (Err(reason), McCounters::default()),
+    };
     match format {
         OutputFormat::Json => {
             // One JSON object: the machine-readable counterpart of the
             // text report, counters included (serde-free `to_json`).
-            let (verdict, reason) = match &inconclusive {
-                None => (verdict.to_string(), String::new()),
-                Some(r) => (
+            let (verdict, reason) = match &verdict {
+                Ok(holds) => (holds.to_string(), String::new()),
+                Err(r) => (
                     "null".to_string(),
                     format!(",\"reason\":\"{}\"", json_escape(r)),
                 ),
@@ -617,7 +627,7 @@ fn do_check(
                 ts.num_edges(),
                 complete,
                 counters.to_json(),
-                run.counters.to_json(),
+                mc_counters.to_json(),
             );
         }
         OutputFormat::Text => {
@@ -626,41 +636,42 @@ fn do_check(
                 "abstraction: {how}, {} states, complete = {complete}",
                 ts.num_states()
             );
-            match &inconclusive {
-                None => {}
-                Some(_) if cut.eval_skips == 0 => eprintln!(
+            match &verdict {
+                Ok(_) => {}
+                Err(_) if cut.eval_skips == 0 => eprintln!(
                     "WARNING: the abstraction is truncated; raise --max-states for a verdict"
                 ),
-                Some(reason) => eprintln!("WARNING: the abstraction is truncated: {reason}"),
+                Err(reason) => eprintln!("WARNING: the abstraction is truncated: {reason}"),
             }
             eprintln!(
-                "mc engine ({threads} thread{}): {}",
+                "mc engine ({threads} thread{}): {mc_counters}",
                 if threads == 1 { "" } else { "s" },
-                run.counters
             );
-            if let Some(rate) = run.counters.cache_hit_rate() {
+            if let Some(rate) = mc_counters.cache_hit_rate() {
                 eprintln!(
                     "query-extension cache resolved {:.1}% of extension requests",
                     rate * 100.0
                 );
             }
-            match &inconclusive {
-                None => outln!("verdict: {verdict}"),
-                Some(r) => outln!("verdict: inconclusive ({r})"),
+            match &verdict {
+                Ok(holds) => outln!("verdict: {holds}"),
+                Err(r) => outln!("verdict: inconclusive ({r})"),
             }
         }
     }
     if witness {
         // A path explains an AG violation or an EF success; the state
-        // property's own extension picks the path's last state.
+        // property's own extension picks the path's last state. Without a
+        // verdict the path search itself decides: it finds no path exactly
+        // when the fixpoint would have suppressed it.
         let render = |p: &[_]| diagnostics::render_path(p, &ts, &dcds.data.schema, &pool);
         match diagnostics::ag_ef_property(&phi) {
-            Some((SafetyMode::AlwaysGood, good)) if !verdict => {
+            Some((SafetyMode::AlwaysGood, good)) if verdict != Ok(true) => {
                 if let Some(p) = diagnostics::counterexample_ag(good, &ts) {
                     eprintln!("shortest path to a violating state:\n  {}", render(&p));
                 }
             }
-            Some((SafetyMode::EventuallyBad, goal)) if verdict => {
+            Some((SafetyMode::EventuallyBad, goal)) if verdict != Ok(false) => {
                 if let Some(p) = diagnostics::witness_ef(goal, &ts) {
                     eprintln!("a satisfying state (shortest path):\n  {}", render(&p));
                 }
@@ -674,12 +685,10 @@ fn do_check(
     }
     drop(run_span);
     obs_cli.finish(&obs)?;
-    Ok(ExitCode::from(if !complete {
-        EXIT_INCONCLUSIVE
-    } else if verdict {
-        EXIT_HOLDS
-    } else {
-        EXIT_VIOLATED
+    Ok(ExitCode::from(match verdict {
+        Err(_) => EXIT_INCONCLUSIVE,
+        Ok(true) => EXIT_HOLDS,
+        Ok(false) => EXIT_VIOLATED,
     }))
 }
 

@@ -162,6 +162,49 @@ fn check_truncated_abstraction_is_inconclusive() {
 }
 
 #[test]
+fn check_runs_no_fixpoint_on_a_truncated_abstraction() {
+    // The parity property does not fuse (`!(X = Y)` is evaluated per
+    // binding over ADOM(Θ)²): its fixpoint over this truncated abstraction
+    // costs millions of query evaluations, and a truncated run reports no
+    // verdict, so none runs and the model checker's counters stay zero.
+    let (code, stdout, _stderr) = dcds_streams(&[
+        "check",
+        &spec("accumulator.dcds"),
+        "mu Z . (exists X, Y . Q(X) & Q(Y) & !(X = Y)) | <> Z",
+        "--max-states",
+        "300",
+        "--format",
+        "json",
+    ]);
+    assert_eq!(code, 2, "{stdout}");
+    assert!(stdout.contains("\"verdict\":null"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "\"mc_counters\":{\"query_state_evals\":0,\"cache_hits\":0,\"cache_misses\":0,\
+             \"fixpoint_iterations\":0,\"state_subformula_visits\":0}"
+        ),
+        "{stdout}"
+    );
+
+    // `--witness` still searches the truncated abstraction: a violating
+    // state it reaches is a real counterexample.
+    let (code, text) = dcds_code(&[
+        "check",
+        &spec("bad/nonacyclic.dcds"),
+        "nu Z . (forall X . !Q(X)) & [] Z",
+        "--max-states",
+        "5",
+        "--witness",
+    ]);
+    assert_eq!(code, 2, "{text}");
+    assert_eq!(
+        path_after(&text, "shortest path to a violating state"),
+        ["s0:{R(a)}", "s1:{R(a) Q(a)}"],
+        "{text}"
+    );
+}
+
+#[test]
 fn check_names_the_evaluation_budget_when_rcycl_skips_steps() {
     // Every step doubles R, so the calls per step grow until `EVALS_F`
     // exceeds the per-step evaluation budget; the state budget is never

@@ -12,9 +12,9 @@
 //! request system through RCYCL, `service_cycle` and `collision_pairs`
 //! through the deterministic abstraction. `collision_pairs(6)` (120
 //! states, so state sets span two 64-bit words and the last one is
-//! partial) also runs query leaves whose plans probe a non-prefix access
-//! path next to prefix-keyed ones, and violated AG properties whose
-//! greatest fixpoints iterate several times.
+//! partial) also runs query leaves whose plans scan on a non-prefix
+//! access path next to prefix-keyed ones, and violated AG properties
+//! whose greatest fixpoints iterate several times.
 
 use dcds_verify::bench::rng::SplitMix64;
 use dcds_verify::bench::{examples, synthetic, travel};
