@@ -140,9 +140,7 @@ fn gen_case(rng: &mut SplitMix64) -> Case {
     }
 }
 
-/// The four evaluators agree on random parameterless UCQs, and the plan
-/// is deterministic: repeated runs produce the same rows in the same order
-/// (the engines rely on this for thread-count-independent output).
+/// The four evaluators agree on random parameterless UCQs.
 #[test]
 fn four_way_agreement_on_random_ucqs() {
     let mut rng = SplitMix64(0xdcd5);
@@ -160,12 +158,6 @@ fn four_way_agreement_on_random_ucqs() {
             "case {case_ix}: plan diverged"
         );
         let head = head_of(&case.ucq);
-        assert_eq!(
-            rows_in_order(&plan, &ctx, &head),
-            rows_in_order(&plan, &ctx, &head),
-            "case {case_ix}: row order is not deterministic"
-        );
-
         let by_row = CompiledPlan::compile(&case.ucq, &head.iter().cloned().collect())
             .unwrap_or_else(|e| panic!("case {case_ix}: head as parameters: {e}"));
         for row in &reference {
@@ -185,6 +177,53 @@ fn four_way_agreement_on_random_ucqs() {
     }
     // The generator must not silently degenerate into all-empty answers.
     assert!(nonempty > 40, "only {nonempty}/400 cases had answers");
+}
+
+/// The plan is deterministic: repeated runs produce the same rows in the
+/// same order (the engines rely on this for thread-count-independent
+/// output), whether the run counts its probes and scans or not, and on a
+/// copy of the instance built from its facts in reverse order — a
+/// sorted-prefix range, the one indexed access a plan has, depends on the
+/// instance's contents only.
+#[test]
+fn index_on_off_determinism() {
+    let mut rng = SplitMix64(0x5eed);
+    for case_ix in 0..100 {
+        let case = gen_case(&mut rng);
+        let plan = CompiledPlan::compile(&case.ucq, &BTreeSet::new()).unwrap();
+        let head = head_of(&case.ucq);
+        let rebuilt = Instance::from_facts(
+            case.instance
+                .facts()
+                .map(|(rel, t)| (rel, t.clone()))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .rev(),
+        );
+        assert_eq!(rebuilt, case.instance, "case {case_ix}: rebuild");
+        let ctx = EvalCtx::scan(&case.instance);
+        let baseline = plan.eval(&ctx, &Assignment::new());
+        let baseline_rows = rows_in_order(&plan, &ctx, &head);
+        let stats = PlanStats::default();
+        for _ in 0..3 {
+            for ctx in [
+                EvalCtx::scan(&case.instance),
+                EvalCtx::scan(&case.instance).stats(&stats),
+                EvalCtx::scan(&rebuilt),
+            ] {
+                assert_eq!(
+                    plan.eval(&ctx, &Assignment::new()),
+                    baseline,
+                    "case {case_ix}: answers"
+                );
+                assert_eq!(
+                    rows_in_order(&plan, &ctx, &head),
+                    baseline_rows,
+                    "case {case_ix}: row order is not deterministic"
+                );
+            }
+        }
+    }
 }
 
 /// Parameterised plans agree with filtering the unparameterised answers:
