@@ -20,20 +20,35 @@
 //! effect stays serial:
 //!
 //! 1. *enumerate* (parallel): per frontier state, legal assignments,
-//!    `DO(I, ασ)` pre-instances, and the equality commitments of the new
-//!    calls — none of which touch the constant pool;
+//!    `DO(I, ασ)` split into its base and its call-bearing facts
+//!    ([`SplitDo`]), the base checked once against the constraints that
+//!    have a delta check, and the equality commitments of the new calls —
+//!    none of which touch the constant pool;
 //! 2. *mint* (serial, frontier order): instantiate each commitment's fresh
 //!    cells from the shared [`ConstantPool`];
-//! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks):
-//!    [`det_step_with_pre`], the successor's [`Facts`] encoding, its
-//!    invariant signature ([`Facts::signature`], from scratch) and, when
-//!    the class index already has a matching signature bucket, its
-//!    canonical key;
+//! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks): the
+//!    screen ([`SplitDo::screen`]) resolves only the call-bearing facts
+//!    into a small delta and decides those constraints on the guard rows
+//!    that use a delta fact, so a rejected commitment (most of them, on
+//!    the collision benchmarks) builds nothing. Survivors get their
+//!    instance, the full check of the other constraints and their call map
+//!    ([`SplitDo::materialise`]), the [`Facts`] encoding, its invariant
+//!    signature ([`Facts::signature`], from scratch) and, when the class
+//!    index already has a matching signature bucket, the canonical key.
+//!    The result equals the definitional
+//!    [`det_step_with_pre`](dcds_core::det::det_step_with_pre)'s;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
 //!    admit new classes to the storage, record edges, apply the state
 //!    budget.
 //!
-//! Chunking bounds the per-level scratch (pre-instances, stepped
+//! With observability on, each worker times its task's screen,
+//! materialisation, encoding and key, and the merge sums them into one
+//! `abs.screen_us` / `abs.materialise_us` / `abs.encode_us` /
+//! `abs.key_us` sample per level (`abs.key_us` also covers the merge's
+//! own keys). The `abs.commitments` and `abs.commitments_rejected`
+//! counters count the step tasks and the ones the constraints rejected.
+//!
+//! Chunking bounds the per-level scratch (split pre-instances, stepped
 //! successors) on wide levels. Because phases 2 and 4 run in global
 //! frontier/task order, the output (`Ts`, outcome, pool, counters) is
 //! **bit-identical for every thread count, chunk size and storage** —
@@ -56,16 +71,15 @@
 
 use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
 use dcds_core::commitment::instantiate;
-use dcds_core::det::{det_step_with_pre, DetState};
+use dcds_core::det::{DetState, SplitDo};
 use dcds_core::do_op::{
-    do_action, legal_assignments, publish_query_stats_delta, query_stats_snapshot, PreInstance,
+    do_action, legal_assignments, publish_query_stats_delta, query_stats_snapshot,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{enumerate_commitments, ActionId, Commitment, Dcds, StateId, StateSpace};
-use dcds_folang::Assignment;
-use dcds_obs::{event, span, Obs};
+use dcds_core::{enumerate_commitments, Commitment, Dcds, ServiceCall, StateId, StateSpace};
+use dcds_obs::{event, span, Obs, PhaseClock};
 use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,6 +250,7 @@ impl<C> ClassIndex<C> {
         sig: u64,
         probe_key: &mut Option<CanonKey>,
         counters: &mut EngineCounters,
+        key_clock: &mut PhaseClock,
     ) -> Option<usize> {
         let ClassIndex {
             rigid,
@@ -250,7 +265,7 @@ impl<C> ClassIndex<C> {
         };
         // Materialise the probe's key on first need.
         let pk = probe_key.get_or_insert_with(|| {
-            let (k, stats) = facts.canonical_key_stats(rigid);
+            let (k, stats) = key_clock.time(|| facts.canonical_key_stats(rigid));
             credit_canon(counters, stats);
             k
         });
@@ -258,7 +273,8 @@ impl<C> ClassIndex<C> {
         // the whole construction — so the exact-map probe below replaces a
         // scan of the group.
         for ix in std::mem::take(&mut group.unkeyed) {
-            let (ck, stats) = storage.class_facts(&classes[ix]).canonical_key_stats(rigid);
+            let resident = storage.class_facts(&classes[ix]);
+            let (ck, stats) = key_clock.time(|| resident.canonical_key_stats(rigid));
             credit_canon(counters, stats);
             exact.insert(ck, ix);
             group.keyed += 1;
@@ -292,16 +308,15 @@ struct FrontierState {
 }
 
 /// What the parallel enumeration phase computes per `(state, ασ)`: the
-/// action, its assignment, the pre-instance, and the equality commitments
-/// over the not-yet-mapped calls.
-type EnumeratedStep = (ActionId, Assignment, PreInstance, Vec<Commitment>);
+/// split `DO(I, ασ)` and the equality commitments over its new calls.
+type EnumeratedStep = (SplitDo, Vec<Commitment>);
 
 /// One phase-3 task: a `(frontier state, ασ, commitment)` triple with its
 /// minted evaluation choice.
 struct StepTask<'a> {
     frontier_ix: usize,
-    pre: &'a PreInstance,
-    choice: std::collections::BTreeMap<dcds_core::ServiceCall, Value>,
+    split: &'a SplitDo,
+    choice: BTreeMap<ServiceCall, Value>,
 }
 
 /// A stepped successor awaiting the serial merge: the state, its facts,
@@ -309,6 +324,44 @@ struct StepTask<'a> {
 /// stats the merge will account for in task order. `None` when the
 /// commitment representative violates the constraints.
 type Stepped = Option<(DetState, Facts, u64, Option<(CanonKey, CanonStats)>)>;
+
+/// The det phase timers: each worker times its own task, and the merge
+/// sums them into one sample per level (inert while obs is off).
+struct PhaseClocks {
+    /// Resolving `Δ` and the delta checks ([`SplitDo::screen`]).
+    screen: PhaseClock,
+    /// Building a survivor's state ([`SplitDo::materialise`]).
+    materialise: PhaseClock,
+    /// The [`Facts`] encoding and its signature.
+    encode: PhaseClock,
+    /// Canonical keys, in the step and in the merge.
+    key: PhaseClock,
+}
+
+impl PhaseClocks {
+    fn new(obs: &Obs) -> PhaseClocks {
+        PhaseClocks {
+            screen: PhaseClock::new(obs),
+            materialise: PhaseClock::new(obs),
+            encode: PhaseClock::new(obs),
+            key: PhaseClock::new(obs),
+        }
+    }
+
+    fn absorb(&mut self, task: PhaseClocks) {
+        self.screen.absorb(task.screen);
+        self.materialise.absorb(task.materialise);
+        self.encode.absorb(task.encode);
+        self.key.absorb(task.key);
+    }
+
+    fn publish(self, obs: &Obs) {
+        self.screen.publish(obs, "abs.screen_us");
+        self.materialise.publish(obs, "abs.materialise_us");
+        self.encode.publish(obs, "abs.encode_us");
+        self.key.publish(obs, "abs.key_us");
+    }
+}
 
 /// The deterministic abstraction over an explicit storage `S` — the one
 /// body behind [`det_abstraction`] and [`det_abstraction_traced`], public
@@ -348,6 +401,7 @@ pub fn build<S: ClassStorage>(
     }];
     let mut outcome = AbsOutcome::Complete;
     let mut level = 0usize;
+    let (mut commitments, mut rejected) = (0u64, 0u64);
 
     while !frontier.is_empty() {
         counters.states_expanded += frontier.len() as u64;
@@ -370,26 +424,24 @@ pub fn build<S: ClassStorage>(
         let mut next_frontier: Vec<FrontierState> = Vec::new();
         let mut dedup_hits = 0u64;
         let mut edges_added = 0u64;
+        let mut clocks = PhaseClocks::new(obs);
         for chunk in frontier.chunks(level_chunk) {
-            // Phase 1 (parallel): legal assignments, pre-instances, and
-            // commitments per frontier state. Nothing here touches the pool.
+            // Phase 1 (parallel): legal assignments, the split `DO` (with
+            // its base checked once), and commitments per frontier state.
+            // Nothing here touches the pool.
             let enumerated: Vec<Vec<EnumeratedStep>> =
                 par_map_obs(chunk, threads, obs, "enumerate", |entry| {
                     let state = &entry.state;
+                    let mut known: BTreeSet<Value> = state.known_values();
+                    known.extend(rigid.iter().copied());
+                    let known: Vec<Value> = known.into_iter().collect();
                     legal_assignments(dcds, &state.instance)
                         .into_iter()
                         .map(|(action, sigma)| {
                             let pre = do_action(dcds, &state.instance, action, &sigma);
-                            let new_calls: Vec<dcds_core::ServiceCall> = pre
-                                .calls()
-                                .into_iter()
-                                .filter(|c| !state.call_map.contains_key(c))
-                                .collect();
-                            let mut known: BTreeSet<Value> = state.known_values();
-                            known.extend(rigid.iter().copied());
-                            let known: Vec<Value> = known.into_iter().collect();
-                            let commitments = enumerate_commitments(&new_calls, &known);
-                            (action, sigma, pre, commitments)
+                            let split = SplitDo::new(dcds, state, &pre);
+                            let commitments = enumerate_commitments(split.new_calls(), &known);
+                            (split, commitments)
                         })
                         .collect()
                 });
@@ -398,40 +450,57 @@ pub fn build<S: ClassStorage>(
             // every commitment — the exact mint sequence of a serial loop.
             let mut tasks: Vec<StepTask> = Vec::new();
             for (frontier_ix, per_state) in enumerated.iter().enumerate() {
-                for (_action, _sigma, pre, commitments) in per_state {
+                for (split, commitments) in per_state {
                     for commitment in commitments {
                         tasks.push(StepTask {
                             frontier_ix,
-                            pre,
+                            split,
                             choice: instantiate(commitment, &mut pool),
                         });
                     }
                 }
             }
 
-            // Phase 3 (parallel): evaluate every commitment representative,
-            // encode it, and — on a signature hit against the class index
-            // as it stood at the start of the batch — canonicalise it
-            // eagerly so the serial merge rarely has to.
+            // Phase 3 (parallel): screen every commitment representative
+            // against the constraints, build and encode the survivors, and
+            // — on a signature hit against the class index as it stood at
+            // the start of the batch — canonicalise eagerly so the serial
+            // merge rarely has to.
             let step_timer = obs.timer();
-            let stepped: Vec<Stepped> = par_map_obs(&tasks, threads, obs, "step", |task| {
-                let state = &chunk[task.frontier_ix].state;
-                det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
-                    let facts = next.to_facts(num_rels);
-                    let sig = facts.signature(&rigid);
-                    let key = index
-                        .bucket_occupied(sig)
-                        .then(|| facts.canonical_key_stats(&rigid));
-                    (next, facts, sig, key)
-                })
-            });
+            let stepped: Vec<(Stepped, PhaseClocks)> =
+                par_map_obs(&tasks, threads, obs, "step", |task| {
+                    let state = &chunk[task.frontier_ix].state;
+                    let mut c = PhaseClocks::new(obs);
+                    let next = c
+                        .screen
+                        .time(|| task.split.screen(dcds, state, &task.choice))
+                        .and_then(|delta| {
+                            c.materialise
+                                .time(|| task.split.materialise(dcds, state, &task.choice, delta))
+                        })
+                        .map(|next| {
+                            let (facts, sig) = c.encode.time(|| {
+                                let facts = next.to_facts(num_rels);
+                                let sig = facts.signature(&rigid);
+                                (facts, sig)
+                            });
+                            let key = index
+                                .bucket_occupied(sig)
+                                .then(|| c.key.time(|| facts.canonical_key_stats(&rigid)));
+                            (next, facts, sig, key)
+                        });
+                    (next, c)
+                });
             obs.time_us("abs.step_phase_us", step_timer);
 
             // Phase 4 (serial, task order): deduplicate, admit new classes
             // and record edges.
             let merge_timer = obs.timer();
-            for (task, next) in tasks.iter().zip(stepped) {
+            commitments += tasks.len() as u64;
+            for (task, (next, task_clocks)) in tasks.iter().zip(stepped) {
+                clocks.absorb(task_clocks);
                 let Some((next, facts, sig, key)) = next else {
+                    rejected += 1;
                     continue;
                 };
                 let source = chunk[task.frontier_ix].id;
@@ -441,7 +510,15 @@ pub fn build<S: ClassStorage>(
                     credit_canon(&mut counters, *stats);
                 }
                 let mut key: Option<CanonKey> = key.map(|(k, _)| k);
-                let next_id = match index.find(&storage, &facts, sig, &mut key, &mut counters) {
+                let found = index.find(
+                    &storage,
+                    &facts,
+                    sig,
+                    &mut key,
+                    &mut counters,
+                    &mut clocks.key,
+                );
+                let next_id = match found {
                     Some(class_ix) => {
                         dedup_hits += 1;
                         StateId::from_index(class_ix)
@@ -462,6 +539,7 @@ pub fn build<S: ClassStorage>(
             }
             obs.time_us("abs.merge_phase_us", merge_timer);
         }
+        clocks.publish(obs);
         level_span.set("new_classes", next_frontier.len() as u64);
         event!(
             obs,
@@ -479,6 +557,8 @@ pub fn build<S: ClassStorage>(
     }
 
     obs.counter_add("abs.levels", level as u64);
+    obs.counter_add("abs.commitments", commitments);
+    obs.counter_add("abs.commitments_rejected", rejected);
     counters.publish(obs, "abs");
     storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
@@ -509,6 +589,18 @@ mod tests {
     fn index_over<S: ClassStorage>(rigid: BTreeSet<Value>) -> (S, ClassIndex<S::Class>) {
         let (storage, _) = S::with_initial_class(&example_4_3(), &Instance::new(), Facts::new());
         (storage, ClassIndex::new(rigid))
+    }
+
+    /// [`ClassIndex::find`] with the key clock off.
+    fn lookup<S: ClassStorage>(
+        index: &mut ClassIndex<S::Class>,
+        storage: &S,
+        facts: &Facts,
+        sig: u64,
+        key: &mut Option<CanonKey>,
+        counters: &mut EngineCounters,
+    ) -> Option<usize> {
+        index.find(storage, facts, sig, key, counters, &mut PhaseClock::off())
     }
 
     /// Admit `facts` as a new class, as the merge phase does.
@@ -697,7 +789,7 @@ mod tests {
             let sig = class.signature(&rigid);
             let mut key = None;
             assert_eq!(
-                index.find(&storage, &class, sig, &mut key, &mut counters),
+                lookup(&mut index, &storage, &class, sig, &mut key, &mut counters),
                 None
             );
             admit(&mut storage, &mut index, class, sig, key);
@@ -707,7 +799,7 @@ mod tests {
         let before = counters;
         let mut key = None;
         assert_eq!(
-            index.find(&storage, &probe, sig, &mut key, &mut counters),
+            lookup(&mut index, &storage, &probe, sig, &mut key, &mut counters),
             None
         );
         assert!(key.is_none(), "empty-group probe must not compute a key");
@@ -739,7 +831,7 @@ mod tests {
             assert_eq!(sig, sig0, "matchings must collide on one signature");
             let mut key = None;
             assert_eq!(
-                index.find(&storage, &facts, sig, &mut key, &mut counters),
+                lookup(&mut index, &storage, &facts, sig, &mut key, &mut counters),
                 None
             );
             admit(&mut storage, &mut index, facts, sig, key);
@@ -750,7 +842,7 @@ mod tests {
             let probe = matching_facts(m, 5000 + expect_ix);
             let mut key = None;
             assert_eq!(
-                index.find(&storage, &probe, sig0, &mut key, &mut counters),
+                lookup(&mut index, &storage, &probe, sig0, &mut key, &mut counters),
                 Some(expect_ix)
             );
         }
@@ -787,14 +879,17 @@ mod tests {
         let a = unary_facts(0, &(100..109).collect::<Vec<_>>());
         let sig = a.signature(&rigid);
         let mut key = None;
-        assert_eq!(index.find(&storage, &a, sig, &mut key, &mut counters), None);
+        assert_eq!(
+            lookup(&mut index, &storage, &a, sig, &mut key, &mut counters),
+            None
+        );
         admit(&mut storage, &mut index, a, sig, key);
 
         let b = unary_facts(0, &(200..209).collect::<Vec<_>>());
         assert_eq!(b.signature(&rigid), sig);
         let mut key = None;
         assert_eq!(
-            index.find(&storage, &b, sig, &mut key, &mut counters),
+            lookup(&mut index, &storage, &b, sig, &mut key, &mut counters),
             Some(0)
         );
         assert!(key.is_some(), "symmetric class must key successfully");

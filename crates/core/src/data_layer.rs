@@ -1,6 +1,6 @@
 //! The data layer `D = ⟨C, R, E, I₀⟩`.
 
-use dcds_folang::{EqualityConstraint, FoConstraint};
+use dcds_folang::{Constraint, EqualityConstraint, FoConstraint};
 use dcds_reldata::{ConstantPool, Instance, Schema, Value};
 use std::collections::BTreeSet;
 
@@ -42,10 +42,16 @@ impl DataLayer {
         self.initial.active_domain()
     }
 
+    /// Every constraint of the layer: the equality constraints, then the
+    /// FO integrity constraints.
+    pub fn all_constraints(&self) -> impl Iterator<Item = &dyn Constraint> {
+        let eq = self.constraints.iter().map(|c| c as &dyn Constraint);
+        eq.chain(self.fo_constraints.iter().map(|c| c as &dyn Constraint))
+    }
+
     /// Does an instance satisfy every constraint of the layer?
     pub fn satisfies_constraints(&self, inst: &Instance) -> bool {
-        self.constraints.iter().all(|c| c.satisfied(inst))
-            && self.fo_constraints.iter().all(|c| c.satisfied(inst))
+        self.all_constraints().all(|c| c.satisfied(inst))
     }
 
     /// Validate the layer itself: `I₀` conforms to the schema and satisfies

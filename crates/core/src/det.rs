@@ -16,10 +16,10 @@
 use crate::action::ActionId;
 use crate::commitment::{enumerate_commitments, instantiate, Commitment};
 use crate::dcds::Dcds;
-use crate::do_op::{do_action, legal_assignments, resolve_with_map};
-use crate::term::ServiceCall;
+use crate::do_op::{do_action, legal_assignments, resolve_with_map, PreInstance};
+use crate::term::{GTerm, ServiceCall};
 use dcds_folang::Assignment;
-use dcds_reldata::{ConstantPool, Facts, Instance, Tuple, Value};
+use dcds_reldata::{ConstantPool, Facts, Instance, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A state of the deterministic concrete transition system: `⟨I, M⟩`.
@@ -90,7 +90,7 @@ pub fn det_step(
 pub fn det_step_with_pre(
     dcds: &Dcds,
     state: &DetState,
-    pre: &crate::do_op::PreInstance,
+    pre: &PreInstance,
     choice: &BTreeMap<ServiceCall, Value>,
 ) -> Option<DetState> {
     let mut new_map = state.call_map.clone();
@@ -117,6 +117,144 @@ pub fn det_step_with_pre(
         instance: inst,
         call_map: new_map,
     })
+}
+
+/// `DO(I, ασ)` split once per `(⟨I, M⟩, ασ)` so that each equality
+/// commitment of its new calls is screened before its successor is built
+/// (the det abstraction's step):
+///
+/// * the *base*: the facts with no new call, old calls resolved through
+///   `M`. It is part of every commitment's successor instance, and it is
+///   checked once against the constraints that have a delta check; if it
+///   already violates one, so does every successor;
+/// * the facts that carry a new call, resolved per commitment into a
+///   small delta `Δ` ([`SplitDo::screen`]), against which those
+///   constraints are decided on the guard rows that use a `Δ` fact;
+/// * the new calls, in `CALLS` order, for the commitment enumeration.
+///
+/// Only a commitment that passes the screen gets its instance `base ∪ Δ`,
+/// the full check of the remaining constraints and its call map
+/// ([`SplitDo::materialise`]). [`SplitDo::step`] returns exactly what
+/// [`det_step_with_pre`] returns, for a choice that answers the new calls.
+#[derive(Debug, Clone)]
+pub struct SplitDo {
+    base: Instance,
+    /// The facts with a new call, unresolved.
+    pending: Vec<(RelId, Vec<GTerm>)>,
+    new_calls: Vec<ServiceCall>,
+    /// The base violates a constraint that has a delta check.
+    base_violates: bool,
+}
+
+impl SplitDo {
+    /// Split `pre = DO(I, ασ)` against the state's call map `M`.
+    pub fn new(dcds: &Dcds, state: &DetState, pre: &PreInstance) -> SplitDo {
+        let mut base = Instance::new();
+        let mut pending = Vec::new();
+        let mut new_calls = BTreeSet::new();
+        for (rel, terms) in pre.facts() {
+            let mut vals = Vec::with_capacity(terms.len());
+            for t in terms {
+                match t {
+                    GTerm::Val(v) => vals.push(*v),
+                    GTerm::Call(c) => match state.call_map.get(c) {
+                        Some(v) => vals.push(*v),
+                        None => {
+                            new_calls.insert(c.clone());
+                        }
+                    },
+                }
+            }
+            if vals.len() == terms.len() {
+                base.insert(rel, Tuple::from(vals));
+            } else {
+                pending.push((rel, terms.to_vec()));
+            }
+        }
+        let base_violates = dcds
+            .data
+            .all_constraints()
+            .any(|c| c.has_delta_check() && !c.satisfied(&base));
+        SplitDo {
+            base,
+            pending,
+            new_calls: new_calls.into_iter().collect(),
+            base_violates,
+        }
+    }
+
+    /// The calls of `DO(I, ασ)` that `M` does not answer, in order.
+    pub fn new_calls(&self) -> &[ServiceCall] {
+        &self.new_calls
+    }
+
+    /// Resolve the call-bearing facts under `M` and `choice` into `Δ`, and
+    /// decide every constraint that has a delta check on `base ∪ Δ`.
+    /// `None` when one is violated (or `choice` misses a new call);
+    /// otherwise `Δ`, for [`SplitDo::materialise`].
+    pub fn screen(
+        &self,
+        dcds: &Dcds,
+        state: &DetState,
+        choice: &BTreeMap<ServiceCall, Value>,
+    ) -> Option<Instance> {
+        if self.base_violates {
+            return None;
+        }
+        let mut delta = Instance::new();
+        for (rel, terms) in &self.pending {
+            let mut vals = Vec::with_capacity(terms.len());
+            for t in terms {
+                vals.push(match t {
+                    GTerm::Val(v) => *v,
+                    GTerm::Call(c) => *state.call_map.get(c).or_else(|| choice.get(c))?,
+                });
+            }
+            delta.insert(*rel, Tuple::from(vals));
+        }
+        let violated = dcds
+            .data
+            .all_constraints()
+            .any(|c| c.satisfied_with_delta(&self.base, &delta) == Some(false));
+        (!violated).then_some(delta)
+    }
+
+    /// The successor of a screened commitment: `I' = base ∪ Δ`, checked
+    /// against the constraints without a delta check, and
+    /// `M' = M ∪ choice` over the new calls.
+    pub fn materialise(
+        &self,
+        dcds: &Dcds,
+        state: &DetState,
+        choice: &BTreeMap<ServiceCall, Value>,
+        delta: Instance,
+    ) -> Option<DetState> {
+        let mut instance = self.base.clone();
+        instance.extend_from(&delta);
+        let unscreened_ok = dcds
+            .data
+            .all_constraints()
+            .all(|c| c.has_delta_check() || c.satisfied(&instance));
+        if !unscreened_ok {
+            return None;
+        }
+        let mut call_map = state.call_map.clone();
+        for call in &self.new_calls {
+            call_map.insert(call.clone(), *choice.get(call)?);
+        }
+        Some(DetState { instance, call_map })
+    }
+
+    /// [`SplitDo::screen`], then [`SplitDo::materialise`].
+    pub fn step(
+        &self,
+        dcds: &Dcds,
+        state: &DetState,
+        choice: &BTreeMap<ServiceCall, Value>,
+    ) -> Option<DetState> {
+        let delta = self.screen(dcds, state, choice)?;
+        self.materialise(dcds, state, choice, delta)
+    }
 }
 
 /// The commitment-representative successors of a deterministic state: for

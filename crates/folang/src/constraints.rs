@@ -41,16 +41,33 @@
 //! not rebind a variable (`∀x. A → ∀x. B` would conflate two scopes), and
 //! `ψ` must be quantifier-free, since it is evaluated on the row alone.
 //!
+//! **Delta check.** When no consequent reads a relation (`ψ` is built
+//! from equalities, constants and connectives only), the guards are also
+//! compiled delta-first ([`DeltaPlan`]) and [`Constraint::satisfied_with_delta`]
+//! decides `base ∪ Δ` for a base that satisfies the constraint: each guard
+//! atom is matched against each `Δ` fact, and the rest of the guard joins
+//! over `base ∪ Δ` without building it. This is sound because `ψ`'s verdict
+//! on a row depends on the row alone: every guard row of the base is a
+//! guard row of `base ∪ Δ` with the same verdict, so a row that falsifies
+//! `ψ` on `base ∪ Δ` but not on the base matches some atom to a `Δ` fact.
+//! The det abstraction screens each equality commitment this way: it
+//! checks the part of `DO(I, ασ)` without new calls once and each
+//! commitment's few call-bearing facts as `Δ`. A constraint whose
+//! consequent reads a relation, or that falls back to the reference
+//! evaluator, has no delta check ([`Constraint::has_delta_check`]) and is
+//! checked in full on the materialised instance.
+//!
 //! **Fallback.** Every other constraint — a variable in no guard atom, a
 //! quantifier in the consequent, shadowing, a premise outside the UCQs —
 //! is checked by the guided reference evaluator ([`crate::eval`]) on every
 //! call, and [`FoConstraint::fallback`] / [`EqualityConstraint::fallback`]
 //! say why. Debug builds cross-check every compiled check against that
-//! reference.
+//! reference, and every delta verdict against the full check of the
+//! union.
 
 use crate::ast::{Assignment, Formula, QTerm, Var};
 use crate::eval::{answers, holds_closed};
-use crate::plan::{CompiledPlan, EvalCtx, PlanError};
+use crate::plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanError};
 use crate::ucq::{collect_conjuncts, ConjunctiveQuery, Ucq};
 use crate::QueryError;
 use dcds_reldata::{Instance, RelId, Schema, Tuple, Value};
@@ -164,6 +181,20 @@ impl EqualityConstraint {
     }
 }
 
+impl Constraint for EqualityConstraint {
+    fn satisfied(&self, inst: &Instance) -> bool {
+        EqualityConstraint::satisfied(self, inst)
+    }
+
+    fn has_delta_check(&self) -> bool {
+        self.path.as_ref().is_ok_and(|p| p.delta.is_some())
+    }
+
+    fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool> {
+        check_delta(&self.path, base, delta, |i| self.satisfied(i))
+    }
+}
+
 fn resolve(t: &QTerm, theta: &Assignment) -> Option<Value> {
     match t {
         QTerm::Const(c) => Some(*c),
@@ -239,6 +270,34 @@ impl FoConstraint {
     fn reference_satisfied(&self, inst: &Instance) -> bool {
         holds_closed(&self.sentence, inst).unwrap_or(false)
     }
+}
+
+impl Constraint for FoConstraint {
+    fn satisfied(&self, inst: &Instance) -> bool {
+        FoConstraint::satisfied(self, inst)
+    }
+
+    fn has_delta_check(&self) -> bool {
+        self.path.as_ref().is_ok_and(|p| p.delta.is_some())
+    }
+
+    fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool> {
+        check_delta(&self.path, base, delta, |i| self.satisfied(i))
+    }
+}
+
+/// What the engines ask of a data-layer constraint, of either kind.
+pub trait Constraint {
+    /// Does the instance satisfy the constraint?
+    fn satisfied(&self, inst: &Instance) -> bool;
+
+    /// Whether the constraint has a delta check (see the module docs).
+    fn has_delta_check(&self) -> bool;
+
+    /// For a `base` that satisfies the constraint: does `base ∪ delta`?
+    /// Decided on the guard rows that use a `delta` fact, without building
+    /// the union. `None` when the constraint has no delta check.
+    fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool>;
 }
 
 /// Why a constraint is outside the denial-plan fragment (see the module
@@ -355,13 +414,33 @@ fn check(
     }
 }
 
+/// The delta check of a constraint with a denial plan whose consequent
+/// reads no relation — cross-checked in debug builds against the full
+/// check of the materialised union — and `None` otherwise.
+fn check_delta(
+    path: &Result<DenialPlan, FallbackReason>,
+    base: &Instance,
+    delta: &Instance,
+    full: impl Fn(&Instance) -> bool,
+) -> Option<bool> {
+    let sat = path.as_ref().ok()?.satisfied_with_delta(base, delta)?;
+    debug_assert!(full(base), "the delta check needs a base that satisfies");
+    debug_assert_eq!(
+        sat,
+        full(&base.union(delta)),
+        "the delta check disagrees with the full check"
+    );
+    Some(sat)
+}
+
 /// A compiled `∀x̄. G₁ ∨ ... ∨ Gₖ → ψ`: the guards as one plan whose
-/// outputs are `ψ`'s variables, and `ψ` resolved against each guard's
-/// slots.
+/// outputs are `ψ`'s variables, `ψ` resolved against each guard's slots,
+/// and, when `ψ` reads no relation, the guards compiled delta-first.
 #[derive(Debug, Clone)]
 struct DenialPlan {
     guard: CompiledPlan,
     consequents: Vec<Pred>,
+    delta: Option<DeltaPlan>,
 }
 
 impl DenialPlan {
@@ -373,15 +452,23 @@ impl DenialPlan {
         for cq in &mut guards {
             cq.head = outputs.clone();
         }
-        let guard =
-            CompiledPlan::compile(&Ucq { disjuncts: guards }, &BTreeSet::new()).map_err(|e| {
-                let (PlanError::UnboundHeadVar(v) | PlanError::UnboundEqualityVar(v)) = e;
-                FallbackReason::UnguardedVar(Var::new(&v))
-            })?;
-        let consequents = (0..guard.disjuncts())
+        let ucq = Ucq { disjuncts: guards };
+        let guard = CompiledPlan::compile(&ucq, &BTreeSet::new()).map_err(|e| {
+            let (PlanError::UnboundHeadVar(v) | PlanError::UnboundEqualityVar(v)) = e;
+            FallbackReason::UnguardedVar(Var::new(&v))
+        })?;
+        let consequents: Vec<Pred> = (0..guard.disjuncts())
             .map(|i| Pred::compile(consequent, &|v| guard.out_slot(i, v)))
             .collect::<Result<_, _>>()?;
-        Ok(DenialPlan { guard, consequents })
+        // The guard compiled, so its delta-first copies do too.
+        let delta = (!consequents.iter().any(Pred::reads_relation))
+            .then(|| DeltaPlan::compile(&ucq).ok())
+            .flatten();
+        Ok(DenialPlan {
+            guard,
+            consequents,
+            delta,
+        })
     }
 
     /// No guard row falsifies its consequent; stops at the first that does.
@@ -391,6 +478,16 @@ impl DenialPlan {
             .any_row(&EvalCtx::scan(inst), &Assignment::new(), |i, regs| {
                 !self.consequents[i].holds(inst, regs)
             })
+    }
+
+    /// No guard row of `base ∪ delta` that uses a `delta` fact falsifies
+    /// its consequent; `None` without a delta check. The consequents read
+    /// no relation, so the instance they are handed is never read.
+    fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool> {
+        let plan = self.delta.as_ref()?;
+        Some(!plan.any_row(base, delta, |i, regs| {
+            !self.consequents[i].holds(base, regs)
+        }))
     }
 }
 
@@ -449,6 +546,16 @@ impl Pred {
                 return Err(FallbackReason::QuantifiedConsequent)
             }
         })
+    }
+
+    /// Does the consequent read the instance (an atom)?
+    fn reads_relation(&self) -> bool {
+        match self {
+            Pred::Const(_) | Pred::Eq(..) => false,
+            Pred::Atom(..) => true,
+            Pred::Not(g) => g.reads_relation(),
+            Pred::And(g, h) | Pred::Or(g, h) => g.reads_relation() || h.reads_relation(),
+        }
     }
 
     fn holds(&self, inst: &Instance, regs: &[Option<Value>]) -> bool {

@@ -37,11 +37,11 @@ pub mod safety;
 pub mod ucq;
 
 pub use ast::{Assignment, Formula, QTerm, Var};
-pub use constraints::{EqualityConstraint, FallbackReason, FoConstraint, GuardForm};
+pub use constraints::{Constraint, EqualityConstraint, FallbackReason, FoConstraint, GuardForm};
 pub use eval::{answers, answers_over, holds, holds_closed, holds_unguided};
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse_formula, ParseError, Parser, RelUse};
-pub use plan::{CompiledPlan, EvalCtx, PlanError, PlanStats};
+pub use plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanError, PlanStats};
 pub use safety::{is_safe_range, SafetyError};
 pub use ucq::{ConjunctiveQuery, Ucq};
 

@@ -41,7 +41,7 @@
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};
-use dcds_reldata::{Instance, RelId, Value};
+use dcds_reldata::{Instance, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -132,11 +132,55 @@ impl<'a> EvalCtx<'a> {
         self.stats = Some(stats);
         self
     }
+}
 
+/// Where the join steps of an evaluation read their candidate tuples: one
+/// instance ([`EvalCtx`]), or a base and a delta read as their union
+/// ([`DeltaPlan`]). Each evaluator gets its own monomorphised join loop.
+trait Source {
+    /// Count one event into the attached [`PlanStats`], if any.
+    fn count(&self, f: impl FnOnce(&PlanStats) -> &AtomicU64);
+    /// Every tuple of `rel`.
+    fn scan(&self, rel: RelId) -> impl Iterator<Item = &Tuple>;
+    /// The tuples of `rel` whose leading components equal `key`.
+    fn prefix<'s>(&'s self, rel: RelId, key: &'s [Value]) -> impl Iterator<Item = &'s Tuple>;
+}
+
+impl Source for EvalCtx<'_> {
     fn count(&self, f: impl FnOnce(&PlanStats) -> &AtomicU64) {
         if let Some(stats) = self.stats {
             f(stats).fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    fn scan(&self, rel: RelId) -> impl Iterator<Item = &Tuple> {
+        self.inst.tuples(rel)
+    }
+
+    fn prefix<'s>(&'s self, rel: RelId, key: &'s [Value]) -> impl Iterator<Item = &'s Tuple> {
+        self.inst.tuples_with_prefix(rel, key)
+    }
+}
+
+/// `base ∪ delta`, read without building it: every step reads the base's
+/// tuples and then the delta's. A fact in both is read twice, which only
+/// repeats rows.
+struct Union<'a> {
+    base: &'a Instance,
+    delta: &'a Instance,
+}
+
+impl Source for Union<'_> {
+    fn count(&self, _: impl FnOnce(&PlanStats) -> &AtomicU64) {}
+
+    fn scan(&self, rel: RelId) -> impl Iterator<Item = &Tuple> {
+        self.base.tuples(rel).chain(self.delta.tuples(rel))
+    }
+
+    fn prefix<'s>(&'s self, rel: RelId, key: &'s [Value]) -> impl Iterator<Item = &'s Tuple> {
+        self.base
+            .tuples_with_prefix(rel, key)
+            .chain(self.delta.tuples_with_prefix(rel, key))
     }
 }
 
@@ -229,7 +273,7 @@ impl CompiledPlan {
         let cqs = ucq
             .disjuncts
             .iter()
-            .map(|cq| compile_cq(cq, params))
+            .map(|cq| compile_cq(cq, params, None))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CompiledPlan { cqs })
     }
@@ -293,6 +337,54 @@ impl CompiledPlan {
     }
 }
 
+/// A parameterless UCQ compiled for evaluation over `base ∪ Δ` that only
+/// looks for the rows using a `Δ` tuple (the delta rule of semi-naive
+/// evaluation): every disjunct is compiled once per atom with that atom
+/// joined first and matched against `Δ` alone, and every later step reads
+/// `base` and `Δ` in turn, without building their union.
+///
+/// A row of `base ∪ Δ` whose atoms match some `Δ` tuple is produced by the
+/// copy that joins that atom first; a row matching base tuples only is
+/// never produced, unless its tuples are also in `Δ`. Slots are numbered
+/// by variable, not by join order, so rows use the same register slots as
+/// the [`CompiledPlan`] of the same UCQ ([`CompiledPlan::out_slot`]).
+#[derive(Debug, Clone)]
+pub struct DeltaPlan {
+    /// `(disjunct, copy)`: the disjunct compiled with one of its atoms first.
+    seeded: Vec<(usize, CompiledCq)>,
+}
+
+impl DeltaPlan {
+    /// Compile every disjunct once per atom. Fails exactly when
+    /// [`CompiledPlan::compile`] of the UCQ without parameters does.
+    pub fn compile(ucq: &Ucq) -> Result<DeltaPlan, PlanError> {
+        let no_params = BTreeSet::new();
+        let mut seeded = Vec::new();
+        for (i, cq) in ucq.disjuncts.iter().enumerate() {
+            for first in 0..cq.atoms.len() {
+                let copy = compile_cq(cq, &no_params, Some(first))?;
+                debug_assert_eq!(copy.out_vars, compile_cq(cq, &no_params, None)?.out_vars);
+                seeded.push((i, copy));
+            }
+        }
+        Ok(DeltaPlan { seeded })
+    }
+
+    /// [`CompiledPlan::any_row`] restricted to the rows of `base ∪ delta`
+    /// that match some atom to a `delta` tuple. Counts nothing.
+    pub fn any_row(
+        &self,
+        base: &Instance,
+        delta: &Instance,
+        mut sink: impl FnMut(usize, &[Option<Value>]) -> bool,
+    ) -> bool {
+        let union = Union { base, delta };
+        self.seeded
+            .iter()
+            .any(|(i, cq)| cq.run_seeded(&union, &mut |regs| sink(*i, regs)))
+    }
+}
+
 /// Are `positions` exactly `0..k` for some `k ≥ 1`?
 fn is_prefix(positions: &[usize]) -> bool {
     !positions.is_empty() && positions.iter().enumerate().all(|(i, &p)| i == p)
@@ -305,7 +397,14 @@ fn src_of(t: &QTerm, slot_of: &BTreeMap<Var, usize>) -> Option<Src> {
     }
 }
 
-fn compile_cq(cq: &ConjunctiveQuery, params: &BTreeSet<Var>) -> Result<CompiledCq, PlanError> {
+/// Compile one conjunctive query; `first` forces the atom joined first
+/// (the delta-first copies of a [`DeltaPlan`]), the rest of the order is
+/// greedy as always.
+fn compile_cq(
+    cq: &ConjunctiveQuery,
+    params: &BTreeSet<Var>,
+    first: Option<usize>,
+) -> Result<CompiledCq, PlanError> {
     // Slots: every atom variable, plus parameters referenced by equalities
     // (parameters referenced only by the head need no slot — the caller's
     // seed assignment supplies their values directly).
@@ -357,18 +456,21 @@ fn compile_cq(cq: &ConjunctiveQuery, params: &BTreeSet<Var>) -> Result<CompiledC
         }
     }
 
-    // Join order fixed at compile time: greedily the atom sharing the most
-    // variables with those already bound (ties by position), with
-    // parameter slots counting as bound from the start. (The answer set is
-    // order-independent; the order only shapes how much gets pruned early.)
+    // Join order fixed at compile time: `first` if given, then greedily
+    // the atom sharing the most variables with those already bound (ties
+    // by position), with parameter slots counting as bound from the start.
+    // (The answer set is order-independent; the order only shapes how much
+    // gets pruned early.)
     let order = {
         let mut remaining: Vec<usize> = (0..cq.atoms.len()).collect();
         let mut bound_vars: BTreeSet<Var> = param_slots.iter().map(|(v, _)| v.clone()).collect();
         let mut order = Vec::with_capacity(cq.atoms.len());
         while !remaining.is_empty() {
+            let forced = first.filter(|_| order.is_empty());
             let (pos, &best) = remaining
                 .iter()
                 .enumerate()
+                .filter(|(_, &ix)| forced.is_none_or(|f| f == ix))
                 .max_by_key(|(_, &ix)| {
                     let terms = &cq.atoms[ix].1;
                     let shared = terms
@@ -513,6 +615,24 @@ impl CompiledCq {
         self.dfs(0, &mut regs, ctx, sink)
     }
 
+    /// [`CompiledCq::run`] of a parameterless copy compiled delta-first:
+    /// the first step reads `delta` alone, every later one `base ∪ delta`.
+    fn run_seeded<F: FnMut(&[Option<Value>]) -> bool>(
+        &self,
+        union: &Union<'_>,
+        sink: &mut F,
+    ) -> bool {
+        let mut regs: Vec<Option<Value>> = vec![None; self.nslots];
+        if self.pre_checks.iter().any(|eq| !eq.holds(&regs)) {
+            return false;
+        }
+        let first = &self.steps[0];
+        // Nothing is bound yet, so the key holds the leading constants.
+        let key: Vec<Value> = first.prefix_key.iter().map(|s| s.value(&regs)).collect();
+        let seeds = union.delta.tuples_with_prefix(first.rel, &key);
+        self.extend(first, 0, seeds, &mut regs, union, sink)
+    }
+
     /// The output row held by a complete register file.
     fn row(&self, regs: &[Option<Value>]) -> Assignment {
         self.out_vars
@@ -526,11 +646,11 @@ impl CompiledCq {
             .collect()
     }
 
-    fn dfs<F: FnMut(&[Option<Value>]) -> bool>(
+    fn dfs<S: Source, F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         depth: usize,
         regs: &mut Vec<Option<Value>>,
-        ctx: &EvalCtx<'_>,
+        ctx: &S,
         sink: &mut F,
     ) -> bool {
         let Some(step) = self.steps.get(depth) else {
@@ -543,20 +663,20 @@ impl CompiledCq {
         if !step.prefix_key.is_empty() {
             ctx.count(|s| &s.index_probes);
             let key: Vec<Value> = step.prefix_key.iter().map(|s| s.value(regs)).collect();
-            let range = ctx.inst.tuples_with_prefix(step.rel, &key);
+            let range = ctx.prefix(step.rel, &key);
             return self.extend(step, depth, range, regs, ctx, sink);
         }
         ctx.count(|s| &s.relation_scans);
-        self.extend(step, depth, ctx.inst.tuples(step.rel), regs, ctx, sink)
+        self.extend(step, depth, ctx.scan(step.rel), regs, ctx, sink)
     }
 
-    fn extend<'t, F: FnMut(&[Option<Value>]) -> bool>(
+    fn extend<'t, S: Source, F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         step: &Step,
         depth: usize,
-        tuples: impl Iterator<Item = &'t dcds_reldata::Tuple>,
+        tuples: impl Iterator<Item = &'t Tuple>,
         regs: &mut Vec<Option<Value>>,
-        ctx: &EvalCtx<'_>,
+        ctx: &S,
         sink: &mut F,
     ) -> bool {
         let mut written: Vec<usize> = Vec::new();

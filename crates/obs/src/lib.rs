@@ -542,6 +542,14 @@ impl PhaseClock {
         r
     }
 
+    /// Add another clock's total into this one: a worker times its own
+    /// tasks, and the serial phase that collects its results sums them.
+    pub fn absorb(&mut self, other: PhaseClock) {
+        if let (Some(total), Some(more)) = (&mut self.0, other.0) {
+            *total += more;
+        }
+    }
+
     /// Record the total into the `name` histogram; like every `*_us`
     /// histogram it stays out of the deterministic snapshot.
     pub fn publish(self, obs: &Obs, name: &'static str) {

@@ -1,6 +1,6 @@
 //! Seeded property suite for the pruned canonical-key search (`iso`).
 //!
-//! Three invariants, checked against replayable SplitMix64 randomness
+//! Four invariants, checked against replayable SplitMix64 randomness
 //! (Steele, Lea & Flood, OOPSLA 2014 — local copy, no `rand` dependency):
 //!
 //! 1. the branch-and-bound search returns byte-identical [`CanonKey`]s to
@@ -10,7 +10,9 @@
 //!    in a single descent and key renamed copies identically;
 //! 3. key equality coincides exactly with the backtracking matcher's
 //!    [`Facts::isomorphic`] verdict, which is reflexive and symmetric and
-//!    whose [`Facts::isomorphism`] witness is exact and fixes rigid values.
+//!    whose [`Facts::isomorphism`] witness is exact and fixes rigid values;
+//! 4. where refinement is discrete, the key written directly in class order
+//!    equals the search's key and stats.
 
 use crate::{CanonKey, ConstantPool, Facts, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -279,4 +281,46 @@ fn long_rigid_paths_refine_to_singletons() {
     assert_ne!(rkey, key);
     assert_eq!(rkey, reversed.exhaustive_canonical_key(&rigid));
     assert_eq!((rstats.orders_enumerated, rstats.prune_cutoffs), (1, 0));
+}
+
+/// The discrete-refinement shortcut: where refinement leaves every free
+/// value in a class of its own, the key is written directly in class
+/// order. It must equal the search's key and stats (one order, no
+/// cutoff) and the exhaustive oracle's key, on random fact sets whose
+/// refinement is discrete; a non-discrete set still goes through the
+/// search.
+#[test]
+fn discrete_refinement_shortcut_matches_the_search() {
+    let mut discrete = 0;
+    for seed in 0..4u64 {
+        let mut rng = SplitMix64(0xd15c_0e7e ^ seed.wrapping_mul(0x9e37_79b9));
+        let mut pool = ConstantPool::new();
+        let vals = universe(&mut pool, 6);
+        for _ in 0..150 {
+            let f = random_facts(&mut rng, &vals);
+            let rigid = random_rigid(&mut rng, &vals);
+            let (key, stats, direct) = f.canonical_key_with(&rigid, true);
+            if !direct {
+                continue;
+            }
+            discrete += 1;
+            let (searched, searched_stats, _) = f.canonical_key_with(&rigid, false);
+            assert_eq!((&key, stats), (&searched, searched_stats), "{f:?}");
+            assert_eq!(key, f.exhaustive_canonical_key(&rigid), "{f:?}");
+            assert_eq!((stats.orders_enumerated, stats.prune_cutoffs), (1, 0));
+        }
+    }
+    assert!(discrete >= 100, "only {discrete} discrete fact sets drawn");
+
+    // Ten interchangeable values: one class, which only the search's
+    // transposition pruning (45 cutoffs) collapses to one descent.
+    let mut pool = ConstantPool::new();
+    let mut f = Facts::new();
+    for v in universe(&mut pool, 10) {
+        f.insert(0, Tuple::from([v]));
+    }
+    let (key, stats, direct) = f.canonical_key_with(&BTreeSet::new(), true);
+    assert!(!direct, "a ten-value class cannot be discrete");
+    assert_eq!((stats.orders_enumerated, stats.prune_cutoffs), (1, 45));
+    assert_eq!(key.var_count(), 10);
 }

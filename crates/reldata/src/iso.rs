@@ -29,6 +29,9 @@
 //! set, which makes the sibling subtree a guaranteed duplicate. Fully
 //! symmetric classes — `k!` class-respecting orders — therefore cost a
 //! single descent, so no permutation budget or fallback path is needed.
+//! When refinement leaves every free value in a class of its own, the
+//! class order is the only order, and its encoding is written without
+//! starting the search.
 
 use crate::{Instance, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -222,42 +225,78 @@ impl Facts {
     /// factorial worst case of naive enumeration — collapse to a single
     /// descent, so the search terminates quickly on every input and no
     /// permutation budget is needed.
+    ///
+    /// When refinement leaves every free value in a class of its own (the
+    /// common case), the class order is the only order: its encoding is
+    /// written directly, the one leaf the search would reach, with the
+    /// same stats (one order, no cutoff).
     pub fn canonical_key_stats(&self, rigid: &BTreeSet<Value>) -> (CanonKey, CanonStats) {
+        let (key, stats, _) = self.canonical_key_with(rigid, true);
+        (key, stats)
+    }
+
+    /// [`Facts::canonical_key_stats`], plus whether the key was written
+    /// without the search. `shortcut` off runs the search even where
+    /// refinement is discrete (tests compare the two paths).
+    pub(crate) fn canonical_key_with(
+        &self,
+        rigid: &BTreeSet<Value>,
+        shortcut: bool,
+    ) -> (CanonKey, CanonStats, bool) {
         let ctx = DenseCtx::build(self, rigid);
-        let mut stats = CanonStats {
+        let one_order = CanonStats {
             orders_enumerated: 1,
             prune_cutoffs: 0,
         };
         if ctx.free_slots.is_empty() {
             // Every value is rigid: the encoding is forced.
-            let mut enc: Vec<(u32, Vec<u64>)> = ctx
-                .facts
-                .iter()
-                .map(|(c, slots)| {
-                    let vals = slots
-                        .iter()
-                        .map(|&s| ctx.rigid_code[s as usize].expect("all slots rigid"))
-                        .collect();
-                    (*c, vals)
-                })
-                .collect();
-            enc.sort();
-            return (CanonKey { facts: enc }, stats);
+            return (
+                CanonKey {
+                    facts: ctx.encode(&[]),
+                },
+                one_order,
+                true,
+            );
         }
         let colors = ctx.refine();
-        // Group the free slots by refined color; class *order* is canonical
-        // because refined colors are computed from iso-invariant signatures.
-        let mut classes: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for &s in &ctx.free_slots {
-            classes.entry(colors[s as usize]).or_default().push(s);
+        // The free slots in class order. Class *order* is canonical because
+        // refined colors are computed from iso-invariant signatures; within
+        // a class the slots stay ascending.
+        let mut by_color: Vec<(u64, u32)> = ctx
+            .free_slots
+            .iter()
+            .map(|&s| (colors[s as usize], s))
+            .collect();
+        by_color.sort_unstable();
+        if shortcut && by_color.windows(2).all(|w| w[0].0 != w[1].0) {
+            // Discrete: the i-th class's slot gets canonical index i.
+            let mut assigned = vec![u32::MAX; ctx.adom.len()];
+            for (i, &(_, s)) in by_color.iter().enumerate() {
+                assigned[s as usize] = i as u32;
+            }
+            return (
+                CanonKey {
+                    facts: ctx.encode(&assigned),
+                },
+                one_order,
+                true,
+            );
         }
-        let class_list: Vec<Vec<u32>> = classes.into_values().collect();
+        let mut class_list: Vec<Vec<u32>> = Vec::new();
+        for (i, &(color, s)) in by_color.iter().enumerate() {
+            if i == 0 || by_color[i - 1].0 != color {
+                class_list.push(Vec::new());
+            }
+            class_list.last_mut().expect("pushed above").push(s);
+        }
         let mut search = Search::new(&ctx, &class_list);
         search.dfs(0);
-        stats.orders_enumerated = search.orders;
-        stats.prune_cutoffs = search.cutoffs;
+        let stats = CanonStats {
+            orders_enumerated: search.orders,
+            prune_cutoffs: search.cutoffs,
+        };
         let best = search.best.expect("at least one ordering exists");
-        (CanonKey { facts: best }, stats)
+        (CanonKey { facts: best }, stats, false)
     }
 
     /// Reference implementation of the canonical key: enumerate *every*
@@ -421,6 +460,27 @@ impl DenseCtx {
         colors
     }
 
+    /// The sorted encoding of the facts under a complete order: a rigid
+    /// slot by its code, a free slot `s` by `FREE_BASE + assigned[s]`.
+    fn encode(&self, assigned: &[u32]) -> Vec<(u32, Vec<u64>)> {
+        let mut enc: Vec<(u32, Vec<u64>)> = self
+            .facts
+            .iter()
+            .map(|(c, slots)| {
+                let vals = slots
+                    .iter()
+                    .map(|&s| match self.rigid_code[s as usize] {
+                        Some(rc) => rc,
+                        None => FREE_BASE + assigned[s as usize] as u64,
+                    })
+                    .collect();
+                (*c, vals)
+            })
+            .collect();
+        enc.sort();
+        enc
+    }
+
     /// Identity labeling of a slot: rigid values by their code, free slots by
     /// `FREE_BASE + slot`. Used for automorphism membership tests.
     fn identity_code(&self, s: u32) -> u64 {
@@ -536,19 +596,7 @@ impl<'a> Search<'a> {
     /// the historical enumerator).
     fn leaf(&mut self) {
         self.orders += 1;
-        let ctx = self.ctx;
-        let mut enc: Vec<(u32, Vec<u64>)> = Vec::with_capacity(ctx.facts.len());
-        for (c, slots) in &ctx.facts {
-            let vals = slots
-                .iter()
-                .map(|&s| match ctx.rigid_code[s as usize] {
-                    Some(rc) => rc,
-                    None => FREE_BASE + self.assigned[s as usize] as u64,
-                })
-                .collect();
-            enc.push((*c, vals));
-        }
-        enc.sort();
+        let enc = self.ctx.encode(&self.assigned);
         match &self.best {
             Some(b) if *b <= enc => {}
             _ => self.best = Some(enc),

@@ -21,6 +21,14 @@ echo "== differential suites"
 # compiled constraint checks against both evaluators (with the path each
 # constraint took).
 cargo test -q -p dcds-folang --test plan_differential --test guided_differential
+# The constraints' delta check (the guard rows of `base ∪ Δ` that use a
+# `Δ` fact) against the full check of the union, on random satisfying
+# bases, for every screened shape; and which shapes have no delta check.
+cargo test -q -p dcds-folang --test delta_differential
+# The det abstraction's screened step against the definitional
+# `det_step_with_pre`, commitment by commitment, on every reachable state
+# of systems that cover each path of the screen.
+cargo test -q -p dcds-bench --test det_screen
 # Engines: both state storages against the reference constructions at
 # 1/2/4/8 threads (the audit systems' non-prefix joins included), DO and
 # the legal assignments against their definitions on every reachable

@@ -44,7 +44,9 @@
 //! human-only diagnostics — witnesses, engine statistics, truncation
 //! warnings, heartbeats — go to stderr, so `dcds ... > out.txt` captures
 //! the result without the commentary. A closed stdout (`dcds ... | head`)
-//! ends the run quietly with exit status 141 (128 + `SIGPIPE`).
+//! drops the rest of stdout quietly; the run still writes its files
+//! (`--metrics-json`, `--profile`, `--trace`) and exits with status 141
+//! (128 + `SIGPIPE`).
 //!
 //! Flags may come before, between or after the positional arguments: a
 //! positional argument is one that is neither a flag nor a flag's value.
@@ -91,7 +93,9 @@ use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
 };
-use dcds_verify::cli::{write_stdout, Flags, ObsCli, UsageError};
+use dcds_verify::cli::{
+    stdout_closed, write_stdout, Flags, ObsCli, UsageError, EXIT_CLOSED_STDOUT,
+};
 use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
@@ -103,8 +107,8 @@ use dcds_verify::reldata::{ConstantPool, InstanceDisplay};
 use dcds_verify::symbolic::{check_safety_traced, render_trace, SymOptions, SymVerdict};
 use std::process::ExitCode;
 
-/// `print!` through [`write_stdout`], which ends the run quietly when
-/// stdout is a closed pipe.
+/// `print!` through [`write_stdout`], which turns into a no-op once stdout
+/// is a closed pipe.
 macro_rules! out {
     ($($arg:tt)*) => {
         write_stdout(format_args!($($arg)*))
@@ -159,6 +163,9 @@ impl From<String> for Failure {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
+        // The run wrote everything else it was asked for; report the
+        // closed stdout as a shell reports a SIGPIPE death.
+        Ok(_) if stdout_closed() => ExitCode::from(EXIT_CLOSED_STDOUT),
         Ok(code) => code,
         Err(Failure::Usage(UsageError(msg))) => {
             eprintln!("error: {msg}\n\n{USAGE}");

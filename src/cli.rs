@@ -7,6 +7,7 @@
 use dcds_core::MAX_THREADS;
 use dcds_obs::{alloc, event, export, profile, EventSink, Obs, ObsConfig};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Parse `--flag <value>` anywhere in `args`. `Ok(None)` when absent.
 pub fn flag_value<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
@@ -36,21 +37,36 @@ pub fn string_flag(args: &[String], flag: &str) -> Result<Option<String>, String
 
 /// Exit status when stdout is a closed pipe (`dcds … | head`): the status
 /// a shell reports for a process that `SIGPIPE` ended (128 + 13).
-pub const EXIT_CLOSED_STDOUT: i32 = 141;
+pub const EXIT_CLOSED_STDOUT: u8 = 141;
+
+/// Set once a write found stdout closed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
 /// Write to stdout, like `print!`. When the reader has gone (a closed
-/// pipe), end the process quietly with [`EXIT_CLOSED_STDOUT`] where
-/// `print!` would panic; any other write error ends it with a message and
-/// exit 3, the exit code of every run-time error.
+/// pipe), where `print!` would panic, this write and every later one do
+/// nothing: the run goes on to write its other outputs (`--metrics-json
+/// F`, `--profile F`, `--trace F`), and the binary then exits with
+/// [`EXIT_CLOSED_STDOUT`] (see [`stdout_closed`]). Any other write error
+/// ends the process with a message and exit 3, the exit code of every
+/// run-time error.
 pub fn write_stdout(args: std::fmt::Arguments<'_>) {
     use std::io::{ErrorKind, Write};
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
         if e.kind() == ErrorKind::BrokenPipe {
-            std::process::exit(EXIT_CLOSED_STDOUT);
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
         }
         eprintln!("error: cannot write to stdout: {e}");
         std::process::exit(3);
     }
+}
+
+/// Did a [`write_stdout`] find stdout closed?
+pub fn stdout_closed() -> bool {
+    STDOUT_CLOSED.load(Ordering::Relaxed)
 }
 
 /// A command line a subcommand cannot run: a missing argument, or a flag

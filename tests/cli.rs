@@ -1085,3 +1085,40 @@ fn a_closed_stdout_ends_the_run_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(141), "{stderr}");
 }
+
+#[test]
+fn a_closed_stdout_still_writes_the_metrics_file() {
+    use std::process::Stdio;
+    // A stale file from an earlier run must not survive: the run writes
+    // its metrics although nothing reads its stdout.
+    let dir = std::env::temp_dir().join(format!("dcds-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    std::fs::write(&metrics, "stale").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dcds"))
+        .args([
+            "abstract",
+            &spec("accumulator.dcds"),
+            "--dot",
+            "--max-states",
+            "300",
+            "--metrics-json",
+            metrics.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        matches!(out.status.code(), Some(0 | 141)),
+        "{:?} {stderr}",
+        out.status
+    );
+    let written = std::fs::read_to_string(&metrics).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(written.starts_with('{'), "{written}");
+    assert!(written.contains("\"rcycl.triples_processed\""), "{written}");
+}
