@@ -19,11 +19,12 @@
 //! ones — so the expensive work parallelises while every order-sensitive
 //! effect stays serial:
 //!
-//! 1. *enumerate* (parallel): per frontier state, legal assignments,
-//!    `DO(I, ασ)` split into its base and its call-bearing facts
-//!    ([`SplitDo`]), the base checked once against the constraints that
-//!    have a delta check, and the equality commitments of the new calls —
-//!    none of which touch the constant pool;
+//! 1. *enumerate* (parallel): per frontier state, the legal σ as value
+//!    rows ([`legal_sigmas`]), `DO(I, ασ)` run by the action's compiled
+//!    program ([`do_rows`]) and split into its base and its call-bearing
+//!    facts ([`SplitDo`]), the base checked once against the constraints
+//!    that have a delta check, and the equality commitments of the new
+//!    calls — none of which touch the constant pool;
 //! 2. *mint* (serial, frontier order): instantiate each commitment's fresh
 //!    cells from the shared [`ConstantPool`];
 //! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks): the
@@ -41,8 +42,9 @@
 //!    admit new classes to the storage, record edges, apply the state
 //!    budget.
 //!
-//! With observability on, each worker times its task's screen,
-//! materialisation, encoding and key, and the merge sums them into one
+//! With observability on, each worker times its frontier state's
+//! enumeration and its task's screen, materialisation, encoding and key,
+//! and the level sums them into one `abs.enumerate_us` /
 //! `abs.screen_us` / `abs.materialise_us` / `abs.encode_us` /
 //! `abs.key_us` sample per level (`abs.key_us` also covers the merge's
 //! own keys). The `abs.commitments` and `abs.commitments_rejected`
@@ -73,7 +75,7 @@ use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
 use dcds_core::commitment::instantiate;
 use dcds_core::det::{DetState, SplitDo};
 use dcds_core::do_op::{
-    do_action, legal_assignments, publish_query_stats_delta, query_stats_snapshot,
+    do_rows, legal_sigmas, publish_query_stats_delta, query_stats_snapshot, DoRows,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
 use dcds_core::{enumerate_commitments, Commitment, Dcds, ServiceCall, StateId, StateSpace};
@@ -328,6 +330,9 @@ type Stepped = Option<(DetState, Facts, u64, Option<(CanonKey, CanonStats)>)>;
 /// The det phase timers: each worker times its own task, and the merge
 /// sums them into one sample per level (inert while obs is off).
 struct PhaseClocks {
+    /// Phase 1 per frontier state: legal `ασ`, `DO`, [`SplitDo::new`] and
+    /// the commitments.
+    enumerate: PhaseClock,
     /// Resolving `Δ` and the delta checks ([`SplitDo::screen`]).
     screen: PhaseClock,
     /// Building a survivor's state ([`SplitDo::materialise`]).
@@ -341,6 +346,7 @@ struct PhaseClocks {
 impl PhaseClocks {
     fn new(obs: &Obs) -> PhaseClocks {
         PhaseClocks {
+            enumerate: PhaseClock::new(obs),
             screen: PhaseClock::new(obs),
             materialise: PhaseClock::new(obs),
             encode: PhaseClock::new(obs),
@@ -349,6 +355,7 @@ impl PhaseClocks {
     }
 
     fn absorb(&mut self, task: PhaseClocks) {
+        self.enumerate.absorb(task.enumerate);
         self.screen.absorb(task.screen);
         self.materialise.absorb(task.materialise);
         self.encode.absorb(task.encode);
@@ -356,6 +363,7 @@ impl PhaseClocks {
     }
 
     fn publish(self, obs: &Obs) {
+        self.enumerate.publish(obs, "abs.enumerate_us");
         self.screen.publish(obs, "abs.screen_us");
         self.materialise.publish(obs, "abs.materialise_us");
         self.encode.publish(obs, "abs.encode_us");
@@ -429,22 +437,32 @@ pub fn build<S: ClassStorage>(
             // Phase 1 (parallel): legal assignments, the split `DO` (with
             // its base checked once), and commitments per frontier state.
             // Nothing here touches the pool.
-            let enumerated: Vec<Vec<EnumeratedStep>> =
+            let (enumerated, enumerate_clocks): (Vec<Vec<EnumeratedStep>>, Vec<PhaseClock>) =
                 par_map_obs(chunk, threads, obs, "enumerate", |entry| {
                     let state = &entry.state;
-                    let mut known: BTreeSet<Value> = state.known_values();
-                    known.extend(rigid.iter().copied());
-                    let known: Vec<Value> = known.into_iter().collect();
-                    legal_assignments(dcds, &state.instance)
-                        .into_iter()
-                        .map(|(action, sigma)| {
-                            let pre = do_action(dcds, &state.instance, action, &sigma);
-                            let split = SplitDo::new(dcds, state, &pre);
-                            let commitments = enumerate_commitments(split.new_calls(), &known);
-                            (split, commitments)
-                        })
-                        .collect()
-                });
+                    let mut clock = PhaseClock::new(obs);
+                    let steps = clock.time(|| {
+                        let mut known: BTreeSet<Value> = state.known_values();
+                        known.extend(rigid.iter().copied());
+                        let known: Vec<Value> = known.into_iter().collect();
+                        let mut rows = DoRows::default();
+                        legal_sigmas(dcds, &state.instance)
+                            .iter()
+                            .map(|sigma| {
+                                do_rows(dcds, &state.instance, sigma, &mut rows);
+                                let split = SplitDo::new(dcds, state, &rows);
+                                let commitments = enumerate_commitments(split.new_calls(), &known);
+                                (split, commitments)
+                            })
+                            .collect()
+                    });
+                    (steps, clock)
+                })
+                .into_iter()
+                .unzip();
+            for clock in enumerate_clocks {
+                clocks.enumerate.absorb(clock);
+            }
 
             // Phase 2 (serial, frontier order): mint the fresh cells of
             // every commitment — the exact mint sequence of a serial loop.
@@ -473,7 +491,7 @@ pub fn build<S: ClassStorage>(
                     let mut c = PhaseClocks::new(obs);
                     let next = c
                         .screen
-                        .time(|| task.split.screen(dcds, state, &task.choice))
+                        .time(|| task.split.screen(dcds, &task.choice))
                         .and_then(|delta| {
                             c.materialise
                                 .time(|| task.split.materialise(dcds, state, &task.choice, delta))

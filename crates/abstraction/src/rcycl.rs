@@ -26,16 +26,25 @@
 //! recycling pruning `Θ_S ∼ Υ_S`; for state-unbounded inputs we stop at
 //! `max_states` and report truncation.
 //!
-//! Two bookkeeping steps are computed without changing their result:
+//! `DO(I, ασ)` is run once per triple by the action's compiled program
+//! ([`DoRows`], see [`dcds_core::do_op`]): its facts, each term a value or
+//! a call slot in `CALLS` order, are the θ loop's template, and the legal
+//! σ come as value rows ([`legal_sigmas`]). Three bookkeeping steps are
+//! computed without changing their result:
 //!
 //! * `Σ ∪= {I_next}` looks `I_next` up by its fact key (see
-//!   [`StateStorage`]), written for each θ into reused buffers from a
-//!   per-triple template of `DO(I, ασ)`. Only a key no state has yet
-//!   becomes an [`Instance`] and is checked against `E`: every state kept
-//!   already satisfies `E` (bar an unvalidated `I₀`, which is checked).
+//!   [`StateStorage`]), written for each θ into reused buffers from the
+//!   template. Only a key no state has yet becomes an [`Instance`], loaded
+//!   in one pass from the key's sorted rows, and is checked against `E`:
+//!   every state kept already satisfies `E` (bar an unvalidated `I₀`,
+//!   which is checked).
 //! * `UsedValues ∪= ADOM(I_next)` adds `θ(CALLS)` only, and only when `V`
 //!   was freshly minted: `ADOM(I_next) ⊆ ADOM(I₀) ∪ ADOM(I) ∪ θ(CALLS)`,
 //!   whose first two parts, and a recycled `V`, are already used.
+//! * `RecyclableValues` is read from `UsedValues − ADOM(I₀)`, kept as a
+//!   sorted vector that grows only with those minted values: per triple,
+//!   its first `|CALLS|` values outside `ADOM(I)` are `V`, if it has that
+//!   many.
 //!
 //! The algorithm is written once ([`build`]), generic over the
 //! [`StateStorage`] that holds its states; the public entry points pick the
@@ -43,10 +52,10 @@
 
 use crate::storage::{Owned, StateStorage, Store, OWNED_MAX_STATES};
 use dcds_core::do_op::{
-    do_action, legal_assignments, publish_query_stats_delta, query_stats_snapshot, PreInstance,
+    do_rows, legal_sigmas, publish_query_stats_delta, query_stats_snapshot, DoRows, DoTerm, Sigma,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{Dcds, GTerm, ServiceCall, StateId, StateSpace};
+use dcds_core::{Dcds, StateId, StateSpace};
 use dcds_obs::{event, span, Obs, PhaseClock};
 use dcds_reldata::{ConstantPool, Instance, RelId, Tuple, Value};
 use std::collections::{BTreeSet, VecDeque};
@@ -112,9 +121,9 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
 /// serial schedule) and either storage. RCYCL's outer loop cannot be
 /// level-parallelised without changing the answer: `UsedValues` evolves
 /// per `(I, α, σ)` triple and feeds the very next triple's
-/// `RecyclableValues` pick. Only the per-state `DO` precomputation runs
-/// on the workers (with [`par_map`](dcds_core::par::par_map), results in
-/// triple order). The θ loop is serial: each evaluation θ writes the
+/// `RecyclableValues` pick. Only the per-state `DO` programs run on the
+/// workers (with [`par_map`](dcds_core::par::par_map), results in triple
+/// order). The θ loop is serial: each evaluation θ writes the
 /// successor's fact key into reused buffers and probes the storage with
 /// it, and only a key the storage has not seen is turned into an
 /// [`Instance`] and checked against the constraints.
@@ -137,47 +146,6 @@ impl<T> RcyclResult<T> {
             triples_processed: self.triples_processed,
             pool: self.pool,
             counters: self.counters,
-        }
-    }
-}
-
-/// `DO(I, ασ)` compiled for the θ loop: each pre-fact as a relation and
-/// its terms, a call standing as its slot, its position in
-/// [`PreInstance::calls`] order.
-struct Template {
-    /// `|CALLS(DO(I, ασ))|`.
-    calls: usize,
-    facts: Vec<(u32, Vec<Slot>)>,
-}
-
-/// One term of a [`Template`] fact: a value index, or a call slot.
-#[derive(Clone, Copy)]
-enum Slot {
-    Val(u32),
-    Call(usize),
-}
-
-impl Template {
-    fn new(pre: &PreInstance) -> Template {
-        let calls: Vec<ServiceCall> = pre.calls().into_iter().collect();
-        let facts = pre
-            .facts()
-            .map(|(rel, terms)| {
-                let slots = terms
-                    .iter()
-                    .map(|t| match t {
-                        GTerm::Val(v) => Slot::Val(v.index() as u32),
-                        GTerm::Call(c) => {
-                            Slot::Call(calls.binary_search(c).expect("every call is in CALLS"))
-                        }
-                    })
-                    .collect();
-                (rel.index() as u32, slots)
-            })
-            .collect();
-        Template {
-            calls: calls.len(),
-            facts,
         }
     }
 }
@@ -224,18 +192,19 @@ impl ThetaKeys {
         false
     }
 
-    /// Write the fact key of `DO(I, ασ)θ` for the current θ. Resolution
-    /// can merge two pre-facts, hence the dedup.
-    fn build(&mut self, tpl: &Template) -> &[u32] {
+    /// Write the fact key of `DO(I, ασ)θ` for the current θ, `tpl` being
+    /// `DO(I, ασ)`. Two effects may write the same fact and resolution
+    /// can merge two facts, hence the dedup.
+    fn build(&mut self, tpl: &DoRows) -> &[u32] {
         self.rows.clear();
         self.spans.clear();
         self.key.clear();
-        for (rel, slots) in &tpl.facts {
+        for (rel, terms) in tpl.facts() {
             let start = self.rows.len();
-            self.rows.push(*rel);
-            self.rows.extend(slots.iter().map(|s| match *s {
-                Slot::Val(v) => v,
-                Slot::Call(c) => self.theta[c].index() as u32,
+            self.rows.push(rel.index() as u32);
+            self.rows.extend(terms.iter().map(|t| match *t {
+                DoTerm::Val(v) => v.index() as u32,
+                DoTerm::Call(c) => self.theta[c as usize].index() as u32,
             }));
             self.spans.push((start, self.rows.len()));
         }
@@ -249,9 +218,10 @@ impl ThetaKeys {
         &self.key
     }
 
-    /// The database of the last built key.
+    /// The database of the last built key, loaded in one pass from its
+    /// sorted, deduplicated rows.
     fn instance(&self) -> Instance {
-        Instance::from_facts(self.spans.iter().map(|&(start, end)| {
+        Instance::from_sorted_facts(self.spans.iter().map(|&(start, end)| {
             let rel = RelId::from_index(self.rows[start] as usize);
             let values: Vec<Value> = self.rows[start + 1..end]
                 .iter()
@@ -286,6 +256,7 @@ pub fn build<S: StateStorage>(
     let threads = threads.max(1);
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
+    let mut legal_clock = PhaseClock::new(obs);
     let mut do_clock = PhaseClock::new(obs);
     let mut theta_clock = PhaseClock::new(obs);
     let mut admit_clock = PhaseClock::new(obs);
@@ -298,6 +269,15 @@ pub fn build<S: StateStorage>(
     let initial_ok = dcds.data.satisfies_constraints(initial);
     let mut used_values: BTreeSet<Value> = initial.active_domain();
     used_values.extend(rigid.iter().copied());
+    let rigid: Vec<Value> = rigid.into_iter().collect();
+    // UsedValues − ADOM(I₀), ascending. It grows only when a freshly
+    // minted V is used; each triple's RecyclableValues is this minus
+    // ADOM(I).
+    let mut used_nonrigid: Vec<Value> = used_values
+        .iter()
+        .copied()
+        .filter(|v| rigid.binary_search(v).is_err())
+        .collect();
 
     // Worklist of states whose (α, σ) triples are not yet Visited.
     // Legality depends only on I, so one pass per state suffices, and
@@ -332,35 +312,42 @@ pub fn build<S: StateStorage>(
             )
         });
         let inst = storage.db(sid);
-        let adom = inst.active_domain();
-        // ADOM(I₀) ∪ ADOM(I), ascending: the part of F every triple shares.
-        let known: Vec<Value> = adom.union(&rigid).copied().collect();
+        // ADOM(I), and ADOM(I₀) ∪ ADOM(I) — the part of F every triple
+        // shares — ascending.
+        let mut adom: Vec<Value> = inst.facts().flat_map(|(_, t)| t.iter()).collect();
+        adom.sort_unstable();
+        adom.dedup();
+        let mut known: Vec<Value> = adom.iter().chain(&rigid).copied().collect();
+        known.sort_unstable();
+        known.dedup();
         // `DO(I, ασ)` depends only on the state, not on `UsedValues`:
-        // precompute every triple's template in parallel.
-        let triples_for_state = legal_assignments(dcds, &inst);
-        let templates: Vec<Template> = do_clock.time(|| {
-            par_map_obs(&triples_for_state, threads, obs, "do", |(action, sigma)| {
-                Template::new(&do_action(dcds, &inst, *action, sigma))
+        // run every triple's program in parallel.
+        let legal = legal_clock.time(|| legal_sigmas(dcds, &inst));
+        let sigmas: Vec<Sigma> = legal.iter().collect();
+        let templates: Vec<DoRows> = do_clock.time(|| {
+            par_map_obs(&sigmas, threads, obs, "do", |&sigma| {
+                let mut rows = DoRows::default();
+                do_rows(dcds, &inst, sigma, &mut rows);
+                rows
             })
         });
         state_span.set("triples", templates.len() as u64);
         for tpl in &templates {
             triples += 1;
-            let n = tpl.calls;
+            let n = tpl.num_calls();
             // RecyclableValues := UsedValues − (ADOM(I₀) ∪ ADOM(I)), in
-            // ascending order.
-            let recyclable: Vec<Value> = used_values
+            // ascending order; V is its first n values if it has n.
+            let mut v_set: Vec<Value> = used_nonrigid
                 .iter()
                 .copied()
-                .filter(|v| !rigid.contains(v) && !adom.contains(v))
+                .filter(|v| adom.binary_search(v).is_err())
+                .take(n)
                 .collect();
-            let fresh = recyclable.len() < n;
-            let v_set: Vec<Value> = if fresh {
+            let fresh = v_set.len() < n;
+            if fresh {
                 // Fresh values from C − UsedValues.
-                (0..n).map(|_| pool.mint("v")).collect()
-            } else {
-                recyclable.into_iter().take(n).collect()
-            };
+                v_set = (0..n).map(|_| pool.mint("v")).collect();
+            }
             // F := ADOM(I₀) ∪ ADOM(I) ∪ V, ascending; V is disjoint from
             // the rest.
             let mut f = known.clone();
@@ -405,7 +392,12 @@ pub fn build<S: StateStorage>(
                         // ADOM(I_next) ⊆ ADOM(I) ∪ ADOM(I₀) ∪ θ(CALLS),
                         // and only a freshly minted V adds values.
                         if fresh {
-                            used_values.extend(keys.theta.iter().copied());
+                            for &v in &keys.theta {
+                                if used_values.insert(v) {
+                                    let at = used_nonrigid.binary_search(&v).unwrap_err();
+                                    used_nonrigid.insert(at, v);
+                                }
+                            }
                         }
                         storage.add_edge(sid, id);
                     }
@@ -423,6 +415,7 @@ pub fn build<S: StateStorage>(
     }
     obs.counter_add("rcycl.triples_processed", triples as u64);
     obs.gauge_max("rcycl.used_values", used_values.len() as i64);
+    legal_clock.publish(obs, "rcycl.legal_us");
     do_clock.publish(obs, "rcycl.do_us");
     theta_clock.publish(obs, "rcycl.theta_us");
     admit_clock.publish(obs, "rcycl.admit_us");

@@ -2,7 +2,7 @@
 //!
 //! On every reachable state of a set of systems, for every legal `ασ` and
 //! every equality commitment of its new calls, the screened step
-//! ([`SplitDo::step`]: the base of `DO(I, ασ)` checked once, the
+//! ([`SplitDo::step`] on the program's `DO(I, ασ)`: its base checked once, the
 //! call-bearing facts resolved into a delta and screened, the successor
 //! built only for survivors) must return exactly what
 //! [`det_step_with_pre`] returns: `None` for the same commitments, the
@@ -17,7 +17,8 @@ use dcds_bench::{examples, synthetic};
 use dcds_core::commitment::instantiate;
 use dcds_core::det::{det_step_with_pre, DetState, SplitDo};
 use dcds_core::{
-    do_action, enumerate_commitments, legal_assignments, parse_dcds, Dcds, DcdsBuilder, ServiceKind,
+    do_action, do_rows, enumerate_commitments, legal_sigmas, parse_dcds, Dcds, DcdsBuilder, DoRows,
+    ServiceKind,
 };
 use dcds_obs::{Obs, ObsConfig};
 use dcds_reldata::Value;
@@ -38,9 +39,11 @@ fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> (usize, usize) {
         let mut known: BTreeSet<Value> = state.known_values();
         known.extend(rigid.iter().copied());
         let known: Vec<Value> = known.into_iter().collect();
-        for (action, sigma) in legal_assignments(dcds, &state.instance) {
-            let pre = do_action(dcds, &state.instance, action, &sigma);
-            let split = SplitDo::new(dcds, &state, &pre);
+        let mut rows = DoRows::default();
+        for sigma in legal_sigmas(dcds, &state.instance).iter() {
+            let pre = do_action(dcds, &state.instance, sigma.action, &sigma.assignment(dcds));
+            do_rows(dcds, &state.instance, sigma, &mut rows);
+            let split = SplitDo::new(dcds, &state, &rows);
             let new_calls: Vec<_> = pre
                 .calls()
                 .into_iter()

@@ -16,8 +16,8 @@
 use crate::action::ActionId;
 use crate::commitment::{enumerate_commitments, instantiate, Commitment};
 use crate::dcds::Dcds;
-use crate::do_op::{do_action, legal_assignments, resolve_with_map, PreInstance};
-use crate::term::{GTerm, ServiceCall};
+use crate::do_op::{do_action, legal_assignments, resolve_with_map, DoRows, DoTerm, PreInstance};
+use crate::term::ServiceCall;
 use dcds_folang::Assignment;
 use dcds_reldata::{ConstantPool, Facts, Instance, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,7 +121,8 @@ pub fn det_step_with_pre(
 
 /// `DO(I, ασ)` split once per `(⟨I, M⟩, ασ)` so that each equality
 /// commitment of its new calls is screened before its successor is built
-/// (the det abstraction's step):
+/// (the det abstraction's step). It is split from the [`DoRows`] of the
+/// action's program:
 ///
 /// * the *base*: the facts with no new call, old calls resolved through
 ///   `M`. It is part of every commitment's successor instance, and it is
@@ -135,42 +136,62 @@ pub fn det_step_with_pre(
 /// Only a commitment that passes the screen gets its instance `base ∪ Δ`,
 /// the full check of the remaining constraints and its call map
 /// ([`SplitDo::materialise`]). [`SplitDo::step`] returns exactly what
-/// [`det_step_with_pre`] returns, for a choice that answers the new calls.
+/// [`det_step_with_pre`] returns on [`do_action`]'s `DO(I, ασ)`, for a
+/// choice that answers the new calls.
 #[derive(Debug, Clone)]
 pub struct SplitDo {
     base: Instance,
-    /// The facts with a new call, unresolved.
-    pending: Vec<(RelId, Vec<GTerm>)>,
+    /// The facts with a new call, without repeats: old calls resolved
+    /// through `M`, a new call as its position in `new_calls`.
+    pending: Vec<(RelId, Vec<DoTerm>)>,
     new_calls: Vec<ServiceCall>,
     /// The base violates a constraint that has a delta check.
     base_violates: bool,
 }
 
 impl SplitDo {
-    /// Split `pre = DO(I, ασ)` against the state's call map `M`.
-    pub fn new(dcds: &Dcds, state: &DetState, pre: &PreInstance) -> SplitDo {
+    /// Split `rows = DO(I, ασ)` against the state's call map `M`.
+    pub fn new(dcds: &Dcds, state: &DetState, rows: &DoRows) -> SplitDo {
+        // Each distinct call resolved through `M` once; an unanswered one
+        // becomes a `DoTerm::Call` into `new_calls`, which keeps `CALLS`
+        // order.
+        let mut new_calls = Vec::new();
+        let resolved: Vec<DoTerm> = rows
+            .calls()
+            .map(|call| match state.call_map.get(&call) {
+                Some(&v) => DoTerm::Val(v),
+                None => {
+                    new_calls.push(call);
+                    DoTerm::Call(new_calls.len() as u32 - 1)
+                }
+            })
+            .collect();
         let mut base = Instance::new();
         let mut pending = Vec::new();
-        let mut new_calls = BTreeSet::new();
-        for (rel, terms) in pre.facts() {
-            let mut vals = Vec::with_capacity(terms.len());
-            for t in terms {
-                match t {
-                    GTerm::Val(v) => vals.push(*v),
-                    GTerm::Call(c) => match state.call_map.get(c) {
-                        Some(v) => vals.push(*v),
-                        None => {
-                            new_calls.insert(c.clone());
-                        }
-                    },
+        for (rel, terms) in rows.facts() {
+            let terms: Vec<DoTerm> = terms
+                .iter()
+                .map(|t| match *t {
+                    DoTerm::Call(c) => resolved[c as usize],
+                    val => val,
+                })
+                .collect();
+            let vals: Option<Vec<Value>> = terms
+                .iter()
+                .map(|t| match *t {
+                    DoTerm::Val(v) => Some(v),
+                    DoTerm::Call(_) => None,
+                })
+                .collect();
+            match vals {
+                Some(vals) => {
+                    base.insert(rel, Tuple::from(vals));
                 }
-            }
-            if vals.len() == terms.len() {
-                base.insert(rel, Tuple::from(vals));
-            } else {
-                pending.push((rel, terms.to_vec()));
+                None => pending.push((rel, terms)),
             }
         }
+        pending.sort_unstable();
+        pending.dedup();
         let base_violates = dcds
             .data
             .all_constraints()
@@ -178,7 +199,7 @@ impl SplitDo {
         SplitDo {
             base,
             pending,
-            new_calls: new_calls.into_iter().collect(),
+            new_calls,
             base_violates,
         }
     }
@@ -188,28 +209,28 @@ impl SplitDo {
         &self.new_calls
     }
 
-    /// Resolve the call-bearing facts under `M` and `choice` into `Δ`, and
-    /// decide every constraint that has a delta check on `base ∪ Δ`.
-    /// `None` when one is violated (or `choice` misses a new call);
-    /// otherwise `Δ`, for [`SplitDo::materialise`].
-    pub fn screen(
-        &self,
-        dcds: &Dcds,
-        state: &DetState,
-        choice: &BTreeMap<ServiceCall, Value>,
-    ) -> Option<Instance> {
+    /// Resolve the call-bearing facts under `choice` into `Δ`, and decide
+    /// every constraint that has a delta check on `base ∪ Δ`. `None` when
+    /// one is violated (or `choice` misses a new call); otherwise `Δ`, for
+    /// [`SplitDo::materialise`].
+    pub fn screen(&self, dcds: &Dcds, choice: &BTreeMap<ServiceCall, Value>) -> Option<Instance> {
         if self.base_violates {
             return None;
         }
+        let answers: Vec<Value> = self
+            .new_calls
+            .iter()
+            .map(|c| choice.get(c).copied())
+            .collect::<Option<_>>()?;
         let mut delta = Instance::new();
         for (rel, terms) in &self.pending {
-            let mut vals = Vec::with_capacity(terms.len());
-            for t in terms {
-                vals.push(match t {
-                    GTerm::Val(v) => *v,
-                    GTerm::Call(c) => *state.call_map.get(c).or_else(|| choice.get(c))?,
-                });
-            }
+            let vals: Vec<Value> = terms
+                .iter()
+                .map(|t| match *t {
+                    DoTerm::Val(v) => v,
+                    DoTerm::Call(c) => answers[c as usize],
+                })
+                .collect();
             delta.insert(*rel, Tuple::from(vals));
         }
         let violated = dcds
@@ -252,7 +273,7 @@ impl SplitDo {
         state: &DetState,
         choice: &BTreeMap<ServiceCall, Value>,
     ) -> Option<DetState> {
-        let delta = self.screen(dcds, state, choice)?;
+        let delta = self.screen(dcds, choice)?;
         self.materialise(dcds, state, choice, delta)
     }
 }

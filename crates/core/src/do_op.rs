@@ -2,21 +2,56 @@
 //!
 //! `DO(I, ασ)` (Section 4.1) unions, over every effect `q⁺ ∧ Q⁻ ⇝ E` of α
 //! and every answer θ of `(q⁺ ∧ Q⁻)σ` over `I`, the grounded head facts
-//! `Eσθ`. The result is a *pre-instance*: a set of facts whose terms are
-//! values or ground service calls awaiting resolution (deterministic
-//! resolution in [`crate::det`], nondeterministic in [`crate::nondet`]).
+//! `Eσθ`: a set of facts whose terms are values or ground service calls
+//! awaiting resolution (deterministic resolution in [`crate::det`],
+//! nondeterministic in [`crate::nondet`]).
 //!
-//! Both `DO` and the legal assignments run the compiled plans of the
-//! system's [`PlanCache`] against the state's instance itself: a join step
-//! keyed on a prefix of its atom's columns reads a range of the sorted
-//! tuples, every other step scans its relation. No per-state index is
-//! built, so an engine passes nothing but the instance.
+//! # The program
+//!
+//! The explicit engines run `DO` as a [`DoProgram`]: each action's effects
+//! compiled once, stored in the system's [`PlanCache`], and written into
+//! the flat rows of a [`DoRows`]. Every effect is classified when it is
+//! compiled:
+//!
+//! * a *copy*: `q⁺` is one atom `R(x̄)` over distinct variables, none a
+//!   parameter, with no constant, no equality and no `Q⁻`, and every head
+//!   fact lists exactly those variables. A *frame* effect `R(x̄) ⇝ R(x̄)`
+//!   (a DCDS has no inertia, so specs copy each relation they keep this
+//!   way) copies R's tuples; a *rename or permutation* `R(x̄) ⇝ S(πx̄)`
+//!   copies them into S with the columns reordered. No plan runs;
+//! * every other effect runs its compiled `q⁺` plan
+//!   ([`CompiledPlan::any_row`]) and writes each row through a head
+//!   template of value and call operands read from the row's registers
+//!   and σ — no per-row assignment and no grounded term vector. A `Q⁻`
+//!   filter is decided per row by the reference [`holds`], as in
+//!   [`do_action`].
+//!
+//! The legal σ are produced as value rows ([`legal_sigmas`]); the program
+//! that answers a σ takes it as a [`SortedRow`] over its variables.
+//!
+//! # The reference
+//!
+//! [`do_action`] computes `DO(I, ασ)` by the definition into a
+//! [`PreInstance`], a set of grounded facts; [`PreInstance::resolve`]
+//! resolves it. They serve the step-by-step runner, the nondeterministic
+//! successor functions, the det reference step
+//! ([`crate::det::det_step_with_pre`]), the reference constructions and
+//! the tests that hold the program to them.
+//!
+//! Both run the compiled plans of the system's [`PlanCache`] against the
+//! state's instance itself: a join step keyed on a prefix of its atom's
+//! columns reads a range of the sorted tuples, every other step scans its
+//! relation. No per-state index is built, so an engine passes nothing but
+//! the instance.
 
-use crate::action::ActionId;
+use crate::action::{ActionId, Effect};
 use crate::dcds::Dcds;
-use crate::term::{GTerm, ServiceCall};
-use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, PlanStats, Ucq, Var};
-use dcds_reldata::{Instance, RelId, Tuple};
+use crate::service::FuncId;
+use crate::term::{BaseTerm, ETerm, GTerm, ServiceCall};
+use dcds_folang::{
+    holds, Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, SortedRow, Ucq, Var,
+};
+use dcds_reldata::{Instance, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 
@@ -86,41 +121,51 @@ impl PreInstance {
     }
 }
 
-/// Compiled query plans for a DCDS: one [`CompiledPlan`] per effect `q⁺`
-/// (with the action parameters as pre-bound inputs) and one per rule
-/// condition that is recognisably a UCQ. Built once per system — see
-/// [`Dcds::plans`] — and shared across the whole exploration. Validated
-/// `q⁺` is range-restricted modulo the parameters, so every effect
-/// compiles; rule conditions outside the compilable fragment keep `None`
-/// and are answered by the reference active-domain evaluator.
+/// Compiled query plans for a DCDS: the [`DoProgram`] of every action,
+/// whose effects hold their `q⁺` plans (the action parameters as
+/// pre-bound inputs), and one plan per rule condition that is
+/// recognisably a UCQ. Built once per system — see [`Dcds::plans`] — and
+/// shared across the whole exploration. Validated `q⁺` is
+/// range-restricted modulo the parameters, so every effect compiles; rule
+/// conditions outside the compilable fragment keep `None` and are
+/// answered by the reference active-domain evaluator.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    /// `effect_plans[action][effect]`.
-    effect_plans: Vec<Vec<CompiledPlan>>,
     /// One optional plan per condition–action rule.
     rule_plans: Vec<Option<CompiledPlan>>,
+    /// One program per action, over its parameters, read by the engines
+    /// and (its plans) by the reference [`do_action`]; then one per rule
+    /// whose free variables are not the parameters of its action (only
+    /// an unvalidated system has such a rule).
+    programs: Vec<DoProgram>,
+    /// The number of actions: `programs[..actions]` are theirs.
+    actions: usize,
+    /// Per rule, how [`legal_sigmas`] reads its answers.
+    rules: Vec<RuleRows>,
     /// Evaluation counters (plan evals, sorted-prefix probes vs scans,
     /// fallbacks).
     pub stats: PlanStats,
 }
 
+/// How one rule's answers become σ rows.
+#[derive(Debug)]
+struct RuleRows {
+    /// The program that runs the rule's σ; its variables are the rule's.
+    program: usize,
+    /// Per disjunct of the rule plan: the slot of each variable, in
+    /// variable order.
+    slots: Vec<Vec<usize>>,
+    /// Some earlier rule has the same action and variables, so its σ may
+    /// repeat one already listed.
+    twin: bool,
+}
+
 impl PlanCache {
-    /// Compile every effect `q⁺` and every UCQ-shaped rule condition.
+    /// Compile every action's program, with its effects' `q⁺`, and every
+    /// UCQ-shaped rule condition.
     pub fn build(dcds: &Dcds) -> PlanCache {
-        let effect_plans = dcds
-            .process
-            .actions
-            .iter()
-            .map(|action| {
-                let params: BTreeSet<Var> = action.params.iter().cloned().collect();
-                action
-                    .effects
-                    .iter()
-                    .map(|effect| compile_qplus(&effect.qplus, &params))
-                    .collect()
-            })
-            .collect();
-        let rule_plans = dcds
+        let actions = &dcds.process.actions;
+        let rule_plans: Vec<Option<CompiledPlan>> = dcds
             .process
             .rules
             .iter()
@@ -129,9 +174,49 @@ impl PlanCache {
                     .and_then(|ucq| CompiledPlan::compile(&ucq, &BTreeSet::new()).ok())
             })
             .collect();
+        let mut programs: Vec<DoProgram> = actions
+            .iter()
+            .map(|action| {
+                DoProgram::compile(&action.effects, action.params.iter().cloned().collect())
+            })
+            .collect();
+        let mut rules: Vec<RuleRows> = Vec::new();
+        for (rix, rule) in dcds.process.rules.iter().enumerate() {
+            let vars = rule.condition.free_vars();
+            let mut program = rule.action.index();
+            if programs[program].vars.iter().ne(vars.iter()) {
+                programs.push(DoProgram::compile(
+                    &dcds.process.action(rule.action).effects,
+                    vars.clone(),
+                ));
+                program = programs.len() - 1;
+            }
+            let slots = rule_plans[rix].as_ref().map_or_else(Vec::new, |plan| {
+                (0..plan.disjuncts())
+                    .map(|d| {
+                        vars.iter()
+                            .map(|v| {
+                                plan.out_slot(d, v)
+                                    .expect("every free variable is an output")
+                            })
+                            .collect()
+                    })
+                    .collect()
+            });
+            let twin = dcds.process.rules[..rix].iter().any(|earlier| {
+                earlier.action == rule.action && earlier.condition.free_vars() == vars
+            });
+            rules.push(RuleRows {
+                program,
+                slots,
+                twin,
+            });
+        }
         PlanCache {
-            effect_plans,
             rule_plans,
+            programs,
+            actions: actions.len(),
+            rules,
             stats: PlanStats::default(),
         }
     }
@@ -141,10 +226,18 @@ impl PlanCache {
         self.rule_plans.get(rule)?.as_ref()
     }
 
+    /// The `DO` program of an action, over its parameters.
+    pub fn program(&self, action: ActionId) -> &DoProgram {
+        &self.programs[action.index()]
+    }
+
     /// How many effects (resp. rules) compiled, out of how many. Every
     /// effect compiles; only rule conditions can fall outside the fragment.
     pub fn coverage(&self) -> ((usize, usize), (usize, usize)) {
-        let effects = self.effect_plans.iter().flatten().count();
+        let effects = self.programs[..self.actions]
+            .iter()
+            .map(|p| p.effects.len())
+            .sum();
         (
             (effects, effects),
             (
@@ -215,8 +308,12 @@ pub fn do_action(
     let sigma_is_params =
         sigma.len() == action.params.len() && action.params.iter().all(|p| sigma.contains_key(p));
     let adhoc: Vec<CompiledPlan>;
-    let plans = if sigma_is_params {
-        &cache.effect_plans[action_id.index()]
+    let plans: Vec<&CompiledPlan> = if sigma_is_params {
+        cache.programs[action_id.index()]
+            .effects
+            .iter()
+            .map(|e| &e.plan)
+            .collect()
     } else {
         let bound: BTreeSet<Var> = sigma.keys().cloned().collect();
         adhoc = action
@@ -224,7 +321,7 @@ pub fn do_action(
             .iter()
             .map(|effect| compile_qplus(&effect.qplus, &bound))
             .collect();
-        &adhoc
+        adhoc.iter().collect()
     };
     let ctx = EvalCtx::scan(inst).stats(&cache.stats);
     let mut out = PreInstance::new();
@@ -258,35 +355,513 @@ pub fn do_action(
     out
 }
 
+/// A term of a [`DoRows`] fact: a value, or a service call by its
+/// position in [`DoRows`] call order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum DoTerm {
+    /// A value.
+    Val(Value),
+    /// The call at this position of [`DoRows::calls`].
+    Call(u32),
+}
+
+/// `DO(I, ασ)` as a [`DoProgram`] writes it: the ground facts as flat
+/// `[relation, term…]` rows, and the distinct calls of `CALLS(DO(I, ασ))`
+/// sorted in [`ServiceCall`] order, which is the order of
+/// [`PreInstance::calls`]. Two effects may write the same fact, so rows
+/// can repeat; as a set they are the reference [`do_action`]'s facts.
+/// The buffers are reused from run to run.
+#[derive(Debug, Clone, Default)]
+pub struct DoRows {
+    /// Per fact: its relation and the end of its terms in `terms`.
+    facts: Vec<(RelId, u32)>,
+    terms: Vec<DoTerm>,
+    /// Per call: its function and the range of its arguments in `args`.
+    calls: Vec<(FuncId, u32, u32)>,
+    args: Vec<Value>,
+}
+
+impl DoRows {
+    /// The facts, each a relation and its terms, in the order written.
+    pub fn facts(&self) -> impl Iterator<Item = (RelId, &[DoTerm])> {
+        let mut start = 0;
+        self.facts.iter().map(move |&(rel, end)| {
+            let terms = &self.terms[start..end as usize];
+            start = end as usize;
+            (rel, terms)
+        })
+    }
+
+    /// `|CALLS(DO(I, ασ))|`.
+    pub fn num_calls(&self) -> usize {
+        self.calls.len()
+    }
+
+    /// `CALLS(DO(I, ασ))` in order.
+    pub fn calls(&self) -> impl Iterator<Item = ServiceCall> + '_ {
+        self.calls.iter().map(|&(func, start, end)| ServiceCall {
+            func,
+            args: self.args[start as usize..end as usize].to_vec(),
+        })
+    }
+
+    fn clear(&mut self) {
+        self.facts.clear();
+        self.terms.clear();
+        self.calls.clear();
+        self.args.clear();
+    }
+
+    fn end_fact(&mut self, rel: RelId) {
+        self.facts.push((rel, self.terms.len() as u32));
+    }
+
+    /// Write one head fact of a plan row.
+    fn push_head(&mut self, head: &HeadFact, regs: &[Option<Value>], sigma: &[Value]) {
+        for term in &head.terms {
+            let t = match term {
+                HeadTerm::Base(op) => DoTerm::Val(op.value(regs, sigma)),
+                HeadTerm::Call(func, ops) => {
+                    let start = self.args.len() as u32;
+                    self.args.extend(ops.iter().map(|op| op.value(regs, sigma)));
+                    self.calls.push((*func, start, self.args.len() as u32));
+                    DoTerm::Call(self.calls.len() as u32 - 1)
+                }
+            };
+            self.terms.push(t);
+        }
+        self.end_fact(head.rel);
+    }
+
+    /// Sort the calls, one per occurrence so far, into [`ServiceCall`]
+    /// order without repeats, and renumber the call terms.
+    fn finish(&mut self) {
+        let key = |c: &(FuncId, u32, u32)| (c.0, &self.args[c.1 as usize..c.2 as usize]);
+        if self.calls.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+            return; // already in order, as a single call always is
+        }
+        let mut order: Vec<u32> = (0..self.calls.len() as u32).collect();
+        order.sort_by(|&a, &b| key(&self.calls[a as usize]).cmp(&key(&self.calls[b as usize])));
+        let mut renumber = vec![0u32; self.calls.len()];
+        let mut calls: Vec<(FuncId, u32, u32)> = Vec::new();
+        let mut args: Vec<Value> = Vec::new();
+        for &i in &order {
+            let call = self.calls[i as usize];
+            let repeat = calls
+                .last()
+                .is_some_and(|&(f, s, e)| (f, &args[s as usize..e as usize]) == key(&call));
+            if !repeat {
+                let start = args.len() as u32;
+                args.extend_from_slice(&self.args[call.1 as usize..call.2 as usize]);
+                calls.push((call.0, start, args.len() as u32));
+            }
+            renumber[i as usize] = calls.len() as u32 - 1;
+        }
+        for t in &mut self.terms {
+            if let DoTerm::Call(c) = t {
+                *c = renumber[*c as usize];
+            }
+        }
+        self.calls = calls;
+        self.args = args;
+    }
+}
+
+/// Where a head term reads its value in a plan row.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Const(Value),
+    /// A register of the row.
+    Slot(usize),
+    /// A value of σ, by variable position.
+    Param(usize),
+}
+
+impl Operand {
+    fn value(self, regs: &[Option<Value>], sigma: &[Value]) -> Value {
+        match self {
+            Operand::Const(v) => v,
+            Operand::Slot(s) => regs[s].expect("output slot bound in a row"),
+            Operand::Param(i) => sigma[i],
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum HeadTerm {
+    Base(Operand),
+    Call(FuncId, Vec<Operand>),
+}
+
+/// One head fact of an effect, compiled against a disjunct's registers.
+#[derive(Debug, Clone)]
+struct HeadFact {
+    rel: RelId,
+    terms: Vec<HeadTerm>,
+}
+
+/// One compiled effect of a [`DoProgram`]: its `q⁺` plan, which the
+/// reference [`do_action`] runs, and how the program writes it.
+#[derive(Debug, Clone)]
+struct EffectProgram {
+    plan: CompiledPlan,
+    kind: EffectKind,
+}
+
+#[derive(Debug, Clone)]
+enum EffectKind {
+    /// `R(x̄) ⇝ S₁(π₁x̄), …`: every tuple of `from` with the atom's arity,
+    /// its columns reordered by each head's permutation. The plan does
+    /// not run.
+    Copy {
+        from: RelId,
+        arity: usize,
+        heads: Vec<(RelId, Vec<usize>)>,
+    },
+    /// The plan's rows, each written through the head facts of its
+    /// disjunct. A head fact that names a variable neither σ nor the
+    /// disjunct binds writes nothing, as its grounding fails in
+    /// [`do_action`].
+    Template {
+        /// `Q⁻`, unless it is `true`.
+        qminus: Option<Formula>,
+        heads: Vec<Vec<HeadFact>>,
+    },
+}
+
+/// The effects of an action compiled once for `DO(I, ασ)` over the
+/// σ that bind exactly `vars` (see the module docs).
+#[derive(Debug, Clone)]
+pub struct DoProgram {
+    /// The variables σ binds, ascending: a σ is a row of values over them.
+    vars: Vec<Var>,
+    effects: Vec<EffectProgram>,
+}
+
+impl DoProgram {
+    /// Compile `effects` for the σ that bind exactly `vars`.
+    fn compile(effects: &[Effect], vars: BTreeSet<Var>) -> DoProgram {
+        let effects = effects
+            .iter()
+            .map(|effect| {
+                let plan = compile_qplus(&effect.qplus, &vars);
+                let kind = as_copy(effect, &vars).unwrap_or_else(|| EffectKind::Template {
+                    qminus: (effect.qminus != Formula::True).then(|| effect.qminus.clone()),
+                    heads: (0..plan.disjuncts())
+                        .map(|d| head_facts(effect, &vars, &plan, d))
+                        .collect(),
+                });
+                EffectProgram { plan, kind }
+            })
+            .collect();
+        DoProgram {
+            vars: vars.into_iter().collect(),
+            effects,
+        }
+    }
+
+    /// How many effects run as copies (frames, renames, permutations),
+    /// out of how many.
+    pub fn copies(&self) -> (usize, usize) {
+        let copies = self
+            .effects
+            .iter()
+            .filter(|e| matches!(e.kind, EffectKind::Copy { .. }))
+            .count();
+        (copies, self.effects.len())
+    }
+
+    /// Write `DO(I, ασ)` into `out` (cleared first) for σ given as one
+    /// value per variable, ascending. Each plan run counts as a plan
+    /// evaluation in `stats`; a copy runs none.
+    fn run(&self, stats: &PlanStats, inst: &Instance, sigma: &[Value], out: &mut DoRows) {
+        out.clear();
+        let ctx = EvalCtx::scan(inst).stats(stats);
+        let seed = SortedRow {
+            vars: &self.vars,
+            values: sigma,
+        };
+        for EffectProgram { plan, kind } in &self.effects {
+            match kind {
+                EffectKind::Copy { from, arity, heads } => {
+                    for t in inst.tuples(*from) {
+                        let vals = t.values();
+                        if vals.len() != *arity {
+                            continue;
+                        }
+                        for (rel, perm) in heads {
+                            out.terms.extend(perm.iter().map(|&i| DoTerm::Val(vals[i])));
+                            out.end_fact(*rel);
+                        }
+                    }
+                }
+                EffectKind::Template { qminus, heads } => {
+                    stats.plan_evals.fetch_add(1, Ordering::Relaxed);
+                    // `Q⁻σ`, and σ as the assignment its rows extend.
+                    let filter = qminus.as_ref().map(|q| {
+                        let asg: Assignment = self
+                            .vars
+                            .iter()
+                            .cloned()
+                            .zip(sigma.iter().copied())
+                            .collect();
+                        (q.apply(&asg), asg)
+                    });
+                    plan.any_row(&ctx, &seed, |d, regs| {
+                        if let Some((q, sigma_asg)) = &filter {
+                            let mut full = sigma_asg.clone();
+                            full.extend(plan.out_vars(d).map(|(v, s)| {
+                                (v.clone(), regs[s].expect("output slot bound in a row"))
+                            }));
+                            if !holds(q, inst, &full).unwrap_or(false) {
+                                return false;
+                            }
+                        }
+                        for head in &heads[d] {
+                            out.push_head(head, regs, sigma);
+                        }
+                        false
+                    });
+                }
+            }
+        }
+        out.finish();
+    }
+}
+
+/// The head facts of `effect` compiled against the rows of disjunct `d` of
+/// its plan: a variable of σ (`vars`, ascending) reads σ, any other a
+/// register of the row. A fact that names a variable neither binds is
+/// left out, as its grounding fails in [`do_action`].
+fn head_facts(
+    effect: &Effect,
+    vars: &BTreeSet<Var>,
+    plan: &CompiledPlan,
+    d: usize,
+) -> Vec<HeadFact> {
+    let operand = |b: &BaseTerm| match b {
+        BaseTerm::Const(c) => Some(Operand::Const(*c)),
+        BaseTerm::Var(v) => match vars.iter().position(|w| w == v) {
+            Some(i) => Some(Operand::Param(i)),
+            None => plan.out_slot(d, v).map(Operand::Slot),
+        },
+    };
+    effect
+        .head
+        .iter()
+        .filter_map(|(rel, terms)| {
+            let terms = terms
+                .iter()
+                .map(|t| match t {
+                    ETerm::Base(b) => operand(b).map(HeadTerm::Base),
+                    ETerm::Call(f, args) => args
+                        .iter()
+                        .map(operand)
+                        .collect::<Option<_>>()
+                        .map(|ops| HeadTerm::Call(*f, ops)),
+                })
+                .collect::<Option<_>>()?;
+            Some(HeadFact { rel: *rel, terms })
+        })
+        .collect()
+}
+
+/// The copy program of `effect` if it is one: `q⁺` a single atom over
+/// distinct variables, none in `vars` (σ's), with no constant, equality
+/// or `Q⁻`, and every head fact a permutation of the atom's variables.
+fn as_copy(effect: &Effect, vars: &BTreeSet<Var>) -> Option<EffectKind> {
+    if effect.qminus != Formula::True {
+        return None;
+    }
+    let [cq] = effect.qplus.disjuncts.as_slice() else {
+        return None;
+    };
+    let [(from, terms)] = cq.atoms.as_slice() else {
+        return None;
+    };
+    if !cq.equalities.is_empty() {
+        return None;
+    }
+    let atom: Vec<&Var> = terms
+        .iter()
+        .map(|t| match t {
+            QTerm::Var(v) if !vars.contains(v) => Some(v),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    let distinct: BTreeSet<&Var> = atom.iter().copied().collect();
+    if distinct.len() != atom.len() || cq.head.iter().collect::<BTreeSet<_>>() != distinct {
+        return None;
+    }
+    let heads = effect
+        .head
+        .iter()
+        .map(|(rel, hterms)| {
+            if hterms.len() != atom.len() {
+                return None;
+            }
+            let perm: Vec<usize> = hterms
+                .iter()
+                .map(|t| match t {
+                    ETerm::Base(BaseTerm::Var(v)) => atom.iter().position(|a| *a == v),
+                    _ => None,
+                })
+                .collect::<Option<_>>()?;
+            let used: BTreeSet<usize> = perm.iter().copied().collect();
+            (used.len() == perm.len()).then_some((*rel, perm))
+        })
+        .collect::<Option<_>>()?;
+    Some(EffectKind::Copy {
+        from: *from,
+        arity: atom.len(),
+        heads,
+    })
+}
+
+/// One legal `ασ` of [`LegalSigmas`]: the action, and σ as one value per
+/// free variable of the rule condition that made it legal, ascending —
+/// the parameters of α, in a validated system.
+#[derive(Debug, Clone, Copy)]
+pub struct Sigma<'a> {
+    /// The action α.
+    pub action: ActionId,
+    /// The program that runs `DO(I, ασ)`.
+    program: usize,
+    /// σ's values, in variable order.
+    pub values: &'a [Value],
+}
+
+impl Sigma<'_> {
+    /// σ as an assignment, for the reference functions.
+    pub fn assignment(&self, dcds: &Dcds) -> Assignment {
+        let vars = &dcds.plans().programs[self.program].vars;
+        vars.iter()
+            .cloned()
+            .zip(self.values.iter().copied())
+            .collect()
+    }
+}
+
+/// The legal `ασ` of a state as value rows, in [`legal_assignments`]
+/// order.
+#[derive(Debug, Clone, Default)]
+pub struct LegalSigmas {
+    /// Per σ: action, program, and the end of its values in `values`.
+    sigmas: Vec<(ActionId, usize, usize)>,
+    values: Vec<Value>,
+}
+
+impl LegalSigmas {
+    /// True when no action is legal.
+    pub fn is_empty(&self) -> bool {
+        self.sigmas.is_empty()
+    }
+
+    /// The legal `ασ`, in order.
+    pub fn iter(&self) -> impl Iterator<Item = Sigma<'_>> {
+        let mut start = 0;
+        self.sigmas.iter().map(move |&(action, program, end)| {
+            let values = &self.values[start..end];
+            start = end;
+            Sigma {
+                action,
+                program,
+                values,
+            }
+        })
+    }
+
+    fn push(&mut self, action: ActionId, program: usize, values: &[Value]) {
+        self.values.extend_from_slice(values);
+        self.sigmas.push((action, program, self.values.len()));
+    }
+}
+
+/// `DO(I, ασ)` by the program of σ's rule, written into `out`.
+pub fn do_rows(dcds: &Dcds, inst: &Instance, sigma: Sigma<'_>, out: &mut DoRows) {
+    let cache = dcds.plans();
+    cache.programs[sigma.program].run(&cache.stats, inst, sigma.values, out);
+}
+
 /// Legal parameter assignments: for each rule `Q ↦ α`, every answer of `Q`
 /// over the instance provides a legal σ for α (Section 4.1). Returns
-/// deterministic, deduplicated `(action, σ)` pairs.
+/// deterministic, deduplicated `(α, σ)` rows: rule by rule, each rule's
+/// answers in ascending order (the order of a set of assignments), and a
+/// σ an earlier rule already gave its action left out.
 ///
-/// UCQ-shaped rule conditions are answered through their compiled plans;
-/// conditions outside the fragment — negation, universal quantification,
-/// non-range-restricted equalities — keep the reference active-domain
-/// evaluator. Identical output either way: compiled plans are gated on the
-/// range restriction under which the two semantics coincide.
-pub fn legal_assignments(dcds: &Dcds, inst: &Instance) -> Vec<(ActionId, Assignment)> {
+/// UCQ-shaped rule conditions are answered through their compiled plans —
+/// a condition without free variables by [`CompiledPlan::holds`], which
+/// stops at the first row; conditions outside the fragment — negation,
+/// universal quantification, non-range-restricted equalities — keep the
+/// reference active-domain evaluator. Identical output either way:
+/// compiled plans are gated on the range restriction under which the two
+/// semantics coincide.
+pub fn legal_sigmas(dcds: &Dcds, inst: &Instance) -> LegalSigmas {
     let cache = dcds.plans();
-    let mut seen: BTreeSet<(ActionId, Vec<(Var, dcds_reldata::Value)>)> = BTreeSet::new();
-    let mut out = Vec::new();
-    for (rix, rule) in dcds.process.rules.iter().enumerate() {
-        let answers: BTreeSet<Assignment> = match cache.rule_plan(rix) {
-            Some(plan) => plan.eval(&EvalCtx::scan(inst).stats(&cache.stats), &Assignment::new()),
+    let ctx = EvalCtx::scan(inst).stats(&cache.stats);
+    let mut out = LegalSigmas::default();
+    let mut found: Vec<Value> = Vec::new();
+    for (rix, (rule, rows)) in dcds.process.rules.iter().zip(&cache.rules).enumerate() {
+        let width = cache.programs[rows.program].vars.len();
+        found.clear();
+        let mut any = false;
+        match cache.rule_plan(rix) {
+            Some(plan) if width == 0 => any = plan.holds(&ctx, &Assignment::new()),
+            Some(plan) => {
+                cache.stats.plan_evals.fetch_add(1, Ordering::Relaxed);
+                plan.any_row(&ctx, &Assignment::new(), |d, regs| {
+                    found.extend(
+                        rows.slots[d]
+                            .iter()
+                            .map(|&s| regs[s].expect("output bound")),
+                    );
+                    false
+                });
+            }
             None => {
                 cache.stats.fallback_evals.fetch_add(1, Ordering::Relaxed);
-                dcds_folang::answers(&rule.condition, inst)
+                for sigma in dcds_folang::answers(&rule.condition, inst) {
+                    debug_assert_eq!(sigma.len(), width, "an answer binds every free variable");
+                    any = true;
+                    found.extend(sigma.into_values());
+                }
             }
-        };
-        for sigma in answers {
-            let key: Vec<_> = sigma.iter().map(|(v, c)| (v.clone(), *c)).collect();
-            if seen.insert((rule.action, key)) {
-                out.push((rule.action, sigma));
+        }
+        if width == 0 {
+            let repeat = rows.twin
+                && out
+                    .iter()
+                    .any(|s| s.action == rule.action && s.values.is_empty());
+            if any && !repeat {
+                out.push(rule.action, rows.program, &[]);
+            }
+            continue;
+        }
+        let mut answers: Vec<&[Value]> = found.chunks_exact(width).collect();
+        answers.sort_unstable();
+        answers.dedup();
+        for values in answers {
+            let repeat = rows.twin
+                && out.iter().any(|s| {
+                    s.action == rule.action
+                        && cache.programs[s.program].vars == cache.programs[rows.program].vars
+                        && s.values == values
+                });
+            if !repeat {
+                out.push(rule.action, rows.program, values);
             }
         }
     }
     out
+}
+
+/// [`legal_sigmas`] with each σ as an assignment, for the reference
+/// functions.
+pub fn legal_assignments(dcds: &Dcds, inst: &Instance) -> Vec<(ActionId, Assignment)> {
+    legal_sigmas(dcds, inst)
+        .iter()
+        .map(|sigma| (sigma.action, sigma.assignment(dcds)))
+        .collect()
 }
 
 /// Overwrite semantics helper used by both service semantics: the successor

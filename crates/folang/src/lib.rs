@@ -41,7 +41,7 @@ pub use constraints::{Constraint, EqualityConstraint, FallbackReason, FoConstrai
 pub use eval::{answers, answers_over, holds, holds_closed, holds_unguided};
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse_formula, ParseError, Parser, RelUse};
-pub use plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanError, PlanStats};
+pub use plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanError, PlanStats, Seed, SortedRow};
 pub use safety::{is_safe_range, SafetyError};
 pub use ucq::{ConjunctiveQuery, Ucq};
 

@@ -184,6 +184,36 @@ impl Source for Union<'_> {
     }
 }
 
+/// Where an evaluation reads the values of its parameters: an
+/// [`Assignment`], or a [`SortedRow`] of values.
+pub trait Seed {
+    /// The value bound to `v`, if any.
+    fn value(&self, v: &Var) -> Option<Value>;
+}
+
+impl Seed for Assignment {
+    fn value(&self, v: &Var) -> Option<Value> {
+        self.get(v).copied()
+    }
+}
+
+/// Parameter values as a row: `values[i]` is bound to `vars[i]`, and
+/// `vars` is sorted ascending — the order of an [`Assignment`]'s keys.
+#[derive(Debug, Clone, Copy)]
+pub struct SortedRow<'a> {
+    /// The variables, ascending.
+    pub vars: &'a [Var],
+    /// One value per variable.
+    pub values: &'a [Value],
+}
+
+impl Seed for SortedRow<'_> {
+    fn value(&self, v: &Var) -> Option<Value> {
+        let i = self.vars.binary_search(v).ok()?;
+        Some(self.values[i])
+    }
+}
+
 /// A value source known at compile time: a constant or a register slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Src {
@@ -312,7 +342,7 @@ impl CompiledPlan {
     pub fn any_row(
         &self,
         ctx: &EvalCtx<'_>,
-        seed: &Assignment,
+        seed: &impl Seed,
         mut sink: impl FnMut(usize, &[Option<Value>]) -> bool,
     ) -> bool {
         self.cqs
@@ -324,6 +354,12 @@ impl CompiledPlan {
     /// Number of disjuncts (compiled conjunctive queries).
     pub fn disjuncts(&self) -> usize {
         self.cqs.len()
+    }
+
+    /// The output variables of disjunct `disjunct` (its head minus the
+    /// parameters), each with the register slot that holds it in a row.
+    pub fn out_vars(&self, disjunct: usize) -> impl Iterator<Item = (&Var, usize)> {
+        self.cqs[disjunct].out_vars.iter().map(|(v, s)| (v, *s))
     }
 
     /// The register slot holding output variable `v` in the rows of
@@ -599,15 +635,15 @@ impl CompiledCq {
     fn run<F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         ctx: &EvalCtx<'_>,
-        seed: &Assignment,
+        seed: &impl Seed,
         sink: &mut F,
     ) -> bool {
         let mut regs: Vec<Option<Value>> = vec![None; self.nslots];
         for (v, s) in &self.param_slots {
-            let val = seed.get(v).unwrap_or_else(|| {
+            let val = seed.value(v).unwrap_or_else(|| {
                 panic!("compiled plan evaluated without a binding for parameter {v}")
             });
-            regs[*s] = Some(*val);
+            regs[*s] = Some(val);
         }
         if self.pre_checks.iter().any(|eq| !eq.holds(&regs)) {
             return false;

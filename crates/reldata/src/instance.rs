@@ -179,6 +179,35 @@ impl Instance {
         }
         out
     }
+
+    /// Build an instance from facts given in strictly ascending
+    /// `(relation, tuple)` order, in one pass: each relation's set is
+    /// filled from its run and stored once, with no lookup per fact.
+    pub fn from_sorted_facts(facts: impl IntoIterator<Item = (RelId, Tuple)>) -> Instance {
+        let mut rels = BTreeMap::new();
+        let mut run: Option<(RelId, BTreeSet<Tuple>)> = None;
+        for (rel, t) in facts {
+            match &mut run {
+                Some((r, set)) if *r == rel => {
+                    debug_assert!(
+                        set.last().is_some_and(|last| *last < t),
+                        "facts not ascending"
+                    );
+                    set.insert(t);
+                }
+                _ => {
+                    if let Some((r, set)) = run.replace((rel, BTreeSet::from([t]))) {
+                        debug_assert!(r < rel, "facts not ascending");
+                        rels.insert(r, set);
+                    }
+                }
+            }
+        }
+        if let Some((r, set)) = run {
+            rels.insert(r, set);
+        }
+        Instance { rels }
+    }
 }
 
 #[cfg(test)]

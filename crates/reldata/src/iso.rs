@@ -357,10 +357,8 @@ struct DenseCtx {
     rigid_code: Vec<Option<u64>>,
     /// Facts with tuple positions rewritten to slots.
     facts: Vec<(u32, Vec<u32>)>,
-    /// Per slot: every `(fact, position)` occurrence.
+    /// Per slot: every `(fact, position)` occurrence, in fact order.
     occurrences: Vec<Vec<(u32, u32)>>,
-    /// Per slot: deduplicated fact indices the slot occurs in.
-    slot_facts: Vec<Vec<u32>>,
     /// Slots of non-rigid values, ascending.
     free_slots: Vec<u32>,
 }
@@ -371,7 +369,6 @@ impl DenseCtx {
         let nslots = adom.len();
         let mut dense: Vec<(u32, Vec<u32>)> = Vec::with_capacity(facts.len());
         let mut occurrences: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nslots];
-        let mut slot_facts: Vec<Vec<u32>> = vec![Vec::new(); nslots];
         for (fi, (c, t)) in facts.iter().enumerate() {
             let slots: Vec<u32> = t
                 .iter()
@@ -379,10 +376,6 @@ impl DenseCtx {
                 .collect();
             for (pos, &s) in slots.iter().enumerate() {
                 occurrences[s as usize].push((fi as u32, pos as u32));
-                let sf = &mut slot_facts[s as usize];
-                if sf.last() != Some(&(fi as u32)) {
-                    sf.push(fi as u32);
-                }
             }
             dense.push((c, slots));
         }
@@ -398,9 +391,23 @@ impl DenseCtx {
             rigid_code,
             facts: dense,
             occurrences,
-            slot_facts,
             free_slots,
         }
+    }
+
+    /// Per slot: the deduplicated indices of the facts it occurs in. Only
+    /// the order search reads them (its transposition test), so they are
+    /// derived from the occurrences when a search starts, never on a key
+    /// that refinement already made discrete.
+    fn slot_facts(&self) -> Vec<Vec<u32>> {
+        self.occurrences
+            .iter()
+            .map(|occ| {
+                let mut facts: Vec<u32> = occ.iter().map(|&(f, _)| f).collect();
+                facts.dedup();
+                facts
+            })
+            .collect()
     }
 
     /// Iterated color refinement on dense slots. Each round hashes a slot's
@@ -503,6 +510,8 @@ struct Search<'a> {
     cutoffs: u64,
     /// Identity-labeled fact set for transposition-automorphism tests.
     identity: HashSet<(u32, Vec<u64>)>,
+    /// [`DenseCtx::slot_facts`], for the transposition tests.
+    slot_facts: Vec<Vec<u32>>,
     /// Scratch: per-fact encoding buffers for the prefix-prune check.
     enc_buf: Vec<Vec<u64>>,
     /// Scratch: per-fact "all slots determined" flags.
@@ -539,6 +548,7 @@ impl<'a> Search<'a> {
             orders: 0,
             cutoffs: 0,
             identity,
+            slot_facts: ctx.slot_facts(),
             enc_buf: vec![Vec::new(); nfacts],
             det_flag: vec![false; nfacts],
             det: Vec::with_capacity(nfacts),
@@ -704,7 +714,7 @@ impl<'a> Search<'a> {
     /// everything else) maps the fact set onto itself.
     fn transposition_fixes(&self, v: u32, w: u32) -> bool {
         let ctx = self.ctx;
-        for list in [&ctx.slot_facts[v as usize], &ctx.slot_facts[w as usize]] {
+        for list in [&self.slot_facts[v as usize], &self.slot_facts[w as usize]] {
             for &fi in list.iter() {
                 let (c, slots) = &ctx.facts[fi as usize];
                 let key: Vec<u64> = slots

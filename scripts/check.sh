@@ -29,6 +29,8 @@ cargo test -q -p dcds-folang --test delta_differential
 # `det_step_with_pre`, commitment by commitment, on every reachable state
 # of systems that cover each path of the screen.
 cargo test -q -p dcds-bench --test det_screen
+# The compiled `DO` programs and σ rows vs the reference on every reachable state.
+cargo test -q -p dcds-bench --test do_program
 # Engines: both state storages against the reference constructions at
 # 1/2/4/8 threads (the audit systems' non-prefix joins included), DO and
 # the legal assignments against their definitions on every reachable

@@ -84,9 +84,10 @@
 //!
 //! **0** — no error-severity findings (warnings/notes allowed, unless
 //! `--deny warnings`); **1** — errors found (or warnings under
-//! `--deny warnings`); **2** — the spec could not be parsed at all (the
+//! `--deny warnings`); **3** — the spec could not be parsed at all (the
 //! syntax error itself is reported as a `DCDS000` diagnostic in the
-//! selected format).
+//! selected format), or could not be read: a run-time error, as for every
+//! other command.
 
 use dcds_verify::abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned, MAX_EVALS_PER_STEP};
 use dcds_verify::analysis::{
@@ -211,7 +212,7 @@ Any command exits 2 on a missing argument or a flag that it does not take,
 that is given twice, malformed, or meant for the other `check` engine, and
 3 on a run-time error (unreadable or invalid spec, bad formula).
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
---deny warnings), and 2 when the spec cannot be parsed.
+--deny warnings), and 3 when the spec cannot be read or parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
 
 fn run(args: &[String]) -> Result<ExitCode, Failure> {
@@ -831,8 +832,9 @@ enum LintFormat {
 }
 
 /// `dcds lint`: exit 0 clean, 1 on errors (or warnings under `--deny
-/// warnings`), 2 when the spec does not even parse (the syntax error is
-/// itself rendered as a `DCDS000` diagnostic).
+/// warnings`); a spec that does not even parse is rendered as a `DCDS000`
+/// diagnostic and then fails as a run-time error (exit 3), as it does on
+/// every other command.
 fn do_lint(
     path: &str,
     deny_warnings: bool,
@@ -854,8 +856,9 @@ fn do_lint(
                 let d = Diagnostic::error(codes::PARSE_ERROR, e.message.clone())
                     .at(dcds_verify::folang::Span::new(e.line, e.col));
                 emit(&d);
+                drop(run_span);
                 obs_cli.finish(&obs)?;
-                return Ok(ExitCode::from(2));
+                return Err(format!("{path}:{}:{}: {}", e.line, e.col, e.message));
             }
         }
     };

@@ -998,6 +998,10 @@ fn run_time_errors_exit_3_without_the_usage() {
     let bad = std::env::temp_dir().join(format!("dcds-bad-services-{}.dcds", std::process::id()));
     std::fs::write(&bad, "services { f 0; }\n").unwrap();
     let bad = bad.to_str().unwrap();
+    let unparsable =
+        std::env::temp_dir().join(format!("dcds-unparsable-{}.dcds", std::process::id()));
+    std::fs::write(&unparsable, "schema { R 1 ").unwrap();
+    let unparsable = unparsable.to_str().unwrap();
     let missing = "/nonexistent/spec.dcds";
     for args in [
         &["check", bad, "true"][..],
@@ -1010,6 +1014,8 @@ fn run_time_errors_exit_3_without_the_usage() {
         &["check", missing, "true"],
         &["abstract", missing],
         &["lint", missing],
+        &["lint", unparsable],
+        &["check", unparsable, "true"],
     ] {
         let (code, stdout, stderr) = dcds_streams(args);
         assert_eq!(code, 3, "{args:?}: {stdout}{stderr}");
@@ -1023,6 +1029,7 @@ fn run_time_errors_exit_3_without_the_usage() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
     let _ = std::fs::remove_file(bad);
+    let _ = std::fs::remove_file(unparsable);
 }
 
 #[test]

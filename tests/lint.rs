@@ -97,13 +97,14 @@ fn symbolic_fallback_note_on_unbounded_safe() {
 // ---------------------------------------------------- remaining DCDS codes
 
 #[test]
-fn parse_error_is_dcds000_with_exit_2() {
+fn parse_error_is_dcds000_with_exit_3() {
+    // A run-time error, as an unparsable spec is for every command.
     let (code, text) = lint_src("parse", "schema { P 1 }\n", &[]);
-    assert_eq!(code, 2, "{text}");
+    assert_eq!(code, 3, "{text}");
     assert!(text.contains("error[DCDS000]"), "{text}");
 
     let (code, text) = lint_src("parse_json", "schema { P 1 }\n", &["--format", "json"]);
-    assert_eq!(code, 2, "{text}");
+    assert_eq!(code, 3, "{text}");
     assert!(text.contains("\"code\":\"DCDS000\""), "{text}");
     assert!(text.contains("\"line\":1"), "{text}");
 }
@@ -339,7 +340,7 @@ fn shipped_specs_lint_clean() {
 
 #[test]
 fn unreadable_path_is_a_usage_error() {
-    // A run-time error (exit 3), not the unparsable-spec exit 2.
+    // A run-time error (exit 3), as an unparsable spec is.
     let (code, text) = dcds_code(&["lint", "no_such_spec.dcds"]);
     assert_eq!(code, 3, "{text}");
     assert!(text.contains("cannot read"), "{text}");
