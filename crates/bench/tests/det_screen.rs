@@ -20,6 +20,7 @@ use dcds_core::{
     do_action, do_rows, enumerate_commitments, legal_sigmas, parse_dcds, Dcds, DcdsBuilder, DoRows,
     ServiceKind,
 };
+use dcds_folang::Constraint;
 use dcds_obs::{Obs, ObsConfig};
 use dcds_reldata::Value;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -132,14 +133,14 @@ fn a_consequent_that_reads_a_relation_is_checked_in_full() {
         .data
         .fo_constraints
         .iter()
-        .all(|c| c.fallback().is_none()));
+        .all(|c| !c.has_delta_check()));
     agrees_with_both_outcomes(&dcds, 100);
 }
 
 #[test]
 fn a_premise_outside_the_ucqs_is_checked_in_full() {
     let dcds = example_4_1_with(|b| b.constraint("P(X) & Q(Y, Z) & !R(Y) -> X = Y"));
-    assert!(dcds.data.constraints.iter().all(|c| c.fallback().is_some()));
+    assert!(dcds.data.constraints.iter().all(|c| !c.has_delta_check()));
     agrees_with_both_outcomes(&dcds, 100);
 }
 

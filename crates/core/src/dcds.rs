@@ -161,32 +161,14 @@ impl Dcds {
                             });
                         }
                     }
-                    let avars = cq.atom_vars();
-                    for v in &cq.head {
-                        if !avars.contains(v) && !params.contains(v) {
-                            return Err(ValidationError::Effect {
-                                action: action.name.clone(),
-                                effect: eix,
-                                detail: format!(
-                                    "head variable {} of q+ occurs in no atom and is not a parameter",
-                                    v.name()
-                                ),
-                            });
-                        }
-                    }
-                    for (t1, t2) in &cq.equalities {
-                        for v in [t1, t2].into_iter().filter_map(|t| t.as_var()) {
-                            if !avars.contains(v) && !params.contains(v) {
-                                return Err(ValidationError::Effect {
-                                    action: action.name.clone(),
-                                    effect: eix,
-                                    detail: format!(
-                                        "equality variable {} of q+ occurs in no atom and is not a parameter",
-                                        v.name()
-                                    ),
-                                });
-                            }
-                        }
+                    if let Some((kind, v)) = cq.unrestricted(&params) {
+                        return Err(ValidationError::Effect {
+                            action: action.name.clone(),
+                            effect: eix,
+                            detail: format!(
+                                "{kind} variable {v} of q+ occurs in no atom and is not a parameter"
+                            ),
+                        });
                     }
                 }
                 // free(Q-) ⊆ free(q+) ∪ params.

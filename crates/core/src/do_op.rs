@@ -19,12 +19,11 @@
 //!   (a DCDS has no inertia, so specs copy each relation they keep this
 //!   way) copies R's tuples; a *rename or permutation* `R(x̄) ⇝ S(πx̄)`
 //!   copies them into S with the columns reordered. No plan runs;
-//! * every other effect runs its compiled `q⁺` plan
-//!   ([`CompiledPlan::any_row`]) and writes each row through a head
-//!   template of value and call operands read from the row's registers
-//!   and σ — no per-row assignment and no grounded term vector. A `Q⁻`
-//!   filter is decided per row by the reference [`holds`], as in
-//!   [`do_action`].
+//! * every other effect runs its compiled plan of `q⁺ ∧ Q⁻`
+//!   ([`CompiledPlan::any_row`]; `Q⁻` is a filter inside it) and writes
+//!   each row through a head template of value and call operands read
+//!   from the row's registers and σ — no per-row assignment and no
+//!   grounded term vector.
 //!
 //! The legal σ are produced as value rows ([`legal_sigmas`]); the program
 //! that answers a σ takes it as a [`SortedRow`] over its variables.
@@ -49,7 +48,7 @@ use crate::dcds::Dcds;
 use crate::service::FuncId;
 use crate::term::{BaseTerm, ETerm, GTerm, ServiceCall};
 use dcds_folang::{
-    holds, Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, SortedRow, Ucq, Var,
+    Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, SortedRow, Ucq, Var,
 };
 use dcds_reldata::{Instance, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -122,28 +121,23 @@ impl PreInstance {
 }
 
 /// Compiled query plans for a DCDS: the [`DoProgram`] of every action,
-/// whose effects hold their `q⁺` plans (the action parameters as
-/// pre-bound inputs), and one plan per rule condition that is
-/// recognisably a UCQ. Built once per system — see [`Dcds::plans`] — and
-/// shared across the whole exploration. Validated `q⁺` is
-/// range-restricted modulo the parameters, so every effect compiles; rule
-/// conditions outside the compilable fragment keep `None` and are
-/// answered by the reference active-domain evaluator.
+/// whose effects hold their `q⁺ ∧ Q⁻` plans (the action parameters as
+/// pre-bound inputs), and one plan per rule condition. Built once per
+/// system — see [`Dcds::plans`] — and shared across the whole
+/// exploration.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    /// One optional plan per condition–action rule.
-    rule_plans: Vec<Option<CompiledPlan>>,
+    /// One plan per condition–action rule.
+    rule_plans: Vec<CompiledPlan>,
     /// One program per action, over its parameters, read by the engines
     /// and (its plans) by the reference [`do_action`]; then one per rule
     /// whose free variables are not the parameters of its action (only
     /// an unvalidated system has such a rule).
     programs: Vec<DoProgram>,
-    /// The number of actions: `programs[..actions]` are theirs.
-    actions: usize,
     /// Per rule, how [`legal_sigmas`] reads its answers.
     rules: Vec<RuleRows>,
     /// Evaluation counters (plan evals, sorted-prefix probes vs scans,
-    /// fallbacks).
+    /// ADOM steps).
     pub stats: PlanStats,
 }
 
@@ -161,18 +155,15 @@ struct RuleRows {
 }
 
 impl PlanCache {
-    /// Compile every action's program, with its effects' `q⁺`, and every
-    /// UCQ-shaped rule condition.
+    /// Compile every action's program, with its effects' `q⁺ ∧ Q⁻`, and
+    /// every rule condition.
     pub fn build(dcds: &Dcds) -> PlanCache {
         let actions = &dcds.process.actions;
-        let rule_plans: Vec<Option<CompiledPlan>> = dcds
+        let rule_plans: Vec<CompiledPlan> = dcds
             .process
             .rules
             .iter()
-            .map(|rule| {
-                Ucq::from_formula(&rule.condition)
-                    .and_then(|ucq| CompiledPlan::compile(&ucq, &BTreeSet::new()).ok())
-            })
+            .map(|rule| CompiledPlan::compile(&rule.condition, &BTreeSet::new()))
             .collect();
         let mut programs: Vec<DoProgram> = actions
             .iter()
@@ -191,18 +182,17 @@ impl PlanCache {
                 ));
                 program = programs.len() - 1;
             }
-            let slots = rule_plans[rix].as_ref().map_or_else(Vec::new, |plan| {
-                (0..plan.disjuncts())
-                    .map(|d| {
-                        vars.iter()
-                            .map(|v| {
-                                plan.out_slot(d, v)
-                                    .expect("every free variable is an output")
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
+            let plan = &rule_plans[rix];
+            let slots = (0..plan.disjuncts())
+                .map(|d| {
+                    vars.iter()
+                        .map(|v| {
+                            plan.out_slot(d, v)
+                                .expect("every free variable is an output")
+                        })
+                        .collect()
+                })
+                .collect();
             let twin = dcds.process.rules[..rix].iter().any(|earlier| {
                 earlier.action == rule.action && earlier.condition.free_vars() == vars
             });
@@ -215,36 +205,19 @@ impl PlanCache {
         PlanCache {
             rule_plans,
             programs,
-            actions: actions.len(),
             rules,
             stats: PlanStats::default(),
         }
     }
 
-    /// The plan for a rule condition, if it compiled.
-    pub fn rule_plan(&self, rule: usize) -> Option<&CompiledPlan> {
-        self.rule_plans.get(rule)?.as_ref()
+    /// The plan for a rule condition.
+    pub fn rule_plan(&self, rule: usize) -> &CompiledPlan {
+        &self.rule_plans[rule]
     }
 
     /// The `DO` program of an action, over its parameters.
     pub fn program(&self, action: ActionId) -> &DoProgram {
         &self.programs[action.index()]
-    }
-
-    /// How many effects (resp. rules) compiled, out of how many. Every
-    /// effect compiles; only rule conditions can fall outside the fragment.
-    pub fn coverage(&self) -> ((usize, usize), (usize, usize)) {
-        let effects = self.programs[..self.actions]
-            .iter()
-            .map(|p| p.effects.len())
-            .sum();
-        (
-            (effects, effects),
-            (
-                self.rule_plans.iter().filter(|p| p.is_some()).count(),
-                self.rule_plans.len(),
-            ),
-        )
     }
 }
 
@@ -270,25 +243,27 @@ pub fn publish_query_stats_delta(
     }
 }
 
-/// Compile `q⁺` with `bound` as pre-bound inputs, keeping the disjuncts
-/// that are range-restricted modulo `bound`. A dropped disjunct has an
-/// unbound head or equality variable, which the natural join reads as
-/// ranging over nothing, so it contributes no answer. Validated effects
-/// under their own parameters drop nothing; only unvalidated systems
-/// ([`Dcds::from_parts`]) and public-API σ that miss a parameter do.
-fn compile_qplus(qplus: &Ucq, bound: &BTreeSet<Var>) -> CompiledPlan {
-    let disjuncts = qplus
+/// Compile `q⁺ ∧ Q⁻` with `bound` as pre-bound inputs, keeping the
+/// disjuncts of `q⁺` whose head and equality variables occur in an atom
+/// or are bound. A dropped disjunct is one that substituting σ and joining
+/// reads as ranging over nothing, so it contributes no answer. Validated
+/// effects under their own parameters drop nothing; only unvalidated
+/// systems ([`Dcds::from_parts`]) and public-API σ that miss a parameter
+/// do.
+fn compile_effect(effect: &Effect, bound: &BTreeSet<Var>) -> CompiledPlan {
+    let disjuncts = effect
+        .qplus
         .disjuncts
         .iter()
-        .filter(|cq| CompiledPlan::compile(&Ucq::single((*cq).clone()), bound).is_ok())
+        .filter(|cq| cq.unrestricted(bound).is_none())
         .cloned()
         .collect();
-    CompiledPlan::compile(&Ucq { disjuncts }, bound).expect("every kept disjunct compiles")
+    CompiledPlan::compile_ucq(&Ucq { disjuncts }, &effect.qminus, bound)
 }
 
 /// `DO(I, ασ)`: apply the action under the parameter assignment, producing
-/// the pre-instance of grounded effect heads. `q⁺` is evaluated through
-/// the cached compiled plans.
+/// the pre-instance of grounded effect heads. `q⁺ ∧ Q⁻` is evaluated
+/// through the cached compiled plans.
 ///
 /// The cached plans take exactly `params(α)` as inputs. Any other σ
 /// (possible through this public API) is answered by a plan compiled for
@@ -319,30 +294,18 @@ pub fn do_action(
         adhoc = action
             .effects
             .iter()
-            .map(|effect| compile_qplus(&effect.qplus, &bound))
+            .map(|effect| compile_effect(effect, &bound))
             .collect();
         adhoc.iter().collect()
     };
     let ctx = EvalCtx::scan(inst).stats(&cache.stats);
     let mut out = PreInstance::new();
     for (effect, plan) in action.effects.iter().zip(plans) {
-        let thetas = plan.eval(&ctx, sigma);
-        let qminus = effect.qminus.apply(sigma);
-        for theta in thetas {
-            // θ covers the (remaining) head variables of q+; the filter Q-
-            // may mention them and the parameters (already substituted).
-            let mut full: Assignment = theta.clone();
+        for theta in plan.eval(&ctx, sigma) {
+            // θ covers the (remaining) head variables of q+, and passed Q-.
+            let mut full: Assignment = theta;
             for (p, v) in sigma {
                 full.insert(p.clone(), *v);
-            }
-            let pass = if qminus == dcds_folang::Formula::True {
-                true
-            } else {
-                // Restrict to the filter's free variables (all bound).
-                holds(&qminus, inst, &full).unwrap_or(false)
-            };
-            if !pass {
-                continue;
             }
             for (rel, terms) in &effect.head {
                 let grounded: Option<Vec<GTerm>> = terms.iter().map(|t| t.ground(&full)).collect();
@@ -500,7 +463,7 @@ struct HeadFact {
     terms: Vec<HeadTerm>,
 }
 
-/// One compiled effect of a [`DoProgram`]: its `q⁺` plan, which the
+/// One compiled effect of a [`DoProgram`]: its `q⁺ ∧ Q⁻` plan, which the
 /// reference [`do_action`] runs, and how the program writes it.
 #[derive(Debug, Clone)]
 struct EffectProgram {
@@ -522,11 +485,7 @@ enum EffectKind {
     /// disjunct. A head fact that names a variable neither σ nor the
     /// disjunct binds writes nothing, as its grounding fails in
     /// [`do_action`].
-    Template {
-        /// `Q⁻`, unless it is `true`.
-        qminus: Option<Formula>,
-        heads: Vec<Vec<HeadFact>>,
-    },
+    Template { heads: Vec<Vec<HeadFact>> },
 }
 
 /// The effects of an action compiled once for `DO(I, ασ)` over the
@@ -544,9 +503,8 @@ impl DoProgram {
         let effects = effects
             .iter()
             .map(|effect| {
-                let plan = compile_qplus(&effect.qplus, &vars);
+                let plan = compile_effect(effect, &vars);
                 let kind = as_copy(effect, &vars).unwrap_or_else(|| EffectKind::Template {
-                    qminus: (effect.qminus != Formula::True).then(|| effect.qminus.clone()),
                     heads: (0..plan.disjuncts())
                         .map(|d| head_facts(effect, &vars, &plan, d))
                         .collect(),
@@ -595,28 +553,9 @@ impl DoProgram {
                         }
                     }
                 }
-                EffectKind::Template { qminus, heads } => {
+                EffectKind::Template { heads } => {
                     stats.plan_evals.fetch_add(1, Ordering::Relaxed);
-                    // `Q⁻σ`, and σ as the assignment its rows extend.
-                    let filter = qminus.as_ref().map(|q| {
-                        let asg: Assignment = self
-                            .vars
-                            .iter()
-                            .cloned()
-                            .zip(sigma.iter().copied())
-                            .collect();
-                        (q.apply(&asg), asg)
-                    });
                     plan.any_row(&ctx, &seed, |d, regs| {
-                        if let Some((q, sigma_asg)) = &filter {
-                            let mut full = sigma_asg.clone();
-                            full.extend(plan.out_vars(d).map(|(v, s)| {
-                                (v.clone(), regs[s].expect("output slot bound in a row"))
-                            }));
-                            if !holds(q, inst, &full).unwrap_or(false) {
-                                return false;
-                            }
-                        }
                         for head in &heads[d] {
                             out.push_head(head, regs, sigma);
                         }
@@ -789,54 +728,42 @@ pub fn do_rows(dcds: &Dcds, inst: &Instance, sigma: Sigma<'_>, out: &mut DoRows)
 /// answers in ascending order (the order of a set of assignments), and a
 /// σ an earlier rule already gave its action left out.
 ///
-/// UCQ-shaped rule conditions are answered through their compiled plans —
-/// a condition without free variables by [`CompiledPlan::holds`], which
-/// stops at the first row; conditions outside the fragment — negation,
-/// universal quantification, non-range-restricted equalities — keep the
-/// reference active-domain evaluator. Identical output either way:
-/// compiled plans are gated on the range restriction under which the two
-/// semantics coincide.
+/// Rule conditions are answered through their compiled plans — a
+/// condition without free variables by [`CompiledPlan::holds`], which
+/// stops at the first row.
 pub fn legal_sigmas(dcds: &Dcds, inst: &Instance) -> LegalSigmas {
     let cache = dcds.plans();
     let ctx = EvalCtx::scan(inst).stats(&cache.stats);
     let mut out = LegalSigmas::default();
     let mut found: Vec<Value> = Vec::new();
-    for (rix, (rule, rows)) in dcds.process.rules.iter().zip(&cache.rules).enumerate() {
+    for ((rule, plan), rows) in dcds
+        .process
+        .rules
+        .iter()
+        .zip(&cache.rule_plans)
+        .zip(&cache.rules)
+    {
         let width = cache.programs[rows.program].vars.len();
-        found.clear();
-        let mut any = false;
-        match cache.rule_plan(rix) {
-            Some(plan) if width == 0 => any = plan.holds(&ctx, &Assignment::new()),
-            Some(plan) => {
-                cache.stats.plan_evals.fetch_add(1, Ordering::Relaxed);
-                plan.any_row(&ctx, &Assignment::new(), |d, regs| {
-                    found.extend(
-                        rows.slots[d]
-                            .iter()
-                            .map(|&s| regs[s].expect("output bound")),
-                    );
-                    false
-                });
-            }
-            None => {
-                cache.stats.fallback_evals.fetch_add(1, Ordering::Relaxed);
-                for sigma in dcds_folang::answers(&rule.condition, inst) {
-                    debug_assert_eq!(sigma.len(), width, "an answer binds every free variable");
-                    any = true;
-                    found.extend(sigma.into_values());
-                }
-            }
-        }
         if width == 0 {
             let repeat = rows.twin
                 && out
                     .iter()
                     .any(|s| s.action == rule.action && s.values.is_empty());
-            if any && !repeat {
+            if plan.holds(&ctx, &Assignment::new()) && !repeat {
                 out.push(rule.action, rows.program, &[]);
             }
             continue;
         }
+        found.clear();
+        cache.stats.plan_evals.fetch_add(1, Ordering::Relaxed);
+        plan.any_row(&ctx, &Assignment::new(), |d, regs| {
+            found.extend(
+                rows.slots[d]
+                    .iter()
+                    .map(|&s| regs[s].expect("output bound")),
+            );
+            false
+        });
         let mut answers: Vec<&[Value]> = found.chunks_exact(width).collect();
         answers.sort_unstable();
         answers.dedup();

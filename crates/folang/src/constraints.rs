@@ -14,63 +14,43 @@
 //! 4.1 and 6.2) and the Section-6 encoding of arbitrary FO integrity
 //! constraints are expressed this way.
 //!
-//! # Denial plans
+//! # Checking
 //!
 //! Every successor the engines keep must satisfy every constraint, so each
-//! constraint is compiled once, when it is built, into a *denial plan*: a
-//! guard `G` (a conjunction of atoms and equalities) and a quantifier-free
-//! consequent `ψ`, with the constraint read as `∀x̄. G → ψ`. The guard
-//! becomes a [`CompiledPlan`] whose output slots are `ψ`'s variables, `ψ`
-//! becomes a slot-resolved predicate (`Instance::contains` for atoms, plus
-//! `=`, `¬`, `∧`, `∨`, `→`), and the instance satisfies the constraint iff
-//! no guard row falsifies `ψ` — the join stops at the first row that does.
+//! constraint is compiled once, when it is built, into the
+//! [`CompiledPlan`] of its *violation*: `¬sentence` for an FO sentence,
+//! `∃x̄. Q ∧ ¬⋀ z_j = y_j` for an equality constraint. The instance
+//! satisfies the constraint iff that plan has no row, and the join stops at
+//! the first row it finds. For the guard-shaped sentences `∀x̄. G → ψ`
+//! the violation is `∃x̄. G ∧ ¬ψ`: the guard's atoms are the join and
+//! `¬ψ` a filter on its rows; any other shape compiles the same way, with
+//! sub-plans for quantifiers and ADOM steps for variables no atom binds
+//! (see [`crate::plan`]).
 //!
-//! * An FO sentence is flattened by [`GuardForm::of`]: nested `∀x̄` and
-//!   `→` with conjunctive premises, so `A → ∀y. B → ψ` reads as
-//!   `∀y. A ∧ B → ψ`.
-//! * An equality constraint contributes one guard per UCQ disjunct of its
-//!   premise, with `ψ` the conjunction of its equalities.
+//! **Delta check.** When the violation plan has no ADOM step and no filter
+//! that reads a relation, it is also compiled delta-first ([`DeltaPlan`])
+//! and [`Constraint::satisfied_with_delta`] decides `base ∪ Δ` for a base
+//! that satisfies the constraint: each atom is matched against each `Δ`
+//! fact, and the rest of the join runs over `base ∪ Δ` without building
+//! it. This is sound because the filters' verdict on a row depends on the
+//! row alone: every row of the base is a row of `base ∪ Δ`, so a row of
+//! `base ∪ Δ` that the base lacks matches some atom to a `Δ` fact. The
+//! det abstraction screens each equality commitment this way: it checks
+//! the part of `DO(I, ασ)` without new calls once and each commitment's
+//! few call-bearing facts as `Δ`. Any other constraint has no delta check
+//! ([`Constraint::has_delta_check`]) and is checked in full on the
+//! materialised instance.
 //!
-//! **Soundness.** Under the active-domain semantics a `∀`-bound variable
-//! ranges over `ADOM(I)`. The plan is used only when every such variable
-//! (every free variable of the premise, for equality constraints) occurs in
-//! a guard atom: a guard row then binds it to a value of some tuple, hence
-//! of `ADOM(I)`, and every assignment satisfying `G` is a guard row, so
-//! quantifying over `ADOM(I)` and joining the guard's tuples find the same
-//! counterexamples — on the empty instance both find none. Flattening must
-//! not rebind a variable (`∀x. A → ∀x. B` would conflate two scopes), and
-//! `ψ` must be quantifier-free, since it is evaluated on the row alone.
-//!
-//! **Delta check.** When no consequent reads a relation (`ψ` is built
-//! from equalities, constants and connectives only), the guards are also
-//! compiled delta-first ([`DeltaPlan`]) and [`Constraint::satisfied_with_delta`]
-//! decides `base ∪ Δ` for a base that satisfies the constraint: each guard
-//! atom is matched against each `Δ` fact, and the rest of the guard joins
-//! over `base ∪ Δ` without building it. This is sound because `ψ`'s verdict
-//! on a row depends on the row alone: every guard row of the base is a
-//! guard row of `base ∪ Δ` with the same verdict, so a row that falsifies
-//! `ψ` on `base ∪ Δ` but not on the base matches some atom to a `Δ` fact.
-//! The det abstraction screens each equality commitment this way: it
-//! checks the part of `DO(I, ασ)` without new calls once and each
-//! commitment's few call-bearing facts as `Δ`. A constraint whose
-//! consequent reads a relation, or that falls back to the reference
-//! evaluator, has no delta check ([`Constraint::has_delta_check`]) and is
-//! checked in full on the materialised instance.
-//!
-//! **Fallback.** Every other constraint — a variable in no guard atom, a
-//! quantifier in the consequent, shadowing, a premise outside the UCQs —
-//! is checked by the guided reference evaluator ([`crate::eval`]) on every
-//! call, and [`FoConstraint::fallback`] / [`EqualityConstraint::fallback`]
-//! say why. Debug builds cross-check every compiled check against that
-//! reference, and every delta verdict against the full check of the
-//! union.
+//! Debug builds cross-check every check against the reference evaluator
+//! ([`crate::eval`]), and every delta verdict against the full check of
+//! the union.
 
 use crate::ast::{Assignment, Formula, QTerm, Var};
 use crate::eval::{answers, holds_closed};
-use crate::plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanError};
-use crate::ucq::{collect_conjuncts, ConjunctiveQuery, Ucq};
+use crate::plan::{CompiledPlan, DeltaPlan, EvalCtx};
+use crate::ucq::collect_conjuncts;
 use crate::QueryError;
-use dcds_reldata::{Instance, RelId, Schema, Tuple, Value};
+use dcds_reldata::{Instance, RelId, Schema, Value};
 use std::collections::BTreeSet;
 
 /// An equality constraint `Q -> /\ z_j = y_j`.
@@ -78,12 +58,12 @@ use std::collections::BTreeSet;
 pub struct EqualityConstraint {
     query: Formula,
     equalities: Vec<(QTerm, QTerm)>,
-    path: Result<DenialPlan, FallbackReason>,
+    check: Check,
 }
 
 impl PartialEq for EqualityConstraint {
     fn eq(&self, other: &Self) -> bool {
-        // The check path is a function of the formulas.
+        // The check is a function of the formulas.
         self.query == other.query && self.equalities == other.equalities
     }
 }
@@ -131,21 +111,23 @@ impl EqualityConstraint {
     }
 
     fn build(query: Formula, equalities: Vec<(QTerm, QTerm)>) -> Self {
-        let path = match Ucq::from_formula(&query) {
-            Some(ucq) => {
-                let consequent = Formula::conj(
-                    equalities
-                        .iter()
-                        .map(|(t1, t2)| Formula::Eq(t1.clone(), t2.clone())),
-                );
-                DenialPlan::compile(ucq.disjuncts, &consequent)
-            }
-            None => Err(FallbackReason::NonUcqPremise),
-        };
+        // ∃x̄. Q ∧ ¬⋀ z_j = y_j over the premise's free variables.
+        let holds = Formula::conj(
+            equalities
+                .iter()
+                .map(|(t1, t2)| Formula::Eq(t1.clone(), t2.clone())),
+        );
+        let violation = query
+            .free_vars()
+            .into_iter()
+            .rev()
+            .fold(query.clone().and(holds.not()), |f, v| {
+                Formula::Exists(v, Box::new(f))
+            });
         EqualityConstraint {
             query,
             equalities,
-            path,
+            check: Check::new(&violation),
         }
     }
 
@@ -160,16 +142,16 @@ impl EqualityConstraint {
         &self.equalities
     }
 
-    /// Why the constraint is checked by the reference evaluator, or `None`
-    /// when it runs as a compiled denial plan.
-    pub fn fallback(&self) -> Option<&FallbackReason> {
-        self.path.as_ref().err()
-    }
-
     /// Does the instance satisfy the constraint? For each answer θ of the
     /// premise, every equality must hold under θ.
     pub fn satisfied(&self, inst: &Instance) -> bool {
-        check(&self.path, inst, || self.reference_satisfied(inst))
+        let sat = self.check.satisfied(inst);
+        debug_assert_eq!(
+            sat,
+            self.reference_satisfied(inst),
+            "the compiled check disagrees with the reference"
+        );
+        sat
     }
 
     fn reference_satisfied(&self, inst: &Instance) -> bool {
@@ -187,11 +169,12 @@ impl Constraint for EqualityConstraint {
     }
 
     fn has_delta_check(&self) -> bool {
-        self.path.as_ref().is_ok_and(|p| p.delta.is_some())
+        self.check.delta.is_some()
     }
 
     fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool> {
-        check_delta(&self.path, base, delta, |i| self.satisfied(i))
+        self.check
+            .satisfied_with_delta(base, delta, |i| self.satisfied(i))
     }
 }
 
@@ -210,7 +193,7 @@ fn resolve(t: &QTerm, theta: &Assignment) -> Option<Value> {
 #[derive(Debug, Clone)]
 pub struct FoConstraint {
     sentence: Formula,
-    path: Result<DenialPlan, FallbackReason>,
+    check: Check,
 }
 
 impl PartialEq for FoConstraint {
@@ -227,28 +210,8 @@ impl FoConstraint {
         if let Some(v) = sentence.free_vars().into_iter().next() {
             return Err(QueryError::UnboundVariable(v.name().to_owned()));
         }
-        let path = Self::denial(&sentence);
-        Ok(FoConstraint { sentence, path })
-    }
-
-    /// The fragment gate of the module docs, in order: no shadowing, every
-    /// `∀` variable in a guard atom, a quantifier-free consequent (checked
-    /// while compiling it).
-    fn denial(sentence: &Formula) -> Result<DenialPlan, FallbackReason> {
-        let form = GuardForm::of(sentence);
-        if let Some(v) = form.shadowed {
-            return Err(FallbackReason::Shadowed(v));
-        }
-        let guard = ConjunctiveQuery {
-            head: Vec::new(),
-            atoms: form.atoms,
-            equalities: form.equalities,
-        };
-        let guarded = guard.atom_vars();
-        if let Some(v) = form.bound.into_iter().find(|v| !guarded.contains(v)) {
-            return Err(FallbackReason::UnguardedVar(v));
-        }
-        DenialPlan::compile(vec![guard], form.consequent)
+        let check = Check::new(&sentence.clone().not());
+        Ok(FoConstraint { sentence, check })
     }
 
     /// The closed formula that must hold in every state.
@@ -256,19 +219,15 @@ impl FoConstraint {
         &self.sentence
     }
 
-    /// Why the sentence is checked by the reference evaluator, or `None`
-    /// when it runs as a compiled denial plan.
-    pub fn fallback(&self) -> Option<&FallbackReason> {
-        self.path.as_ref().err()
-    }
-
     /// Does the instance satisfy the sentence?
     pub fn satisfied(&self, inst: &Instance) -> bool {
-        check(&self.path, inst, || self.reference_satisfied(inst))
-    }
-
-    fn reference_satisfied(&self, inst: &Instance) -> bool {
-        holds_closed(&self.sentence, inst).unwrap_or(false)
+        let sat = self.check.satisfied(inst);
+        debug_assert_eq!(
+            sat,
+            holds_closed(&self.sentence, inst).unwrap_or(false),
+            "the compiled check disagrees with the reference"
+        );
+        sat
     }
 }
 
@@ -278,11 +237,12 @@ impl Constraint for FoConstraint {
     }
 
     fn has_delta_check(&self) -> bool {
-        self.path.as_ref().is_ok_and(|p| p.delta.is_some())
+        self.check.delta.is_some()
     }
 
     fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool> {
-        check_delta(&self.path, base, delta, |i| self.satisfied(i))
+        self.check
+            .satisfied_with_delta(base, delta, |i| self.satisfied(i))
     }
 }
 
@@ -295,57 +255,57 @@ pub trait Constraint {
     fn has_delta_check(&self) -> bool;
 
     /// For a `base` that satisfies the constraint: does `base ∪ delta`?
-    /// Decided on the guard rows that use a `delta` fact, without building
-    /// the union. `None` when the constraint has no delta check.
+    /// Decided on the rows that use a `delta` fact, without building the
+    /// union. `None` when the constraint has no delta check.
     fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool>;
 }
 
-/// Why a constraint is outside the denial-plan fragment (see the module
-/// docs) and is checked by the reference evaluator instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FallbackReason {
-    /// A quantified variable (or a premise variable of an equality
-    /// constraint) occurs in no guard atom.
-    UnguardedVar(Var),
-    /// The consequent contains a quantifier.
-    QuantifiedConsequent,
-    /// A `∀` rebinds a variable of an enclosing `∀`.
-    Shadowed(Var),
-    /// The equality constraint's premise is not a union of conjunctive
-    /// queries.
-    NonUcqPremise,
+/// A constraint's violation compiled: the full plan and, where there is
+/// one, the delta-first plan (see the module docs).
+#[derive(Debug, Clone)]
+struct Check {
+    violation: CompiledPlan,
+    delta: Option<DeltaPlan>,
 }
 
-impl FallbackReason {
-    /// A stable short name, for machine-readable reports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FallbackReason::UnguardedVar(_) => "unguarded-variable",
-            FallbackReason::QuantifiedConsequent => "quantified-consequent",
-            FallbackReason::Shadowed(_) => "shadowing",
-            FallbackReason::NonUcqPremise => "non-ucq-premise",
+impl Check {
+    fn new(violation: &Formula) -> Check {
+        Check {
+            violation: CompiledPlan::compile(violation, &BTreeSet::new()),
+            delta: DeltaPlan::compile(violation),
         }
     }
-}
 
-impl std::fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FallbackReason::UnguardedVar(v) => write!(f, "variable {v} occurs in no guard atom"),
-            FallbackReason::QuantifiedConsequent => write!(f, "the consequent has a quantifier"),
-            FallbackReason::Shadowed(v) => write!(f, "a nested quantifier rebinds {v}"),
-            FallbackReason::NonUcqPremise => {
-                write!(f, "the premise is not a union of conjunctive queries")
-            }
-        }
+    /// No violating row.
+    fn satisfied(&self, inst: &Instance) -> bool {
+        !self
+            .violation
+            .holds(&EvalCtx::scan(inst), &Assignment::new())
+    }
+
+    /// The delta check — cross-checked in debug builds against the full
+    /// check of the materialised union — and `None` without one.
+    fn satisfied_with_delta(
+        &self,
+        base: &Instance,
+        delta: &Instance,
+        full: impl Fn(&Instance) -> bool,
+    ) -> Option<bool> {
+        let sat = !self.delta.as_ref()?.holds(base, delta);
+        debug_assert!(full(base), "the delta check needs a base that satisfies");
+        debug_assert_eq!(
+            sat,
+            full(&base.union(delta)),
+            "the delta check disagrees with the full check"
+        );
+        Some(sat)
     }
 }
 
 /// A sentence read as `∀x̄. G → ψ`: the `∀` variables and the `→` premises
 /// that are conjunctions of atoms, equalities and `true` are peeled off the
 /// front, and whatever remains is the consequent `ψ`. The reading is a
-/// plain syntactic walk; each consumer applies its own gate (the denial
-/// plans above, symbolic pruning in `dcds-symbolic`).
+/// plain syntactic walk, used by symbolic pruning in `dcds-symbolic`.
 #[derive(Debug, Clone)]
 pub struct GuardForm<'f> {
     /// The `∀` variables, outermost first (a shadowing rebind repeats).
@@ -394,182 +354,6 @@ impl<'f> GuardForm<'f> {
             }
         }
         form
-    }
-}
-
-/// Run the denial plan when there is one — cross-checked against the
-/// reference in debug builds — and the reference otherwise.
-fn check(
-    path: &Result<DenialPlan, FallbackReason>,
-    inst: &Instance,
-    reference: impl Fn() -> bool,
-) -> bool {
-    match path {
-        Ok(plan) => {
-            let sat = plan.satisfied(inst);
-            debug_assert_eq!(sat, reference(), "denial plan disagrees with the reference");
-            sat
-        }
-        Err(_) => reference(),
-    }
-}
-
-/// The delta check of a constraint with a denial plan whose consequent
-/// reads no relation — cross-checked in debug builds against the full
-/// check of the materialised union — and `None` otherwise.
-fn check_delta(
-    path: &Result<DenialPlan, FallbackReason>,
-    base: &Instance,
-    delta: &Instance,
-    full: impl Fn(&Instance) -> bool,
-) -> Option<bool> {
-    let sat = path.as_ref().ok()?.satisfied_with_delta(base, delta)?;
-    debug_assert!(full(base), "the delta check needs a base that satisfies");
-    debug_assert_eq!(
-        sat,
-        full(&base.union(delta)),
-        "the delta check disagrees with the full check"
-    );
-    Some(sat)
-}
-
-/// A compiled `∀x̄. G₁ ∨ ... ∨ Gₖ → ψ`: the guards as one plan whose
-/// outputs are `ψ`'s variables, `ψ` resolved against each guard's slots,
-/// and, when `ψ` reads no relation, the guards compiled delta-first.
-#[derive(Debug, Clone)]
-struct DenialPlan {
-    guard: CompiledPlan,
-    consequents: Vec<Pred>,
-    delta: Option<DeltaPlan>,
-}
-
-impl DenialPlan {
-    fn compile(
-        mut guards: Vec<ConjunctiveQuery>,
-        consequent: &Formula,
-    ) -> Result<Self, FallbackReason> {
-        let outputs: Vec<Var> = consequent.free_vars().into_iter().collect();
-        for cq in &mut guards {
-            cq.head = outputs.clone();
-        }
-        let ucq = Ucq { disjuncts: guards };
-        let guard = CompiledPlan::compile(&ucq, &BTreeSet::new()).map_err(|e| {
-            let (PlanError::UnboundHeadVar(v) | PlanError::UnboundEqualityVar(v)) = e;
-            FallbackReason::UnguardedVar(Var::new(&v))
-        })?;
-        let consequents: Vec<Pred> = (0..guard.disjuncts())
-            .map(|i| Pred::compile(consequent, &|v| guard.out_slot(i, v)))
-            .collect::<Result<_, _>>()?;
-        // The guard compiled, so its delta-first copies do too.
-        let delta = (!consequents.iter().any(Pred::reads_relation))
-            .then(|| DeltaPlan::compile(&ucq).ok())
-            .flatten();
-        Ok(DenialPlan {
-            guard,
-            consequents,
-            delta,
-        })
-    }
-
-    /// No guard row falsifies its consequent; stops at the first that does.
-    fn satisfied(&self, inst: &Instance) -> bool {
-        !self
-            .guard
-            .any_row(&EvalCtx::scan(inst), &Assignment::new(), |i, regs| {
-                !self.consequents[i].holds(inst, regs)
-            })
-    }
-
-    /// No guard row of `base ∪ delta` that uses a `delta` fact falsifies
-    /// its consequent; `None` without a delta check. The consequents read
-    /// no relation, so the instance they are handed is never read.
-    fn satisfied_with_delta(&self, base: &Instance, delta: &Instance) -> Option<bool> {
-        let plan = self.delta.as_ref()?;
-        Some(!plan.any_row(base, delta, |i, regs| {
-            !self.consequents[i].holds(base, regs)
-        }))
-    }
-}
-
-/// A value source of a compiled consequent.
-#[derive(Debug, Clone, Copy)]
-enum Arg {
-    Const(Value),
-    Slot(usize),
-}
-
-impl Arg {
-    fn value(self, regs: &[Option<Value>]) -> Value {
-        match self {
-            Arg::Const(c) => c,
-            Arg::Slot(s) => regs[s].expect("consequent slot bound by the guard"),
-        }
-    }
-}
-
-/// A quantifier-free consequent over guard slots (`g → h` compiles to
-/// `¬g ∨ h`).
-#[derive(Debug, Clone)]
-enum Pred {
-    Const(bool),
-    Atom(RelId, Vec<Arg>),
-    Eq(Arg, Arg),
-    Not(Box<Pred>),
-    And(Box<Pred>, Box<Pred>),
-    Or(Box<Pred>, Box<Pred>),
-}
-
-impl Pred {
-    fn compile(
-        f: &Formula,
-        slot_of: &impl Fn(&Var) -> Option<usize>,
-    ) -> Result<Pred, FallbackReason> {
-        let arg = |t: &QTerm| match t {
-            QTerm::Const(c) => Ok(Arg::Const(*c)),
-            QTerm::Var(v) => slot_of(v)
-                .map(Arg::Slot)
-                .ok_or_else(|| FallbackReason::UnguardedVar(v.clone())),
-        };
-        let sub = |g: &Formula| Pred::compile(g, slot_of).map(Box::new);
-        Ok(match f {
-            Formula::True => Pred::Const(true),
-            Formula::False => Pred::Const(false),
-            Formula::Atom(rel, terms) => {
-                Pred::Atom(*rel, terms.iter().map(arg).collect::<Result<_, _>>()?)
-            }
-            Formula::Eq(t1, t2) => Pred::Eq(arg(t1)?, arg(t2)?),
-            Formula::Not(g) => Pred::Not(sub(g)?),
-            Formula::And(g, h) => Pred::And(sub(g)?, sub(h)?),
-            Formula::Or(g, h) => Pred::Or(sub(g)?, sub(h)?),
-            Formula::Implies(g, h) => Pred::Or(Box::new(Pred::Not(sub(g)?)), sub(h)?),
-            Formula::Exists(..) | Formula::Forall(..) => {
-                return Err(FallbackReason::QuantifiedConsequent)
-            }
-        })
-    }
-
-    /// Does the consequent read the instance (an atom)?
-    fn reads_relation(&self) -> bool {
-        match self {
-            Pred::Const(_) | Pred::Eq(..) => false,
-            Pred::Atom(..) => true,
-            Pred::Not(g) => g.reads_relation(),
-            Pred::And(g, h) | Pred::Or(g, h) => g.reads_relation() || h.reads_relation(),
-        }
-    }
-
-    fn holds(&self, inst: &Instance, regs: &[Option<Value>]) -> bool {
-        match self {
-            Pred::Const(b) => *b,
-            Pred::Atom(rel, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| a.value(regs)).collect();
-                inst.contains(*rel, &Tuple::from(vals))
-            }
-            Pred::Eq(a, b) => a.value(regs) == b.value(regs),
-            Pred::Not(g) => !g.holds(inst, regs),
-            Pred::And(g, h) => g.holds(inst, regs) && h.holds(inst, regs),
-            Pred::Or(g, h) => g.holds(inst, regs) || h.holds(inst, regs),
-        }
     }
 }
 

@@ -5,9 +5,14 @@
 //! instance `I`, `ans(Q, I)` is the set of assignments θ from the free
 //! variables of `Q` to the *active domain* of `I` such that `I |= Qθ`.
 //! Quantifiers likewise range over `ADOM(I)`. This makes every formula
-//! domain-independent by construction; [`crate::safety`] offers the classical
-//! syntactic range-restriction check for callers who want to lint that their
-//! queries would also be domain-independent under the natural semantics.
+//! domain-independent by construction.
+//!
+//! This is the reference: production code evaluates every query through a
+//! [`crate::plan::CompiledPlan`], and this module serves the tests, the
+//! model-checking oracles and the debug cross-checks that hold the plans to
+//! the definition. Its atom-guided quantifier blocks keep those debug
+//! cross-checks affordable on guard-shaped constraints with several
+//! quantified variables.
 
 use crate::ast::{Assignment, Formula, QTerm, Var};
 use crate::QueryError;

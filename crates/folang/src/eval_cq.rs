@@ -1,12 +1,12 @@
 //! Evaluation cases for (unions of) conjunctive queries, test-only.
 //!
-//! [`crate::plan`] is the one (U)CQ evaluator. Each case here runs a small
+//! [`crate::plan`] is the one FO evaluator. Each case here runs a small
 //! query through a [`CompiledPlan`], checks it against the active-domain
 //! [`crate::eval::answers`], and pins the expected rows.
 
 #[cfg(test)]
 mod tests {
-    use crate::ast::{Assignment, QTerm, Var};
+    use crate::ast::{Assignment, Formula, QTerm, Var};
     use crate::eval::answers;
     use crate::plan::{CompiledPlan, EvalCtx};
     use crate::ucq::{ConjunctiveQuery, Ucq};
@@ -33,7 +33,7 @@ mod tests {
     /// The plan's answers, after checking that they equal the
     /// active-domain answers.
     fn eval_ucq(ucq: &Ucq, inst: &Instance) -> BTreeSet<Assignment> {
-        let plan = CompiledPlan::compile(ucq, &BTreeSet::new()).unwrap();
+        let plan = CompiledPlan::compile_ucq(ucq, &Formula::True, &BTreeSet::new());
         let scanned = plan.eval(&EvalCtx::scan(inst), &Assignment::new());
         assert_eq!(answers(&ucq.to_formula(), inst), scanned);
         scanned

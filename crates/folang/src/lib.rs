@@ -7,18 +7,19 @@
 //!   connectives and quantifiers ([`ast`]);
 //! * conjunctive queries and unions of conjunctive queries, the shape
 //!   required of the positive part `q+` of effect specifications ([`ucq`]);
-//! * a reference evaluator under the **active-domain semantics** the paper
-//!   adopts (answers are assignments of free variables to the active domain
-//!   of the instance) ([`eval`]);
-//! * compiled evaluation plans for (U)CQs, the one UCQ evaluator —
-//!   numbered variable slots, join orders fixed at compile time, hoisted
-//!   equality checks, and sorted-prefix probes into each instance's
-//!   sorted tuples — checked against the reference evaluator ([`plan`]);
+//! * compiled evaluation plans, the one FO evaluator under the
+//!   **active-domain semantics** the paper adopts (answers are assignments
+//!   of free variables to the active domain of the instance) — negation
+//!   normal form split into unions of joins, numbered variable slots, join
+//!   orders fixed at compile time, hoisted checks and filters, anti-join
+//!   sub-plans, explicit ADOM steps for variables no atom binds, and
+//!   sorted-prefix probes into each instance's sorted tuples ([`plan`]);
+//! * a reference evaluator under the same semantics, straight from the
+//!   definition, which tests and debug cross-checks hold the plans to
+//!   ([`eval`]);
 //! * equality constraints `Q -> /\ z_i = y_i` and arbitrary FO sentences as
-//!   integrity constraints, checked through compiled denial plans when they
-//!   are guard-shaped ([`constraints`]);
-//! * a safe-range (range-restriction) analyzer, the classical syntactic
-//!   criterion for domain independence ([`safety`]);
+//!   integrity constraints, checked as the compiled plan of their violation
+//!   ([`constraints`]);
 //! * a lexer and parser for a datalog-flavoured surface syntax (uppercase
 //!   identifiers are variables, lowercase or quoted identifiers are
 //!   constants) ([`lexer`], [`parser`]);
@@ -33,16 +34,14 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod pretty;
-pub mod safety;
 pub mod ucq;
 
 pub use ast::{Assignment, Formula, QTerm, Var};
-pub use constraints::{Constraint, EqualityConstraint, FallbackReason, FoConstraint, GuardForm};
+pub use constraints::{Constraint, EqualityConstraint, FoConstraint, GuardForm};
 pub use eval::{answers, answers_over, holds, holds_closed, holds_unguided};
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse_formula, ParseError, Parser, RelUse};
-pub use plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanError, PlanStats, Seed, SortedRow};
-pub use safety::{is_safe_range, SafetyError};
+pub use plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanStats, Seed, SortedRow};
 pub use ucq::{ConjunctiveQuery, Ucq};
 
 /// Errors produced when constructing or evaluating queries.

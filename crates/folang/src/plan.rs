@@ -1,17 +1,39 @@
-//! Compiled evaluation plans for (unions of) conjunctive queries.
+//! Compiled evaluation plans for first-order queries under the
+//! active-domain semantics.
 //!
-//! The positive parts `q+` of effect specifications are evaluated at
-//! *every* transition of the concrete and abstract systems, against a query
-//! that never changes — so we compile each (U)CQ once into a
-//! [`CompiledPlan`] instead of re-deriving a join order, scanning whole
-//! relations and cloning `BTreeMap` assignments per call, as a nested-loop
-//! join would:
+//! Every query the engines ask — rule conditions, effect bodies `q⁺ ∧ Q⁻`,
+//! integrity constraints, model-checker leaves, the symbolic engine's bad
+//! states — is compiled once into a [`CompiledPlan`] and evaluated at every
+//! state it is asked of. The formula is first put in negation normal form
+//! (`φ → ψ ≡ ¬φ ∨ ψ`, `∀x.φ ≡ ¬∃x.¬φ`, negation pushed onto atoms,
+//! equalities and `∃`) and split into **branches**, a union whose rows are
+//! the formula's answers. A branch is a conjunction read as one join:
+//!
+//! * positive atoms are **join steps**, `∃`-bound variables are pulled into
+//!   the branch (renamed apart when they would shadow), and equalities are
+//!   checks;
+//! * a negated or quantified conjunct whose variables are all bound is a
+//!   **filter**: a quantifier-free one is a slot-resolved predicate
+//!   (membership tests, `=`, `¬`, `∧`, `∨`), and an `∃` inside it is a
+//!   boolean **sub-plan** seeded from the branch's registers — a semi-join,
+//!   or under `¬` an anti-join;
+//! * a disjunction is a filter when its variables are bound, and is
+//!   otherwise distributed into one branch per disjunct;
+//! * a variable that no positive atom binds gets an explicit **ADOM step**:
+//!   it ranges over `ADOM(I)`, the values of the instance, which is what
+//!   the active-domain semantics gives it ([`PlanStats::adom_steps`]
+//!   counts them).
+//!
+//! Compilation cannot fail, so this is the one FO evaluator; the reference
+//! evaluator in [`crate::eval`] remains for tests and debug cross-checks
+//! (`tests/plan_differential.rs` compares the two on generated formulas).
+//! Each branch is compiled like a conjunctive query:
 //!
 //! * variables are numbered **slots** and partial assignments become a flat
 //!   `Vec<Option<Value>>` register file (no tree maps, no per-extension
 //!   clones — bindings are written and undone in place during backtracking);
-//! * the greedy join order is fixed at **compile time**, with action
-//!   parameters treated as pre-bound inputs;
+//! * the greedy join order is fixed at **compile time**, with parameters
+//!   treated as pre-bound inputs, and ADOM steps run after every join;
 //! * every atom position is classified up front as constant, bound, or free,
 //!   yielding the positions a join step has bound before it runs. A step
 //!   bound on a *prefix* of its atom's columns is a **sorted-prefix
@@ -19,62 +41,28 @@
 //!   ([`Instance::tuples_with_prefix`]), a logarithmic seek plus the
 //!   matches. Every other step — unbound, or bound only on non-prefix
 //!   columns — scans the relation and filters;
-//! * equality side-conditions are **hoisted** to the earliest join step at
-//!   which both sides are bound (input-only equalities are checked once per
-//!   evaluation, before any join);
+//! * equality checks and filters are **hoisted** to the earliest step at
+//!   which their variables are bound (ones over constants and parameters
+//!   only run once per evaluation, before any step);
 //! * steps whose newly-bound slots are never read again (not by later steps,
-//!   later equalities, or the head) are *existential*: the first tuple that
-//!   passes suffices and the remaining candidates are skipped — the
-//!   dead-variable projection that makes boolean sub-joins cheap.
+//!   later checks, or the head) are *existential*: the first candidate that
+//!   passes suffices and the rest are skipped — the dead-variable
+//!   projection that makes boolean sub-joins cheap.
 //!
-//! Compilation is gated on range restriction: every head and equality
-//! variable must occur in an atom or be a declared parameter, which is
-//! exactly the condition under which the natural join semantics below and
-//! the active-domain [`crate::eval::answers`] coincide (the unit tests and
-//! `tests/plan_differential.rs` compare the two). Queries outside the
-//! fragment are rejected at compile time ([`PlanError`]); validated effect
-//! queries are always inside it, and rule conditions or formula leaves
-//! outside it are answered by the reference evaluator in [`crate::eval`].
-//! Evaluation visits candidate tuples in instance iteration order (a
-//! prefix range is a slice of that order), so outputs are bit-identical
-//! whether a step probes or scans, and at every thread count.
+//! A variable bound by a join takes its value from a tuple, hence from
+//! `ADOM(I)`, and every assignment satisfying the atoms is a join row, so
+//! the natural join and the active-domain semantics coincide on it; the
+//! ADOM steps cover every other variable. Evaluation visits candidate
+//! tuples in instance iteration order (a prefix range is a slice of that
+//! order) and ADOM values ascending, so outputs are bit-identical whether
+//! a step probes or scans, and at every thread count.
 
-use crate::ast::{Assignment, QTerm, Var};
-use crate::ucq::{ConjunctiveQuery, Ucq};
+use crate::ast::{Assignment, Formula, QTerm, Var};
+use crate::ucq::Ucq;
 use dcds_reldata::{Instance, RelId, Tuple, Value};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Why a query cannot be compiled (and the caller should use the reference
-/// evaluator instead).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanError {
-    /// A head variable occurs in no atom and is not a parameter.
-    UnboundHeadVar(String),
-    /// An equality variable occurs in no atom and is not a parameter.
-    UnboundEqualityVar(String),
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::UnboundHeadVar(v) => {
-                write!(
-                    f,
-                    "head variable {v} occurs in no atom and is not a parameter"
-                )
-            }
-            PlanError::UnboundEqualityVar(v) => {
-                write!(
-                    f,
-                    "equality variable {v} occurs in no atom and is not a parameter"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
 
 /// Evaluation counters, shared across threads. Totals are a function of the
 /// evaluated work only, so they are identical at every thread count.
@@ -88,9 +76,9 @@ pub struct PlanStats {
     /// Join steps answered by a relation scan (no bound position, or bound
     /// positions that are not a prefix).
     pub relation_scans: AtomicU64,
-    /// Rule conditions outside the compilable fragment, answered by the
-    /// reference evaluator instead of a plan.
-    pub fallback_evals: AtomicU64,
+    /// ADOM steps run: a variable no positive atom binds, enumerated over
+    /// the values of the instance.
+    pub adom_steps: AtomicU64,
 }
 
 impl PlanStats {
@@ -104,10 +92,7 @@ impl PlanStats {
                 "relation_scans",
                 self.relation_scans.load(Ordering::Relaxed),
             ),
-            (
-                "fallback_evals",
-                self.fallback_evals.load(Ordering::Relaxed),
-            ),
+            ("adom_steps", self.adom_steps.load(Ordering::Relaxed)),
         ]
     }
 }
@@ -134,8 +119,8 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Where the join steps of an evaluation read their candidate tuples: one
-/// instance ([`EvalCtx`]), or a base and a delta read as their union
+/// Where the steps of an evaluation read their tuples: one instance
+/// ([`EvalCtx`]), or a base and a delta read as their union
 /// ([`DeltaPlan`]). Each evaluator gets its own monomorphised join loop.
 trait Source {
     /// Count one event into the attached [`PlanStats`], if any.
@@ -144,6 +129,12 @@ trait Source {
     fn scan(&self, rel: RelId) -> impl Iterator<Item = &Tuple>;
     /// The tuples of `rel` whose leading components equal `key`.
     fn prefix<'s>(&'s self, rel: RelId, key: &'s [Value]) -> impl Iterator<Item = &'s Tuple>;
+    /// Is `values` a tuple of `rel`?
+    fn contains(&self, rel: RelId, values: &[Value]) -> bool {
+        self.prefix(rel, values).any(|t| t.values() == values)
+    }
+    /// `ADOM`, ascending.
+    fn active_domain(&self) -> Vec<Value>;
 }
 
 impl Source for EvalCtx<'_> {
@@ -159,6 +150,10 @@ impl Source for EvalCtx<'_> {
 
     fn prefix<'s>(&'s self, rel: RelId, key: &'s [Value]) -> impl Iterator<Item = &'s Tuple> {
         self.inst.tuples_with_prefix(rel, key)
+    }
+
+    fn active_domain(&self) -> Vec<Value> {
+        self.inst.active_domain().into_iter().collect()
     }
 }
 
@@ -181,6 +176,30 @@ impl Source for Union<'_> {
         self.base
             .tuples_with_prefix(rel, key)
             .chain(self.delta.tuples_with_prefix(rel, key))
+    }
+
+    fn active_domain(&self) -> Vec<Value> {
+        unreachable!("a delta plan has no ADOM step")
+    }
+}
+
+/// One evaluation's source, with `ADOM` built on the first ADOM step and
+/// shared by every sub-plan the evaluation runs.
+struct Cx<'a, S> {
+    src: &'a S,
+    adom: OnceCell<Vec<Value>>,
+}
+
+impl<'a, S: Source> Cx<'a, S> {
+    fn new(src: &'a S) -> Self {
+        Cx {
+            src,
+            adom: OnceCell::new(),
+        }
+    }
+
+    fn adom(&self) -> &[Value] {
+        self.adom.get_or_init(|| self.src.active_domain())
     }
 }
 
@@ -214,6 +233,20 @@ impl Seed for SortedRow<'_> {
     }
 }
 
+/// A sub-plan's parameters, read from its parent's registers.
+struct Registers<'a> {
+    /// Parameter and parent slot, by variable ascending.
+    inputs: &'a [(Var, usize)],
+    regs: &'a [Option<Value>],
+}
+
+impl Seed for Registers<'_> {
+    fn value(&self, v: &Var) -> Option<Value> {
+        let i = self.inputs.binary_search_by(|(w, _)| w.cmp(v)).ok()?;
+        self.regs[self.inputs[i].1]
+    }
+}
+
 /// A value source known at compile time: a constant or a register slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Src {
@@ -226,6 +259,13 @@ impl Src {
         match self {
             Src::Const(c) => c,
             Src::Slot(s) => regs[s].expect("slot read before bound"),
+        }
+    }
+
+    fn slot(self) -> Option<usize> {
+        match self {
+            Src::Const(_) => None,
+            Src::Slot(s) => Some(s),
         }
     }
 }
@@ -243,6 +283,118 @@ impl EqCheck {
     }
 }
 
+/// A filter over bound registers: a quantifier-free predicate, with
+/// `∃`-subformulas as sub-plans seeded from the registers.
+#[derive(Debug, Clone)]
+enum Cond {
+    Const(bool),
+    Atom(RelId, Vec<Src>),
+    Eq(Src, Src),
+    Not(Box<Cond>),
+    And(Box<Cond>, Box<Cond>),
+    Or(Box<Cond>, Box<Cond>),
+    /// The sub-plan has a row, its parameters read from the registers.
+    Exists(Box<SubPlan>),
+}
+
+/// A boolean plan whose parameters are registers of the plan it filters.
+#[derive(Debug, Clone)]
+struct SubPlan {
+    plan: CompiledPlan,
+    /// Each parameter with the parent slot it reads, by variable ascending.
+    inputs: Vec<(Var, usize)>,
+}
+
+impl Cond {
+    /// Compile a filter in negation normal form over the slots of `slot_of`,
+    /// which binds every free variable of `f`.
+    fn compile(f: &Formula, slot_of: &BTreeMap<Var, usize>) -> Cond {
+        let src = |t: &QTerm| match t {
+            QTerm::Const(c) => Src::Const(*c),
+            QTerm::Var(v) => Src::Slot(slot_of[v]),
+        };
+        let sub = |g: &Formula| Box::new(Cond::compile(g, slot_of));
+        match f {
+            Formula::True => Cond::Const(true),
+            Formula::False => Cond::Const(false),
+            Formula::Atom(rel, terms) => Cond::Atom(*rel, terms.iter().map(src).collect()),
+            Formula::Eq(a, b) => Cond::Eq(src(a), src(b)),
+            Formula::Not(g) => Cond::Not(sub(g)),
+            Formula::And(g, h) => Cond::And(sub(g), sub(h)),
+            Formula::Or(g, h) => Cond::Or(sub(g), sub(h)),
+            Formula::Exists(..) => {
+                let params = f.free_vars();
+                let inputs = params.iter().map(|v| (v.clone(), slot_of[v])).collect();
+                Cond::Exists(Box::new(SubPlan {
+                    plan: CompiledPlan::compile(f, &params),
+                    inputs,
+                }))
+            }
+            Formula::Implies(..) | Formula::Forall(..) => {
+                unreachable!("filters are in negation normal form")
+            }
+        }
+    }
+
+    fn holds<S: Source>(&self, cx: &Cx<'_, S>, regs: &[Option<Value>]) -> bool {
+        match self {
+            Cond::Const(b) => *b,
+            Cond::Atom(rel, args) => {
+                let values: Vec<Value> = args.iter().map(|a| a.value(regs)).collect();
+                cx.src.contains(*rel, &values)
+            }
+            Cond::Eq(a, b) => a.value(regs) == b.value(regs),
+            Cond::Not(c) => !c.holds(cx, regs),
+            Cond::And(c, d) => c.holds(cx, regs) && d.holds(cx, regs),
+            Cond::Or(c, d) => c.holds(cx, regs) || d.holds(cx, regs),
+            Cond::Exists(sub) => {
+                let seed = Registers {
+                    inputs: &sub.inputs,
+                    regs,
+                };
+                sub.plan
+                    .branches
+                    .iter()
+                    .any(|b| b.run(cx, &seed, &mut |_| true))
+            }
+        }
+    }
+
+    /// The slots the filter reads.
+    fn slots(&self, out: &mut Vec<usize>) {
+        match self {
+            Cond::Const(_) => {}
+            Cond::Atom(_, args) => out.extend(args.iter().filter_map(|a| a.slot())),
+            Cond::Eq(a, b) => out.extend([a, b].into_iter().filter_map(|a| a.slot())),
+            Cond::Not(c) => c.slots(out),
+            Cond::And(c, d) | Cond::Or(c, d) => {
+                c.slots(out);
+                d.slots(out);
+            }
+            Cond::Exists(sub) => out.extend(sub.inputs.iter().map(|(_, s)| *s)),
+        }
+    }
+
+    /// Does the filter read the instance (an atom or a sub-plan)?
+    fn reads_relation(&self) -> bool {
+        match self {
+            Cond::Const(_) | Cond::Eq(..) => false,
+            Cond::Atom(..) | Cond::Exists(_) => true,
+            Cond::Not(c) => c.reads_relation(),
+            Cond::And(c, d) | Cond::Or(c, d) => c.reads_relation() || d.reads_relation(),
+        }
+    }
+
+    fn has_adom_step(&self) -> bool {
+        match self {
+            Cond::Const(_) | Cond::Atom(..) | Cond::Eq(..) => false,
+            Cond::Not(c) => c.has_adom_step(),
+            Cond::And(c, d) | Cond::Or(c, d) => c.has_adom_step() || d.has_adom_step(),
+            Cond::Exists(sub) => sub.plan.has_adom_step(),
+        }
+    }
+}
+
 /// Compile-time classification of one atom position.
 #[derive(Debug, Clone, Copy)]
 enum PosTerm {
@@ -255,57 +407,113 @@ enum PosTerm {
     Free(usize),
 }
 
-/// One join step: extend the register file through the tuples of a relation.
+/// How a step extends the register file.
+#[derive(Debug, Clone)]
+enum Access {
+    /// Through the tuples of a relation.
+    Join {
+        rel: RelId,
+        terms: Vec<PosTerm>,
+        /// How to compute the probe key when the positions bound before
+        /// the step runs are `0..k` for some `k ≥ 1`: the matching tuples
+        /// are then one range of the relation's sorted tuples. Empty when
+        /// the step scans.
+        prefix_key: Vec<Src>,
+    },
+    /// By binding the slot to each value of `ADOM(I)`, ascending.
+    Adom(usize),
+}
+
+/// One step of a branch, with the checks that run once it has bound.
 #[derive(Debug, Clone)]
 struct Step {
-    rel: RelId,
-    terms: Vec<PosTerm>,
-    /// How to compute the probe key when the positions bound before the
-    /// step runs are `0..k` for some `k ≥ 1`: the matching tuples are then
-    /// one range of the relation's sorted tuples. Empty when the step
-    /// scans.
-    prefix_key: Vec<Src>,
+    access: Access,
     /// Equalities hoisted to this step (both sides bound once it binds).
     eq_checks: Vec<EqCheck>,
-    /// No slot bound here is read later: the first passing tuple suffices.
+    /// Filters hoisted to this step, run after the equalities.
+    filters: Vec<Cond>,
+    /// No slot bound here is read later: the first passing candidate
+    /// suffices.
     existential: bool,
 }
 
-/// A compiled conjunctive query.
+impl Step {
+    fn passes<S: Source>(&self, cx: &Cx<'_, S>, regs: &[Option<Value>]) -> bool {
+        self.eq_checks.iter().all(|eq| eq.holds(regs))
+            && self.filters.iter().all(|c| c.holds(cx, regs))
+    }
+}
+
+/// A compiled conjunction: one branch of a plan.
 #[derive(Debug, Clone)]
-struct CompiledCq {
+struct Branch {
     nslots: usize,
-    /// Parameter variables and their slots, seeded from the input assignment.
+    /// Parameter variables and their slots, seeded from the input.
     param_slots: Vec<(Var, usize)>,
     /// Output variables (head minus parameters) and their slots.
     out_vars: Vec<(Var, usize)>,
     /// Equalities over constants and parameters only: checked once per
-    /// evaluation, before any join step.
+    /// evaluation, before any step.
     pre_checks: Vec<EqCheck>,
+    /// Filters over constants and parameters only, after `pre_checks`.
+    pre_filters: Vec<Cond>,
     steps: Vec<Step>,
 }
 
-/// A compiled union of conjunctive queries. Evaluation returns assignments
-/// over the head variables that are not parameters — exactly the answers
-/// of the query with the parameters substituted as constants.
+/// A compiled first-order query. Evaluation returns assignments over the
+/// head variables that are not parameters — exactly the answers of the
+/// query with the parameters substituted as constants.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
-    cqs: Vec<CompiledCq>,
+    branches: Vec<Branch>,
 }
 
 impl CompiledPlan {
-    /// Compile a UCQ, treating `params` as pre-bound input variables.
-    ///
-    /// Fails iff some disjunct is not range-restricted modulo `params`
-    /// (a head or equality variable in no atom); callers should use the
-    /// reference evaluator in that case.
-    pub fn compile(ucq: &Ucq, params: &BTreeSet<Var>) -> Result<CompiledPlan, PlanError> {
-        let cqs = ucq
+    /// Compile `f` under the active-domain semantics, treating `params` as
+    /// pre-bound inputs. Its rows are the answers of `f` over the free
+    /// variables that are not parameters, in ascending variable order;
+    /// evaluated with parameter values outside `ADOM(I)`, they are the
+    /// answers with those values substituted.
+    pub fn compile(f: &Formula, params: &BTreeSet<Var>) -> CompiledPlan {
+        let head: Vec<Var> = f.free_vars().difference(params).cloned().collect();
+        let branches = blocks(&nnf(f, false), params, &head)
+            .iter()
+            .map(|block| compile_branch(block, &head, params, None))
+            .collect();
+        CompiledPlan { branches }
+    }
+
+    /// Compile a UCQ with each disjunct conjoined with `filter` (its `Q⁻`),
+    /// treating `params` as pre-bound inputs: one branch per disjunct,
+    /// whose rows are assignments over its head minus the parameters.
+    /// `filter` is read over those and the parameters: a disjunct whose
+    /// head and parameters miss one of its variables has no row.
+    pub fn compile_ucq(ucq: &Ucq, filter: &Formula, params: &BTreeSet<Var>) -> CompiledPlan {
+        let filter_vars = filter.free_vars();
+        let branches = ucq
             .disjuncts
             .iter()
-            .map(|cq| compile_cq(cq, params, None))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CompiledPlan { cqs })
+            .map(|cq| {
+                let covered = filter_vars
+                    .iter()
+                    .all(|v| cq.head.contains(v) || params.contains(v));
+                let mut filters = Vec::new();
+                match covered {
+                    true => conjuncts(nnf(filter, false), &mut filters),
+                    false => filters.push(Formula::False),
+                }
+                // Every variable of the atoms and equalities gets a slot;
+                // one no atom binds takes an ADOM step.
+                let block = Block {
+                    atoms: cq.atoms.clone(),
+                    equalities: cq.equalities.clone(),
+                    filters,
+                    locals: BTreeSet::new(),
+                };
+                compile_branch(&block, &cq.head, params, None)
+            })
+            .collect();
+        CompiledPlan { branches }
     }
 
     /// Evaluate, seeding the parameter slots from `seed`. Returns the set
@@ -315,10 +523,11 @@ impl CompiledPlan {
     /// Panics if `seed` misses a parameter that occurs in the query.
     pub fn eval(&self, ctx: &EvalCtx<'_>, seed: &Assignment) -> BTreeSet<Assignment> {
         ctx.count(|s| &s.plan_evals);
+        let cx = Cx::new(ctx);
         let mut out = BTreeSet::new();
-        for cq in &self.cqs {
-            cq.run(ctx, seed, &mut |regs| {
-                out.insert(cq.row(regs));
+        for branch in &self.branches {
+            branch.run(&cx, seed, &mut |regs| {
+                out.insert(branch.row(regs));
                 false
             });
         }
@@ -329,95 +538,280 @@ impl CompiledPlan {
     /// produced row.
     pub fn holds(&self, ctx: &EvalCtx<'_>, seed: &Assignment) -> bool {
         ctx.count(|s| &s.plan_evals);
-        self.cqs.iter().any(|cq| cq.run(ctx, seed, &mut |_| true))
+        let cx = Cx::new(ctx);
+        self.branches
+            .iter()
+            .any(|branch| branch.run(&cx, seed, &mut |_| true))
     }
 
     /// Row-level evaluation without materialising rows: calls `sink` with
-    /// the disjunct index and the register file of each produced row, and
+    /// the branch index and the register file of each produced row, and
     /// stops as soon as `sink` returns `true` (the return value reports
-    /// whether it did). Rows of one disjunct may repeat; the sink reads
+    /// whether it did). Rows of one branch may repeat; the sink reads
     /// output variables through [`CompiledPlan::out_slot`]. Unlike
     /// [`CompiledPlan::eval`] and [`CompiledPlan::holds`], it does not
-    /// count a plan evaluation (join steps are still counted).
+    /// count a plan evaluation (steps are still counted).
     pub fn any_row(
         &self,
         ctx: &EvalCtx<'_>,
         seed: &impl Seed,
         mut sink: impl FnMut(usize, &[Option<Value>]) -> bool,
     ) -> bool {
-        self.cqs
+        let cx = Cx::new(ctx);
+        self.branches
             .iter()
             .enumerate()
-            .any(|(i, cq)| cq.run(ctx, seed, &mut |regs| sink(i, regs)))
+            .any(|(i, branch)| branch.run(&cx, seed, &mut |regs| sink(i, regs)))
     }
 
-    /// Number of disjuncts (compiled conjunctive queries).
+    /// Number of branches: the disjuncts of a UCQ, the branches of a
+    /// formula.
     pub fn disjuncts(&self) -> usize {
-        self.cqs.len()
-    }
-
-    /// The output variables of disjunct `disjunct` (its head minus the
-    /// parameters), each with the register slot that holds it in a row.
-    pub fn out_vars(&self, disjunct: usize) -> impl Iterator<Item = (&Var, usize)> {
-        self.cqs[disjunct].out_vars.iter().map(|(v, s)| (v, *s))
+        self.branches.len()
     }
 
     /// The register slot holding output variable `v` in the rows of
-    /// disjunct `disjunct`, or `None` if `v` is not one of its outputs.
+    /// branch `disjunct`, or `None` if `v` is not one of its outputs.
     pub fn out_slot(&self, disjunct: usize, v: &Var) -> Option<usize> {
-        self.cqs[disjunct]
+        self.branches[disjunct]
             .out_vars
             .iter()
             .find(|(w, _)| w == v)
             .map(|(_, s)| *s)
     }
+
+    /// Does some branch, or some sub-plan of a filter, enumerate `ADOM(I)`
+    /// for a variable no positive atom binds?
+    pub fn has_adom_step(&self) -> bool {
+        self.branches
+            .iter()
+            .any(|b| b.has_adom_step() || b.filters().any(Cond::has_adom_step))
+    }
 }
 
-/// A parameterless UCQ compiled for evaluation over `base ∪ Δ` that only
+/// A parameterless query compiled for evaluation over `base ∪ Δ` that only
 /// looks for the rows using a `Δ` tuple (the delta rule of semi-naive
-/// evaluation): every disjunct is compiled once per atom with that atom
+/// evaluation): every branch is compiled once per atom with that atom
 /// joined first and matched against `Δ` alone, and every later step reads
 /// `base` and `Δ` in turn, without building their union.
 ///
 /// A row of `base ∪ Δ` whose atoms match some `Δ` tuple is produced by the
 /// copy that joins that atom first; a row matching base tuples only is
-/// never produced, unless its tuples are also in `Δ`. Slots are numbered
-/// by variable, not by join order, so rows use the same register slots as
-/// the [`CompiledPlan`] of the same UCQ ([`CompiledPlan::out_slot`]).
+/// never produced, unless its tuples are also in `Δ`. Only queries without
+/// ADOM steps and whose filters read no relation have one: their other
+/// rows are the same on `base` and on `base ∪ Δ`.
 #[derive(Debug, Clone)]
 pub struct DeltaPlan {
-    /// `(disjunct, copy)`: the disjunct compiled with one of its atoms first.
-    seeded: Vec<(usize, CompiledCq)>,
+    /// Each branch compiled with one of its atoms first.
+    seeded: Vec<Branch>,
 }
 
 impl DeltaPlan {
-    /// Compile every disjunct once per atom. Fails exactly when
-    /// [`CompiledPlan::compile`] of the UCQ without parameters does.
-    pub fn compile(ucq: &Ucq) -> Result<DeltaPlan, PlanError> {
+    /// Compile every branch of `f` (no parameters) once per atom, or
+    /// `None` when some branch has an ADOM step or a filter that reads a
+    /// relation.
+    pub fn compile(f: &Formula) -> Option<DeltaPlan> {
         let no_params = BTreeSet::new();
+        let head: Vec<Var> = f.free_vars().into_iter().collect();
         let mut seeded = Vec::new();
-        for (i, cq) in ucq.disjuncts.iter().enumerate() {
-            for first in 0..cq.atoms.len() {
-                let copy = compile_cq(cq, &no_params, Some(first))?;
-                debug_assert_eq!(copy.out_vars, compile_cq(cq, &no_params, None)?.out_vars);
-                seeded.push((i, copy));
+        for block in blocks(&nnf(f, false), &no_params, &head) {
+            let whole = compile_branch(&block, &head, &no_params, None);
+            if whole.has_adom_step() || whole.filters().any(Cond::reads_relation) {
+                return None;
+            }
+            for first in 0..block.atoms.len() {
+                let copy = compile_branch(&block, &head, &no_params, Some(first));
+                debug_assert_eq!(copy.out_vars, whole.out_vars);
+                seeded.push(copy);
             }
         }
-        Ok(DeltaPlan { seeded })
+        Some(DeltaPlan { seeded })
     }
 
-    /// [`CompiledPlan::any_row`] restricted to the rows of `base ∪ delta`
-    /// that match some atom to a `delta` tuple. Counts nothing.
-    pub fn any_row(
-        &self,
-        base: &Instance,
-        delta: &Instance,
-        mut sink: impl FnMut(usize, &[Option<Value>]) -> bool,
-    ) -> bool {
+    /// Does some row of `base ∪ delta` match an atom to a `delta` tuple?
+    /// Counts nothing.
+    pub fn holds(&self, base: &Instance, delta: &Instance) -> bool {
         let union = Union { base, delta };
+        let cx = Cx::new(&union);
         self.seeded
             .iter()
-            .any(|(i, cq)| cq.run_seeded(&union, &mut |regs| sink(*i, regs)))
+            .any(|branch| branch.run_seeded(&cx, &mut |_| true))
+    }
+}
+
+/// Negation normal form of `f`, negated if `neg`: `→` and `∀` rewritten
+/// away, `¬` only on atoms, equalities and `∃`.
+fn nnf(f: &Formula, neg: bool) -> Formula {
+    let not = |g: Formula| if neg { g.not() } else { g };
+    match f {
+        Formula::True | Formula::False => match (f == &Formula::True) != neg {
+            true => Formula::True,
+            false => Formula::False,
+        },
+        Formula::Atom(..) | Formula::Eq(..) => not(f.clone()),
+        Formula::Not(g) => nnf(g, !neg),
+        Formula::And(g, h) | Formula::Or(g, h) => {
+            let (a, b) = (nnf(g, neg), nnf(h, neg));
+            match matches!(f, Formula::And(..)) != neg {
+                true => a.and(b),
+                false => a.or(b),
+            }
+        }
+        // ¬g ∨ h, negated g ∧ ¬h.
+        Formula::Implies(g, h) => {
+            let (a, b) = (nnf(g, !neg), nnf(h, neg));
+            match neg {
+                true => a.and(b),
+                false => a.or(b),
+            }
+        }
+        Formula::Exists(v, g) => not(Formula::Exists(v.clone(), Box::new(nnf(g, false)))),
+        // ∀v.g ≡ ¬∃v.¬g.
+        Formula::Forall(v, g) => {
+            let e = Formula::Exists(v.clone(), Box::new(nnf(g, true)));
+            if neg {
+                e
+            } else {
+                e.not()
+            }
+        }
+    }
+}
+
+/// The top-level disjuncts of `f`.
+fn disjuncts(f: &Formula) -> Vec<&Formula> {
+    match f {
+        Formula::Or(g, h) => {
+            let mut out = disjuncts(g);
+            out.extend(disjuncts(h));
+            out
+        }
+        _ => vec![f],
+    }
+}
+
+/// The top-level conjuncts of `f`, without `true`.
+fn conjuncts(f: Formula, out: &mut Vec<Formula>) {
+    match f {
+        Formula::And(g, h) => {
+            conjuncts(*g, out);
+            conjuncts(*h, out);
+        }
+        Formula::True => {}
+        _ => out.push(f),
+    }
+}
+
+/// Disjunctions distributed past this many branches stay filters, their
+/// unbound variables on ADOM steps.
+const MAX_BRANCHES: usize = 64;
+
+/// A conjunction before compilation.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    atoms: Vec<(RelId, Vec<QTerm>)>,
+    equalities: Vec<(QTerm, QTerm)>,
+    /// Conjuncts in negation normal form that are neither atoms,
+    /// equalities nor `∃`: negations, and disjunctions whose variables the
+    /// atoms bind.
+    filters: Vec<Formula>,
+    /// The `∃`-bound variables pulled into the block.
+    locals: BTreeSet<Var>,
+}
+
+/// The branches of `f`, in negation normal form, whose free variables are
+/// `params` and `head`: one block per top-level disjunct, each split
+/// further where a disjunction binds a variable no atom does.
+fn blocks(f: &Formula, params: &BTreeSet<Var>, head: &[Var]) -> Vec<Block> {
+    let mut scope = params.clone();
+    scope.extend(head.iter().cloned());
+    let mut out = Vec::new();
+    for d in disjuncts(f) {
+        let mut block = Block::default();
+        let mut ors = Vec::new();
+        if block.add(d, &mut ors, &scope) {
+            block.settle(ors, &scope, params, &mut out);
+        }
+    }
+    out
+}
+
+impl Block {
+    /// Conjoin `f`, deferring disjunctions to `ors`; `false` when `f` is
+    /// (and the block has no row).
+    fn add(&mut self, f: &Formula, ors: &mut Vec<Formula>, scope: &BTreeSet<Var>) -> bool {
+        match f {
+            Formula::True => true,
+            Formula::False => false,
+            Formula::And(g, h) => self.add(g, ors, scope) && self.add(h, ors, scope),
+            Formula::Atom(rel, terms) => {
+                self.atoms.push((*rel, terms.clone()));
+                true
+            }
+            Formula::Eq(a, b) => {
+                self.equalities.push((a.clone(), b.clone()));
+                true
+            }
+            Formula::Exists(v, g) if scope.contains(v) || self.locals.contains(v) => {
+                // A shadowing binder: rename it apart.
+                let fresh = (1..)
+                    .map(|n| Var::new(&format!("{v}#{n}")))
+                    .find(|w| !scope.contains(w) && !self.locals.contains(w))
+                    .expect("a fresh name");
+                let g = g.substitute(&[(v.clone(), QTerm::Var(fresh.clone()))].into());
+                self.locals.insert(fresh);
+                self.add(&g, ors, scope)
+            }
+            Formula::Exists(v, g) => {
+                self.locals.insert(v.clone());
+                self.add(g, ors, scope)
+            }
+            Formula::Or(..) => {
+                ors.push(f.clone());
+                true
+            }
+            _ => {
+                self.filters.push(f.clone());
+                true
+            }
+        }
+    }
+
+    /// Finish the block into `out`: a disjunction with a variable no atom
+    /// (or parameter) binds is distributed, one block per disjunct; every
+    /// other disjunction becomes a filter.
+    fn settle(
+        mut self,
+        mut ors: Vec<Formula>,
+        scope: &BTreeSet<Var>,
+        params: &BTreeSet<Var>,
+        out: &mut Vec<Block>,
+    ) {
+        let bound: BTreeSet<&Var> = self
+            .atoms
+            .iter()
+            .flat_map(|(_, terms)| terms.iter().filter_map(QTerm::as_var))
+            .chain(params)
+            .collect();
+        let unbound = ors
+            .iter()
+            .position(|o| o.free_vars().iter().any(|v| !bound.contains(v)));
+        match unbound {
+            Some(i) if out.len() < MAX_BRANCHES => {
+                let or = ors.remove(i);
+                for d in disjuncts(&or) {
+                    let mut block = self.clone();
+                    let mut rest = ors.clone();
+                    if block.add(d, &mut rest, scope) {
+                        block.settle(rest, scope, params, out);
+                    }
+                }
+            }
+            _ => {
+                self.filters.extend(ors);
+                out.push(self);
+            }
+        }
     }
 }
 
@@ -426,33 +820,37 @@ fn is_prefix(positions: &[usize]) -> bool {
     !positions.is_empty() && positions.iter().enumerate().all(|(i, &p)| i == p)
 }
 
-fn src_of(t: &QTerm, slot_of: &BTreeMap<Var, usize>) -> Option<Src> {
-    match t {
-        QTerm::Const(c) => Some(Src::Const(*c)),
-        QTerm::Var(v) => slot_of.get(v).map(|&s| Src::Slot(s)),
-    }
-}
-
-/// Compile one conjunctive query; `first` forces the atom joined first
-/// (the delta-first copies of a [`DeltaPlan`]), the rest of the order is
-/// greedy as always.
-fn compile_cq(
-    cq: &ConjunctiveQuery,
+/// Compile one block with outputs `head` (minus `params`); `first` forces
+/// the atom joined first (the delta-first copies of a [`DeltaPlan`]), the
+/// rest of the join order is greedy as always.
+fn compile_branch(
+    block: &Block,
+    head: &[Var],
     params: &BTreeSet<Var>,
     first: Option<usize>,
-) -> Result<CompiledCq, PlanError> {
-    // Slots: every atom variable, plus parameters referenced by equalities
-    // (parameters referenced only by the head need no slot — the caller's
-    // seed assignment supplies their values directly).
-    let mut slot_vars: BTreeSet<Var> = cq.atom_vars();
-    for (t1, t2) in &cq.equalities {
-        for t in [t1, t2] {
-            if let QTerm::Var(v) = t {
-                if params.contains(v) {
-                    slot_vars.insert(v.clone());
-                }
-            }
-        }
+) -> Branch {
+    // Slots: every variable of the block, numbered in variable order.
+    // (Parameters that occur only in the head need no slot — the caller's
+    // seed supplies their values directly.)
+    let atom_vars: BTreeSet<Var> = block
+        .atoms
+        .iter()
+        .flat_map(|(_, terms)| terms.iter().filter_map(QTerm::as_var))
+        .cloned()
+        .collect();
+    let mut slot_vars: BTreeSet<Var> = atom_vars.clone();
+    slot_vars.extend(block.locals.iter().cloned());
+    slot_vars.extend(head.iter().filter(|v| !params.contains(*v)).cloned());
+    slot_vars.extend(
+        block
+            .equalities
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .filter_map(QTerm::as_var)
+            .cloned(),
+    );
+    for f in &block.filters {
+        slot_vars.extend(f.free_vars());
     }
     let slot_of: BTreeMap<Var, usize> = slot_vars
         .iter()
@@ -463,32 +861,13 @@ fn compile_cq(
     let nslots = slot_of.len();
     let param_slots: Vec<(Var, usize)> = slot_of
         .iter()
-        .filter(|(v, _)| params.contains(v))
+        .filter(|(v, _)| params.contains(*v))
         .map(|(v, &s)| (v.clone(), s))
         .collect();
-
-    // Range restriction modulo parameters.
-    let avars = cq.atom_vars();
     let mut out_vars: Vec<(Var, usize)> = Vec::new();
-    let mut seen_head: BTreeSet<&Var> = BTreeSet::new();
-    for v in &cq.head {
-        if params.contains(v) {
-            continue; // supplied by the seed, as after parameter substitution
-        }
-        if !avars.contains(v) {
-            return Err(PlanError::UnboundHeadVar(v.name().to_owned()));
-        }
-        if seen_head.insert(v) {
+    for v in head {
+        if !params.contains(v) && out_vars.iter().all(|(w, _)| w != v) {
             out_vars.push((v.clone(), slot_of[v]));
-        }
-    }
-    for (t1, t2) in &cq.equalities {
-        for t in [t1, t2] {
-            if let QTerm::Var(v) = t {
-                if !avars.contains(v) && !params.contains(v) {
-                    return Err(PlanError::UnboundEqualityVar(v.name().to_owned()));
-                }
-            }
         }
     }
 
@@ -498,9 +877,9 @@ fn compile_cq(
     // (The answer set is order-independent; the order only shapes how much
     // gets pruned early.)
     let order = {
-        let mut remaining: Vec<usize> = (0..cq.atoms.len()).collect();
+        let mut remaining: Vec<usize> = (0..block.atoms.len()).collect();
         let mut bound_vars: BTreeSet<Var> = param_slots.iter().map(|(v, _)| v.clone()).collect();
-        let mut order = Vec::with_capacity(cq.atoms.len());
+        let mut order = Vec::with_capacity(block.atoms.len());
         while !remaining.is_empty() {
             let forced = first.filter(|_| order.is_empty());
             let (pos, &best) = remaining
@@ -508,7 +887,7 @@ fn compile_cq(
                 .enumerate()
                 .filter(|(_, &ix)| forced.is_none_or(|f| f == ix))
                 .max_by_key(|(_, &ix)| {
-                    let terms = &cq.atoms[ix].1;
+                    let terms = &block.atoms[ix].1;
                     let shared = terms
                         .iter()
                         .filter_map(QTerm::as_var)
@@ -521,21 +900,32 @@ fn compile_cq(
                 })
                 .expect("remaining nonempty");
             order.push(best);
-            bound_vars.extend(cq.atoms[best].1.iter().filter_map(|t| t.as_var().cloned()));
+            bound_vars.extend(
+                block.atoms[best]
+                    .1
+                    .iter()
+                    .filter_map(|t| t.as_var().cloned()),
+            );
             remaining.remove(pos);
         }
         order
     };
 
-    // Build the steps, tracking which slot each step binds first.
+    // Build the join steps, tracking which slot each step binds first.
     let mut bound: Vec<bool> = vec![false; nslots];
     for (_, s) in &param_slots {
         bound[*s] = true;
     }
     let mut first_bound_at: Vec<Option<usize>> = vec![None; nslots]; // None = param
     let mut steps: Vec<Step> = Vec::with_capacity(order.len());
+    let step = |access| Step {
+        access,
+        eq_checks: Vec::new(),
+        filters: Vec::new(),
+        existential: false,
+    };
     for (six, &atom_ix) in order.iter().enumerate() {
-        let (rel, terms) = &cq.atoms[atom_ix];
+        let (rel, terms) = &block.atoms[atom_ix];
         let mut pos_terms = Vec::with_capacity(terms.len());
         let mut key_positions = Vec::new();
         let mut key_srcs = Vec::new();
@@ -573,68 +963,106 @@ fn compile_cq(
         if !is_prefix(&key_positions) {
             key_srcs.clear();
         }
-        steps.push(Step {
+        steps.push(step(Access::Join {
             rel: *rel,
             terms: pos_terms,
             prefix_key: key_srcs,
-            eq_checks: Vec::new(),
-            existential: false,
-        });
+        }));
+    }
+    // Every variable still unbound ranges over the active domain.
+    for (v, &s) in &slot_of {
+        if !bound[s] {
+            debug_assert!(!atom_vars.contains(v));
+            first_bound_at[s] = Some(steps.len());
+            steps.push(step(Access::Adom(s)));
+        }
     }
 
-    // Hoist each equality to the earliest step after which both sides are
-    // bound; equalities over constants and parameters only become
-    // pre-checks, run once per evaluation.
+    // Hoist each equality and filter to the earliest step after which its
+    // slots are bound; those over constants and parameters only run once
+    // per evaluation, before any step.
+    let ready =
+        |slots: &mut dyn Iterator<Item = usize>| slots.map(|s| first_bound_at[s]).max().flatten();
     let mut pre_checks = Vec::new();
-    for (t1, t2) in &cq.equalities {
-        let a = src_of(t1, &slot_of).expect("equality var has a slot (validated above)");
-        let b = src_of(t2, &slot_of).expect("equality var has a slot (validated above)");
-        let ready = |s: Src| match s {
-            Src::Const(_) => None,
-            Src::Slot(slot) => first_bound_at[slot],
+    for (t1, t2) in &block.equalities {
+        let src = |t: &QTerm| match t {
+            QTerm::Const(c) => Src::Const(*c),
+            QTerm::Var(v) => Src::Slot(slot_of[v]),
         };
-        match ready(a).max(ready(b)) {
+        let (a, b) = (src(t1), src(t2));
+        match ready(&mut [a, b].into_iter().filter_map(Src::slot)) {
             None => pre_checks.push(EqCheck { a, b }),
             Some(six) => steps[six].eq_checks.push(EqCheck { a, b }),
         }
     }
+    let mut pre_filters = Vec::new();
+    for f in &block.filters {
+        let cond = Cond::compile(f, &slot_of);
+        let mut slots = Vec::new();
+        cond.slots(&mut slots);
+        match ready(&mut slots.into_iter()) {
+            None => pre_filters.push(cond),
+            Some(six) => steps[six].filters.push(cond),
+        }
+    }
 
     // Dead-variable projection: a step none of whose fresh slots is read by
-    // a later step, a later equality, or the head is purely existential.
+    // a later step, a later check, or the head is purely existential.
     let out_slots: BTreeSet<usize> = out_vars.iter().map(|(_, s)| *s).collect();
     for six in 0..steps.len() {
         let newly: BTreeSet<usize> = (0..nslots)
             .filter(|&s| first_bound_at[s] == Some(six))
             .collect();
         let used_later = steps[six + 1..].iter().any(|later| {
-            later.terms.iter().any(|t| match t {
-                PosTerm::Bound(s) | PosTerm::Free(s) => newly.contains(s),
-                PosTerm::Const(_) => false,
-            }) || later.eq_checks.iter().any(|eq| {
-                [eq.a, eq.b]
-                    .into_iter()
-                    .any(|src| matches!(src, Src::Slot(s) if newly.contains(&s)))
-            })
+            let mut read = Vec::new();
+            if let Access::Join { terms, .. } = &later.access {
+                read.extend(terms.iter().filter_map(|t| match t {
+                    PosTerm::Bound(s) | PosTerm::Free(s) => Some(*s),
+                    PosTerm::Const(_) => None,
+                }));
+            }
+            for eq in &later.eq_checks {
+                read.extend([eq.a, eq.b].into_iter().filter_map(Src::slot));
+            }
+            for cond in &later.filters {
+                cond.slots(&mut read);
+            }
+            read.iter().any(|s| newly.contains(s))
         });
         steps[six].existential = !used_later && newly.is_disjoint(&out_slots);
     }
 
-    Ok(CompiledCq {
+    Branch {
         nslots,
         param_slots,
         out_vars,
         pre_checks,
+        pre_filters,
         steps,
-    })
+    }
 }
 
-impl CompiledCq {
-    /// Run the plan, handing the register file of every produced row to
+impl Branch {
+    /// Does a step of the branch enumerate `ADOM(I)`?
+    fn has_adom_step(&self) -> bool {
+        self.steps
+            .iter()
+            .any(|s| matches!(s.access, Access::Adom(_)))
+    }
+
+    /// Every filter of the branch, pre-filters first.
+    fn filters(&self) -> impl Iterator<Item = &Cond> {
+        self.pre_filters
+            .iter()
+            .chain(self.steps.iter().flat_map(|s| &s.filters))
+    }
+
+    /// Run the branch, handing the register file of every produced row to
     /// `sink`; returns `true` as soon as `sink` does. The sink is a generic
     /// parameter, so each caller gets its own monomorphised join loop.
-    fn run<F: FnMut(&[Option<Value>]) -> bool>(
+    fn run<S: Source, F: FnMut(&[Option<Value>]) -> bool>(
         &self,
-        ctx: &EvalCtx<'_>,
+        cx: &Cx<'_, S>,
         seed: &impl Seed,
         sink: &mut F,
     ) -> bool {
@@ -645,28 +1073,38 @@ impl CompiledCq {
             });
             regs[*s] = Some(val);
         }
-        if self.pre_checks.iter().any(|eq| !eq.holds(&regs)) {
+        if !self.pre_checks.iter().all(|eq| eq.holds(&regs))
+            || !self.pre_filters.iter().all(|c| c.holds(cx, &regs))
+        {
             return false;
         }
-        self.dfs(0, &mut regs, ctx, sink)
+        self.dfs(0, &mut regs, cx, sink)
     }
 
-    /// [`CompiledCq::run`] of a parameterless copy compiled delta-first:
-    /// the first step reads `delta` alone, every later one `base ∪ delta`.
+    /// [`Branch::run`] of a parameterless copy compiled delta-first: the
+    /// first step reads `delta` alone, every later one `base ∪ delta`.
     fn run_seeded<F: FnMut(&[Option<Value>]) -> bool>(
         &self,
-        union: &Union<'_>,
+        cx: &Cx<'_, Union<'_>>,
         sink: &mut F,
     ) -> bool {
         let mut regs: Vec<Option<Value>> = vec![None; self.nslots];
-        if self.pre_checks.iter().any(|eq| !eq.holds(&regs)) {
+        if !self.pre_checks.iter().all(|eq| eq.holds(&regs))
+            || !self.pre_filters.iter().all(|c| c.holds(cx, &regs))
+        {
             return false;
         }
         let first = &self.steps[0];
+        let Access::Join {
+            rel, prefix_key, ..
+        } = &first.access
+        else {
+            unreachable!("a delta-first copy joins an atom first");
+        };
         // Nothing is bound yet, so the key holds the leading constants.
-        let key: Vec<Value> = first.prefix_key.iter().map(|s| s.value(&regs)).collect();
-        let seeds = union.delta.tuples_with_prefix(first.rel, &key);
-        self.extend(first, 0, seeds, &mut regs, union, sink)
+        let key: Vec<Value> = prefix_key.iter().map(|s| s.value(&regs)).collect();
+        let seeds = cx.src.delta.tuples_with_prefix(*rel, &key);
+        self.extend(first, 0, seeds, &mut regs, cx, sink)
     }
 
     /// The output row held by a complete register file.
@@ -686,24 +1124,48 @@ impl CompiledCq {
         &self,
         depth: usize,
         regs: &mut Vec<Option<Value>>,
-        ctx: &S,
+        cx: &Cx<'_, S>,
         sink: &mut F,
     ) -> bool {
         let Some(step) = self.steps.get(depth) else {
             return sink(regs);
         };
-        // Candidate tuples: a range of the sorted tuples when the bound
-        // positions are a prefix, else a scan in instance iteration order.
-        // The range is a slice of that order, so both sources enumerate the
-        // same matching tuples in the same sequence.
-        if !step.prefix_key.is_empty() {
-            ctx.count(|s| &s.index_probes);
-            let key: Vec<Value> = step.prefix_key.iter().map(|s| s.value(regs)).collect();
-            let range = ctx.prefix(step.rel, &key);
-            return self.extend(step, depth, range, regs, ctx, sink);
+        match &step.access {
+            // Candidate tuples: a range of the sorted tuples when the bound
+            // positions are a prefix, else a scan in instance iteration
+            // order. The range is a slice of that order, so both sources
+            // enumerate the same matching tuples in the same sequence.
+            Access::Join {
+                rel, prefix_key, ..
+            } if !prefix_key.is_empty() => {
+                cx.src.count(|s| &s.index_probes);
+                let key: Vec<Value> = prefix_key.iter().map(|s| s.value(regs)).collect();
+                let range = cx.src.prefix(*rel, &key);
+                self.extend(step, depth, range, regs, cx, sink)
+            }
+            Access::Join { rel, .. } => {
+                cx.src.count(|s| &s.relation_scans);
+                self.extend(step, depth, cx.src.scan(*rel), regs, cx, sink)
+            }
+            Access::Adom(slot) => {
+                cx.src.count(|s| &s.adom_steps);
+                for &v in cx.adom() {
+                    regs[*slot] = Some(v);
+                    if !step.passes(cx, regs) {
+                        continue;
+                    }
+                    if self.dfs(depth + 1, regs, cx, sink) {
+                        regs[*slot] = None;
+                        return true;
+                    }
+                    if step.existential {
+                        break;
+                    }
+                }
+                regs[*slot] = None;
+                false
+            }
         }
-        ctx.count(|s| &s.relation_scans);
-        self.extend(step, depth, ctx.scan(step.rel), regs, ctx, sink)
     }
 
     fn extend<'t, S: Source, F: FnMut(&[Option<Value>]) -> bool>(
@@ -712,18 +1174,21 @@ impl CompiledCq {
         depth: usize,
         tuples: impl Iterator<Item = &'t Tuple>,
         regs: &mut Vec<Option<Value>>,
-        ctx: &S,
+        cx: &Cx<'_, S>,
         sink: &mut F,
     ) -> bool {
+        let Access::Join { terms, .. } = &step.access else {
+            unreachable!("only join steps read tuples");
+        };
         let mut written: Vec<usize> = Vec::new();
         for tuple in tuples {
             let vals = tuple.values();
-            if vals.len() != step.terms.len() {
+            if vals.len() != terms.len() {
                 continue; // cannot match an atom of different arity
             }
             written.clear();
             let mut ok = true;
-            for (pos, pt) in step.terms.iter().enumerate() {
+            for (pos, pt) in terms.iter().enumerate() {
                 match pt {
                     PosTerm::Const(c) => {
                         if vals[pos] != *c {
@@ -751,11 +1216,11 @@ impl CompiledCq {
                     },
                 }
             }
-            if ok && step.eq_checks.iter().any(|eq| !eq.holds(regs)) {
+            if ok && !step.passes(cx, regs) {
                 ok = false;
             }
             if ok {
-                let found = self.dfs(depth + 1, regs, ctx, sink);
+                let found = self.dfs(depth + 1, regs, cx, sink);
                 for &s in &written {
                     regs[s] = None;
                 }
@@ -782,6 +1247,8 @@ impl CompiledCq {
 mod tests {
     use super::*;
     use crate::eval::answers;
+    use crate::parser::parse_formula;
+    use crate::ucq::ConjunctiveQuery;
     use dcds_reldata::{ConstantPool, Schema, Tuple};
 
     fn setup() -> (ConstantPool, Schema, RelId, RelId, Instance) {
@@ -801,10 +1268,14 @@ mod tests {
         (pool, schema, p, q, inst)
     }
 
+    fn compile(ucq: &Ucq, params: &BTreeSet<Var>) -> CompiledPlan {
+        CompiledPlan::compile_ucq(ucq, &Formula::True, params)
+    }
+
     /// The plan agrees with the active-domain answers; returns those
     /// answers.
     fn check_agreement(ucq: &Ucq, inst: &Instance) -> BTreeSet<Assignment> {
-        let plan = CompiledPlan::compile(ucq, &BTreeSet::new()).unwrap();
+        let plan = compile(ucq, &BTreeSet::new());
         let reference = answers(&ucq.to_formula(), inst);
         assert_eq!(
             plan.eval(&EvalCtx::scan(inst), &Assignment::new()),
@@ -865,10 +1336,14 @@ mod tests {
             ],
             equalities: vec![(QTerm::var("Y"), QTerm::Const(b))],
         };
-        let plan = CompiledPlan::compile(&Ucq::single(cq.clone()), &BTreeSet::new()).unwrap();
+        let plan = compile(&Ucq::single(cq.clone()), &BTreeSet::new());
         // The equality runs at the step that binds Y, not at the end.
-        let hoisted: usize = plan.cqs[0].steps.iter().map(|s| s.eq_checks.len()).sum();
-        assert_eq!(hoisted + plan.cqs[0].pre_checks.len(), 1);
+        let hoisted: usize = plan.branches[0]
+            .steps
+            .iter()
+            .map(|s| s.eq_checks.len())
+            .sum();
+        assert_eq!(hoisted + plan.branches[0].pre_checks.len(), 1);
         // Q(X, b) with X in P: only X = a.
         let got = check_agreement(&Ucq::single(cq), &inst);
         let a = pool.get("a").unwrap();
@@ -888,7 +1363,7 @@ mod tests {
             equalities: vec![],
         };
         let params: BTreeSet<Var> = [param.clone()].into_iter().collect();
-        let plan = CompiledPlan::compile(&Ucq::single(cq.clone()), &params).unwrap();
+        let plan = compile(&Ucq::single(cq.clone()), &params);
         let sigma: Assignment = [(param, a)].into_iter().collect();
         let rows = plan.eval(&EvalCtx::scan(&inst), &sigma);
         let substituted = ConjunctiveQuery {
@@ -912,35 +1387,46 @@ mod tests {
             ],
             equalities: vec![],
         };
-        let plan = CompiledPlan::compile(&Ucq::single(cq), &BTreeSet::new()).unwrap();
-        let steps = &plan.cqs[0].steps;
-        let p_step = steps.iter().find(|s| s.rel == p).unwrap();
-        let q_step = steps.iter().find(|s| s.rel == q).unwrap();
-        assert!(p_step.existential);
-        assert!(!q_step.existential);
+        let plan = compile(&Ucq::single(cq), &BTreeSet::new());
+        let steps = &plan.branches[0].steps;
+        let on = |rel: RelId| {
+            steps
+                .iter()
+                .find(|s| matches!(s.access, Access::Join { rel: r, .. } if r == rel))
+                .unwrap()
+        };
+        assert!(on(p).existential);
+        assert!(!on(q).existential);
     }
 
     #[test]
-    fn rejects_unbound_head_and_equality_vars() {
-        let (_, _, p, _, _) = setup();
-        let bad_head = ConjunctiveQuery {
+    fn unbound_head_and_equality_vars_take_adom_steps() {
+        let (mut pool, mut schema, p, _, inst) = setup();
+        // A head variable in no atom ranges over ADOM(I); an equality
+        // variable in no atom is existential, over ADOM(I) too.
+        let unbound_head = ConjunctiveQuery {
             head: vec![Var::new("Z")],
             atoms: vec![(p, vec![QTerm::var("X")])],
             equalities: vec![],
         };
-        assert!(matches!(
-            CompiledPlan::compile(&Ucq::single(bad_head), &BTreeSet::new()),
-            Err(PlanError::UnboundHeadVar(_))
-        ));
-        let bad_eq = ConjunctiveQuery {
+        let unbound_eq = ConjunctiveQuery {
             head: vec![],
             atoms: vec![(p, vec![QTerm::var("X")])],
             equalities: vec![(QTerm::var("W"), QTerm::var("X"))],
         };
-        assert!(matches!(
-            CompiledPlan::compile(&Ucq::single(bad_eq), &BTreeSet::new()),
-            Err(PlanError::UnboundEqualityVar(_))
-        ));
+        for (cq, reading) in [
+            (unbound_head, "(exists X . P(X)) & Z = Z"),
+            (unbound_eq, "exists X, W . P(X) & W = X"),
+        ] {
+            let ucq = Ucq::single(cq);
+            let plan = compile(&ucq, &BTreeSet::new());
+            assert!(plan.has_adom_step(), "{reading}");
+            let stats = PlanStats::default();
+            let rows = plan.eval(&EvalCtx::scan(&inst).stats(&stats), &Assignment::new());
+            let f = parse_formula(reading, &mut schema, &mut pool).unwrap();
+            assert_eq!(rows, answers(&f, &inst), "{reading}");
+            assert!(stats.adom_steps.load(Ordering::Relaxed) > 0, "{reading}");
+        }
     }
 
     #[test]
@@ -955,7 +1441,7 @@ mod tests {
             equalities: vec![],
         };
         let ucq = Ucq::single(cq);
-        let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).unwrap();
+        let plan = compile(&ucq, &BTreeSet::new());
         // The unkeyed P step scans once, and the Q step, keyed on its first
         // column, is a sorted-prefix probe for each of P's two tuples.
         let stats = PlanStats::default();
@@ -966,7 +1452,7 @@ mod tests {
                 ("plan_evals", 1),
                 ("index_probes", 2),
                 ("relation_scans", 1),
-                ("fallback_evals", 0),
+                ("adom_steps", 0),
             ]
         );
 
@@ -980,7 +1466,7 @@ mod tests {
             ],
             equalities: vec![],
         };
-        let plan = CompiledPlan::compile(&Ucq::single(suffix), &BTreeSet::new()).unwrap();
+        let plan = compile(&Ucq::single(suffix), &BTreeSet::new());
         let suffix_stats = PlanStats::default();
         plan.eval(
             &EvalCtx::scan(&inst).stats(&suffix_stats),
@@ -1000,11 +1486,43 @@ mod tests {
             atoms: vec![(p, vec![QTerm::var("X")])],
             equalities: vec![(QTerm::Const(a), QTerm::Const(b))],
         };
-        let plan = CompiledPlan::compile(&Ucq::single(cq.clone()), &BTreeSet::new()).unwrap();
-        assert_eq!(plan.cqs[0].pre_checks.len(), 1);
+        let plan = compile(&Ucq::single(cq.clone()), &BTreeSet::new());
+        assert_eq!(plan.branches[0].pre_checks.len(), 1);
         assert!(plan
             .eval(&EvalCtx::scan(&inst), &Assignment::new())
             .is_empty());
         check_agreement(&Ucq::single(cq), &inst);
+    }
+
+    #[test]
+    fn negation_quantifiers_and_disjunctions_compile() {
+        let (mut pool, mut schema, _, _, inst) = setup();
+        for (src, adom) in [
+            // Negated atoms and anti-joins over atom-bound variables.
+            ("P(X) & !Q(X, X)", false),
+            ("P(X) & forall Y . Q(X, Y) -> P(Y)", false),
+            ("P(X) & !(exists Y . Q(Y, X))", false),
+            // A variable no atom binds.
+            ("!P(X)", true),
+            ("forall X . P(X)", true),
+            // Disjuncts over different variables, and a bound disjunction.
+            ("P(X) | Q(Y, Y)", true),
+            ("Q(X, Y) & (P(X) | P(Y))", false),
+            // Vacuous and shadowing quantifiers, constants outside ADOM.
+            ("exists X . P(a)", true),
+            ("P(X) & exists X . Q(X, X)", false),
+            ("Q(X, d) | X = d", true),
+        ] {
+            let f = parse_formula(src, &mut schema, &mut pool).unwrap();
+            let plan = CompiledPlan::compile(&f, &BTreeSet::new());
+            assert_eq!(plan.has_adom_step(), adom, "{src}");
+            for inst in [&inst, &Instance::new()] {
+                assert_eq!(
+                    plan.eval(&EvalCtx::scan(inst), &Assignment::new()),
+                    answers(&f, inst),
+                    "{src}"
+                );
+            }
+        }
     }
 }

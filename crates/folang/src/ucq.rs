@@ -59,22 +59,28 @@ impl ConjunctiveQuery {
                 });
             }
         }
+        match self.unrestricted(&BTreeSet::new()) {
+            Some((_, v)) => Err(QueryError::UnboundVariable(v.name().to_owned())),
+            None => Ok(()),
+        }
+    }
+
+    /// The first head variable, else the first equality variable, that
+    /// occurs in no atom and is not in `bound`, with which of the two it
+    /// is (`"head"` or `"equality"`): `None` iff the query is
+    /// range-restricted modulo `bound`, so that substituting values for
+    /// `bound` and joining the atoms answers it.
+    pub fn unrestricted(&self, bound: &BTreeSet<Var>) -> Option<(&'static str, &Var)> {
         let avars = self.atom_vars();
-        for v in &self.head {
-            if !avars.contains(v) {
-                return Err(QueryError::UnboundVariable(v.name().to_owned()));
-            }
-        }
-        for (t1, t2) in &self.equalities {
-            for t in [t1, t2] {
-                if let QTerm::Var(v) = t {
-                    if !avars.contains(v) {
-                        return Err(QueryError::UnboundVariable(v.name().to_owned()));
-                    }
-                }
-            }
-        }
-        Ok(())
+        let free = |v: &&Var| !avars.contains(*v) && !bound.contains(*v);
+        let eq_vars = self.equalities.iter().flat_map(|(a, b)| [a, b]);
+        let head = self.head.iter().find(free).map(|v| ("head", v));
+        head.or_else(|| {
+            eq_vars
+                .filter_map(QTerm::as_var)
+                .find(free)
+                .map(|v| ("equality", v))
+        })
     }
 
     /// Convert to a general formula: `∃ (atom_vars \ head). /\atoms /\ eqs`.
@@ -150,8 +156,8 @@ impl Ucq {
         Formula::disj(self.disjuncts.iter().map(ConjunctiveQuery::to_formula))
     }
 
-    /// Recognise a formula as a UCQ, the gate for compiling it into an
-    /// evaluation plan ([`crate::plan`]).
+    /// Recognise a formula as a UCQ: the shape the model checker's
+    /// quantifier-block fusion and symbolic regression require.
     ///
     /// Accepted shape: a top-level disjunction whose disjuncts are
     /// existential blocks over conjunctions of atoms, equalities, and
@@ -166,8 +172,8 @@ impl Ucq {
     /// * a vacuous or shadowing quantifier (`∃v` with `v` not free in the
     ///   body, or rebinding an outer variable).
     ///
-    /// The returned query is *not* guaranteed range-restricted; plan
-    /// compilation re-checks that separately.
+    /// The returned query is *not* guaranteed range-restricted: its plan
+    /// ([`crate::plan::CompiledPlan::compile_ucq`]) may need ADOM steps.
     pub fn from_formula(f: &Formula) -> Option<Ucq> {
         let free: BTreeSet<Var> = f.free_vars();
         let mut head: Vec<Var> = free.iter().cloned().collect();

@@ -10,18 +10,16 @@
 //! random guard-shaped sentences are evaluated both ways and compared.
 //!
 //! Every generated sentence is also checked as an integrity constraint
-//! ([`FoConstraint::satisfied`]): guard-shaped ones run as compiled denial
-//! plans, the rest fall back to the guided evaluator, and each test
-//! asserts which path a constraint took, so a silent fallback cannot pass
-//! as agreement. Equality constraints (random UCQ premises, keys) are
-//! checked against an `answers`-based reference.
+//! ([`FoConstraint::satisfied`]), which runs the compiled plan of its
+//! violation, against both evaluators. Equality constraints (random UCQ
+//! premises, keys) are checked against an `answers`-based reference.
 //!
 //! Runs offline: pseudo-randomness is a local SplitMix64, not the `rand`
 //! crate, so the exact same formulas replay on every run and platform.
 
 use dcds_folang::{
-    answers, holds_closed, holds_unguided, Assignment, EqualityConstraint, FallbackReason,
-    FoConstraint, Formula, QTerm, Var,
+    answers, holds_closed, holds_unguided, Assignment, EqualityConstraint, FoConstraint, Formula,
+    QTerm, Var,
 };
 use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple, Value};
 use std::collections::BTreeSet;
@@ -116,7 +114,6 @@ fn random_leaf(
 fn guided_joins_agree_with_enumeration_on_forall_guards() {
     // ∀-blocks with 1–3-atom guards: no single atom need cover the block,
     // which is exactly the case the multi-atom join handles.
-    let mut compiled = 0;
     for seed in 0..6u64 {
         let mut rng = SplitMix64(0x9a1_ded ^ seed.wrapping_mul(0x9e37_79b9));
         for _ in 0..60 {
@@ -131,12 +128,6 @@ fn guided_joins_agree_with_enumeration_on_forall_guards() {
             if rng.gen_range(2) == 0 {
                 rhs = rhs.or(random_leaf(&mut rng, &schema, &rels, &consts, vars));
             }
-            // Compiled iff every quantified variable occurs in a guard atom.
-            let guarded = atom_vars(&lhs);
-            let expect = vars
-                .iter()
-                .find(|v| !guarded.contains(&Var::new(v)))
-                .map(|v| FallbackReason::UnguardedVar(Var::new(v)));
             // The sentence, and the same guard with the consequent negated.
             let close = |mut f: Formula| {
                 for v in vars.iter().rev() {
@@ -152,13 +143,10 @@ fn guided_joins_agree_with_enumeration_on_forall_guards() {
                 guided, unguided,
                 "diverged on {f:?} over {inst:?} (seed {seed})"
             );
-            compiled += usize::from(expect.is_none());
-            check_constraint(&f, expect.clone(), &[&inst, &Instance::new()]);
-            check_constraint(&negated, expect, &[&inst, &Instance::new()]);
+            check_constraint(&f, &[&inst, &Instance::new()]);
+            check_constraint(&negated, &[&inst, &Instance::new()]);
         }
     }
-    // Both paths are exercised in bulk.
-    assert!((100..360).contains(&compiled), "{compiled} of 360 compiled");
 }
 
 #[test]
@@ -186,8 +174,7 @@ fn guided_joins_agree_with_enumeration_on_exists_conjunctions() {
                 guided, unguided,
                 "diverged on {f:?} over {inst:?} (seed {seed})"
             );
-            // An ∃ sentence is all consequent: the reference evaluator.
-            check_constraint(&f, Some(FallbackReason::QuantifiedConsequent), &[&inst]);
+            check_constraint(&f, &[&inst]);
         }
     }
 }
@@ -246,12 +233,10 @@ fn atom_vars(f: &Formula) -> BTreeSet<Var> {
     }
 }
 
-/// Check `sentence` as an FO constraint on every instance: it must take
-/// the expected path (`None`: compiled) and agree with the guided and the
-/// unguided evaluator.
-fn check_constraint(sentence: &Formula, expect: Option<FallbackReason>, insts: &[&Instance]) {
+/// Check `sentence` as an FO constraint on every instance: it must agree
+/// with the guided and the unguided evaluator.
+fn check_constraint(sentence: &Formula, insts: &[&Instance]) {
     let c = FoConstraint::new(sentence.clone()).unwrap();
-    assert_eq!(c.fallback(), expect.as_ref(), "path of {sentence:?}");
     for inst in insts {
         let reference = holds_closed(sentence, inst).unwrap();
         assert_eq!(
@@ -280,9 +265,8 @@ fn equality_reference(c: &EqualityConstraint, inst: &Instance) -> bool {
 #[test]
 fn compiled_equality_constraints_agree_with_answers() {
     // Premises: one or two disjuncts of 1–3 atoms, sometimes with an
-    // equality on an atom variable. Compiled iff the disjuncts share their
-    // free variables (otherwise the premise is no UCQ).
-    let mut compiled = 0;
+    // equality on an atom variable; disjuncts over different free
+    // variables need ADOM steps.
     for seed in 0..6u64 {
         let mut rng = SplitMix64(0x0e9_c057 ^ seed.wrapping_mul(0x9e37_79b9));
         for _ in 0..60 {
@@ -305,9 +289,6 @@ fn compiled_equality_constraints_agree_with_answers() {
                     d
                 })
                 .collect();
-            let same_free = disjuncts
-                .iter()
-                .all(|d| d.free_vars() == disjuncts[0].free_vars());
             let premise = Formula::disj(disjuncts);
             let free: Vec<Var> = premise.free_vars().into_iter().collect();
             let term = |rng: &mut SplitMix64| {
@@ -321,9 +302,6 @@ fn compiled_equality_constraints_agree_with_answers() {
                 .map(|_| (term(&mut rng), term(&mut rng)))
                 .collect();
             let c = EqualityConstraint::new(premise, eqs).unwrap();
-            let expect = (!same_free).then_some(FallbackReason::NonUcqPremise);
-            assert_eq!(c.fallback(), expect.as_ref(), "path of {c:?}");
-            compiled += usize::from(expect.is_none());
             for inst in [&inst, &Instance::new()] {
                 assert_eq!(
                     c.satisfied(inst),
@@ -333,7 +311,6 @@ fn compiled_equality_constraints_agree_with_answers() {
             }
         }
     }
-    assert!((100..360).contains(&compiled), "{compiled} of 360 compiled");
 }
 
 #[test]
@@ -347,7 +324,6 @@ fn key_constraints_compile_and_agree_with_answers() {
                 .filter(|_| rng.gen_range(2) == 0)
                 .collect();
             let c = EqualityConstraint::key(&schema, rel, &key);
-            assert_eq!(c.fallback(), None, "{c:?}");
             for inst in [&inst, &Instance::new()] {
                 assert_eq!(c.satisfied(inst), equality_reference(&c, inst), "{c:?}");
             }
@@ -393,7 +369,7 @@ fn constraint_shapes_take_the_expected_path() {
     let k = |i: usize| QTerm::Const(c[i]);
     let forall2 = |a: &str, b: &str, f: Formula| Formula::forall(a, Formula::forall(b, f));
     let insts: Vec<&Instance> = insts.iter().collect();
-    let compiled: Vec<Formula> = vec![
+    let shapes: Vec<Formula> = vec![
         // The travel-request shape: a 0-ary guard, then a nested ∀.
         at(verified, vec![]).implies(Formula::forall(
             "S",
@@ -425,57 +401,42 @@ fn constraint_shapes_take_the_expected_path() {
         at(p, vec![k(0)]),
         Formula::True.implies(at(verified, vec![]).or(at(p, vec![k(1)]))),
     ];
-    for f in &compiled {
-        check_constraint(f, None, &insts);
+    for f in &shapes {
+        check_constraint(f, &insts);
     }
-    let fallback: Vec<(Formula, FallbackReason)> = vec![
+    let beyond_guards: Vec<Formula> = vec![
         // A ∀ variable in no atom.
-        (
-            forall2(
-                "X",
-                "Y",
-                at(p, vec![x()]).implies(Formula::eq(x(), y()).or(at(q, vec![x(), y()]))),
-            ),
-            FallbackReason::UnguardedVar(Var::new("Y")),
+        forall2(
+            "X",
+            "Y",
+            at(p, vec![x()]).implies(Formula::eq(x(), y()).or(at(q, vec![x(), y()]))),
         ),
         // ∃ in the consequent.
-        (
-            Formula::forall(
-                "X",
-                at(p, vec![x()]).implies(Formula::exists("Y", at(q, vec![x(), y()]))),
-            ),
-            FallbackReason::QuantifiedConsequent,
+        Formula::forall(
+            "X",
+            at(p, vec![x()]).implies(Formula::exists("Y", at(q, vec![x(), y()]))),
         ),
         // Shadowing: the inner X is a different variable.
-        (
-            Formula::forall(
+        Formula::forall(
+            "X",
+            at(p, vec![x()]).implies(Formula::forall(
                 "X",
-                at(p, vec![x()]).implies(Formula::forall(
-                    "X",
-                    at(q, vec![x(), x()]).implies(Formula::eq(x(), k(0))),
-                )),
-            ),
-            FallbackReason::Shadowed(Var::new("X")),
+                at(q, vec![x(), x()]).implies(Formula::eq(x(), k(0))),
+            )),
         ),
         // An equality variable in no atom.
-        (
-            forall2(
-                "X",
-                "Y",
-                at(p, vec![x()])
-                    .and(Formula::eq(x(), y()))
-                    .implies(at(q, vec![x(), y()])),
-            ),
-            FallbackReason::UnguardedVar(Var::new("Y")),
+        forall2(
+            "X",
+            "Y",
+            at(p, vec![x()])
+                .and(Formula::eq(x(), y()))
+                .implies(at(q, vec![x(), y()])),
         ),
         // A vacuous ∀ over a ground body (empty-domain sensitive).
-        (
-            Formula::forall("X", Formula::True.implies(at(p, vec![k(0)]))),
-            FallbackReason::UnguardedVar(Var::new("X")),
-        ),
+        Formula::forall("X", Formula::True.implies(at(p, vec![k(0)]))),
     ];
-    for (f, why) in fallback {
-        check_constraint(&f, Some(why), &insts);
+    for f in &beyond_guards {
+        check_constraint(f, &insts);
     }
 }
 
@@ -486,9 +447,8 @@ fn equality_constraint_shapes_take_the_expected_path() {
     let x = || QTerm::var("X");
     let y = || QTerm::var("Y");
     let at = |r: RelId, ts: Vec<QTerm>| Formula::Atom(r, ts);
-    let check = |premise: Formula, eqs: Vec<(QTerm, QTerm)>, expect: Option<FallbackReason>| {
+    let check = |premise: Formula, eqs: Vec<(QTerm, QTerm)>| {
         let ec = EqualityConstraint::new(premise, eqs).unwrap();
-        assert_eq!(ec.fallback(), expect.as_ref(), "{ec:?}");
         for inst in &insts {
             assert_eq!(ec.satisfied(inst), equality_reference(&ec, inst), "{ec:?}");
         }
@@ -498,22 +458,19 @@ fn equality_constraint_shapes_take_the_expected_path() {
     check(
         at(p, vec![x()]).or(Formula::exists("Y", at(q, vec![x(), y()]))),
         vec![(x(), c0.clone())],
-        None,
     );
     // `false` premise: no guard rows at all; `true`: one empty row.
-    check(Formula::False, vec![(c0.clone(), c1.clone())], None);
-    check(Formula::True, vec![(c0, c1)], None);
+    check(Formula::False, vec![(c0.clone(), c1.clone())]);
+    check(Formula::True, vec![(c0, c1)]);
     // An equality variable in no atom.
     check(
         at(p, vec![x()]).and(Formula::eq(x(), y())),
         vec![(x(), y())],
-        Some(FallbackReason::UnguardedVar(Var::new("Y"))),
     );
     // Negation: no UCQ.
     check(
         at(p, vec![x()]).and(at(q, vec![x(), x()]).not()),
         vec![(x(), QTerm::Const(c[2]))],
-        Some(FallbackReason::NonUcqPremise),
     );
 }
 
@@ -557,7 +514,7 @@ fn triple_collision_constraint_shape() {
     ]);
     assert!(!holds_closed(&f, &triple).unwrap());
     assert!(!holds_unguided(&f, &triple, &Assignment::new()).unwrap());
-    check_constraint(&f, None, &[&pairs, &triple, &Instance::new()]);
+    check_constraint(&f, &[&pairs, &triple, &Instance::new()]);
 }
 
 #[test]

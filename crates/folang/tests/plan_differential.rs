@@ -12,10 +12,18 @@
 //! 3. the plan compiled with the head variables as parameters and
 //! 4. the reference evaluator with its atom guidance switched off
 //!    (`holds_unguided`) must accept every answer row.
+//!
+//! A second generator emits full first-order formulas — `!`, `forall`,
+//! `->`, and `|` over disjuncts whose free variables differ, vacuous and
+//! shadowing quantifiers, constants outside `ADOM(I)`, the empty instance
+//! — whose plans (ADOM steps, filters, anti-join sub-plans) must agree
+//! with the reference, as rows and with the head as parameters, and whose
+//! readings as FO and equality constraints, full and delta, must agree
+//! with the reference verdicts.
 
-use dcds_folang::{answers, holds_unguided, parse_formula};
-use dcds_folang::{Assignment, CompiledPlan, EvalCtx, PlanStats, QTerm, Var};
-use dcds_folang::{ConjunctiveQuery, Ucq};
+use dcds_folang::{answers, holds, holds_closed, holds_unguided, parse_formula};
+use dcds_folang::{Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Var};
+use dcds_folang::{ConjunctiveQuery, Constraint, EqualityConstraint, FoConstraint, Ucq};
 use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple, Value};
 use std::collections::BTreeSet;
 
@@ -75,7 +83,7 @@ fn gen_case(rng: &mut SplitMix64) -> Case {
 
     // Disjuncts with atoms over random vars/consts; equalities drawn from
     // the disjunct's own atom variables (and constants) so every generated
-    // query stays inside the compilable range-restricted fragment.
+    // query is range-restricted: a join with no ADOM step.
     let num_disjuncts = 1 + rng.below(2);
     let mut raw: Vec<ConjunctiveQuery> = Vec::new();
     for _ in 0..num_disjuncts {
@@ -149,8 +157,7 @@ fn four_way_agreement_on_random_ucqs() {
         let case = gen_case(&mut rng);
         let formula = case.ucq.to_formula();
         let reference = answers(&formula, &case.instance);
-        let plan = CompiledPlan::compile(&case.ucq, &BTreeSet::new())
-            .unwrap_or_else(|e| panic!("case {case_ix}: expected compilable query: {e}"));
+        let plan = ucq_plan(&case.ucq, &BTreeSet::new());
         let ctx = EvalCtx::scan(&case.instance);
         assert_eq!(
             plan.eval(&ctx, &Assignment::new()),
@@ -158,8 +165,7 @@ fn four_way_agreement_on_random_ucqs() {
             "case {case_ix}: plan diverged"
         );
         let head = head_of(&case.ucq);
-        let by_row = CompiledPlan::compile(&case.ucq, &head.iter().cloned().collect())
-            .unwrap_or_else(|e| panic!("case {case_ix}: head as parameters: {e}"));
+        let by_row = ucq_plan(&case.ucq, &head.iter().cloned().collect());
         for row in &reference {
             assert_eq!(
                 holds_unguided(&formula, &case.instance, row),
@@ -190,7 +196,7 @@ fn index_on_off_determinism() {
     let mut rng = SplitMix64(0x5eed);
     for case_ix in 0..100 {
         let case = gen_case(&mut rng);
-        let plan = CompiledPlan::compile(&case.ucq, &BTreeSet::new()).unwrap();
+        let plan = ucq_plan(&case.ucq, &BTreeSet::new());
         let head = head_of(&case.ucq);
         let rebuilt = Instance::from_facts(
             case.instance
@@ -246,10 +252,7 @@ fn parameterised_plans_agree_with_filtered_answers() {
             .iter()
             .map(|p| (p.clone(), case.consts[rng.below(case.consts.len())]))
             .collect();
-        let plan = match CompiledPlan::compile(&case.ucq, &params) {
-            Ok(p) => p,
-            Err(e) => panic!("case {case_ix}: expected compilable query: {e}"),
-        };
+        let plan = ucq_plan(&case.ucq, &params);
         let full = answers(&case.ucq.to_formula(), &case.instance);
         let expected: BTreeSet<Assignment> = full
             .into_iter()
@@ -300,13 +303,18 @@ fn benchmark_join_shapes_agree() {
         let ucq = Ucq::from_formula(&formula).expect(shape);
         let reference = answers(&ucq.to_formula(), &instance);
         assert!(!reference.is_empty(), "{shape}: degenerate case");
-        let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).expect(shape);
+        let plan = ucq_plan(&ucq, &BTreeSet::new());
         assert_eq!(
             plan.eval(&EvalCtx::scan(&instance), &Assignment::new()),
             reference,
             "{shape}"
         );
     }
+}
+
+/// The plan of a UCQ with no filter.
+fn ucq_plan(ucq: &Ucq, params: &BTreeSet<Var>) -> CompiledPlan {
+    CompiledPlan::compile_ucq(ucq, &Formula::True, params)
 }
 
 /// The head variables every disjunct answers over.
@@ -395,7 +403,7 @@ fn sorted_prefix_probes_match_filtered_scans_in_order() {
         let mut compile = |text: &str| {
             let formula = parse_formula(text, &mut schema, &mut pool).unwrap();
             let ucq = Ucq::from_formula(&formula).expect(text);
-            let plan = CompiledPlan::compile(&ucq, &BTreeSet::new()).expect(text);
+            let plan = ucq_plan(&ucq, &BTreeSet::new());
             (ucq, plan)
         };
         let (ucq, plan) = compile(src);
@@ -434,4 +442,248 @@ fn sorted_prefix_probes_match_filtered_scans_in_order() {
         }
     }
     assert_eq!(probed, 8, "the last two shapes probe non-prefix columns");
+}
+
+/// Variables of the full-FO generator: few, so quantifiers often shadow,
+/// go vacuous, or leave disjuncts over different free variables.
+const FO_VARS: [&str; 3] = ["X", "Y", "Z"];
+
+/// A random formula over `rels` (arities 0, 1, 2), with constants drawn
+/// from `consts` (the instances use only the first four).
+fn gen_fo(
+    rng: &mut SplitMix64,
+    rels: &[(RelId, usize)],
+    consts: &[Value],
+    depth: usize,
+) -> Formula {
+    let term = |rng: &mut SplitMix64| {
+        if rng.chance(3, 4) {
+            QTerm::var(FO_VARS[rng.below(FO_VARS.len())])
+        } else {
+            QTerm::Const(consts[rng.below(consts.len())])
+        }
+    };
+    let pick = if depth == 0 {
+        rng.below(3)
+    } else {
+        rng.below(11)
+    };
+    let sub = |rng: &mut SplitMix64| gen_fo(rng, rels, consts, depth - 1);
+    let var = |rng: &mut SplitMix64| FO_VARS[rng.below(FO_VARS.len())];
+    match pick {
+        0 | 1 => {
+            let (rel, arity) = rels[rng.below(rels.len())];
+            Formula::Atom(rel, (0..arity).map(|_| term(rng)).collect())
+        }
+        2 => match rng.below(6) {
+            0 => Formula::True,
+            1 => Formula::False,
+            _ => Formula::eq(term(rng), term(rng)),
+        },
+        3 => sub(rng).not(),
+        4 => sub(rng).and(sub(rng)),
+        5 => sub(rng).or(sub(rng)),
+        6 => sub(rng).implies(sub(rng)),
+        7 | 8 => Formula::exists(var(rng), sub(rng)),
+        9 => Formula::forall(var(rng), sub(rng)),
+        // A guarded conjunction, so joins and anti-joins stay common.
+        _ => {
+            let (rel, arity) = rels[rng.below(rels.len())];
+            Formula::Atom(rel, (0..arity).map(|_| term(rng)).collect()).and(sub(rng))
+        }
+    }
+}
+
+/// A guard-shaped sentence `∀x̄. atoms → ψ`, `ψ` built from equalities,
+/// so that its constraint has a delta check.
+fn gen_guarded(rng: &mut SplitMix64, rels: &[(RelId, usize)], consts: &[Value]) -> Formula {
+    let term = |rng: &mut SplitMix64| {
+        if rng.chance(4, 5) {
+            QTerm::var(FO_VARS[rng.below(FO_VARS.len())])
+        } else {
+            QTerm::Const(consts[rng.below(consts.len())])
+        }
+    };
+    let mut guard = Formula::True;
+    for _ in 0..1 + rng.below(3) {
+        let (rel, arity) = rels[1 + rng.below(rels.len() - 1)];
+        guard = guard.and(Formula::Atom(rel, (0..arity).map(|_| term(rng)).collect()));
+    }
+    let mut psi = Formula::eq(term(rng), term(rng));
+    if rng.chance(1, 2) {
+        psi = psi.or(Formula::neq(term(rng), term(rng)));
+    }
+    let mut f = guard.implies(psi);
+    for v in f.free_vars().into_iter().rev() {
+        f = Formula::Forall(v, Box::new(f));
+    }
+    f
+}
+
+/// A random instance over `rels` and the first four of `consts`; empty
+/// one time in five.
+fn gen_instance(rng: &mut SplitMix64, rels: &[(RelId, usize)], consts: &[Value]) -> Instance {
+    let mut inst = Instance::new();
+    if rng.chance(1, 5) {
+        return inst;
+    }
+    for _ in 0..1 + rng.below(8) {
+        let (rel, arity) = rels[rng.below(rels.len())];
+        let t: Vec<Value> = (0..arity).map(|_| consts[rng.below(4)]).collect();
+        inst.insert(rel, Tuple::from(t));
+    }
+    inst
+}
+
+/// The reference verdict of an equality constraint: every answer of the
+/// premise satisfies every equality.
+fn equality_reference(c: &EqualityConstraint, inst: &Instance) -> bool {
+    let value = |t: &QTerm, theta: &Assignment| match t {
+        QTerm::Const(v) => Some(*v),
+        QTerm::Var(v) => theta.get(v).copied(),
+    };
+    answers(c.query(), inst).iter().all(|theta| {
+        c.equalities()
+            .iter()
+            .all(|(a, b)| value(a, theta) == value(b, theta))
+    })
+}
+
+/// Full first-order formulas: the plan's rows are the reference answers,
+/// bit for bit; the plan with the head as parameters agrees with `holds`
+/// on every answer row and on assignments outside the answers, values
+/// outside `ADOM(I)` included.
+#[test]
+fn full_fo_plans_agree_with_answers() {
+    let mut schema = Schema::new();
+    let rels: Vec<(RelId, usize)> = [("V", 0), ("P", 1), ("Q", 2), ("E", 2)]
+        .map(|(name, arity)| (schema.add_relation(name, arity).unwrap(), arity))
+        .to_vec();
+    let mut pool = ConstantPool::new();
+    let consts: Vec<Value> = (0..6).map(|i| pool.intern(&format!("c{i}"))).collect();
+    let mut rng = SplitMix64(0xf0_f0f0);
+    let (mut nonempty, mut adom, mut filtered) = (0, 0, 0);
+    for case_ix in 0..1500 {
+        let depth = 1 + rng.below(3);
+        let f = gen_fo(&mut rng, &rels, &consts, depth);
+        let inst = gen_instance(&mut rng, &rels, &consts);
+        let reference = answers(&f, &inst);
+        let plan = CompiledPlan::compile(&f, &BTreeSet::new());
+        let stats = PlanStats::default();
+        let ctx = EvalCtx::scan(&inst).stats(&stats);
+        assert_eq!(
+            plan.eval(&ctx, &Assignment::new()),
+            reference,
+            "case {case_ix}: {f:?} over {inst:?}"
+        );
+        assert_eq!(
+            plan.holds(&ctx, &Assignment::new()),
+            !reference.is_empty(),
+            "case {case_ix}: {f:?} over {inst:?}"
+        );
+        let free: Vec<Var> = f.free_vars().into_iter().collect();
+        let by_row = CompiledPlan::compile(&f, &free.iter().cloned().collect());
+        let ctx = EvalCtx::scan(&inst);
+        for row in &reference {
+            assert!(
+                by_row.holds(&ctx, row),
+                "case {case_ix}: {f:?} rejects {row:?}"
+            );
+        }
+        // Assignments that may fall outside the answers and ADOM(I).
+        for _ in 0..4 {
+            let asg: Assignment = free
+                .iter()
+                .map(|v| (v.clone(), consts[rng.below(consts.len())]))
+                .collect();
+            assert_eq!(
+                by_row.holds(&ctx, &asg),
+                holds(&f, &inst, &asg).unwrap(),
+                "case {case_ix}: {f:?} under {asg:?} over {inst:?}"
+            );
+        }
+        nonempty += usize::from(!reference.is_empty());
+        adom += usize::from(plan.has_adom_step());
+        filtered += usize::from(stats.snapshot()[3].1 > 0);
+    }
+    // Every kind of case occurs in bulk.
+    assert!(nonempty > 300, "only {nonempty}/1500 cases had answers");
+    assert!(adom > 300, "only {adom}/1500 plans had an ADOM step");
+    assert!(
+        filtered > 200,
+        "only {filtered}/1500 runs took an ADOM step"
+    );
+}
+
+/// `c` gives the `reference` verdict on `base` and, where `base`
+/// satisfies it and `c` has a delta check, on `base ∪ delta` through that
+/// check; returns how many delta checks ran.
+fn check_against(
+    c: &dyn Constraint,
+    reference: impl Fn(&Instance) -> bool,
+    base: &Instance,
+    delta: &Instance,
+    what: &str,
+) -> usize {
+    let sat = c.satisfied(base);
+    assert_eq!(sat, reference(base), "{what}");
+    if !sat {
+        return 0;
+    }
+    let Some(with_delta) = c.satisfied_with_delta(base, delta) else {
+        return 0;
+    };
+    assert_eq!(with_delta, reference(&base.union(delta)), "{what}");
+    1
+}
+
+/// Every generated formula, read as an FO constraint (its universal
+/// closure) and as the premise of an equality constraint, gives the
+/// reference verdict — in full, and through the delta check on every
+/// satisfying base where there is one.
+#[test]
+fn full_fo_constraints_agree_with_the_reference() {
+    let mut schema = Schema::new();
+    let rels: Vec<(RelId, usize)> = [("V", 0), ("P", 1), ("Q", 2), ("E", 2)]
+        .map(|(name, arity)| (schema.add_relation(name, arity).unwrap(), arity))
+        .to_vec();
+    let mut pool = ConstantPool::new();
+    let consts: Vec<Value> = (0..6).map(|i| pool.intern(&format!("c{i}"))).collect();
+    let mut rng = SplitMix64(0xc0_5717);
+    let mut deltas = 0;
+    for case_ix in 0..1200 {
+        let depth = 1 + rng.below(3);
+        let f = if rng.chance(1, 3) {
+            gen_guarded(&mut rng, &rels, &consts)
+        } else {
+            gen_fo(&mut rng, &rels, &consts, depth)
+        };
+        let mut sentence = f.clone();
+        for v in f.free_vars().into_iter().rev() {
+            sentence = Formula::Forall(v, Box::new(sentence));
+        }
+        let fo = FoConstraint::new(sentence.clone()).unwrap();
+        let free: Vec<Var> = f.free_vars().into_iter().collect();
+        let term = |rng: &mut SplitMix64| {
+            if free.is_empty() || rng.chance(1, 3) {
+                QTerm::Const(consts[rng.below(consts.len())])
+            } else {
+                QTerm::Var(free[rng.below(free.len())].clone())
+            }
+        };
+        let eqs = (0..1 + rng.below(2))
+            .map(|_| (term(&mut rng), term(&mut rng)))
+            .collect();
+        let eq = EqualityConstraint::new(f.clone(), eqs).unwrap();
+        for _ in 0..3 {
+            let base = gen_instance(&mut rng, &rels, &consts);
+            let delta = gen_instance(&mut rng, &rels, &consts);
+            let fo_reference = |i: &Instance| holds_closed(&sentence, i).unwrap();
+            let eq_reference = |i: &Instance| equality_reference(&eq, i);
+            let what = format!("case {case_ix}: {f:?} over {base:?} with {delta:?}");
+            deltas += check_against(&fo, fo_reference, &base, &delta, &what);
+            deltas += check_against(&eq, eq_reference, &base, &delta, &what);
+        }
+    }
+    assert!(deltas > 300, "only {deltas} delta checks ran");
 }

@@ -163,9 +163,6 @@ pub mod codes {
     pub const RELATION_NEVER_READ: &str = "DCDS042";
     /// A rule condition is trivially unsatisfiable (congruence closure).
     pub const UNSATISFIABLE_CONDITION: &str = "DCDS043";
-    /// A `constraint`/`assert` is outside the compiled-constraint fragment
-    /// and runs the reference FO evaluator on every successor.
-    pub const CONSTRAINT_REFERENCE_PATH: &str = "DCDS044";
     /// Deterministic services and the dependency graph is not weakly
     /// acyclic: run-boundedness (Thm 4.7) is not guaranteed.
     pub const NOT_WEAKLY_ACYCLIC: &str = "DCDS060";
@@ -270,11 +267,6 @@ pub const CODE_TABLE: &[(&str, Severity, &str)] = &[
         codes::UNSATISFIABLE_CONDITION,
         Severity::Warning,
         "trivially unsatisfiable rule condition",
-    ),
-    (
-        codes::CONSTRAINT_REFERENCE_PATH,
-        Severity::Note,
-        "constraint checked by the reference evaluator, not a compiled plan",
     ),
     (
         codes::NOT_WEAKLY_ACYCLIC,

@@ -24,10 +24,7 @@
 //!   the estimated run/state bound when one exists;
 //! * **engine routing** ([`symbolic`]): when the boundedness certificate
 //!   is missing, a note points at `dcds check --engine symbolic`, which
-//!   decides AG/EF safety properties without boundedness;
-//! * **constraint paths** ([`constraint_path`]): a note for each
-//!   `constraint`/`assert` outside the compiled-constraint fragment, which
-//!   the reference FO evaluator checks on every successor.
+//!   decides AG/EF safety properties without boundedness.
 //!
 //! Rendering to rustc-style text or line-delimited JSON lives in
 //! [`render`]; the `dcds lint` subcommand drives everything.
@@ -35,7 +32,6 @@
 pub mod binding;
 pub mod bounded;
 pub mod consistency;
-pub mod constraint_path;
 pub mod dead;
 pub mod diagnostic;
 pub mod render;
@@ -108,12 +104,6 @@ pub fn registry() -> &'static [LintPass] {
             description: "points unbounded specs at `dcds check --engine symbolic`",
             needs_dcds: true,
             run: symbolic::run,
-        },
-        LintPass {
-            name: "constraint-path",
-            description: "constraints the reference evaluator checks on every successor",
-            needs_dcds: true,
-            run: constraint_path::run,
         },
     ]
 }
@@ -293,43 +283,6 @@ mod tests {
         // Warnings only: the spec still lowers, so the boundedness pass ran.
         assert!(!report.has_errors());
         assert!(found.contains(&codes::RUN_BOUND), "{found:?}");
-    }
-
-    #[test]
-    fn constraints_off_the_compiled_path() {
-        let report = lint_source(
-            "schema { P 1; Q 2; }\n\
-             init { P(a); Q(a, a); }\n\
-             constraint P(X) & Q(X, Y) -> X = Y;\n\
-             constraint P(X) & !Q(X, X) -> X = a;\n\
-             assert forall X . P(X) -> exists Y . Q(X, Y);\n\
-             assert forall X, Y . P(X) -> X = Y | Q(X, Y);\n\
-             assert forall X . P(X) -> forall X . Q(X, X) -> X = a;\n\
-             action go() { P(X) ~> P(X); Q(X, Y) ~> Q(X, Y); }\n\
-             rule true => go;\n",
-        )
-        .unwrap();
-        let reasons: Vec<(u32, String)> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.code == codes::CONSTRAINT_REFERENCE_PATH)
-            .map(|d| {
-                assert_eq!(d.severity, Severity::Note);
-                let Some((_, Payload::Str(why))) = d.payload.first() else {
-                    panic!("{d:?}")
-                };
-                (d.span.unwrap().line, why.clone())
-            })
-            .collect();
-        assert_eq!(
-            reasons,
-            [
-                (4, "non-ucq-premise".to_owned()),
-                (5, "quantified-consequent".to_owned()),
-                (6, "unguarded-variable".to_owned()),
-                (7, "shadowing".to_owned()),
-            ]
-        );
     }
 
     #[test]

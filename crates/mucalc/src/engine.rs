@@ -16,14 +16,17 @@
 //!    `x` occurs in a relational atom of the same disjunct (that atom
 //!    already puts `x`'s value in the state's active domain). The rewrite
 //!    applies only when the result is a range-restricted UCQ — accepted by
-//!    [`Ucq::from_formula`] and by [`CompiledPlan::compile`] with the
-//!    block's free variables as parameters. Such a query is
+//!    [`Ucq::from_formula`], and compiled with the block's free variables
+//!    as parameters into a plan with no ADOM step
+//!    ([`CompiledPlan::has_adom_step`]). Such a query is
 //!    domain-independent: every satisfying binding takes its values from
 //!    the state's facts, hence from `ADOM(Θ)`, so the plan's natural-join
 //!    answer equals the per-value iteration over `ADOM(Θ)` (and an
-//!    unassigned free variable empties both). A fused block costs one plan
-//!    evaluation per state instead of one per (state, domain value);
-//!    blocks outside the fragment keep the per-binding path below.
+//!    unassigned free variable empties both); an ADOM step would range
+//!    over the state's active domain instead of `ADOM(Θ)`. A fused block
+//!    costs one plan evaluation per state instead of one per (state,
+//!    domain value); blocks outside the fragment keep the per-binding
+//!    path below.
 //! 2. **query-extension caching over bitsets** — extensions are dense
 //!    bitsets over state indices, so `¬ ∧ ∨ →` are word operations, `◇`/`□`
 //!    fill a bitset from the successor lists, and a fixpoint converges on a
@@ -64,7 +67,7 @@ use crate::mc::Valuation;
 use crate::stateset::StateSet;
 use dcds_core::par::par_map;
 use dcds_core::{StateId, Ts};
-use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Ucq, Var};
+use dcds_folang::{Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Ucq, Var};
 use dcds_obs::{event, span, Obs};
 use dcds_reldata::Value;
 use std::collections::{BTreeSet, HashMap};
@@ -268,10 +271,9 @@ pub fn eval_traced(
     let f = &fused;
     let mut infos = Vec::new();
     index(f, &mut infos);
-    // Compile each query leaf once per run (pre-order ids mirror `index`);
-    // leaves outside the compilable UCQ fragment stay on the `holds` path.
-    let mut leaves = Vec::new();
-    compile_plans(f, &mut leaves);
+    // Compile each query leaf once per run (pre-order ids mirror `index`).
+    let mut leaves = HashMap::new();
+    compile_leaves(f, &mut 0, &mut leaves);
     let n = ts.num_states();
     let preds = val
         .predicates
@@ -307,7 +309,7 @@ pub fn eval_traced(
     // Plan-cache counters are totals of the work performed — independent of
     // the thread count — published here from serial code.
     if obs.is_enabled() {
-        let compiled = engine.leaves.iter().flatten().count() as u64;
+        let compiled = engine.leaves.len() as u64;
         obs.counter_add("mc.plans_compiled", compiled);
         for (name, v) in engine.plan_stats.snapshot() {
             obs.counter_add(format!("mc.query.{name}"), v);
@@ -316,18 +318,15 @@ pub fn eval_traced(
     (ext.to_ids(), engine.counters)
 }
 
-/// Compile each `Mu::Query` leaf whose formula falls in the compilable UCQ
-/// fragment, pushing one entry per node in the pre-order of [`index`]. The
-/// query's free variables become plan parameters, so evaluation under a
-/// full assignment is a boolean existence check.
-fn compile_plans(f: &Mu, plans: &mut Vec<Option<CompiledPlan>>) {
-    let plan = match f {
-        Mu::Query(q) => {
-            Ucq::from_formula(q).and_then(|ucq| CompiledPlan::compile(&ucq, &q.free_vars()).ok())
-        }
-        _ => None,
-    };
-    plans.push(plan);
+/// Compile each `Mu::Query` leaf, keyed by its id in the pre-order of
+/// [`index`] (`next` is the id of `f`). The query's free variables become
+/// plan parameters, so evaluation under a full assignment is a boolean
+/// existence check.
+fn compile_leaves(f: &Mu, next: &mut u32, leaves: &mut HashMap<u32, CompiledPlan>) {
+    if let Mu::Query(q) = f {
+        leaves.insert(*next, CompiledPlan::compile(q, &q.free_vars()));
+    }
+    *next += 1;
     match f {
         Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => {}
         Mu::Not(g)
@@ -336,10 +335,10 @@ fn compile_plans(f: &Mu, plans: &mut Vec<Option<CompiledPlan>>) {
         | Mu::Exists(_, g)
         | Mu::Forall(_, g)
         | Mu::Lfp(_, g)
-        | Mu::Gfp(_, g) => compile_plans(g, plans),
+        | Mu::Gfp(_, g) => compile_leaves(g, next, leaves),
         Mu::And(g, h) | Mu::Or(g, h) | Mu::Implies(g, h) => {
-            compile_plans(g, plans);
-            compile_plans(h, plans);
+            compile_leaves(g, next, leaves);
+            compile_leaves(h, next, leaves);
         }
     }
 }
@@ -401,7 +400,9 @@ fn fuse(f: &Mu) -> Mu {
 }
 
 /// `∃v.body` as one FO query, or `None` when the block is not a
-/// range-restricted UCQ once its covered `LIVE` conjuncts are dropped.
+/// range-restricted UCQ once its covered `LIVE` conjuncts are dropped:
+/// a UCQ whose plan, with its free variables as parameters, needs no
+/// ADOM step.
 fn fused_query(v: &Var, body: &Mu) -> Option<Formula> {
     let mut disjuncts = Vec::new();
     for c in quantify(v, mu_dnf(body)?) {
@@ -422,9 +423,8 @@ fn fused_query(v: &Var, body: &Mu) -> Option<Formula> {
         );
     }
     let q = Formula::disj(disjuncts);
-    let ucq = Ucq::from_formula(&q)?;
-    CompiledPlan::compile(&ucq, &q.free_vars()).ok()?;
-    Some(q)
+    Ucq::from_formula(&q)?;
+    (!CompiledPlan::compile(&q, &q.free_vars()).has_adom_step()).then_some(q)
 }
 
 /// Prenex DNF of a block built from queries, `LIVE`, `∧`, `∨` and `∃`.
@@ -552,9 +552,8 @@ struct Engine<'a> {
     /// `ADOM(Θ)` plus `seed_values`, built on the first unfused `∃`/`∀`.
     domain: Option<Arc<[Value]>>,
     infos: Vec<NodeInfo>,
-    /// Compiled leaf per pre-order node id; `Some` only at `Mu::Query`
-    /// leaves in the compilable fragment.
-    leaves: Vec<Option<CompiledPlan>>,
+    /// The compiled plan of each `Mu::Query` leaf, by pre-order node id.
+    leaves: HashMap<u32, CompiledPlan>,
     /// Per-state active domains aligned with `states`, built on the first
     /// bound `LIVE` and reused by every later one.
     adoms: Option<Vec<BTreeSet<Value>>>,
@@ -644,17 +643,10 @@ impl Engine<'_> {
                 }
                 self.counters.query_state_evals += n as u64;
                 let (ts, threads) = (self.ts, self.threads);
-                let sat = match &self.leaves[id as usize] {
-                    Some(plan) => {
-                        let stats = &self.plan_stats;
-                        par_map(&self.states, threads, |&s| {
-                            plan.holds(&EvalCtx::scan(ts.db(s)).stats(stats), &asg)
-                        })
-                    }
-                    None => par_map(&self.states, threads, |&s| {
-                        holds(q, ts.db(s), &asg).unwrap_or(false)
-                    }),
-                };
+                let (plan, stats) = (&self.leaves[&id], &self.plan_stats);
+                let sat = par_map(&self.states, threads, |&s| {
+                    plan.holds(&EvalCtx::scan(ts.db(s)).stats(stats), &asg)
+                });
                 StateSet::from_fn(n, |i| sat[i])
             }
             Mu::Live(t) => {
@@ -990,9 +982,9 @@ mod tests {
     }
 
     fn compiled_leaves(f: &Mu) -> usize {
-        let mut plans = Vec::new();
-        compile_plans(f, &mut plans);
-        plans.iter().flatten().count()
+        let mut leaves = HashMap::new();
+        compile_leaves(f, &mut 0, &mut leaves);
+        leaves.len()
     }
 
     #[test]

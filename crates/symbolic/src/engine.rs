@@ -26,9 +26,9 @@ use crate::subsume::{subsumes, ClauseCtx};
 use dcds_core::det::det_successors_by_commitment;
 use dcds_core::nondet::nondet_successors_by_commitment;
 use dcds_core::{ActionId, Dcds, DetState};
-use dcds_folang::{holds_closed, Assignment, Formula};
+use dcds_folang::{Assignment, CompiledPlan, EvalCtx, Formula};
 use dcds_mucalc::safety::{extract_safety, SafetyError, SafetyMode};
-use dcds_mucalc::Mu;
+use dcds_mucalc::{ensure_closed, CheckError, Mu};
 use dcds_obs::{event, span, Obs, PhaseClock};
 use dcds_reldata::{ConstantPool, Instance};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -170,6 +170,8 @@ pub struct SymRun {
 /// Why a check could not start.
 #[derive(Debug, Clone)]
 pub enum SymError {
+    /// The formula has free variables.
+    NotClosed(CheckError),
     /// The formula is outside the safety fragment.
     NotSafety(SafetyError),
     /// The bad condition cannot be compiled to clauses.
@@ -179,6 +181,7 @@ pub enum SymError {
 impl fmt::Display for SymError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SymError::NotClosed(e) => write!(f, "{e}"),
             SymError::NotSafety(e) => write!(f, "{e}"),
             SymError::UnsupportedBad(msg) => {
                 write!(f, "bad condition outside the clause fragment: {msg}")
@@ -202,10 +205,12 @@ pub fn check_safety_traced(
     obs: &Obs,
 ) -> Result<SymRun, SymError> {
     let mut run_span = span!(obs, "symbolic.check");
+    ensure_closed(f).map_err(SymError::NotClosed)?;
     let prop = extract_safety(f).map_err(SymError::NotSafety)?;
     let bad = clauses_from_bad(&prop.bad).map_err(SymError::UnsupportedBad)?;
+    let bad_plan = CompiledPlan::compile(&prop.bad, &BTreeSet::new());
     let mut counters = SymCounters::default();
-    let reach = backward_reach(dcds, &prop.bad, bad, opts, obs, &mut counters);
+    let reach = backward_reach(dcds, &bad_plan, bad, opts, obs, &mut counters);
     counters.publish(obs);
     run_span.set("iterations", counters.iterations);
     run_span.set("kept", counters.kept);
@@ -241,7 +246,7 @@ enum Reach {
 
 fn backward_reach(
     dcds: &Dcds,
-    bad_formula: &Formula,
+    bad_plan: &CompiledPlan,
     bad_clauses: Vec<Clause>,
     opts: &SymOptions,
     obs: &Obs,
@@ -266,7 +271,7 @@ fn backward_reach(
     counters.init_hits += seed_hits;
     if seed_hits > 0 {
         // Depth 0: Bad at the initial instance directly.
-        if holds_closed(bad_formula, init).unwrap_or(false) {
+        if bad_plan.holds(&EvalCtx::scan(init), &Assignment::new()) {
             return Reach::Reachable(Trace {
                 states: vec![init.clone()],
                 actions: Vec::new(),
@@ -289,7 +294,7 @@ fn backward_reach(
                 return Reach::Unreachable;
             }
             if let Some(trace) =
-                confirm_reach(dcds, bad_formula, level + 2, opts.confirm_nodes, counters)
+                confirm_reach(dcds, bad_plan, level + 2, opts.confirm_nodes, counters)
             {
                 return Reach::Reachable(trace);
             }
@@ -368,8 +373,7 @@ fn backward_reach(
         let hits = set.hits(&new_frontier, init);
         counters.init_hits += hits;
         if hits > 0 {
-            if let Some(trace) =
-                confirm_reach(dcds, bad_formula, level, opts.confirm_nodes, counters)
+            if let Some(trace) = confirm_reach(dcds, bad_plan, level, opts.confirm_nodes, counters)
             {
                 return Reach::Reachable(trace);
             }
@@ -446,7 +450,7 @@ impl ClauseSet {
 /// engines — so a returned trace is a genuine run of the abstraction.
 fn confirm_reach(
     dcds: &Dcds,
-    bad: &Formula,
+    bad: &CompiledPlan,
     depth: usize,
     node_budget: usize,
     counters: &mut SymCounters,
@@ -506,7 +510,7 @@ fn bfs<S: Ord + Clone>(
     start: S,
     instance_of: impl Fn(&S) -> Instance,
     mut successors: impl FnMut(&S) -> Vec<(ActionId, Assignment, S)>,
-    bad: &Formula,
+    bad: &CompiledPlan,
     depth: usize,
     node_budget: usize,
     counters: &mut SymCounters,
@@ -519,7 +523,7 @@ fn bfs<S: Ord + Clone>(
     while let Some((ix, d)) = queue.pop_front() {
         counters.confirm_nodes += 1;
         let inst = instance_of(&nodes[ix].0);
-        if holds_closed(bad, &inst).unwrap_or(false) {
+        if bad.holds(&EvalCtx::scan(&inst), &Assignment::new()) {
             return Some(unwind(&nodes, ix, &instance_of));
         }
         if d >= depth || nodes.len() >= node_budget {

@@ -16,14 +16,16 @@ cargo test -q
 # so the differential suites below already ran; the named reruns keep the
 # gate loud if a target is ever renamed or feature-gated away.
 echo "== differential suites"
-# Query plans against the reference evaluator, sorted-prefix probes
-# against filtered scans row for row, the guided multi-atom joins, and
-# compiled constraint checks against both evaluators (with the path each
-# constraint took).
+# Query plans against the reference evaluator on generated UCQs and
+# full-FO formulas (negation, universal quantifiers, ADOM steps, shadowing,
+# the empty instance), sorted-prefix probes against filtered scans row for
+# row, the guided multi-atom joins, and compiled constraint checks, full
+# and delta, against both evaluators.
 cargo test -q -p dcds-folang --test plan_differential --test guided_differential
 # The constraints' delta check (the guard rows of `base ∪ Δ` that use a
 # `Δ` fact) against the full check of the union, on random satisfying
-# bases, for every screened shape; and which shapes have no delta check.
+# bases, for every screened shape; and which shapes have no delta check
+# (a filter that reads a relation, or an ADOM step).
 cargo test -q -p dcds-folang --test delta_differential
 # The det abstraction's screened step against the definitional
 # `det_step_with_pre`, commitment by commitment, on every reachable state

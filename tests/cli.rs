@@ -275,6 +275,20 @@ fn check_rejects_open_formulas_by_name() {
 }
 
 #[test]
+fn symbolic_engine_rejects_open_formulas_by_name() {
+    let (code, text) = dcds_code(&[
+        "check",
+        &spec("unbounded_safe.dcds"),
+        "nu Z . !Flag(Y) & [] Z",
+        "--engine",
+        "symbolic",
+    ]);
+    assert_eq!(code, 3, "{text}");
+    assert!(text.contains("not closed"), "{text}");
+    assert!(text.contains('Y'), "{text}");
+}
+
+#[test]
 fn check_threads_agree_and_zero_is_rejected() {
     let phi = "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z";
     let (c1, t1) = dcds_code(&["check", &spec("ping_pong.dcds"), phi, "--threads", "1"]);
@@ -1128,4 +1142,103 @@ fn a_closed_stdout_still_writes_the_metrics_file() {
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(written.starts_with('{'), "{written}");
     assert!(written.contains("\"rcycl.triples_processed\""), "{written}");
+}
+
+/// Write `src` to a spec file in the temp directory.
+fn temp_spec(tag: &str, src: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("dcds_cli_{tag}_{}.dcds", std::process::id()));
+    std::fs::write(&path, src).unwrap();
+    path
+}
+
+/// `dcds check <spec> <formula> --format json`: exit code, stdout, and the
+/// value of every `query.*` counter of its `--metrics-json`.
+fn check_with_query_counters(
+    spec: &std::path::Path,
+    formula: &str,
+) -> (i32, String, Vec<(String, u64)>) {
+    let metrics = spec.with_extension("metrics.json");
+    let (code, stdout, _) = dcds_streams(&[
+        "check",
+        spec.to_str().unwrap(),
+        formula,
+        "--format",
+        "json",
+        "--metrics-json",
+        metrics.to_str().unwrap(),
+    ]);
+    let m = std::fs::read_to_string(&metrics).unwrap();
+    let _ = std::fs::remove_file(&metrics);
+    let counters = m
+        .split("\"query.")
+        .skip(1)
+        .map(|rest| {
+            let (name, value) = rest.split_once("\":").unwrap();
+            let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
+            (name.to_owned(), digits.parse().unwrap())
+        })
+        .collect();
+    (code, stdout, counters)
+}
+
+#[test]
+fn negated_rule_condition_answers_like_its_positive_twin() {
+    // 25 values and a 5-variable rule: `!S(A)` filters the join's one row
+    // instead of enumerating ADOM^5 assignments.
+    let facts: String = (0..20).map(|i| format!("V(v{i}); ")).collect();
+    let twin = |condition: &str| {
+        format!(
+            "schema {{ V 1; P 5; S 1; }}\n\
+             init {{ {facts}P(a, b, c, d, e); }}\n\
+             action go(A, B, C, D, E) {{ P(X1, X2, X3, X4, X5) ~> P(X1, X2, X3, X4, X5); V(X) ~> V(X); }}\n\
+             rule {condition} => go;\n"
+        )
+    };
+    let negated = temp_spec("negated_rule", &twin("P(A, B, C, D, E) & !S(A)"));
+    let positive = temp_spec("positive_rule", &twin("P(A, B, C, D, E)"));
+    let formula = "nu Z . true & [] Z";
+    let (code, out, counters) = check_with_query_counters(&negated, formula);
+    let (twin_code, twin_out, twin_counters) = check_with_query_counters(&positive, formula);
+    assert_eq!((code, &out), (twin_code, &twin_out));
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("\"states\":1,\"edges\":1"), "{out}");
+    // The same plan work, and no ADOM step: A is bound by the P atom.
+    assert_eq!(counters, twin_counters);
+    assert!(
+        counters.contains(&("adom_steps".to_owned(), 0)),
+        "{counters:?}"
+    );
+    let _ = std::fs::remove_file(&negated);
+    let _ = std::fs::remove_file(&positive);
+}
+
+#[test]
+fn full_fo_rules_filters_and_asserts_compile() {
+    // A rule whose variable no atom binds (an ADOM step), a `Q⁻` filter,
+    // and an assert with a quantified consequent.
+    let path = temp_spec(
+        "full_fo",
+        "schema { P 1; Q 2; S 1; }  init { P(a); P(b); Q(a, a); Q(b, a); }\n\
+         assert forall X . P(X) -> exists Y . Q(X, Y) | S(X);\n\
+         action go(A) { P(X) & !S(X) ~> P(X), S(A); Q(X, Y) ~> Q(X, Y); S(X) ~> S(X); }\n\
+         rule !S(A) & !Q(A, A) => go;\n",
+    );
+    let (code, out, counters) =
+        check_with_query_counters(&path, "nu Z . (forall X . !(S(X) & Q(X, X))) & [] Z");
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        out.contains("\"states\":2,\"edges\":1,\"complete\":true"),
+        "{out}"
+    );
+    assert!(out.contains("\"verdict\":true"), "{out}");
+    let adom_steps = counters
+        .iter()
+        .find(|(name, _)| name == "adom_steps")
+        .map(|(_, v)| *v);
+    assert!(adom_steps.is_some_and(|n| n > 0), "{counters:?}");
+    let (code, out, _) =
+        check_with_query_counters(&path, "nu Z . (forall X . !(S(X) & P(X))) & [] Z");
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("\"verdict\":false"), "{out}");
+    let _ = std::fs::remove_file(&path);
 }

@@ -231,53 +231,6 @@ fn state_bound_note() {
 }
 
 #[test]
-fn constraint_reference_path_note() {
-    // A vacuous ∀ and an ∃ in the consequent stay on the reference
-    // evaluator (DCDS044 each, with the reason); the guard-shaped key
-    // constraint and assert compile and stay silent.
-    let (code, text) = lint_src(
-        "cpath",
-        "schema { P 1; Q 2; }\n\
-         init { P(a); Q(a, a); }\n\
-         constraint Q(X, Y) & Q(X, Z) -> Y = Z;\n\
-         assert forall X, Y . Q(X, Y) -> P(X) | X = Y;\n\
-         assert forall X . P(a) -> P(X) | true;\n\
-         assert forall X . P(X) -> exists Y . Q(X, Y);\n\
-         action go() { P(X) ~> P(X); Q(X, Y) ~> Q(X, Y); }\n\
-         rule true => go;\n",
-        &["--format", "json"],
-    );
-    assert_eq!(code, 0, "{text}");
-    let notes: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"code\":\"DCDS044\""))
-        .collect();
-    assert_eq!(notes.len(), 2, "{text}");
-    assert!(notes[0].contains("\"line\":5"), "{text}");
-    assert!(
-        notes[0].contains("\"reason\":\"unguarded-variable\""),
-        "{text}"
-    );
-    assert!(notes[1].contains("\"line\":6"), "{text}");
-    assert!(
-        notes[1].contains("\"reason\":\"quantified-consequent\""),
-        "{text}"
-    );
-    assert!(
-        notes.iter().all(|n| n.contains("\"severity\":\"note\"")),
-        "{text}"
-    );
-}
-
-#[test]
-fn shipped_constraints_run_compiled() {
-    // travel_request's two asserts are guard-shaped: no DCDS044.
-    let (code, text) = dcds_code(&["lint", &spec("travel_request.dcds")]);
-    assert_eq!(code, 0, "{text}");
-    assert!(!text.contains("DCDS044"), "{text}");
-}
-
-#[test]
 fn lowering_error_catch_all() {
     // Constraint violated by the initial instance: every per-construct pass
     // is happy, but strict lowering still rejects the spec → DCDS099.
