@@ -37,6 +37,20 @@ impl fmt::Display for PredVar {
     }
 }
 
+/// Why a µL formula is not one FO query over the current state
+/// ([`Mu::state_query`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NotQuery {
+    /// A `LIVE(t)` that no relational atom conjoined with it mentions.
+    Live,
+    /// A `⟨−⟩` or `[−]`.
+    Modality,
+    /// A `µ` or `ν`.
+    Fixpoint,
+    /// A predicate variable.
+    Pvar(PredVar),
+}
+
 /// A µL formula.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mu {
@@ -274,6 +288,57 @@ impl Mu {
         }
     }
 
+    /// The FO query over the current state that a formula with no
+    /// modality, fixpoint or predicate variable denotes: each connective
+    /// and quantifier becomes its FO twin, and a `LIVE(t)` becomes `true`
+    /// where a relational atom conjoined with it — through `∧`, through
+    /// both sides of an `∨`, not through a binder of `t` — mentions `t`,
+    /// since that atom already puts `t`'s value in the state's active
+    /// domain. A conjunct so covered is dropped. Any other `LIVE` is the
+    /// error.
+    pub fn state_query(&self) -> Result<Formula, NotQuery> {
+        self.lower(&BTreeSet::new())
+    }
+
+    /// [`Mu::state_query`] with the terms in `live` known to be in the
+    /// active domain.
+    fn lower(&self, live: &BTreeSet<QTerm>) -> Result<Formula, NotQuery> {
+        Ok(match self {
+            Mu::Query(q) => q.clone(),
+            Mu::Live(t) if live.contains(t) => Formula::True,
+            Mu::Live(_) => return Err(NotQuery::Live),
+            Mu::Not(g) => g.lower(live)?.not(),
+            Mu::And(g, h) => {
+                let lg = g.lower(&live.union(&h.covered()).cloned().collect())?;
+                let lh = h.lower(&live.union(&g.covered()).cloned().collect())?;
+                match (g.as_ref(), h.as_ref()) {
+                    (Mu::Live(_), _) => lh,
+                    (_, Mu::Live(_)) => lg,
+                    _ => lg.and(lh),
+                }
+            }
+            Mu::Or(g, h) => g.lower(live)?.or(h.lower(live)?),
+            Mu::Implies(g, h) => g.lower(live)?.implies(h.lower(live)?),
+            Mu::Exists(v, g) => Formula::exists(v.clone(), g.lower(&without(live.clone(), v))?),
+            Mu::Forall(v, g) => Formula::forall(v.clone(), g.lower(&without(live.clone(), v))?),
+            Mu::Diamond(_) | Mu::Box_(_) => return Err(NotQuery::Modality),
+            Mu::Lfp(..) | Mu::Gfp(..) => return Err(NotQuery::Fixpoint),
+            Mu::Pvar(z) => return Err(NotQuery::Pvar(z.clone())),
+        })
+    }
+
+    /// The terms every state satisfying the formula has in its active
+    /// domain because a relational atom mentions them.
+    fn covered(&self) -> BTreeSet<QTerm> {
+        match self {
+            Mu::Query(q) => atom_terms(q),
+            Mu::And(g, h) => &g.covered() | &h.covered(),
+            Mu::Or(g, h) => &g.covered() & &h.covered(),
+            Mu::Exists(v, g) => without(g.covered(), v),
+            _ => BTreeSet::new(),
+        }
+    }
+
     /// Size (number of AST nodes), counting query leaves as their own size.
     pub fn size(&self) -> usize {
         match self {
@@ -289,6 +354,22 @@ impl Mu {
             Mu::And(f, g) | Mu::Or(f, g) | Mu::Implies(f, g) => 1 + f.size() + g.size(),
         }
     }
+}
+
+/// [`Mu::covered`] for an FO query.
+fn atom_terms(f: &Formula) -> BTreeSet<QTerm> {
+    match f {
+        Formula::Atom(_, args) => args.iter().cloned().collect(),
+        Formula::And(g, h) => &atom_terms(g) | &atom_terms(h),
+        Formula::Or(g, h) => &atom_terms(g) & &atom_terms(h),
+        Formula::Exists(v, g) => without(atom_terms(g), v),
+        _ => BTreeSet::new(),
+    }
+}
+
+fn without(mut terms: BTreeSet<QTerm>, v: &Var) -> BTreeSet<QTerm> {
+    terms.remove(&QTerm::Var(v.clone()));
+    terms
 }
 
 #[cfg(test)]
@@ -341,6 +422,37 @@ mod tests {
         let f = atom(&s, "Stud", "X").diamond();
         let g = f.substitute_var(&Var::new("X"), a);
         assert!(g.free_vars().is_empty());
+    }
+
+    #[test]
+    fn state_query_drops_covered_live_only() {
+        let mut s = schema();
+        s.add_relation("Grad", 1).unwrap();
+        let stud = || atom(&s, "Stud", "X");
+        let grad = || atom(&s, "Grad", "X");
+        let q = |f: &Mu| f.state_query();
+        // Covered through ∧, under ¬, and through both sides of an ∨.
+        let f = Mu::exists("X", Mu::live("X").and(stud()));
+        assert_eq!(q(&f), q(&Mu::exists("X", stud())));
+        let g = stud().and(Mu::live("X").and(grad()).not());
+        assert!(q(&g).is_ok());
+        let h = Mu::live("X").and(stud().or(grad()));
+        assert_eq!(q(&h), q(&stud().or(grad())));
+        // Not by one side of an ∨, a negated atom, or an atom whose `X` a
+        // binder rebinds.
+        let live = Err(NotQuery::Live);
+        assert_eq!(
+            q(&Mu::live("X").and(stud().or(Mu::query(Formula::True)))),
+            live
+        );
+        assert_eq!(q(&Mu::live("X").and(stud().not())), live);
+        assert_eq!(q(&Mu::live("X").and(Mu::exists("X", stud()))), live);
+        assert_eq!(q(&stud().and(Mu::exists("X", Mu::live("X")))), live);
+        // Modalities, fixpoints and predicate variables are not queries.
+        assert_eq!(q(&stud().diamond()), Err(NotQuery::Modality));
+        assert_eq!(q(&Mu::gfp("Z", stud())), Err(NotQuery::Fixpoint));
+        let z = PredVar::new("Z");
+        assert_eq!(q(&Mu::Pvar(z.clone())), Err(NotQuery::Pvar(z)));
     }
 
     #[test]

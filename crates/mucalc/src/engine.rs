@@ -9,20 +9,18 @@
 //! and the paper's atomic formulas are whole first-order *queries*, so
 //!
 //! 1. **quantifier-block fusion** — before anything else, every maximal
-//!    modal-free, predicate-variable-free block rooted at a quantifier is
-//!    rewritten into **one** `Mu::Query` leaf: `∃x.β` becomes
-//!    `Query(∃x.fo(β))` and `∀x.¬β` becomes `¬Query(∃x.fo(β))`, where `fo`
-//!    distributes `∃`/`∧` over `∨` and drops a `LIVE(x)` conjunct whenever
-//!    `x` occurs in a relational atom of the same disjunct (that atom
-//!    already puts `x`'s value in the state's active domain). The rewrite
-//!    applies only when the result is a range-restricted UCQ — accepted by
-//!    [`Ucq::from_formula`], and compiled with the block's free variables
-//!    as parameters into a plan with no ADOM step
-//!    ([`CompiledPlan::has_adom_step`]). Such a query is
-//!    domain-independent: every satisfying binding takes its values from
-//!    the state's facts, hence from `ADOM(Θ)`, so the plan's natural-join
-//!    answer equals the per-value iteration over `ADOM(Θ)` (and an
-//!    unassigned free variable empties both); an ADOM step would range
+//!    block rooted at a quantifier that [`Mu::state_query`] lowers to one
+//!    FO query is rewritten into **one** `Mu::Query` leaf: `∃x.φ` becomes
+//!    `Query(∃x.φ')` and `∀x.φ` becomes `¬Query(∃x.¬φ')`, where `φ'` is
+//!    the lowering (FO twins of the connectives, a `LIVE(x)` conjoined
+//!    with a relational atom over `x` dropped, since that atom already
+//!    puts `x`'s value in the state's active domain). The rewrite applies
+//!    only when the query, compiled with the block's free variables as
+//!    parameters, needs no ADOM step ([`CompiledPlan::has_adom_step`]):
+//!    the plan alone decides what fuses. Such a query is
+//!    domain-independent: every quantified variable takes its values from
+//!    the state's facts, hence from `ADOM(Θ)`, so the plan's answer equals
+//!    the per-value iteration over `ADOM(Θ)`; an ADOM step would range
 //!    over the state's active domain instead of `ADOM(Θ)`. A fused block
 //!    costs one plan evaluation per state instead of one per (state,
 //!    domain value); blocks outside the fragment keep the per-binding
@@ -67,7 +65,7 @@ use crate::mc::Valuation;
 use crate::stateset::StateSet;
 use dcds_core::par::par_map;
 use dcds_core::{StateId, Ts};
-use dcds_folang::{Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Ucq, Var};
+use dcds_folang::{Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Var};
 use dcds_obs::{event, span, Obs};
 use dcds_reldata::Value;
 use std::collections::{BTreeSet, HashMap};
@@ -267,7 +265,7 @@ pub fn eval_traced(
         states = ts.num_states(),
         threads = opts.threads
     );
-    let fused = fuse(f);
+    let fused = fuse(f, &val.individuals.keys().cloned().collect());
     let f = &fused;
     let mut infos = Vec::new();
     index(f, &mut infos);
@@ -343,159 +341,51 @@ fn compile_leaves(f: &Mu, next: &mut u32, leaves: &mut HashMap<u32, CompiledPlan
     }
 }
 
-/// One disjunct of a quantifier block in prenex normal form:
-/// `∃vars. ⋀lits ∧ ⋀LIVE(lives)`, with `lits` FO atoms and equalities.
-#[derive(Clone, Default)]
-struct Conj {
-    vars: Vec<Var>,
-    lits: Vec<Formula>,
-    lives: Vec<QTerm>,
-}
-
-impl Conj {
-    /// Variables occurring in the literals but not bound by `vars`.
-    fn free(&self) -> BTreeSet<Var> {
-        let mut out: BTreeSet<Var> = self.lits.iter().flat_map(Formula::free_vars).collect();
-        out.extend(self.lives.iter().filter_map(|t| t.as_var().cloned()));
-        for v in &self.vars {
-            out.remove(v);
-        }
-        out
-    }
-}
-
-/// Blocks whose distribution over `∨` would exceed this many disjuncts stay
-/// on the per-binding path.
-const MAX_DISJUNCTS: usize = 64;
-
-/// The fusion pass (see the module doc): replace every maximal
-/// modal-free, predicate-variable-free block rooted at `∃x` or `∀x.¬` by a
-/// single query leaf; every other node is kept as is.
-fn fuse(f: &Mu) -> Mu {
-    let fused = match f {
-        Mu::Exists(v, g) => fused_query(v, g).map(Mu::Query),
-        Mu::Forall(v, g) => match g.as_ref() {
-            Mu::Not(b) => fused_query(v, b).map(|q| Mu::Query(q).not()),
-            _ => None,
-        },
+/// The fusion pass (see the module doc): replace every maximal quantifier
+/// block that lowers to one FO query ([`Mu::state_query`]) whose plan,
+/// with the block's free variables as parameters, needs no ADOM step by
+/// that query; every other node is kept as is. A block with a free
+/// variable outside `assigned`, the variables bound wherever it is
+/// evaluated, is kept too: Figure 1 empties each leaf that mentions an
+/// unassigned variable, not the whole block.
+pub(crate) fn fuse(f: &Mu, assigned: &BTreeSet<Var>) -> Mu {
+    let query = match f {
+        Mu::Exists(..) => f.state_query().ok(),
+        // ∀v.φ as ¬∃v.¬φ.
+        Mu::Forall(v, g) => g
+            .state_query()
+            .ok()
+            .map(|b| Formula::exists(v.clone(), b.not())),
         _ => None,
     };
-    if let Some(leaf) = fused {
-        return leaf;
+    if let Some(q) = query {
+        let free = q.free_vars();
+        if free.is_subset(assigned) && !CompiledPlan::compile(&q, &free).has_adom_step() {
+            return match f {
+                Mu::Forall(..) => Mu::Query(q).not(),
+                _ => Mu::Query(q),
+            };
+        }
     }
-    let kid = |g: &Mu| Box::new(fuse(g));
+    let kid = |g: &Mu| Box::new(fuse(g, assigned));
+    let binds = |v: &Var, g: &Mu| {
+        let mut inner = assigned.clone();
+        inner.insert(v.clone());
+        Box::new(fuse(g, &inner))
+    };
     match f {
         Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => f.clone(),
         Mu::Not(g) => Mu::Not(kid(g)),
         Mu::And(g, h) => Mu::And(kid(g), kid(h)),
         Mu::Or(g, h) => Mu::Or(kid(g), kid(h)),
         Mu::Implies(g, h) => Mu::Implies(kid(g), kid(h)),
-        Mu::Exists(v, g) => Mu::Exists(v.clone(), kid(g)),
-        Mu::Forall(v, g) => Mu::Forall(v.clone(), kid(g)),
+        Mu::Exists(v, g) => Mu::Exists(v.clone(), binds(v, g)),
+        Mu::Forall(v, g) => Mu::Forall(v.clone(), binds(v, g)),
         Mu::Diamond(g) => Mu::Diamond(kid(g)),
         Mu::Box_(g) => Mu::Box_(kid(g)),
         Mu::Lfp(z, g) => Mu::Lfp(z.clone(), kid(g)),
         Mu::Gfp(z, g) => Mu::Gfp(z.clone(), kid(g)),
     }
-}
-
-/// `∃v.body` as one FO query, or `None` when the block is not a
-/// range-restricted UCQ once its covered `LIVE` conjuncts are dropped:
-/// a UCQ whose plan, with its free variables as parameters, needs no
-/// ADOM step.
-fn fused_query(v: &Var, body: &Mu) -> Option<Formula> {
-    let mut disjuncts = Vec::new();
-    for c in quantify(v, mu_dnf(body)?) {
-        let covered = |t: &QTerm| {
-            c.lits
-                .iter()
-                .any(|l| matches!(l, Formula::Atom(_, args) if args.contains(t)))
-        };
-        if !c.lives.iter().all(covered) {
-            return None;
-        }
-        let conj = Formula::conj(c.lits);
-        disjuncts.push(
-            c.vars
-                .into_iter()
-                .rev()
-                .fold(conj, |g, x| Formula::Exists(x, Box::new(g))),
-        );
-    }
-    let q = Formula::disj(disjuncts);
-    Ucq::from_formula(&q)?;
-    (!CompiledPlan::compile(&q, &q.free_vars()).has_adom_step()).then_some(q)
-}
-
-/// Prenex DNF of a block built from queries, `LIVE`, `∧`, `∨` and `∃`.
-fn mu_dnf(f: &Mu) -> Option<Vec<Conj>> {
-    match f {
-        Mu::Query(q) => fo_dnf(q),
-        Mu::Live(t) => Some(vec![Conj {
-            lives: vec![t.clone()],
-            ..Conj::default()
-        }]),
-        Mu::And(g, h) => product(mu_dnf(g)?, mu_dnf(h)?),
-        Mu::Or(g, h) => union(mu_dnf(g)?, mu_dnf(h)?),
-        Mu::Exists(v, g) => Some(quantify(v, mu_dnf(g)?)),
-        _ => None,
-    }
-}
-
-/// Prenex DNF of a positive existential FO query.
-fn fo_dnf(f: &Formula) -> Option<Vec<Conj>> {
-    match f {
-        Formula::True => Some(vec![Conj::default()]),
-        Formula::False => Some(Vec::new()),
-        Formula::Atom(..) | Formula::Eq(..) => Some(vec![Conj {
-            lits: vec![f.clone()],
-            ..Conj::default()
-        }]),
-        Formula::And(g, h) => product(fo_dnf(g)?, fo_dnf(h)?),
-        Formula::Or(g, h) => union(fo_dnf(g)?, fo_dnf(h)?),
-        Formula::Exists(v, g) => Some(quantify(v, fo_dnf(g)?)),
-        Formula::Not(_) | Formula::Implies(..) | Formula::Forall(..) => None,
-    }
-}
-
-/// `∃v` over every disjunct. A binder repeated in one disjunct (shadowing)
-/// is left for [`Ucq::from_formula`] to reject.
-fn quantify(v: &Var, mut dnf: Vec<Conj>) -> Vec<Conj> {
-    for c in &mut dnf {
-        c.vars.insert(0, v.clone());
-    }
-    dnf
-}
-
-fn union(mut a: Vec<Conj>, b: Vec<Conj>) -> Option<Vec<Conj>> {
-    a.extend(b);
-    (a.len() <= MAX_DISJUNCTS).then_some(a)
-}
-
-/// Distribute `∧` over `∨`, pulling each side's quantifiers to the front;
-/// `None` if that would capture a free variable of the other side.
-fn product(a: Vec<Conj>, b: Vec<Conj>) -> Option<Vec<Conj>> {
-    if a.len() * b.len() > MAX_DISJUNCTS {
-        return None;
-    }
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for x in &a {
-        let x_free = x.free();
-        for y in &b {
-            let y_free = y.free();
-            let captures = y.vars.iter().any(|w| x_free.contains(w))
-                || x.vars.iter().any(|w| y_free.contains(w));
-            if captures {
-                return None;
-            }
-            let mut c = x.clone();
-            c.vars.extend(y.vars.iter().cloned());
-            c.lits.extend(y.lits.iter().cloned());
-            c.lives.extend(y.lives.iter().cloned());
-            out.push(c);
-        }
-    }
-    Some(out)
 }
 
 /// Static per-subformula facts, computed once per run by [`index`].
@@ -981,6 +871,11 @@ mod tests {
         }
     }
 
+    /// The fusion pass on a closed formula.
+    fn fuse_closed(f: &Mu) -> Mu {
+        fuse(f, &BTreeSet::new())
+    }
+
     fn compiled_leaves(f: &Mu) -> usize {
         let mut leaves = HashMap::new();
         compile_leaves(f, &mut 0, &mut leaves);
@@ -990,37 +885,46 @@ mod tests {
     #[test]
     fn fusion_turns_paper_idioms_into_one_compiled_leaf() {
         // The µLP idiom of the README, the CLI tests and BENCH_e2e.
-        let fused = fuse(&parse("exists X . live(X) & (R(X) | Q(X))"));
+        let fused = fuse_closed(&parse("exists X . live(X) & (R(X) | Q(X))"));
         assert!(matches!(fused, Mu::Query(_)), "{fused:?}");
         assert_eq!(compiled_leaves(&fused), 1);
         // The perfbench `det` property: the ∀¬ block is one leaf beside the
         // ground phase query.
-        let det = fuse(&parse(
+        let det = fuse_closed(&parse(
             "nu Z . (forall V . !(E('a', V) & E('b', V) & E('c', V))) \
              & (mu Y . P('p7') | <> Y) & [] Z",
         ));
         assert_eq!(quantifiers(&det), 0, "{det:?}");
         assert_eq!(compiled_leaves(&det), 2, "{det:?}");
         // The perfbench `rcycl` property.
-        let rcycl = fuse(&parse("nu Z . (forall X . !(R(X) & Q(X))) & [] Z"));
+        let rcycl = fuse_closed(&parse("nu Z . (forall X . !(R(X) & Q(X))) & [] Z"));
         assert_eq!(quantifiers(&rcycl), 0, "{rcycl:?}");
         assert_eq!(compiled_leaves(&rcycl), 1, "{rcycl:?}");
         // Nested and multi-variable blocks fuse whole.
-        let nested = fuse(&parse(
+        let nested = fuse_closed(&parse(
             "exists X . live(X) & R(X) & (exists Y . live(Y) & E(X, Y) & Q(Y))",
         ));
         assert!(matches!(nested, Mu::Query(_)), "{nested:?}");
         // Under a modal-level quantifier the inner block fuses with `X` as
         // a plan parameter; the guarded outer quantifier stays.
-        let guarded = fuse(&parse("forall X . live(X) -> <> (exists Y . E(X, Y))"));
+        let guarded = fuse_closed(&parse("forall X . live(X) -> <> (exists Y . E(X, Y))"));
         assert_eq!(quantifiers(&guarded), 1, "{guarded:?}");
         assert_eq!(compiled_leaves(&guarded), 1, "{guarded:?}");
     }
 
     #[test]
     fn fusion_leaves_formulas_outside_the_fragment_unchanged() {
+        // Domain-independent spellings fuse whatever their connectives.
         for src in [
             "forall X . R(X) -> S(X)",
+            "forall X . R(X) -> !S(X)",
+            "exists X . R(X) & !S(X)",
+            "exists X . R(X) & !(live(X) & S(X))",
+        ] {
+            let fused = fuse_closed(&parse(src));
+            assert_eq!(quantifiers(&fused), 0, "{src}: {fused:?}");
+        }
+        for src in [
             "forall X . R(X)",
             "exists V . R('a')",
             "exists X . R(X) | Q('a')",
@@ -1030,11 +934,12 @@ mod tests {
             "exists X . live(X) & <> R(X)",
         ] {
             let f = parse(src);
-            assert_eq!(fuse(&f), f, "{src}");
+            assert_eq!(fuse_closed(&f), f, "{src}");
         }
-        // Shadowing keeps the outer block; only the inner one fuses.
-        let shadow = fuse(&parse("exists X . R(X) & (exists X . Q(X))"));
-        assert_eq!(quantifiers(&shadow), 1, "{shadow:?}");
+        // The outer `R(X)` does not cover the rebound `X` of the inner
+        // `live(X)`, so neither block fuses.
+        let shadow = parse("exists X . R(X) & (exists X . live(X) & !Q(X))");
+        assert_eq!(fuse_closed(&shadow), shadow);
     }
 
     #[test]

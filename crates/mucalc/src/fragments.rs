@@ -8,11 +8,15 @@
 //!   `⟨−⟩(LIVE(~x) → Φ)`, `[−](LIVE(~x) → Φ)` — where `~x` is *exactly*
 //!   the set of free variables of Φ, after substituting each bound
 //!   predicate variable by its bounding fixpoint formula.
+//! * A maximal quantifier block that the model checker fuses into one FO
+//!   query (modal-free, and domain-independent: its plan needs no ADOM
+//!   step) is a query leaf, guarded or not.
 //! * All fragments require **syntactic monotonicity**: a bound predicate
 //!   variable occurs only under an even number of negations (with `φ → ψ`
 //!   counting as a negation of φ).
 
 use crate::ast::{Mu, PredVar};
+use crate::engine::fuse;
 use dcds_folang::{QTerm, Var};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,11 +60,15 @@ impl std::fmt::Display for FragmentError {
 impl std::error::Error for FragmentError {}
 
 /// Check syntactic monotonicity (and binder uniqueness); then classify the
-/// formula into the smallest fragment it belongs to.
+/// formula into the smallest fragment it belongs to. A quantifier block
+/// the model checker fuses into one FO query counts as a query leaf: §3
+/// reads a domain-independent modal-free block as a query `Q` over one
+/// state, whatever guards its quantifiers carry.
 pub fn classify(f: &Mu) -> Result<Fragment, FragmentError> {
     check_monotone(f, &mut BTreeMap::new(), true)?;
     let mut binders = BTreeSet::new();
     check_unique_binders(f, &mut binders)?;
+    let f = &fuse(f, &f.free_vars());
     let mut env: BTreeMap<PredVar, Mu> = BTreeMap::new();
     if is_mu_lp(f, &mut env) {
         return Ok(Fragment::MuLP);
@@ -359,9 +367,16 @@ mod tests {
     #[test]
     fn unguarded_quantifier_is_full_mu_l() {
         let s = schema();
-        // ∃X. Stud(X) without LIVE guard — formula (1)'s style.
+        // ∃V. Stud(V) without LIVE guard is a domain-independent query
+        // over one state: a query leaf.
         let f = Mu::exists("V", atom1(&s, "Stud", "V"));
-        assert_eq!(classify(&f).unwrap(), Fragment::MuL);
+        assert_eq!(classify(&f).unwrap(), Fragment::MuLP);
+        // ∃V. ¬Stud(V) needs an ADOM step, and ∃V. ⟨−⟩Stud(V) a modality:
+        // unguarded quantifiers of full µL.
+        let g = Mu::exists("V", atom1(&s, "Stud", "V").not());
+        assert_eq!(classify(&g).unwrap(), Fragment::MuL);
+        let h = Mu::exists("V", atom1(&s, "Stud", "V").diamond());
+        assert_eq!(classify(&h).unwrap(), Fragment::MuL);
     }
 
     #[test]

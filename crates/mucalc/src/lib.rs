@@ -43,7 +43,7 @@ pub mod safety;
 mod stateset;
 pub mod sugar;
 
-pub use ast::{Mu, PredVar};
+pub use ast::{Mu, NotQuery, PredVar};
 pub use diagnostics::{counterexample_ag, witness_ef};
 pub use engine::{
     check_traced, ensure_closed, eval_traced, CheckError, McCounters, McOptions, McRun,

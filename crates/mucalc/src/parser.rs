@@ -301,8 +301,12 @@ mod tests {
         let (mut s, mut pool) = setup();
         let f = parse_mu("exists X . live(X) & Stud(X)", &mut s, &mut pool).unwrap();
         assert_eq!(classify(&f).unwrap(), Fragment::MuLP);
+        // An unguarded block that is a domain-independent query is a query
+        // leaf; one that needs an ADOM step is full µL.
         let g = parse_mu("exists X . Stud(X)", &mut s, &mut pool).unwrap();
-        assert_eq!(classify(&g).unwrap(), Fragment::MuL);
+        assert_eq!(classify(&g).unwrap(), Fragment::MuLP);
+        let h = parse_mu("exists X . !Stud(X)", &mut s, &mut pool).unwrap();
+        assert_eq!(classify(&h).unwrap(), Fragment::MuL);
     }
 
     #[test]

@@ -12,17 +12,20 @@
 //!
 //! exactly the shapes produced by [`crate::sugar::ag`] / [`crate::sugar::ef`]
 //! (and by writing the fixpoints out by hand). `φ` must be a *state
-//! property*: built from FO query leaves only — no nested fixpoints,
-//! modalities, predicate variables, or `LIVE` (the live-predicate fragment
-//! needs the persistence machinery of the explicit engines). Everything
-//! else is rejected with an error that names the obstruction, so `dcds
-//! check --engine symbolic` can explain itself.
+//! property*, one FO query over the current state: [`Mu::state_query`],
+//! the lowering the model checker's fusion pass and the fragment
+//! classifier share, must accept it. So it has no nested fixpoint,
+//! modality or predicate variable, and a `LIVE(x)` only where a relational
+//! atom conjoined with it mentions `x` (the lowering drops it; any other
+//! `LIVE` needs the persistence machinery of the explicit engines).
+//! Everything else is rejected with an error that names the obstruction,
+//! so `dcds check --engine symbolic` can explain itself.
 //!
 //! The extractor returns the *bad* condition — the FO formula whose
 //! reachability is being asked — together with the polarity mapping the
 //! reachability answer back to the original formula's verdict.
 
-use crate::ast::{Mu, PredVar};
+use crate::ast::{Mu, NotQuery, PredVar};
 use dcds_folang::Formula;
 use std::fmt;
 
@@ -95,7 +98,15 @@ impl std::error::Error for SafetyError {}
 /// Recognise a safety formula and extract the reachability question.
 pub fn extract_safety(f: &Mu) -> Result<SafetyProperty, SafetyError> {
     let (mode, z, phi) = split_ag_ef(f).ok_or(SafetyError::NotSafetyShape)?;
-    let prop = state_property(phi, z)?;
+    let prop = phi.state_query().map_err(|e| match e {
+        NotQuery::Pvar(w) if w == *z => SafetyError::RecursiveBody(w.name().to_owned()),
+        NotQuery::Pvar(_) => SafetyError::NonQueryBody("a free predicate variable"),
+        NotQuery::Live => {
+            SafetyError::NonQueryBody("LIVE(·) without a relational atom over its term conjoined")
+        }
+        NotQuery::Modality => SafetyError::NonQueryBody("a nested modality"),
+        NotQuery::Fixpoint => SafetyError::NonQueryBody("a nested fixpoint"),
+    })?;
     let bad = match mode {
         SafetyMode::AlwaysGood => Formula::Not(Box::new(prop)),
         SafetyMode::EventuallyBad => prop,
@@ -132,24 +143,6 @@ pub fn split_ag_ef(f: &Mu) -> Option<(SafetyMode, &PredVar, &Mu)> {
         Some((mode, z, l))
     } else {
         None
-    }
-}
-
-/// Flatten a modality-free µL state property into one FO formula.
-fn state_property(f: &Mu, z: &PredVar) -> Result<Formula, SafetyError> {
-    match f {
-        Mu::Query(q) => Ok(q.clone()),
-        Mu::Live(_) => Err(SafetyError::NonQueryBody("LIVE(·)")),
-        Mu::Not(g) => Ok(Formula::Not(Box::new(state_property(g, z)?))),
-        Mu::And(g, h) => Ok(state_property(g, z)?.and(state_property(h, z)?)),
-        Mu::Or(g, h) => Ok(state_property(g, z)?.or(state_property(h, z)?)),
-        Mu::Implies(g, h) => Ok(state_property(g, z)?.implies(state_property(h, z)?)),
-        Mu::Exists(v, g) => Ok(Formula::Exists(v.clone(), Box::new(state_property(g, z)?))),
-        Mu::Forall(v, g) => Ok(Formula::Forall(v.clone(), Box::new(state_property(g, z)?))),
-        Mu::Pvar(w) if w == z => Err(SafetyError::RecursiveBody(z.name().to_owned())),
-        Mu::Pvar(_) => Err(SafetyError::NonQueryBody("a free predicate variable")),
-        Mu::Diamond(_) | Mu::Box_(_) => Err(SafetyError::NonQueryBody("a nested modality")),
-        Mu::Lfp(_, _) | Mu::Gfp(_, _) => Err(SafetyError::NonQueryBody("a nested fixpoint")),
     }
 }
 
@@ -205,11 +198,18 @@ mod tests {
             extract_safety(&af(phi.clone())),
             Err(SafetyError::NotSafetyShape)
         ));
-        // LIVE in the state property is outside the fragment.
-        let with_live = ag(Mu::exists("X", Mu::live("X").and(atom())));
+        // A LIVE conjoined with an atom over its variable is dropped: the
+        // bad condition is the LIVE-free twin's.
+        let covered = ag(Mu::exists("X", Mu::live("X").and(atom())));
+        assert_eq!(
+            extract_safety(&covered).unwrap().bad,
+            extract_safety(&ag(phi.clone())).unwrap().bad
+        );
+        // Any other LIVE in the state property is outside the fragment.
+        let uncovered = ag(Mu::exists("X", Mu::live("X")).not());
         assert!(matches!(
-            extract_safety(&with_live),
-            Err(SafetyError::NonQueryBody(_))
+            extract_safety(&uncovered),
+            Err(SafetyError::NonQueryBody(what)) if what.contains("LIVE")
         ));
         // A plain query is not a safety formula either.
         assert!(matches!(

@@ -47,12 +47,21 @@ cargo test -q --test symbolic_differential
 # Symbolic normal form and subsumption search vs their pre-optimisation
 # references on seeded clause pairs (unit tests of `dcds-symbolic`).
 cargo test -q -p dcds-symbolic
+# The µL→FO lowering (`Mu::state_query`), the fusion pass, the fragment
+# classifier and the safety extraction that share it (unit tests of
+# `dcds-mucalc`).
+cargo test -q -p dcds-mucalc
 # Staged model checker (fused quantifier blocks, bitset extensions) vs
 # the naive Kleene evaluator on seeded random formulas, the fusion edge
 # shapes, and a 120-state system whose query leaves scan on non-prefix
 # columns and whose violated AGs take several iterations, at 1/2/4
-# threads with identical counters;
-# closed µLA formulas also through PROP(Φ).
+# threads with identical counters. The shapes include the blocks that
+# fuse only through the lowering: `∀X. A(X) → ¬B(X)` (same extension and
+# counters as `∀X. ¬(A(X) ∧ B(X))`), `∃X. R(X) ∧ ¬S(X)`, a `∀` over a
+# `¬∃` block, `live` covered under `∨` and `¬`, uncovered, and rebound by
+# a shadowing binder; and blocks whose free variable the valuation leaves
+# unassigned, which stay per-binding. Closed µLA formulas also run
+# through PROP(Φ).
 cargo test -q --test mc_engine_differential
 
 echo "== compact-store memory smoke"

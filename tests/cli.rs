@@ -982,16 +982,19 @@ fn symbolic_engine_decides_what_the_explicit_engines_cannot() {
 
 #[test]
 fn symbolic_engine_rejects_non_safety_formulas() {
-    // Outside the AG/EF fragment: a run-time error, not a verdict.
+    // Outside the AG/EF fragment: a run-time error, not a verdict. A
+    // `live(X)` no relational atom over `X` is conjoined with is no FO
+    // query over the state.
     let (code, text) = dcds_code(&[
         "check",
         &spec("ping_pong.dcds"),
-        "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z",
+        "nu Z . (!(exists X . live(X))) & [] Z",
         "--engine",
         "symbolic",
     ]);
     assert_eq!(code, 3, "{text}");
     assert!(text.contains("error:"), "{text}");
+    assert!(text.contains("LIVE"), "{text}");
 
     let (code2, text2) = dcds_code(&[
         "check",
@@ -1241,4 +1244,58 @@ fn full_fo_rules_filters_and_asserts_compile() {
     assert_eq!(code, 1, "{out}");
     assert!(out.contains("\"verdict\":false"), "{out}");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn symbolic_engine_drops_a_covered_live() {
+    // `live(X0)` conjoined with `H(X0)` adds nothing a state query can
+    // tell: the bad condition, and so every counter, is the LIVE-free
+    // twin's.
+    let dcds = dcds_verify::bench::synthetic::bad_free_shuffle(8);
+    let path = std::env::temp_dir().join(format!("dcds_cli_shuffle_{}.dcds", std::process::id()));
+    std::fs::write(&path, dcds_verify::core::to_spec(&dcds)).unwrap();
+    let path = path.to_str().unwrap();
+    let plain = dcds_verify::bench::synthetic::bad_free_shuffle_property(4);
+    let live = plain.replacen(". H(X0)", ". live(X0) & H(X0)", 1);
+    assert_ne!(live, plain);
+    let run = |phi: &str| {
+        dcds_streams(&[
+            "check", path, phi, "--engine", "symbolic", "--format", "json",
+        ])
+    };
+    let (code, stdout, stderr) = run(&plain);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("\"verdict\":true"), "{stdout}");
+    assert!(stdout.contains("\"sym_counters\":{"), "{stdout}");
+    assert_eq!(run(&live), (code, stdout, stderr));
+}
+
+#[test]
+fn fragment_of_unguarded_blocks() {
+    // The ROADMAP item 1 repro: the unguarded quantifiers reach across
+    // modalities, so the formula stays full µL. So does a block that needs
+    // an ADOM step; a domain-independent modal-free block is a query leaf.
+    let path = std::env::temp_dir().join(format!("dcds_cli_repro_{}.dcds", std::process::id()));
+    std::fs::write(
+        &path,
+        "schema { R 1; S 1; } services { f 0 det; } init { S(a); }\n\
+         action go() { S(X) ~> R(f()); } rule true => go;\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    for (phi, fragment) in [
+        (
+            "exists X . exists Y . exists Z . X != Y & X != Z & Y != Z \
+             & <> R(X) & <> R(Y) & <> R(Z)",
+            "MuL",
+        ),
+        ("exists X . !R(X)", "MuL"),
+        ("nu Z . (forall X . S(X) -> !R(X)) & [] Z", "MuLP"),
+    ] {
+        let (_, stdout, stderr) = dcds_streams(&["check", path, phi]);
+        assert!(
+            stdout.starts_with(&format!("fragment: {fragment}\n")),
+            "{phi}: {stdout}{stderr}"
+        );
+    }
 }
