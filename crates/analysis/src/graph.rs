@@ -50,11 +50,6 @@ impl DiGraph {
         self.edges[id]
     }
 
-    /// Outgoing edge ids of a node.
-    pub fn out_edges(&self, node: usize) -> &[usize] {
-        &self.out[node]
-    }
-
     /// Nodes reachable from `start` (including itself).
     pub fn reachable_from(&self, start: usize) -> BTreeSet<usize> {
         let mut seen = BTreeSet::new();

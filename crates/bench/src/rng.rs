@@ -46,11 +46,6 @@ impl SplitMix64 {
         let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < p
     }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]

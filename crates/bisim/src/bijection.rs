@@ -18,17 +18,6 @@ impl PartialBijection {
         Self::default()
     }
 
-    /// Build from a forward map; fails (returns `None`) if not injective.
-    pub fn from_map(map: &BTreeMap<Value, Value>) -> Option<Self> {
-        let mut out = PartialBijection::new();
-        for (&x, &y) in map {
-            if !out.insert(x, y) {
-                return None;
-            }
-        }
-        Some(out)
-    }
-
     /// Insert a pair; returns false (and leaves the bijection unchanged) on
     /// conflict with injectivity/functionality.
     pub fn insert(&mut self, x: Value, y: Value) -> bool {

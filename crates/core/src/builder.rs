@@ -1,8 +1,9 @@
 //! Programmatic construction of DCDSs.
 //!
-//! The builder mirrors the textual format of [`crate::parser`] but lets
-//! tests, benchmarks, and generated workloads assemble systems in code,
-//! with formulas and effect heads written as strings:
+//! The builder writes its declarations as a specification in the textual
+//! format of [`crate::parser`] and parses that with [`parse_dcds`], so
+//! built and written systems go through one checker and one lowering.
+//! Formulas and effect heads are given as strings in the same syntax:
 //!
 //! ```
 //! use dcds_core::{DcdsBuilder, ServiceKind};
@@ -19,51 +20,41 @@
 //!     .unwrap();
 //! assert!(dcds.is_deterministic());
 //! ```
+//!
+//! The text lists the init facts (arguments quoted), then each action's
+//! effects, then the rules, constraints and asserts: the order in which
+//! the parser interns constants, which fixes the system's constant pool.
 
-use crate::action::Action;
-use crate::action::ActionId;
-use crate::data_layer::DataLayer;
 use crate::dcds::Dcds;
-use crate::parser::effect_from_body;
-use crate::process::{CaRule, ProcessLayer};
-use crate::service::{ServiceCatalog, ServiceKind};
-use crate::term::{BaseTerm, ETerm};
-use dcds_folang::lexer::TokenKind;
-use dcds_folang::parser::{is_variable_name, Parser, Resolver};
-use dcds_folang::{FoConstraint, Formula, Var};
-use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple};
+use crate::parser::parse_dcds;
+use crate::service::ServiceKind;
+use std::fmt::Write;
 
 /// Accumulates the effects of one action during building.
 pub struct ActionSpec {
-    params: Vec<Var>,
-    effects: Vec<(String, String)>,
+    effects: String,
 }
 
 impl ActionSpec {
     /// Add an effect `body ~> head` (both in the surface syntax of
     /// [`crate::parser`]).
     pub fn effect(&mut self, body: &str, head: &str) -> &mut Self {
-        self.effects.push((body.to_owned(), head.to_owned()));
+        let _ = writeln!(self.effects, "    {body} ~> {head};");
         self
     }
 }
 
-/// Raw action spec accumulated during building: name, parameters, and
-/// `(body, head)` effect strings.
-type RawAction = (String, Vec<Var>, Vec<(String, String)>);
-
-/// Fluent builder for [`Dcds`].
+/// Fluent builder for [`Dcds`]: each call appends to one block of the
+/// specification text.
 #[derive(Default)]
 pub struct DcdsBuilder {
-    pool: ConstantPool,
-    schema: Schema,
-    services: ServiceCatalog,
-    initial: Instance,
-    constraints: Vec<String>,
-    fo_constraints: Vec<String>,
-    actions: Vec<RawAction>,
-    rules: Vec<(String, String)>,
-    error: Option<String>,
+    schema: String,
+    services: String,
+    init: String,
+    actions: String,
+    rules: String,
+    constraints: String,
+    asserts: String,
 }
 
 impl DcdsBuilder {
@@ -72,245 +63,76 @@ impl DcdsBuilder {
         Self::default()
     }
 
-    fn fail(&mut self, msg: String) {
-        if self.error.is_none() {
-            self.error = Some(msg);
-        }
-    }
-
     /// Declare a relation.
     pub fn relation(mut self, name: &str, arity: usize) -> Self {
-        if let Err(e) = self.schema.add_relation(name, arity) {
-            self.fail(e.to_string());
-        }
+        let _ = writeln!(self.schema, "    {name} {arity};");
         self
     }
 
     /// Declare a service.
     pub fn service(mut self, name: &str, arity: usize, kind: ServiceKind) -> Self {
-        if let Err(e) = self.services.add(name, arity, kind) {
-            self.fail(e);
-        }
+        let kind = match kind {
+            ServiceKind::Deterministic => "det",
+            ServiceKind::Nondeterministic => "nondet",
+        };
+        let _ = writeln!(self.services, "    {name} {arity} {kind};");
         self
     }
 
     /// Add an initial fact with constant arguments.
     pub fn init_fact(mut self, rel: &str, args: &[&str]) -> Self {
-        match self.schema.rel_id(rel) {
-            None => self.fail(format!("unknown relation {rel} in init fact")),
-            Some(id) => {
-                if args.len() != self.schema.arity(id) {
-                    self.fail(format!(
-                        "init fact over {rel} has {} constants, arity is {}",
-                        args.len(),
-                        self.schema.arity(id)
-                    ));
-                } else {
-                    let vals: Vec<_> = args.iter().map(|a| self.pool.intern(a)).collect();
-                    self.initial.insert(id, Tuple::from(vals));
-                }
-            }
-        }
+        let args: Vec<String> = args.iter().map(|a| format!("'{a}'")).collect();
+        let _ = writeln!(self.init, "    {rel}({});", args.join(", "));
         self
     }
 
     /// Add an equality constraint written `premise -> eq & eq & ...`.
     pub fn constraint(mut self, src: &str) -> Self {
-        self.constraints.push(src.to_owned());
+        let _ = writeln!(self.constraints, "constraint {src};");
         self
     }
 
     /// Add an FO integrity constraint (a closed formula).
     pub fn fo_constraint(mut self, src: &str) -> Self {
-        self.fo_constraints.push(src.to_owned());
+        let _ = writeln!(self.asserts, "assert {src};");
         self
     }
 
     /// Declare an action with named parameters; configure its effects in the
     /// closure.
     pub fn action(mut self, name: &str, params: &[&str], f: impl FnOnce(&mut ActionSpec)) -> Self {
-        let params: Vec<Var> = params.iter().map(|p| Var::new(p)).collect();
         let mut spec = ActionSpec {
-            params: params.clone(),
-            effects: Vec::new(),
+            effects: String::new(),
         };
         f(&mut spec);
-        self.actions
-            .push((name.to_owned(), spec.params, spec.effects));
+        let _ = write!(
+            self.actions,
+            "action {name}({}) {{\n{}}}\n",
+            params.join(", "),
+            spec.effects
+        );
         self
     }
 
     /// Add a condition–action rule.
     pub fn rule(mut self, condition: &str, action: &str) -> Self {
-        self.rules.push((condition.to_owned(), action.to_owned()));
+        let _ = writeln!(self.rules, "rule {condition} => {action};");
         self
     }
 
-    /// Assemble and validate the DCDS.
-    pub fn build(mut self) -> Result<Dcds, String> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let mut actions: Vec<Action> = Vec::new();
-        for (name, params, effects) in std::mem::take(&mut self.actions) {
-            let mut parsed = Vec::new();
-            for (body_src, head_src) in effects {
-                let body = parse_formula_str(&body_src, &mut self.schema, &mut self.pool)?;
-                let head = parse_head_str(&head_src, &self.schema, &mut self.pool, &self.services)?;
-                parsed.push(effect_from_body(body, head, &params)?);
-            }
-            actions.push(Action::new(&name, params, parsed));
-        }
-        let mut rules = Vec::new();
-        for (cond_src, action_name) in std::mem::take(&mut self.rules) {
-            let cond = parse_formula_str(&cond_src, &mut self.schema, &mut self.pool)?;
-            let id = actions
-                .iter()
-                .position(|a| a.name == action_name)
-                .map(ActionId::from_index)
-                .ok_or_else(|| format!("rule references unknown action {action_name}"))?;
-            rules.push(CaRule {
-                condition: cond,
-                action: id,
-            });
-        }
-        let mut constraints = Vec::new();
-        for src in std::mem::take(&mut self.constraints) {
-            let f = parse_formula_str(&src, &mut self.schema, &mut self.pool)?;
-            constraints.push(crate::parser::decompose_equality_constraint(f)?);
-        }
-        let mut fo_constraints = Vec::new();
-        for src in std::mem::take(&mut self.fo_constraints) {
-            let f = parse_formula_str(&src, &mut self.schema, &mut self.pool)?;
-            fo_constraints.push(FoConstraint::new(f).map_err(|e| e.to_string())?);
-        }
-        let mut data = DataLayer::new(self.pool, self.schema, self.initial);
-        data.constraints = constraints;
-        data.fo_constraints = fo_constraints;
-        let process = ProcessLayer {
-            services: self.services,
-            actions,
-            rules,
-        };
-        Dcds::new(data, process).map_err(|e| e.to_string())
-    }
-}
-
-fn parse_formula_str(
-    src: &str,
-    schema: &mut Schema,
-    pool: &mut ConstantPool,
-) -> Result<Formula, String> {
-    let mut p = Parser::new(src).map_err(|e| e.to_string())?;
-    let mut r = Resolver {
-        schema,
-        pool,
-        extend_schema: false,
-    };
-    p.parse_formula_all(&mut r).map_err(|e| e.to_string())
-}
-
-/// Parse a comma-separated list of head facts `R(t, ...)` with service calls.
-fn parse_head_str(
-    src: &str,
-    schema: &Schema,
-    pool: &mut ConstantPool,
-    services: &ServiceCatalog,
-) -> Result<Vec<(RelId, Vec<ETerm>)>, String> {
-    let mut p = Parser::new(src).map_err(|e| e.to_string())?;
-    let mut out = Vec::new();
-    loop {
-        let name = p.expect_ident().map_err(|e| e.to_string())?;
-        let rel = schema
-            .rel_id(&name)
-            .ok_or_else(|| format!("unknown relation {name} in effect head"))?;
-        let mut terms = Vec::new();
-        if p.eat(&TokenKind::LParen) && !p.eat(&TokenKind::RParen) {
-            loop {
-                terms.push(parse_eterm_str(&mut p, pool, services)?);
-                if !p.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            p.expect(&TokenKind::RParen).map_err(|e| e.to_string())?;
-        }
-        if terms.len() != schema.arity(rel) {
-            return Err(format!(
-                "head fact over {name} has {} terms, arity is {}",
-                terms.len(),
-                schema.arity(rel)
-            ));
-        }
-        out.push((rel, terms));
-        if !p.eat(&TokenKind::Comma) {
-            break;
-        }
-    }
-    if !p.at_eof() {
-        return Err(format!("unexpected trailing input in effect head `{src}`"));
-    }
-    Ok(out)
-}
-
-fn parse_eterm_str(
-    p: &mut Parser,
-    pool: &mut ConstantPool,
-    services: &ServiceCatalog,
-) -> Result<ETerm, String> {
-    match p.peek_kind().clone() {
-        TokenKind::Ident(name) => {
-            if matches!(p.peek_ahead(1), TokenKind::LParen) {
-                p.advance();
-                let fid = services
-                    .func_id(&name)
-                    .ok_or_else(|| format!("unknown service {name}"))?;
-                p.expect(&TokenKind::LParen).map_err(|e| e.to_string())?;
-                let mut args = Vec::new();
-                if !p.eat(&TokenKind::RParen) {
-                    loop {
-                        match p.peek_kind().clone() {
-                            TokenKind::Ident(n) => {
-                                p.advance();
-                                if is_variable_name(&n) {
-                                    args.push(BaseTerm::var(&n));
-                                } else {
-                                    args.push(BaseTerm::Const(pool.intern(&n)));
-                                }
-                            }
-                            TokenKind::Quoted(n) => {
-                                p.advance();
-                                args.push(BaseTerm::Const(pool.intern(&n)));
-                            }
-                            other => return Err(format!("expected call argument, found {other}")),
-                        }
-                        if !p.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    p.expect(&TokenKind::RParen).map_err(|e| e.to_string())?;
-                }
-                if args.len() != services.arity(fid) {
-                    return Err(format!(
-                        "service {name} has arity {}, call has {} arguments",
-                        services.arity(fid),
-                        args.len()
-                    ));
-                }
-                Ok(ETerm::Call(fid, args))
-            } else {
-                p.advance();
-                if is_variable_name(&name) {
-                    Ok(ETerm::var(&name))
-                } else {
-                    Ok(ETerm::constant(pool.intern(&name)))
-                }
-            }
-        }
-        TokenKind::Quoted(name) => {
-            p.advance();
-            Ok(ETerm::constant(pool.intern(&name)))
-        }
-        other => Err(format!("expected head term, found {other}")),
+    /// Parse, check and lower the specification text; an error is
+    /// [`parse_dcds`]'s `line:col: message` for that text.
+    pub fn build(self) -> Result<Dcds, String> {
+        parse_dcds(&format!(
+            "schema {{\n{}}}\nservices {{\n{}}}\ninit {{\n{}}}\n{}{}{}{}",
+            self.schema,
+            self.services,
+            self.init,
+            self.actions,
+            self.rules,
+            self.constraints,
+            self.asserts
+        ))
     }
 }
 
@@ -357,6 +179,27 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(dcds.data.constraints.len(), 1);
+    }
+
+    #[test]
+    fn constants_are_interned_in_block_order() {
+        // Declared in reverse, the constants still enter the pool as the
+        // text lists them: init facts, effects (body, then head), rules,
+        // constraints, asserts.
+        let dcds = DcdsBuilder::new()
+            .relation("P", 1)
+            .fo_constraint("forall X . P(X) -> X != e")
+            .constraint("P(X) & P(Y) & X = d -> X = Y")
+            .rule("P(r)", "alpha")
+            .action("alpha", &[], |a| {
+                a.effect("P(b)", "P(h)");
+            })
+            .init_fact("P", &["a"])
+            .build()
+            .unwrap();
+        let pool = &dcds.data.pool;
+        let names: Vec<&str> = pool.values().map(|v| pool.name(v)).collect();
+        assert_eq!(names, ["a", "b", "h", "r", "d", "e"]);
     }
 
     #[test]

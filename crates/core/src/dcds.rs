@@ -112,6 +112,10 @@ impl Dcds {
     ///      the specification become *rigid*, applying the paper's
     ///      footnote-2 w.l.o.g. that they appear in `I₀`);
     /// 4. service calls respect the declared arities.
+    ///
+    /// This is the check of the struct API. Spec text is checked by
+    /// [`crate::spec::DcdsSpec::defects`] before it is lowered, so on spec
+    /// input only the data layer (1.) can fail here.
     pub fn validate(&self) -> Result<(), ValidationError> {
         self.data.validate().map_err(ValidationError::DataLayer)?;
 

@@ -13,23 +13,25 @@
 //! rule P(X) => alpha;                          // free vars of the guard
 //! ```                                          // are alpha's parameters
 //!
-//! Effect bodies are formulas whose top-level positive atoms form `q⁺` and
-//! whose remaining conjuncts form the filter `Q⁻` (disjunction at the top
-//! level is rejected — write one effect per disjunct, which is the UCQ
-//! reading the paper gives).
+//! Effect bodies are formulas whose top-level relation atoms and
+//! equalities form `q⁺` and whose remaining conjuncts form the filter `Q⁻`
+//! ([`split_body`]; disjunction at the top level is rejected — write one
+//! effect per disjunct, which is the UCQ reading the paper gives).
 
 use crate::action::Effect;
 use crate::dcds::Dcds;
 use crate::term::ETerm;
-use dcds_folang::{ConjunctiveQuery, EqualityConstraint, Formula, QTerm, Ucq, Var};
+use dcds_folang::{ConjunctiveQuery, Formula, QTerm, Ucq, Var};
+use dcds_reldata::RelId;
 use std::collections::BTreeSet;
 
 /// Parse a complete DCDS specification.
 ///
-/// This is the strict entry point: the first semantic defect aborts with a
-/// `line:col: message` string. For structured errors keep the
-/// [`crate::spec::SpecError`]: `parse_spec(src)?.lower()`; for tolerant
-/// parsing with per-construct diagnostics see the `dcds-lint` crate.
+/// This is the strict entry point: a syntax error, or else the first of
+/// [`crate::spec::DcdsSpec::defects`] (the first error `dcds lint`
+/// reports), aborts with a `line:col: message` string. For structured
+/// errors keep the [`crate::spec::SpecError`]: `parse_spec(src)?.lower()`;
+/// for every defect at once, `parse_spec(src)?.defects()`.
 pub fn parse_dcds(src: &str) -> Result<Dcds, String> {
     let spec = crate::spec::parse_spec(src)
         .map_err(crate::spec::SpecError::from)
@@ -37,122 +39,74 @@ pub fn parse_dcds(src: &str) -> Result<Dcds, String> {
     spec.lower().map_err(|e| e.to_string())
 }
 
-/// Decompose `premise -> eq & ... & eq` into an [`EqualityConstraint`].
-pub fn decompose_equality_constraint(f: Formula) -> Result<EqualityConstraint, String> {
-    let Formula::Implies(premise, rhs) = f else {
-        return Err(
-            "equality constraints must have the form `premise -> z1 = y1 & ...`".to_owned(),
-        );
-    };
-    let mut eqs = Vec::new();
-    collect_equalities(*rhs, &mut eqs)?;
-    EqualityConstraint::new(*premise, eqs).map_err(|e| e.to_string())
+/// The conjunctive reading of an effect body `q⁺ ∧ Q⁻`: its top-level
+/// relation atoms and equalities form `q⁺`, every other conjunct the
+/// filter `Q⁻`.
+#[derive(Debug, Clone, Default)]
+pub struct BodySplit {
+    /// Top-level relation atoms.
+    pub atoms: Vec<(RelId, Vec<QTerm>)>,
+    /// Top-level equalities.
+    pub equalities: Vec<(QTerm, QTerm)>,
+    /// Every other conjunct, in order.
+    pub filters: Vec<Formula>,
 }
 
-fn collect_equalities(f: Formula, out: &mut Vec<(QTerm, QTerm)>) -> Result<(), String> {
-    match f {
-        Formula::And(g, h) => {
-            collect_equalities(*g, out)?;
-            collect_equalities(*h, out)
-        }
-        Formula::Eq(t1, t2) => {
-            out.push((t1, t2));
-            Ok(())
-        }
-        _ => Err(
-            "the conclusion of an equality constraint must be a conjunction of equalities"
-                .to_owned(),
-        ),
-    }
-}
-
-/// Split an effect body into `q⁺` (positive conjunct atoms and equalities)
-/// and `Q⁻` (everything else), per the module-level convention.
-pub fn effect_from_body(
-    body: Formula,
-    head: Vec<(dcds_reldata::RelId, Vec<ETerm>)>,
-    params: &[Var],
-) -> Result<Effect, String> {
-    let mut atoms = Vec::new();
-    let mut equalities = Vec::new();
-    let mut filters = Vec::new();
-    split_conjuncts(body, &mut atoms, &mut equalities, &mut filters)?;
-    let mut head_vars: BTreeSet<Var> = BTreeSet::new();
-    for (_, terms) in &atoms {
-        for t in terms {
-            if let QTerm::Var(v) = t {
-                head_vars.insert(v.clone());
+/// Split an effect body into its conjuncts; `None` when it is disjunctive
+/// at the top level.
+pub fn split_body(body: &Formula) -> Option<BodySplit> {
+    fn go(f: &Formula, out: &mut BodySplit) -> bool {
+        match f {
+            Formula::And(g, h) => go(g, out) && go(h, out),
+            Formula::Atom(rel, terms) => {
+                out.atoms.push((*rel, terms.clone()));
+                true
+            }
+            Formula::Eq(t1, t2) => {
+                out.equalities.push((t1.clone(), t2.clone()));
+                true
+            }
+            Formula::True => true,
+            Formula::Or(_, _) => false,
+            other => {
+                out.filters.push(other.clone());
+                true
             }
         }
     }
-    // Equalities whose vars are covered stay in q+; others are filters.
-    let mut cq_equalities = Vec::new();
-    for (t1, t2) in equalities {
-        let covered = [&t1, &t2].iter().all(|t| match t {
-            QTerm::Var(v) => head_vars.contains(v) || params.contains(v),
-            QTerm::Const(_) => true,
-        });
-        if covered {
-            cq_equalities.push((t1, t2));
-        } else {
-            filters.push(Formula::Eq(t1, t2));
-        }
-    }
-    let qminus = Formula::conj(filters);
-    // Q-'s free variables must be covered by q+ vars and parameters.
-    for v in qminus.free_vars() {
-        if !head_vars.contains(&v) && !params.contains(&v) {
-            return Err(format!(
-                "effect filter uses variable {} which no positive atom binds",
-                v.name()
-            ));
-        }
-    }
-    let head_list: Vec<Var> = head_vars.into_iter().collect();
-    let qplus = if atoms.is_empty() && cq_equalities.is_empty() {
-        Ucq::truth()
-    } else {
-        Ucq::single(ConjunctiveQuery {
-            head: head_list,
-            atoms,
-            equalities: cq_equalities,
-        })
-    };
-    Ok(Effect {
-        qplus,
-        qminus,
-        head,
-    })
+    let mut out = BodySplit::default();
+    go(body, &mut out).then_some(out)
 }
 
-fn split_conjuncts(
-    f: Formula,
-    atoms: &mut Vec<(dcds_reldata::RelId, Vec<QTerm>)>,
-    equalities: &mut Vec<(QTerm, QTerm)>,
-    filters: &mut Vec<Formula>,
-) -> Result<(), String> {
-    match f {
-        Formula::And(g, h) => {
-            split_conjuncts(*g, atoms, equalities, filters)?;
-            split_conjuncts(*h, atoms, equalities, filters)?;
-            Ok(())
-        }
-        Formula::Atom(rel, terms) => {
-            atoms.push((rel, terms));
-            Ok(())
-        }
-        Formula::Eq(t1, t2) => {
-            equalities.push((t1, t2));
-            Ok(())
-        }
-        Formula::True => Ok(()),
-        Formula::Or(_, _) => Err(
-            "effect bodies must be conjunctive at the top level; write one effect per disjunct"
-                .to_owned(),
-        ),
-        other => {
-            filters.push(other);
-            Ok(())
+impl BodySplit {
+    /// The variables of the atoms: the ones `q⁺` binds.
+    pub fn atom_vars(&self) -> BTreeSet<Var> {
+        let terms = self.atoms.iter().flat_map(|(_, terms)| terms);
+        terms
+            .filter_map(|t| match t {
+                QTerm::Var(v) => Some(v.clone()),
+                QTerm::Const(_) => None,
+            })
+            .collect()
+    }
+
+    /// The effect `q⁺ ∧ Q⁻ ⇝ head`, for a body whose equality and filter
+    /// variables are all atom variables or parameters (the spec checker's
+    /// binding rule).
+    pub fn into_effect(self, head: Vec<(RelId, Vec<ETerm>)>) -> Effect {
+        let qplus = if self.atoms.is_empty() && self.equalities.is_empty() {
+            Ucq::truth()
+        } else {
+            Ucq::single(ConjunctiveQuery {
+                head: self.atom_vars().into_iter().collect(),
+                atoms: self.atoms,
+                equalities: self.equalities,
+            })
+        };
+        Effect {
+            qplus,
+            qminus: Formula::conj(self.filters),
+            head,
         }
     }
 }

@@ -1,26 +1,37 @@
-//! Span-carrying surface AST for `.dcds` specifications.
+//! Span-carrying surface AST for `.dcds` specifications, its checker and
+//! its lowering.
 //!
 //! [`parse_spec`] accepts anything that is *syntactically* well formed —
 //! unknown relations, arity mismatches, unbound variables and other
 //! semantic defects do **not** abort the parse. Instead every relation
 //! atom is resolved tolerantly (see [`Parser::record_atom_uses`]) and
-//! recorded as a [`RelUse`] with its source position, so downstream tools
-//! (`dcds-lint`) can re-check the spec and point diagnostics at
-//! `file:line:col`.
+//! recorded as a [`RelUse`] with its source position.
 //!
-//! [`DcdsSpec::lower`] then applies today's strict semantics and produces
-//! the validated [`Dcds`]; [`crate::parse_dcds`] is `parse_spec` + `lower`.
+//! [`DcdsSpec::defects`] is the one checker of Section 2's static side
+//! conditions on spec input: every name declared once and used with its
+//! arity, rule conditions binding exactly their action's parameters,
+//! `free(Q⁻) ⊆ free(q⁺) ∪ params`, heads over `q⁺` variables and
+//! parameters, equality constraints of the form `Q → ⋀ z = y`, closed
+//! asserts. Each [`SpecDefect`] carries a stable [`DefectKind`], a
+//! message, a span and named fields; `dcds lint` renders them as its
+//! `DCDS0xx` errors. [`DcdsSpec::lower`] walks the spec with the same
+//! code, fails on the first defect in lint's order and otherwise only
+//! assembles the [`Dcds`], whose [`Dcds::validate`] can then fail only on
+//! an initial instance that violates a constraint.
+//! [`crate::parse_dcds`] is `parse_spec` + `lower`, and
+//! [`crate::DcdsBuilder`] writes spec text for it.
 
-use crate::action::{Action, ActionId, Effect};
+use crate::action::{Action, ActionId};
 use crate::data_layer::DataLayer;
-use crate::dcds::{Dcds, ValidationError};
+use crate::dcds::Dcds;
+use crate::parser::{split_body, BodySplit};
 use crate::process::{CaRule, ProcessLayer};
 use crate::service::{ServiceCatalog, ServiceKind};
 use crate::term::{BaseTerm, ETerm};
 use dcds_folang::lexer::{Span, TokenKind};
 use dcds_folang::parser::{is_variable_name, ParseError, Parser, RelUse, Resolver};
-use dcds_folang::{FoConstraint, Formula};
-use dcds_reldata::{ConstantPool, Instance, Schema, Tuple};
+use dcds_folang::{EqualityConstraint, FoConstraint, Formula, QTerm, Var};
+use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple};
 use std::fmt;
 
 /// A relation declaration `P 2;` in the `schema` block.
@@ -80,9 +91,9 @@ pub struct AssertDecl {
     pub span: Span,
 }
 
-/// A term in an effect head: variable, constant, or service call.
+/// A variable or a constant: a head term or a service-call argument.
 #[derive(Debug, Clone)]
-pub enum SpecTerm {
+pub enum SpecBase {
     /// A variable (uppercase / `_` start).
     Var {
         /// Variable name.
@@ -97,26 +108,23 @@ pub enum SpecTerm {
         /// Position of the constant.
         span: Span,
     },
-    /// A service call `f(t, ...)` over variables/constants.
+}
+
+/// A term in an effect head: a variable or constant, or a service call
+/// over those (calls do not nest).
+#[derive(Debug, Clone)]
+pub enum SpecTerm {
+    /// A variable or a constant.
+    Base(SpecBase),
+    /// A service call `f(t, ...)`.
     Call {
         /// Service name as written.
         service: String,
         /// Position of the service name.
         span: Span,
-        /// Argument terms (never nested calls).
-        args: Vec<SpecTerm>,
+        /// Argument terms.
+        args: Vec<SpecBase>,
     },
-}
-
-impl SpecTerm {
-    /// The position of this term.
-    pub fn span(&self) -> Span {
-        match self {
-            SpecTerm::Var { span, .. }
-            | SpecTerm::Const { span, .. }
-            | SpecTerm::Call { span, .. } => *span,
-        }
-    }
 }
 
 /// One head fact `R(t, ...)` of an effect.
@@ -200,16 +208,6 @@ impl DcdsSpec {
     /// The first declaration of relation `name`, if any.
     pub fn declared_relation(&self, name: &str) -> Option<&RelDecl> {
         self.relations.iter().find(|d| d.name == name)
-    }
-
-    /// The first declaration of service `name`, if any.
-    pub fn declared_service(&self, name: &str) -> Option<&SvcDecl> {
-        self.services.iter().find(|d| d.name == name)
-    }
-
-    /// The first action named `name`, if any.
-    pub fn action(&self, name: &str) -> Option<&ActionDecl> {
-        self.actions.iter().find(|a| a.name == name)
     }
 
     /// All relation atom uses across constraints, asserts, effect bodies
@@ -491,208 +489,223 @@ fn parse_head_fact_decl(p: &mut Parser, spec: &mut DcdsSpec) -> Result<HeadFactD
 }
 
 fn parse_spec_term(p: &mut Parser, spec: &mut DcdsSpec) -> Result<SpecTerm, ParseError> {
-    match p.peek_kind().clone() {
-        TokenKind::Ident(name) => {
-            let span = p.peek_span();
-            if matches!(p.peek_ahead(1), TokenKind::LParen) {
-                // Service call.
-                p.advance();
-                p.expect(&TokenKind::LParen)?;
-                let mut args = Vec::new();
-                if !p.eat(&TokenKind::RParen) {
-                    loop {
-                        args.push(parse_spec_base_term(p, spec)?);
-                        if !p.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    p.expect(&TokenKind::RParen)?;
-                }
-                Ok(SpecTerm::Call {
-                    service: name,
-                    span,
-                    args,
-                })
-            } else {
-                p.advance();
-                if is_variable_name(&name) {
-                    Ok(SpecTerm::Var { name, span })
-                } else {
-                    spec.pool.intern(&name);
-                    Ok(SpecTerm::Const { name, span })
-                }
+    let TokenKind::Ident(service) = p.peek_kind().clone() else {
+        return parse_spec_base(p, spec, "head term").map(SpecTerm::Base);
+    };
+    if !matches!(p.peek_ahead(1), TokenKind::LParen) {
+        return parse_spec_base(p, spec, "head term").map(SpecTerm::Base);
+    }
+    let span = p.peek_span();
+    p.advance();
+    p.expect(&TokenKind::LParen)?;
+    let mut args = Vec::new();
+    if !p.eat(&TokenKind::RParen) {
+        loop {
+            args.push(parse_spec_base(p, spec, "variable or constant")?);
+            if !p.eat(&TokenKind::Comma) {
+                break;
             }
         }
-        TokenKind::Quoted(name) => {
-            let span = p.peek_span();
+        p.expect(&TokenKind::RParen)?;
+    }
+    Ok(SpecTerm::Call {
+        service,
+        span,
+        args,
+    })
+}
+
+/// A variable or a constant; `what` names the expected token in the error.
+fn parse_spec_base(
+    p: &mut Parser,
+    spec: &mut DcdsSpec,
+    what: &str,
+) -> Result<SpecBase, ParseError> {
+    let span = p.peek_span();
+    match p.peek_kind().clone() {
+        TokenKind::Ident(name) if is_variable_name(&name) => {
+            p.advance();
+            Ok(SpecBase::Var { name, span })
+        }
+        TokenKind::Ident(name) | TokenKind::Quoted(name) => {
             p.advance();
             spec.pool.intern(&name);
-            Ok(SpecTerm::Const { name, span })
+            Ok(SpecBase::Const { name, span })
         }
-        other => Err(p.error(&format!("expected head term, found {other}"))),
+        other => Err(p.error(&format!("expected {what}, found {other}"))),
     }
 }
 
-/// Service-call arguments: variables and constants only, as in the strict
-/// grammar (service calls do not nest).
-fn parse_spec_base_term(p: &mut Parser, spec: &mut DcdsSpec) -> Result<SpecTerm, ParseError> {
-    match p.peek_kind().clone() {
-        TokenKind::Ident(name) => {
-            let span = p.peek_span();
-            p.advance();
-            if is_variable_name(&name) {
-                Ok(SpecTerm::Var { name, span })
-            } else {
-                spec.pool.intern(&name);
-                Ok(SpecTerm::Const { name, span })
-            }
+/// The well-formedness rule a [`SpecDefect`] breaks. The variants are
+/// declared in the order of their `dcds lint` codes, so sorting defects by
+/// `(span, kind)` is lint's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum DefectKind {
+    /// An atom, init fact or effect head names an undeclared relation.
+    UnknownRelation,
+    /// A relation is used with the wrong number of arguments.
+    ArityMismatch,
+    /// A relation is declared more than once.
+    DuplicateRelation,
+    /// A head term calls an undeclared service.
+    UnknownService,
+    /// A service call has the wrong number of arguments.
+    ServiceArityMismatch,
+    /// A service is declared more than once.
+    DuplicateService,
+    /// An action is declared more than once.
+    DuplicateAction,
+    /// A rule invokes an undeclared action.
+    UnknownAction,
+    /// A rule condition has free variables beyond the action's parameters.
+    RuleExtraFreeVars,
+    /// An equality constraint is not `Q → ⋀ z = y` with `z`, `y` free in
+    /// `Q` or constants.
+    MalformedConstraint,
+    /// An action parameter is not bound by the invoking rule's condition.
+    ParamUnbound,
+    /// An effect head variable is neither a `q⁺` variable nor a parameter.
+    HeadVarUnbound,
+    /// A service call argument is neither a `q⁺` variable nor a parameter.
+    ServiceArgUnbound,
+    /// A filter (`Q⁻`) or equality variable of an effect body is neither a
+    /// `q⁺` variable nor a parameter.
+    FilterVarUnbound,
+    /// An effect body is disjunctive at the top level.
+    EffectDisjunctive,
+    /// An `assert` sentence has free variables.
+    OpenAssert,
+}
+
+/// A named value attached to a [`SpecDefect`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DefectField {
+    /// A name.
+    Str(String),
+    /// A count.
+    Int(usize),
+    /// A list of names.
+    List(Vec<String>),
+}
+
+/// One broken well-formedness rule, at the construct that breaks it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecDefect {
+    /// Which rule is broken.
+    pub kind: DefectKind,
+    /// Human-readable message.
+    pub message: String,
+    /// Where the offending construct appears.
+    pub span: Span,
+    /// Named values (the offending names and counts), in a fixed order.
+    pub fields: Vec<(&'static str, DefectField)>,
+}
+
+impl SpecDefect {
+    fn new(kind: DefectKind, span: Span, message: String) -> Self {
+        SpecDefect {
+            kind,
+            message,
+            span,
+            fields: Vec::new(),
         }
-        TokenKind::Quoted(name) => {
-            let span = p.peek_span();
-            p.advance();
-            spec.pool.intern(&name);
-            Ok(SpecTerm::Const { name, span })
-        }
-        other => Err(p.error(&format!("expected variable or constant, found {other}"))),
+    }
+
+    fn with(mut self, key: &'static str, value: DefectField) -> Self {
+        self.fields.push((key, value));
+        self
+    }
+
+    fn named(self, key: &'static str, name: &str) -> Self {
+        self.with(key, DefectField::Str(name.to_owned()))
+    }
+}
+
+impl From<SpecDefect> for SpecError {
+    fn from(d: SpecDefect) -> Self {
+        SpecError::new(d.message, d.span)
     }
 }
 
 impl DcdsSpec {
-    /// Apply the strict semantics: re-check every tolerated construct and
-    /// build the validated [`Dcds`]. The error carries the span of the
-    /// offending construct when one is known.
+    /// Every broken well-formedness rule of Section 2, sorted by position
+    /// and then kind: the one checker behind [`DcdsSpec::lower`],
+    /// `parse_dcds` and `dcds lint`.
+    pub fn defects(&self) -> Vec<SpecDefect> {
+        Lowering::run(self).0
+    }
+
+    /// Build the validated [`Dcds`]. Fails on the first of
+    /// [`DcdsSpec::defects`]; a spec without defects is only assembled,
+    /// and then fails only when its initial instance violates a
+    /// constraint (a [`Dcds::validate`] error, which has no position).
     pub fn lower(&self) -> Result<Dcds, SpecError> {
-        // Duplicate declarations.
-        for (ix, d) in self.relations.iter().enumerate() {
-            if self.relations[..ix].iter().any(|e| e.name == d.name) {
-                return Err(SpecError::new(
-                    format!("duplicate relation {}", d.name),
-                    d.span,
-                ));
-            }
+        let (defects, data, process) = Lowering::run(self);
+        if let Some(first) = defects.into_iter().next() {
+            return Err(first.into());
         }
-        for (ix, d) in self.services.iter().enumerate() {
-            if self.services[..ix].iter().any(|e| e.name == d.name) {
-                return Err(SpecError::new(
-                    format!("duplicate service {}", d.name),
-                    d.span,
-                ));
-            }
-        }
-        for (ix, a) in self.actions.iter().enumerate() {
-            if self.actions[..ix].iter().any(|e| e.name == a.name) {
-                return Err(SpecError::new(
-                    format!("duplicate action {}", a.name),
-                    a.span,
-                ));
-            }
-        }
+        Dcds::new(data, process).map_err(|e| SpecError {
+            message: e.to_string(),
+            span: None,
+        })
+    }
 
-        // Every tolerated atom use must match a declared relation.
-        for u in self.formula_uses() {
-            match self.declared_relation(&u.name) {
-                None => {
-                    return Err(SpecError::new(
-                        format!("unknown relation {}", u.name),
-                        u.span,
-                    ))
-                }
-                Some(d) if d.arity != u.arity => {
-                    return Err(SpecError::new(
-                        format!(
-                            "relation {} has arity {}, atom has {} arguments",
-                            u.name, d.arity, u.arity
-                        ),
-                        u.span,
-                    ))
-                }
-                Some(_) => {}
-            }
-        }
+    /// The id of the declared relation `name` with its first declaration.
+    fn relation(&self, name: &str) -> Option<(&RelDecl, RelId)> {
+        let decl = self.declared_relation(name)?;
+        Some((decl, self.schema.rel_id(name)?))
+    }
+}
 
-        // With all uses resolved and duplicates rejected, the working
-        // schema contains exactly the declared relations.
-        let schema = self.schema.clone();
-        let mut pool = self.pool.clone();
+/// One walk over a spec that checks every rule and assembles the system
+/// at once. A construct that breaks a rule is recorded as a defect and
+/// left out, so the assembled layers mean something only when no defect
+/// was recorded.
+struct Lowering<'s> {
+    spec: &'s DcdsSpec,
+    pool: ConstantPool,
+    services: ServiceCatalog,
+    defects: Vec<SpecDefect>,
+}
 
+impl<'s> Lowering<'s> {
+    fn run(spec: &'s DcdsSpec) -> (Vec<SpecDefect>, DataLayer, ProcessLayer) {
         let mut services = ServiceCatalog::new();
-        for d in &self.services {
-            services
-                .add(&d.name, d.arity, d.kind)
-                .map_err(|m| SpecError::new(m, d.span))?;
+        for d in &spec.services {
+            // The first declaration wins; later ones are duplicates.
+            let _ = services.add(&d.name, d.arity, d.kind);
         }
-
+        let mut l = Lowering {
+            spec,
+            pool: spec.pool.clone(),
+            services,
+            defects: Vec::new(),
+        };
+        l.duplicates();
+        l.atom_uses();
         let mut initial = Instance::new();
-        for f in &self.init {
-            let rel = schema
-                .rel_id(&f.rel)
-                .filter(|_| self.declared_relation(&f.rel).is_some())
-                .ok_or_else(|| SpecError::new(format!("unknown relation {}", f.rel), f.span))?;
-            if f.args.len() != schema.arity(rel) {
-                return Err(SpecError::new(
-                    format!(
-                        "init fact over {} has {} constants, arity is {}",
-                        f.rel,
-                        f.args.len(),
-                        schema.arity(rel)
-                    ),
-                    f.span,
-                ));
+        for f in &spec.init {
+            if let Some((rel, tuple)) = l.init_fact(f) {
+                initial.insert(rel, tuple);
             }
-            let vals: Vec<_> = f.args.iter().map(|a| pool.intern(a)).collect();
-            initial.insert(rel, Tuple::from(vals));
         }
+        let constraints = spec
+            .constraints
+            .iter()
+            .filter_map(|c| l.constraint(c))
+            .collect();
+        let fo_constraints = spec.asserts.iter().filter_map(|a| l.assert(a)).collect();
+        let actions = spec.actions.iter().map(|a| l.action(a)).collect();
+        let rules = spec.rules.iter().filter_map(|r| l.rule(r)).collect();
 
-        let mut constraints = Vec::new();
-        for c in &self.constraints {
-            constraints.push(
-                crate::parser::decompose_equality_constraint(c.formula.clone())
-                    .map_err(|m| SpecError::new(m, c.span))?,
-            );
-        }
-        let mut fo_constraints = Vec::new();
-        for a in &self.asserts {
-            fo_constraints.push(
-                FoConstraint::new(a.formula.clone())
-                    .map_err(|e| SpecError::new(e.to_string(), a.span))?,
-            );
-        }
-
-        let mut actions: Vec<Action> = Vec::new();
-        for a in &self.actions {
-            let mut effects = Vec::new();
-            for e in &a.effects {
-                let mut head = Vec::new();
-                for h in &e.heads {
-                    head.push(self.lower_head_fact(h, &schema, &services, &mut pool)?);
-                }
-                let effect: Effect =
-                    crate::parser::effect_from_body(e.body.clone(), head, &a.params)
-                        .map_err(|m| SpecError::new(m, e.span))?;
-                effects.push(effect);
-            }
-            actions.push(Action::new(&a.name, a.params.clone(), effects));
-        }
-
-        let mut rules = Vec::new();
-        for r in &self.rules {
-            let id = actions
-                .iter()
-                .position(|a| a.name == r.action)
-                .map(ActionId::from_index)
-                .ok_or_else(|| {
-                    SpecError::new(
-                        format!("rule references unknown action {}", r.action),
-                        r.action_span,
-                    )
-                })?;
-            rules.push(CaRule {
-                condition: r.condition.clone(),
-                action: id,
-            });
-        }
-
-        let mut data = DataLayer::new(pool, schema, initial);
+        let Lowering {
+            pool,
+            services,
+            mut defects,
+            ..
+        } = l;
+        defects.sort_by_key(|d| (d.span, d.kind));
+        let mut data = DataLayer::new(pool, spec.schema.clone(), initial);
         data.constraints = constraints;
         data.fo_constraints = fo_constraints;
         let process = ProcessLayer {
@@ -700,101 +713,434 @@ impl DcdsSpec {
             actions,
             rules,
         };
-        Dcds::new(data, process).map_err(|e| self.validation_span(e))
+        (defects, data, process)
     }
 
-    fn lower_head_fact(
-        &self,
-        h: &HeadFactDecl,
-        schema: &Schema,
-        services: &ServiceCatalog,
-        pool: &mut ConstantPool,
-    ) -> Result<(dcds_reldata::RelId, Vec<ETerm>), SpecError> {
-        let rel = schema
-            .rel_id(&h.rel)
-            .filter(|_| self.declared_relation(&h.rel).is_some())
-            .ok_or_else(|| {
-                SpecError::new(format!("unknown relation {} in effect head", h.rel), h.span)
-            })?;
-        if h.terms.len() != schema.arity(rel) {
-            return Err(SpecError::new(
-                format!(
-                    "head fact over {} has {} terms, arity is {}",
-                    h.rel,
-                    h.terms.len(),
-                    schema.arity(rel)
-                ),
-                h.span,
-            ));
+    fn flag(&mut self, d: SpecDefect) {
+        self.defects.push(d);
+    }
+
+    /// Every name is declared once; later declarations are flagged.
+    fn duplicates(&mut self) {
+        let spec = self.spec;
+        for (ix, d) in spec.relations.iter().enumerate() {
+            if let Some(first) = spec.relations[..ix].iter().find(|e| e.name == d.name) {
+                self.flag(
+                    SpecDefect::new(
+                        DefectKind::DuplicateRelation,
+                        d.span,
+                        format!(
+                            "relation `{}` is declared more than once (first declared with arity {} at {})",
+                            d.name, first.arity, first.span
+                        ),
+                    )
+                    .named("name", &d.name),
+                );
+            }
         }
+        for (ix, d) in spec.services.iter().enumerate() {
+            if let Some(first) = spec.services[..ix].iter().find(|e| e.name == d.name) {
+                self.flag(
+                    SpecDefect::new(
+                        DefectKind::DuplicateService,
+                        d.span,
+                        format!(
+                            "service `{}` is declared more than once (first declared at {})",
+                            d.name, first.span
+                        ),
+                    )
+                    .named("name", &d.name),
+                );
+            }
+        }
+        for (ix, a) in spec.actions.iter().enumerate() {
+            if let Some(first) = spec.actions[..ix].iter().find(|e| e.name == a.name) {
+                self.flag(
+                    SpecDefect::new(
+                        DefectKind::DuplicateAction,
+                        a.span,
+                        format!(
+                            "action `{}` is declared more than once (first declared at {})",
+                            a.name, first.span
+                        ),
+                    )
+                    .named("name", &a.name),
+                );
+            }
+        }
+    }
+
+    /// Relation atoms in formulas (constraints, asserts, effect bodies,
+    /// rule conditions), which the tolerant parser recorded.
+    fn atom_uses(&mut self) {
+        let spec = self.spec;
+        for u in spec.formula_uses() {
+            match spec.declared_relation(&u.name) {
+                None => self.flag(
+                    SpecDefect::new(
+                        DefectKind::UnknownRelation,
+                        u.span,
+                        format!("unknown relation `{}`", u.name),
+                    )
+                    .named("name", &u.name),
+                ),
+                Some(d) if d.arity != u.arity => self.flag(
+                    SpecDefect::new(
+                        DefectKind::ArityMismatch,
+                        u.span,
+                        format!(
+                            "relation `{}` is used with {} arguments, but is declared with arity {} at {}",
+                            u.name, u.arity, d.arity, d.span
+                        ),
+                    )
+                    .named("name", &u.name)
+                    .with("used_arity", DefectField::Int(u.arity))
+                    .with("declared_arity", DefectField::Int(d.arity)),
+                ),
+                Some(_) => {}
+            }
+        }
+    }
+
+    fn init_fact(&mut self, f: &InitFactDecl) -> Option<(RelId, Tuple)> {
+        let Some((d, rel)) = self.spec.relation(&f.rel) else {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::UnknownRelation,
+                    f.span,
+                    format!("unknown relation `{}` in init fact", f.rel),
+                )
+                .named("name", &f.rel),
+            );
+            return None;
+        };
+        if d.arity != f.args.len() {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::ArityMismatch,
+                    f.span,
+                    format!(
+                        "init fact over `{}` has {} constants, but the relation is declared with arity {}",
+                        f.rel,
+                        f.args.len(),
+                        d.arity
+                    ),
+                )
+                .named("name", &f.rel),
+            );
+            return None;
+        }
+        let vals: Vec<_> = f.args.iter().map(|a| self.pool.intern(a)).collect();
+        Some((rel, Tuple::from(vals)))
+    }
+
+    /// `premise -> z1 = y1 & ...`, each `z`, `y` a constant or a free
+    /// variable of the premise.
+    fn constraint(&mut self, c: &ConstraintDecl) -> Option<EqualityConstraint> {
+        let malformed =
+            |message: String| SpecDefect::new(DefectKind::MalformedConstraint, c.span, message);
+        let Formula::Implies(premise, conclusion) = &c.formula else {
+            self.flag(malformed(
+                "equality constraints must have the form `premise -> z1 = y1 & ...`".to_owned(),
+            ));
+            return None;
+        };
+        let mut eqs = Vec::new();
+        if !collect_equalities(conclusion, &mut eqs) {
+            self.flag(malformed(
+                "the conclusion of an equality constraint must be a conjunction of equalities"
+                    .to_owned(),
+            ));
+            return None;
+        }
+        let free = premise.free_vars();
+        let mut unbound: Vec<String> = Vec::new();
+        for t in eqs.iter().flat_map(|(a, b)| [a, b]) {
+            if let QTerm::Var(v) = t {
+                if !free.contains(v) && !unbound.iter().any(|u| u == v.name()) {
+                    unbound.push(v.name().to_owned());
+                }
+            }
+        }
+        if !unbound.is_empty() {
+            self.flag(
+                malformed(format!(
+                    "equality constraint conclusion uses variable(s) {} that the premise does not bind",
+                    unbound.join(", ")
+                ))
+                .with("variables", DefectField::List(unbound)),
+            );
+            return None;
+        }
+        // Cannot fail: the variables were checked above.
+        EqualityConstraint::new((**premise).clone(), eqs).ok()
+    }
+
+    fn assert(&mut self, a: &AssertDecl) -> Option<FoConstraint> {
+        let free: Vec<String> = a
+            .formula
+            .free_vars()
+            .iter()
+            .map(|v| v.name().to_owned())
+            .collect();
+        if !free.is_empty() {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::OpenAssert,
+                    a.span,
+                    format!(
+                        "assert has free variable(s) {}; an integrity constraint must be a sentence",
+                        free.join(", ")
+                    ),
+                )
+                .with("variables", DefectField::List(free)),
+            );
+            return None;
+        }
+        // Cannot fail: the sentence is closed.
+        FoConstraint::new(a.formula.clone()).ok()
+    }
+
+    fn action(&mut self, a: &ActionDecl) -> Action {
+        let mut effects = Vec::new();
+        for e in &a.effects {
+            let head: Vec<_> = e.heads.iter().filter_map(|h| self.head_fact(h)).collect();
+            let Some(split) = split_body(&e.body) else {
+                self.flag(SpecDefect::new(
+                    DefectKind::EffectDisjunctive,
+                    e.span,
+                    "effect body is disjunctive at the top level; write one effect per disjunct"
+                        .to_owned(),
+                ));
+                continue;
+            };
+            self.bindings(a, e, &split);
+            effects.push(split.into_effect(head));
+        }
+        Action::new(&a.name, a.params.clone(), effects)
+    }
+
+    fn head_fact(&mut self, h: &HeadFactDecl) -> Option<(RelId, Vec<ETerm>)> {
         let mut terms = Vec::new();
         for t in &h.terms {
-            terms.push(lower_eterm(t, services, pool)?);
+            terms.push(self.eterm(t));
         }
-        Ok((rel, terms))
+        let Some((d, rel)) = self.spec.relation(&h.rel) else {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::UnknownRelation,
+                    h.span,
+                    format!("unknown relation `{}` in effect head", h.rel),
+                )
+                .named("name", &h.rel),
+            );
+            return None;
+        };
+        if d.arity != h.terms.len() {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::ArityMismatch,
+                    h.span,
+                    format!(
+                        "head fact over `{}` has {} terms, but the relation is declared with arity {}",
+                        h.rel,
+                        h.terms.len(),
+                        d.arity
+                    ),
+                )
+                .named("name", &h.rel),
+            );
+            return None;
+        }
+        terms.into_iter().collect::<Option<_>>().map(|t| (rel, t))
     }
 
-    /// Attach the source span of the construct a [`ValidationError`] is
-    /// about, when the spec still knows it.
-    fn validation_span(&self, e: ValidationError) -> SpecError {
-        let span = match &e {
-            ValidationError::DataLayer(_) => None,
-            ValidationError::RuleParamMismatch { rule, .. } => {
-                self.rules.get(*rule).map(|r| r.span)
-            }
-            ValidationError::Effect { action, effect, .. } => self
-                .action(action)
-                .and_then(|a| a.effects.get(*effect))
-                .map(|eff| eff.span),
+    fn eterm(&mut self, t: &SpecTerm) -> Option<ETerm> {
+        let (service, span, args) = match t {
+            SpecTerm::Base(b) => return Some(ETerm::Base(self.base(b))),
+            SpecTerm::Call {
+                service,
+                span,
+                args,
+            } => (service, *span, args),
         };
-        SpecError {
-            message: e.to_string(),
-            span,
+        let Some(fid) = self.services.func_id(service) else {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::UnknownService,
+                    span,
+                    format!("unknown service `{service}`"),
+                )
+                .named("name", service),
+            );
+            return None;
+        };
+        let arity = self.services.arity(fid);
+        if arity != args.len() {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::ServiceArityMismatch,
+                    span,
+                    format!(
+                        "service `{service}` is called with {} arguments, but is declared with arity {arity}",
+                        args.len()
+                    ),
+                )
+                .named("name", service),
+            );
+            return None;
         }
+        Some(ETerm::Call(
+            fid,
+            args.iter().map(|b| self.base(b)).collect(),
+        ))
+    }
+
+    fn base(&mut self, b: &SpecBase) -> BaseTerm {
+        match b {
+            SpecBase::Var { name, .. } => BaseTerm::var(name),
+            SpecBase::Const { name, .. } => BaseTerm::Const(self.pool.intern(name)),
+        }
+    }
+
+    /// `free(Q⁻) ⊆ free(q⁺) ∪ params`, and heads (service-call arguments
+    /// included) use only `q⁺` variables and parameters.
+    fn bindings(&mut self, a: &ActionDecl, e: &EffectDecl, split: &BodySplit) {
+        let atom_vars = split.atom_vars();
+        let bound = |v: &Var| atom_vars.contains(v) || a.params.contains(v);
+        let unbound_filter = |what: &str, v: &Var| {
+            SpecDefect::new(
+                DefectKind::FilterVarUnbound,
+                e.span,
+                format!(
+                    "effect {what} uses variable {} which no positive atom binds",
+                    v.name()
+                ),
+            )
+            .named("variable", v.name())
+        };
+        for (t1, t2) in &split.equalities {
+            for t in [t1, t2] {
+                if let QTerm::Var(v) = t {
+                    if !bound(v) {
+                        self.flag(unbound_filter("equality", v));
+                    }
+                }
+            }
+        }
+        for f in &split.filters {
+            for v in f.free_vars() {
+                if !bound(&v) {
+                    self.flag(unbound_filter("filter", &v));
+                }
+            }
+        }
+        for h in &e.heads {
+            for t in &h.terms {
+                match t {
+                    SpecTerm::Base(SpecBase::Var { name, span }) if !bound(&Var::new(name)) => {
+                        self.flag(
+                            SpecDefect::new(
+                                DefectKind::HeadVarUnbound,
+                                *span,
+                                format!("head variable {name} is not bound by the effect body"),
+                            )
+                            .named("variable", name),
+                        );
+                    }
+                    SpecTerm::Base(_) => {}
+                    SpecTerm::Call { service, args, .. } => {
+                        for arg in args {
+                            if let SpecBase::Var { name, span } = arg {
+                                if !bound(&Var::new(name)) {
+                                    self.flag(
+                                        SpecDefect::new(
+                                            DefectKind::ServiceArgUnbound,
+                                            *span,
+                                            format!(
+                                                "service call {service}(…) uses variable {name} which the effect body does not bind"
+                                            ),
+                                        )
+                                        .named("variable", name)
+                                        .named("service", service),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The invoked action exists, and the condition's free variables are
+    /// exactly its parameters.
+    fn rule(&mut self, r: &RuleDecl) -> Option<CaRule> {
+        let Some(ix) = self.spec.actions.iter().position(|a| a.name == r.action) else {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::UnknownAction,
+                    r.action_span,
+                    format!("rule references unknown action `{}`", r.action),
+                )
+                .named("name", &r.action),
+            );
+            return None;
+        };
+        let a = &self.spec.actions[ix];
+        let free = r.condition.free_vars();
+        let extra: Vec<String> = free
+            .iter()
+            .filter(|v| !a.params.contains(v))
+            .map(|v| v.name().to_owned())
+            .collect();
+        if !extra.is_empty() {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::RuleExtraFreeVars,
+                    r.span,
+                    format!(
+                        "rule condition has free variable(s) {} that are not parameters of action `{}`",
+                        extra.join(", "),
+                        a.name
+                    ),
+                )
+                .with("variables", DefectField::List(extra))
+                .named("action", &a.name),
+            );
+        }
+        for p in a.params.iter().filter(|p| !free.contains(*p)) {
+            self.flag(
+                SpecDefect::new(
+                    DefectKind::ParamUnbound,
+                    r.span,
+                    format!(
+                        "parameter {} of action `{}` is not bound by the rule condition",
+                        p.name(),
+                        a.name
+                    ),
+                )
+                .named("parameter", p.name())
+                .named("action", &a.name),
+            );
+        }
+        Some(CaRule {
+            condition: r.condition.clone(),
+            action: ActionId::from_index(ix),
+        })
     }
 }
 
-fn lower_eterm(
-    t: &SpecTerm,
-    services: &ServiceCatalog,
-    pool: &mut ConstantPool,
-) -> Result<ETerm, SpecError> {
-    match t {
-        SpecTerm::Var { name, .. } => Ok(ETerm::var(name)),
-        SpecTerm::Const { name, .. } => Ok(ETerm::constant(pool.intern(name))),
-        SpecTerm::Call {
-            service,
-            span,
-            args,
-        } => {
-            let fid = services
-                .func_id(service)
-                .ok_or_else(|| SpecError::new(format!("unknown service {service}"), *span))?;
-            if args.len() != services.arity(fid) {
-                return Err(SpecError::new(
-                    format!(
-                        "service {service} has arity {}, call has {} arguments",
-                        services.arity(fid),
-                        args.len()
-                    ),
-                    *span,
-                ));
-            }
-            let mut base = Vec::new();
-            for a in args {
-                base.push(match a {
-                    SpecTerm::Var { name, .. } => BaseTerm::var(name),
-                    SpecTerm::Const { name, .. } => BaseTerm::Const(pool.intern(name)),
-                    SpecTerm::Call { span, .. } => {
-                        return Err(SpecError::new(
-                            "service calls cannot be nested".to_owned(),
-                            *span,
-                        ))
-                    }
-                });
-            }
-            Ok(ETerm::Call(fid, base))
+/// Collect the conjuncts of an equality constraint's conclusion; `false`
+/// when one of them is not an equality.
+fn collect_equalities(f: &Formula, out: &mut Vec<(QTerm, QTerm)>) -> bool {
+    match f {
+        Formula::And(g, h) => collect_equalities(g, out) && collect_equalities(h, out),
+        Formula::Eq(t1, t2) => {
+            out.push((t1.clone(), t2.clone()));
+            true
         }
+        _ => false,
     }
 }
 
@@ -821,7 +1167,11 @@ mod tests {
         assert!(spec.schema.rel_id("Nope/1").is_some());
         // But lowering rejects the first defect, with a position.
         let err = spec.lower().unwrap_err();
-        assert!(err.message.contains("duplicate relation P"), "{err}");
+        assert!(
+            err.message
+                .contains("relation `P` is declared more than once"),
+            "{err}"
+        );
         assert_eq!(err.span.map(|s| s.line), Some(2));
     }
 
@@ -834,7 +1184,7 @@ mod tests {
             .expect("use recorded");
         assert_eq!((bad.span.line, bad.span.col), (3, 22));
         let err = spec.lower().unwrap_err();
-        assert!(err.message.contains("unknown relation Nope"));
+        assert!(err.message.contains("unknown relation `Nope`"), "{err}");
         assert_eq!(err.span, Some(bad.span));
     }
 

@@ -149,14 +149,6 @@ pub enum GTerm {
 }
 
 impl GTerm {
-    /// The value inside, if resolved.
-    pub fn as_val(&self) -> Option<Value> {
-        match self {
-            GTerm::Val(v) => Some(*v),
-            GTerm::Call(_) => None,
-        }
-    }
-
     /// The call inside, if unresolved.
     pub fn as_call(&self) -> Option<&ServiceCall> {
         match self {

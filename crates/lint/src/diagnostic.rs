@@ -118,11 +118,12 @@ impl Diagnostic {
     }
 }
 
-/// The stable code table. Codes are grouped by pass family:
-/// `DCDS000` parse, `DCDS00x` arity/consistency, `DCDS02x` binding,
-/// `DCDS04x` dead code and slow paths, `DCDS06x` boundedness advisories,
-/// `DCDS08x` engine-routing advisories, `DCDS099` lowering/validation
-/// catch-all.
+/// The stable code table. Codes are grouped by family: `DCDS000` parse,
+/// `DCDS00x`–`DCDS010` names, arities and constraint shapes, `DCDS02x`
+/// bindings (both families are `DcdsSpec::defects`), `DCDS04x` dead code
+/// and slow paths, `DCDS06x` boundedness advisories, `DCDS08x`
+/// engine-routing advisories, `DCDS099` an initial instance that violates
+/// a constraint.
 pub mod codes {
     /// Syntax error — the spec could not be parsed at all.
     pub const PARSE_ERROR: &str = "DCDS000";
@@ -144,6 +145,9 @@ pub mod codes {
     pub const UNKNOWN_ACTION: &str = "DCDS008";
     /// A rule condition has free variables beyond the action's parameters.
     pub const RULE_EXTRA_FREE_VARS: &str = "DCDS009";
+    /// An equality constraint is not `premise -> z1 = y1 & ...` over
+    /// constants and free variables of the premise.
+    pub const MALFORMED_CONSTRAINT: &str = "DCDS010";
     /// An action parameter is not bound by the invoking rule's condition.
     pub const PARAM_UNBOUND: &str = "DCDS020";
     /// An effect head variable is bound by neither the effect body's
@@ -155,6 +159,8 @@ pub mod codes {
     pub const FILTER_VAR_UNBOUND: &str = "DCDS023";
     /// An effect body is disjunctive at the top level.
     pub const EFFECT_DISJUNCTIVE: &str = "DCDS024";
+    /// An `assert` sentence has free variables.
+    pub const OPEN_ASSERT: &str = "DCDS025";
     /// An action is never invoked by any CA rule.
     pub const DEAD_ACTION: &str = "DCDS040";
     /// A relation is read but never written (neither init nor any head).
@@ -177,8 +183,8 @@ pub mod codes {
     /// The boundedness certificate is missing, but AG/EF safety properties
     /// remain checkable via `dcds check --engine symbolic`.
     pub const SYMBOLIC_FALLBACK: &str = "DCDS080";
-    /// The spec passed the per-construct passes but strict lowering /
-    /// validation still rejected it.
+    /// The spec is well formed, but its initial instance violates a
+    /// constraint.
     pub const LOWERING_ERROR: &str = "DCDS099";
 }
 
@@ -224,6 +230,11 @@ pub const CODE_TABLE: &[(&str, Severity, &str)] = &[
         "rule condition free variables beyond action parameters",
     ),
     (
+        codes::MALFORMED_CONSTRAINT,
+        Severity::Error,
+        "equality constraint not of the form premise -> z = y & ...",
+    ),
+    (
         codes::PARAM_UNBOUND,
         Severity::Error,
         "action parameter unbound by rule condition",
@@ -247,6 +258,11 @@ pub const CODE_TABLE: &[(&str, Severity, &str)] = &[
         codes::EFFECT_DISJUNCTIVE,
         Severity::Error,
         "disjunctive effect body",
+    ),
+    (
+        codes::OPEN_ASSERT,
+        Severity::Error,
+        "assert with free variables",
     ),
     (
         codes::DEAD_ACTION,
@@ -296,6 +312,6 @@ pub const CODE_TABLE: &[(&str, Severity, &str)] = &[
     (
         codes::LOWERING_ERROR,
         Severity::Error,
-        "spec rejected by strict lowering/validation",
+        "the initial instance violates a constraint",
     ),
 ];

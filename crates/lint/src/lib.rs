@@ -8,12 +8,13 @@
 //! severity, a message, an optional `line:col` span, and a
 //! machine-readable payload. Pass families:
 //!
-//! * **arity/consistency** ([`consistency`]): unknown/duplicate relations,
-//!   services and actions; wrong arities in atoms, init facts, effect
-//!   heads and service calls; rule/parameter mismatches;
-//! * **binding** ([`binding`]): action parameters not bound by the rule
-//!   condition, effect-head and filter variables not bound by the effect
-//!   body, service calls over unbound variables;
+//! * **well-formedness** ([`wellformed`]): renders
+//!   [`DcdsSpec::defects`], the checker that `DcdsSpec::lower` and so
+//!   `dcds check` share — unknown/duplicate relations, services and
+//!   actions; wrong arities in atoms, init facts, effect heads and service
+//!   calls; rule/parameter mismatches; effect-head, filter and
+//!   service-call variables the effect body does not bind; disjunctive
+//!   effect bodies; malformed equality constraints and open asserts;
 //! * **dead code** ([`dead`], [`unsat`]): actions no rule invokes,
 //!   relations never written or never read, trivially unsatisfiable rule
 //!   conditions (congruence closure over equalities/inequalities);
@@ -29,14 +30,13 @@
 //! Rendering to rustc-style text or line-delimited JSON lives in
 //! [`render`]; the `dcds lint` subcommand drives everything.
 
-pub mod binding;
 pub mod bounded;
-pub mod consistency;
 pub mod dead;
 pub mod diagnostic;
 pub mod render;
 pub mod symbolic;
 pub mod unsat;
+pub mod wellformed;
 
 pub use diagnostic::{codes, Diagnostic, Payload, Severity, CODE_TABLE};
 pub use render::{render_json, render_text};
@@ -70,16 +70,10 @@ pub struct LintPass {
 pub fn registry() -> &'static [LintPass] {
     &[
         LintPass {
-            name: "consistency",
-            description: "unknown/duplicate names, arity mismatches",
+            name: "well-formedness",
+            description: "names, arities, bindings, effect bodies, constraint shapes",
             needs_dcds: false,
-            run: consistency::run,
-        },
-        LintPass {
-            name: "binding",
-            description: "unbound parameters, head/filter/service-call variables",
-            needs_dcds: false,
-            run: binding::run,
+            run: wellformed::run,
         },
         LintPass {
             name: "dead-code",
@@ -145,9 +139,9 @@ impl LintReport {
 ///
 /// Spec-level passes always run. The whole-system passes (boundedness)
 /// need a validated [`Dcds`], so they run only when no spec-level pass
-/// reported an error and [`DcdsSpec::lower`] succeeds; a lowering failure
-/// at that point becomes a `DCDS099` diagnostic (the spec-level passes
-/// missed the defect, but the strict semantics still rejects it).
+/// reported an error and [`DcdsSpec::lower`] succeeds. A spec without
+/// defects fails to lower only when its initial instance violates a
+/// constraint, which becomes a `DCDS099` diagnostic.
 pub fn lint_spec(spec: &DcdsSpec) -> LintReport {
     let mut diagnostics = Vec::new();
     let ctx = LintContext { spec, dcds: None };

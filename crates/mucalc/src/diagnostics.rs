@@ -15,7 +15,7 @@
 //! extension with the staged engine.
 
 use crate::ast::Mu;
-use crate::engine::{eval_traced, McOptions};
+use crate::engine::{eval_traced, CheckError, McOptions};
 use crate::mc::Valuation;
 use crate::safety::{split_ag_ef, SafetyMode};
 use dcds_core::{StateId, Ts};
@@ -62,25 +62,26 @@ pub fn ag_ef_property(f: &Mu) -> Option<(SafetyMode, &Mu)> {
     (!phi.free_pred_vars().contains(z)).then_some((mode, phi))
 }
 
-/// The extension of a closed state property.
-fn extension(phi: &Mu, ts: &Ts) -> BTreeSet<StateId> {
+/// The extension of a closed state property; an open one is rejected.
+fn extension(phi: &Mu, ts: &Ts) -> Result<BTreeSet<StateId>, CheckError> {
     let opts = McOptions::default();
-    eval_traced(phi, ts, &mut Valuation::default(), opts, &Obs::disabled()).0
+    let (ext, _) = eval_traced(phi, ts, &mut Valuation::default(), opts, &Obs::disabled())?;
+    Ok(ext)
 }
 
 /// A shortest counterexample to `AG φ`: a path to a state violating φ.
 /// `None` means `AG φ` holds.
-pub fn counterexample_ag(phi: &Mu, ts: &Ts) -> Option<Vec<StateId>> {
-    let sat = extension(phi, ts);
+pub fn counterexample_ag(phi: &Mu, ts: &Ts) -> Result<Option<Vec<StateId>>, CheckError> {
+    let sat = extension(phi, ts)?;
     let violating: BTreeSet<StateId> = ts.state_ids().filter(|s| !sat.contains(s)).collect();
-    shortest_path_to(ts, &violating)
+    Ok(shortest_path_to(ts, &violating))
 }
 
 /// A shortest witness for `EF φ`: a path to a state satisfying φ.
 /// `None` means `EF φ` fails.
-pub fn witness_ef(phi: &Mu, ts: &Ts) -> Option<Vec<StateId>> {
-    let sat = extension(phi, ts);
-    shortest_path_to(ts, &sat)
+pub fn witness_ef(phi: &Mu, ts: &Ts) -> Result<Option<Vec<StateId>>, CheckError> {
+    let sat = extension(phi, ts)?;
+    Ok(shortest_path_to(ts, &sat))
 }
 
 /// Render a path with the state databases, for reports.
@@ -139,7 +140,9 @@ mod tests {
     #[test]
     fn ag_counterexample_is_shortest() {
         let (schema, _, ts) = sample();
-        let path = counterexample_ag(&p_nonempty(&schema), &ts).expect("AG fails");
+        let path = counterexample_ag(&p_nonempty(&schema), &ts)
+            .unwrap()
+            .expect("AG fails");
         assert_eq!(path.len(), 3); // s0 s1 s2
         assert_eq!(path[0], ts.initial());
     }
@@ -149,10 +152,12 @@ mod tests {
         let (schema, _, ts) = sample();
         // EF (P empty): witness = path to s2.
         let empty = p_nonempty(&schema).not();
-        let w = witness_ef(&empty, &ts).expect("reachable");
+        let w = witness_ef(&empty, &ts).unwrap().expect("reachable");
         assert_eq!(w.len(), 3);
         // EF false: no witness.
-        assert!(witness_ef(&Mu::Query(Formula::False), &ts).is_none());
+        assert!(witness_ef(&Mu::Query(Formula::False), &ts)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -182,13 +187,17 @@ mod tests {
     #[test]
     fn holding_ag_has_no_counterexample() {
         let (_, _, ts) = sample();
-        assert!(counterexample_ag(&Mu::Query(Formula::True), &ts).is_none());
+        assert!(counterexample_ag(&Mu::Query(Formula::True), &ts)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn render_path_is_readable() {
         let (schema, pool, ts) = sample();
-        let path = counterexample_ag(&p_nonempty(&schema), &ts).unwrap();
+        let path = counterexample_ag(&p_nonempty(&schema), &ts)
+            .unwrap()
+            .unwrap();
         let rendered = render_path(&path, &ts, &schema, &pool);
         assert!(rendered.contains("s0:{P(a)}"));
         assert!(rendered.contains("s2:{{}}") || rendered.contains("s2:{}"));

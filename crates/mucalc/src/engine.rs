@@ -225,8 +225,7 @@ pub struct McRun {
 /// heartbeats, and the run counters under `mc.*`; pass
 /// [`Obs::disabled`] for none.
 pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun, CheckError> {
-    ensure_closed(f)?;
-    let (extension, counters) = eval_traced(f, ts, &mut Valuation::default(), opts, obs);
+    let (extension, counters) = eval_traced(f, ts, &mut Valuation::default(), opts, obs)?;
     Ok(McRun {
         holds: extension.contains(&ts.initial()),
         extension,
@@ -237,13 +236,24 @@ pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun
 /// Reject a formula with free individual or predicate variables: the
 /// check [`check_traced`] makes before evaluating anything.
 pub fn ensure_closed(f: &Mu) -> Result<(), CheckError> {
-    let free = f.free_vars();
+    ensure_assigned(f, &Valuation::default())
+}
+
+/// Reject a formula with a free individual or predicate variable that
+/// `val` leaves unassigned. An extension is taken under a valuation of
+/// the free variables, so such a formula has none.
+pub(crate) fn ensure_assigned(f: &Mu, val: &Valuation) -> Result<(), CheckError> {
+    let free: Vec<Var> = (f.free_vars().into_iter())
+        .filter(|v| !val.individuals.contains_key(v))
+        .collect();
     if !free.is_empty() {
-        return Err(CheckError::FreeIndividuals(free.into_iter().collect()));
+        return Err(CheckError::FreeIndividuals(free));
     }
-    let free_preds = f.free_pred_vars();
+    let free_preds: Vec<PredVar> = (f.free_pred_vars().into_iter())
+        .filter(|z| !val.predicates.contains_key(z))
+        .collect();
     if !free_preds.is_empty() {
-        return Err(CheckError::FreePredicates(free_preds.into_iter().collect()));
+        return Err(CheckError::FreePredicates(free_preds));
     }
     Ok(())
 }
@@ -251,21 +261,22 @@ pub fn ensure_closed(f: &Mu) -> Result<(), CheckError> {
 /// Evaluate the extension of a (possibly open) formula with the staged
 /// engine under an explicit valuation — the drop-in counterpart of
 /// [`crate::mc::eval`] used by the differential tests — recording into
-/// `obs`.
+/// `obs`. The valuation must assign every free variable of `f`.
 pub fn eval_traced(
     f: &Mu,
     ts: &Ts,
     val: &mut Valuation,
     opts: McOptions,
     obs: &Obs,
-) -> (BTreeSet<StateId>, McCounters) {
+) -> Result<(BTreeSet<StateId>, McCounters), CheckError> {
+    ensure_assigned(f, val)?;
     let mut run_span = span!(
         obs,
         "mc_eval",
         states = ts.num_states(),
         threads = opts.threads
     );
-    let fused = fuse(f, &val.individuals.keys().cloned().collect());
+    let fused = fuse(f);
     let f = &fused;
     let mut infos = Vec::new();
     index(f, &mut infos);
@@ -313,7 +324,7 @@ pub fn eval_traced(
             obs.counter_add(format!("mc.query.{name}"), v);
         }
     }
-    (ext.to_ids(), engine.counters)
+    Ok((ext.to_ids(), engine.counters))
 }
 
 /// Compile each `Mu::Query` leaf, keyed by its id in the pre-order of
@@ -344,11 +355,8 @@ fn compile_leaves(f: &Mu, next: &mut u32, leaves: &mut HashMap<u32, CompiledPlan
 /// The fusion pass (see the module doc): replace every maximal quantifier
 /// block that lowers to one FO query ([`Mu::state_query`]) whose plan,
 /// with the block's free variables as parameters, needs no ADOM step by
-/// that query; every other node is kept as is. A block with a free
-/// variable outside `assigned`, the variables bound wherever it is
-/// evaluated, is kept too: Figure 1 empties each leaf that mentions an
-/// unassigned variable, not the whole block.
-pub(crate) fn fuse(f: &Mu, assigned: &BTreeSet<Var>) -> Mu {
+/// that query; every other node is kept as is.
+pub(crate) fn fuse(f: &Mu) -> Mu {
     let query = match f {
         Mu::Exists(..) => f.state_query().ok(),
         // ∀v.φ as ¬∃v.¬φ.
@@ -359,28 +367,22 @@ pub(crate) fn fuse(f: &Mu, assigned: &BTreeSet<Var>) -> Mu {
         _ => None,
     };
     if let Some(q) = query {
-        let free = q.free_vars();
-        if free.is_subset(assigned) && !CompiledPlan::compile(&q, &free).has_adom_step() {
+        if !CompiledPlan::compile(&q, &q.free_vars()).has_adom_step() {
             return match f {
                 Mu::Forall(..) => Mu::Query(q).not(),
                 _ => Mu::Query(q),
             };
         }
     }
-    let kid = |g: &Mu| Box::new(fuse(g, assigned));
-    let binds = |v: &Var, g: &Mu| {
-        let mut inner = assigned.clone();
-        inner.insert(v.clone());
-        Box::new(fuse(g, &inner))
-    };
+    let kid = |g: &Mu| Box::new(fuse(g));
     match f {
         Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => f.clone(),
         Mu::Not(g) => Mu::Not(kid(g)),
         Mu::And(g, h) => Mu::And(kid(g), kid(h)),
         Mu::Or(g, h) => Mu::Or(kid(g), kid(h)),
         Mu::Implies(g, h) => Mu::Implies(kid(g), kid(h)),
-        Mu::Exists(v, g) => Mu::Exists(v.clone(), binds(v, g)),
-        Mu::Forall(v, g) => Mu::Forall(v.clone(), binds(v, g)),
+        Mu::Exists(v, g) => Mu::Exists(v.clone(), kid(g)),
+        Mu::Forall(v, g) => Mu::Forall(v.clone(), kid(g)),
         Mu::Diamond(g) => Mu::Diamond(kid(g)),
         Mu::Box_(g) => Mu::Box_(kid(g)),
         Mu::Lfp(z, g) => Mu::Lfp(z.clone(), kid(g)),
@@ -521,16 +523,10 @@ impl Engine<'_> {
         let n = self.states.len();
         match f {
             Mu::Query(q) => {
-                let mut asg = Assignment::new();
-                for v in &q.free_vars() {
-                    match val.individuals.get(v) {
-                        Some(&d) => {
-                            asg.insert(v.clone(), d);
-                        }
-                        // An unassigned free variable cannot be satisfied.
-                        None => return StateSet::empty(n),
-                    }
-                }
+                // `eval_traced` checked that `val` assigns every free variable.
+                let asg: Assignment = (q.free_vars().into_iter())
+                    .filter_map(|v| val.individuals.get(&v).map(|&d| (v, d)))
+                    .collect();
                 self.counters.query_state_evals += n as u64;
                 let (ts, threads) = (self.ts, self.threads);
                 let (plan, stats) = (&self.leaves[&id], &self.plan_stats);
@@ -544,19 +540,12 @@ impl Engine<'_> {
                     QTerm::Const(c) => Some(*c),
                     QTerm::Var(v) => val.individuals.get(v).copied(),
                 };
-                match d {
-                    // Per Section 3.1: an unassigned LIVE(x) imposes no
-                    // requirement.
-                    None => self.all.clone(),
-                    Some(d) => {
-                        self.counters.query_state_evals += n as u64;
-                        let (ts, states) = (self.ts, &self.states);
-                        let adoms = self.adoms.get_or_insert_with(|| {
-                            par_map(states, self.threads, |&s| ts.db(s).active_domain())
-                        });
-                        StateSet::from_fn(n, |i| adoms[i].contains(&d))
-                    }
-                }
+                self.counters.query_state_evals += n as u64;
+                let (ts, states) = (self.ts, &self.states);
+                let adoms = self.adoms.get_or_insert_with(|| {
+                    par_map(states, self.threads, |&s| ts.db(s).active_domain())
+                });
+                StateSet::from_fn(n, |i| d.is_some_and(|d| adoms[i].contains(&d)))
             }
             Mu::Not(g) => {
                 let mut out = self.eval_node(g, self.kid1(id), val);
@@ -761,7 +750,7 @@ mod tests {
     fn agrees_with_naive_oracle_at_all_thread_counts() {
         let (schema, pool, ts) = sample();
         for phi in formula_family(&schema, &pool) {
-            let oracle = mc::eval(&phi, &ts, &mut Valuation::default());
+            let oracle = mc::eval(&phi, &ts, &mut Valuation::default()).unwrap();
             let mut reference = None;
             for threads in [1, 2, 8] {
                 let (ext, counters) = eval_traced(
@@ -770,7 +759,8 @@ mod tests {
                     &mut Valuation::default(),
                     McOptions { threads },
                     &Obs::disabled(),
-                );
+                )
+                .unwrap();
                 assert_eq!(ext, oracle, "engine vs oracle on {phi:?}");
                 match &reference {
                     None => reference = Some((ext, counters)),
@@ -871,11 +861,6 @@ mod tests {
         }
     }
 
-    /// The fusion pass on a closed formula.
-    fn fuse_closed(f: &Mu) -> Mu {
-        fuse(f, &BTreeSet::new())
-    }
-
     fn compiled_leaves(f: &Mu) -> usize {
         let mut leaves = HashMap::new();
         compile_leaves(f, &mut 0, &mut leaves);
@@ -885,29 +870,29 @@ mod tests {
     #[test]
     fn fusion_turns_paper_idioms_into_one_compiled_leaf() {
         // The µLP idiom of the README, the CLI tests and BENCH_e2e.
-        let fused = fuse_closed(&parse("exists X . live(X) & (R(X) | Q(X))"));
+        let fused = fuse(&parse("exists X . live(X) & (R(X) | Q(X))"));
         assert!(matches!(fused, Mu::Query(_)), "{fused:?}");
         assert_eq!(compiled_leaves(&fused), 1);
         // The perfbench `det` property: the ∀¬ block is one leaf beside the
         // ground phase query.
-        let det = fuse_closed(&parse(
+        let det = fuse(&parse(
             "nu Z . (forall V . !(E('a', V) & E('b', V) & E('c', V))) \
              & (mu Y . P('p7') | <> Y) & [] Z",
         ));
         assert_eq!(quantifiers(&det), 0, "{det:?}");
         assert_eq!(compiled_leaves(&det), 2, "{det:?}");
         // The perfbench `rcycl` property.
-        let rcycl = fuse_closed(&parse("nu Z . (forall X . !(R(X) & Q(X))) & [] Z"));
+        let rcycl = fuse(&parse("nu Z . (forall X . !(R(X) & Q(X))) & [] Z"));
         assert_eq!(quantifiers(&rcycl), 0, "{rcycl:?}");
         assert_eq!(compiled_leaves(&rcycl), 1, "{rcycl:?}");
         // Nested and multi-variable blocks fuse whole.
-        let nested = fuse_closed(&parse(
+        let nested = fuse(&parse(
             "exists X . live(X) & R(X) & (exists Y . live(Y) & E(X, Y) & Q(Y))",
         ));
         assert!(matches!(nested, Mu::Query(_)), "{nested:?}");
         // Under a modal-level quantifier the inner block fuses with `X` as
         // a plan parameter; the guarded outer quantifier stays.
-        let guarded = fuse_closed(&parse("forall X . live(X) -> <> (exists Y . E(X, Y))"));
+        let guarded = fuse(&parse("forall X . live(X) -> <> (exists Y . E(X, Y))"));
         assert_eq!(quantifiers(&guarded), 1, "{guarded:?}");
         assert_eq!(compiled_leaves(&guarded), 1, "{guarded:?}");
     }
@@ -921,7 +906,7 @@ mod tests {
             "exists X . R(X) & !S(X)",
             "exists X . R(X) & !(live(X) & S(X))",
         ] {
-            let fused = fuse_closed(&parse(src));
+            let fused = fuse(&parse(src));
             assert_eq!(quantifiers(&fused), 0, "{src}: {fused:?}");
         }
         for src in [
@@ -934,12 +919,12 @@ mod tests {
             "exists X . live(X) & <> R(X)",
         ] {
             let f = parse(src);
-            assert_eq!(fuse_closed(&f), f, "{src}");
+            assert_eq!(fuse(&f), f, "{src}");
         }
         // The outer `R(X)` does not cover the rebound `X` of the inner
         // `live(X)`, so neither block fuses.
         let shadow = parse("exists X . R(X) & (exists X . live(X) & !Q(X))");
-        assert_eq!(fuse_closed(&shadow), shadow);
+        assert_eq!(fuse(&shadow), shadow);
     }
 
     #[test]
@@ -949,7 +934,9 @@ mod tests {
             if !phi.is_closed() {
                 continue;
             }
-            let naive = mc::eval(&phi, &ts, &mut Valuation::default()).contains(&ts.initial());
+            let naive = mc::eval(&phi, &ts, &mut Valuation::default())
+                .unwrap()
+                .contains(&ts.initial());
             let run = check_traced(&phi, &ts, McOptions { threads: 4 }, &Obs::disabled()).unwrap();
             assert_eq!(run.holds, naive, "{phi:?}");
         }

@@ -68,7 +68,7 @@ pub fn classify(f: &Mu) -> Result<Fragment, FragmentError> {
     check_monotone(f, &mut BTreeMap::new(), true)?;
     let mut binders = BTreeSet::new();
     check_unique_binders(f, &mut binders)?;
-    let f = &fuse(f, &f.free_vars());
+    let f = &fuse(f);
     let mut env: BTreeMap<PredVar, Mu> = BTreeMap::new();
     if is_mu_lp(f, &mut env) {
         return Ok(Fragment::MuLP);

@@ -18,6 +18,7 @@
 //! µL has no faithful finite abstraction at all).
 
 use crate::ast::{Mu, PredVar};
+use crate::engine::{ensure_assigned, CheckError};
 use dcds_core::{StateId, Ts};
 use dcds_folang::{holds, Assignment, QTerm, Var};
 use dcds_reldata::Value;
@@ -33,14 +34,16 @@ pub struct Valuation {
 }
 
 /// The extension `(Φ)ᵥ` of a formula: the set of states satisfying it.
-pub fn eval(f: &Mu, ts: &Ts, val: &mut Valuation) -> BTreeSet<StateId> {
+/// Rejects a valuation that leaves a free variable of `f` unassigned.
+pub fn eval(f: &Mu, ts: &Ts, val: &mut Valuation) -> Result<BTreeSet<StateId>, CheckError> {
+    ensure_assigned(f, val)?;
     let all: BTreeSet<StateId> = ts.state_ids().collect();
     let domain: BTreeSet<Value> = {
         let mut d = ts.adom_union();
         d.extend(val.individuals.values().copied());
         d
     };
-    eval_rec(f, ts, val, &all, &domain)
+    Ok(eval_rec(f, ts, val, &all, &domain))
 }
 
 fn eval_rec(
@@ -52,19 +55,10 @@ fn eval_rec(
 ) -> BTreeSet<StateId> {
     match f {
         Mu::Query(q) => {
-            let free = q.free_vars();
-            let mut asg = Assignment::new();
-            for v in &free {
-                match val.individuals.get(v) {
-                    Some(&d) => {
-                        asg.insert(v.clone(), d);
-                    }
-                    None => {
-                        // An unassigned free variable cannot be satisfied.
-                        return BTreeSet::new();
-                    }
-                }
-            }
+            // `eval` checked that `val` assigns every free variable.
+            let asg: Assignment = (q.free_vars().into_iter())
+                .filter_map(|v| val.individuals.get(&v).map(|&d| (v, d)))
+                .collect();
             ts.state_ids()
                 .filter(|s| holds(q, ts.db(*s), &asg).unwrap_or(false))
                 .collect()
@@ -74,15 +68,9 @@ fn eval_rec(
                 QTerm::Const(c) => Some(*c),
                 QTerm::Var(v) => val.individuals.get(v).copied(),
             };
-            match d {
-                // Per Section 3.1: if x is unassigned, LIVE(x) imposes no
-                // requirement ("x/d ∈ v implies d ∈ ADOM").
-                None => all.clone(),
-                Some(d) => ts
-                    .state_ids()
-                    .filter(|s| ts.db(*s).active_domain().contains(&d))
-                    .collect(),
-            }
+            ts.state_ids()
+                .filter(|s| d.is_some_and(|d| ts.db(*s).active_domain().contains(&d)))
+                .collect()
         }
         Mu::Not(g) => all - &eval_rec(g, ts, val, all, domain),
         Mu::And(g, h) => &eval_rec(g, ts, val, all, domain) & &eval_rec(h, ts, val, all, domain),
@@ -186,12 +174,12 @@ fn restore_pred(val: &mut Valuation, z: &PredVar, saved: Option<BTreeSet<StateId
 /// Model checking: does the closed formula hold in the initial state?
 ///
 /// Rejects non-closed formulas (free individual *or* predicate variables)
-/// with a named-variable [`crate::engine::CheckError`] — an open formula silently
+/// with a named-variable [`CheckError`] — an open formula silently
 /// evaluates to a wrong verdict (e.g. a free-variable atom under `Not`
 /// becomes "all states"), so it must never reach the fixpoint engine.
 /// Evaluation itself runs on the staged engine of [`crate::engine`]; use
 /// [`crate::engine::check_traced`] for thread control and counters.
-pub fn check(f: &Mu, ts: &Ts) -> Result<bool, crate::engine::CheckError> {
+pub fn check(f: &Mu, ts: &Ts) -> Result<bool, CheckError> {
     let opts = crate::engine::McOptions::default();
     crate::engine::check_traced(f, ts, opts, &dcds_obs::Obs::disabled()).map(|run| run.holds)
 }
@@ -237,12 +225,12 @@ mod tests {
         let (schema, _, ts) = sample();
         // ∃x.LIVE(x) ∧ Stud(x) holds in s0 and s1.
         let f = Mu::exists("X", Mu::live("X").and(stud(&schema, "X")));
-        let ext = eval(&f, &ts, &mut Valuation::default());
+        let ext = eval(&f, &ts, &mut Valuation::default()).unwrap();
         assert_eq!(ext.len(), 2);
         // ⟨−⟩ of it holds in s0 only.
         let g = Mu::exists("X", Mu::live("X").and(stud(&schema, "X"))).diamond();
         assert!(check(&g, &ts).unwrap());
-        let ext2 = eval(&g, &ts, &mut Valuation::default());
+        let ext2 = eval(&g, &ts, &mut Valuation::default()).unwrap();
         assert_eq!(ext2.len(), 1);
     }
 
@@ -303,16 +291,34 @@ mod tests {
         let b = pool.get("b").unwrap();
         // LIVE(b) holds exactly in s1.
         let f = Mu::live_const(b);
-        let ext = eval(&f, &ts, &mut Valuation::default());
+        let ext = eval(&f, &ts, &mut Valuation::default()).unwrap();
         assert_eq!(ext.len(), 1);
     }
 
     #[test]
-    fn unassigned_live_holds_everywhere() {
-        let (_, _, ts) = sample();
-        let f = Mu::live("Unassigned");
-        let ext = eval(&f, &ts, &mut Valuation::default());
-        assert_eq!(ext.len(), ts.num_states());
+    fn unassigned_variables_are_rejected() {
+        let (schema, pool, ts) = sample();
+        let named = |f: &Mu| match eval(f, &ts, &mut Valuation::default()) {
+            Err(CheckError::FreeIndividuals(vs)) => vs,
+            other => panic!("{f:?} evaluated: {other:?}"),
+        };
+        let y = vec![Var::new("Y")];
+        assert_eq!(named(&Mu::live("Y")), y);
+        // Both readings of "not S(Y)" are rejected alike.
+        let not_inside =
+            Mu::Query(Formula::Atom(schema.rel_id("Stud").unwrap(), vec![QTerm::var("Y")]).not());
+        assert_eq!(named(&not_inside), y);
+        assert_eq!(named(&stud(&schema, "Y").not()), y);
+        let z = Mu::Pvar(PredVar::new("Z"));
+        assert!(matches!(
+            eval(&z, &ts, &mut Valuation::default()),
+            Err(CheckError::FreePredicates(_))
+        ));
+        // Assigned, the same formulas evaluate: `b` is live in s1 only.
+        let mut val = Valuation::default();
+        val.individuals
+            .insert(Var::new("Y"), pool.get("b").unwrap());
+        assert_eq!(eval(&Mu::live("Y"), &ts, &mut val).unwrap().len(), 1);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl Instance {
             .flat_map(|(rel, set)| set.iter().map(move |t| (*rel, t)))
     }
 
-    /// Relations with at least one tuple.
-    pub fn nonempty_rels(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.rels.keys().copied()
-    }
-
     /// The active domain `ADOM(I)`: the set of constants occurring in `I`.
     pub fn active_domain(&self) -> BTreeSet<Value> {
         let mut adom = BTreeSet::new();

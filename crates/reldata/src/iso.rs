@@ -120,14 +120,6 @@ impl Facts {
         out
     }
 
-    /// Add all facts of an instance under an offset applied to relation
-    /// colors (so callers can reserve low colors for something else).
-    pub fn extend_from_instance(&mut self, inst: &Instance, color_offset: u32) {
-        for (rel, t) in inst.facts() {
-            self.insert(rel.index() as u32 + color_offset, t.clone());
-        }
-    }
-
     /// All values occurring in the fact set.
     pub fn active_domain(&self) -> BTreeSet<Value> {
         let mut adom = BTreeSet::new();

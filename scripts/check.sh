@@ -59,10 +59,16 @@ cargo test -q -p dcds-mucalc
 # fuse only through the lowering: `∀X. A(X) → ¬B(X)` (same extension and
 # counters as `∀X. ¬(A(X) ∧ B(X))`), `∃X. R(X) ∧ ¬S(X)`, a `∀` over a
 # `¬∃` block, `live` covered under `∨` and `¬`, uncovered, and rebound by
-# a shadowing binder; and blocks whose free variable the valuation leaves
-# unassigned, which stay per-binding. Closed µLA formulas also run
-# through PROP(Φ).
+# a shadowing binder; and open blocks, which both evaluators reject
+# until the valuation assigns their free variable and then agree on.
+# Closed µLA formulas also run through PROP(Φ).
 cargo test -q --test mc_engine_differential
+# One front end for specs: on every shipped and `specs/bad/` spec and on
+# a few hundred seeded single-edit mutants of them, parsing, linting and
+# lowering never panic, `parse_dcds` fails exactly when `dcds lint`
+# reports an error, and its `line:col: message` is lint's first error;
+# the lint fixtures pin every DCDS code and the CLI exit codes.
+cargo test -q --test lint --test spec_pipeline --test spec_mutants
 
 echo "== compact-store memory smoke"
 # Fixed 50k-state workloads, kept in the compact store by the budget rule;

@@ -675,12 +675,14 @@ fn do_check(
         let render = |p: &[_]| diagnostics::render_path(p, &ts, &dcds.data.schema, &pool);
         match diagnostics::ag_ef_property(&phi) {
             Some((SafetyMode::AlwaysGood, good)) if verdict != Ok(true) => {
-                if let Some(p) = diagnostics::counterexample_ag(good, &ts) {
+                let path = diagnostics::counterexample_ag(good, &ts).map_err(|e| e.to_string())?;
+                if let Some(p) = path {
                     eprintln!("shortest path to a violating state:\n  {}", render(&p));
                 }
             }
             Some((SafetyMode::EventuallyBad, goal)) if verdict != Ok(false) => {
-                if let Some(p) = diagnostics::witness_ef(goal, &ts) {
+                let path = diagnostics::witness_ef(goal, &ts).map_err(|e| e.to_string())?;
+                if let Some(p) = path {
                     eprintln!("a satisfying state (shortest path):\n  {}", render(&p));
                 }
             }

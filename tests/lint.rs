@@ -94,6 +94,94 @@ fn symbolic_fallback_note_on_unbounded_safe() {
     assert!(text.contains("--engine symbolic"), "{text}");
 }
 
+#[test]
+fn drift_fixtures() {
+    for (name, codes) in [
+        ("malformed_constraint.dcds", &["DCDS010"][..]),
+        ("open_assert.dcds", &["DCDS025"]),
+        ("duplicate_names.dcds", &["DCDS006", "DCDS007"]),
+    ] {
+        let (code, text) = dcds_code(&["lint", &spec(&format!("bad/{name}"))]);
+        assert_eq!(code, 1, "{text}");
+        let found: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("error["))
+            .map(|l| &l[..7])
+            .collect();
+        assert_eq!(found, codes, "{text}");
+    }
+}
+
+#[test]
+fn check_stops_at_lints_first_error() {
+    // Every fixture with errors: `dcds check` exits 3 naming lint's first
+    // error, with its position and wording.
+    for name in [
+        "arity_mismatch.dcds",
+        "unbound_param.dcds",
+        "malformed_constraint.dcds",
+        "open_assert.dcds",
+        "duplicate_names.dcds",
+    ] {
+        let path = spec(&format!("bad/{name}"));
+        let (_, lint) = dcds_code(&["lint", &path, "--format", "json"]);
+        let first = lint
+            .lines()
+            .find(|l| l.contains("\"severity\":\"error\""))
+            .expect("an error");
+        let field = |key: &str| {
+            let start = first.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let rest = &first[start..];
+            rest[..rest.find([',', '}']).expect("field end")].to_owned()
+        };
+        let (line, col) = (field("line"), field("col"));
+        let (code, text) = dcds_code(&["check", &path, "true"]);
+        assert_eq!(code, 3, "{name}: {text}");
+        assert!(
+            text.contains(&format!("{path}: {line}:{col}: ")),
+            "{name}: {text} vs {first}"
+        );
+    }
+}
+
+#[test]
+fn drift_spec_lint_and_check_agree() {
+    // A constraint conclusion that is an atom, an open assert and an
+    // effect equality over a variable no atom binds: lint reports all
+    // three, and `dcds check` stops at the first.
+    let src = "schema { P 1; Q 1; }\n\
+               init { P(a); }\n\
+               constraint P(X) -> Q(X);\n\
+               assert P(X);\n\
+               action go(Y) { P(X) & X = Z ~> P(X); }\n\
+               rule P(Y) => go;\n";
+    let (code, text) = lint_src("drift", src, &[]);
+    assert_eq!(code, 1, "{text}");
+    let errors: Vec<&str> = text.lines().filter(|l| l.starts_with("error[")).collect();
+    assert_eq!(errors.len(), 3, "{text}");
+    assert!(errors[0].starts_with("error[DCDS010]"), "{text}");
+    assert!(errors[1].starts_with("error[DCDS025]"), "{text}");
+    assert!(errors[2].starts_with("error[DCDS023]"), "{text}");
+    let lines: Vec<&str> = text.lines().collect();
+    let at: Vec<&str> = (lines.windows(2))
+        .filter(|w| w[0].starts_with("error["))
+        .map(|w| &w[1][w[1].rfind(".dcds:").expect("a position") + 6..])
+        .collect();
+    assert_eq!(at, ["3:1", "4:1", "5:16"], "{text}");
+    let path =
+        std::env::temp_dir().join(format!("dcds_lint_drift_check_{}.dcds", std::process::id()));
+    std::fs::write(&path, src).expect("temp spec written");
+    let (code, text) = dcds_code(&["check", path.to_str().expect("utf-8 temp path"), "true"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, 3, "{text}");
+    assert!(
+        text.contains(
+            ": 3:1: the conclusion of an equality constraint must be a conjunction of equalities"
+        ),
+        "{text}"
+    );
+}
+
 // ---------------------------------------------------- remaining DCDS codes
 
 #[test]
@@ -231,20 +319,48 @@ fn state_bound_note() {
 }
 
 #[test]
-fn lowering_error_catch_all() {
-    // Constraint violated by the initial instance: every per-construct pass
-    // is happy, but strict lowering still rejects the spec → DCDS099.
+fn malformed_constraint_and_open_assert() {
+    // A conclusion that is not a conjunction of equalities, and an assert
+    // with a free variable: both are spec defects, at their keywords.
     let (code, text) = lint_src(
-        "lower",
+        "shapes",
         "schema { P 1; }\n\
          init { P(a); }\n\
          constraint P(X) -> false;\n\
+         assert P(X);\n\
+         action go() { P(X) ~> P(X); }\n\
+         rule true => go;\n",
+        &[],
+    );
+    assert_eq!(code, 1, "{text}");
+    assert!(text.contains("error[DCDS010]"), "{text}");
+    assert!(text.contains(":3:1"), "{text}");
+    assert!(
+        text.contains("must be a conjunction of equalities"),
+        "{text}"
+    );
+    assert!(text.contains("error[DCDS025]"), "{text}");
+    assert!(text.contains(":4:1"), "{text}");
+    assert!(!text.contains("DCDS099"), "{text}");
+}
+
+#[test]
+fn lowering_error_catch_all() {
+    // A well-formed equality constraint that the initial instance violates:
+    // no spec defect, but lowering still rejects the spec → DCDS099.
+    let (code, text) = lint_src(
+        "lower",
+        "schema { P 1; }\n\
+         init { P(a); P(b); }\n\
+         constraint P(X) & P(Y) -> X = Y;\n\
          action go() { P(X) ~> P(X); }\n\
          rule true => go;\n",
         &[],
     );
     assert_eq!(code, 1, "{text}");
     assert!(text.contains("error[DCDS099]"), "{text}");
+    assert!(text.contains("initial instance violates"), "{text}");
+    assert_eq!(text.matches("error[").count(), 1, "{text}");
 }
 
 // ----------------------------------------------------------- JSON contract

@@ -18,12 +18,13 @@
 
 use dcds_verify::bench::rng::SplitMix64;
 use dcds_verify::bench::{examples, synthetic, travel};
-use dcds_verify::folang::{Formula, QTerm};
+use dcds_verify::folang::{Formula, QTerm, Var};
 use dcds_verify::mucalc::fragments::check_monotone;
 use dcds_verify::mucalc::mc::{eval, Valuation};
 use dcds_verify::mucalc::prop_mc::eval_prop;
 use dcds_verify::mucalc::{
-    check_traced, classify, eval_traced, propositionalize, sugar, Fragment, McOptions, Mu, PredVar,
+    check_traced, classify, eval_traced, propositionalize, sugar, CheckError, Fragment, McOptions,
+    Mu, PredVar,
 };
 use dcds_verify::obs::Obs;
 use dcds_verify::prelude::*;
@@ -72,7 +73,7 @@ fn systems() -> Vec<System> {
 /// Staged engine at 1/2/4 threads against the naive oracle, under `val`;
 /// for closed formulas also the `check_traced` entry point.
 fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) {
-    let oracle = eval(phi, &sys.ts, &mut val.clone());
+    let oracle = eval(phi, &sys.ts, &mut val.clone()).unwrap();
     let mut first = None;
     for threads in [1usize, 2, 4] {
         let (ext, counters) = eval_traced(
@@ -81,7 +82,8 @@ fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) {
             &mut val.clone(),
             McOptions { threads },
             &Obs::disabled(),
-        );
+        )
+        .unwrap();
         assert_eq!(
             ext, oracle,
             "{}: engine at {threads} threads disagrees with naive on {phi:?} under {:?}",
@@ -243,14 +245,11 @@ fn engine_agrees_with_naive_on_seeded_random_formulas() {
                 continue;
             }
             assert_agrees(sys, &closed, &Valuation::default());
-            // The open formula under a random partial valuation: unassigned
-            // variables must empty a fused block exactly as they empty its
-            // per-binding evaluation.
+            // The open formula under a random valuation of its free
+            // variables.
             let mut val = Valuation::default();
             for v in open.free_vars() {
-                if gen.rng.gen_bool(0.7) {
-                    val.individuals.insert(v, gen.pick(&consts));
-                }
+                val.individuals.insert(v, gen.pick(&consts));
             }
             assert_agrees(sys, &open, &val);
         }
@@ -305,9 +304,11 @@ const SHAPES: &[&str] = &[
     // An uncovered LIVE of a variable an outer quantifier binds: the
     // block is no query, whatever its other conjuncts.
     "exists X . live(X) & <> (exists Y . {W}(Y) & live(X) & !{U}(X))",
-    // Blocks with a free variable the valuation leaves unassigned stay
-    // per-binding: Figure 1 empties each leaf that mentions it, which one
-    // query over the block cannot mirror once the block holds a negation.
+];
+
+/// Blocks with the free variable `Y`: both evaluators reject a valuation
+/// that leaves it unassigned, and agree under every value of it.
+const OPEN_SHAPES: &[&str] = &[
     "exists X . {U}(X) & !{W}(Y)",
     "exists X . {U}(X) & ({W}(X) | {U}(Y))",
 ];
@@ -346,6 +347,34 @@ fn engine_agrees_with_naive_on_fusion_edge_shapes() {
         let mut checked = 0;
         for (i, u) in unary.iter().enumerate() {
             let w = &unary[(i + 1) % unary.len()];
+            for shape in OPEN_SHAPES {
+                let src = shape.replace("{U}", u).replace("{W}", w);
+                let phi = parse_mu(&src, &mut sys.schema.clone(), &mut sys.pool.clone())
+                    .unwrap_or_else(|e| panic!("{}: {src}: {e}", sys.name));
+                let y = vec![Var::new("Y")];
+                let unassigned = Valuation::default();
+                match eval(&phi, &sys.ts, &mut unassigned.clone()) {
+                    Err(CheckError::FreeIndividuals(vs)) => assert_eq!(vs, y, "{src}"),
+                    other => panic!("{}: naive evaluated {src}: {other:?}", sys.name),
+                }
+                let opts = McOptions::default();
+                match eval_traced(
+                    &phi,
+                    &sys.ts,
+                    &mut unassigned.clone(),
+                    opts,
+                    &Obs::disabled(),
+                ) {
+                    Err(CheckError::FreeIndividuals(vs)) => assert_eq!(vs, y, "{src}"),
+                    other => panic!("{}: engine evaluated {src}: {other:?}", sys.name),
+                }
+                for d in sys.ts.adom_union() {
+                    let mut val = Valuation::default();
+                    val.individuals.insert(Var::new("Y"), d);
+                    assert_agrees(&sys, &phi, &val);
+                    checked += 1;
+                }
+            }
             for shape in &shapes {
                 let mut src = shape.replace("{U}", u).replace("{W}", w);
                 if let Some(b) = binary.first() {

@@ -94,8 +94,8 @@ fn spec_errors_are_reported_with_positions() {
     ";
     let err = parse_dcds(bad).unwrap_err();
     assert!(
-        err.contains("Nope"),
-        "error should name the relation: {err}"
+        err.starts_with("4:31: ") && err.contains("`Nope`"),
+        "error should name the relation and its position: {err}"
     );
 
     // Rule whose guard variables mismatch the action parameters.
@@ -106,7 +106,10 @@ fn spec_errors_are_reported_with_positions() {
         rule P(X) => a1;
     ";
     let err2 = parse_dcds(bad2).unwrap_err();
-    assert!(err2.contains("parameters"), "got: {err2}");
+    assert!(
+        err2.starts_with("5:9: ") && err2.contains("parameter Y of action `a1`"),
+        "got: {err2}"
+    );
 
     // Constraint violated by the initial instance.
     let bad3 = r"
