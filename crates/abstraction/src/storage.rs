@@ -38,25 +38,26 @@ use std::sync::Arc;
 ///
 /// | workload            | owned ms | store ms | store `to_ts` ms |
 /// |---------------------|----------|----------|------------------|
-/// | RCYCL, 3072 states  | 11.3     | 24.3     | 3.4              |
-/// | det, 352 states     | 13.8     | 14.0     | 0.7              |
+/// | RCYCL, 3072 states  | 5.0      | 16.1     | 2.2              |
+/// | det, 352 states     | 9.4      | 8.6      | 0.5              |
 ///
-/// Above it, the same builds keeping their result (median of 3
-/// alternating runs; wall time, peak RSS of the process):
+/// Above it, the same builds keeping their result (median of 3 runs, one
+/// process each; wall time, peak RSS of the process):
 ///
 /// | workload                    | states  | owned           | store           |
 /// |-----------------------------|---------|-----------------|-----------------|
-/// | det, `service_chain(16)`    | 20 000  | 1.71 s, 277 MiB | 2.04 s, 207 MiB |
-/// | det, `service_chain(16)`    | 100 000 | 13.0 s, 935 MiB | 14.2 s, 534 MiB |
-/// | RCYCL, `phased_rings(4)`    | 20 000  | 0.22 s, 41 MiB  | 0.34 s, 8.6 MiB |
-/// | RCYCL, `phased_rings(4)`    | 80 000  | 0.83 s, 154 MiB | 1.38 s, 24 MiB  |
+/// | det, `service_chain(16)`    | 20 000  | 1.05 s, 144 MiB | 1.22 s, 123 MiB |
+/// | det, `service_chain(16)`    | 100 000 | 6.15 s, 422 MiB | 8.11 s, 293 MiB |
+/// | RCYCL, `phased_rings(4)`    | 20 000  | 0.09 s, 13 MiB  | 0.20 s, 8.1 MiB |
+/// | RCYCL, `phased_rings(4)`    | 80 000  | 0.38 s, 45 MiB  | 0.88 s, 24 MiB  |
 ///
-/// So the store trades up to ~65% more time for 1.3–6× less memory, and
+/// So the store trades 16–130% more time for 1.2–1.9× less memory, and
 /// it only wins while the system stays in the store. A caller that needs
-/// an owned [`Ts`] holds both at the peak: `dcds check` on the 80 000-state
-/// RCYCL system took 3.2 s / 255 MiB owned against 5.0 s / 256 MiB through
-/// the store and `into_ts`. The CLI, whose model checker and dot output
-/// take a [`Ts`], therefore builds in [`Owned`] storage at every budget.
+/// an owned [`Ts`] holds both at the peak: with the instance layout before
+/// sorted fact vectors, `dcds check` on the 80 000-state RCYCL system took
+/// 3.2 s / 255 MiB owned against 5.0 s / 256 MiB through the store and
+/// `into_ts`. The CLI, whose model checker and dot output take a [`Ts`],
+/// therefore builds in [`Owned`] storage at every budget.
 pub const OWNED_MAX_STATES: usize = 10_000;
 
 /// How an abstraction engine holds its states: what both engines need.

@@ -56,13 +56,16 @@ impl DetState {
     /// relation index as color; the entry `f(v₁..vₙ) ↦ r` becomes a fact of
     /// color `num_rels + f` with tuple `(v₁..vₙ, r)`.
     pub fn to_facts(&self, num_rels: usize) -> Facts {
-        let mut facts = Facts::from_instance(&self.instance);
-        for (call, result) in &self.call_map {
+        let relational = self
+            .instance
+            .facts()
+            .map(|(rel, t)| (rel.index() as u32, t.clone()));
+        let calls = self.call_map.iter().map(|(call, result)| {
             let mut t: Vec<Value> = call.args.clone();
             t.push(*result);
-            facts.insert((num_rels + call.func.index()) as u32, Tuple::from(t));
-        }
-        facts
+            ((num_rels + call.func.index()) as u32, Tuple::from(t))
+        });
+        Facts::from_facts(relational.chain(calls))
     }
 }
 
@@ -166,7 +169,7 @@ impl SplitDo {
                 }
             })
             .collect();
-        let mut base = Instance::new();
+        let mut base = Vec::new();
         let mut pending = Vec::new();
         for (rel, terms) in rows.facts() {
             let terms: Vec<DoTerm> = terms
@@ -184,12 +187,11 @@ impl SplitDo {
                 })
                 .collect();
             match vals {
-                Some(vals) => {
-                    base.insert(rel, Tuple::from(vals));
-                }
+                Some(vals) => base.push((rel, Tuple::from(vals))),
                 None => pending.push((rel, terms)),
             }
         }
+        let base = Instance::from_facts(base);
         pending.sort_unstable();
         pending.dedup();
         let base_violates = dcds
@@ -222,8 +224,7 @@ impl SplitDo {
             .iter()
             .map(|c| choice.get(c).copied())
             .collect::<Option<_>>()?;
-        let mut delta = Instance::new();
-        for (rel, terms) in &self.pending {
+        let delta = Instance::from_facts(self.pending.iter().map(|(rel, terms)| {
             let vals: Vec<Value> = terms
                 .iter()
                 .map(|t| match *t {
@@ -231,8 +232,8 @@ impl SplitDo {
                     DoTerm::Call(c) => answers[c as usize],
                 })
                 .collect();
-            delta.insert(*rel, Tuple::from(vals));
-        }
+            (*rel, Tuple::from(vals))
+        }));
         let violated = dcds
             .data
             .all_constraints()
@@ -250,8 +251,9 @@ impl SplitDo {
         choice: &BTreeMap<ServiceCall, Value>,
         delta: Instance,
     ) -> Option<DetState> {
-        let mut instance = self.base.clone();
-        instance.extend_from(&delta);
+        // One merge that moves `Δ`'s facts and clones the base's.
+        let mut instance = delta;
+        instance.extend_from(&self.base);
         let unscreened_ok = dcds
             .data
             .all_constraints()

@@ -105,18 +105,20 @@ impl PreInstance {
         &self,
         lookup: &dyn Fn(&ServiceCall) -> Option<dcds_reldata::Value>,
     ) -> Option<Instance> {
-        let mut out = Instance::new();
-        for (rel, terms) in self.facts() {
-            let mut vals = Vec::with_capacity(terms.len());
-            for t in terms {
-                match t {
-                    GTerm::Val(v) => vals.push(*v),
-                    GTerm::Call(c) => vals.push(lookup(c)?),
-                }
-            }
-            out.insert(rel, Tuple::from(vals));
-        }
-        Some(out)
+        let facts = self
+            .facts()
+            .map(|(rel, terms)| {
+                let vals = terms
+                    .iter()
+                    .map(|t| match t {
+                        GTerm::Val(v) => Some(*v),
+                        GTerm::Call(c) => lookup(c),
+                    })
+                    .collect::<Option<Vec<Value>>>()?;
+                Some((rel, Tuple::from(vals)))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Instance::from_facts(facts))
     }
 }
 

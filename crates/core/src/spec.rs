@@ -683,12 +683,7 @@ impl<'s> Lowering<'s> {
         };
         l.duplicates();
         l.atom_uses();
-        let mut initial = Instance::new();
-        for f in &spec.init {
-            if let Some((rel, tuple)) = l.init_fact(f) {
-                initial.insert(rel, tuple);
-            }
-        }
+        let initial = Instance::from_facts(spec.init.iter().filter_map(|f| l.init_fact(f)));
         let constraints = spec
             .constraints
             .iter()

@@ -1,13 +1,23 @@
 //! Database instances.
 
 use crate::{RelError, RelId, Schema, Tuple, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A database instance: for each relation, a set of tuples.
 ///
-/// Instances are backed by `BTreeMap`/`BTreeSet` so that iteration order —
-/// and hence everything derived from it (canonical forms, pretty printing,
-/// exploration order) — is deterministic.
+/// The facts are held in one vector sorted by `(relation, tuple)` without
+/// repeats, so each relation's tuples are a contiguous sorted run and
+/// iteration order — and hence everything derived from it (canonical
+/// forms, pretty printing, exploration order) — is deterministic. Reads
+/// are binary searches over the vector; the bulk builders sort once, while
+/// [`Instance::insert`] and [`Instance::remove`] shift the tail and suit
+/// small edits only.
+///
+/// Instances order relation by relation, as a map from relations to sets
+/// of tuples would: the first relation present in one and not the other,
+/// or with a different tuple set, decides.
 ///
 /// ```
 /// use dcds_reldata::{ConstantPool, Instance, Schema, Tuple};
@@ -20,9 +30,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// assert!(inst.contains(p, &Tuple::from([a])));
 /// assert_eq!(inst.active_domain(), [a].into_iter().collect());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Instance {
-    rels: BTreeMap<RelId, BTreeSet<Tuple>>,
+    facts: Vec<(RelId, Tuple)>,
 }
 
 impl Instance {
@@ -31,72 +41,81 @@ impl Instance {
         Self::default()
     }
 
+    /// Where `(rel, tuple)` is, or would be inserted.
+    fn search(&self, rel: RelId, tuple: &Tuple) -> Result<usize, usize> {
+        self.facts
+            .binary_search_by(|(r, t)| r.cmp(&rel).then_with(|| t.cmp(tuple)))
+    }
+
+    /// The run of `rel`'s facts.
+    fn run(&self, rel: RelId) -> &[(RelId, Tuple)] {
+        let start = self.facts.partition_point(|(r, _)| *r < rel);
+        let len = self.facts[start..].partition_point(|(r, _)| *r == rel);
+        &self.facts[start..start + len]
+    }
+
     /// Insert a fact. Returns true if the fact was not already present.
     pub fn insert(&mut self, rel: RelId, tuple: Tuple) -> bool {
-        self.rels.entry(rel).or_default().insert(tuple)
+        insert_sorted(&mut self.facts, (rel, tuple))
     }
 
     /// Remove a fact. Returns true if the fact was present.
     pub fn remove(&mut self, rel: RelId, tuple: &Tuple) -> bool {
-        match self.rels.get_mut(&rel) {
-            Some(set) => {
-                let removed = set.remove(tuple);
-                if set.is_empty() {
-                    self.rels.remove(&rel);
-                }
-                removed
+        match self.search(rel, tuple) {
+            Ok(i) => {
+                self.facts.remove(i);
+                true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
     /// Membership test.
     pub fn contains(&self, rel: RelId, tuple: &Tuple) -> bool {
-        self.rels.get(&rel).is_some_and(|set| set.contains(tuple))
+        self.search(rel, tuple).is_ok()
     }
 
-    /// Tuples of a relation (empty slice view if none).
+    /// Tuples of a relation, in ascending order (none if the relation is
+    /// empty).
     pub fn tuples(&self, rel: RelId) -> impl Iterator<Item = &Tuple> {
-        self.rels.get(&rel).into_iter().flatten()
+        self.run(rel).iter().map(|(_, t)| t)
     }
 
     /// Tuples of a relation whose leading components equal `prefix`, in
-    /// iteration order: a range over the sorted tuple set, so its cost is
-    /// a logarithmic seek plus the matches. Tuples shorter than `prefix`
+    /// iteration order: a range of the relation's sorted run, so its cost
+    /// is a logarithmic seek plus the matches. Tuples shorter than `prefix`
     /// never match. An empty prefix yields every tuple of the relation.
     pub fn tuples_with_prefix<'a>(
         &'a self,
         rel: RelId,
         prefix: &'a [Value],
     ) -> impl Iterator<Item = &'a Tuple> {
-        use std::ops::Bound::{Included, Unbounded};
-        self.rels
-            .get(&rel)
-            .into_iter()
-            .flat_map(move |set| set.range::<[Value], _>((Included(prefix), Unbounded)))
+        let run = self.run(rel);
+        let start = run.partition_point(|(_, t)| t.values() < prefix);
+        run[start..]
+            .iter()
+            .map(|(_, t)| t)
             .take_while(move |t| t.values().starts_with(prefix))
     }
 
     /// Number of tuples in a relation.
     pub fn cardinality(&self, rel: RelId) -> usize {
-        self.rels.get(&rel).map_or(0, BTreeSet::len)
+        self.run(rel).len()
     }
 
     /// Total number of facts in the instance.
     pub fn len(&self) -> usize {
-        self.rels.values().map(BTreeSet::len).sum()
+        self.facts.len()
     }
 
     /// True if the instance contains no facts.
     pub fn is_empty(&self) -> bool {
-        self.rels.is_empty()
+        self.facts.is_empty()
     }
 
     /// Iterate over all facts `(rel, tuple)` in deterministic order.
     pub fn facts(&self) -> impl Iterator<Item = (RelId, &Tuple)> {
-        self.rels
-            .iter()
-            .flat_map(|(rel, set)| set.iter().map(move |t| (*rel, t)))
+        self.facts.iter().map(|(r, t)| (*r, t))
     }
 
     /// The active domain `ADOM(I)`: the set of constants occurring in `I`.
@@ -123,20 +142,27 @@ impl Instance {
         Ok(())
     }
 
-    /// Set union of two instances.
+    /// Set union of two instances: one merge of the sorted facts.
     pub fn union(&self, other: &Instance) -> Instance {
-        let mut out = self.clone();
-        for (rel, t) in other.facts() {
-            out.insert(rel, t.clone());
+        Instance {
+            facts: merge(
+                self.facts.iter().map(Cow::Borrowed),
+                other.facts.iter().map(Cow::Borrowed),
+            ),
         }
-        out
     }
 
-    /// Add all facts of `other` into `self`.
+    /// Add all facts of `other` into `self`: one merge, which moves
+    /// `self`'s facts and clones only `other`'s.
     pub fn extend_from(&mut self, other: &Instance) {
-        for (rel, t) in other.facts() {
-            self.insert(rel, t.clone());
+        if other.is_empty() {
+            return;
         }
+        let mine = std::mem::take(&mut self.facts);
+        self.facts = merge(
+            mine.into_iter().map(Cow::Owned),
+            other.facts.iter().map(Cow::Borrowed),
+        );
     }
 
     /// True if every fact of `self` occurs in `other`.
@@ -145,64 +171,117 @@ impl Instance {
     }
 
     /// Apply a value renaming to every fact, producing a new instance.
-    /// Values missing from the map are kept unchanged.
+    /// Values missing from the map are kept unchanged; facts the renaming
+    /// merges are kept once.
     pub fn rename(&self, map: &BTreeMap<Value, Value>) -> Instance {
-        let mut out = Instance::new();
-        for (rel, t) in self.facts() {
-            out.insert(rel, t.rename(map));
-        }
-        out
+        Instance::from_facts(self.facts().map(|(rel, t)| (rel, t.rename(map))))
     }
 
     /// Restrict the instance to a subset of relations — the "projection of
     /// the transition system to a schema" used in Theorems 6.1/6.2.
     pub fn project(&self, rels: &BTreeSet<RelId>) -> Instance {
-        let mut out = Instance::new();
-        for (rel, t) in self.facts() {
-            if rels.contains(&rel) {
-                out.insert(rel, t.clone());
-            }
+        Instance {
+            facts: self
+                .facts
+                .iter()
+                .filter(|(rel, _)| rels.contains(rel))
+                .cloned()
+                .collect(),
         }
-        out
     }
 
-    /// Build an instance from a list of facts.
+    /// Build an instance from a list of facts in any order, repeats
+    /// allowed: one collect, one sort.
     pub fn from_facts(facts: impl IntoIterator<Item = (RelId, Tuple)>) -> Instance {
-        let mut out = Instance::new();
-        for (rel, t) in facts {
-            out.insert(rel, t);
+        Instance {
+            facts: sorted(facts.into_iter().collect()),
         }
-        out
     }
 
     /// Build an instance from facts given in strictly ascending
-    /// `(relation, tuple)` order, in one pass: each relation's set is
-    /// filled from its run and stored once, with no lookup per fact.
+    /// `(relation, tuple)` order: they are stored as they come.
     pub fn from_sorted_facts(facts: impl IntoIterator<Item = (RelId, Tuple)>) -> Instance {
-        let mut rels = BTreeMap::new();
-        let mut run: Option<(RelId, BTreeSet<Tuple>)> = None;
-        for (rel, t) in facts {
-            match &mut run {
-                Some((r, set)) if *r == rel => {
-                    debug_assert!(
-                        set.last().is_some_and(|last| *last < t),
-                        "facts not ascending"
-                    );
-                    set.insert(t);
-                }
-                _ => {
-                    if let Some((r, set)) = run.replace((rel, BTreeSet::from([t]))) {
-                        debug_assert!(r < rel, "facts not ascending");
-                        rels.insert(r, set);
-                    }
-                }
+        let facts: Vec<(RelId, Tuple)> = facts.into_iter().collect();
+        debug_assert!(facts.windows(2).all(|w| w[0] < w[1]), "facts not ascending");
+        Instance { facts }
+    }
+}
+
+/// The order of a map from relations to tuple sets: relation runs compared
+/// pairwise, each by its relation and then by its tuples.
+impl Ord for Instance {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let mut a = self.facts.chunk_by(|x, y| x.0 == y.0);
+        let mut b = other.facts.chunk_by(|x, y| x.0 == y.0);
+        loop {
+            let (x, y) = match (a.next(), b.next()) {
+                (None, None) => return Ordering::Equal,
+                (None, Some(_)) => return Ordering::Less,
+                (Some(_), None) => return Ordering::Greater,
+                (Some(x), Some(y)) => (x, y),
+            };
+            let ord = x[0]
+                .0
+                .cmp(&y[0].0)
+                .then_with(|| x.iter().map(|(_, t)| t).cmp(y.iter().map(|(_, t)| t)));
+            if ord != Ordering::Equal {
+                return ord;
             }
         }
-        if let Some((r, set)) = run {
-            rels.insert(r, set);
-        }
-        Instance { rels }
     }
+}
+
+impl PartialOrd for Instance {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// `facts` sorted, repeats dropped.
+pub(crate) fn sorted<T: Ord>(mut facts: Vec<T>) -> Vec<T> {
+    facts.sort_unstable();
+    facts.dedup();
+    facts
+}
+
+/// Insert `fact` into the sorted, repeat-free `facts` unless present;
+/// true if it was inserted.
+pub(crate) fn insert_sorted<T: Ord>(facts: &mut Vec<T>, fact: T) -> bool {
+    match facts.binary_search(&fact) {
+        Ok(_) => false,
+        Err(i) => {
+            facts.insert(i, fact);
+            true
+        }
+    }
+}
+
+/// Merge two ascending, repeat-free fact sequences into one, keeping a
+/// fact both hold once. Borrowed facts are cloned as they are taken,
+/// owned ones moved.
+fn merge<'a>(
+    a: impl ExactSizeIterator<Item = Cow<'a, (RelId, Tuple)>>,
+    b: impl ExactSizeIterator<Item = Cow<'a, (RelId, Tuple)>>,
+) -> Vec<(RelId, Tuple)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    b.next();
+                    a.next()
+                }
+            },
+            (Some(_), None) => a.next(),
+            (None, Some(_)) => b.next(),
+            (None, None) => break,
+        };
+        out.extend(next.map(Cow::into_owned));
+    }
+    out
 }
 
 #[cfg(test)]

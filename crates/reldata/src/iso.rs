@@ -33,6 +33,7 @@
 //! class order is the only order, and its encoding is written without
 //! starting the search.
 
+use crate::instance::{insert_sorted, sorted};
 use crate::{Instance, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -41,9 +42,13 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// Colors play the role of relation symbols but are plain `u32`s so that
 /// callers can mix relational facts with synthetic facts (e.g. service-call
 /// map entries `f(v...) -> r` encoded as a fact of a per-function color).
+///
+/// The facts are one vector sorted by `(color, tuple)` without repeats, so
+/// iteration is in that order, membership is a binary search, and fact
+/// sets order lexicographically by their sorted facts.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Facts {
-    facts: BTreeSet<(u32, Tuple)>,
+    facts: Vec<(u32, Tuple)>,
 }
 
 /// Canonical form of a [`Facts`] structure modulo renaming of non-rigid
@@ -85,14 +90,24 @@ impl Facts {
         Self::default()
     }
 
-    /// Insert a colored fact.
-    pub fn insert(&mut self, color: u32, tuple: Tuple) -> bool {
-        self.facts.insert((color, tuple))
+    /// Build from colored facts in any order, repeats allowed: one
+    /// collect, one sort.
+    pub fn from_facts(facts: impl IntoIterator<Item = (u32, Tuple)>) -> Self {
+        Facts {
+            facts: sorted(facts.into_iter().collect()),
+        }
     }
 
-    /// Membership.
+    /// Insert a colored fact. Returns true if it was not already present.
+    pub fn insert(&mut self, color: u32, tuple: Tuple) -> bool {
+        insert_sorted(&mut self.facts, (color, tuple))
+    }
+
+    /// Membership: a binary search with the borrowed probe.
     pub fn contains(&self, color: u32, tuple: &Tuple) -> bool {
-        self.facts.contains(&(color, tuple.clone()))
+        self.facts
+            .binary_search_by(|(c, t)| c.cmp(&color).then_with(|| t.cmp(tuple)))
+            .is_ok()
     }
 
     /// Number of facts.
@@ -111,13 +126,14 @@ impl Facts {
     }
 
     /// Build from a relational instance: the color of each fact is the
-    /// relation's index.
+    /// relation's index, so the instance's order is already the facts'.
     pub fn from_instance(inst: &Instance) -> Self {
-        let mut out = Facts::new();
-        for (rel, t) in inst.facts() {
-            out.insert(rel.index() as u32, t.clone());
+        Facts {
+            facts: inst
+                .facts()
+                .map(|(rel, t)| (rel.index() as u32, t.clone()))
+                .collect(),
         }
-        out
     }
 
     /// All values occurring in the fact set.
@@ -129,13 +145,9 @@ impl Facts {
         adom
     }
 
-    /// Apply a renaming to every fact.
+    /// Apply a renaming to every fact; facts it merges are kept once.
     pub fn rename(&self, map: &BTreeMap<Value, Value>) -> Facts {
-        let mut out = Facts::new();
-        for (c, t) in self.iter() {
-            out.insert(c, t.rename(map));
-        }
-        out
+        Facts::from_facts(self.iter().map(|(c, t)| (c, t.rename(map))))
     }
 
     /// Find an isomorphism from `self` to `other`: a bijection `h` between

@@ -401,17 +401,13 @@ impl<'a> FactsView<'a> {
 
     /// Materialise as owned [`Facts`].
     pub fn to_facts(&self) -> Facts {
-        let mut f = Facts::new();
-        for (c, t) in self.iter() {
-            f.insert(c, t.clone());
-        }
-        f
+        Facts::from_facts(self.iter().map(|(c, t)| (c, t.clone())))
     }
 
     /// Materialise the database part (colors `< num_rels`) as an
     /// [`Instance`].
     pub fn to_instance(&self, num_rels: u32) -> Instance {
-        Instance::from_facts(
+        Instance::from_sorted_facts(
             self.iter()
                 .take_while(|(c, _)| *c < num_rels)
                 .map(|(c, t)| (RelId::from_index(c as usize), t.clone())),

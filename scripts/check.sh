@@ -42,6 +42,12 @@ cargo test -q -p dcds-bench --test do_program
 cargo test -q -p dcds-bench --test engine_differential --test plan_paths --test e2e_rows
 # Compact store vs owned facts at the materialisation level.
 cargo test -q -p dcds-reldata --test store_differential
+# `Instance` and `Facts`, each one sorted fact vector, against a B-tree
+# reference model on seeded operation sequences: every read after each
+# insert/remove, the bulk builders, union/extend/rename/project, and
+# Eq/Hash/Ord (an `Instance` orders relation by relation, as a map of
+# sets does).
+cargo test -q -p dcds-reldata --test instance_model
 # Symbolic engine vs the naive Kleene evaluator and the staged checker.
 cargo test -q --test symbolic_differential
 # Symbolic normal form and subsumption search vs their pre-optimisation
