@@ -24,31 +24,46 @@
 //!    program ([`do_rows`]) and split into its base and its call-bearing
 //!    facts ([`SplitDo`]), the base checked once against the constraints
 //!    that have a delta check, and the equality commitments of the new
-//!    calls — none of which touch the constant pool;
-//! 2. *mint* (serial, frontier order): instantiate each commitment's fresh
-//!    cells from the shared [`ConstantPool`];
-//! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks): the
-//!    screen ([`SplitDo::screen`]) resolves only the call-bearing facts
-//!    into a small delta and decides those constraints on the guard rows
-//!    that use a delta fact, so a rejected commitment (most of them, on
-//!    the collision benchmarks) builds nothing. Survivors get their
-//!    instance, the full check of the other constraints and their call map
-//!    ([`SplitDo::materialise`]), the [`Facts`] encoding, its invariant
-//!    signature ([`Facts::signature`], from scratch) and, when the class
-//!    index already has a matching signature bucket, the canonical key.
+//!    calls ([`SplitDo::commitments`]) — none of which touch the constant
+//!    pool. The enumeration first filters the known targets: a
+//!    call-bearing fact with one new call `c` that violates such a
+//!    constraint on its own when `c ↦ v` rules out `Known(v)` for `c`, and
+//!    every commitment it rules out is counted but never built. Whether a
+//!    fact violates on its own is decided once per run for each fact
+//!    template: its relation, rigid values and equality pattern
+//!    ([`SoloViolations`]);
+//! 2. *mint* (serial, frontier order): instantiate each kept commitment's
+//!    fresh cells from the shared [`ConstantPool`], after minting the
+//!    values the dropped commitments before it would have minted, so the
+//!    pool (and every printed name) is what minting every commitment gives;
+//! 3. *step* (parallel, over all `(state, ασ, kept commitment)` tasks):
+//!    the screen ([`SplitDo::screen`]) resolves only the call-bearing
+//!    facts into a small delta and decides those constraints on the guard
+//!    rows that use a delta fact, so a rejected commitment builds nothing.
+//!    Survivors get their instance, the full check of the other
+//!    constraints and their call map ([`SplitDo::materialise`]), and the
+//!    dense form of their `⟨I, M⟩` encoding ([`DetState::dense`]), built
+//!    once and read by both the invariant signature
+//!    ([`DenseCtx::signature`]) and, when the class index already has a
+//!    matching signature bucket (here or in the merge), the canonical key.
 //!    The result equals the definitional
 //!    [`det_step_with_pre`](dcds_core::det::det_step_with_pre)'s;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
-//!    admit new classes to the storage, record edges, apply the state
-//!    budget.
+//!    admit new classes to the storage with their
+//!    [`Facts`](dcds_reldata::Facts) encoding (a
+//!    successor that is a dedup hit never builds one), record edges, apply
+//!    the state budget.
 //!
 //! With observability on, each worker times its frontier state's
 //! enumeration and its task's screen, materialisation, encoding and key,
 //! and the level sums them into one `abs.enumerate_us` /
 //! `abs.screen_us` / `abs.materialise_us` / `abs.encode_us` /
 //! `abs.key_us` sample per level (`abs.key_us` also covers the merge's
-//! own keys). The `abs.commitments` and `abs.commitments_rejected`
-//! counters count the step tasks and the ones the constraints rejected.
+//! own keys). Three counters follow the commitments: `abs.commitments`
+//! counts every equality commitment, `abs.commitments_rejected` the ones
+//! the constraints reject (those the phase-1 filter drops, and those the
+//! screen or the full check rejects), and `abs.commitments_built` the ones
+//! that became step tasks.
 //!
 //! Chunking bounds the per-level scratch (split pre-instances, stepped
 //! successors) on wide levels. Because phases 2 and 4 run in global
@@ -60,7 +75,7 @@
 //! # Deduplication
 //!
 //! The class index groups isomorphism classes by their cheap
-//! [`Facts::signature`] and keeps an exact-match `HashMap<CanonKey, _>`
+//! [`Facts::signature`](dcds_reldata::Facts::signature) and keeps an exact-match `HashMap<CanonKey, _>`
 //! in front of the groups. A successor whose signature group is empty is
 //! provably a new class — no canonicalisation happens at all (the common
 //! case; see the `sig_filter_skips` counter). Only on a signature hit is
@@ -72,15 +87,15 @@
 //! keyed.
 
 use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
-use dcds_core::commitment::instantiate;
-use dcds_core::det::{DetState, SplitDo};
+use dcds_core::commitment::{instantiate, skip_mints, Enumerated};
+use dcds_core::det::{DetState, SoloViolations, SplitDo};
 use dcds_core::do_op::{
     do_rows, legal_sigmas, publish_query_stats_delta, query_stats_snapshot, DoRows,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{enumerate_commitments, Commitment, Dcds, ServiceCall, StateId, StateSpace};
+use dcds_core::{Dcds, ServiceCall, StateId, StateSpace};
 use dcds_obs::{event, span, Obs, PhaseClock};
-use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, Value};
+use dcds_reldata::{CanonKey, CanonStats, ConstantPool, DenseCtx, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
@@ -241,14 +256,15 @@ impl<C> ClassIndex<C> {
         self.groups.get(&sig).is_some_and(|g| g.members > 0)
     }
 
-    /// Find the class of `facts`, if already present. `probe_key` carries a
-    /// key a worker may have computed speculatively (`None` = not
-    /// attempted); the slot is filled in if the merge has to compute one,
-    /// so a subsequent [`ClassIndex::insert`] can reuse it.
+    /// Find the class of the fact set whose dense form is `probe`, if
+    /// already present. `probe_key` carries a key a worker may have
+    /// computed speculatively (`None` = not attempted); the slot is filled
+    /// in from `probe` if the merge has to compute one, so a subsequent
+    /// [`ClassIndex::insert`] can reuse it.
     fn find<S: ClassStorage<Class = C>>(
         &mut self,
         storage: &S,
-        facts: &Facts,
+        probe: &DenseCtx,
         sig: u64,
         probe_key: &mut Option<CanonKey>,
         counters: &mut EngineCounters,
@@ -267,7 +283,7 @@ impl<C> ClassIndex<C> {
         };
         // Materialise the probe's key on first need.
         let pk = probe_key.get_or_insert_with(|| {
-            let (k, stats) = key_clock.time(|| facts.canonical_key_stats(rigid));
+            let (k, stats) = key_clock.time(|| probe.canonical_key_stats());
             credit_canon(counters, stats);
             k
         });
@@ -310,8 +326,9 @@ struct FrontierState {
 }
 
 /// What the parallel enumeration phase computes per `(state, ασ)`: the
-/// split `DO(I, ασ)` and the equality commitments over its new calls.
-type EnumeratedStep = (SplitDo, Vec<Commitment>);
+/// split `DO(I, ασ)` and the equality commitments over its new calls that
+/// no single fact rules out.
+type EnumeratedStep = (SplitDo, Enumerated);
 
 /// One phase-3 task: a `(frontier state, ασ, commitment)` triple with its
 /// minted evaluation choice.
@@ -321,11 +338,23 @@ struct StepTask<'a> {
     choice: BTreeMap<ServiceCall, Value>,
 }
 
-/// A stepped successor awaiting the serial merge: the state, its facts,
-/// its signature, and the eagerly-computed canonical key with the search
-/// stats the merge will account for in task order. `None` when the
-/// commitment representative violates the constraints.
-type Stepped = Option<(DetState, Facts, u64, Option<(CanonKey, CanonStats)>)>;
+/// A stepped successor awaiting the serial merge. Its
+/// [`Facts`](dcds_reldata::Facts) encoding
+/// is built only if the merge admits it as a new class.
+struct Successor {
+    state: DetState,
+    /// The dense form of the state, for a key the merge may have to
+    /// compute.
+    dense: DenseCtx,
+    sig: u64,
+    /// The eagerly-computed canonical key, with the search stats the merge
+    /// will account for in task order.
+    key: Option<(CanonKey, CanonStats)>,
+}
+
+/// A step task's outcome: `None` when the commitment representative
+/// violates the constraints.
+type Stepped = Option<Successor>;
 
 /// The det phase timers: each worker times its own task, and the merge
 /// sums them into one sample per level (inert while obs is off).
@@ -337,7 +366,9 @@ struct PhaseClocks {
     screen: PhaseClock,
     /// Building a survivor's state ([`SplitDo::materialise`]).
     materialise: PhaseClock,
-    /// The [`Facts`] encoding and its signature.
+    /// The dense form and its signature, and the
+    /// [`Facts`](dcds_reldata::Facts) encoding of a
+    /// successor the merge admits.
     encode: PhaseClock,
     /// Canonical keys, in the step and in the merge.
     key: PhaseClock,
@@ -396,11 +427,13 @@ pub fn build<S: ClassStorage>(
 
     let s0 = DetState::initial(dcds);
     let f0 = s0.to_facts(num_rels);
-    let sig0 = f0.signature(&rigid);
-    let (key0, stats0) = f0.canonical_key_stats(&rigid);
+    let dense0 = f0.dense(&rigid);
+    let sig0 = dense0.signature();
+    let (key0, stats0) = dense0.canonical_key_stats();
     credit_canon(&mut counters, stats0);
     let (mut storage, class0) = S::with_initial_class(dcds, &s0.instance, f0);
     let mut index = ClassIndex::new(rigid.clone());
+    let solo = SoloViolations::new(dcds, &rigid);
     index.insert(class0, sig0, Some(key0));
 
     let mut frontier = vec![FrontierState {
@@ -409,7 +442,7 @@ pub fn build<S: ClassStorage>(
     }];
     let mut outcome = AbsOutcome::Complete;
     let mut level = 0usize;
-    let (mut commitments, mut rejected) = (0u64, 0u64);
+    let (mut commitments, mut rejected, mut built) = (0u64, 0u64, 0u64);
 
     while !frontier.is_empty() {
         counters.states_expanded += frontier.len() as u64;
@@ -435,23 +468,21 @@ pub fn build<S: ClassStorage>(
         let mut clocks = PhaseClocks::new(obs);
         for chunk in frontier.chunks(level_chunk) {
             // Phase 1 (parallel): legal assignments, the split `DO` (with
-            // its base checked once), and commitments per frontier state.
-            // Nothing here touches the pool.
+            // its base checked once), and the commitments no single fact
+            // rules out, per frontier state. Nothing here touches the pool.
             let (enumerated, enumerate_clocks): (Vec<Vec<EnumeratedStep>>, Vec<PhaseClock>) =
                 par_map_obs(chunk, threads, obs, "enumerate", |entry| {
                     let state = &entry.state;
                     let mut clock = PhaseClock::new(obs);
                     let steps = clock.time(|| {
-                        let mut known: BTreeSet<Value> = state.known_values();
-                        known.extend(rigid.iter().copied());
-                        let known: Vec<Value> = known.into_iter().collect();
+                        let known = state.known_targets(&rigid);
                         let mut rows = DoRows::default();
                         legal_sigmas(dcds, &state.instance)
                             .iter()
                             .map(|sigma| {
                                 do_rows(dcds, &state.instance, sigma, &mut rows);
                                 let split = SplitDo::new(dcds, state, &rows);
-                                let commitments = enumerate_commitments(split.new_calls(), &known);
+                                let commitments = split.commitments(dcds, &known, &solo);
                                 (split, commitments)
                             })
                             .collect()
@@ -465,17 +496,22 @@ pub fn build<S: ClassStorage>(
             }
 
             // Phase 2 (serial, frontier order): mint the fresh cells of
-            // every commitment — the exact mint sequence of a serial loop.
+            // every commitment, dropped ones included — the exact mint
+            // sequence of a serial loop over all of them.
             let mut tasks: Vec<StepTask> = Vec::new();
             for (frontier_ix, per_state) in enumerated.iter().enumerate() {
-                for (split, commitments) in per_state {
-                    for commitment in commitments {
+                for (split, enumerated) in per_state {
+                    for (skipped, commitment) in &enumerated.kept {
+                        skip_mints(&mut pool, *skipped);
                         tasks.push(StepTask {
                             frontier_ix,
                             split,
                             choice: instantiate(commitment, &mut pool),
                         });
                     }
+                    skip_mints(&mut pool, enumerated.trailing_mints);
+                    commitments += enumerated.dropped;
+                    rejected += enumerated.dropped;
                 }
             }
 
@@ -496,16 +532,21 @@ pub fn build<S: ClassStorage>(
                             c.materialise
                                 .time(|| task.split.materialise(dcds, state, &task.choice, delta))
                         })
-                        .map(|next| {
-                            let (facts, sig) = c.encode.time(|| {
-                                let facts = next.to_facts(num_rels);
-                                let sig = facts.signature(&rigid);
-                                (facts, sig)
+                        .map(|state| {
+                            let (dense, sig) = c.encode.time(|| {
+                                let dense = state.dense(num_rels, &rigid);
+                                let sig = dense.signature();
+                                (dense, sig)
                             });
                             let key = index
                                 .bucket_occupied(sig)
-                                .then(|| c.key.time(|| facts.canonical_key_stats(&rigid)));
-                            (next, facts, sig, key)
+                                .then(|| c.key.time(|| dense.canonical_key_stats()));
+                            Successor {
+                                state,
+                                dense,
+                                sig,
+                                key,
+                            }
                         });
                     (next, c)
                 });
@@ -515,9 +556,16 @@ pub fn build<S: ClassStorage>(
             // and record edges.
             let merge_timer = obs.timer();
             commitments += tasks.len() as u64;
+            built += tasks.len() as u64;
             for (task, (next, task_clocks)) in tasks.iter().zip(stepped) {
                 clocks.absorb(task_clocks);
-                let Some((next, facts, sig, key)) = next else {
+                let Some(Successor {
+                    state: next,
+                    dense,
+                    sig,
+                    key,
+                }) = next
+                else {
                     rejected += 1;
                     continue;
                 };
@@ -530,7 +578,7 @@ pub fn build<S: ClassStorage>(
                 let mut key: Option<CanonKey> = key.map(|(k, _)| k);
                 let found = index.find(
                     &storage,
-                    &facts,
+                    &dense,
                     sig,
                     &mut key,
                     &mut counters,
@@ -546,6 +594,7 @@ pub fn build<S: ClassStorage>(
                             outcome = AbsOutcome::Truncated;
                             continue;
                         }
+                        let facts = clocks.encode.time(|| next.to_facts(num_rels));
                         let (id, class) = storage.add_class(source, &next.instance, facts);
                         index.insert(class, sig, key);
                         next_frontier.push(FrontierState { id, state: next });
@@ -577,6 +626,7 @@ pub fn build<S: ClassStorage>(
     obs.counter_add("abs.levels", level as u64);
     obs.counter_add("abs.commitments", commitments);
     obs.counter_add("abs.commitments_rejected", rejected);
+    obs.counter_add("abs.commitments_built", built);
     counters.publish(obs, "abs");
     storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
@@ -600,7 +650,7 @@ pub fn build<S: ClassStorage>(
 mod tests {
     use super::*;
     use dcds_core::{DcdsBuilder, ServiceKind};
-    use dcds_reldata::Instance;
+    use dcds_reldata::{Facts, Instance};
 
     /// A storage beside an empty class index, for driving the index
     /// directly.
@@ -618,7 +668,8 @@ mod tests {
         key: &mut Option<CanonKey>,
         counters: &mut EngineCounters,
     ) -> Option<usize> {
-        index.find(storage, facts, sig, key, counters, &mut PhaseClock::off())
+        let probe = facts.dense(&index.rigid);
+        index.find(storage, &probe, sig, key, counters, &mut PhaseClock::off())
     }
 
     /// Admit `facts` as a new class, as the merge phase does.

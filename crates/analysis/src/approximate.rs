@@ -24,6 +24,7 @@ pub fn positive_approximate(dcds: &Dcds) -> Dcds {
         constraints: Vec::new(),
         fo_constraints: Vec::new(),
         initial: dcds.data.initial.clone(),
+        formula_constants: dcds.data.formula_constants.clone(),
     };
     let mut actions = Vec::new();
     for action in &dcds.process.actions {

@@ -178,6 +178,15 @@ pub fn rows() -> Vec<Row> {
             1000,
             decided(true, 352),
         ),
+        // The same family one tag wider: about four times the work, so
+        // the row stays well above the timing noise of a shared host.
+        explicit(
+            "collision_pairs(8)",
+            Family(synthetic::collision_pairs(8).into()),
+            "nu Z . (forall V . !(E(a0, V) & E(a1, V) & E(a2, V))) & [] Z",
+            2000,
+            decided(true, 1116),
+        ),
         explicit(
             "travel_request",
             Shipped("travel_request.dcds"),

@@ -9,13 +9,22 @@
 //! same `DetState` otherwise. The systems cover every path of the
 //! screen: delta checks (keys, equality constraints, the collision
 //! constraints), a consequent that reads a relation, a premise outside the
-//! UCQs, and a base that already violates a constraint. The engine's
-//! commitment counters are pinned at several thread counts.
+//! UCQs, and a base that already violates a constraint.
+//!
+//! The same walk holds the known-target filter ([`SplitDo::commitments`])
+//! to the unfiltered enumeration: the commitments it keeps come out in
+//! the same order, each one it drops is rejected by the definitional
+//! step, and the fresh values the dropped ones would have minted are
+//! accounted where they fall. Two systems pin its edges: one where
+//! whether a fact violates alone depends on a position other than the
+//! call's, and one whose facts carry two new calls, where it must not
+//! fire. The engine's commitment counters are pinned at several thread
+//! counts.
 
 use dcds_abstraction::{det_abstraction_traced, AbsOptions};
 use dcds_bench::{examples, synthetic};
-use dcds_core::commitment::instantiate;
-use dcds_core::det::{det_step_with_pre, DetState, SplitDo};
+use dcds_core::commitment::{fresh_cell_count, instantiate, CommitTarget};
+use dcds_core::det::{det_step_with_pre, DetState, SoloViolations, SplitDo};
 use dcds_core::{
     do_action, do_rows, enumerate_commitments, legal_sigmas, parse_dcds, Dcds, DcdsBuilder, DoRows,
     ServiceKind,
@@ -23,23 +32,35 @@ use dcds_core::{
 use dcds_folang::Constraint;
 use dcds_obs::{Obs, ObsConfig};
 use dcds_reldata::Value;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
+
+/// What [`screened_steps_agree`] saw.
+#[derive(Debug, Default)]
+struct Walked {
+    /// Commitments compared.
+    compared: usize,
+    /// Commitments the constraints rejected.
+    rejected: usize,
+    /// Commitments the known-target filter dropped.
+    dropped: usize,
+    /// Kept commitments that send a call to a known value.
+    kept_known: Vec<(dcds_core::ServiceCall, Value)>,
+}
 
 /// Walk up to `max_states` reachable states (one per isomorphism class)
-/// and compare the two steps on every commitment. Returns the number of
-/// commitments compared and how many the constraints rejected.
-fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> (usize, usize) {
+/// and compare the two steps on every commitment, and the filtered
+/// enumeration with the unfiltered one.
+fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> Walked {
     let rigid = dcds.rigid_constants();
+    let solo = SoloViolations::new(dcds, &rigid);
     let num_rels = dcds.data.schema.len();
     let mut pool = dcds.working_pool();
     let s0 = DetState::initial(dcds);
     let mut seen = HashSet::from([s0.to_facts(num_rels).canonical_key(&rigid)]);
     let mut queue = VecDeque::from([s0]);
-    let (mut compared, mut rejected) = (0, 0);
+    let mut walked = Walked::default();
     while let Some(state) = queue.pop_front() {
-        let mut known: BTreeSet<Value> = state.known_values();
-        known.extend(rigid.iter().copied());
-        let known: Vec<Value> = known.into_iter().collect();
+        let known = state.known_targets(&rigid);
         let mut rows = DoRows::default();
         for sigma in legal_sigmas(dcds, &state.instance).iter() {
             let pre = do_action(dcds, &state.instance, sigma.action, &sigma.assignment(dcds));
@@ -51,6 +72,12 @@ fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> (usize, usize) {
                 .filter(|c| !state.call_map.contains_key(c))
                 .collect();
             assert_eq!(split.new_calls(), new_calls.as_slice());
+            let filtered = split.commitments(dcds, &known, &solo);
+            let mut kept = filtered.kept.iter();
+            let mut next_kept = kept.next();
+            // Fresh values minted by dropped commitments since the last
+            // kept one, and the commitments dropped in this step.
+            let (mut skipped, mut step_dropped) = (0, 0);
             for commitment in enumerate_commitments(split.new_calls(), &known) {
                 let choice = instantiate(&commitment, &mut pool);
                 let want = det_step_with_pre(dcds, &state, &pre, &choice);
@@ -59,9 +86,30 @@ fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> (usize, usize) {
                     want,
                     "screened step differs on {commitment:?} from {state:?}"
                 );
-                compared += 1;
+                walked.compared += 1;
+                match next_kept {
+                    Some((mints, c)) if *c == commitment => {
+                        assert_eq!(*mints, skipped, "mints before {commitment:?}");
+                        skipped = 0;
+                        next_kept = kept.next();
+                        for (call, target) in &commitment {
+                            if let CommitTarget::Known(v) = target {
+                                walked.kept_known.push((call.clone(), *v));
+                            }
+                        }
+                    }
+                    _ => {
+                        assert!(
+                            want.is_none(),
+                            "the filter dropped {commitment:?} from {state:?}, which steps"
+                        );
+                        walked.dropped += 1;
+                        step_dropped += 1;
+                        skipped += fresh_cell_count(&commitment);
+                    }
+                }
                 let Some(next) = want else {
-                    rejected += 1;
+                    walked.rejected += 1;
                     continue;
                 };
                 if seen.len() < max_states
@@ -70,27 +118,36 @@ fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> (usize, usize) {
                     queue.push_back(next);
                 }
             }
+            assert_eq!(next_kept, None, "kept commitments out of order");
+            assert_eq!(filtered.dropped as usize, step_dropped);
+            assert_eq!(filtered.trailing_mints, skipped);
         }
     }
-    (compared, rejected)
+    walked
 }
 
 /// Both outcomes of the screen occur on the system.
-fn agrees_with_both_outcomes(dcds: &Dcds, max_states: usize) {
-    let (compared, rejected) = screened_steps_agree(dcds, max_states);
+fn agrees_with_both_outcomes(dcds: &Dcds, max_states: usize) -> Walked {
+    let walked = screened_steps_agree(dcds, max_states);
     assert!(
-        rejected > 0 && rejected < compared,
-        "{rejected} of {compared} commitments rejected"
+        walked.rejected > 0 && walked.rejected < walked.compared,
+        "{walked:?}"
     );
+    walked
 }
 
 #[test]
 fn collision_pairs_screen_like_the_full_step() {
-    // Sum of T(0..5) = 44 states; most commitments hit a rigid tag.
-    let (compared, rejected) = screened_steps_agree(&synthetic::collision_pairs(5), 100);
+    // Sum of T(0..5) = 44 states; most commitments hit a rigid tag, and
+    // the filter drops each of those before it is built.
+    let walked = screened_steps_agree(&synthetic::collision_pairs(5), 100);
     assert!(
-        compared > 100 && rejected * 2 > compared,
-        "{rejected} of {compared}"
+        walked.compared > 100 && walked.rejected * 2 > walked.compared,
+        "{walked:?}"
+    );
+    assert!(
+        walked.dropped > 0 && walked.dropped < walked.rejected,
+        "{walked:?}"
     );
 }
 
@@ -170,10 +227,64 @@ fn a_violating_base_rejects_every_commitment() {
 }
 
 #[test]
+fn the_filter_reads_every_position_of_a_fact() {
+    // `E(X, V) -> X = V | V != c`: `E(x, c)` violates alone unless
+    // `x = c`. So `f(a) ↦ c` is dropped before it is built, while
+    // `f(c) ↦ c` is kept and steps. A filter keyed only on (relation,
+    // position, constant) would drop both.
+    let dcds = DcdsBuilder::new()
+        .relation("P", 1)
+        .relation("E", 2)
+        .service("f", 1, ServiceKind::Deterministic)
+        .init_fact("P", &["a"])
+        .init_fact("P", &["c"])
+        .fo_constraint("forall X, V . E(X, V) -> X = V | V != c")
+        .action("go", &[], |a| {
+            a.effect("P(X)", "P(X), E(X, f(X))");
+        })
+        .rule("true", "go")
+        .build()
+        .unwrap();
+    let walked = agrees_with_both_outcomes(&dcds, 100);
+    assert!(walked.dropped > 0, "{walked:?}");
+    let c = dcds.data.pool.get("c").unwrap();
+    assert!(
+        walked
+            .kept_known
+            .iter()
+            .any(|(call, v)| *v == c && call.args == [c]),
+        "f(c) ↦ c must be kept: {walked:?}"
+    );
+}
+
+#[test]
+fn the_filter_ignores_a_fact_with_two_new_calls() {
+    // `E(f(x), g(x))` holds two new calls: whether it violates depends on
+    // both answers, so no single target is ruled out, and the screen
+    // alone rejects `g(x) ↦ c`.
+    let dcds = DcdsBuilder::new()
+        .relation("P", 1)
+        .relation("E", 2)
+        .service("f", 1, ServiceKind::Deterministic)
+        .service("g", 1, ServiceKind::Deterministic)
+        .init_fact("P", &["a"])
+        .fo_constraint("forall X, V . E(X, V) -> V != c")
+        .action("go", &[], |a| {
+            a.effect("P(X)", "P(X), E(f(X), g(X))");
+        })
+        .rule("true", "go")
+        .build()
+        .unwrap();
+    let walked = agrees_with_both_outcomes(&dcds, 100);
+    assert_eq!(walked.dropped, 0, "{walked:?}");
+}
+
+#[test]
 fn commitment_counters_are_thread_count_deterministic() {
-    // The family of the perfbench `det` workload: 2,357 step tasks, 2,006
-    // of them rejected by the constraints, at every thread count; and one
-    // sample per level of each phase timer.
+    // The family of the perfbench `det` workload: 2,357 commitments, 2,006
+    // of them rejected by the constraints, of which the known-target
+    // filter drops 1,800 before they are built: 557 step tasks, at every
+    // thread count; and one sample per level of each phase timer.
     let dcds = synthetic::collision_pairs(7);
     for threads in [1, 2, 4] {
         let opts = AbsOptions {
@@ -186,8 +297,13 @@ fn commitment_counters_are_thread_count_deterministic() {
         let counted = (
             m.counter("abs.commitments"),
             m.counter("abs.commitments_rejected"),
+            m.counter("abs.commitments_built"),
         );
-        assert_eq!(counted, (Some(2357), Some(2006)), "{threads} threads");
+        assert_eq!(
+            counted,
+            (Some(2357), Some(2006), Some(557)),
+            "{threads} threads"
+        );
         let levels = m.counter("abs.levels").unwrap();
         for timer in [
             "abs.screen_us",

@@ -72,6 +72,7 @@ const MC_PINS: &[(&str, [u64; 6])] = &[
     ("example_5_1", [6, 6, 0, 2, 1, 30]),
     ("service_cycle(6)@1500", [1296, 1500, 6, 2, 7, 34500]),
     ("collision_pairs(7)", [352, 352, 0, 3, 1, 2112]),
+    ("collision_pairs(8)", [1116, 1116, 0, 3, 1, 6696]),
     ("travel_request", [115, 230, 0, 6, 1, 1035]),
 ];
 
@@ -95,7 +96,10 @@ fn written_specs_measure_the_library_workloads() {
         if let Some(states) = row.expect.states {
             assert_eq!(want.1[0], ("states", states), "{}", row.name);
         }
-        if let Some((_, pin)) = MC_PINS.iter().find(|(name, _)| *name == row.name) {
+        let pin = MC_PINS.iter().find(|(name, _)| *name == row.name);
+        let explicit = row.expect.states.is_some();
+        assert_eq!(pin.is_some(), explicit, "{}: pinned iff explicit", row.name);
+        if let Some((_, pin)) = pin {
             let work: Vec<u64> = want.1[2..].iter().map(|&(_, v)| v).collect();
             assert_eq!(
                 work,
@@ -108,6 +112,6 @@ fn written_specs_measure_the_library_workloads() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 10, "every row but the shipped symbolic spec");
+    assert_eq!(checked, 11, "every row but the shipped symbolic spec");
     assert_eq!(pinned, MC_PINS.len(), "every explicit row is pinned");
 }

@@ -35,41 +35,106 @@ pub type Commitment = BTreeMap<ServiceCall, CommitTarget>;
 ///
 /// The count grows as `(|known| + ·)^|calls|`; callers bound `|calls|`.
 pub fn enumerate_commitments(calls: &[ServiceCall], known: &[Value]) -> Vec<Commitment> {
-    let mut out = Vec::new();
-    let mut acc: Vec<CommitTarget> = Vec::with_capacity(calls.len());
-    rec(calls, known, 0, 0, &mut acc, &mut out);
-    out
+    let none = vec![Vec::new(); calls.len()];
+    let kept = enumerate_commitments_except(calls, known, &none).kept;
+    kept.into_iter().map(|(_, c)| c).collect()
 }
 
-fn rec(
+/// The commitments of [`enumerate_commitments`] that send no call to a
+/// known value its caller has ruled out, and what the others would have
+/// cost. A dropped commitment is counted but never built.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Enumerated {
+    /// The kept commitments, in [`enumerate_commitments`]' order. Each
+    /// comes with the number of fresh values that the dropped commitments
+    /// since the previous kept one would have minted: [`instantiate`]ing
+    /// every commitment in order mints exactly what minting those first
+    /// and then instantiating the kept ones mints.
+    pub kept: Vec<(usize, Commitment)>,
+    /// The number of dropped commitments.
+    pub dropped: u64,
+    /// Fresh values the dropped commitments after the last kept one would
+    /// have minted.
+    pub trailing_mints: usize,
+}
+
+/// [`enumerate_commitments`] without the commitments that send a call
+/// `calls[i]` to `Known(v)` for some `v` in `ruled_out[i]`. A ruled-out
+/// target cuts its whole subtree of the enumeration, which is counted
+/// and never built. `Fresh` targets are never ruled out.
+pub fn enumerate_commitments_except(
     calls: &[ServiceCall],
     known: &[Value],
-    ix: usize,
-    next_cell: usize,
-    acc: &mut Vec<CommitTarget>,
-    out: &mut Vec<Commitment>,
-) {
-    if ix == calls.len() {
-        out.push(
-            calls
-                .iter()
-                .cloned()
-                .zip(acc.iter().copied())
-                .collect::<Commitment>(),
-        );
-        return;
+    ruled_out: &[Vec<Value>],
+) -> Enumerated {
+    debug_assert_eq!(calls.len(), ruled_out.len());
+    let mut walk = Walk {
+        calls,
+        known,
+        ruled_out,
+        acc: Vec::with_capacity(calls.len()),
+        pending_mints: 0,
+        out: Enumerated::default(),
+    };
+    walk.rec(0, 0);
+    walk.out.trailing_mints = walk.pending_mints;
+    walk.out
+}
+
+/// The restricted-growth walk of [`enumerate_commitments_except`].
+struct Walk<'a> {
+    calls: &'a [ServiceCall],
+    known: &'a [Value],
+    ruled_out: &'a [Vec<Value>],
+    acc: Vec<CommitTarget>,
+    /// Fresh values minted by dropped commitments since the last kept one.
+    pending_mints: usize,
+    out: Enumerated,
+}
+
+impl Walk<'_> {
+    fn rec(&mut self, ix: usize, next_cell: usize) {
+        if ix == self.calls.len() {
+            let commitment = self.calls.iter().cloned().zip(self.acc.iter().copied());
+            let mints = std::mem::take(&mut self.pending_mints);
+            self.out.kept.push((mints, commitment.collect()));
+            return;
+        }
+        for &v in self.known {
+            if self.ruled_out[ix].contains(&v) {
+                let (count, mints) =
+                    subtree(self.calls.len() - ix - 1, self.known.len(), next_cell);
+                self.out.dropped += count;
+                self.pending_mints += mints;
+                continue;
+            }
+            self.acc.push(CommitTarget::Known(v));
+            self.rec(ix + 1, next_cell);
+            self.acc.pop();
+        }
+        // Existing fresh cells, plus one new cell (restricted growth).
+        for cell in 0..=next_cell {
+            self.acc.push(CommitTarget::Fresh(cell));
+            self.rec(ix + 1, next_cell.max(cell + 1));
+            self.acc.pop();
+        }
     }
-    for &v in known {
-        acc.push(CommitTarget::Known(v));
-        rec(calls, known, ix + 1, next_cell, acc, out);
-        acc.pop();
+}
+
+/// The commitments of a subtree with `calls` calls left to decide and
+/// `next_cell` cells in use, and the fresh values they mint together.
+fn subtree(calls: usize, known: usize, next_cell: usize) -> (u64, usize) {
+    if calls == 0 {
+        return (1, next_cell);
     }
-    // Existing fresh cells, plus one new cell (restricted growth).
+    let (count, mints) = subtree(calls - 1, known, next_cell);
+    let (mut count, mut mints) = (count * known as u64, mints * known);
     for cell in 0..=next_cell {
-        acc.push(CommitTarget::Fresh(cell));
-        rec(calls, known, ix + 1, next_cell.max(cell + 1), acc, out);
-        acc.pop();
+        let (c, m) = subtree(calls - 1, known, next_cell.max(cell + 1));
+        count += c;
+        mints += m;
     }
+    (count, mints)
 }
 
 /// Number of fresh cells used by a commitment.
@@ -97,6 +162,15 @@ pub fn instantiate(c: &Commitment, pool: &mut ConstantPool) -> BTreeMap<ServiceC
             (call.clone(), v)
         })
         .collect()
+}
+
+/// Mint and drop `n` fresh values: what instantiating the dropped
+/// commitments of an [`Enumerated`] would have minted, so the pool moves
+/// exactly as it would without the filter.
+pub fn skip_mints(pool: &mut ConstantPool, n: usize) {
+    for _ in 0..n {
+        pool.mint("v");
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +257,50 @@ mod tests {
         assert_eq!(theta[&calls[0]], minted[1]);
         assert_eq!(theta[&calls[1]], known[0]);
         assert_eq!(theta[&calls[2]], minted[0]);
+    }
+
+    /// Fresh values `instantiate` mints for `cs`, in order.
+    fn mints(cs: &[Commitment]) -> usize {
+        cs.iter().map(fresh_cell_count).sum()
+    }
+
+    #[test]
+    fn ruled_out_targets_drop_their_subtrees_and_keep_the_mint_count() {
+        // Three calls against two known values: every combination of
+        // ruled-out targets keeps exactly the commitments that avoid them,
+        // in order, and accounts the dropped ones' mints between them.
+        let known = vals(2);
+        let calls = [call(0, &[]), call(1, &[]), call(2, &[])];
+        let full = enumerate_commitments(&calls, &known);
+        let subsets: Vec<Vec<Value>> = vec![vec![], vec![known[0]], vec![known[1]], known.clone()];
+        for r0 in &subsets {
+            for r2 in &subsets {
+                let ruled_out = vec![r0.clone(), vec![known[1]], r2.clone()];
+                let got = enumerate_commitments_except(&calls, &known, &ruled_out);
+                let allowed = |c: &Commitment| {
+                    calls
+                        .iter()
+                        .zip(&ruled_out)
+                        .all(|(call, out)| match c[call] {
+                            CommitTarget::Known(v) => !out.contains(&v),
+                            CommitTarget::Fresh(_) => true,
+                        })
+                };
+                let mut want = Vec::new();
+                let mut since_kept = Vec::new();
+                for c in &full {
+                    if allowed(c) {
+                        want.push((mints(&since_kept), c.clone()));
+                        since_kept.clear();
+                    } else {
+                        since_kept.push(c.clone());
+                    }
+                }
+                assert_eq!(got.kept, want, "{ruled_out:?}");
+                assert_eq!(got.dropped as usize, full.len() - want.len());
+                assert_eq!(got.trailing_mints, mints(&since_kept));
+            }
+        }
     }
 
     #[test]

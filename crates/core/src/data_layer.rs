@@ -21,6 +21,11 @@ pub struct DataLayer {
     pub fo_constraints: Vec<FoConstraint>,
     /// The initial instance `I₀`.
     pub initial: Instance,
+    /// The constants of the formula being checked. Footnote 2 assumes
+    /// w.l.o.g. that they appear in `I₀`; they are rigid without being
+    /// added to it, so the engines offer them as commitment targets and
+    /// every isomorphism fixes them.
+    pub formula_constants: BTreeSet<Value>,
 }
 
 impl DataLayer {
@@ -32,14 +37,18 @@ impl DataLayer {
             constraints: Vec::new(),
             fo_constraints: Vec::new(),
             initial,
+            formula_constants: BTreeSet::new(),
         }
     }
 
-    /// `ADOM(I₀)` — the *rigid* constants fixed pointwise by every
-    /// isomorphism/bisimulation in the framework. Constants mentioned in
-    /// formulas are assumed (w.l.o.g., footnote 2) to appear in `I₀`.
+    /// `ADOM(I₀)` and the formula's constants — the *rigid* constants
+    /// fixed pointwise by every isomorphism/bisimulation in the framework.
+    /// Constants mentioned in formulas are assumed (w.l.o.g., footnote 2)
+    /// to appear in `I₀`.
     pub fn rigid_constants(&self) -> BTreeSet<Value> {
-        self.initial.active_domain()
+        let mut rigid = self.initial.active_domain();
+        rigid.extend(self.formula_constants.iter().copied());
+        rigid
     }
 
     /// Every constraint of the layer: the equality constraints, then the
@@ -103,8 +112,12 @@ mod tests {
         let mut schema = Schema::new();
         let p = schema.add_relation("P", 1).unwrap();
         let a = pool.intern("a");
-        let _b = pool.intern("b");
-        let layer = DataLayer::new(pool, schema, Instance::from_facts([(p, Tuple::from([a]))]));
+        let b = pool.intern("b");
+        let mut layer = DataLayer::new(pool, schema, Instance::from_facts([(p, Tuple::from([a]))]));
         assert_eq!(layer.rigid_constants(), [a].into_iter().collect());
+        // A formula's constants are rigid too, without entering `I₀`.
+        layer.formula_constants.insert(b);
+        assert_eq!(layer.rigid_constants(), [a, b].into_iter().collect());
+        assert_eq!(layer.initial.len(), 1);
     }
 }

@@ -14,13 +14,16 @@
 //! system of Theorem 4.3 retains.
 
 use crate::action::ActionId;
-use crate::commitment::{enumerate_commitments, instantiate, Commitment};
+use crate::commitment::{
+    enumerate_commitments, enumerate_commitments_except, instantiate, Commitment, Enumerated,
+};
 use crate::dcds::Dcds;
 use crate::do_op::{do_action, legal_assignments, resolve_with_map, DoRows, DoTerm, PreInstance};
 use crate::term::ServiceCall;
 use dcds_folang::Assignment;
-use dcds_reldata::{ConstantPool, Facts, Instance, RelId, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use dcds_reldata::{ConstantPool, DenseCtx, Facts, Instance, RelId, Tuple, Value};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
 
 /// A state of the deterministic concrete transition system: `⟨I, M⟩`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,10 +54,35 @@ impl DetState {
         out
     }
 
+    /// The `Known` targets of an equality commitment from this state: its
+    /// known values ([`DetState::known_values`]) and the `rigid`
+    /// constants, ascending and without repeats.
+    pub fn known_targets(&self, rigid: &BTreeSet<Value>) -> Vec<Value> {
+        let len = self.instance.facts().map(|(_, t)| t.arity()).sum::<usize>()
+            + self
+                .call_map
+                .keys()
+                .map(|call| call.args.len() + 1)
+                .sum::<usize>()
+            + rigid.len();
+        let mut known: Vec<Value> = Vec::with_capacity(len);
+        known.extend(self.instance.facts().flat_map(|(_, t)| t.iter()));
+        for (call, result) in &self.call_map {
+            known.extend(call.args.iter().copied());
+            known.push(*result);
+        }
+        known.extend(rigid.iter().copied());
+        known.sort_unstable();
+        known.dedup();
+        known
+    }
+
     /// Encode the full state (instance + call map) as a colored fact set for
     /// isomorphism checking / canonicalisation. Relation facts keep their
     /// relation index as color; the entry `f(v₁..vₙ) ↦ r` becomes a fact of
-    /// color `num_rels + f` with tuple `(v₁..vₙ, r)`.
+    /// color `num_rels + f` with tuple `(v₁..vₙ, r)`. Both parts come in
+    /// ascending order (relation facts sorted, call-map entries by
+    /// function and then arguments), so they are stored as they come.
     pub fn to_facts(&self, num_rels: usize) -> Facts {
         let relational = self
             .instance
@@ -65,7 +93,27 @@ impl DetState {
             t.push(*result);
             ((num_rels + call.func.index()) as u32, Tuple::from(t))
         });
-        Facts::from_facts(relational.chain(calls))
+        Facts::from_sorted_facts(relational.chain(calls))
+    }
+
+    /// The dense form of [`DetState::to_facts`] over `rigid`, read from the
+    /// state without building the [`Facts`]: the same signature and
+    /// canonical key.
+    pub fn dense(&self, num_rels: usize, rigid: &BTreeSet<Value>) -> DenseCtx {
+        DenseCtx::from_sorted_facts(
+            || {
+                let relational = self
+                    .instance
+                    .facts()
+                    .map(|(rel, t)| (rel.index() as u32, t.values().iter().copied().chain(None)));
+                let calls = self.call_map.iter().map(|(call, result)| {
+                    let color = (num_rels + call.func.index()) as u32;
+                    (color, call.args.iter().copied().chain(Some(*result)))
+                });
+                relational.chain(calls)
+            },
+            rigid,
+        )
     }
 }
 
@@ -122,6 +170,146 @@ pub fn det_step_with_pre(
     })
 }
 
+/// Which single facts violate, on their own, a constraint that has a
+/// delta check, as a function of one new call's answer: decided once per
+/// fact *template* per run, and shared by every state and worker.
+///
+/// Such a constraint's violation is a positive join with row filters, so
+/// it is monotone: a fact that violates it alone violates it inside any
+/// instance. A commitment whose `Δ` would contain the fact is therefore
+/// rejected by [`SplitDo::screen`], and [`SplitDo::commitments`] need not
+/// build it. The constraints mention only rigid constants, so whether
+/// `R(t̄)` violates depends only on `R`, the rigid values of `t̄` and its
+/// equality pattern. A template is a call-bearing fact up to that: its
+/// relation, its rigid values, its other values by equality pattern and
+/// the positions of the call. One decision covers every answer: each rigid
+/// constant, each other value of the fact, and a value distinct from all
+/// of them.
+#[derive(Debug)]
+pub struct SoloViolations {
+    /// Sorted rigid constants.
+    rigid: Vec<Value>,
+    /// Whether any constraint has a delta check (else nothing is decided).
+    active: bool,
+    /// Template `[relation, code…]` → the answers that make the fact
+    /// violate. The call codes as [`SoloViolations::CALL`], a rigid value
+    /// as its index, any other value as `FREE` plus the first position it
+    /// takes in the tuple.
+    verdicts: Mutex<HashMap<Vec<u64>, Arc<Violating>>>,
+}
+
+/// The answers to a template's call that make its fact violate alone.
+#[derive(Debug)]
+struct Violating {
+    /// The rigid constants, sorted.
+    rigid: Vec<Value>,
+    /// Per non-rigid value at a position other than the call's, in order
+    /// of first occurrence: the answer equal to it.
+    other: Vec<bool>,
+    /// An answer equal to no rigid constant and no value of the fact.
+    distinct: bool,
+}
+
+impl SoloViolations {
+    /// Codes of non-rigid values start here, above every value index.
+    const FREE: u64 = 1 << 32;
+    /// The code of the call's positions.
+    const CALL: u64 = u64::MAX;
+
+    /// An empty memo over `rigid`, which must hold every constant of the
+    /// constraints ([`Dcds::rigid_constants`] does).
+    pub fn new(dcds: &Dcds, rigid: &BTreeSet<Value>) -> SoloViolations {
+        SoloViolations {
+            rigid: rigid.iter().copied().collect(),
+            active: dcds.data.all_constraints().any(|c| c.has_delta_check()),
+            verdicts: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Push onto `ruled_out` every value of `known` that, as the answer to
+    /// the one call of the fact `rel(terms)`, makes the fact violate alone.
+    fn rule_out(
+        &self,
+        dcds: &Dcds,
+        rel: RelId,
+        terms: &[DoTerm],
+        known: &[Value],
+        ruled_out: &mut Vec<Value>,
+    ) {
+        // The template's key, and the fact's non-rigid values in order of
+        // first occurrence.
+        let mut key = Vec::with_capacity(1 + terms.len());
+        let mut others: Vec<Value> = Vec::new();
+        key.push(rel.index() as u64);
+        for (p, t) in terms.iter().enumerate() {
+            key.push(match *t {
+                DoTerm::Call(_) => Self::CALL,
+                DoTerm::Val(v) if self.rigid.binary_search(&v).is_ok() => v.index() as u64,
+                DoTerm::Val(v) => {
+                    if !others.contains(&v) {
+                        others.push(v);
+                    }
+                    let first = terms.iter().position(|w| *w == DoTerm::Val(v));
+                    Self::FREE + first.unwrap_or(p) as u64
+                }
+            });
+        }
+        let violating = {
+            let mut verdicts = self
+                .verdicts
+                .lock()
+                .expect("no thread panics while it holds the template memo");
+            let entry = verdicts
+                .entry(key)
+                .or_insert_with(|| Arc::new(self.decide(dcds, rel, terms, &others)));
+            Arc::clone(entry)
+        };
+        for &v in known {
+            let violates = match self.rigid.binary_search(&v) {
+                Ok(_) => violating.rigid.binary_search(&v).is_ok(),
+                Err(_) => match others.iter().position(|&w| w == v) {
+                    Some(i) => violating.other[i],
+                    None => violating.distinct,
+                },
+            };
+            if violates && !ruled_out.contains(&v) {
+                ruled_out.push(v);
+            }
+        }
+    }
+
+    /// Decide a template on the fact `rel(terms)`, whose non-rigid values
+    /// are `others`: resolve its call to each candidate answer and check
+    /// the one-fact instance.
+    fn decide(&self, dcds: &Dcds, rel: RelId, terms: &[DoTerm], others: &[Value]) -> Violating {
+        let violates = |answer: Value| {
+            let vals: Vec<Value> = terms
+                .iter()
+                .map(|t| match *t {
+                    DoTerm::Val(v) => v,
+                    DoTerm::Call(_) => answer,
+                })
+                .collect();
+            let alone = Instance::from_facts([(rel, Tuple::from(vals))]);
+            dcds.data
+                .all_constraints()
+                .any(|c| c.has_delta_check() && !c.satisfied(&alone))
+        };
+        // A value above every value of the fact and every rigid constant.
+        let above = self.rigid.iter().chain(others).map(|v| v.index() + 1).max();
+        Violating {
+            rigid: self
+                .rigid
+                .iter()
+                .copied()
+                .filter(|&r| violates(r))
+                .collect(),
+            other: others.iter().map(|&w| violates(w)).collect(),
+            distinct: violates(Value::from_index(above.unwrap_or(0))),
+        }
+    }
+}
+
 /// `DO(I, ασ)` split once per `(⟨I, M⟩, ασ)` so that each equality
 /// commitment of its new calls is screened before its successor is built
 /// (the det abstraction's step). It is split from the [`DoRows`] of the
@@ -136,8 +324,13 @@ pub fn det_step_with_pre(
 ///   constraints are decided on the guard rows that use a `Δ` fact;
 /// * the new calls, in `CALLS` order, for the commitment enumeration.
 ///
-/// Only a commitment that passes the screen gets its instance `base ∪ Δ`,
-/// the full check of the remaining constraints and its call map
+/// A fact of `Δ` that holds one new call `c` and no other call already
+/// rules out targets: if the fact, with `c ↦ v`, violates such a
+/// constraint on its own ([`SoloViolations`]), then every commitment that
+/// sends `c` to `Known(v)` fails the screen, so [`SplitDo::commitments`]
+/// counts those commitments without building them. Only a commitment that
+/// is built and passes the screen gets its instance `base ∪ Δ`, the full
+/// check of the remaining constraints and its call map
 /// ([`SplitDo::materialise`]). [`SplitDo::step`] returns exactly what
 /// [`det_step_with_pre`] returns on [`do_action`]'s `DO(I, ασ)`, for a
 /// choice that answers the new calls.
@@ -209,6 +402,26 @@ impl SplitDo {
     /// The calls of `DO(I, ασ)` that `M` does not answer, in order.
     pub fn new_calls(&self) -> &[ServiceCall] {
         &self.new_calls
+    }
+
+    /// The equality commitments of the new calls against `known`, in
+    /// [`enumerate_commitments`]' order, without those that a single fact
+    /// of `Δ` rules out (see [`SoloViolations`]); those are only counted.
+    pub fn commitments(&self, dcds: &Dcds, known: &[Value], solo: &SoloViolations) -> Enumerated {
+        let mut ruled_out: Vec<Vec<Value>> = vec![Vec::new(); self.new_calls.len()];
+        if solo.active {
+            for (rel, terms) in &self.pending {
+                let mut calls = terms.iter().filter_map(|t| match *t {
+                    DoTerm::Call(c) => Some(c),
+                    DoTerm::Val(_) => None,
+                });
+                let c = calls.next().expect("a pending fact holds a new call");
+                if calls.all(|d| d == c) {
+                    solo.rule_out(dcds, *rel, terms, known, &mut ruled_out[c as usize]);
+                }
+            }
+        }
+        enumerate_commitments_except(&self.new_calls, known, &ruled_out)
     }
 
     /// Resolve the call-bearing facts under `choice` into `Δ`, and decide
@@ -301,9 +514,7 @@ pub fn det_successors_by_commitment(
             .into_iter()
             .filter(|c| !state.call_map.contains_key(c))
             .collect();
-        let mut known: BTreeSet<Value> = state.known_values();
-        known.extend(rigid.iter().copied());
-        let known: Vec<Value> = known.into_iter().collect();
+        let known = state.known_targets(&rigid);
         for commitment in enumerate_commitments(&new_calls, &known) {
             let choice = instantiate(&commitment, pool);
             if let Some(next) = det_step_with_pre(dcds, state, &pre, &choice) {
@@ -444,6 +655,52 @@ mod tests {
                 .find(|c| dcds.process.services.name(c.func) == "f")
                 .unwrap();
             assert_eq!(commitment[f_call], CommitTarget::Known(a));
+        }
+    }
+
+    #[test]
+    fn known_targets_are_the_known_values_and_the_rigid_constants() {
+        let dcds = example_4_1();
+        let alpha = dcds.action_id("alpha").unwrap();
+        let mut pool = dcds.working_pool();
+        let (b, c) = (pool.mint("v"), pool.mint("v"));
+        let s0 = DetState::initial(&dcds);
+        let pre = do_action(&dcds, &s0.instance, alpha, &Assignment::new());
+        let choice: BTreeMap<ServiceCall, Value> =
+            pre.calls().into_iter().map(|call| (call, b)).collect();
+        let s1 = det_step(&dcds, &s0, alpha, &Assignment::new(), &choice).unwrap();
+        let rigid: BTreeSet<Value> = [c].into_iter().collect();
+        let mut want = s1.known_values();
+        want.extend(&rigid);
+        assert_eq!(
+            s1.known_targets(&rigid),
+            want.into_iter().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn dense_form_equals_that_of_the_facts() {
+        // Along a few commitment successors of Example 4.1 (call maps
+        // included), the state's own dense form keys and signs exactly as
+        // the dense form of its `Facts` does.
+        let dcds = example_4_1();
+        let n = dcds.data.schema.len();
+        let rigid = dcds.rigid_constants();
+        let mut pool = dcds.working_pool();
+        let mut states = vec![DetState::initial(&dcds)];
+        for _ in 0..2 {
+            let next: Vec<DetState> = states
+                .iter()
+                .flat_map(|s| det_successors_by_commitment(&dcds, s, &mut pool))
+                .map(|(_, _, _, next)| next)
+                .collect();
+            states.extend(next);
+        }
+        assert!(states.len() > 10 && states.iter().any(|s| !s.call_map.is_empty()));
+        for s in &states {
+            let (own, via_facts) = (s.dense(n, &rigid), s.to_facts(n).dense(&rigid));
+            assert_eq!(own.signature(), via_facts.signature());
+            assert_eq!(own.canonical_key_stats(), via_facts.canonical_key_stats());
         }
     }
 

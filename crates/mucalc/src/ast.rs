@@ -203,6 +203,35 @@ impl Mu {
         }
     }
 
+    /// Every constant the formula mentions, in its query leaves and its
+    /// `LIVE` atoms.
+    pub fn constants(&self) -> BTreeSet<dcds_reldata::Value> {
+        let mut out = BTreeSet::new();
+        self.constants_rec(&mut out);
+        out
+    }
+
+    fn constants_rec(&self, out: &mut BTreeSet<dcds_reldata::Value>) {
+        match self {
+            Mu::Query(f) => out.extend(f.constants()),
+            Mu::Live(QTerm::Const(v)) => {
+                out.insert(*v);
+            }
+            Mu::Live(QTerm::Var(_)) | Mu::Pvar(_) => {}
+            Mu::Not(f)
+            | Mu::Diamond(f)
+            | Mu::Box_(f)
+            | Mu::Lfp(_, f)
+            | Mu::Gfp(_, f)
+            | Mu::Exists(_, f)
+            | Mu::Forall(_, f) => f.constants_rec(out),
+            Mu::And(f, g) | Mu::Or(f, g) | Mu::Implies(f, g) => {
+                f.constants_rec(out);
+                g.constants_rec(out);
+            }
+        }
+    }
+
     /// Free predicate variables.
     pub fn free_pred_vars(&self) -> BTreeSet<PredVar> {
         let mut out = BTreeSet::new();
@@ -400,6 +429,25 @@ mod tests {
         // live(X) & <> Stud(Y): X, Y free.
         let g = Mu::live("X").and(atom(&s, "Stud", "Y").diamond());
         assert_eq!(g.free_vars().len(), 2);
+    }
+
+    #[test]
+    fn constants_collected_from_leaves_and_live_atoms() {
+        let s = schema();
+        let mut pool = dcds_reldata::ConstantPool::new();
+        let (a, b, c) = (pool.intern("a"), pool.intern("b"), pool.intern("c"));
+        let stud = s.rel_id("Stud").unwrap();
+        let leaf = |v| Mu::Query(Formula::Atom(stud, vec![QTerm::Const(v)]));
+        // nu Z . (Stud(a) | live(b)) & [] <> Stud(c) & Z
+        let f = Mu::gfp(
+            "Z",
+            leaf(a)
+                .or(Mu::live_const(b))
+                .and(leaf(c).diamond().boxed())
+                .and(Mu::Pvar(PredVar::new("Z"))),
+        );
+        assert_eq!(f.constants(), [a, b, c].into_iter().collect());
+        assert!(atom(&s, "Stud", "X").constants().is_empty());
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 use crate::instance::{insert_sorted, sorted};
 use crate::{Instance, Tuple, Value};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// A set of colored tuples ("facts") over values.
@@ -56,10 +57,12 @@ pub struct Facts {
 ///
 /// It holds the sorted facts, each value written as its search code: a
 /// rigid value as its pool index, the `i`-th non-rigid value in canonical
-/// order as `FREE_BASE + i`.
+/// order as `FREE_BASE + i`. The facts are written one after another into
+/// one flat vector, each as its color, its arity and its codes, so the
+/// encoding is prefix-free: equal vectors are equal sorted fact lists.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonKey {
-    facts: Vec<(u32, Vec<u64>)>,
+    enc: Vec<u64>,
 }
 
 /// Search effort counters reported by [`Facts::canonical_key_stats`].
@@ -77,10 +80,23 @@ impl CanonKey {
     /// Number of distinct non-rigid values in the original fact set.
     pub fn var_count(&self) -> usize {
         let mut seen: BTreeSet<u64> = BTreeSet::new();
-        for (_, t) in &self.facts {
-            seen.extend(t.iter().copied().filter(|&code| code >= FREE_BASE));
+        let mut at = 0;
+        while at < self.enc.len() {
+            let codes = 2 + at..2 + at + self.enc[at + 1] as usize;
+            seen.extend(self.enc[codes.clone()].iter().filter(|&&c| c >= FREE_BASE));
+            at = codes.end;
         }
         seen.len()
+    }
+
+    /// The flat key of a sorted list of encoded facts.
+    fn flatten(facts: &[(u32, Vec<u64>)]) -> CanonKey {
+        let mut enc = Vec::with_capacity(facts.iter().map(|(_, t)| 2 + t.len()).sum());
+        for (c, t) in facts {
+            enc.extend([*c as u64, t.len() as u64]);
+            enc.extend_from_slice(t);
+        }
+        CanonKey { enc }
     }
 }
 
@@ -96,6 +112,14 @@ impl Facts {
         Facts {
             facts: sorted(facts.into_iter().collect()),
         }
+    }
+
+    /// Build from colored facts given in strictly ascending
+    /// `(color, tuple)` order: they are stored as they come.
+    pub fn from_sorted_facts(facts: impl IntoIterator<Item = (u32, Tuple)>) -> Self {
+        let facts: Vec<(u32, Tuple)> = facts.into_iter().collect();
+        debug_assert!(facts.windows(2).all(|w| w[0] < w[1]), "facts not ascending");
+        Facts { facts }
     }
 
     /// Insert a colored fact. Returns true if it was not already present.
@@ -134,6 +158,16 @@ impl Facts {
                 .map(|(rel, t)| (rel.index() as u32, t.clone()))
                 .collect(),
         }
+    }
+
+    /// The dense form of the fact set over `rigid`: one pass that maps its
+    /// values to slots, from which both [`DenseCtx::signature`] and
+    /// [`DenseCtx::canonical_key_stats`] are read.
+    pub fn dense(&self, rigid: &BTreeSet<Value>) -> DenseCtx {
+        DenseCtx::from_sorted_facts(
+            || self.iter().map(|(c, t)| (c, t.values().iter().copied())),
+            rigid,
+        )
     }
 
     /// All values occurring in the fact set.
@@ -235,72 +269,19 @@ impl Facts {
     /// written directly, the one leaf the search would reach, with the
     /// same stats (one order, no cutoff).
     pub fn canonical_key_stats(&self, rigid: &BTreeSet<Value>) -> (CanonKey, CanonStats) {
-        let (key, stats, _) = self.canonical_key_with(rigid, true);
-        (key, stats)
+        self.dense(rigid).canonical_key_stats()
     }
 
     /// [`Facts::canonical_key_stats`], plus whether the key was written
     /// without the search. `shortcut` off runs the search even where
     /// refinement is discrete (tests compare the two paths).
+    #[cfg(test)]
     pub(crate) fn canonical_key_with(
         &self,
         rigid: &BTreeSet<Value>,
         shortcut: bool,
     ) -> (CanonKey, CanonStats, bool) {
-        let ctx = DenseCtx::build(self, rigid);
-        let one_order = CanonStats {
-            orders_enumerated: 1,
-            prune_cutoffs: 0,
-        };
-        if ctx.free_slots.is_empty() {
-            // Every value is rigid: the encoding is forced.
-            return (
-                CanonKey {
-                    facts: ctx.encode(&[]),
-                },
-                one_order,
-                true,
-            );
-        }
-        let colors = ctx.refine();
-        // The free slots in class order. Class *order* is canonical because
-        // refined colors are computed from iso-invariant signatures; within
-        // a class the slots stay ascending.
-        let mut by_color: Vec<(u64, u32)> = ctx
-            .free_slots
-            .iter()
-            .map(|&s| (colors[s as usize], s))
-            .collect();
-        by_color.sort_unstable();
-        if shortcut && by_color.windows(2).all(|w| w[0].0 != w[1].0) {
-            // Discrete: the i-th class's slot gets canonical index i.
-            let mut assigned = vec![u32::MAX; ctx.adom.len()];
-            for (i, &(_, s)) in by_color.iter().enumerate() {
-                assigned[s as usize] = i as u32;
-            }
-            return (
-                CanonKey {
-                    facts: ctx.encode(&assigned),
-                },
-                one_order,
-                true,
-            );
-        }
-        let mut class_list: Vec<Vec<u32>> = Vec::new();
-        for (i, &(color, s)) in by_color.iter().enumerate() {
-            if i == 0 || by_color[i - 1].0 != color {
-                class_list.push(Vec::new());
-            }
-            class_list.last_mut().expect("pushed above").push(s);
-        }
-        let mut search = Search::new(&ctx, &class_list);
-        search.dfs(0);
-        let stats = CanonStats {
-            orders_enumerated: search.orders,
-            prune_cutoffs: search.cutoffs,
-        };
-        let best = search.best.expect("at least one ordering exists");
-        (CanonKey { facts: best }, stats, false)
+        self.dense(rigid).canonical_key_with(shortcut)
     }
 
     /// Reference implementation of the canonical key: enumerate *every*
@@ -315,9 +296,7 @@ impl Facts {
             .filter(|v| !rigid.contains(v))
             .collect();
         if free.is_empty() {
-            return CanonKey {
-                facts: encode_with(self, rigid, &BTreeMap::new()),
-            };
+            return CanonKey::flatten(&encode_with(self, rigid, &BTreeMap::new()));
         }
         let colors = refine_colors(self, rigid);
         let mut classes: BTreeMap<u64, Vec<Value>> = BTreeMap::new();
@@ -338,9 +317,7 @@ impl Facts {
                 _ => best = Some(enc),
             }
         });
-        CanonKey {
-            facts: best.expect("at least one ordering exists"),
-        }
+        CanonKey::flatten(&best.expect("at least one ordering exists"))
     }
 }
 
@@ -351,52 +328,224 @@ impl Facts {
 /// over the codes.
 const FREE_BASE: u64 = 1 << 32;
 
-/// Dense working form of a fact set: the active domain is mapped to slot
-/// indices `0..n` (in value order) once, so refinement and the order search
-/// run on flat vectors instead of `BTreeMap` lookups.
-struct DenseCtx {
-    /// Active domain, sorted; slot `s` is `adom[s]`.
-    adom: Vec<Value>,
-    /// Per slot: `Some(value code)` when the value is rigid.
-    rigid_code: Vec<Option<u64>>,
-    /// Facts with tuple positions rewritten to slots.
-    facts: Vec<(u32, Vec<u32>)>,
-    /// Per slot: every `(fact, position)` occurrence, in fact order.
-    occurrences: Vec<Vec<(u32, u32)>>,
-    /// Slots of non-rigid values, ascending.
-    free_slots: Vec<u32>,
+/// Dense working form of a fact set ([`Facts::dense`]): the active domain
+/// is mapped to slot indices `0..n` (in value order) once, and the facts,
+/// their slots and each slot's occurrence count are kept in one flat
+/// buffer, so the signature, refinement and the order search run on flat
+/// arrays instead of `BTreeMap` lookups. One context serves both the
+/// signature and the canonical key of a fact set; the per-slot occurrence
+/// lists, which only the key reads, are built on its first use.
+#[derive(Debug, Clone)]
+pub struct DenseCtx {
+    nfacts: usize,
+    npos: usize,
+    nslots: usize,
+    /// Where each section of `buf` after the colors starts: fact starts,
+    /// slots, values, occurrence starts, rigid flags.
+    at: [usize; 5],
+    /// Back to back: per fact its color, per fact where its slots start in
+    /// the slots (then one end marker), every fact's positions as slots,
+    /// per slot its value's index, per slot where its occurrences start
+    /// (then one end marker), and per slot whether its value is rigid.
+    buf: Vec<u32>,
+    /// Per slot, its `(fact, position)` occurrences in fact order, slot
+    /// after slot (indexed like the occurrence starts).
+    occ: OnceCell<Vec<(u32, u32)>>,
 }
 
 impl DenseCtx {
-    fn build(facts: &Facts, rigid: &BTreeSet<Value>) -> Self {
-        let adom: Vec<Value> = facts.active_domain().into_iter().collect();
-        let nslots = adom.len();
-        let mut dense: Vec<(u32, Vec<u32>)> = Vec::with_capacity(facts.len());
-        let mut occurrences: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nslots];
-        for (fi, (c, t)) in facts.iter().enumerate() {
-            let slots: Vec<u32> = t
-                .iter()
-                .map(|v| adom.binary_search(&v).expect("adom value") as u32)
-                .collect();
-            for (pos, &s) in slots.iter().enumerate() {
-                occurrences[s as usize].push((fi as u32, pos as u32));
+    /// The dense form of the fact set whose facts `facts()` yields in
+    /// ascending `(color, tuple)` order without repeats, each as its color
+    /// and its values: what [`Facts::dense`] builds, for a caller that
+    /// holds the facts in another form. `facts` is called twice, once to
+    /// size the buffer and once to fill it.
+    pub fn from_sorted_facts<I, V>(facts: impl Fn() -> I, rigid: &BTreeSet<Value>) -> DenseCtx
+    where
+        I: Iterator<Item = (u32, V)>,
+        V: Iterator<Item = Value>,
+    {
+        let (mut nfacts, mut npos) = (0, 0);
+        for (_, values) in facts() {
+            nfacts += 1;
+            npos += values.count();
+        }
+        // Room for every section with as many slots as positions.
+        let mut buf = vec![0u32; nfacts];
+        buf.reserve(nfacts + 1 + 4 * npos + 1);
+        // Every position as `value << 32 | position`: sorted, the
+        // positions of one value form a run, one run per slot in value
+        // order.
+        let mut keyed: Vec<u64> = Vec::with_capacity(npos);
+        for (f, (c, values)) in facts().enumerate() {
+            buf[f] = c;
+            buf.push(keyed.len() as u32);
+            for v in values {
+                keyed.push((v.index() as u64) << 32 | keyed.len() as u64);
             }
-            dense.push((c, slots));
         }
-        let rigid_code: Vec<Option<u64>> = adom
-            .iter()
-            .map(|v| rigid.contains(v).then_some(v.index() as u64))
-            .collect();
-        let free_slots: Vec<u32> = (0..nslots as u32)
-            .filter(|&s| rigid_code[s as usize].is_none())
-            .collect();
+        debug_assert_eq!(keyed.len(), npos, "`facts` yields the same facts twice");
+        buf.push(npos as u32);
+        keyed.sort_unstable();
+        let value_of = |k: u64| (k >> 32) as u32;
+        let nslots = usize::from(npos > 0)
+            + keyed
+                .windows(2)
+                .filter(|w| value_of(w[0]) != value_of(w[1]))
+                .count();
+        let slots_at = buf.len();
+        let values_at = slots_at + npos;
+        let occ_at = values_at + nslots;
+        let rigid_at = occ_at + nslots + 1;
+        buf.resize(rigid_at + nslots, 0);
+        let mut slot = usize::MAX;
+        for (i, &k) in keyed.iter().enumerate() {
+            if i == 0 || value_of(keyed[i - 1]) != value_of(k) {
+                slot = slot.wrapping_add(1);
+                buf[values_at + slot] = value_of(k);
+                buf[occ_at + slot] = i as u32;
+            }
+            buf[slots_at + (k as u32) as usize] = slot as u32;
+        }
+        buf[occ_at + nslots] = npos as u32;
+        // Both sides are sorted: one merge finds the rigid slots.
+        let value = |buf: &[u32], s: usize| Value::from_index(buf[values_at + s] as usize);
+        let mut rigid_in = if nslots == 0 {
+            rigid.range(..)
+        } else {
+            rigid.range(value(&buf, 0)..=value(&buf, nslots - 1))
+        }
+        .peekable();
+        for s in 0..nslots {
+            let v = value(&buf, s);
+            while rigid_in.next_if(|&&r| r < v).is_some() {}
+            buf[rigid_at + s] = u32::from(rigid_in.next_if_eq(&&v).is_some());
+        }
         DenseCtx {
-            adom,
-            rigid_code,
-            facts: dense,
-            occurrences,
-            free_slots,
+            nfacts,
+            npos,
+            nslots,
+            at: [nfacts, slots_at, values_at, occ_at, rigid_at],
+            buf,
+            occ: OnceCell::new(),
         }
+    }
+
+    /// Number of facts.
+    pub(crate) fn nfacts(&self) -> usize {
+        self.nfacts
+    }
+
+    /// Number of slots: the size of the active domain.
+    pub(crate) fn nslots(&self) -> usize {
+        self.nslots
+    }
+
+    /// The color of fact `f`.
+    pub(crate) fn color(&self, f: usize) -> u32 {
+        self.buf[f]
+    }
+
+    /// Fact `f`: its color and its slots.
+    pub(crate) fn fact(&self, f: usize) -> (u32, &[u32]) {
+        let [fact_start, slots, ..] = self.at;
+        let (from, to) = (self.buf[fact_start + f], self.buf[fact_start + f + 1]);
+        (
+            self.buf[f],
+            &self.buf[slots + from as usize..slots + to as usize],
+        )
+    }
+
+    /// The value of slot `s`.
+    pub(crate) fn value(&self, s: usize) -> Value {
+        Value::from_index(self.buf[self.at[2] + s] as usize)
+    }
+
+    /// Slot `s`'s code when its value is rigid: the value's index.
+    pub(crate) fn rigid_code(&self, s: usize) -> Option<u64> {
+        let [.., rigid] = self.at;
+        (self.buf[rigid + s] != 0).then(|| self.value(s).index() as u64)
+    }
+
+    /// Where slot `s`'s occurrences lie in the list of every position
+    /// sorted by slot.
+    fn occ_range(&self, s: usize) -> std::ops::Range<usize> {
+        let at = self.at[3] + s;
+        self.buf[at] as usize..self.buf[at + 1] as usize
+    }
+
+    /// How many positions hold slot `s`'s value.
+    pub(crate) fn occ_count(&self, s: usize) -> usize {
+        self.occ_range(s).len()
+    }
+
+    /// Every `(fact, position)` occurrence of slot `s`, in fact order.
+    pub(crate) fn occurrences(&self, s: usize) -> &[(u32, u32)] {
+        let occ = self.occ.get_or_init(|| {
+            let mut cursor: Vec<usize> =
+                (0..self.nslots).map(|s| self.occ_range(s).start).collect();
+            let mut occ = vec![(0u32, 0u32); self.npos];
+            for f in 0..self.nfacts {
+                for (p, &slot) in self.fact(f).1.iter().enumerate() {
+                    occ[cursor[slot as usize]] = (f as u32, p as u32);
+                    cursor[slot as usize] += 1;
+                }
+            }
+            occ
+        });
+        &occ[self.occ_range(s)]
+    }
+
+    /// The canonical key of the fact set ([`Facts::canonical_key_stats`])
+    /// from this context.
+    pub fn canonical_key_stats(&self) -> (CanonKey, CanonStats) {
+        let (key, stats, _) = self.canonical_key_with(true);
+        (key, stats)
+    }
+
+    /// [`DenseCtx::canonical_key_stats`], plus whether the key was written
+    /// without the search. `shortcut` off runs the search even where
+    /// refinement is discrete (tests compare the two paths).
+    fn canonical_key_with(&self, shortcut: bool) -> (CanonKey, CanonStats, bool) {
+        let one_order = CanonStats {
+            orders_enumerated: 1,
+            prune_cutoffs: 0,
+        };
+        if (0..self.nslots).all(|s| self.rigid_code(s).is_some()) {
+            // Every value is rigid: the encoding is forced.
+            return (self.encode(&[]), one_order, true);
+        }
+        let colors = self.refine();
+        // The free slots in class order. Class *order* is canonical because
+        // refined colors are computed from iso-invariant signatures; within
+        // a class the slots stay ascending.
+        let mut by_color: Vec<(u64, u32)> = (0..self.nslots as u32)
+            .filter(|&s| self.rigid_code(s as usize).is_none())
+            .map(|s| (colors[s as usize], s))
+            .collect();
+        by_color.sort_unstable();
+        if shortcut && by_color.windows(2).all(|w| w[0].0 != w[1].0) {
+            // Discrete: the i-th class's slot gets canonical index i.
+            let mut assigned = vec![u32::MAX; self.nslots];
+            for (i, &(_, s)) in by_color.iter().enumerate() {
+                assigned[s as usize] = i as u32;
+            }
+            return (self.encode(&assigned), one_order, true);
+        }
+        let mut class_list: Vec<Vec<u32>> = Vec::new();
+        for (i, &(color, s)) in by_color.iter().enumerate() {
+            if i == 0 || by_color[i - 1].0 != color {
+                class_list.push(Vec::new());
+            }
+            class_list.last_mut().expect("pushed above").push(s);
+        }
+        let mut search = Search::new(self, &class_list);
+        search.dfs(0);
+        let stats = CanonStats {
+            orders_enumerated: search.orders,
+            prune_cutoffs: search.cutoffs,
+        };
+        let best = search.best.expect("at least one ordering exists");
+        (CanonKey::flatten(&best), stats, false)
     }
 
     /// Per slot: the deduplicated indices of the facts it occurs in. Only
@@ -404,10 +553,9 @@ impl DenseCtx {
     /// derived from the occurrences when a search starts, never on a key
     /// that refinement already made discrete.
     fn slot_facts(&self) -> Vec<Vec<u32>> {
-        self.occurrences
-            .iter()
-            .map(|occ| {
-                let mut facts: Vec<u32> = occ.iter().map(|&(f, _)| f).collect();
+        (0..self.nslots)
+            .map(|s| {
+                let mut facts: Vec<u32> = self.occurrences(s).iter().map(|&(f, _)| f).collect();
                 facts.dedup();
                 facts
             })
@@ -421,9 +569,9 @@ impl DenseCtx {
     /// adds no color. The last round's colors are returned; their values fix
     /// the canonical class order.
     fn refine(&self) -> Vec<u64> {
-        let n = self.adom.len();
+        let n = self.nslots;
         let mut colors: Vec<u64> = (0..n)
-            .map(|s| match self.rigid_code[s] {
+            .map(|s| match self.rigid_code(s) {
                 // Rigid values are distinguishable by identity.
                 Some(code) => hash2(1, code),
                 None => hash2(2, 0),
@@ -446,9 +594,9 @@ impl DenseCtx {
                 // Signature: multiset of (color, position, colors of
                 // co-occurring values) over the facts containing the slot.
                 sig.clear();
-                for &(f, pos) in &self.occurrences[s] {
-                    let (c, slots) = &self.facts[f as usize];
-                    let mut h = hash2(*c as u64, pos as u64);
+                for &(f, pos) in self.occurrences(s) {
+                    let (c, slots) = self.fact(f as usize);
+                    let mut h = hash2(c as u64, pos as u64);
                     for &x in slots {
                         h = hash2(h, colors[x as usize]);
                     }
@@ -471,21 +619,47 @@ impl DenseCtx {
         colors
     }
 
-    /// The sorted encoding of the facts under a complete order: a rigid
-    /// slot by its code, a free slot `s` by `FREE_BASE + assigned[s]`.
-    fn encode(&self, assigned: &[u32]) -> Vec<(u32, Vec<u64>)> {
-        let mut enc: Vec<(u32, Vec<u64>)> = self
-            .facts
+    /// The code of slot `s` under an order: a rigid slot's own code, a free
+    /// slot's `FREE_BASE + assigned[s]`.
+    fn code(&self, assigned: &[u32], s: u32) -> u64 {
+        match self.rigid_code(s as usize) {
+            Some(rc) => rc,
+            None => FREE_BASE + assigned[s as usize] as u64,
+        }
+    }
+
+    /// The key of a complete order, written flat: the facts' codes in one
+    /// buffer, the facts sorted by `(color, codes)`, and each written as
+    /// [`CanonKey::flatten`] writes it.
+    fn encode(&self, assigned: &[u32]) -> CanonKey {
+        let [fact_start, slots, values, ..] = self.at;
+        let codes: Vec<u64> = self.buf[slots..values]
             .iter()
-            .map(|(c, slots)| {
-                let vals = slots
-                    .iter()
-                    .map(|&s| match self.rigid_code[s as usize] {
-                        Some(rc) => rc,
-                        None => FREE_BASE + assigned[s as usize] as u64,
-                    })
-                    .collect();
-                (*c, vals)
+            .map(|&s| self.code(assigned, s))
+            .collect();
+        let coded = |f: u32| {
+            let f = f as usize;
+            let range = self.buf[fact_start + f] as usize..self.buf[fact_start + f + 1] as usize;
+            (self.color(f), &codes[range])
+        };
+        let mut order: Vec<u32> = (0..self.nfacts() as u32).collect();
+        order.sort_unstable_by(|&a, &b| coded(a).cmp(&coded(b)));
+        let mut enc = Vec::with_capacity(codes.len() + 2 * order.len());
+        for f in order {
+            let (c, t) = coded(f);
+            enc.extend([c as u64, t.len() as u64]);
+            enc.extend_from_slice(t);
+        }
+        CanonKey { enc }
+    }
+
+    /// The sorted encoding of the facts under a complete order, fact by
+    /// fact, as the order search compares it.
+    fn encode_list(&self, assigned: &[u32]) -> Vec<(u32, Vec<u64>)> {
+        let mut enc: Vec<(u32, Vec<u64>)> = (0..self.nfacts())
+            .map(|f| {
+                let (c, slots) = self.fact(f);
+                (c, slots.iter().map(|&s| self.code(assigned, s)).collect())
             })
             .collect();
         enc.sort();
@@ -495,7 +669,7 @@ impl DenseCtx {
     /// Identity labeling of a slot: rigid values by their code, free slots by
     /// `FREE_BASE + slot`. Used for automorphism membership tests.
     fn identity_code(&self, s: u32) -> u64 {
-        self.rigid_code[s as usize].unwrap_or(FREE_BASE + s as u64)
+        self.rigid_code(s as usize).unwrap_or(FREE_BASE + s as u64)
     }
 }
 
@@ -533,21 +707,19 @@ impl<'a> Search<'a> {
                 class_of_pos.push(ci as u32);
             }
         }
-        let identity: HashSet<(u32, Vec<u64>)> = ctx
-            .facts
-            .iter()
-            .map(|(c, slots)| {
-                let key = slots.iter().map(|&s| ctx.identity_code(s)).collect();
-                (*c, key)
+        let identity: HashSet<(u32, Vec<u64>)> = (0..ctx.nfacts())
+            .map(|f| {
+                let (c, slots) = ctx.fact(f);
+                (c, slots.iter().map(|&s| ctx.identity_code(s)).collect())
             })
             .collect();
-        let nfacts = ctx.facts.len();
+        let nfacts = ctx.nfacts();
         Search {
             ctx,
             class_slots,
             class_of_pos,
             nfree,
-            assigned: vec![u32::MAX; ctx.adom.len()],
+            assigned: vec![u32::MAX; ctx.nslots()],
             best: None,
             orders: 0,
             cutoffs: 0,
@@ -610,7 +782,7 @@ impl<'a> Search<'a> {
     /// the historical enumerator).
     fn leaf(&mut self) {
         self.orders += 1;
-        let enc = self.ctx.encode(&self.assigned);
+        let enc = self.ctx.encode_list(&self.assigned);
         match &self.best {
             Some(b) if *b <= enc => {}
             _ => self.best = Some(enc),
@@ -641,14 +813,14 @@ impl<'a> Search<'a> {
             None => return false,
         };
         let bound = FREE_BASE + k as u64;
-        let nfacts = ctx.facts.len();
+        let nfacts = ctx.nfacts();
         for i in 0..nfacts {
-            let (_, slots) = &ctx.facts[i];
+            let (_, slots) = ctx.fact(i);
             let buf = &mut enc_buf[i];
             buf.clear();
             let mut determined = true;
             for &s in slots {
-                let code = match ctx.rigid_code[s as usize] {
+                let code = match ctx.rigid_code(s as usize) {
                     Some(rc) => rc,
                     None => {
                         let a = assigned[s as usize];
@@ -690,11 +862,11 @@ impl<'a> Search<'a> {
             }
         }
         det.sort_unstable_by(|&a, &b| {
-            (ctx.facts[a as usize].0, &enc_buf[a as usize])
-                .cmp(&(ctx.facts[b as usize].0, &enc_buf[b as usize]))
+            (ctx.color(a as usize), &enc_buf[a as usize])
+                .cmp(&(ctx.color(b as usize), &enc_buf[b as usize]))
         });
         for (ix, &fi) in det.iter().enumerate() {
-            let p = (ctx.facts[fi as usize].0, &enc_buf[fi as usize]);
+            let p = (ctx.color(fi as usize), &enc_buf[fi as usize]);
             let b = (best[ix].0, &best[ix].1);
             match p.cmp(&b) {
                 std::cmp::Ordering::Less => return false,
@@ -710,7 +882,7 @@ impl<'a> Search<'a> {
             return false;
         }
         let b_next = (best[p_len].0, &best[p_len].1);
-        let l_item = (ctx.facts[l].0, &enc_buf[l]);
+        let l_item = (ctx.color(l), &enc_buf[l]);
         b_next < l_item
     }
 
@@ -720,7 +892,7 @@ impl<'a> Search<'a> {
         let ctx = self.ctx;
         for list in [&self.slot_facts[v as usize], &self.slot_facts[w as usize]] {
             for &fi in list.iter() {
-                let (c, slots) = &ctx.facts[fi as usize];
+                let (c, slots) = ctx.fact(fi as usize);
                 let key: Vec<u64> = slots
                     .iter()
                     .map(|&s| {
@@ -734,7 +906,7 @@ impl<'a> Search<'a> {
                         ctx.identity_code(s2)
                     })
                     .collect();
-                if !self.identity.contains(&(*c, key)) {
+                if !self.identity.contains(&(c, key)) {
                     return false;
                 }
             }
@@ -745,7 +917,7 @@ impl<'a> Search<'a> {
 
 #[inline]
 fn fact_lt(ctx: &DenseCtx, enc_buf: &[Vec<u64>], i: usize, j: usize) -> bool {
-    (ctx.facts[i].0, &enc_buf[i]) < (ctx.facts[j].0, &enc_buf[j])
+    (ctx.color(i), &enc_buf[i]) < (ctx.color(j), &enc_buf[j])
 }
 
 /// Enumerate all orderings of the free values that respect the class
@@ -821,12 +993,10 @@ fn encode_with(
 /// get a color derived from their identity. Thin map-building wrapper over
 /// the dense [`DenseCtx::refine`] kernel.
 fn refine_colors(facts: &Facts, rigid: &BTreeSet<Value>) -> BTreeMap<Value, u64> {
-    let ctx = DenseCtx::build(facts, rigid);
+    let ctx = facts.dense(rigid);
     let colors = ctx.refine();
-    ctx.adom
-        .iter()
-        .enumerate()
-        .map(|(s, &v)| (v, colors[s]))
+    (0..ctx.nslots())
+        .map(|s| (ctx.value(s), colors[s]))
         .collect()
 }
 

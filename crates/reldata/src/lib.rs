@@ -34,7 +34,7 @@ pub mod value;
 pub use arena::{FactId, TupleArena};
 pub use display::{FactsDisplay, InstanceDisplay};
 pub use instance::Instance;
-pub use iso::{CanonKey, CanonStats, Facts};
+pub use iso::{CanonKey, CanonStats, DenseCtx, Facts};
 pub use schema::{RelId, RelSchema, Schema};
 pub use store::{FactsView, Inserted, StateRef, StateStore, StoreStats, MAX_DELTA_DEPTH};
 pub use tuple::Tuple;

@@ -28,44 +28,49 @@
 //! exploit: an empty signature bucket proves the class is new without ever
 //! canonicalising it.
 //!
-//! The signature is computed from scratch in two passes over the facts
-//! (count occurrences, then fold). It is the prefilter of
-//! [`Facts::isomorphism`] and the bucket key of the deterministic
-//! abstraction's class index.
+//! The signature is read from the fact set's dense form
+//! ([`Facts::dense`]): the per-slot occurrence counts are the lengths of
+//! its occurrence lists, so one pass that builds the context serves both
+//! the signature and, when one is needed, the canonical key. It is the
+//! prefilter of [`Facts::isomorphism`] and the bucket key of the
+//! deterministic abstraction's class index.
 
-use crate::iso::hash2;
+use crate::iso::{hash2, DenseCtx};
 use crate::{Facts, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 impl Facts {
     /// The order-invariant 64-bit signature of this fact set with respect
-    /// to `rigid`.
+    /// to `rigid` ([`DenseCtx::signature`] of [`Facts::dense`]).
     ///
     /// Guarantee: `a.isomorphic(&b, rigid)` implies
     /// `a.signature(rigid) == b.signature(rigid)`. The converse does not
     /// hold in general; confirm equal signatures with an exact check.
     pub fn signature(&self, rigid: &BTreeSet<Value>) -> u64 {
-        // Global occurrence count of each value over all (fact, position)
-        // slots — invariant under any renaming bijection.
-        let mut occ: BTreeMap<Value, u64> = BTreeMap::new();
-        for (_, t) in self.iter() {
-            for v in t.iter() {
-                *occ.entry(v).or_insert(0) += 1;
-            }
-        }
-        let mut total: u64 = hash2(0x5157, self.len() as u64);
-        total = total.wrapping_add(hash2(0x51c2, occ.len() as u64));
-        for (c, t) in self.iter() {
-            let mut h = hash2(c as u64 + 1, t.arity() as u64);
-            for (p, v) in t.iter().enumerate() {
-                let contrib = if rigid.contains(&v) {
-                    hash2(1, v.index() as u64)
-                } else {
-                    // First position of `v` inside this tuple: captures the
-                    // equality pattern among the tuple's components without
-                    // referencing the value's identity.
-                    let first = t.iter().position(|w| w == v).unwrap_or(p);
-                    hash2(2, hash2(occ[&v], first as u64))
+        self.dense(rigid).signature()
+    }
+}
+
+impl DenseCtx {
+    /// The signature of the fact set this context was built from (see the
+    /// module docs for what it folds).
+    pub fn signature(&self) -> u64 {
+        let mut total: u64 = hash2(0x5157, self.nfacts() as u64);
+        total = total.wrapping_add(hash2(0x51c2, self.nslots() as u64));
+        for f in 0..self.nfacts() {
+            let (c, slots) = self.fact(f);
+            let mut h = hash2(c as u64 + 1, slots.len() as u64);
+            for (p, &s) in slots.iter().enumerate() {
+                let contrib = match self.rigid_code(s as usize) {
+                    Some(code) => hash2(1, code),
+                    None => {
+                        // Global occurrence count, and the first position
+                        // of the value inside this tuple: the equality
+                        // pattern among the tuple's components, without
+                        // the value's identity.
+                        let first = slots.iter().position(|&w| w == s).unwrap_or(p);
+                        hash2(2, hash2(self.occ_count(s as usize) as u64, first as u64))
+                    }
                 };
                 h = hash2(h, hash2(p as u64, contrib));
             }
@@ -80,6 +85,75 @@ impl Facts {
 mod tests {
     use super::*;
     use crate::{ConstantPool, Tuple};
+    use std::collections::BTreeMap;
+
+    /// The signature written over the facts themselves: count each value's
+    /// occurrences, then fold. The dense signature must give the same
+    /// value on every fact set.
+    fn reference_signature(facts: &Facts, rigid: &BTreeSet<Value>) -> u64 {
+        let mut occ: BTreeMap<Value, u64> = BTreeMap::new();
+        for (_, t) in facts.iter() {
+            for v in t.iter() {
+                *occ.entry(v).or_insert(0) += 1;
+            }
+        }
+        let mut total: u64 = hash2(0x5157, facts.len() as u64);
+        total = total.wrapping_add(hash2(0x51c2, occ.len() as u64));
+        for (c, t) in facts.iter() {
+            let mut h = hash2(c as u64 + 1, t.arity() as u64);
+            for (p, v) in t.iter().enumerate() {
+                let contrib = if rigid.contains(&v) {
+                    hash2(1, v.index() as u64)
+                } else {
+                    let first = t.iter().position(|w| w == v).unwrap_or(p);
+                    hash2(2, hash2(occ[&v], first as u64))
+                };
+                h = hash2(h, hash2(p as u64, contrib));
+            }
+            total = total.wrapping_add(hash2(h, 0x57a7));
+        }
+        total
+    }
+
+    #[test]
+    fn dense_signature_equals_the_reference() {
+        // Every fact set over four values, two colours and arities 0..=2
+        // with up to three facts (a sample of the third), under three
+        // rigid sets.
+        let mut pool = ConstantPool::new();
+        let v = vals(&mut pool, &["a", "b", "c", "d"]);
+        let mut candidates = vec![(0u32, Tuple::unit()), (1, Tuple::unit())];
+        for c in 0..2u32 {
+            for &x in &v {
+                candidates.push((c, Tuple::from([x])));
+                for &y in &v {
+                    candidates.push((c, Tuple::from([x, y])));
+                }
+            }
+        }
+        let rigids: Vec<BTreeSet<Value>> = vec![
+            BTreeSet::new(),
+            [v[0]].into_iter().collect(),
+            [v[0], v[2]].into_iter().collect(),
+        ];
+        let mut checked = 0;
+        for i in 0..candidates.len() {
+            for j in i..candidates.len() {
+                for k in (j..candidates.len()).step_by(7) {
+                    let f = Facts::from_facts([i, j, k].map(|ix| candidates[ix].clone()));
+                    for rigid in &rigids {
+                        assert_eq!(f.signature(rigid), reference_signature(&f, rigid), "{f:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 5_000, "{checked}");
+        assert_eq!(
+            Facts::new().signature(&BTreeSet::new()),
+            reference_signature(&Facts::new(), &BTreeSet::new())
+        );
+    }
 
     fn vals(pool: &mut ConstantPool, names: &[&str]) -> Vec<Value> {
         names.iter().map(|n| pool.intern(n)).collect()

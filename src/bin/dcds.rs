@@ -65,11 +65,17 @@
 //!
 //! Scripting/CI contract: **0** — the property holds on a complete
 //! abstraction; **1** — the property is violated on a complete abstraction;
-//! **2** — inconclusive (the state budget was hit, or RCYCL skipped a step
-//! over its per-step evaluation budget, so the abstraction is truncated
-//! and no verdict is drawn: `verdict: inconclusive (…)` in text,
-//! `"verdict":null` with a `"reason"` in JSON). Errors exit 2 (usage) or
+//! **2** — inconclusive: the state budget was hit, or RCYCL skipped a step
+//! over its per-step evaluation budget, so the abstraction is truncated;
+//! or the formula is outside the fragment the abstraction preserves (the
+//! deterministic abstraction µLA, Thm 4.2–4.4; RCYCL µLP, Thm 5.3–5.4).
+//! No verdict is drawn: `verdict: inconclusive (…)` in text,
+//! `"verdict":null` with a `"reason"` in JSON. Errors exit 2 (usage) or
 //! 3 (run time), never 1, so a script can tell them from a violation.
+//!
+//! The formula's constants are the spec's: a constant the spec never
+//! mentions is interned into the spec's pool and, like the spec's own,
+//! rigid (footnote 2 of the paper assumes them in `I₀`).
 //!
 //! `--engine symbolic` keeps the same contract but decides AG/EF safety
 //! properties by regression-based backward reachability, with no
@@ -101,7 +107,8 @@ use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
 use dcds_verify::mucalc::{
-    check_traced, classify, diagnostics, ensure_closed, parse_mu, McCounters, McOptions, SafetyMode,
+    check_traced, classify, diagnostics, ensure_closed, parse_mu, Fragment, McCounters, McOptions,
+    Mu, SafetyMode,
 };
 use dcds_verify::obs::{export::json_escape, span, Obs};
 use dcds_verify::reldata::{ConstantPool, InstanceDisplay};
@@ -202,7 +209,9 @@ obs flags (analyze, abstract, check, lint):
   --events FILE|-       live line-JSON event stream (- = stdout)
 
 `dcds check` exits 0 when the property holds, 1 when it is violated, and
-2 when the verdict is inconclusive (state or evaluation budget hit).
+2 when the verdict is inconclusive (state or evaluation budget hit, or a
+formula outside the fragment the explicit engine preserves: µLA for
+deterministic services, µLP otherwise).
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size); `--max-states`
@@ -383,6 +392,34 @@ fn parse_format(flags: &Flags) -> Result<OutputFormat, UsageError> {
 fn load(path: &str) -> Result<Dcds, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_dcds(&src).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parse `formula` over the spec. Its constants are interned into the
+/// spec's own pool, so one the spec never mentions is a value of its own,
+/// never one an engine mints, and they are made rigid
+/// (`DataLayer::formula_constants`), so the engines offer them as
+/// commitment targets and fix them pointwise.
+fn parse_formula(dcds: &mut Dcds, formula: &str) -> Result<Mu, String> {
+    let mut schema = dcds.data.schema.clone();
+    let phi = parse_mu(formula, &mut schema, &mut dcds.data.pool).map_err(|e| e.to_string())?;
+    dcds.data.formula_constants.extend(phi.constants());
+    Ok(phi)
+}
+
+/// Why the explicit engine draws no verdict for a formula of `fragment`,
+/// if it does not: the deterministic abstraction preserves µLA (Thm
+/// 4.2–4.4) and RCYCL µLP (Thm 5.3–5.4); no finite abstraction preserves
+/// full µL (Thm 4.5).
+fn unlicensed(dcds: &Dcds, fragment: Fragment) -> Option<String> {
+    let (licensed, engine) = if dcds.is_deterministic() {
+        (
+            Fragment::MuLA,
+            "the deterministic abstraction preserves µLA only (Thm 4.2–4.4)",
+        )
+    } else {
+        (Fragment::MuLP, "RCYCL preserves µLP only (Thm 5.3–5.4)")
+    };
+    (fragment > licensed).then(|| format!("formula in {fragment:?}: {engine}"))
 }
 
 fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
@@ -591,22 +628,22 @@ fn do_check(
 ) -> Result<ExitCode, String> {
     let obs = obs_cli.session("check", path)?;
     let run_span = span!(obs, "run", command = "check");
-    let dcds = {
+    let mut dcds = {
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    let mut schema = dcds.data.schema.clone();
-    let mut pool_for_parse = dcds.data.pool.clone();
-    let phi = parse_mu(formula, &mut schema, &mut pool_for_parse).map_err(|e| e.to_string())?;
+    let phi = parse_formula(&mut dcds, formula)?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
     ensure_closed(&phi).map_err(|e| e.to_string())?;
     let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     let complete = cut.complete();
-    // A truncated abstraction decides nothing, so the fixpoint is not run
-    // and no verdict is reported — the same output contract as the
-    // symbolic engine's inconclusive runs — and the model checker's
-    // counters stay at zero.
-    let (verdict, mc_counters) = match cut.reason(max_states) {
+    // An abstraction that does not preserve the formula's fragment, or a
+    // truncated one, decides nothing, so the fixpoint is not run and no
+    // verdict is reported — the same output contract as the symbolic
+    // engine's inconclusive runs — and the model checker's counters stay
+    // at zero.
+    let reason = unlicensed(&dcds, fragment).or_else(|| cut.reason(max_states));
+    let (verdict, mc_counters) = match reason {
         None => {
             let run =
                 check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
@@ -644,12 +681,12 @@ fn do_check(
                 "abstraction: {how}, {} states, complete = {complete}",
                 ts.num_states()
             );
-            match &verdict {
-                Ok(_) => {}
-                Err(_) if cut.eval_skips == 0 => eprintln!(
+            match cut.reason(max_states) {
+                None => {}
+                Some(_) if cut.eval_skips == 0 => eprintln!(
                     "WARNING: the abstraction is truncated; raise --max-states for a verdict"
                 ),
-                Err(reason) => eprintln!("WARNING: the abstraction is truncated: {reason}"),
+                Some(reason) => eprintln!("WARNING: the abstraction is truncated: {reason}"),
             }
             eprintln!(
                 "mc engine ({threads} thread{}): {mc_counters}",
@@ -715,13 +752,11 @@ fn do_check_symbolic(
 ) -> Result<ExitCode, String> {
     let obs = obs_cli.session("check", path)?;
     let run_span = span!(obs, "run", command = "check");
-    let dcds = {
+    let mut dcds = {
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    let mut schema = dcds.data.schema.clone();
-    let mut pool_for_parse = dcds.data.pool.clone();
-    let phi = parse_mu(formula, &mut schema, &mut pool_for_parse).map_err(|e| e.to_string())?;
+    let phi = parse_formula(&mut dcds, formula)?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
     let run = check_safety_traced(&dcds, &phi, &opts, &obs).map_err(|e| e.to_string())?;
     let mode = match run.mode {

@@ -1299,3 +1299,92 @@ fn fragment_of_unguarded_blocks() {
         );
     }
 }
+
+/// The item-1 spec (det `f`) and its `f 0 nondet` twin.
+fn item_1_specs() -> [(&'static str, std::path::PathBuf); 2] {
+    let det = "schema { R 1; S 1; } services { f 0 det; } init { S(a); }\n\
+               action go() { S(X) ~> R(f()); } rule true => go;\n";
+    [
+        ("det", temp_spec("item1_det", det)),
+        (
+            "nondet",
+            temp_spec("item1_nondet", &det.replace("f 0 det", "f 0 nondet")),
+        ),
+    ]
+}
+
+#[test]
+fn only_a_licensed_fragment_gets_a_verdict() {
+    // No finite abstraction preserves full µL (Thm 4.5): the three-values
+    // formula holds concretely, but both explicit engines would read
+    // `false` off their 5- and 4-state abstractions. The det abstraction
+    // licenses µLA (Thm 4.2–4.4) and RCYCL µLP (Thm 5.3–5.4), so outside
+    // them the run ends inconclusive, naming the fragment and the theorem.
+    let mul = "exists X . exists Y . exists Z . X != Y & X != Z & Y != Z \
+               & <> R(X) & <> R(Y) & <> R(Z)";
+    let mula = "exists X . live(X) & S(X) & <> R(X)";
+    for (kind, path) in item_1_specs() {
+        let path = path.to_str().unwrap();
+        let theorem = if kind == "det" {
+            "the deterministic abstraction preserves µLA only (Thm 4.2–4.4)"
+        } else {
+            "RCYCL preserves µLP only (Thm 5.3–5.4)"
+        };
+        let (code, stdout, stderr) = dcds_streams(&["check", path, mul]);
+        assert_eq!(code, 2, "{kind}: {stdout}{stderr}");
+        assert!(stdout.starts_with("fragment: MuL\n"), "{stdout}");
+        assert!(
+            stdout.contains(&format!(
+                "verdict: inconclusive (formula in MuL: {theorem})"
+            )),
+            "{kind}: {stdout}"
+        );
+        assert!(!stderr.contains("truncated"), "{stderr}");
+        let (code, stdout, _) = dcds_streams(&["check", path, mul, "--format", "json"]);
+        assert_eq!(code, 2);
+        assert!(
+            stdout.contains("\"complete\":true")
+                && stdout.ends_with(&format!(
+                    "\"verdict\":null,\"reason\":\"formula in MuL: {theorem}\"}}\n"
+                )),
+            "{kind}: {stdout}"
+        );
+        // A µLA formula that is not µLP: licensed for det services only.
+        let (code, stdout, stderr) = dcds_streams(&["check", path, mula]);
+        assert!(stdout.starts_with("fragment: MuLA\n"), "{stdout}");
+        let want = if kind == "det" { 0 } else { 2 };
+        assert_eq!(code, want, "{kind}: {stdout}{stderr}");
+    }
+}
+
+#[test]
+fn formula_constants_are_rigid() {
+    // `'yy'` is mentioned by the formula only. It must be a value of its
+    // own (not the first minted one) and a commitment target, as if it were
+    // in I₀ (footnote 2): `f()` may return `yy`, `a` or anything else.
+    let cases = [
+        ("<> (exists X . R(X) & X != 'yy' & X != 'a')", 0),
+        ("nu Z . (forall X . R(X) -> X = 'yy' | X = 'a') & [] Z", 1),
+        ("<> R('yy')", 0),
+        ("nu Z . !R('yy') & [] Z", 1),
+    ];
+    for (kind, path) in item_1_specs() {
+        let path = path.to_str().unwrap();
+        for (phi, want) in cases {
+            let (code, stdout, stderr) = dcds_streams(&["check", path, phi]);
+            assert_eq!(code, want, "{kind}: {phi}: {stdout}{stderr}");
+            assert!(stdout.starts_with("fragment: MuLP\n"), "{stdout}");
+            let verdict = if want == 0 { "true" } else { "false" };
+            assert!(
+                stdout.contains(&format!("verdict: {verdict}\n")),
+                "{stdout}"
+            );
+        }
+        // The witness shows the state that returned `yy` by that name.
+        for phi in ["mu Z . R('yy') | <> Z", "nu Z . !R('yy') & [] Z"] {
+            let (_, _, stderr) = dcds_streams(&["check", path, phi, "--witness"]);
+            assert!(stderr.contains("s0:{S(a)}  ->  "), "{kind}: {stderr}");
+            assert!(stderr.contains(":{R(yy)}"), "{kind}: {stderr}");
+        }
+    }
+}
