@@ -204,6 +204,13 @@ pub fn rows() -> Vec<Row> {
             Family(synthetic::bad_free_shuffle(8).into()),
             &synthetic::bad_free_shuffle_property(4),
         ),
+        // The same family one value wider, about three times the work: it
+        // stays well above the timing noise of a shared host.
+        symbolic(
+            "bad_free_shuffle(8,5)",
+            Family(synthetic::bad_free_shuffle(8).into()),
+            &synthetic::bad_free_shuffle_property(5),
+        ),
     ]
 }
 

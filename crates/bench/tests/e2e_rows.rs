@@ -112,6 +112,6 @@ fn written_specs_measure_the_library_workloads() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 11, "every row but the shipped symbolic spec");
+    assert_eq!(checked, 12, "every row but the shipped symbolic spec");
     assert_eq!(pinned, MC_PINS.len(), "every explicit row is pinned");
 }

@@ -346,6 +346,73 @@ impl Clause {
         self.neqs.sort();
     }
 
+    /// The atom permutations induced by the variable transpositions
+    /// `(u v)` that map the clause onto itself: its atoms, equalities and
+    /// disequalities, each taken as a set. `perm[i]` is the index of the
+    /// image of atom `i`; a transposition is an involution, and so is each
+    /// permutation. Transpositions that fix every atom are left out, and so
+    /// are repeats.
+    ///
+    /// A transposition maps each atom onto one of the same relation,
+    /// position by position, so only variables with the same multiset of
+    /// (relation, position) occurrences are tried.
+    pub fn transposition_symmetries(&self) -> Vec<Vec<usize>> {
+        let n = self.next_var() as usize;
+        let mut occurs: Vec<Vec<(RelId, usize)>> = vec![Vec::new(); n];
+        for (rel, ts) in &self.atoms {
+            for (pos, t) in ts.iter().enumerate() {
+                t.for_each_var(&mut |v| occurs[v as usize].push((*rel, pos)));
+            }
+        }
+        occurs.iter_mut().for_each(|o| o.sort_unstable());
+        let mut map: Vec<SVar> = (0..n as SVar).collect();
+        let mut perms: Vec<Vec<usize>> = Vec::new();
+        for u in 0..n {
+            // A variable in no atom moves no atom.
+            for v in (u + 1..n).filter(|&v| !occurs[u].is_empty() && occurs[u] == occurs[v]) {
+                map.swap(u, v);
+                let perm = self.renamed_onto_itself(&map);
+                map.swap(u, v);
+                let moves = |p: &Vec<usize>| p.iter().enumerate().any(|(i, &j)| i != j);
+                if let Some(perm) = perm.filter(|p| moves(p) && !perms.contains(p)) {
+                    perms.push(perm);
+                }
+            }
+        }
+        perms
+    }
+
+    /// Where renaming by `map` sends each atom, when the renaming maps the
+    /// clause onto itself.
+    fn renamed_onto_itself(&self, map: &[SVar]) -> Option<Vec<usize>> {
+        let mut perm = Vec::with_capacity(self.atoms.len());
+        for (rel, ts) in &self.atoms {
+            let mut image = (*rel, ts.clone());
+            image.1.iter_mut().for_each(|t| t.rename(map));
+            let j = self.atoms.iter().position(|a| *a == image)?;
+            if perm.contains(&j) {
+                return None;
+            }
+            perm.push(j);
+        }
+        let as_set = |pairs: &[(STerm, STerm)], map: Option<&[SVar]>| {
+            let mut pairs = pairs.to_vec();
+            for (a, b) in &mut pairs {
+                if let Some(map) = map {
+                    a.rename(map);
+                    b.rename(map);
+                }
+                if a > b {
+                    std::mem::swap(a, b);
+                }
+            }
+            pairs.sort();
+            pairs
+        };
+        let fixed = |pairs: &[(STerm, STerm)]| as_set(pairs, Some(map)) == as_set(pairs, None);
+        (fixed(&self.eqs) && fixed(&self.neqs)).then_some(perm)
+    }
+
     /// Permissive satisfaction check against a concrete instance: could a
     /// state with exactly these facts satisfy the clause for *some*
     /// interpretation of the service functions?
@@ -669,6 +736,50 @@ mod tests {
             "unsat {unsat}, residual equalities {residual_eqs}, \
              renamed more than once {renumbered}, with applications {apps}"
         );
+    }
+
+    #[test]
+    fn transpositions_that_fix_the_clause_permute_its_atoms() {
+        let v = STerm::Var;
+        let c = |i| STerm::Const(val(i));
+        let f = |t: STerm| STerm::App(func(0), vec![t]);
+        let clause = |atoms: Vec<(RelId, Vec<STerm>)>, eqs, neqs| {
+            let raw = Clause {
+                atoms,
+                eqs,
+                neqs,
+                level: 0,
+            };
+            raw.normalize().unwrap().transposition_symmetries()
+        };
+        let distinct = |n: SVar| {
+            let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (v(a), v(b))));
+            pairs.collect::<Vec<_>>()
+        };
+        // `R(x0) ∧ R(x1) ∧ R(x2)`, pairwise distinct: every transposition.
+        let block: Vec<_> = (0..3).map(|i| (rel(0), vec![v(i)])).collect();
+        assert_eq!(
+            clause(block.clone(), vec![], distinct(3)),
+            vec![vec![1, 0, 2], vec![2, 1, 0], vec![0, 2, 1]]
+        );
+        // `x0 ≠ c` breaks every transposition that moves `x0`.
+        let mut neqs = distinct(3);
+        neqs.push((v(0), c(0)));
+        assert_eq!(clause(block.clone(), vec![], neqs).len(), 1);
+        // So does a constant in an atom of `x0` alone.
+        let mut pinned = block.clone();
+        pinned.push((rel(1), vec![v(0), c(1)]));
+        assert_eq!(clause(pinned, vec![], distinct(3)).len(), 1);
+        // Variables inside applications and equalities are swapped too.
+        let apps: Vec<_> = (0..2).map(|i| (rel(0), vec![f(v(i))])).collect();
+        let eqs: Vec<_> = (0..2).map(|i| (f(v(i)), c(0))).collect();
+        assert_eq!(clause(apps.clone(), eqs, vec![]), vec![vec![1, 0]]);
+        let lopsided = vec![(f(v(0)), c(0))];
+        assert!(clause(apps, lopsided, vec![]).is_empty());
+        // A variable in no atom moves none.
+        let free = vec![(rel(0), vec![v(0)])];
+        let eqs = vec![(f(v(1)), c(0)), (f(v(2)), c(0))];
+        assert!(clause(free, eqs, vec![]).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::clause::Clause;
 use crate::constraints::{clause_violates, guarded_constraints};
-use crate::regress::regress;
+use crate::regress::{Regression, TargetCtx};
 use crate::subsume::{subsumes, ClauseCtx};
 use dcds_core::det::det_successors_by_commitment;
 use dcds_core::nondet::nondet_successors_by_commitment;
@@ -63,20 +63,29 @@ pub struct SymCounters {
     pub iterations: u64,
     /// Clause × action regressions performed.
     pub regressions: u64,
-    /// Candidate clauses built (before normalisation). Regression prunes
-    /// production options that clash with the target on a constant before
-    /// building anything, so those never count here.
+    /// Candidate clauses: the option vectors of each regression that pass
+    /// constant-clash pruning (options whose head fact clashes with the
+    /// target on a constant never count). This includes the vectors skipped
+    /// as a variable renaming of a candidate built earlier in the same
+    /// regression, which also count in `exact_dups` (or wherever the clause
+    /// they rename went).
     pub candidates: u64,
+    /// Candidates built and normalised: `candidates` less the skipped
+    /// renamings.
+    pub candidates_built: u64,
     /// Clauses kept in the backward-reachable set.
     pub kept: u64,
-    /// Candidates dropped as exact duplicates.
+    /// Candidates dropped as exact duplicates, skipped renamings of a
+    /// candidate of the same regression included.
     pub exact_dups: u64,
     /// Candidates dropped by subsumption.
     pub subsumed: u64,
-    /// Built candidates that normalisation found contradictory (constant
-    /// clashes are pruned earlier and never reach this count).
+    /// Candidates that normalisation found contradictory, counted from the
+    /// built ones; a skipped renaming counts when the clause it renames
+    /// did. Constant clashes are pruned earlier and never reach this count.
     pub unsat_dropped: u64,
-    /// Candidates dropped by integrity-constraint pruning.
+    /// Candidates dropped by integrity-constraint pruning, skipped
+    /// renamings of a pruned candidate included.
     pub constraint_pruned: u64,
     /// Non-UCQ effect filters dropped (over-approximation events).
     pub qminus_dropped: u64,
@@ -99,6 +108,7 @@ impl SymCounters {
             ("iterations", self.iterations),
             ("regressions", self.regressions),
             ("candidates", self.candidates),
+            ("candidates_built", self.candidates_built),
             ("kept", self.kept),
             ("exact_dups", self.exact_dups),
             ("subsumed", self.subsumed),
@@ -263,7 +273,14 @@ fn backward_reach(
 
     // Seed with the bad condition itself (level 0).
     for c in bad_clauses {
-        set.admit(c, &guards, &mut frontier, counters, &mut PhaseClock::off());
+        set.admit(
+            c,
+            0,
+            &guards,
+            &mut frontier,
+            counters,
+            &mut PhaseClock::off(),
+        );
     }
     obs.counter_add("sym.subsume_probes", std::mem::take(&mut set.probes));
     counters.peak_frontier = counters.peak_frontier.max(frontier.len() as u64);
@@ -284,6 +301,7 @@ fn backward_reach(
     let actions: Vec<ActionId> = (0..dcds.process.actions.len())
         .map(ActionId::from_index)
         .collect();
+    let regression = Regression::new(dcds);
 
     let mut level = 0usize;
     loop {
@@ -325,22 +343,26 @@ fn backward_reach(
 
         let mut new_frontier: Vec<usize> = Vec::new();
         'outer: for &target in &frontier {
+            let ctx = TargetCtx::new(&set.kept[target].clause);
             for &action in &actions {
                 counters.regressions += 1;
                 let budget = opts.max_clauses.saturating_sub(set.seen.len()).max(1);
                 let target = &set.kept[target].clause;
-                let out = regress_clock
-                    .time(|| regress(dcds, target, action, budget, &mut normalize_clock));
+                let out = regress_clock.time(|| {
+                    regression.regress(target, &ctx, action, budget, &mut normalize_clock)
+                });
                 counters.candidates += out.candidates;
+                counters.candidates_built += out.built;
                 counters.qminus_dropped += out.qminus_dropped;
                 counters.cond_dropped += out.cond_dropped;
-                counters.unsat_dropped += out.candidates - out.clauses.len() as u64;
+                counters.unsat_dropped += out.unsat;
                 if out.truncated {
                     clause_budget_hit = true;
                 }
-                for cand in out.clauses {
+                for (cand, repeats) in out.clauses.into_iter().zip(out.repeats) {
                     set.admit(
                         cand,
+                        repeats,
                         &guards,
                         &mut new_frontier,
                         counters,
@@ -402,24 +424,28 @@ impl ClauseSet {
     /// by reference; only a new candidate's content is copied into it.
     /// Only kept clauses that pass [`ClauseCtx::may_subsume`] against the
     /// candidate are probed for subsumption. A kept clause's index goes on
-    /// `frontier`.
+    /// `frontier`. `repeats` skipped renamings of the candidate go where
+    /// each would have gone after it: constraint-pruned with it, or exact
+    /// duplicates of it.
     fn admit(
         &mut self,
         mut cand: Clause,
+        repeats: u64,
         guards: &[crate::constraints::GuardedConstraint],
         frontier: &mut Vec<usize>,
         counters: &mut SymCounters,
         subsume_clock: &mut PhaseClock,
     ) {
         if clause_violates(&cand, guards) {
-            counters.constraint_pruned += 1;
+            counters.constraint_pruned += 1 + repeats;
             return;
         }
         let level = std::mem::replace(&mut cand.level, 0);
         if self.seen.contains(&cand) {
-            counters.exact_dups += 1;
+            counters.exact_dups += 1 + repeats;
             return;
         }
+        counters.exact_dups += repeats;
         self.seen.insert(cand.clone());
         cand.level = level;
         let ctx = ClauseCtx::new(cand);

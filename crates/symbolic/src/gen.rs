@@ -127,3 +127,69 @@ pub fn specialise(c: &Clause, rng: &mut Rng) -> Option<Clause> {
     }
     d.normalize()
 }
+
+/// A satisfiable normalised clause with a block of 2–4 interchangeable
+/// variables. Every block variable `x` gets the same atoms — one or two of
+/// `A(x)`, `B(x, y)` (`y` shared), `B(y, x)`, `B(x, c)`, `C(f(x))` and
+/// `A(g(x))` over relations 0–2 and functions 0–1 — maybe pairwise
+/// disequalities, maybe the equality `f(x) = c`; then up to two atoms over
+/// `y` and constants. With `broken`, block variable 0 alone also gets a
+/// disequality with a constant or an atom with a constant.
+pub fn symmetric_clause(rng: &mut Rng, broken: bool) -> Clause {
+    loop {
+        let k = 2 + rng.below(3);
+        let y = STerm::Var(k as SVar);
+        let c = STerm::Const(val(rng.below(3)));
+        let app = |f: usize, x: &STerm| STerm::App(FuncId::from_index(f), vec![x.clone()]);
+        let roles: Vec<usize> = (0..1 + rng.below(2)).map(|_| rng.below(6)).collect();
+        let eq_role = rng.chance(25);
+        let mut clause = Clause {
+            atoms: Vec::new(),
+            eqs: Vec::new(),
+            neqs: Vec::new(),
+            level: 0,
+        };
+        let block: Vec<STerm> = (0..k as SVar).map(STerm::Var).collect();
+        for x in &block {
+            for &role in &roles {
+                clause.atoms.push(match role {
+                    0 => (rel(0), vec![x.clone()]),
+                    1 => (rel(1), vec![x.clone(), y.clone()]),
+                    2 => (rel(1), vec![y.clone(), x.clone()]),
+                    3 => (rel(1), vec![x.clone(), c.clone()]),
+                    4 => (rel(2), vec![app(0, x)]),
+                    _ => (rel(0), vec![app(1, x)]),
+                });
+            }
+            if eq_role {
+                clause.eqs.push((app(0, x), c.clone()));
+            }
+        }
+        if rng.chance(50) {
+            for (i, a) in block.iter().enumerate() {
+                for b in &block[i + 1..] {
+                    clause.neqs.push((a.clone(), b.clone()));
+                }
+            }
+        }
+        for _ in 0..rng.below(3) {
+            let other = STerm::Const(val(rng.below(3)));
+            clause.atoms.push(match rng.below(3) {
+                0 => (rel(0), vec![y.clone()]),
+                1 => (rel(1), vec![y.clone(), other]),
+                _ => (rel(2), vec![other]),
+            });
+        }
+        if broken {
+            let other = STerm::Const(val(rng.below(3)));
+            if rng.chance(50) {
+                clause.neqs.push((block[0].clone(), other));
+            } else {
+                clause.atoms.push((rel(1), vec![block[0].clone(), other]));
+            }
+        }
+        if let Some(c) = clause.normalize() {
+            return c;
+        }
+    }
+}

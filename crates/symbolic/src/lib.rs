@@ -39,5 +39,5 @@ pub use engine::{
     check_safety, check_safety_traced, clauses_from_bad, render_trace, SymCounters, SymError,
     SymOptions, SymRun, SymVerdict, Trace,
 };
-pub use regress::{regress, RegressOut};
+pub use regress::{RegressOut, Regression, TargetCtx};
 pub use subsume::{subsumes, ClauseCtx};

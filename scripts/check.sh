@@ -51,7 +51,10 @@ cargo test -q -p dcds-reldata --test instance_model
 # Symbolic engine vs the naive Kleene evaluator and the staged checker.
 cargo test -q --test symbolic_differential
 # Symbolic normal form and subsumption search vs their pre-optimisation
-# references on seeded clause pairs (unit tests of `dcds-symbolic`).
+# references on seeded clause pairs, and the regression oracle: the
+# slot-template candidates and the orbit enumeration vs the name-map
+# builder over every option vector, on generated systems and symmetric
+# targets (unit tests of `dcds-symbolic`).
 cargo test -q -p dcds-symbolic
 # The µL→FO lowering (`Mu::state_query`), the fusion pass, the fragment
 # classifier and the safety extraction that share it (unit tests of

@@ -1380,6 +1380,18 @@ fn formula_constants_are_rigid() {
                 "{stdout}"
             );
         }
+        // The symbolic engine reads the formula constants the same way.
+        let symbolic = [
+            ("mu Z . (exists X . R(X) & X != 'yy' & X != 'a') | <> Z", 0),
+            ("nu Z . (forall X . R(X) -> X = 'yy' | X = 'a') & [] Z", 1),
+            ("mu Z . R('yy') | <> Z", 0),
+            ("nu Z . !R('yy') & [] Z", 1),
+        ];
+        for (phi, want) in symbolic {
+            let (code, stdout, stderr) =
+                dcds_streams(&["check", path, phi, "--engine", "symbolic"]);
+            assert_eq!(code, want, "{kind}: symbolic: {phi}: {stdout}{stderr}");
+        }
         // The witness shows the state that returned `yy` by that name.
         for phi in ["mu Z . R('yy') | <> Z", "nu Z . !R('yy') & [] Z"] {
             let (_, _, stderr) = dcds_streams(&["check", path, phi, "--witness"]);

@@ -18,7 +18,9 @@ use dcds_verify::bench::synthetic;
 use dcds_verify::core::{parse_dcds, Dcds, DcdsBuilder, ServiceKind, Ts};
 use dcds_verify::mucalc::{check, check_traced, parse_mu, McOptions};
 use dcds_verify::obs::{Obs, ObsConfig};
-use dcds_verify::symbolic::{check_safety, check_safety_traced, SymOptions, SymVerdict};
+use dcds_verify::symbolic::{
+    check_safety, check_safety_traced, SymCounters, SymOptions, SymVerdict,
+};
 
 /// Build the complete explicit abstraction; panics if the budget is hit
 /// (differential systems must be bounded for the oracle to be exact).
@@ -218,16 +220,14 @@ fn seeded_random_weakly_acyclic_systems_agree() {
     );
 }
 
-#[test]
-fn bad_free_shuffle_counters_are_pinned() {
-    // The run-unbounded workload of the spec-to-verdict benchmark (8
-    // phases, 4 values). Its search counters are fixed by construction;
-    // they pin the clause set the regression and subsumption layers keep.
+/// The counters of `bad_free_shuffle(8)` against its property at `arity`,
+/// and the registry's `sym.subsume_probes`. The run must hold.
+fn bad_free_shuffle_counters(arity: usize) -> (SymCounters, Option<u64>) {
     let dcds = synthetic::bad_free_shuffle(8);
     let mut schema = dcds.data.schema.clone();
     let mut pool = dcds.data.pool.clone();
     let phi = parse_mu(
-        &synthetic::bad_free_shuffle_property(4),
+        &synthetic::bad_free_shuffle_property(arity),
         &mut schema,
         &mut pool,
     )
@@ -235,10 +235,18 @@ fn bad_free_shuffle_counters_are_pinned() {
     let obs = Obs::enabled(ObsConfig::default());
     let run = check_safety_traced(&dcds, &phi, &SymOptions::default(), &obs).unwrap();
     assert!(matches!(run.verdict, SymVerdict::Holds(None)));
-    // Subsumption probes that pass the relation and constant prefilters.
     let metrics = obs.finish().unwrap().metrics;
-    assert_eq!(metrics.counter("sym.subsume_probes"), Some(2204));
-    let c = &run.counters;
+    (run.counters, metrics.counter("sym.subsume_probes"))
+}
+
+#[test]
+fn bad_free_shuffle_counters_are_pinned() {
+    // The run-unbounded workload of the spec-to-verdict benchmark (8
+    // phases, 4 values). Its search counters are fixed by construction;
+    // they pin the clause set the regression and subsumption layers keep.
+    let (c, probes) = bad_free_shuffle_counters(4);
+    // Subsumption probes that pass the relation and constant prefilters.
+    assert_eq!(probes, Some(2204));
     assert_eq!(
         (
             c.iterations,
@@ -255,4 +263,27 @@ fn bad_free_shuffle_counters_are_pinned() {
     // clause), a duplicate, or subsumed.
     assert_eq!(c.unsat_dropped, 0);
     assert_eq!(c.candidates, 1620);
+    // The other 600 option vectors rename a candidate built earlier in
+    // the same regression (the four `H` atoms of the bad clause are
+    // interchangeable); each counts as an exact duplicate.
+    assert_eq!(c.candidates_built, 1020);
+}
+
+#[test]
+fn bad_free_shuffle_arity_5_counters_are_pinned() {
+    // The same family one value wider: five interchangeable `H` atoms.
+    let (c, probes) = bad_free_shuffle_counters(5);
+    assert_eq!(probes, Some(6128));
+    assert_eq!(
+        (
+            c.iterations,
+            c.regressions,
+            c.candidates,
+            c.candidates_built,
+            c.kept
+        ),
+        (3, 2824, 4516, 1960, 353)
+    );
+    assert_eq!((c.exact_dups, c.subsumed), (3916, 248));
+    assert_eq!((c.peak_frontier, c.unsat_dropped), (212, 0));
 }
