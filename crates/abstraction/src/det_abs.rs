@@ -12,8 +12,9 @@
 //!
 //! # Construction
 //!
-//! The construction is written once ([`build`]), generic over the
-//! [`ClassStorage`] that holds its states. The BFS is **level-synchronised**;
+//! The construction ([`det_abstraction_traced`]) writes its states into a
+//! [`Ts`], which shares each admitted state's instance with the frontier
+//! that expands it. The BFS is **level-synchronised**;
 //! each level is stepped in `level_chunk`-sized batches of frontier states,
 //! and each batch runs four phases — two parallel passes between serial
 //! ones — so the expensive work parallelises while every order-sensitive
@@ -49,8 +50,8 @@
 //!    The result equals the definitional
 //!    [`det_step_with_pre`](dcds_core::det::det_step_with_pre)'s;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
-//!    admit new classes to the storage with their
-//!    [`Facts`](dcds_reldata::Facts) encoding (a
+//!    admit new classes to the [`Ts`] and their
+//!    [`Facts`] encoding to the index (a
 //!    successor that is a dedup hit never builds one), record edges, apply
 //!    the state budget.
 //!
@@ -68,7 +69,7 @@
 //! Chunking bounds the per-level scratch (split pre-instances, stepped
 //! successors) on wide levels. Because phases 2 and 4 run in global
 //! frontier/task order, the output (`Ts`, outcome, pool, counters) is
-//! **bit-identical for every thread count, chunk size and storage** —
+//! **bit-identical for every thread count and chunk size** —
 //! `dcds_core::par::par_map` returns results in input order regardless of
 //! scheduling. The determinism and differential tests assert this.
 //!
@@ -86,17 +87,17 @@
 //! handles symmetric instances in a single descent, so *every* class is
 //! keyed.
 
-use crate::storage::{ClassStorage, Owned, Store, OWNED_MAX_STATES};
 use dcds_core::commitment::{instantiate, skip_mints, Enumerated};
 use dcds_core::det::{DetState, SoloViolations, SplitDo};
 use dcds_core::do_op::{
     do_rows, legal_sigmas, publish_query_stats_delta, query_stats_snapshot, DoRows,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{Dcds, ServiceCall, StateId, StateSpace};
+use dcds_core::{Dcds, ServiceCall, StateId, Ts};
 use dcds_obs::{event, span, Obs, PhaseClock};
-use dcds_reldata::{CanonKey, CanonStats, ConstantPool, DenseCtx, Value};
+use dcds_reldata::{CanonKey, CanonStats, ConstantPool, DenseCtx, Facts, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Whether an abstraction construction saturated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,13 +109,11 @@ pub enum AbsOutcome {
     Truncated,
 }
 
-/// The result of the deterministic abstraction. `T` is the transition
-/// system: a [`StateSpace`] from the public entry points, the storage's
-/// own system from [`build`].
+/// The result of the deterministic abstraction.
 #[derive(Debug)]
-pub struct DetAbstraction<T = StateSpace> {
+pub struct DetAbstraction {
     /// The abstract transition system (states labeled by instances).
-    pub ts: T,
+    pub ts: Ts,
     /// Saturated or truncated.
     pub outcome: AbsOutcome,
     /// The constant pool extended with the representative fresh values the
@@ -157,41 +156,6 @@ pub fn det_abstraction(dcds: &Dcds, max_states: usize) -> DetAbstraction {
     det_abstraction_traced(dcds, max_states, AbsOptions::default(), &Obs::disabled())
 }
 
-/// [`det_abstraction`] with explicit options and an observability handle:
-/// an overall span, one `frontier_level` span per BFS level,
-/// frontier/dedup metrics, and rate-limited heartbeats. With a disabled
-/// handle there are no clock reads and no recording.
-///
-/// The storage is picked from the budget: [`Owned`] up to
-/// [`OWNED_MAX_STATES`], [`Store`] above. Output is identical for every
-/// `opts.threads` value (including 1) and either storage; see the module
-/// docs. The registry is only updated from the serial phases, so every
-/// metric except the `*_us` timing histograms is bit-identical at every
-/// thread count.
-pub fn det_abstraction_traced(
-    dcds: &Dcds,
-    max_states: usize,
-    opts: AbsOptions,
-    obs: &Obs,
-) -> DetAbstraction {
-    if max_states <= OWNED_MAX_STATES {
-        build::<Owned>(dcds, max_states, opts, obs).map_ts(StateSpace::Owned)
-    } else {
-        build::<Store>(dcds, max_states, opts, obs).map_ts(StateSpace::Store)
-    }
-}
-
-impl<T> DetAbstraction<T> {
-    fn map_ts<U>(self, f: impl FnOnce(T) -> U) -> DetAbstraction<U> {
-        DetAbstraction {
-            ts: f(self.ts),
-            outcome: self.outcome,
-            pool: self.pool,
-            counters: self.counters,
-        }
-    }
-}
-
 /// One signature's isomorphism classes, split by key status.
 #[derive(Debug, Default)]
 struct SigGroup {
@@ -212,9 +176,8 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 }
 
 /// Index of the isomorphism classes seen so far: an exact-match map over
-/// canonical keys in front of signature groups. Each class keeps the
-/// storage's handle `C` to its representative; the representative's facts
-/// are materialised from the storage only when a lazy key needs them.
+/// canonical keys in front of signature groups. Each class keeps its
+/// representative's [`Facts`], read only when a lazy key needs them.
 ///
 /// Canonical keys are computed lazily: a class admitted through an empty
 /// signature group never pays for canonicalisation unless a later probe
@@ -230,17 +193,17 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 /// `sig_filter_skips`, and `canon_keys_computed` counts every key search
 /// exactly once (with `canon_orders_enumerated` / `canon_prune_cutoffs`
 /// summing the search effort).
-struct ClassIndex<C> {
+struct ClassIndex {
     rigid: BTreeSet<Value>,
-    /// Per class: the storage handle of its representative.
-    classes: Vec<C>,
+    /// Per class: the fact encoding of its representative.
+    classes: Vec<Facts>,
     /// Canonical key → class, global across signatures.
     exact: HashMap<CanonKey, usize>,
     /// Signature → its classes, grouped by key status.
     groups: HashMap<u64, SigGroup>,
 }
 
-impl<C> ClassIndex<C> {
+impl ClassIndex {
     fn new(rigid: BTreeSet<Value>) -> Self {
         ClassIndex {
             rigid,
@@ -261,9 +224,8 @@ impl<C> ClassIndex<C> {
     /// computed speculatively (`None` = not attempted); the slot is filled
     /// in from `probe` if the merge has to compute one, so a subsequent
     /// [`ClassIndex::insert`] can reuse it.
-    fn find<S: ClassStorage<Class = C>>(
+    fn find(
         &mut self,
-        storage: &S,
         probe: &DenseCtx,
         sig: u64,
         probe_key: &mut Option<CanonKey>,
@@ -291,8 +253,7 @@ impl<C> ClassIndex<C> {
         // the whole construction — so the exact-map probe below replaces a
         // scan of the group.
         for ix in std::mem::take(&mut group.unkeyed) {
-            let resident = storage.class_facts(&classes[ix]);
-            let (ck, stats) = key_clock.time(|| resident.canonical_key_stats(rigid));
+            let (ck, stats) = key_clock.time(|| classes[ix].canonical_key_stats(rigid));
             credit_canon(counters, stats);
             exact.insert(ck, ix);
             group.keyed += 1;
@@ -303,7 +264,7 @@ impl<C> ClassIndex<C> {
     /// Admit a new class. `probe_key` is whatever [`ClassIndex::find`] (or
     /// a worker) computed — possibly nothing, which is the signature fast
     /// path's whole point.
-    fn insert(&mut self, class: C, sig: u64, probe_key: Option<CanonKey>) {
+    fn insert(&mut self, class: Facts, sig: u64, probe_key: Option<CanonKey>) {
         let ix = self.classes.len();
         self.classes.push(class);
         let group = self.groups.entry(sig).or_default();
@@ -318,8 +279,8 @@ impl<C> ClassIndex<C> {
     }
 }
 
-/// A frontier state: its id and its `⟨I, M⟩` structure (dropped once the
-/// level is expanded).
+/// A frontier state: its id and its `⟨I, M⟩` structure, whose instance the
+/// [`Ts`] shares (dropped once the level is expanded).
 struct FrontierState {
     id: StateId,
     state: DetState,
@@ -402,15 +363,21 @@ impl PhaseClocks {
     }
 }
 
-/// The deterministic abstraction over an explicit storage `S` — the one
-/// body behind [`det_abstraction`] and [`det_abstraction_traced`], public
-/// so tests and benchmarks can name a storage.
-pub fn build<S: ClassStorage>(
+/// [`det_abstraction`] with explicit options and an observability handle:
+/// an overall span, one `frontier_level` span per BFS level,
+/// frontier/dedup metrics, and rate-limited heartbeats. With a disabled
+/// handle there are no clock reads and no recording.
+///
+/// Output is identical for every `opts.threads` value (including 1); see
+/// the module docs. The registry is only updated from the serial phases,
+/// so every metric except the `*_us` timing histograms is bit-identical
+/// at every thread count.
+pub fn det_abstraction_traced(
     dcds: &Dcds,
     max_states: usize,
     opts: AbsOptions,
     obs: &Obs,
-) -> DetAbstraction<S::Ts> {
+) -> DetAbstraction {
     let _run = span!(
         obs,
         "det_abstraction",
@@ -431,10 +398,10 @@ pub fn build<S: ClassStorage>(
     let sig0 = dense0.signature();
     let (key0, stats0) = dense0.canonical_key_stats();
     credit_canon(&mut counters, stats0);
-    let (mut storage, class0) = S::with_initial_class(dcds, &s0.instance, f0);
+    let mut ts = Ts::new_shared(Arc::clone(&s0.instance));
     let mut index = ClassIndex::new(rigid.clone());
     let solo = SoloViolations::new(dcds, &rigid);
-    index.insert(class0, sig0, Some(key0));
+    index.insert(f0, sig0, Some(key0));
 
     let mut frontier = vec![FrontierState {
         id: StateId::from_index(0),
@@ -458,7 +425,7 @@ pub fn build<S: ClassStorage>(
             format!(
                 "abstraction level {level}: frontier {}, {} classes total",
                 frontier.len(),
-                storage.num_states()
+                ts.num_states()
             )
         });
 
@@ -576,32 +543,25 @@ pub fn build<S: ClassStorage>(
                     credit_canon(&mut counters, *stats);
                 }
                 let mut key: Option<CanonKey> = key.map(|(k, _)| k);
-                let found = index.find(
-                    &storage,
-                    &dense,
-                    sig,
-                    &mut key,
-                    &mut counters,
-                    &mut clocks.key,
-                );
+                let found = index.find(&dense, sig, &mut key, &mut counters, &mut clocks.key);
                 let next_id = match found {
                     Some(class_ix) => {
                         dedup_hits += 1;
                         StateId::from_index(class_ix)
                     }
                     None => {
-                        if storage.num_states() >= max_states {
+                        if ts.num_states() >= max_states {
                             outcome = AbsOutcome::Truncated;
                             continue;
                         }
                         let facts = clocks.encode.time(|| next.to_facts(num_rels));
-                        let (id, class) = storage.add_class(source, &next.instance, facts);
-                        index.insert(class, sig, key);
+                        let id = ts.add_state_shared(Arc::clone(&next.instance));
+                        index.insert(facts, sig, key);
                         next_frontier.push(FrontierState { id, state: next });
                         id
                     }
                 };
-                storage.add_edge(source, next_id);
+                ts.add_edge(source, next_id);
                 edges_added += 1;
             }
             obs.time_us("abs.merge_phase_us", merge_timer);
@@ -615,7 +575,7 @@ pub fn build<S: ClassStorage>(
             level = level,
             frontier = frontier.len(),
             new_classes = next_frontier.len(),
-            states = storage.num_states(),
+            states = ts.num_states(),
             edges = edges_added,
             dedup_hits = dedup_hits,
         );
@@ -628,18 +588,17 @@ pub fn build<S: ClassStorage>(
     obs.counter_add("abs.commitments_rejected", rejected);
     obs.counter_add("abs.commitments_built", built);
     counters.publish(obs, "abs");
-    storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
     obs.progress_flush(|| {
         format!(
             "abstraction done: {} classes, {} levels ({outcome:?})",
-            storage.num_states(),
+            ts.num_states(),
             level
         )
     });
 
     DetAbstraction {
-        ts: storage.finish(),
+        ts,
         outcome,
         pool,
         counters,
@@ -650,38 +609,17 @@ pub fn build<S: ClassStorage>(
 mod tests {
     use super::*;
     use dcds_core::{DcdsBuilder, ServiceKind};
-    use dcds_reldata::{Facts, Instance};
-
-    /// A storage beside an empty class index, for driving the index
-    /// directly.
-    fn index_over<S: ClassStorage>(rigid: BTreeSet<Value>) -> (S, ClassIndex<S::Class>) {
-        let (storage, _) = S::with_initial_class(&example_4_3(), &Instance::new(), Facts::new());
-        (storage, ClassIndex::new(rigid))
-    }
 
     /// [`ClassIndex::find`] with the key clock off.
-    fn lookup<S: ClassStorage>(
-        index: &mut ClassIndex<S::Class>,
-        storage: &S,
+    fn lookup(
+        index: &mut ClassIndex,
         facts: &Facts,
         sig: u64,
         key: &mut Option<CanonKey>,
         counters: &mut EngineCounters,
     ) -> Option<usize> {
         let probe = facts.dense(&index.rigid);
-        index.find(storage, &probe, sig, key, counters, &mut PhaseClock::off())
-    }
-
-    /// Admit `facts` as a new class, as the merge phase does.
-    fn admit<S: ClassStorage>(
-        storage: &mut S,
-        index: &mut ClassIndex<S::Class>,
-        facts: Facts,
-        sig: u64,
-        key: Option<CanonKey>,
-    ) {
-        let (_, class) = storage.add_class(StateId::from_index(0), &Instance::new(), facts);
-        index.insert(class, sig, key);
+        index.find(&probe, sig, key, counters, &mut PhaseClock::off())
     }
 
     fn example_4_1() -> Dcds {
@@ -758,7 +696,7 @@ mod tests {
         assert_eq!(abs2.outcome, AbsOutcome::Complete);
         assert!(abs2.ts.num_states() < abs1.ts.num_states());
         // Initial state has exactly 2 successors in Figure 2b.
-        let ts = abs2.ts.into_ts();
+        let ts = abs2.ts;
         assert_eq!(ts.successors(ts.initial()).len(), 2);
     }
 
@@ -774,7 +712,7 @@ mod tests {
     #[test]
     fn abstraction_states_satisfy_constraints() {
         let dcds = example_4_2();
-        let ts = det_abstraction(&dcds, 200).ts.into_ts();
+        let ts = det_abstraction(&dcds, 200).ts;
         for s in ts.state_ids() {
             assert!(dcds.data.satisfies_constraints(ts.db(s)));
         }
@@ -784,7 +722,7 @@ mod tests {
     fn deterministic_closure_no_new_calls_loop() {
         // Once every issued call is recorded, states self-loop (Figure 3b's
         // bottom row): every non-initial state has at least one successor.
-        let ts = det_abstraction(&example_4_1(), 200).ts.into_ts();
+        let ts = det_abstraction(&example_4_1(), 200).ts;
         for s in ts.state_ids() {
             assert!(
                 !ts.successors(s).is_empty(),
@@ -852,23 +790,23 @@ mod tests {
         // An empty-signature-group probe credits the signature filter with
         // one `sig_filter_skips`, without computing any canonical key.
         let rigid = BTreeSet::new();
-        let (mut storage, mut index) = index_over::<Owned>(rigid.clone());
+        let mut index = ClassIndex::new(rigid.clone());
         let mut counters = EngineCounters::default();
         for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
             let sig = class.signature(&rigid);
             let mut key = None;
             assert_eq!(
-                lookup(&mut index, &storage, &class, sig, &mut key, &mut counters),
+                lookup(&mut index, &class, sig, &mut key, &mut counters),
                 None
             );
-            admit(&mut storage, &mut index, class, sig, key);
+            index.insert(class, sig, key);
         }
         let probe = unary_facts(1, &[3]);
         let sig = probe.signature(&rigid);
         let before = counters;
         let mut key = None;
         assert_eq!(
-            lookup(&mut index, &storage, &probe, sig, &mut key, &mut counters),
+            lookup(&mut index, &probe, sig, &mut key, &mut counters),
             None
         );
         assert!(key.is_none(), "empty-group probe must not compute a key");
@@ -879,19 +817,19 @@ mod tests {
         assert_eq!(deltas, (1, 0));
     }
 
-    /// The collision-heavy regression: perfect matchings of 12 tags all
-    /// share one signature, so the old per-group linear scan made the k-th
-    /// admission pay O(k) key comparisons. The exact-match map must
-    /// resolve every probe with one key per class — and without the store
-    /// materialising a class's facts more than once.
-    fn resolve_same_signature_collisions<S: ClassStorage>() {
+    #[test]
+    fn keyed_index_resolves_thousands_of_same_signature_classes() {
+        // The collision-heavy regression: perfect matchings of 12 tags all
+        // share one signature, so the old per-group linear scan made the
+        // k-th admission pay O(k) key comparisons. The exact-match map must
+        // resolve every probe with one key per class.
         let tags: Vec<usize> = (0..12).collect();
         let rigid: BTreeSet<Value> = tags.iter().map(|&t| Value::from_index(t)).collect();
         let mut matchings = Vec::new();
         perfect_matchings(&tags, 1500, &mut matchings);
         assert_eq!(matchings.len(), 1500);
 
-        let (mut storage, mut index) = index_over::<S>(rigid.clone());
+        let mut index = ClassIndex::new(rigid.clone());
         let mut counters = EngineCounters::default();
         let sig0 = matching_facts(&matchings[0], 100).signature(&rigid);
         for m in &matchings {
@@ -900,10 +838,10 @@ mod tests {
             assert_eq!(sig, sig0, "matchings must collide on one signature");
             let mut key = None;
             assert_eq!(
-                lookup(&mut index, &storage, &facts, sig, &mut key, &mut counters),
+                lookup(&mut index, &facts, sig, &mut key, &mut counters),
                 None
             );
-            admit(&mut storage, &mut index, facts, sig, key);
+            index.insert(facts, sig, key);
         }
         // Re-probe every class under a fresh-value renaming: each must hit
         // its own class, purely through the exact map.
@@ -911,7 +849,7 @@ mod tests {
             let probe = matching_facts(m, 5000 + expect_ix);
             let mut key = None;
             assert_eq!(
-                lookup(&mut index, &storage, &probe, sig0, &mut key, &mut counters),
+                lookup(&mut index, &probe, sig0, &mut key, &mut counters),
                 Some(expect_ix)
             );
         }
@@ -926,16 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_index_resolves_thousands_of_same_signature_classes() {
-        resolve_same_signature_collisions::<Owned>();
-    }
-
-    #[test]
-    fn store_index_resolves_same_signature_collisions_exactly() {
-        resolve_same_signature_collisions::<Store>();
-    }
-
-    #[test]
     fn symmetric_classes_resolve_through_the_exact_map() {
         // Nine interchangeable fresh values defeat colour refinement — the
         // case that used to exceed the permutation budget and fall back to
@@ -943,22 +871,19 @@ mod tests {
         // the whole 9! orbit into a single descent, so the probe resolves
         // through the exact-match map.
         let rigid = BTreeSet::new();
-        let (mut storage, mut index) = index_over::<Owned>(rigid.clone());
+        let mut index = ClassIndex::new(rigid.clone());
         let mut counters = EngineCounters::default();
         let a = unary_facts(0, &(100..109).collect::<Vec<_>>());
         let sig = a.signature(&rigid);
         let mut key = None;
-        assert_eq!(
-            lookup(&mut index, &storage, &a, sig, &mut key, &mut counters),
-            None
-        );
-        admit(&mut storage, &mut index, a, sig, key);
+        assert_eq!(lookup(&mut index, &a, sig, &mut key, &mut counters), None);
+        index.insert(a, sig, key);
 
         let b = unary_facts(0, &(200..209).collect::<Vec<_>>());
         assert_eq!(b.signature(&rigid), sig);
         let mut key = None;
         assert_eq!(
-            lookup(&mut index, &storage, &b, sig, &mut key, &mut counters),
+            lookup(&mut index, &b, sig, &mut key, &mut counters),
             Some(0)
         );
         assert!(key.is_some(), "symmetric class must key successfully");

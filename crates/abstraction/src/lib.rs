@@ -17,15 +17,6 @@
 //!   fresh ones; terminates for state-bounded systems (Theorem 5.4),
 //!   yielding a finite system persistence-preserving bisimilar to the
 //!   concrete one (Figure 7b).
-//! * [`storage`] — where the two constructions keep their states. Each
-//!   construction is written once, generic over a [`Storage`] (seen
-//!   through [`ClassStorage`] by the det abstraction and [`StateStorage`]
-//!   by RCYCL): [`Owned`] (a [`dcds_core::Ts`] of shared instances,
-//!   fastest) or [`Store`] (delta states in a compact store, several
-//!   times less memory, bytes per state flat to millions of states). The
-//!   entry points pick the storage from the state budget
-//!   ([`OWNED_MAX_STATES`]) and return a [`dcds_core::StateSpace`];
-//!   `det_abs::build` and `rcycl::build` name a storage explicitly.
 //! * [`mod@reference`] — deliberately small serial versions of both
 //!   constructions, written straight from the paper: the oracle the
 //!   engines are differentially tested against.
@@ -34,13 +25,17 @@
 //! * [`bounds`] — empirical run-/state-boundedness monitors (the semantic
 //!   properties are undecidable — Theorems 4.6, 5.5 — so these measure
 //!   witnesses up to exploration limits).
+//!
+//! Both constructions write their states into a [`dcds_core::Ts`] of
+//! shared instances, the system the model checker takes, and keep their
+//! own dedup index beside it: canonical keys of isomorphism classes for
+//! the det abstraction, fact keys of databases for RCYCL.
 
 pub mod bounds;
 pub mod det_abs;
 pub mod pruning;
 pub mod rcycl;
 pub mod reference;
-pub mod storage;
 
 pub use bounds::{observe_run_bound, observe_state_bound, BoundObservation};
 pub use det_abs::{
@@ -49,4 +44,3 @@ pub use det_abs::{
 };
 pub use pruning::commitment_coverage_holds;
 pub use rcycl::{rcycl, rcycl_traced, RcyclResult, MAX_EVALS_PER_STEP};
-pub use storage::{ClassStorage, Owned, StateStorage, Storage, Store, OWNED_MAX_STATES};

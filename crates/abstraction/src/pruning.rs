@@ -87,18 +87,14 @@ mod tests {
         let dcds = example_5_1();
         let res = rcycl(&dcds, 100);
         assert!(res.complete);
-        assert!(commitment_coverage_holds(
-            &dcds,
-            &res.ts.to_ts(),
-            &Obs::disabled()
-        ));
+        assert!(commitment_coverage_holds(&dcds, &res.ts, &Obs::disabled()));
     }
 
     #[test]
     fn dropping_a_branch_breaks_coverage() {
         let dcds = example_5_1();
         let res = rcycl(&dcds, 100);
-        let ts = res.ts.to_ts();
+        let ts = res.ts;
         // Rebuild the system with one state's edges removed, reusing the
         // original's shared state handles: O(states), no instance copies.
         let mut broken = Ts::new_shared(ts.db_shared(ts.initial()));

@@ -32,12 +32,15 @@
 //! σ come as value rows ([`legal_sigmas`]). Three bookkeeping steps are
 //! computed without changing their result:
 //!
-//! * `Σ ∪= {I_next}` looks `I_next` up by its fact key (see
-//!   [`StateStorage`]), written for each θ into reused buffers from the
-//!   template. Only a key no state has yet becomes an [`Instance`], loaded
-//!   in one pass from the key's sorted rows, and is checked against `E`:
-//!   every state kept already satisfies `E` (bar an unvalidated `I₀`,
-//!   which is checked).
+//! * `Σ ∪= {I_next}` looks `I_next` up by its *fact key*, written for
+//!   each θ into reused buffers from the template: its facts in
+//!   [`Instance::facts`] order, each as `[rel, v₁, …, v_k]` (relation and
+//!   value indexes). A relation's arity is fixed by the schema, so equal
+//!   keys are equal databases. Only a key no state has yet becomes an
+//!   [`Instance`], loaded in one pass from the key's sorted rows, checked
+//!   against `E` and, if admitted, moved into the [`Ts`]: every state
+//!   kept already satisfies `E` (bar an unvalidated `I₀`, which is
+//!   checked).
 //! * `UsedValues ∪= ADOM(I_next)` adds `θ(CALLS)` only, and only when `V`
 //!   was freshly minted: `ADOM(I_next) ⊆ ADOM(I₀) ∪ ADOM(I) ∪ θ(CALLS)`,
 //!   whose first two parts, and a recycled `V`, are already used.
@@ -45,20 +48,15 @@
 //!   sorted vector that grows only with those minted values: per triple,
 //!   its first `|CALLS|` values outside `ADOM(I)` are `V`, if it has that
 //!   many.
-//!
-//! The algorithm is written once ([`build`]), generic over the
-//! [`StateStorage`] that holds its states; the public entry points pick the
-//! storage from the state budget.
 
-use crate::storage::{Owned, StateStorage, Store, OWNED_MAX_STATES};
 use dcds_core::do_op::{
     do_rows, legal_sigmas, publish_query_stats_delta, query_stats_snapshot, DoRows, DoTerm, Sigma,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{Dcds, StateId, StateSpace};
+use dcds_core::{Dcds, StateId, Ts};
 use dcds_obs::{event, span, Obs, PhaseClock};
 use dcds_reldata::{ConstantPool, Instance, RelId, Tuple, Value};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Steps whose `EVALS_F` enumeration would exceed this many evaluations
 /// are skipped and the result is marked incomplete.
@@ -70,13 +68,11 @@ pub(crate) fn over_eval_budget(f: usize, n: usize) -> bool {
     (f as f64).powi(n as i32) > f64::from(MAX_EVALS_PER_STEP)
 }
 
-/// Result of running RCYCL. `T` is the transition system: a
-/// [`StateSpace`] from the public entry points, the storage's own system
-/// from [`build`].
+/// Result of running RCYCL.
 #[derive(Debug)]
-pub struct RcyclResult<T = StateSpace> {
+pub struct RcyclResult {
     /// The pruning (a transition system over instances).
-    pub ts: T,
+    pub ts: Ts,
     /// Did the algorithm saturate (true), or hit `max_states` or skip a
     /// step over the evaluation budget (false)?
     pub complete: bool,
@@ -112,42 +108,14 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
     rcycl_traced(dcds, max_states, configured_threads(), &Obs::disabled())
 }
 
-/// [`rcycl`] with an explicit worker-thread count and an observability
-/// handle: one span per dequeued state, θ-fan-out metrics, per-phase
-/// timers, and rate-limited heartbeats. The storage is picked from the
-/// budget: [`Owned`] up to [`OWNED_MAX_STATES`], [`Store`] above.
-///
-/// Output is identical for every `threads` value (including 1, the
-/// serial schedule) and either storage. RCYCL's outer loop cannot be
-/// level-parallelised without changing the answer: `UsedValues` evolves
-/// per `(I, α, σ)` triple and feeds the very next triple's
-/// `RecyclableValues` pick. Only the per-state `DO` programs run on the
-/// workers (with [`par_map`](dcds_core::par::par_map), results in triple
-/// order). The θ loop is serial: each evaluation θ writes the
-/// successor's fact key into reused buffers and probes the storage with
-/// it, and only a key the storage has not seen is turned into an
-/// [`Instance`] and checked against the constraints.
-pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
-    if max_states <= OWNED_MAX_STATES {
-        build::<Owned>(dcds, max_states, threads, obs).map_ts(StateSpace::Owned)
-    } else {
-        build::<Store>(dcds, max_states, threads, obs).map_ts(StateSpace::Store)
+/// The fact key of `db` (see the module docs).
+fn fact_key(db: &Instance) -> Box<[u32]> {
+    let mut key = Vec::new();
+    for (rel, t) in db.facts() {
+        key.push(rel.index() as u32);
+        key.extend(t.iter().map(|v| v.index() as u32));
     }
-}
-
-impl<T> RcyclResult<T> {
-    fn map_ts<U>(self, f: impl FnOnce(T) -> U) -> RcyclResult<U> {
-        RcyclResult {
-            ts: f(self.ts),
-            complete: self.complete,
-            state_budget_hit: self.state_budget_hit,
-            eval_budget_skips: self.eval_budget_skips,
-            used_values: self.used_values,
-            triples_processed: self.triples_processed,
-            pool: self.pool,
-            counters: self.counters,
-        }
-    }
+    key.into()
 }
 
 /// The θ loop's reused buffers: θ itself, enumerated as an odometer over
@@ -242,14 +210,20 @@ enum Successor {
     State(StateId),
 }
 
-/// RCYCL over an explicit storage `S` — the one body behind [`rcycl`] and
-/// [`rcycl_traced`], public so tests and benchmarks can name a storage.
-pub fn build<S: StateStorage>(
-    dcds: &Dcds,
-    max_states: usize,
-    threads: usize,
-    obs: &Obs,
-) -> RcyclResult<S::Ts> {
+/// [`rcycl`] with an explicit worker-thread count and an observability
+/// handle: one span per dequeued state, θ-fan-out metrics, per-phase
+/// timers, and rate-limited heartbeats.
+///
+/// Output is identical for every `threads` value (including 1, the
+/// serial schedule). RCYCL's outer loop cannot be level-parallelised
+/// without changing the answer: `UsedValues` evolves per `(I, α, σ)`
+/// triple and feeds the very next triple's `RecyclableValues` pick. Only
+/// the per-state `DO` programs run on the workers (with
+/// [`par_map`](dcds_core::par::par_map), results in triple order). The θ loop is serial: each evaluation θ writes the
+/// successor's fact key into reused buffers and looks it up among the
+/// kept states' keys, and only a key not seen yet is turned into an
+/// [`Instance`] and checked against the constraints.
+pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
     let _run = span!(obs, "rcycl", threads = threads, max_states = max_states);
     let query_stats0 = query_stats_snapshot(dcds);
     let rigid = dcds.rigid_constants();
@@ -262,7 +236,9 @@ pub fn build<S: StateStorage>(
     let mut admit_clock = PhaseClock::new(obs);
 
     let initial = &dcds.data.initial;
-    let mut storage = S::with_initial_state(dcds, initial);
+    let mut ts = Ts::new(initial.clone());
+    // The kept states by fact key: `Σ`, for `Σ ∪= {I_next}`.
+    let mut ids: HashMap<Box<[u32]>, StateId> = HashMap::from([(fact_key(initial), ts.initial())]);
     // Every admitted state passed the constraints, so a key hit needs no
     // check — except on an `I₀` that was never validated against them.
     let initial_id = StateId::from_index(0);
@@ -297,7 +273,7 @@ pub fn build<S: StateStorage>(
                 "progress",
                 engine = "rcycl",
                 expanded = counters.states_expanded,
-                states = storage.num_states(),
+                states = ts.num_states(),
                 queued = queue.len(),
                 triples = triples,
             );
@@ -306,12 +282,12 @@ pub fn build<S: StateStorage>(
         obs.heartbeat(|| {
             format!(
                 "rcycl: {} states, {} queued, {} triples processed",
-                storage.num_states(),
+                ts.num_states(),
                 queue.len(),
                 triples
             )
         });
-        let inst = storage.db(sid);
+        let inst = ts.db_shared(sid);
         // ADOM(I), and ADOM(I₀) ∪ ADOM(I) — the part of F every triple
         // shares — ascending.
         let mut adom: Vec<Value> = inst.facts().flat_map(|(_, t)| t.iter()).collect();
@@ -364,7 +340,7 @@ pub fn build<S: StateStorage>(
             }
             keys.start(n, &f);
             loop {
-                let found = theta_clock.time(|| storage.lookup(keys.build(tpl)));
+                let found = theta_clock.time(|| ids.get(keys.build(tpl)).copied());
                 let succ = match found {
                     Some(id) if id == initial_id && !initial_ok => Successor::Rejected,
                     Some(id) => Successor::State(id),
@@ -373,10 +349,11 @@ pub fn build<S: StateStorage>(
                         if !dcds.data.satisfies_constraints(&next) {
                             return Successor::Rejected;
                         }
-                        if storage.num_states() >= max_states {
+                        if ts.num_states() >= max_states {
                             return Successor::OverBudget;
                         }
-                        let id = storage.add_state(sid, &keys.key, next);
+                        let id = ts.add_state(next);
+                        ids.insert(keys.key.as_slice().into(), id);
                         queue.push_back(id);
                         Successor::State(id)
                     }),
@@ -399,7 +376,7 @@ pub fn build<S: StateStorage>(
                                 }
                             }
                         }
-                        storage.add_edge(sid, id);
+                        ts.add_edge(sid, id);
                     }
                 }
                 if !keys.advance(&f) {
@@ -420,26 +397,25 @@ pub fn build<S: StateStorage>(
     theta_clock.publish(obs, "rcycl.theta_us");
     admit_clock.publish(obs, "rcycl.admit_us");
     counters.publish(obs, "rcycl");
-    storage.publish(obs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
     event!(
         obs,
         "progress",
         engine = "rcycl",
         expanded = counters.states_expanded,
-        states = storage.num_states(),
+        states = ts.num_states(),
         queued = 0u64,
         triples = triples,
     );
     obs.progress_flush(|| {
         format!(
             "rcycl done: {} states, {triples} triples (complete: {complete})",
-            storage.num_states()
+            ts.num_states()
         )
     });
 
     RcyclResult {
-        ts: storage.finish(),
+        ts,
         complete,
         state_budget_hit,
         eval_budget_skips,
@@ -496,7 +472,7 @@ mod tests {
         let res = rcycl(&example_5_1(), 100);
         assert!(res.complete);
         assert!(res.ts.num_states() <= 10, "got {}", res.ts.num_states());
-        assert_eq!(res.ts.to_ts().max_state_adom(), 1);
+        assert_eq!(res.ts.max_state_adom(), 1);
     }
 
     #[test]
@@ -507,13 +483,13 @@ mod tests {
         assert!(!res.complete);
         assert_eq!(res.ts.num_states(), 80);
         // Growing states witness the unboundedness.
-        assert!(res.ts.to_ts().max_state_adom() >= 3);
+        assert!(res.ts.max_state_adom() >= 3);
     }
 
     #[test]
     fn every_state_satisfies_constraints() {
         let dcds = example_5_1();
-        let ts = rcycl(&dcds, 100).ts.into_ts();
+        let ts = rcycl(&dcds, 100).ts;
         for s in ts.state_ids() {
             assert!(dcds.data.satisfies_constraints(ts.db(s)));
         }
@@ -521,7 +497,7 @@ mod tests {
 
     #[test]
     fn pruning_is_finitely_branching() {
-        let ts = rcycl(&example_5_1(), 100).ts.into_ts();
+        let ts = rcycl(&example_5_1(), 100).ts;
         for s in ts.state_ids() {
             assert!(ts.successors(s).len() <= 4);
         }

@@ -31,7 +31,7 @@ pub fn det_abstraction(dcds: &Dcds, max_states: usize) -> (Ts, AbsOutcome, Const
     let num_rels = dcds.data.schema.len();
     let mut pool = dcds.working_pool();
     let s0 = DetState::initial(dcds);
-    let mut ts = Ts::new(s0.instance.clone());
+    let mut ts = Ts::new_shared(s0.instance.clone());
     let mut kept: Vec<Facts> = vec![s0.to_facts(num_rels)];
     let mut queue = VecDeque::from([(ts.initial(), s0)]);
     let mut outcome = AbsOutcome::Complete;
@@ -45,7 +45,7 @@ pub fn det_abstraction(dcds: &Dcds, max_states: usize) -> (Ts, AbsOutcome, Const
                     continue;
                 }
                 None => {
-                    let id = ts.add_state(next.instance.clone());
+                    let id = ts.add_state_shared(next.instance.clone());
                     kept.push(facts);
                     queue.push_back((id, next));
                     id

@@ -8,15 +8,11 @@
 //! is its least self time over `--reps` `--profile` runs. Every run must
 //! report the row's pinned exit code, verdict and state count.
 //!
-//! **scale stage.** Drives the engines to 500k/1M-state budgets, where
-//! the budget rule keeps their states in the **compact state store**
-//! (arena + delta states), recording states/sec,
-//! the deterministic bytes-per-state high-water estimate, and the
-//! delta-share ratio, and asserting (a) bytes/state grows less than 2×
-//! from 100k to 500k states and (b) the owned and store storages build
-//! bit-identical systems (states, edges, pool, every counter) on an
-//! overlapping budget at 1, 2, 4 and 8 threads. No CLI run reaches these
-//! budgets, so this stage calls the library.
+//! **scale stage.** Drives the engines to 500k/1M-state budgets on one
+//! thread, recording states/sec, the dedup counters, and the states/s
+//! ratio between two budgets, and asserting that the det workloads keep
+//! at least half their throughput from the lower budget to the higher.
+//! No CLI run reaches these budgets, so this stage calls the library.
 //!
 //! Writes `BENCH_e2e.json` and `BENCH_scale.json` into the current
 //! directory and prints the same numbers as tables. Usage: see [`USAGE`];
@@ -26,9 +22,8 @@
 //! benchmarking, the current numbers are compared against the committed
 //! `BENCH_*.json` in `DIR`, the per-metric deltas are written to
 //! `BENCH_diff.json`, and the process exits nonzero when any timing or
-//! throughput degrades past `--max-slowdown` (default 1.75x) or any size
-//! metric grows past `--max-growth` (default 1.5x). Only keys present on
-//! both sides are compared, and sub-10ms timings never gate (scheduler
+//! throughput degrades past `--max-slowdown` (default 1.75x). Only keys
+//! present on both sides are compared, and sub-10ms timings never gate (scheduler
 //! noise). `--inject-slowdown F` is a self-test hook that degrades every
 //! current timing/throughput by `F` before the comparison — CI uses it to
 //! prove the gate actually trips. `--smoke` shrinks the run for CI: the
@@ -37,23 +32,21 @@
 //! `--reps` (default 3), like the committed baseline: a best-of-1 wall
 //! time of a 20 ms row strays past 1.75x on a shared machine.
 
-use dcds_abstraction::{det_abs, det_abstraction_traced, rcycl_traced, AbsOptions, Store};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
 use dcds_bench::e2e::{self, Row};
 use dcds_bench::report::{self, Kind, Thresholds};
-use dcds_bench::{parity, synthetic};
-use dcds_core::{Dcds, EngineCounters, StateSpace};
+use dcds_bench::synthetic;
+use dcds_core::{Dcds, EngineCounters, Ts};
 use dcds_obs::export::json_escape;
-use dcds_obs::{Obs, ObsConfig};
+use dcds_obs::Obs;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::str::FromStr;
 use std::time::Instant;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 const USAGE: &str = "usage: perf_report [--reps N] [--smoke] [--baseline DIR] \
-                     [--max-slowdown F] [--max-growth F] [--inject-slowdown F]";
+                     [--max-slowdown F] [--inject-slowdown F]";
 
 /// The command line.
 #[derive(Debug)]
@@ -90,7 +83,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--reps" => out.reps = positive(flag, value()?)?,
             "--baseline" => out.baseline = Some(value()?.to_owned()),
             "--max-slowdown" => out.thresholds.max_slowdown = positive(flag, value()?)?,
-            "--max-growth" => out.thresholds.max_growth = positive(flag, value()?)?,
             "--inject-slowdown" => out.inject = Some(positive(flag, value()?)?),
             _ => return Err(format!("unknown flag `{flag}`")),
         }
@@ -230,18 +222,12 @@ fn e2e_stage(dcds: &Path, reps: usize, hardware_threads: usize) -> String {
     json
 }
 
-/// One engine run at a fixed state budget above `OWNED_MAX_STATES`, so
-/// the states live in the compact store.
+/// One engine run at a fixed state budget.
 struct ScaleRun {
     budget: usize,
     secs: f64,
     states: usize,
     edges: usize,
-    /// Deterministic store heap estimate (arena + nodes + dedup) —
-    /// the bytes-per-state high-water mark is `bytes / states`.
-    bytes: usize,
-    facts_interned: usize,
-    delta_share: f64,
     complete: bool,
     /// Dedup probe work and canonical-key search effort.
     counters: EngineCounters,
@@ -251,47 +237,32 @@ impl ScaleRun {
     fn states_per_sec(&self) -> f64 {
         self.states as f64 / self.secs
     }
-    fn bytes_per_state(&self) -> f64 {
-        self.bytes as f64 / self.states.max(1) as f64
-    }
 }
 
 struct ScaleWorkload {
     name: String,
     engine: &'static str,
     runs: Vec<ScaleRun>,
-    /// Budget pair `(lo, hi)` the regression gates compare.
+    /// Budget pair `(lo, hi)` the regression gate compares.
     gate_budgets: (usize, usize),
-    /// bytes/state at the `hi` budget over bytes/state at the `lo` budget
-    /// — the flat-memory check (must stay below 2.0).
-    bytes_growth: f64,
     /// states/s at the `hi` budget over states/s at the `lo` budget — the
     /// dedup-throughput check (det engines must stay at or above 0.5; a
     /// linear class-index scan collapses this towards `lo / hi`).
     throughput_ratio: f64,
-    /// Budget at which the owned and store storages were asserted
-    /// bit-identical at every thread count.
-    overlap_budget: usize,
 }
 
 fn scale_run(
     budget: usize,
     secs: f64,
-    ts: &StateSpace,
+    ts: &Ts,
     complete: bool,
     counters: EngineCounters,
 ) -> ScaleRun {
-    let stats = ts
-        .store_stats()
-        .expect("scale budgets lie above OWNED_MAX_STATES, in the store");
     ScaleRun {
         budget,
         secs,
         states: ts.num_states(),
         edges: ts.num_edges(),
-        bytes: stats.bytes,
-        facts_interned: stats.facts_interned,
-        delta_share: stats.delta_share(),
         complete,
         counters,
     }
@@ -316,43 +287,23 @@ fn scale_run_rcycl(dcds: &Dcds, budget: usize) -> ScaleRun {
     scale_run(budget, secs, &res.ts, res.complete, res.counters)
 }
 
-/// Ratio of `measure` between the workload's two gate budgets
-/// (`hi` over `lo`); the regression gates compare against 1.
-fn gate_ratio(runs: &[ScaleRun], budgets: (usize, usize), measure: fn(&ScaleRun) -> f64) -> f64 {
+/// states/s at the workload's `hi` gate budget over states/s at its `lo`
+/// one; the throughput check compares it against 0.5.
+fn gate_ratio(runs: &[ScaleRun], (lo, hi): (usize, usize)) -> f64 {
     let at = |budget: usize| {
         runs.iter()
             .find(|r| r.budget == budget)
-            .map(measure)
+            .map(ScaleRun::states_per_sec)
             .expect("scale stage must include both gate budgets")
     };
-    at(budgets.1) / at(budgets.0)
-}
-
-/// Assert both storages build the same system at every thread count.
-fn assert_det_overlap(dcds: &Dcds, budget: usize) {
-    for threads in THREAD_COUNTS {
-        let opts = AbsOptions {
-            threads,
-            ..AbsOptions::default()
-        };
-        parity::det_storages_agree(dcds, budget, opts);
-    }
-}
-
-/// The RCYCL analogue of [`assert_det_overlap`].
-fn assert_rcycl_overlap(dcds: &Dcds, budget: usize) {
-    for threads in THREAD_COUNTS {
-        parity::rcycl_storages_agree(dcds, budget, threads);
-    }
+    at(hi) / at(lo)
 }
 
 fn scale_workloads() -> Vec<ScaleWorkload> {
     // Both families hold the state *size* flat no matter how far
     // exploration runs (bounded instances, bounded service-call maps), so
-    // bytes/state isolates the store's own per-state overhead.
-    let det_overlap = 10_000;
+    // states/s across budgets isolates the per-state cost of dedup.
     let chain = synthetic::service_chain(16);
-    assert_det_overlap(&chain, det_overlap);
     let det = ScaleWorkload {
         name: "service_chain(16)".into(),
         engine: "det_abstraction",
@@ -363,9 +314,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
             scale_run_det(&chain, 1_000_000),
         ],
         gate_budgets: (100_000, 500_000),
-        bytes_growth: 0.0,
         throughput_ratio: 0.0,
-        overlap_budget: det_overlap,
     };
 
     // Collision-heavy det family: whole levels share one signature, so a
@@ -375,24 +324,18 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     // enumeration (~19 states/s, 700 s per rep); with guided-join
     // constraint evaluation and the pruned canonical search the family
     // runs around 1000 states/s, so the stage now drives enough states
-    // for the throughput and bytes gates to measure the dedup indexes
-    // rather than successor generation.
-    let coll_overlap = 2_000;
+    // for the throughput gate to measure the dedup indexes rather than
+    // successor generation.
     let coll = synthetic::collision_pairs(12);
-    assert_det_overlap(&coll, coll_overlap);
     let collisions = ScaleWorkload {
         name: "collision_pairs(12)".into(),
         engine: "det_abstraction",
         runs: vec![scale_run_det(&coll, 30_000), scale_run_det(&coll, 60_000)],
         gate_budgets: (30_000, 60_000),
-        bytes_growth: 0.0,
         throughput_ratio: 0.0,
-        overlap_budget: coll_overlap,
     };
 
-    let rcycl_overlap = 20_000;
     let rings = synthetic::phased_rings(5);
-    assert_rcycl_overlap(&rings, rcycl_overlap);
     let rcycl = ScaleWorkload {
         name: "phased_rings(5)".into(),
         engine: "rcycl",
@@ -403,22 +346,13 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
             scale_run_rcycl(&rings, 1_000_000),
         ],
         gate_budgets: (100_000, 500_000),
-        bytes_growth: 0.0,
         throughput_ratio: 0.0,
-        overlap_budget: rcycl_overlap,
     };
 
     let mut out = vec![det, collisions, rcycl];
     for w in &mut out {
         let (lo, hi) = w.gate_budgets;
-        w.bytes_growth = gate_ratio(&w.runs, w.gate_budgets, ScaleRun::bytes_per_state);
-        assert!(
-            w.bytes_growth < 2.0,
-            "{}: bytes/state grew {:.2}x from {lo} to {hi} states — the store is no longer flat",
-            w.name,
-            w.bytes_growth
-        );
-        w.throughput_ratio = gate_ratio(&w.runs, w.gate_budgets, ScaleRun::states_per_sec);
+        w.throughput_ratio = gate_ratio(&w.runs, w.gate_budgets);
         // Dedup-throughput regression gate: with the exact-match class
         // index, det states/s must not collapse as the pool grows.
         if w.engine.starts_with("det") {
@@ -484,7 +418,6 @@ fn gate_against_baseline(
             match m.kind {
                 Kind::Time => m.value *= f,
                 Kind::Throughput => m.value /= f,
-                Kind::Size => {}
             }
         }
         eprintln!("perf gate: injected a {f:.2}x slowdown into every current timing/throughput");
@@ -494,8 +427,8 @@ fn gate_against_baseline(
     std::fs::write("BENCH_diff.json", &diff_json).expect("write BENCH_diff.json");
 
     println!(
-        "\nperf gate vs {dir}  (slowdown <= {:.2}x, growth <= {:.2}x; sub-10ms timings ungated)",
-        thresholds.max_slowdown, thresholds.max_growth
+        "\nperf gate vs {dir}  (slowdown <= {:.2}x; sub-10ms timings ungated)",
+        thresholds.max_slowdown
     );
     let mut regressions = 0usize;
     for d in &deltas {
@@ -566,7 +499,7 @@ fn main() {
     }
     artifacts.push(("BENCH_e2e.json", json));
 
-    // ---- engines at scale (compact state store) ----
+    // ---- engines at scale ----
     // The scale stage drives half-million-state budgets; in smoke mode it
     // is skipped outright (its keys simply drop out of the comparison).
     if smoke {
@@ -577,22 +510,20 @@ fn main() {
         return;
     }
     let scale_loads = scale_workloads();
-    println!("\ncompact-store scale report  (1 thread; owned/store parity asserted at 1/2/4/8)");
+    println!("\nscale report  (1 thread)");
     for w in &scale_loads {
         println!("\n{} — {}", w.engine, w.name);
         println!(
-            "  {:>9}  {:>9}  {:>10}  {:>9}  {:>9}  {:>11}  {:>8}",
-            "budget", "secs", "states/s", "B/state", "delta", "facts", "complete"
+            "  {:>9}  {:>9}  {:>10}  {:>9}  {:>8}",
+            "budget", "secs", "states/s", "edges", "complete"
         );
         for r in &w.runs {
             println!(
-                "  {:>9}  {:>9.1}  {:>10.0}  {:>9.1}  {:>8.1}%  {:>11}  {:>8}",
+                "  {:>9}  {:>9.1}  {:>10.0}  {:>9}  {:>8}",
                 r.budget,
                 r.secs,
                 r.states_per_sec(),
-                r.bytes_per_state(),
-                r.delta_share * 100.0,
-                r.facts_interned,
+                r.edges,
                 r.complete
             );
         }
@@ -608,55 +539,33 @@ fn main() {
             );
         }
         println!(
-            "  {}k -> {}k: bytes/state x{:.2} (must stay < 2x), states/s x{:.2}{}; \
-             owned/store bit-identical at {} states, threads 1/2/4/8",
+            "  {}k -> {}k: states/s x{:.2}{}",
             w.gate_budgets.0 / 1000,
             w.gate_budgets.1 / 1000,
-            w.bytes_growth,
             w.throughput_ratio,
             if w.engine.starts_with("det") {
                 " (must stay >= 0.5x)"
             } else {
                 ""
             },
-            w.overlap_budget
         );
     }
 
-    // Instrumented small store-backed run so the artifact carries the
-    // store gauges (`store.bytes`, `store.facts_interned`,
-    // `store.delta_states`).
-    let obs = Obs::enabled(ObsConfig::default());
-    let _ = det_abs::build::<Store>(
-        &synthetic::service_chain(16),
-        10_000,
-        AbsOptions {
-            threads: 1,
-            ..AbsOptions::default()
-        },
-        &obs,
-    );
-    let snapshot = obs.finish().expect("obs enabled").metrics;
-
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"benchmark\": \"compact-store-scale\",");
+    let _ = writeln!(json, "  \"benchmark\": \"scale\",");
     let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(json, "  \"threads\": 1,");
-    let _ = writeln!(json, "  \"storage_parity_thread_counts\": [1, 2, 4, 8],");
     let _ = writeln!(json, "  \"workloads\": [");
     for (wi, w) in scale_loads.iter().enumerate() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", w.name);
         let _ = writeln!(json, "      \"engine\": \"{}\",", w.engine);
-        let _ = writeln!(json, "      \"overlap_budget\": {},", w.overlap_budget);
-        let _ = writeln!(json, "      \"storages_bit_identical\": true,");
         let _ = writeln!(json, "      \"runs\": [");
         for (ri, r) in w.runs.iter().enumerate() {
             let _ = writeln!(
                 json,
                 "        {{\"budget\": {}, \"secs\": {}, \"states\": {}, \"edges\": {}, \
-                 \"states_per_sec\": {}, \"store_bytes\": {}, \"bytes_per_state\": {}, \
-                 \"delta_share\": {}, \"facts_interned\": {}, \"complete\": {}, \
+                 \"states_per_sec\": {}, \"complete\": {}, \
                  \"canon_keys_computed\": {}, \"canon_orders_enumerated\": {}, \
                  \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}}}{}",
                 r.budget,
@@ -664,10 +573,6 @@ fn main() {
                 r.states,
                 r.edges,
                 json_f64(r.states_per_sec()),
-                r.bytes,
-                json_f64(r.bytes_per_state()),
-                json_f64(r.delta_share),
-                r.facts_interned,
                 r.complete,
                 r.counters.canon_keys_computed,
                 r.counters.canon_orders_enumerated,
@@ -684,11 +589,6 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "      \"bytes_per_state_growth\": {},",
-            json_f64(w.bytes_growth)
-        );
-        let _ = writeln!(
-            json,
             "      \"throughput_ratio\": {}",
             json_f64(w.throughput_ratio)
         );
@@ -698,8 +598,7 @@ fn main() {
             if wi + 1 < scale_loads.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"metrics_snapshot\": {}", snapshot.to_json());
+    let _ = writeln!(json, "  ]");
     json.push_str("}\n");
     std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
     println!("\nwrote BENCH_scale.json");
@@ -730,7 +629,6 @@ mod tests {
         .unwrap();
         assert_eq!(args.baseline.as_deref(), Some("."));
         assert_eq!(args.thresholds.max_slowdown, 6.0);
-        assert_eq!(args.thresholds.max_growth, 1.5);
         assert_eq!(args.inject, Some(10.0));
         assert_eq!(args.reps, 3);
         let smoke = parse(&["--reps", "5", "--smoke"]).unwrap();
@@ -739,7 +637,7 @@ mod tests {
         for (bad, named) in [
             (&["--baselne", "."][..], "`--baselne`"),
             (&["--max-slowdown", "abc"], "`--max-slowdown`"),
-            (&["--max-growth", "-2"], "`--max-growth`"),
+            (&["--max-slowdown", "-2"], "`--max-slowdown`"),
             (&["--reps", "0"], "`--reps`"),
             (&["--baseline"], "`--baseline`"),
             (&["--scale", "2"], "`--scale`"),

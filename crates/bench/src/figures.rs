@@ -78,8 +78,8 @@ pub fn fig2() -> String {
         false,
     );
     let abs = det_abstraction(&dcds, 100);
-    let ts = abs.ts.to_ts();
-    out += &ts_summary(&ts, &dcds, &abs.pool, "abstract transition system", true);
+    let ts = &abs.ts;
+    out += &ts_summary(ts, &dcds, &abs.pool, "abstract transition system", true);
     let _ = writeln!(
         out,
         "\nabstraction outcome: {:?} (paper: finite, f(a) |-> a forced; initial state has 2 successors — ours has {})",
@@ -108,8 +108,8 @@ pub fn fig3() -> String {
         false,
     );
     let abs = det_abstraction(&dcds, 100);
-    let ts = abs.ts.to_ts();
-    out += &ts_summary(&ts, &dcds, &abs.pool, "abstract transition system", true);
+    let ts = &abs.ts;
+    out += &ts_summary(ts, &dcds, &abs.pool, "abstract transition system", true);
     let _ = writeln!(
         out,
         "\nabstraction outcome: {:?} (paper: finite; initial state has 5 successors \
@@ -207,7 +207,7 @@ pub fn fig7() -> String {
         false,
     );
     let res = rcycl(&dcds, 100);
-    out += &ts_summary(&res.ts.to_ts(), &dcds, &res.pool, "RCYCL pruning", true);
+    out += &ts_summary(&res.ts, &dcds, &res.pool, "RCYCL pruning", true);
     let _ = writeln!(
         out,
         "\nRCYCL complete = {}, used values = {}, triples processed = {} \
@@ -316,7 +316,7 @@ pub fn table1() -> String {
         let halted_rel2 = looping.data.schema.rel_id("halted").unwrap();
         let safe = check(
             &sugar::ag(Mu::Query(Formula::Atom(halted_rel2, vec![])).not()),
-            &abs.ts.to_ts(),
+            &abs.ts,
         )
         .unwrap();
         cell(
@@ -343,9 +343,9 @@ pub fn table1() -> String {
                 vec![dcds_folang::QTerm::var("X")],
             ))),
         ));
-        let direct = check(&phi, &abs.ts.to_ts()).unwrap();
-        let prop = propositionalize(&phi, &abs.ts.to_ts().adom_union()).unwrap();
-        let via_prop = check_prop(&prop, &abs.ts.to_ts());
+        let direct = check(&phi, &abs.ts).unwrap();
+        let prop = propositionalize(&phi, &abs.ts.adom_union()).unwrap();
+        let via_prop = check_prop(&prop, &abs.ts);
         cell(
             &mut out,
             "deterministic, run-bounded",
@@ -447,7 +447,7 @@ pub fn table1() -> String {
                 )),
             ),
         ));
-        let verdict = check(&phi, &res.ts.to_ts()).unwrap();
+        let verdict = check(&phi, &res.ts).unwrap();
         cell(
             &mut out,
             "nondeterministic, state-bounded",
@@ -512,7 +512,7 @@ pub fn travel_verify() -> String {
     let _ = writeln!(
         out,
         "property 1 (liveness: every filed request is eventually decided): {}",
-        check(&liveness, &res.ts.to_ts()).unwrap()
+        check(&liveness, &res.ts).unwrap()
     );
     eprintln!("[travel_verify] property 1 done");
     // Safety: G not(confirmed and no Travel tuple).
@@ -523,7 +523,7 @@ pub fn travel_verify() -> String {
     let _ = writeln!(
         out,
         "property 2 (safety: no confirmation without travel data): {}",
-        check(&safety, &res.ts.to_ts()).unwrap()
+        check(&safety, &res.ts).unwrap()
     );
 
     // Audit system (deterministic) — abstraction + muLA. (The reduced
@@ -587,7 +587,7 @@ pub fn travel_verify() -> String {
     let _ = writeln!(
         out,
         "property 3 (muLA audit: failed component check implies eventual request failure): {}",
-        check(&audit_prop, &abs.ts.to_ts()).unwrap()
+        check(&audit_prop, &abs.ts).unwrap()
     );
     eprintln!("[travel_verify] all properties checked");
     out

@@ -10,8 +10,7 @@
 //!   µLP model checking end-to-end;
 //! * [`synthetic`] — parametric workload families (copy chains, service
 //!   chains/cycles, accumulators, flush ladders, random systems) used by
-//!   `perf_report`, `memsmoke` and the differential suites to measure
-//!   scaling;
+//!   `perf_report` and the differential suites to measure scaling;
 //! * [`figures`] — regeneration of every figure and table of the paper's
 //!   narrative (Figures 2–10, Table 1), each returning a plain-text report
 //!   printed by the corresponding `fig*`/`table1` binary;
@@ -24,7 +23,6 @@
 pub mod e2e;
 pub mod examples;
 pub mod figures;
-pub mod parity;
 pub mod report;
 pub mod rng;
 pub mod synthetic;

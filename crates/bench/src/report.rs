@@ -13,8 +13,7 @@
 //! `scale/service_chain(16)/b500000/states_per_sec`) with a
 //! [`Kind`] saying which direction is bad. Timings regress when
 //! `current / baseline` exceeds the slowdown threshold, throughputs when
-//! `baseline / current` does, and sizes (bytes/state) when growth exceeds
-//! its own, tighter threshold. Sub-10ms timings are reported but never
+//! `baseline / current` does. Sub-10ms timings are reported but never
 //! gated — at that scale the scheduler owns the ratio, not the code.
 
 use std::collections::BTreeMap;
@@ -231,8 +230,6 @@ pub enum Kind {
     Time,
     /// Work per second: smaller is worse, gated by `max_slowdown`.
     Throughput,
-    /// Bytes (per state): larger is worse, gated by `max_growth`.
-    Size,
 }
 
 impl Kind {
@@ -240,7 +237,6 @@ impl Kind {
         match self {
             Kind::Time => "time",
             Kind::Throughput => "throughput",
-            Kind::Size => "size",
         }
     }
 }
@@ -280,7 +276,9 @@ pub fn extract(doc: &Value) -> BTreeMap<String, Metric> {
                 }
             }
         }
-        "compact-store-scale" => {
+        // Ledgers written before the scale stage lost its compact store
+        // carry the older name.
+        "scale" | "compact-store-scale" => {
             for w in doc.get("workloads").map(Value::items).unwrap_or(&[]) {
                 let name = w.get("name").and_then(Value::as_str).unwrap_or("?");
                 for r in w.get("runs").map(Value::items).unwrap_or(&[]) {
@@ -289,11 +287,6 @@ pub fn extract(doc: &Value) -> BTreeMap<String, Metric> {
                         format!("scale/{name}/b{budget}/states_per_sec"),
                         r.get("states_per_sec").and_then(Value::as_f64),
                         Kind::Throughput,
-                    );
-                    put(
-                        format!("scale/{name}/b{budget}/bytes_per_state"),
-                        r.get("bytes_per_state").and_then(Value::as_f64),
-                        Kind::Size,
                     );
                 }
             }
@@ -309,16 +302,11 @@ pub struct Thresholds {
     /// Worst tolerated `current/baseline` for timings (and
     /// `baseline/current` for throughputs).
     pub max_slowdown: f64,
-    /// Worst tolerated `current/baseline` for sizes.
-    pub max_growth: f64,
 }
 
 impl Default for Thresholds {
     fn default() -> Self {
-        Thresholds {
-            max_slowdown: 1.75,
-            max_growth: 1.5,
-        }
+        Thresholds { max_slowdown: 1.75 }
     }
 }
 
@@ -351,17 +339,13 @@ pub fn diff(
             continue;
         };
         let factor = match base.kind {
-            Kind::Time | Kind::Size => cur.value / base.value,
+            Kind::Time => cur.value / base.value,
             Kind::Throughput => base.value / cur.value,
         };
         let gated = match base.kind {
             // Both sides under the floor: the ratio is pure noise.
             Kind::Time => base.value.max(cur.value) >= GATE_FLOOR_SECS,
-            Kind::Throughput | Kind::Size => true,
-        };
-        let limit = match base.kind {
-            Kind::Time | Kind::Throughput => thresholds.max_slowdown,
-            Kind::Size => thresholds.max_growth,
+            Kind::Throughput => true,
         };
         out.push(Delta {
             key: key.clone(),
@@ -370,7 +354,7 @@ pub fn diff(
             current: cur.value,
             factor,
             gated,
-            regressed: gated && factor > limit,
+            regressed: gated && factor > thresholds.max_slowdown,
         });
     }
     out
@@ -381,7 +365,6 @@ pub fn diff_json(deltas: &[Delta], thresholds: Thresholds, injected: Option<f64>
     let regressions = deltas.iter().filter(|d| d.regressed).count();
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"max_slowdown\": {:.3},", thresholds.max_slowdown);
-    let _ = writeln!(json, "  \"max_growth\": {:.3},", thresholds.max_growth);
     let _ = writeln!(
         json,
         "  \"injected_slowdown\": {},",
@@ -418,13 +401,11 @@ mod tests {
     fn parses_artifact_shaped_json() {
         let doc = parse(
             r#"{
-                "benchmark": "compact-store-scale",
+                "benchmark": "scale",
                 "workloads": [
                     {"name": "w\"x", "runs": [
-                        {"budget": 100000, "states_per_sec": 7000.5,
-                         "bytes_per_state": 120.0},
-                        {"budget": 500000, "states_per_sec": 6500.0,
-                         "bytes_per_state": 130.0}
+                        {"budget": 100000, "states_per_sec": 7000.5},
+                        {"budget": 500000, "states_per_sec": 6500.0}
                     ]}
                 ],
                 "extra": [null, true, false, -1.5e3]
@@ -432,10 +413,23 @@ mod tests {
         )
         .unwrap();
         let metrics = extract(&doc);
-        assert_eq!(metrics.len(), 4);
+        assert_eq!(metrics.len(), 2);
         let k = "scale/w\"x/b100000/states_per_sec";
         assert_eq!(metrics[k].kind, Kind::Throughput);
         assert!((metrics[k].value - 7000.5).abs() < 1e-9);
+        // A ledger under the scale stage's older name reads the same; its
+        // store-only fields compare nothing.
+        let older = parse(
+            r#"{"benchmark": "compact-store-scale", "workloads": [
+                {"name": "w", "runs": [
+                    {"budget": 1000, "states_per_sec": 8000.0,
+                     "bytes_per_state": 100.0}]}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            extract(&older).keys().collect::<Vec<_>>(),
+            ["scale/w/b1000/states_per_sec"]
+        );
         assert!(parse("{\"a\": 1,}").is_err());
         assert!(parse("[1, 2] junk").is_err());
     }
@@ -471,10 +465,9 @@ mod tests {
     #[test]
     fn gates_trip_on_regression_and_respect_the_noise_floor() {
         let base = parse(
-            r#"{"benchmark": "compact-store-scale", "workloads": [
+            r#"{"benchmark": "scale", "workloads": [
                 {"name": "w", "runs": [
-                    {"budget": 1000, "states_per_sec": 8000.0,
-                     "bytes_per_state": 100.0}]}]}"#,
+                    {"budget": 1000, "states_per_sec": 8000.0}]}]}"#,
         )
         .unwrap();
         let mut current = extract(&base);
@@ -487,8 +480,6 @@ mod tests {
         let tput = deltas.iter().find(|d| d.kind == Kind::Throughput).unwrap();
         assert!((tput.factor - 2.0).abs() < 1e-9);
         assert!(tput.regressed);
-        // Identical sizes do not.
-        assert!(!deltas.iter().any(|d| d.kind == Kind::Size && d.regressed));
 
         // Sub-floor timings never gate, however wild the ratio.
         let tiny_base = parse(

@@ -147,8 +147,8 @@ pub fn parallel_rings(width: usize) -> Dcds {
 /// exponential in `width`. Branching per state is one service call over a
 /// bounded active domain, so the fanout is `O(width)` and RCYCL streams
 /// through millions of states without the per-state cost creeping up:
-/// the scale workload for the compact state store (each successor differs
-/// from its parent in one ring slot plus the phase token — tiny deltas).
+/// RCYCL's scale workload (each successor differs from its parent in one
+/// ring slot plus the phase token).
 pub fn phased_rings(width: usize) -> Dcds {
     let width = width.max(1);
     let mut b = DcdsBuilder::new().relation("Tick", 0).relation("Phase", 1);
@@ -422,7 +422,7 @@ mod tests {
         let res = dcds_abstraction::rcycl(&dcds, 3000);
         // Every state: 3 ring slots + Tick + Phase — flat regardless of
         // how deep exploration went.
-        let ts = res.ts.into_ts();
+        let ts = res.ts;
         for s in ts.state_ids() {
             assert_eq!(ts.db(s).len(), 5);
         }
@@ -444,7 +444,7 @@ mod tests {
         assert_eq!(abs.ts.num_states(), 44);
         // The pairwise-isomorphism reference builds the same system.
         let (ref_ts, _, _) = reference::det_abstraction(&dcds, 500);
-        assert_eq!(abs.ts.into_ts(), ref_ts);
+        assert_eq!(abs.ts, ref_ts);
     }
 
     #[test]

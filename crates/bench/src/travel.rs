@@ -313,6 +313,6 @@ mod tests {
         let res = dcds_abstraction::rcycl(&dcds, 5000);
         assert!(res.complete, "GR+-acyclic ⇒ state-bounded ⇒ RCYCL halts");
         // Each state holds at most one Status, Travel, and Hotel value.
-        assert!(res.ts.to_ts().max_state_adom() <= 3);
+        assert!(res.ts.max_state_adom() <= 3);
     }
 }

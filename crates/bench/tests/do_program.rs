@@ -18,7 +18,7 @@
 //! filter, a call with a parameter argument, two effects that write the
 //! same fact, and rules that give the same σ twice.
 
-use dcds_abstraction::{det_abs, rcycl, AbsOptions, Owned};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
 use dcds_bench::{synthetic, travel};
 use dcds_core::{
     do_action, do_rows, legal_assignments, legal_sigmas, parse_dcds, ActionId, Dcds, DcdsBuilder,
@@ -111,9 +111,9 @@ fn program_matches_reference(dcds: &Dcds, ts: &Ts, definitional: bool) -> usize 
 /// deterministic system, RCYCL's otherwise.
 fn reachable(dcds: &Dcds, max_states: usize) -> Ts {
     if dcds.is_deterministic() {
-        det_abs::build::<Owned>(dcds, max_states, AbsOptions::default(), &Obs::disabled()).ts
+        det_abstraction_traced(dcds, max_states, AbsOptions::default(), &Obs::disabled()).ts
     } else {
-        rcycl::build::<Owned>(dcds, max_states, 1, &Obs::disabled()).ts
+        rcycl_traced(dcds, max_states, 1, &Obs::disabled()).ts
     }
 }
 

@@ -8,7 +8,7 @@
 //! `McCounters` value — is pinned too, so an engine rewrite is held to the
 //! same work, not only to the same verdicts.
 
-use dcds_abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome};
 use dcds_bench::e2e::{rows, Row, Spec};
 use dcds_bench::travel;
 use dcds_core::{parse_dcds, to_spec, Dcds};
@@ -45,10 +45,10 @@ fn library_answer(row: &Row, dcds: &Dcds) -> (Option<bool>, Vec<(&'static str, u
             threads: 1,
             ..AbsOptions::default()
         };
-        let abs = det_abs::build::<Owned>(dcds, budget, opts, &obs);
+        let abs = det_abstraction_traced(dcds, budget, opts, &obs);
         (abs.ts, abs.outcome == AbsOutcome::Complete)
     } else {
-        let res = rcycl::build::<Owned>(dcds, budget, 1, &obs);
+        let res = rcycl_traced(dcds, budget, 1, &obs);
         (res.ts, !res.state_budget_hit && res.eval_budget_skips == 0)
     };
     let run = check_traced(&phi, &ts, McOptions { threads: 1 }, &obs).expect("mc run");

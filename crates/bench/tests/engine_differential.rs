@@ -1,56 +1,83 @@
-//! Seeded engine-level differential: each abstraction construction in
-//! both state storages against the small reference constructions, over
-//! synthetic families and SplitMix64-seeded random systems, at 1, 2, 4
-//! and 8 worker threads.
+//! Seeded engine-level differential: each abstraction construction
+//! against the small reference constructions, over synthetic families
+//! and SplitMix64-seeded random systems, at 1, 2, 4 and 8 worker threads.
 //!
-//! The owned and store storages must build **bit-identical** results:
-//! same transition system (states in the same order, same edges), same
-//! outcome/completeness, same minted constant pool, and the same value of
-//! every engine counter — including canonical keys computed and
-//! signature-filter skips, i.e. the same dedup decisions, not just the
-//! same final answer. Both must equal the reference construction
-//! (`dcds_abstraction::reference`, pairwise isomorphism checks) on the
-//! system, the outcome and the pool.
+//! Every thread count must build the **bit-identical** result of the
+//! 1-thread run: same transition system (states in the same order, same
+//! edges), same outcome/completeness, same minted constant pool, and the
+//! same value of every engine counter — including canonical keys computed
+//! and signature-filter skips, i.e. the same dedup decisions, not just the
+//! same final answer. The 1-thread run must equal the reference
+//! construction (`dcds_abstraction::reference`, pairwise isomorphism
+//! checks) on the system, the outcome and the pool.
 
 use dcds_abstraction::{
-    det_abs, det_abstraction, rcycl, reference, AbsOptions, AbsOutcome, Owned, Store,
-    OWNED_MAX_STATES,
+    det_abstraction_traced, rcycl_traced, reference, AbsOptions, DetAbstraction, RcyclResult,
 };
 use dcds_bench::synthetic::{self, RandomParams};
-use dcds_bench::{examples, parity, travel};
-use dcds_core::{Dcds, ServiceKind, StateSpace};
+use dcds_bench::{examples, travel};
+use dcds_core::{Dcds, ServiceKind};
 use dcds_obs::Obs;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Run the det abstraction at 1 thread and assert that 2, 4 and 8 threads
+/// build the same result; return the 1-thread run.
+fn det_threads_agree(dcds: &Dcds, budget: usize, opts: AbsOptions) -> DetAbstraction {
+    let run = |threads| {
+        let opts = AbsOptions { threads, ..opts };
+        det_abstraction_traced(dcds, budget, opts, &Obs::disabled())
+    };
+    let serial = run(1);
+    for threads in [2, 4, 8] {
+        let par = run(threads);
+        assert_eq!(par.ts, serial.ts, "det ts diverged at {threads} threads");
+        assert_eq!(par.outcome, serial.outcome);
+        assert_eq!(par.pool.len(), serial.pool.len());
+        assert_eq!(
+            par.counters, serial.counters,
+            "det counters diverged at {threads} threads"
+        );
+    }
+    serial
+}
+
+/// The RCYCL analogue of [`det_threads_agree`].
+fn rcycl_threads_agree(dcds: &Dcds, budget: usize) -> RcyclResult {
+    let run = |threads| rcycl_traced(dcds, budget, threads, &Obs::disabled());
+    let serial = run(1);
+    for threads in [2, 4, 8] {
+        let par = run(threads);
+        assert_eq!(par.ts, serial.ts, "rcycl ts diverged at {threads} threads");
+        assert_eq!(par.complete, serial.complete);
+        assert_eq!(par.state_budget_hit, serial.state_budget_hit);
+        assert_eq!(par.eval_budget_skips, serial.eval_budget_skips);
+        assert_eq!(par.used_values, serial.used_values);
+        assert_eq!(par.triples_processed, serial.triples_processed);
+        assert_eq!(par.pool.len(), serial.pool.len());
+        assert_eq!(
+            par.counters, serial.counters,
+            "rcycl counters diverged at {threads} threads"
+        );
+    }
+    serial
+}
 
 fn assert_det_identical(dcds: &Dcds, budget: usize) {
     let (ref_ts, ref_outcome, ref_pool) = reference::det_abstraction(dcds, budget);
-    for threads in THREAD_COUNTS {
-        let opts = AbsOptions {
-            threads,
-            ..AbsOptions::default()
-        };
-        let owned = parity::det_storages_agree(dcds, budget, opts);
-        assert_eq!(owned.ts, ref_ts, "det engine differs from the reference");
-        assert_eq!(owned.outcome, ref_outcome);
-        assert_eq!(owned.pool.len(), ref_pool.len());
-    }
+    let abs = det_threads_agree(dcds, budget, AbsOptions::default());
+    assert_eq!(abs.ts, ref_ts, "det engine differs from the reference");
+    assert_eq!(abs.outcome, ref_outcome);
+    assert_eq!(abs.pool.len(), ref_pool.len());
 }
 
 fn assert_rcycl_identical(dcds: &Dcds, budget: usize) {
     let (ref_ts, ref_complete, ref_pool, ref_used) = reference::rcycl(dcds, budget);
-    for threads in THREAD_COUNTS {
-        let owned = parity::rcycl_storages_agree(dcds, budget, threads);
-        assert_eq!(owned.ts, ref_ts, "RCYCL engine differs from the reference");
-        assert_eq!(owned.complete, ref_complete);
-        assert_eq!(owned.pool.len(), ref_pool.len());
-        // The engine grows UsedValues from θ's image alone; the reference
-        // by the definition, `∪= ADOM(I_next)`.
-        assert_eq!(
-            owned.used_values, ref_used,
-            "UsedValues differ at {threads} threads"
-        );
-    }
+    let res = rcycl_threads_agree(dcds, budget);
+    assert_eq!(res.ts, ref_ts, "RCYCL engine differs from the reference");
+    assert_eq!(res.complete, ref_complete);
+    assert_eq!(res.pool.len(), ref_pool.len());
+    // The engine grows UsedValues from θ's image alone; the reference by
+    // the definition, `∪= ADOM(I_next)`.
+    assert_eq!(res.used_values, ref_used);
 }
 
 #[test]
@@ -82,7 +109,7 @@ fn det_storages_match_reference_on_synthetic_families() {
 fn det_storages_match_reference_on_collision_heavy_family() {
     // Thousands of isomorphism classes behind a handful of signatures:
     // the exact-match key index must make the same dedup decisions (and
-    // counters) in both storages even when whole levels collide.
+    // counters) at every thread count even when whole levels collide.
     assert_det_identical(&synthetic::collision_pairs(7), 400);
 }
 
@@ -91,34 +118,27 @@ fn det_level_chunking_is_output_invariant() {
     // Wide BFS levels are stepped in `level_chunk`-sized batches to bound
     // transient allocation. Chunking must not change anything observable:
     // force pathologically small chunks (so every level spans many chunk
-    // boundaries) and require bit-identity with the default chunking in
-    // both storages — same Ts, same pool, same counters, at every thread
-    // count.
+    // boundaries) and require bit-identity with the default chunking —
+    // same Ts, same pool, same counters, at every thread count.
     for dcds in [
         synthetic::service_chain(6),
         synthetic::collision_pairs(7),
         synthetic::parallel_rings(2),
     ] {
-        for threads in [1, 4] {
+        let baseline = det_threads_agree(&dcds, 400, AbsOptions::default());
+        for level_chunk in [1, 3, 64] {
             let opts = AbsOptions {
-                threads,
+                level_chunk,
                 ..AbsOptions::default()
             };
-            let baseline = det_abs::build::<Owned>(&dcds, 400, opts, &Obs::disabled());
-            for level_chunk in [1, 3, 64] {
-                let opts = AbsOptions {
-                    level_chunk,
-                    ..opts
-                };
-                let chunked = parity::det_storages_agree(&dcds, 400, opts);
-                let at = format!("chunk {level_chunk}, {threads} threads");
-                assert_eq!(chunked.ts, baseline.ts, "ts diverged at {at}");
-                assert_eq!(chunked.pool.len(), baseline.pool.len());
-                assert_eq!(
-                    chunked.counters, baseline.counters,
-                    "counters diverged at {at}"
-                );
-            }
+            let chunked = det_threads_agree(&dcds, 400, opts);
+            let at = format!("chunk {level_chunk}");
+            assert_eq!(chunked.ts, baseline.ts, "ts diverged at {at}");
+            assert_eq!(chunked.pool.len(), baseline.pool.len());
+            assert_eq!(
+                chunked.counters, baseline.counters,
+                "counters diverged at {at}"
+            );
         }
     }
 }
@@ -206,7 +226,7 @@ mod key_path {
     /// kept.
     fn fanout_and_successors(dcds: &Dcds, budget: usize) -> (u64, u64) {
         let obs = Obs::enabled(ObsConfig::default());
-        let res = rcycl::build::<Owned>(dcds, budget, 1, &obs);
+        let res = rcycl_traced(dcds, budget, 1, &obs);
         let metrics = obs.finish().unwrap().metrics;
         let fanout = metrics.histogram("rcycl.theta_fanout").unwrap().sum;
         let fanout = u64::try_from(fanout).unwrap();
@@ -224,7 +244,7 @@ mod key_path {
     #[test]
     fn resolution_merges_pre_facts() {
         let dcds = merging_heads();
-        let res = rcycl::build::<Owned>(&dcds, 200, 1, &Obs::disabled());
+        let res = rcycl_traced(&dcds, 200, 1, &Obs::disabled());
         // From {R(a)}, θ(f(a)) = b reaches the one-fact state {R(b)}.
         let s0 = res.ts.initial();
         assert!(res
@@ -239,7 +259,7 @@ mod key_path {
     fn an_unvalidated_initial_state_is_not_a_successor() {
         let dcds = invalid_initial();
         assert!(!dcds.data.satisfies_constraints(&dcds.data.initial));
-        let res = rcycl::build::<Owned>(&dcds, 200, 1, &Obs::disabled());
+        let res = rcycl_traced(&dcds, 200, 1, &Obs::disabled());
         let s0 = res.ts.initial();
         assert!(!res.ts.successors(s0).is_empty());
         assert!(res
@@ -277,40 +297,4 @@ fn rcycl_storages_match_reference_on_seeded_random_systems() {
         );
         assert_rcycl_identical(&dcds, 250);
     }
-}
-
-#[test]
-fn the_budget_picks_the_storage() {
-    // The public entry points keep states owned up to OWNED_MAX_STATES and
-    // in the store above it — with the same result either way.
-    let det = synthetic::service_chain(4);
-    let small = det_abstraction(&det, OWNED_MAX_STATES);
-    let large = det_abstraction(&det, OWNED_MAX_STATES + 1);
-    assert!(matches!(small.ts, StateSpace::Owned(_)));
-    assert!(matches!(large.ts, StateSpace::Store(_)));
-    assert_eq!(small.outcome, AbsOutcome::Complete);
-    assert_eq!(small.ts, large.ts);
-    assert_eq!(small.counters, large.counters);
-
-    let nondet = synthetic::phased_rings(2);
-    let small = rcycl(&nondet, OWNED_MAX_STATES);
-    let large = rcycl(&nondet, OWNED_MAX_STATES + 1);
-    assert!(matches!(small.ts, StateSpace::Owned(_)));
-    assert!(matches!(large.ts, StateSpace::Store(_)));
-    assert!(small.complete);
-    assert_eq!(small.ts, large.ts);
-    assert_eq!(small.counters, large.counters);
-}
-
-#[test]
-fn store_keeps_successors_as_deltas() {
-    // The truncating Example 4.3 run: successors extend their parent, so
-    // almost every state is stored as a delta over it.
-    let dcds = examples::example_4_3(ServiceKind::Deterministic);
-    let opts = AbsOptions::default();
-    let abs = det_abs::build::<Store>(&dcds, 60, opts, &Obs::disabled());
-    let stats = abs.ts.store_stats();
-    assert_eq!(stats.states(), 60);
-    assert!(stats.delta_states > 40, "stats: {stats:?}");
-    assert!(stats.delta_share() > 0.3, "stats: {stats:?}");
 }

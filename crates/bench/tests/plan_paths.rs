@@ -10,9 +10,7 @@
 //! runs (`rcycl`, `det_abstraction`) are checked at 1, 2, 4 and 8 worker
 //! threads.
 
-use dcds_abstraction::{
-    det_abs, det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome, Owned,
-};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome};
 use dcds_bench::{synthetic, travel};
 use dcds_core::{do_action, legal_assignments, ActionId, Dcds, DcdsBuilder, PreInstance, Ts};
 use dcds_folang::{answers, Assignment, Var};
@@ -57,7 +55,7 @@ fn do_and_legal_agree_on_all_rcycl_states() {
     let dcds = travel::request_system_small();
     let res = rcycl_traced(&dcds, 5000, 1, &Obs::disabled());
     assert!(res.complete, "travel pruning should saturate");
-    assert_do_and_legal_match_definition(&dcds, &res.ts.into_ts());
+    assert_do_and_legal_match_definition(&dcds, &res.ts);
 }
 
 /// Every reachable state of the small audit system's deterministic
@@ -68,7 +66,7 @@ fn do_and_legal_agree_on_all_rcycl_states() {
 #[test]
 fn do_and_legal_agree_on_all_audit_states() {
     let dcds = travel::audit_system_small();
-    let abs = det_abs::build::<Owned>(&dcds, 2000, AbsOptions::default(), &Obs::disabled());
+    let abs = det_abstraction_traced(&dcds, 2000, AbsOptions::default(), &Obs::disabled());
     assert_eq!(
         abs.outcome,
         AbsOutcome::Complete,

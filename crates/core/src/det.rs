@@ -28,8 +28,9 @@ use std::sync::{Arc, Mutex};
 /// A state of the deterministic concrete transition system: `⟨I, M⟩`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DetState {
-    /// The current database `I`.
-    pub instance: Instance,
+    /// The current database `I`, shared with the transition system that
+    /// keeps the state.
+    pub instance: Arc<Instance>,
     /// The service-call map `M` accumulated so far.
     pub call_map: BTreeMap<ServiceCall, Value>,
 }
@@ -38,7 +39,7 @@ impl DetState {
     /// The initial state `⟨I₀, ∅⟩`.
     pub fn initial(dcds: &Dcds) -> Self {
         DetState {
-            instance: dcds.data.initial.clone(),
+            instance: Arc::new(dcds.data.initial.clone()),
             call_map: BTreeMap::new(),
         }
     }
@@ -165,7 +166,7 @@ pub fn det_step_with_pre(
         return None;
     }
     Some(DetState {
-        instance: inst,
+        instance: Arc::new(inst),
         call_map: new_map,
     })
 }
@@ -478,7 +479,10 @@ impl SplitDo {
         for call in &self.new_calls {
             call_map.insert(call.clone(), *choice.get(call)?);
         }
-        Some(DetState { instance, call_map })
+        Some(DetState {
+            instance: Arc::new(instance),
+            call_map,
+        })
     }
 
     /// [`SplitDo::screen`], then [`SplitDo::materialise`].

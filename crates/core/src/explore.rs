@@ -80,7 +80,7 @@ pub fn explore_det(dcds: &Dcds, limits: Limits) -> DetExploration {
     let (ts, states, outcome) = bfs(
         DetState::initial(dcds),
         limits,
-        |s| s.instance.clone(),
+        |s| Instance::clone(&s.instance),
         |s| {
             det_successors_by_commitment(dcds, s, &mut pool)
                 .into_iter()

@@ -32,7 +32,6 @@
 pub mod action;
 pub mod builder;
 pub mod commitment;
-pub mod compact;
 pub mod data_layer;
 pub mod dcds;
 pub mod det;
@@ -52,7 +51,6 @@ pub mod ts;
 pub use action::{Action, ActionId, Effect};
 pub use builder::DcdsBuilder;
 pub use commitment::{enumerate_commitments, CommitTarget, Commitment};
-pub use compact::{CompactTs, StateSpace};
 pub use data_layer::DataLayer;
 pub use dcds::{Dcds, ValidationError};
 pub use det::DetState;

@@ -17,6 +17,7 @@ use crate::term::ServiceCall;
 use dcds_folang::Assignment;
 use dcds_reldata::{ConstantPool, Instance, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How service calls are answered when the caller does not supply values.
 #[derive(Debug, Clone, Copy)]
@@ -162,7 +163,7 @@ impl Runner {
                     self.det_state.call_map.insert(call.clone(), v);
                 }
             }
-            self.det_state.instance = next;
+            self.det_state.instance = Arc::new(next);
         }
         self.history.push(StepRecord {
             action,

@@ -175,10 +175,10 @@ mod tests {
         // the abstraction saturates, and G ¬halted holds on it.
         let abs = det_abstraction(&dcds, 3000);
         assert_eq!(abs.outcome, dcds_abstraction::AbsOutcome::Complete);
-        assert!(!halted_somewhere(&abs.ts.to_ts(), &dcds));
+        assert!(!halted_somewhere(&abs.ts, &dcds));
         let halted = dcds.data.schema.rel_id("halted").unwrap();
         let prop = sugar::ag(Mu::Query(Formula::Atom(halted, vec![])).not());
-        assert!(check(&prop, &abs.ts.to_ts()).unwrap());
+        assert!(check(&prop, &abs.ts).unwrap());
     }
 
     #[test]

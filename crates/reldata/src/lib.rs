@@ -19,7 +19,6 @@
 //! Everything downstream (first-order queries, DCDS semantics, abstractions,
 //! bisimulations) is built on these types.
 
-pub mod arena;
 #[cfg(test)]
 mod canon_tests;
 pub mod display;
@@ -27,16 +26,13 @@ pub mod instance;
 pub mod iso;
 pub mod schema;
 pub mod sig;
-pub mod store;
 pub mod tuple;
 pub mod value;
 
-pub use arena::{FactId, TupleArena};
 pub use display::{FactsDisplay, InstanceDisplay};
 pub use instance::Instance;
 pub use iso::{CanonKey, CanonStats, DenseCtx, Facts};
 pub use schema::{RelId, RelSchema, Schema};
-pub use store::{FactsView, Inserted, StateRef, StateStore, StoreStats, MAX_DELTA_DEPTH};
 pub use tuple::Tuple;
 pub use value::{ConstantPool, Value};
 

@@ -31,7 +31,7 @@ use dcds_mucalc::safety::{extract_safety, SafetyError, SafetyMode};
 use dcds_mucalc::{ensure_closed, CheckError, Mu};
 use dcds_obs::{event, span, Obs, PhaseClock};
 use dcds_reldata::{ConstantPool, Instance};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// Budgets for the symbolic engine.
@@ -483,15 +483,10 @@ fn confirm_reach(
 ) -> Option<Trace> {
     counters.confirm_runs += 1;
     let mut pool = dcds.working_pool();
-    let init = dcds.data.initial.clone();
     let found = if dcds.is_deterministic() {
-        let start = DetState {
-            instance: init,
-            call_map: BTreeMap::new(),
-        };
         bfs(
-            start,
-            |s| s.instance.clone(),
+            DetState::initial(dcds),
+            |s| Instance::clone(&s.instance),
             |s| {
                 det_successors_by_commitment(dcds, s, &mut pool)
                     .into_iter()
@@ -505,7 +500,7 @@ fn confirm_reach(
         )
     } else {
         bfs(
-            init,
+            dcds.data.initial.clone(),
             |s: &Instance| s.clone(),
             |s| {
                 nondet_successors_by_commitment(dcds, s, &mut pool)

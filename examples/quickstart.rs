@@ -83,7 +83,7 @@ fn main() {
         println!(
             "fragment {:?}  |  {name}: {}",
             classify(&phi).unwrap(),
-            check(&phi, &pruning.ts.to_ts()).unwrap()
+            check(&phi, &pruning.ts).unwrap()
         );
     }
 
@@ -102,6 +102,6 @@ fn main() {
         "concrete prefix: {} states, max |adom| = {} (abstraction: {})",
         prefix.ts.num_states(),
         prefix.ts.max_state_adom(),
-        pruning.ts.to_ts().max_state_adom()
+        pruning.ts.max_state_adom()
     );
 }

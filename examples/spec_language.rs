@@ -86,7 +86,7 @@ fn main() {
     println!(
         "fragment: {:?}; 'every picked order can ship (while it persists)' on the prefix: {}",
         classify(&phi).unwrap(),
-        check(&phi, &pruning.ts.to_ts()).unwrap()
+        check(&phi, &pruning.ts).unwrap()
     );
 
     println!(

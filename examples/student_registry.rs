@@ -93,19 +93,19 @@ fn main() {
         println!(
             "{name}\n  fragment: {:?}\n  holds: {}",
             classify(phi).unwrap(),
-            check(phi, &pruning.ts.to_ts()).unwrap()
+            check(phi, &pruning.ts).unwrap()
         );
     }
 
     // Diagnostics: a counterexample path for a property that fails —
     // AG (some student is enrolled) fails immediately after graduation.
     let always_stud = parse_mu("exists S . live(S) & Stud(S)", &mut schema, &mut pool).unwrap();
-    let ts = pruning.ts.to_ts();
-    let path = dcds_verify::mucalc::counterexample_ag(&always_stud, &ts).unwrap();
+    let ts = &pruning.ts;
+    let path = dcds_verify::mucalc::counterexample_ag(&always_stud, ts).unwrap();
     if let Some(path) = path {
         println!(
             "\ncounterexample to AG(some student enrolled):\n  {}",
-            diagnostics::render_path(&path, &ts, &schema, &pool)
+            diagnostics::render_path(&path, ts, &schema, &pool)
         );
     }
 }

@@ -68,7 +68,7 @@ fn main() {
                     "abstraction: {:?} with {} states; G !halted verified = {}",
                     abs.outcome,
                     abs.ts.num_states(),
-                    check(&safe, &abs.ts.to_ts()).unwrap()
+                    check(&safe, &abs.ts).unwrap()
                 );
             }
         }

@@ -95,7 +95,9 @@
 //! selected format), or could not be read: a run-time error, as for every
 //! other command.
 
-use dcds_verify::abstraction::{det_abs, rcycl, AbsOptions, AbsOutcome, Owned, MAX_EVALS_PER_STEP};
+use dcds_verify::abstraction::{
+    det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome, MAX_EVALS_PER_STEP,
+};
 use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
@@ -539,11 +541,7 @@ impl Truncation {
     }
 }
 
-/// Build the finite abstraction the spec's services call for, in
-/// [`Owned`] storage at every budget: the model checker and the dot output
-/// take an owned [`Ts`], and converting the compact store into one costs
-/// time and leaves no memory saved at the peak (see
-/// [`OWNED_MAX_STATES`](dcds_verify::abstraction::OWNED_MAX_STATES)).
+/// Build the finite abstraction the spec's services call for.
 fn build_abstraction(
     dcds: &Dcds,
     max_states: usize,
@@ -555,7 +553,7 @@ fn build_abstraction(
             threads,
             ..AbsOptions::default()
         };
-        let abs = det_abs::build::<Owned>(dcds, max_states, opts, obs);
+        let abs = det_abstraction_traced(dcds, max_states, opts, obs);
         let cut = Truncation {
             states: abs.outcome == AbsOutcome::Truncated,
             eval_skips: 0,
@@ -563,7 +561,7 @@ fn build_abstraction(
         let how = "deterministic abstraction (Thm 4.3)";
         (abs.ts, abs.pool, cut, how, abs.counters)
     } else {
-        let res = rcycl::build::<Owned>(dcds, max_states, threads, obs);
+        let res = rcycl_traced(dcds, max_states, threads, obs);
         let cut = Truncation {
             states: res.state_budget_hit,
             eval_skips: res.eval_budget_skips,

@@ -59,7 +59,7 @@
 //!     &mut pool,
 //! )
 //! .unwrap();
-//! assert!(check(&phi, &pruning.ts.to_ts()).unwrap());
+//! assert!(check(&phi, &pruning.ts).unwrap());
 //! ```
 
 pub use dcds_abstraction as abstraction;

@@ -60,10 +60,9 @@ fn theorem_4_3_abstractions_are_history_bisimilar() {
     // Our computed abstraction vs the paper's hand-drawn Figure 2(b), with
     // an unrelated fresh-value name: history-preserving bisimilar.
     let (fig, _) = figure_2b("zz_other_fresh");
-    assert!(history_bisimilar(&abs.ts.to_ts(), &fig, &rigid));
+    assert!(history_bisimilar(&abs.ts, &fig, &rigid));
     // Reflexivity sanity.
-    let ts = abs.ts.to_ts();
-    assert!(history_bisimilar(&ts, &ts, &rigid));
+    assert!(history_bisimilar(&abs.ts, &abs.ts, &rigid));
 }
 
 #[test]
@@ -72,7 +71,7 @@ fn theorem_3_1_mu_la_invariance_across_bisimilar_systems() {
     let abs = det_abstraction(&dcds, 100);
     let (fig, _) = figure_2b("another_name");
     let rigid = dcds.rigid_constants();
-    assert!(history_bisimilar(&abs.ts.to_ts(), &fig, &rigid));
+    assert!(history_bisimilar(&abs.ts, &fig, &rigid));
     let schema = &dcds.data.schema;
     let p = schema.rel_id("P").unwrap();
     let q = schema.rel_id("Q").unwrap();
@@ -115,7 +114,7 @@ fn theorem_3_1_mu_la_invariance_across_bisimilar_systems() {
     ];
     for (ix, phi) in formulas.iter().enumerate() {
         assert_eq!(
-            check(phi, &abs.ts.to_ts()).unwrap(),
+            check(phi, &abs.ts).unwrap(),
             check(phi, &fig).unwrap(),
             "formula #{ix} distinguishes bisimilar systems"
         );
@@ -158,7 +157,7 @@ fn theorem_5_4_prunings_are_persistence_bisimilar() {
     ts.add_edge(rc2, qa);
     ts.add_edge(rc2, qc1);
     ts.add_edge(rc2, qc2);
-    assert!(persistence_bisimilar(&res.ts.to_ts(), &ts, &rigid));
+    assert!(persistence_bisimilar(&res.ts, &ts, &rigid));
 
     // Negative: a "pruning" that forgot the fresh branch from the initial
     // state is NOT persistence-bisimilar.
@@ -166,7 +165,7 @@ fn theorem_5_4_prunings_are_persistence_bisimilar() {
     let bqa = broken.add_state(one(q, a));
     broken.add_edge(broken.initial(), bqa);
     broken.add_edge(bqa, broken.initial());
-    assert!(!persistence_bisimilar(&res.ts.to_ts(), &broken, &rigid));
+    assert!(!persistence_bisimilar(&res.ts, &broken, &rigid));
 }
 
 #[test]
@@ -210,7 +209,7 @@ fn theorem_3_2_mu_lp_invariance() {
     mirror.add_edge(rc2, qc1);
     mirror.add_edge(rc2, qc2);
     let rigid = dcds.rigid_constants();
-    assert!(persistence_bisimilar(&res.ts.to_ts(), &mirror, &rigid));
+    assert!(persistence_bisimilar(&res.ts, &mirror, &rigid));
     for src in sources {
         let phi = parse_mu(src, &mut schema, &mut pool).unwrap();
         assert!(
@@ -218,7 +217,7 @@ fn theorem_3_2_mu_lp_invariance() {
             "test formulas should be in a decidable fragment: {src}"
         );
         assert_eq!(
-            check(&phi, &res.ts.to_ts()).unwrap(),
+            check(&phi, &res.ts).unwrap(),
             check(&phi, &mirror).unwrap(),
             "µLP formula distinguishes persistence-bisimilar systems: {src}"
         );

@@ -393,9 +393,9 @@ fn check_format_json_is_one_object_on_stdout() {
 
 #[test]
 fn check_large_budget_gives_the_default_budget_answer() {
-    // A budget above the engines' owned-storage threshold (10000 states)
-    // changes nothing the CLI reports: stdout stays exactly one JSON
-    // object, with the same RCYCL pruning and verdict as the default.
+    // A budget above the default (10000 states) changes nothing the CLI
+    // reports: stdout stays exactly one JSON object, with the same RCYCL
+    // pruning and verdict as the default.
     let args = [
         "check",
         &spec("travel_request.dcds"),

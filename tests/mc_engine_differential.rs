@@ -50,7 +50,7 @@ fn systems() -> Vec<System> {
         assert!(res.complete, "{name}");
         out.push(System {
             name,
-            ts: res.ts.to_ts().into_owned(),
+            ts: res.ts,
             schema: dcds.data.schema.clone(),
             pool: res.pool,
         });
@@ -62,7 +62,7 @@ fn systems() -> Vec<System> {
         let abs = det_abstraction(&dcds, budget);
         out.push(System {
             name,
-            ts: abs.ts.to_ts().into_owned(),
+            ts: abs.ts,
             schema: dcds.data.schema.clone(),
             pool: abs.pool,
         });
@@ -428,7 +428,7 @@ fn engine_agrees_on_a_multi_word_system_with_non_prefix_leaves() {
     let abs = det_abstraction(&dcds, 1000);
     let sys = System {
         name: "collision_pairs(6)",
-        ts: abs.ts.to_ts().into_owned(),
+        ts: abs.ts,
         schema: dcds.data.schema.clone(),
         pool: abs.pool,
     };

@@ -137,7 +137,7 @@ fn model_checker_metrics_are_thread_count_deterministic() {
     let mut runs = Vec::new();
     for threads in THREADS {
         let obs = Obs::enabled(ObsConfig::default());
-        let run = check_traced(&phi, &pruning.ts.to_ts(), McOptions { threads }, &obs).unwrap();
+        let run = check_traced(&phi, &pruning.ts, McOptions { threads }, &obs).unwrap();
         snapshots.push(obs.finish().unwrap().metrics);
         runs.push(run);
     }

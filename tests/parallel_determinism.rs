@@ -155,5 +155,5 @@ fn det_abstraction_matches_reference_on_travel_audit() {
     );
     let (ref_ts, ref_outcome, _) = reference::det_abstraction(&dcds, 80);
     assert_eq!(abs.outcome, ref_outcome);
-    assert_eq!(abs.ts.into_ts(), ref_ts);
+    assert_eq!(abs.ts, ref_ts);
 }

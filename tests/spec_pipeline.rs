@@ -45,7 +45,7 @@ fn parse_analyse_abstract_verify() {
     // RCYCL terminates.
     let pruning = rcycl(&dcds, 2_000);
     assert!(pruning.complete);
-    assert!(pruning.ts.to_ts().max_state_adom() <= 2); // phase + one payload
+    assert!(pruning.ts.max_state_adom() <= 2); // phase + one payload
 
     // Parsed µLP properties.
     let mut schema = dcds.data.schema.clone();
@@ -79,7 +79,7 @@ fn parse_analyse_abstract_verify() {
             classify(&phi).is_ok(),
             "monotonicity check must pass for {src}"
         );
-        assert_eq!(check(&phi, &pruning.ts.to_ts()).unwrap(), expected, "{src}");
+        assert_eq!(check(&phi, &pruning.ts).unwrap(), expected, "{src}");
     }
 }
 
@@ -155,8 +155,6 @@ fn round_trip_between_builder_and_spec() {
     assert_eq!(p1.ts.num_edges(), p2.ts.num_edges());
     let rigid = via_spec.rigid_constants();
     assert!(dcds_verify::bisim::persistence_bisimilar(
-        &p1.ts.to_ts(),
-        &p2.ts.to_ts(),
-        &rigid
+        &p1.ts, &p2.ts, &rigid
     ));
 }

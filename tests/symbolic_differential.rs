@@ -28,11 +28,11 @@ fn explicit_ts(dcds: &Dcds) -> Ts {
     if dcds.is_deterministic() {
         let abs = det_abstraction(dcds, 50_000);
         assert_eq!(abs.outcome, AbsOutcome::Complete, "abstraction truncated");
-        abs.ts.into_ts()
+        abs.ts
     } else {
         let p = rcycl(dcds, 50_000);
         assert!(p.complete, "rcycl truncated");
-        p.ts.into_ts()
+        p.ts
     }
 }
 
