@@ -321,11 +321,11 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     // linear signature-bucket scan is quadratic here; the keyed class
     // index keeps it linear. Budgets used to stop at 12k because the
     // quantified triple-collision constraint was evaluated by |adom|^4
-    // enumeration (~19 states/s, 700 s per rep); with guided-join
-    // constraint evaluation and the pruned canonical search the family
-    // runs around 1000 states/s, so the stage now drives enough states
-    // for the throughput gate to measure the dedup indexes rather than
-    // successor generation.
+    // enumeration (~19 states/s, 700 s per rep); with the constraint
+    // checked as a compiled plan that joins its guard atoms, and the
+    // pruned canonical search, the family runs around 1000 states/s, so
+    // the stage now drives enough states for the throughput gate to
+    // measure the dedup indexes rather than successor generation.
     let coll = synthetic::collision_pairs(12);
     let collisions = ScaleWorkload {
         name: "collision_pairs(12)".into(),
@@ -376,7 +376,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 /// Absolute states/s floor for `collision_pairs` in the scale stage — the
-/// workload the keyed dedup + guided constraint evaluation exist to fix.
+/// workload the keyed dedup + compiled constraint plans exist to fix.
 /// The enumerate-all-orders kernel over |adom|^4 constraint checks managed
 /// ~19 states/s; the current engine runs around 1000 states/s on one core.
 /// The floor sits far under the healthy figure to absorb slow runners, but

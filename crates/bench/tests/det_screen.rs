@@ -20,18 +20,24 @@
 //! call's, and one whose facts carry two new calls, where it must not
 //! fire. The engine's commitment counters are pinned at several thread
 //! counts.
+//!
+//! The walk also holds each constraint's compiled check to the
+//! definition ([`equality_satisfied`], [`fo_satisfied`]) on every
+//! commitment's resolved `DO(I, ασ)`, kept or rejected, and asserts that
+//! both verdicts occur.
 
 use dcds_abstraction::{det_abstraction_traced, AbsOptions};
 use dcds_bench::{examples, synthetic};
 use dcds_core::commitment::{fresh_cell_count, instantiate, CommitTarget};
 use dcds_core::det::{det_step_with_pre, DetState, SoloViolations, SplitDo};
+use dcds_core::do_op::resolve_with_map;
 use dcds_core::{
     do_action, do_rows, enumerate_commitments, legal_sigmas, parse_dcds, Dcds, DcdsBuilder, DoRows,
     ServiceKind,
 };
-use dcds_folang::Constraint;
+use dcds_folang::{equality_satisfied, fo_satisfied, Constraint};
 use dcds_obs::{Obs, ObsConfig};
-use dcds_reldata::Value;
+use dcds_reldata::{Instance, Value};
 use std::collections::{HashSet, VecDeque};
 
 /// What [`screened_steps_agree`] saw.
@@ -45,11 +51,41 @@ struct Walked {
     dropped: usize,
     /// Kept commitments that send a call to a known value.
     kept_known: Vec<(dcds_core::ServiceCall, Value)>,
+    /// Constraint verdicts held to the definition.
+    checks: usize,
+    /// Those verdicts that were violations.
+    violations: usize,
+}
+
+impl Walked {
+    /// Each constraint's compiled check on `inst` gives the definitional
+    /// verdict.
+    fn check_constraints(&mut self, dcds: &Dcds, inst: &Instance) {
+        let eq = dcds
+            .data
+            .constraints
+            .iter()
+            .map(|c| (c.satisfied(inst), equality_satisfied(c, inst)));
+        let fo = dcds
+            .data
+            .fo_constraints
+            .iter()
+            .map(|c| (c.satisfied(inst), fo_satisfied(c, inst)));
+        for (compiled, definition) in eq.chain(fo) {
+            assert_eq!(
+                compiled, definition,
+                "a constraint check differs on {inst:?}"
+            );
+            self.checks += 1;
+            self.violations += usize::from(!definition);
+        }
+    }
 }
 
 /// Walk up to `max_states` reachable states (one per isomorphism class)
-/// and compare the two steps on every commitment, and the filtered
-/// enumeration with the unfiltered one.
+/// and compare the two steps on every commitment, the filtered
+/// enumeration with the unfiltered one, and the constraint checks with
+/// the definition.
 fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> Walked {
     let rigid = dcds.rigid_constants();
     let solo = SoloViolations::new(dcds, &rigid);
@@ -80,6 +116,10 @@ fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> Walked {
             let (mut skipped, mut step_dropped) = (0, 0);
             for commitment in enumerate_commitments(split.new_calls(), &known) {
                 let choice = instantiate(&commitment, &mut pool);
+                let mut map = state.call_map.clone();
+                map.extend(choice.iter().map(|(call, v)| (call.clone(), *v)));
+                let resolved = resolve_with_map(&pre, &map).expect("every call is answered");
+                walked.check_constraints(dcds, &resolved);
                 let want = det_step_with_pre(dcds, &state, &pre, &choice);
                 assert_eq!(
                     split.step(dcds, &state, &choice),
@@ -123,6 +163,10 @@ fn screened_steps_agree(dcds: &Dcds, max_states: usize) -> Walked {
             assert_eq!(filtered.trailing_mints, skipped);
         }
     }
+    assert!(
+        walked.violations > 0 && walked.violations < walked.checks,
+        "{walked:?}"
+    );
     walked
 }
 
@@ -149,13 +193,16 @@ fn collision_pairs_screen_like_the_full_step() {
         walked.dropped > 0 && walked.dropped < walked.rejected,
         "{walked:?}"
     );
+    // Two constraints on each of the 257 resolved successors.
+    assert_eq!((walked.checks, walked.violations), (514, 214));
 }
 
 #[test]
 fn travel_request_screens_like_the_full_step() {
     let src = include_str!("../../../specs/travel_request.dcds");
     let dcds = parse_dcds(src).expect("shipped spec parses");
-    agrees_with_both_outcomes(&dcds, 300);
+    let walked = agrees_with_both_outcomes(&dcds, 300);
+    assert_eq!((walked.checks, walked.violations), (594, 126));
 }
 
 #[test]

@@ -143,6 +143,21 @@ fn det_level_chunking_is_output_invariant() {
     }
 }
 
+/// The RCYCL systems of `plan_paths`: the travel-request pruning and the
+/// accumulator.
+#[test]
+fn rcycl_thread_count_invariant_with_plans() {
+    rcycl_threads_agree(&travel::request_system_small(), 5000);
+    rcycl_threads_agree(&synthetic::accumulator(2), 400);
+}
+
+/// The det system of `plan_paths`: the small audit system, whose
+/// `CheckTravel` joins run as filtered scans.
+#[test]
+fn det_abstraction_thread_count_invariant_with_plans() {
+    det_threads_agree(&travel::audit_system_small(), 2000, AbsOptions::default());
+}
+
 #[test]
 fn rcycl_storages_match_reference_on_synthetic_families() {
     assert_rcycl_identical(&synthetic::phased_rings(3), 500);

@@ -1,4 +1,4 @@
-//! Engine-level agreement and determinism for the compiled-plan hot path.
+//! Engine-level agreement with the definitions for the compiled-plan hot path.
 //!
 //! `DO` and the legal parameter assignments, which read every state
 //! through compiled plans, are checked against their definitions
@@ -6,14 +6,16 @@
 //! every reachable state of the travel-request pruning and of the small
 //! audit system — whose `CheckTravel` joins key `Hotel` and `Flight` on
 //! non-prefix columns, so those steps run as filtered scans — and for σ
-//! that are not exactly the action's parameters. Whole-engine
-//! runs (`rcycl`, `det_abstraction`) are checked at 1, 2, 4 and 8 worker
-//! threads.
+//! that are not exactly the action's parameters. On the travel-request
+//! pruning, each constraint's compiled check is held to the definition on
+//! every candidate successor.
 
 use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome};
-use dcds_bench::{synthetic, travel};
+use dcds_bench::travel;
+use dcds_core::do_op::resolve_with_map;
+use dcds_core::nondet::evals_over;
 use dcds_core::{do_action, legal_assignments, ActionId, Dcds, DcdsBuilder, PreInstance, Ts};
-use dcds_folang::{answers, Assignment, Var};
+use dcds_folang::{answers, equality_satisfied, fo_satisfied, Assignment, Var};
 use dcds_obs::Obs;
 use dcds_reldata::Instance;
 
@@ -49,6 +51,42 @@ fn assert_do_and_legal_match_definition(dcds: &Dcds, ts: &Ts) {
     }
 }
 
+/// On every state of `ts`, for each legal `ασ` and each evaluation θ of
+/// its calls over `ADOM(I)` and the rigid constants, each constraint's
+/// compiled check on the resolved `DO(I, ασ)` gives the definitional
+/// verdict. Returns the verdicts compared and the violations among them.
+fn constraint_checks_match_definition(dcds: &Dcds, ts: &Ts) -> (usize, usize) {
+    let rigid = dcds.rigid_constants();
+    let (mut checks, mut violations) = (0, 0);
+    for s in ts.state_ids() {
+        let inst = ts.db(s);
+        let mut values = inst.active_domain();
+        values.extend(rigid.iter().copied());
+        for (action, sigma) in legal_assignments(dcds, inst) {
+            let pre = do_action(dcds, inst, action, &sigma);
+            for theta in evals_over(&pre.calls(), &values) {
+                let next = resolve_with_map(&pre, &theta).expect("θ answers every call");
+                let eq = dcds
+                    .data
+                    .constraints
+                    .iter()
+                    .map(|c| (c.satisfied(&next), equality_satisfied(c, &next)));
+                let fo = dcds
+                    .data
+                    .fo_constraints
+                    .iter()
+                    .map(|c| (c.satisfied(&next), fo_satisfied(c, &next)));
+                for (compiled, definition) in eq.chain(fo) {
+                    assert_eq!(compiled, definition, "state {}, θ = {theta:?}", s.index());
+                    checks += 1;
+                    violations += usize::from(!definition);
+                }
+            }
+        }
+    }
+    (checks, violations)
+}
+
 /// Every reachable state of the travel-request pruning.
 #[test]
 fn do_and_legal_agree_on_all_rcycl_states() {
@@ -56,6 +94,9 @@ fn do_and_legal_agree_on_all_rcycl_states() {
     let res = rcycl_traced(&dcds, 5000, 1, &Obs::disabled());
     assert!(res.complete, "travel pruning should saturate");
     assert_do_and_legal_match_definition(&dcds, &res.ts);
+    // Two constraints on each of 410 candidate successors of 115 states.
+    let checks = constraint_checks_match_definition(&dcds, &res.ts);
+    assert_eq!((res.ts.num_states(), checks), (115, (820, 128)));
 }
 
 /// Every reachable state of the small audit system's deterministic
@@ -76,7 +117,7 @@ fn do_and_legal_agree_on_all_audit_states() {
 }
 
 /// `DO` by the definition: every answer θ of `(q⁺ ∧ Q⁻)σ` under the
-/// guided active-domain evaluator grounds the head facts under `σθ`.
+/// active-domain semantics grounds the head facts under `σθ`.
 fn reference_do(dcds: &Dcds, inst: &Instance, action: ActionId, sigma: &Assignment) -> PreInstance {
     let mut out = PreInstance::new();
     for effect in &dcds.process.action(action).effects {
@@ -149,53 +190,4 @@ fn non_parameter_sigma_takes_identical_fallback() {
         missing_nonempty > 0,
         "no σ missing a parameter produced facts"
     );
-}
-
-fn assert_thread_invariant_rcycl(dcds: &Dcds, max_states: usize) {
-    let baseline = rcycl_traced(dcds, max_states, 1, &Obs::disabled());
-    for threads in [2usize, 4, 8] {
-        let run = rcycl_traced(dcds, max_states, threads, &Obs::disabled());
-        assert_eq!(baseline.ts, run.ts, "rcycl ts differs at {threads} threads");
-        assert_eq!(baseline.complete, run.complete);
-        assert_eq!(baseline.used_values, run.used_values);
-        assert_eq!(baseline.triples_processed, run.triples_processed);
-    }
-}
-
-/// RCYCL output is identical at 1/2/4/8 threads.
-#[test]
-fn rcycl_thread_count_invariant_with_plans() {
-    assert_thread_invariant_rcycl(&travel::request_system_small(), 5000);
-    assert_thread_invariant_rcycl(&synthetic::accumulator(2), 400);
-}
-
-/// Deterministic abstraction output is identical at 1/2/4/8 threads.
-#[test]
-fn det_abstraction_thread_count_invariant_with_plans() {
-    let dcds = travel::audit_system_small();
-    let baseline = det_abstraction_traced(
-        &dcds,
-        2000,
-        AbsOptions {
-            threads: 1,
-            ..AbsOptions::default()
-        },
-        &Obs::disabled(),
-    );
-    for threads in [2usize, 4, 8] {
-        let run = det_abstraction_traced(
-            &dcds,
-            2000,
-            AbsOptions {
-                threads,
-                ..AbsOptions::default()
-            },
-            &Obs::disabled(),
-        );
-        assert_eq!(
-            baseline.ts, run.ts,
-            "det_abs ts differs at {threads} threads"
-        );
-        assert_eq!(baseline.counters, run.counters);
-    }
 }

@@ -15,7 +15,8 @@
 //!   sub-plans, explicit ADOM steps for variables no atom binds, and
 //!   sorted-prefix probes into each instance's sorted tuples ([`plan`]);
 //! * a reference evaluator under the same semantics, straight from the
-//!   definition, which tests and debug cross-checks hold the plans to
+//!   definition, with the constraint verdicts defined through it, which
+//!   the tests hold the plans and the compiled constraint checks to
 //!   ([`eval`]);
 //! * equality constraints `Q -> /\ z_i = y_i` and arbitrary FO sentences as
 //!   integrity constraints, checked as the compiled plan of their violation
@@ -38,7 +39,7 @@ pub mod ucq;
 
 pub use ast::{Assignment, Formula, QTerm, Var};
 pub use constraints::{Constraint, EqualityConstraint, FoConstraint, GuardForm};
-pub use eval::{answers, answers_over, holds, holds_closed, holds_unguided};
+pub use eval::{answers, equality_satisfied, fo_satisfied, holds, holds_closed};
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse_formula, ParseError, Parser, RelUse};
 pub use plan::{CompiledPlan, DeltaPlan, EvalCtx, PlanStats, Seed, SortedRow};

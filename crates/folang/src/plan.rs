@@ -25,8 +25,9 @@
 //!   counts them).
 //!
 //! Compilation cannot fail, so this is the one FO evaluator; the reference
-//! evaluator in [`crate::eval`] remains for tests and debug cross-checks
-//! (`tests/plan_differential.rs` compares the two on generated formulas).
+//! evaluator in [`crate::eval`] remains for tests and the model-checking
+//! oracles (`tests/plan_differential.rs` compares the two on generated
+//! formulas).
 //! Each branch is compiled like a conjunctive query:
 //!
 //! * variables are numbered **slots** and partial assignments become a flat

@@ -1,24 +1,23 @@
-//! Seeded differential test: atom-guided quantifier-block evaluation
-//! against plain active-domain enumeration, and compiled constraint
-//! checks against both.
+//! Seeded differential test: compiled constraint checks against the
+//! active-domain definition.
 //!
-//! The guided path joins the tuples of guard atoms to bind quantifier
-//! blocks (including multi-atom guards where no single atom covers the
-//! block — the shape of triple-collision constraints like
-//! `∀X,Y,Z,V . E(X,V) ∧ E(Y,V) ∧ E(Z,V) → ...`). Semantics must be
-//! identical to the unguided `|adom|^k` enumeration on every formula, so
-//! random guard-shaped sentences are evaluated both ways and compared.
-//!
-//! Every generated sentence is also checked as an integrity constraint
-//! ([`FoConstraint::satisfied`]), which runs the compiled plan of its
-//! violation, against both evaluators. Equality constraints (random UCQ
-//! premises, keys) are checked against an `answers`-based reference.
+//! Random sentences — `∀`-closed guards of one to three atoms (multi-atom
+//! guards where no single atom covers the block, the shape of
+//! triple-collision constraints like `∀X,Y,Z,V . E(X,V) ∧ E(Y,V) ∧ E(Z,V)
+//! → ...`), `∃`-closed conjunctions and `∃`-closed unions of conjunctive
+//! bodies — are checked as integrity constraints
+//! ([`FoConstraint::satisfied`], which runs the compiled plan of the
+//! sentence's violation) against the definition ([`fo_satisfied`]: the
+//! sentence holds, every quantifier enumerating `ADOM(I)`). Equality
+//! constraints (random UCQ premises, keys) are checked against
+//! [`equality_satisfied`]: every answer of the premise meets every
+//! equality.
 //!
 //! Runs offline: pseudo-randomness is a local SplitMix64, not the `rand`
 //! crate, so the exact same formulas replay on every run and platform.
 
 use dcds_folang::{
-    answers, holds_closed, holds_unguided, Assignment, EqualityConstraint, FoConstraint, Formula,
+    equality_satisfied, fo_satisfied, holds_closed, EqualityConstraint, FoConstraint, Formula,
     QTerm, Var,
 };
 use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple, Value};
@@ -111,9 +110,8 @@ fn random_leaf(
 }
 
 #[test]
-fn guided_joins_agree_with_enumeration_on_forall_guards() {
-    // ∀-blocks with 1–3-atom guards: no single atom need cover the block,
-    // which is exactly the case the multi-atom join handles.
+fn compiled_checks_follow_the_definition_on_forall_guards() {
+    // ∀-blocks with 1–3-atom guards: no single atom need cover the block.
     for seed in 0..6u64 {
         let mut rng = SplitMix64(0x9a1_ded ^ seed.wrapping_mul(0x9e37_79b9));
         for _ in 0..60 {
@@ -137,12 +135,6 @@ fn guided_joins_agree_with_enumeration_on_forall_guards() {
             };
             let negated = close(lhs.clone().implies(rhs.clone().not()));
             let f = close(lhs.implies(rhs));
-            let guided = holds_closed(&f, &inst).unwrap();
-            let unguided = holds_unguided(&f, &inst, &Assignment::new()).unwrap();
-            assert_eq!(
-                guided, unguided,
-                "diverged on {f:?} over {inst:?} (seed {seed})"
-            );
             check_constraint(&f, &[&inst, &Instance::new()]);
             check_constraint(&negated, &[&inst, &Instance::new()]);
         }
@@ -150,7 +142,7 @@ fn guided_joins_agree_with_enumeration_on_forall_guards() {
 }
 
 #[test]
-fn guided_joins_agree_with_enumeration_on_exists_conjunctions() {
+fn compiled_checks_follow_the_definition_on_exists_conjunctions() {
     for seed in 0..6u64 {
         let mut rng = SplitMix64(0x00e7_1575 ^ seed.wrapping_mul(0x9e37_79b9));
         for _ in 0..60 {
@@ -168,19 +160,13 @@ fn guided_joins_agree_with_enumeration_on_exists_conjunctions() {
             for v in vars.iter().rev() {
                 f = Formula::exists(*v, f);
             }
-            let guided = holds_closed(&f, &inst).unwrap();
-            let unguided = holds_unguided(&f, &inst, &Assignment::new()).unwrap();
-            assert_eq!(
-                guided, unguided,
-                "diverged on {f:?} over {inst:?} (seed {seed})"
-            );
             check_constraint(&f, &[&inst]);
         }
     }
 }
 
 #[test]
-fn guided_joins_agree_with_enumeration_on_exists_disjunctions() {
+fn compiled_checks_follow_the_definition_on_exists_disjunctions() {
     // ∃-closed UCQ formulas: a disjunction of conjunctive bodies, each
     // with its own inner ∃-block, closed over the variables left free.
     let mut held = 0;
@@ -211,13 +197,7 @@ fn guided_joins_agree_with_enumeration_on_exists_disjunctions() {
             for v in f.free_vars() {
                 f = Formula::Exists(v, Box::new(f));
             }
-            let guided = holds_closed(&f, &inst).unwrap();
-            let unguided = holds_unguided(&f, &inst, &Assignment::new()).unwrap();
-            assert_eq!(
-                guided, unguided,
-                "diverged on {f:?} over {inst:?} (seed {seed})"
-            );
-            held += usize::from(guided);
+            held += usize::from(check_constraint(&f, &[&inst]) == 1);
         }
     }
     // Both verdicts occur in bulk.
@@ -233,33 +213,17 @@ fn atom_vars(f: &Formula) -> BTreeSet<Var> {
     }
 }
 
-/// Check `sentence` as an FO constraint on every instance: it must agree
-/// with the guided and the unguided evaluator.
-fn check_constraint(sentence: &Formula, insts: &[&Instance]) {
+/// Check `sentence` as an FO constraint on every instance against the
+/// definition; return on how many it holds.
+fn check_constraint(sentence: &Formula, insts: &[&Instance]) -> usize {
     let c = FoConstraint::new(sentence.clone()).unwrap();
+    let mut held = 0;
     for inst in insts {
-        let reference = holds_closed(sentence, inst).unwrap();
-        assert_eq!(
-            holds_unguided(sentence, inst, &Assignment::new()).unwrap(),
-            reference,
-            "{sentence:?} over {inst:?}"
-        );
-        assert_eq!(c.satisfied(inst), reference, "{sentence:?} over {inst:?}");
+        let sat = fo_satisfied(&c, inst);
+        assert_eq!(c.satisfied(inst), sat, "{sentence:?} over {inst:?}");
+        held += usize::from(sat);
     }
-}
-
-/// The `answers`-based reference for an equality constraint: every answer
-/// of the premise satisfies every equality.
-fn equality_reference(c: &EqualityConstraint, inst: &Instance) -> bool {
-    let value = |t: &QTerm, theta: &Assignment| match t {
-        QTerm::Const(v) => Some(*v),
-        QTerm::Var(v) => theta.get(v).copied(),
-    };
-    answers(c.query(), inst).iter().all(|theta| {
-        c.equalities()
-            .iter()
-            .all(|(a, b)| value(a, theta) == value(b, theta))
-    })
+    held
 }
 
 #[test]
@@ -305,7 +269,7 @@ fn compiled_equality_constraints_agree_with_answers() {
             for inst in [&inst, &Instance::new()] {
                 assert_eq!(
                     c.satisfied(inst),
-                    equality_reference(&c, inst),
+                    equality_satisfied(&c, inst),
                     "{c:?} over {inst:?} (seed {seed})"
                 );
             }
@@ -325,7 +289,7 @@ fn key_constraints_compile_and_agree_with_answers() {
                 .collect();
             let c = EqualityConstraint::key(&schema, rel, &key);
             for inst in [&inst, &Instance::new()] {
-                assert_eq!(c.satisfied(inst), equality_reference(&c, inst), "{c:?}");
+                assert_eq!(c.satisfied(inst), equality_satisfied(&c, inst), "{c:?}");
             }
         }
     }
@@ -450,7 +414,7 @@ fn equality_constraint_shapes_take_the_expected_path() {
     let check = |premise: Formula, eqs: Vec<(QTerm, QTerm)>| {
         let ec = EqualityConstraint::new(premise, eqs).unwrap();
         for inst in &insts {
-            assert_eq!(ec.satisfied(inst), equality_reference(&ec, inst), "{ec:?}");
+            assert_eq!(ec.satisfied(inst), equality_satisfied(&ec, inst), "{ec:?}");
         }
     };
     let (c0, c1) = (QTerm::Const(c[0]), QTerm::Const(c[1]));
@@ -506,21 +470,19 @@ fn triple_collision_constraint_shape() {
     );
     let pairs = Instance::from_facts([(e, Tuple::from([a, v])), (e, Tuple::from([b, v]))]);
     assert!(holds_closed(&f, &pairs).unwrap());
-    assert!(holds_unguided(&f, &pairs, &Assignment::new()).unwrap());
     let triple = Instance::from_facts([
         (e, Tuple::from([a, v])),
         (e, Tuple::from([b, v])),
         (e, Tuple::from([c, v])),
     ]);
     assert!(!holds_closed(&f, &triple).unwrap());
-    assert!(!holds_unguided(&f, &triple, &Assignment::new()).unwrap());
     check_constraint(&f, &[&pairs, &triple, &Instance::new()]);
 }
 
 #[test]
 fn inner_block_shadows_outer_binding() {
     // ∃X. P(X) ∧ (∃X,Y. Q(X,Y) ∧ X = 'c1'): the inner block's X must
-    // rebind freely — the guard join may not pin it to the outer witness.
+    // rebind freely, not stay pinned to the outer witness.
     let mut schema = Schema::new();
     let p = schema.add_relation("P", 1).unwrap();
     let q = schema.add_relation("Q", 2).unwrap();
@@ -539,5 +501,5 @@ fn inner_block_shadows_outer_binding() {
     let f = Formula::exists("X", Formula::Atom(p, vec![QTerm::var("X")]).and(inner));
     // Outer X = c0 (the only P witness); inner X must still find Q(c1, _).
     assert!(holds_closed(&f, &inst).unwrap());
-    assert!(holds_unguided(&f, &inst, &Assignment::new()).unwrap());
+    check_constraint(&f, &[&inst]);
 }

@@ -10,8 +10,8 @@
 //!    return **bit-identical** `BTreeSet<Assignment>`s, the plan producing
 //!    its rows in the same order on every run;
 //! 3. the plan compiled with the head variables as parameters and
-//! 4. the reference evaluator with its atom guidance switched off
-//!    (`holds_unguided`) must accept every answer row.
+//! 4. the reference evaluator's `holds`, under each row as the
+//!    assignment, must accept every answer row.
 //!
 //! A second generator emits full first-order formulas — `!`, `forall`,
 //! `->`, and `|` over disjuncts whose free variables differ, vacuous and
@@ -21,7 +21,7 @@
 //! readings as FO and equality constraints, full and delta, must agree
 //! with the reference verdicts.
 
-use dcds_folang::{answers, holds, holds_closed, holds_unguided, parse_formula};
+use dcds_folang::{answers, equality_satisfied, fo_satisfied, holds, parse_formula};
 use dcds_folang::{Assignment, CompiledPlan, EvalCtx, Formula, PlanStats, QTerm, Var};
 use dcds_folang::{ConjunctiveQuery, Constraint, EqualityConstraint, FoConstraint, Ucq};
 use dcds_reldata::{ConstantPool, Instance, RelId, Schema, Tuple, Value};
@@ -168,9 +168,9 @@ fn four_way_agreement_on_random_ucqs() {
         let by_row = ucq_plan(&case.ucq, &head.iter().cloned().collect());
         for row in &reference {
             assert_eq!(
-                holds_unguided(&formula, &case.instance, row),
+                holds(&formula, &case.instance, row),
                 Ok(true),
-                "case {case_ix}: unguided evaluation rejects {row:?}"
+                "case {case_ix}: the reference rejects its own answer {row:?}"
             );
             assert!(
                 by_row.holds(&ctx, row),
@@ -535,20 +535,6 @@ fn gen_instance(rng: &mut SplitMix64, rels: &[(RelId, usize)], consts: &[Value])
     inst
 }
 
-/// The reference verdict of an equality constraint: every answer of the
-/// premise satisfies every equality.
-fn equality_reference(c: &EqualityConstraint, inst: &Instance) -> bool {
-    let value = |t: &QTerm, theta: &Assignment| match t {
-        QTerm::Const(v) => Some(*v),
-        QTerm::Var(v) => theta.get(v).copied(),
-    };
-    answers(c.query(), inst).iter().all(|theta| {
-        c.equalities()
-            .iter()
-            .all(|(a, b)| value(a, theta) == value(b, theta))
-    })
-}
-
 /// Full first-order formulas: the plan's rows are the reference answers,
 /// bit for bit; the plan with the head as parameters agrees with `holds`
 /// on every answer row and on assignments outside the answers, values
@@ -662,7 +648,7 @@ fn full_fo_constraints_agree_with_the_reference() {
         for v in f.free_vars().into_iter().rev() {
             sentence = Formula::Forall(v, Box::new(sentence));
         }
-        let fo = FoConstraint::new(sentence.clone()).unwrap();
+        let fo = FoConstraint::new(sentence).unwrap();
         let free: Vec<Var> = f.free_vars().into_iter().collect();
         let term = |rng: &mut SplitMix64| {
             if free.is_empty() || rng.chance(1, 3) {
@@ -678,8 +664,8 @@ fn full_fo_constraints_agree_with_the_reference() {
         for _ in 0..3 {
             let base = gen_instance(&mut rng, &rels, &consts);
             let delta = gen_instance(&mut rng, &rels, &consts);
-            let fo_reference = |i: &Instance| holds_closed(&sentence, i).unwrap();
-            let eq_reference = |i: &Instance| equality_reference(&eq, i);
+            let fo_reference = |i: &Instance| fo_satisfied(&fo, i);
+            let eq_reference = |i: &Instance| equality_satisfied(&eq, i);
             let what = format!("case {case_ix}: {f:?} over {base:?} with {delta:?}");
             deltas += check_against(&fo, fo_reference, &base, &delta, &what);
             deltas += check_against(&eq, eq_reference, &base, &delta, &what);

@@ -60,7 +60,11 @@ fn eval_rec(
                 .filter_map(|v| val.individuals.get(&v).map(|&d| (v, d)))
                 .collect();
             ts.state_ids()
-                .filter(|s| holds(q, ts.db(*s), &asg).unwrap_or(false))
+                .filter(|s| {
+                    holds(q, ts.db(*s), &asg).unwrap_or_else(|e| {
+                        panic!("{e} in {q:?}, whose free variables `eval` checked")
+                    })
+                })
                 .collect()
         }
         Mu::Live(t) => {

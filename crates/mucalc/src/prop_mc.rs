@@ -31,7 +31,11 @@ fn eval_rec(
     match f {
         PropMu::Atom(q) => ts
             .state_ids()
-            .filter(|s| holds_closed(q, ts.db(*s)).unwrap_or(false))
+            .filter(|s| {
+                holds_closed(q, ts.db(*s)).unwrap_or_else(|e| {
+                    panic!("{e} in {q:?}, though `propositionalize` closes every leaf")
+                })
+            })
             .collect(),
         PropMu::LiveConst(c) => ts
             .state_ids()

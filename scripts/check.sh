@@ -19,9 +19,11 @@ echo "== differential suites"
 # Query plans against the reference evaluator on generated UCQs and
 # full-FO formulas (negation, universal quantifiers, ADOM steps, shadowing,
 # the empty instance), sorted-prefix probes against filtered scans row for
-# row, the guided multi-atom joins, and compiled constraint checks, full
-# and delta, against both evaluators.
-cargo test -q -p dcds-folang --test plan_differential --test guided_differential
+# row, and compiled constraint checks, full and delta, against the
+# active-domain definition (`eval::equality_satisfied`,
+# `eval::fo_satisfied`) on generated guard-shaped, existential and
+# disjunctive sentences, keys and equality constraints.
+cargo test -q -p dcds-folang --test plan_differential --test constraint_differential
 # The constraints' delta check (the guard rows of `base ∪ Δ` that use a
 # `Δ` fact) against the full check of the union, on random satisfying
 # bases, for every screened shape; and which shapes have no delta check
@@ -29,17 +31,20 @@ cargo test -q -p dcds-folang --test plan_differential --test guided_differential
 cargo test -q -p dcds-folang --test delta_differential
 # The det abstraction's screened step against the definitional
 # `det_step_with_pre`, commitment by commitment, on every reachable state
-# of systems that cover each path of the screen.
+# of systems that cover each path of the screen; every constraint verdict
+# on each commitment's resolved `DO(I, ασ)`, kept or rejected, against
+# the definition.
 cargo test -q -p dcds-bench --test det_screen
 # The compiled `DO` programs and σ rows vs the reference on every reachable state.
 cargo test -q -p dcds-bench --test do_program
 # Engines: every thread count (1/2/4/8) against the 1-thread run, and
 # that run against the reference constructions (the audit systems'
-# non-prefix joins included), DO and
-# the legal assignments against their definitions on every reachable
-# state, and thread-count invariance; the e2e rows' written specs against
-# their library twins, with the model checker's extension size and
-# counters pinned on every explicit row.
+# non-prefix joins included); DO and the legal assignments against their
+# definitions on every reachable state, and every constraint verdict on
+# each θ-successor of the travel-request RCYCL pruning against the
+# definition; the e2e rows' written specs against their library twins,
+# with the model checker's extension size and counters pinned on every
+# explicit row.
 cargo test -q -p dcds-bench --test engine_differential --test plan_paths --test e2e_rows
 # `Instance` and `Facts`, each one sorted fact vector, against a B-tree
 # reference model on seeded operation sequences: every read after each
