@@ -1,7 +1,7 @@
 //! Partial bijections between value domains, and the enumeration of
 //! database isomorphisms consistent with one.
 
-use dcds_reldata::{Instance, Value};
+use dcds_reldata::{Facts, Instance, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A partial bijection between two value domains, stored with both
@@ -88,72 +88,29 @@ impl PartialBijection {
 ///
 /// Compatibility in both directions is exactly the paper's notion of a
 /// bijection *extending* `pre`: no new value may be mapped onto a value
-/// already in `pre`'s image.
+/// already in `pre`'s image. The search is
+/// [`Facts::for_each_isomorphism`], the one definitional isomorphism
+/// search of the workspace.
 pub fn constrained_isomorphisms(
     db1: &Instance,
     db2: &Instance,
     pre: &PartialBijection,
     rigid: &BTreeSet<Value>,
 ) -> Vec<PartialBijection> {
-    let adom1: Vec<Value> = db1.active_domain().into_iter().collect();
-    let adom2: BTreeSet<Value> = db2.active_domain();
-    if adom1.len() != adom2.len() || db1.len() != db2.len() {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    let mut g = PartialBijection::new();
-    backtrack(db1, db2, &adom1, &adom2, pre, rigid, 0, &mut g, &mut out);
+    Facts::from_instance(db1).for_each_isomorphism(
+        &Facts::from_instance(db2),
+        rigid,
+        &pre.fwd,
+        |g| {
+            out.push(PartialBijection {
+                fwd: g.clone(),
+                bwd: g.iter().map(|(&x, &y)| (y, x)).collect(),
+            });
+            false
+        },
+    );
     out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn backtrack(
-    db1: &Instance,
-    db2: &Instance,
-    adom1: &[Value],
-    adom2: &BTreeSet<Value>,
-    pre: &PartialBijection,
-    rigid: &BTreeSet<Value>,
-    k: usize,
-    g: &mut PartialBijection,
-    out: &mut Vec<PartialBijection>,
-) {
-    if k == adom1.len() {
-        // Verify g maps db1 exactly onto db2.
-        if db1.rename(g.forward()) == *db2 {
-            out.push(g.clone());
-        }
-        return;
-    }
-    let x = adom1[k];
-    let candidates: Vec<Value> = if rigid.contains(&x) {
-        // A rigid value maps to itself; a pre-constraint disagreeing with
-        // that is unsatisfiable.
-        match pre.get(x) {
-            Some(y) if y != x => Vec::new(),
-            _ => vec![x],
-        }
-    } else if let Some(y) = pre.get(x) {
-        vec![y]
-    } else {
-        adom2
-            .iter()
-            .copied()
-            // A fresh x must not map onto a value pre already accounts for,
-            // nor onto a rigid constant, and must respect injectivity.
-            .filter(|y| pre.get_inv(*y).is_none() && !rigid.contains(y))
-            .collect()
-    };
-    for y in candidates {
-        if !adom2.contains(&y) {
-            continue;
-        }
-        let snapshot = g.clone();
-        if g.insert(x, y) && g.get(x) == Some(y) {
-            backtrack(db1, db2, adom1, adom2, pre, rigid, k + 1, g, out);
-        }
-        *g = snapshot;
-    }
 }
 
 #[cfg(test)]

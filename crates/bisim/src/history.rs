@@ -38,7 +38,7 @@ impl Checker<'_> {
             return true;
         }
         self.assumed.insert(k.clone());
-        let ok = self.forth(s1, h, s2) && self.back(s1, h, s2);
+        let ok = self.step(s1, h, s2, true) && self.step(s1, h, s2, false);
         self.assumed.remove(&k);
         if !ok {
             self.failed.insert(k);
@@ -46,53 +46,30 @@ impl Checker<'_> {
         ok
     }
 
-    /// Condition 2: each successor of s₁ is matched by some successor of
-    /// s₂ under some extension of h.
-    fn forth(&mut self, s1: StateId, h: &PartialBijection, s2: StateId) -> bool {
-        let succ1: Vec<StateId> = self.ts1.successors(s1).to_vec();
-        'outer: for s1p in succ1 {
-            for &s2p in self.ts2.successors(s2) {
+    /// Condition 2 (`forward`: each successor of s₁ is matched by some
+    /// successor of s₂ under some extension of h) or its mirror, condition
+    /// 3.
+    fn step(&mut self, s1: StateId, h: &PartialBijection, s2: StateId, forward: bool) -> bool {
+        let (from_ts, to_ts) = if forward {
+            (self.ts1, self.ts2)
+        } else {
+            (self.ts2, self.ts1)
+        };
+        let (from, to) = if forward { (s1, s2) } else { (s2, s1) };
+        'outer: for &fp in from_ts.successors(from) {
+            for &tp in to_ts.successors(to) {
+                let (s1p, s2p) = if forward { (fp, tp) } else { (tp, fp) };
                 // h' must be an isomorphism db1(s1') → db2(s2') extending h
-                // (pre-constrained by ALL of h, per history preservation).
-                for hp in
-                    constrained_isomorphisms(self.ts1.db(s1p), self.ts2.db(s2p), h, self.rigid)
-                {
-                    // h' = h ∪ hp must itself be a bijection.
-                    let mut merged = h.clone();
-                    let mut consistent = true;
-                    for (&x, &y) in hp.forward() {
-                        if !merged.insert(x, y) {
-                            consistent = false;
-                            break;
-                        }
-                    }
-                    if consistent && self.bisim(s1p, &merged, s2p) {
-                        continue 'outer;
-                    }
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// Condition 3 — symmetric to [`Checker::forth`].
-    fn back(&mut self, s1: StateId, h: &PartialBijection, s2: StateId) -> bool {
-        let succ2: Vec<StateId> = self.ts2.successors(s2).to_vec();
-        'outer: for s2p in succ2 {
-            for &s1p in self.ts1.successors(s1) {
+                // (pre-constrained by ALL of h, per history preservation),
+                // so h ∪ h' is a bijection.
                 for hp in
                     constrained_isomorphisms(self.ts1.db(s1p), self.ts2.db(s2p), h, self.rigid)
                 {
                     let mut merged = h.clone();
-                    let mut consistent = true;
                     for (&x, &y) in hp.forward() {
-                        if !merged.insert(x, y) {
-                            consistent = false;
-                            break;
-                        }
+                        merged.insert(x, y);
                     }
-                    if consistent && self.bisim(s1p, &merged, s2p) {
+                    if self.bisim(s1p, &merged, s2p) {
                         continue 'outer;
                     }
                 }

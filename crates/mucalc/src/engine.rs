@@ -233,6 +233,17 @@ pub fn check_traced(f: &Mu, ts: &Ts, opts: McOptions, obs: &Obs) -> Result<McRun
     })
 }
 
+/// Model checking: does the closed formula hold in the initial state?
+///
+/// Rejects non-closed formulas (free individual *or* predicate variables)
+/// with a named-variable [`CheckError`] — an open formula silently
+/// evaluates to a wrong verdict (e.g. a free-variable atom under `Not`
+/// becomes "all states"), so it must never reach the fixpoint. Use
+/// [`check_traced`] for thread control and counters.
+pub fn check(f: &Mu, ts: &Ts) -> Result<bool, CheckError> {
+    check_traced(f, ts, McOptions::default(), &Obs::disabled()).map(|run| run.holds)
+}
+
 /// Reject a formula with free individual or predicate variables: the
 /// check [`check_traced`] makes before evaluating anything.
 pub fn ensure_closed(f: &Mu) -> Result<(), CheckError> {

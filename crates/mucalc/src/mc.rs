@@ -1,12 +1,16 @@
-//! Direct model checking of µL formulas over explicit finite transition
+//! The definition of µL model checking over explicit finite transition
 //! systems: the extension function of Figure 1, computed by naive (Kleene)
 //! fixpoint iteration.
 //!
 //! [`eval`] is deliberately kept naive — no memoization, no parallelism —
-//! because it is the **differential-testing oracle** for the staged engine
-//! in [`crate::engine`]: every optimisation over there is validated by
+//! because it is the **definitional oracle** for the staged engine in
+//! [`crate::engine`]: every optimisation over there is validated by
 //! agreement with the straight-line transcription of Figure 1 over here.
-//! [`check`] itself delegates to the staged engine.
+//! On a quantifier-free formula — `PROP(Φ)` of [`crate::prop`] — it is the
+//! conventional propositional µ-calculus model checking the paper invokes
+//! via \[22\] (Emerson, "Model checking and the mu-calculus") after
+//! Theorem 4.4, of complexity `O((|Θ|·|Φ|)^k)` for alternation depth `k`.
+//! Verdicts come from [`crate::engine::check`].
 //!
 //! First-order quantification is evaluated over `ADOM(Θ)` — the union of
 //! all state active domains (plus the values already in the valuation).
@@ -175,25 +179,17 @@ fn restore_pred(val: &mut Valuation, z: &PredVar, saved: Option<BTreeSet<StateId
     }
 }
 
-/// Model checking: does the closed formula hold in the initial state?
-///
-/// Rejects non-closed formulas (free individual *or* predicate variables)
-/// with a named-variable [`CheckError`] — an open formula silently
-/// evaluates to a wrong verdict (e.g. a free-variable atom under `Not`
-/// becomes "all states"), so it must never reach the fixpoint engine.
-/// Evaluation itself runs on the staged engine of [`crate::engine`]; use
-/// [`crate::engine::check_traced`] for thread control and counters.
-pub fn check(f: &Mu, ts: &Ts) -> Result<bool, CheckError> {
-    let opts = crate::engine::McOptions::default();
-    crate::engine::check_traced(f, ts, opts, &dcds_obs::Obs::disabled()).map(|run| run.holds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sugar;
     use dcds_folang::Formula;
     use dcds_reldata::{ConstantPool, Instance, Schema, Tuple};
+
+    /// Does the closed formula hold in the initial state, by [`eval`]?
+    fn check(f: &Mu, ts: &Ts) -> Result<bool, CheckError> {
+        Ok(eval(f, ts, &mut Valuation::default())?.contains(&ts.initial()))
+    }
 
     /// A 3-state system: s0 --> s1 --> s2, s2 self-loop.
     /// s0: Stud(a); s1: Stud(a), Stud(b); s2: Grad(a, m).

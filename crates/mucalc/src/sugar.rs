@@ -104,7 +104,7 @@ pub fn au_live(vars: &[dcds_folang::Var], phi: Mu, psi: Mu) -> Mu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mc::check;
+    use crate::engine::check;
     use dcds_core::Ts;
     use dcds_folang::QTerm;
     use dcds_reldata::{ConstantPool, Instance, Schema, Tuple};

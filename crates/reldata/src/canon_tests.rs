@@ -8,9 +8,11 @@
 //! 2. fully symmetric classes far past the old permutation budget
 //!    (`k ≥ 10`, i.e. well over `8!` class-respecting orders) canonicalise
 //!    in a single descent and key renamed copies identically;
-//! 3. key equality coincides exactly with the backtracking matcher's
-//!    [`Facts::isomorphic`] verdict, which is reflexive and symmetric and
-//!    whose [`Facts::isomorphism`] witness is exact and fixes rigid values;
+//! 3. key equality coincides exactly with the [`Facts::isomorphic`]
+//!    verdict of the definitional search, which reads no signature or
+//!    refinement colour; that verdict is reflexive and symmetric, its
+//!    [`Facts::isomorphism`] witness is exact and fixes rigid values, and
+//!    isomorphic fact sets have equal [`Facts::signature`]s;
 //! 4. where refinement is discrete, the key written directly in class order
 //!    equals the search's key and stats.
 
@@ -192,7 +194,8 @@ fn random_unary_multisets_are_renaming_invariant() {
 }
 
 /// Invariant 3: key equality ⇔ `isomorphic()`, on renamed copies (always
-/// equal) and on independent random pairs (either verdict, but consistent).
+/// equal) and on independent random pairs (either verdict, but consistent);
+/// isomorphic pairs have equal signatures.
 #[test]
 fn key_equality_coincides_with_isomorphism() {
     for seed in 0..6u64 {
@@ -222,13 +225,22 @@ fn key_equality_coincides_with_isomorphism() {
                 "the witness moves a rigid value"
             );
             assert_eq!(f2.len(), f1.len(), "renaming changed the fact count");
+            assert_eq!(f1.signature(&rigid), f2.signature(&rigid), "seed {seed}");
             let f3 = random_facts(&mut rng, &vals);
             let keys_equal = k1 == f3.canonical_key(&rigid);
+            let isomorphic = f1.isomorphic(&f3, &rigid);
             assert_eq!(
-                keys_equal,
-                f1.isomorphic(&f3, &rigid),
+                keys_equal, isomorphic,
                 "key equality disagreed with the matcher (seed {seed}, {f1:?} vs {f3:?})"
             );
+            // The signature's guarantee, against a search that reads none.
+            if isomorphic {
+                assert_eq!(
+                    f1.signature(&rigid),
+                    f3.signature(&rigid),
+                    "isomorphic fact sets with different signatures (seed {seed})"
+                );
+            }
         }
     }
 }

@@ -11,8 +11,12 @@
 //! service-call-map id, or anything else the caller needs.
 //!
 //! Two entry points:
-//! * [`Facts::isomorphism`] — a backtracking matcher (with color-refinement
-//!   pruning) that produces a witnessing bijection;
+//! * [`Facts::for_each_isomorphism`] — the definition searched directly:
+//!   a backtracking matcher over the active domain that enumerates the
+//!   witnessing bijections (optionally extending a given partial one), with
+//!   no pruning beyond the facts it has mapped. [`Facts::isomorphism`] and
+//!   [`Facts::isomorphic`] are its first hit, and it is the oracle the key
+//!   is tested against;
 //! * [`Facts::canonical_key`] — a canonical form such that two fact sets have
 //!   equal keys iff they are isomorphic. Used to deduplicate states in
 //!   `O(1)` during abstract-transition-system construction.
@@ -184,61 +188,82 @@ impl Facts {
         Facts::from_facts(self.iter().map(|(c, t)| (c, t.rename(map))))
     }
 
-    /// Find an isomorphism from `self` to `other`: a bijection `h` between
-    /// their active domains that is the identity on `rigid` values and maps
-    /// `self`'s facts exactly onto `other`'s. Returns the witnessing map on
-    /// success.
+    /// Call `visit` on each isomorphism from `self` onto `other` that fixes
+    /// `rigid` pointwise and extends `pre`, until `visit` returns true;
+    /// returns whether it did. This is the definition, searched directly:
+    /// a bijection `h : ADOM(self) → ADOM(other)` with
+    /// `self.rename(h) == other`, `h(r) = r` for rigid `r`, `h(x) = pre(x)`
+    /// where `pre` maps `x`, and no other value mapped onto `pre`'s image.
+    ///
+    /// The search backtracks over `ADOM(self)` in value order and cuts a
+    /// partial map as soon as a fact whose values are all mapped falls
+    /// outside `other`. It reads no signature and no refinement colour, so
+    /// it is an independent oracle for [`Facts::canonical_key`].
+    pub fn for_each_isomorphism(
+        &self,
+        other: &Facts,
+        rigid: &BTreeSet<Value>,
+        pre: &BTreeMap<Value, Value>,
+        mut visit: impl FnMut(&BTreeMap<Value, Value>) -> bool,
+    ) -> bool {
+        let (adom_a, adom_b) = (self.active_domain(), other.active_domain());
+        // A bijection needs equal sizes, and a value whose image is fixed
+        // is in one active domain iff its image is in the other.
+        if self.len() != other.len()
+            || adom_a.len() != adom_b.len()
+            || rigid
+                .iter()
+                .any(|r| adom_a.contains(r) != adom_b.contains(r))
+            || pre
+                .iter()
+                .any(|(x, y)| adom_a.contains(x) != adom_b.contains(y))
+        {
+            return false;
+        }
+        let order: Vec<Value> = adom_a.into_iter().collect();
+        // Each fact is due once its last value (in `order`) is mapped;
+        // nullary facts map to themselves.
+        let mut due: Vec<Vec<(u32, &Tuple)>> = vec![Vec::new(); order.len() + 1];
+        for (c, t) in self.iter() {
+            let last = t.iter().map(|v| order.binary_search(&v).unwrap() + 1).max();
+            due[last.unwrap_or(0)].push((c, t));
+        }
+        if !due[0].iter().all(|(c, t)| other.contains(*c, t)) {
+            return false;
+        }
+        let targets: Vec<Value> = adom_b.into_iter().filter(|y| !rigid.contains(y)).collect();
+        Matcher {
+            other,
+            rigid,
+            pre,
+            pre_inverse: pre.iter().map(|(&x, &y)| (y, x)).collect(),
+            order: &order,
+            due: &due,
+            targets: &targets,
+            map: BTreeMap::new(),
+            used: BTreeSet::new(),
+        }
+        .extend(0, &mut visit)
+    }
+
+    /// An isomorphism from `self` to `other` fixing `rigid` pointwise: the
+    /// first that [`Facts::for_each_isomorphism`] finds.
     pub fn isomorphism(
         &self,
         other: &Facts,
         rigid: &BTreeSet<Value>,
     ) -> Option<BTreeMap<Value, Value>> {
-        if self.facts.len() != other.facts.len() {
-            return None;
-        }
-        let adom_a = self.active_domain();
-        let adom_b = other.active_domain();
-        if adom_a.len() != adom_b.len() {
-            return None;
-        }
-        // Rigid values must coincide on both sides.
-        let rigid_a: BTreeSet<Value> = adom_a.intersection(rigid).copied().collect();
-        let rigid_b: BTreeSet<Value> = adom_b.intersection(rigid).copied().collect();
-        if rigid_a != rigid_b {
-            return None;
-        }
-        // Invariant-signature prefilter (see `sig`): isomorphic fact sets
-        // must have equal signatures, and the signature is much cheaper than
-        // color refinement plus backtracking.
-        if self.signature(rigid) != other.signature(rigid) {
-            return None;
-        }
-        // Color refinement to prune candidates.
-        let colors_a = refine_colors(self, rigid);
-        let colors_b = refine_colors(other, rigid);
-        // Class histograms must agree.
-        if class_histogram(&colors_a) != class_histogram(&colors_b) {
-            return None;
-        }
-        let free_a: Vec<Value> = adom_a
-            .iter()
-            .copied()
-            .filter(|v| !rigid.contains(v))
-            .collect();
-        let mut map: BTreeMap<Value, Value> = rigid_a.iter().map(|&v| (v, v)).collect();
-        let mut used: BTreeSet<Value> = rigid_b.clone();
-        if backtrack(
-            self, other, &colors_a, &colors_b, &free_a, 0, &mut map, &mut used,
-        ) {
-            Some(map)
-        } else {
-            None
-        }
+        let mut found = None;
+        self.for_each_isomorphism(other, rigid, &BTreeMap::new(), |h| {
+            found = Some(h.clone());
+            true
+        });
+        found
     }
 
     /// True iff `self` and `other` are isomorphic (see [`Facts::isomorphism`]).
     pub fn isomorphic(&self, other: &Facts, rigid: &BTreeSet<Value>) -> bool {
-        self.isomorphism(other, rigid).is_some()
+        self.for_each_isomorphism(other, rigid, &BTreeMap::new(), |_| true)
     }
 
     /// Canonical key modulo renaming of non-rigid values.
@@ -298,10 +323,15 @@ impl Facts {
         if free.is_empty() {
             return CanonKey::flatten(&encode_with(self, rigid, &BTreeMap::new()));
         }
-        let colors = refine_colors(self, rigid);
+        // The classes of the refined colouring ([`DenseCtx::refine`]);
+        // slots are the active domain in value order.
+        let ctx = self.dense(rigid);
+        let colors = ctx.refine();
         let mut classes: BTreeMap<u64, Vec<Value>> = BTreeMap::new();
-        for &v in &free {
-            classes.entry(colors[&v]).or_default().push(v);
+        for (s, v) in adom.iter().enumerate() {
+            if !rigid.contains(v) {
+                classes.entry(colors[s]).or_default().push(*v);
+            }
         }
         let class_list: Vec<Vec<Value>> = classes.into_values().collect();
         let mut best: Option<Vec<(u32, Vec<u64>)>> = None;
@@ -988,27 +1018,6 @@ fn encode_with(
     out
 }
 
-/// Iterated color refinement: assigns each value of the active domain a hash
-/// color that is invariant under isomorphisms fixing `rigid`. Rigid values
-/// get a color derived from their identity. Thin map-building wrapper over
-/// the dense [`DenseCtx::refine`] kernel.
-fn refine_colors(facts: &Facts, rigid: &BTreeSet<Value>) -> BTreeMap<Value, u64> {
-    let ctx = facts.dense(rigid);
-    let colors = ctx.refine();
-    (0..ctx.nslots())
-        .map(|s| (ctx.value(s), colors[s]))
-        .collect()
-}
-
-/// Multiset of (color, class size); must agree for isomorphic fact sets.
-fn class_histogram(colors: &BTreeMap<Value, u64>) -> BTreeMap<u64, usize> {
-    let mut hist = BTreeMap::new();
-    for &c in colors.values() {
-        *hist.entry(c).or_insert(0) += 1;
-    }
-    hist
-}
-
 #[inline]
 pub(crate) fn hash2(a: u64, b: u64) -> u64 {
     // Simple 64-bit mix (splitmix-style); quality is plenty for refinement.
@@ -1023,54 +1032,58 @@ pub(crate) fn hash2(a: u64, b: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn backtrack(
-    a: &Facts,
-    b: &Facts,
-    colors_a: &BTreeMap<Value, u64>,
-    colors_b: &BTreeMap<Value, u64>,
-    free_a: &[Value],
-    k: usize,
-    map: &mut BTreeMap<Value, Value>,
-    used: &mut BTreeSet<Value>,
-) -> bool {
-    if k == free_a.len() {
-        // All values mapped; verify facts map exactly.
-        return a.rename(map) == *b;
-    }
-    let v = free_a[k];
-    let target_color = colors_a[&v];
-    let candidates: Vec<Value> = colors_b
-        .iter()
-        .filter(|(w, &c)| c == target_color && !used.contains(w))
-        .map(|(&w, _)| w)
-        .collect();
-    for w in candidates {
-        map.insert(v, w);
-        used.insert(w);
-        if partial_consistent(a, b, map)
-            && backtrack(a, b, colors_a, colors_b, free_a, k + 1, map, used)
-        {
-            return true;
-        }
-        map.remove(&v);
-        used.remove(&w);
-    }
-    false
+/// The state of [`Facts::for_each_isomorphism`]'s search: `map` sends the
+/// first `k` values of `order` into `other`, injectively onto `used`.
+struct Matcher<'a> {
+    other: &'a Facts,
+    rigid: &'a BTreeSet<Value>,
+    pre: &'a BTreeMap<Value, Value>,
+    pre_inverse: BTreeMap<Value, Value>,
+    order: &'a [Value],
+    /// `due[k]`: the facts whose last value is `order[k - 1]`.
+    due: &'a [Vec<(u32, &'a Tuple)>],
+    /// The non-rigid values of `other`: what a free value may map to.
+    targets: &'a [Value],
+    map: BTreeMap<Value, Value>,
+    used: BTreeSet<Value>,
 }
 
-/// Check that every fact of `a` whose values are all mapped already has an
-/// image in `b`.
-fn partial_consistent(a: &Facts, b: &Facts, map: &BTreeMap<Value, Value>) -> bool {
-    for (c, t) in a.iter() {
-        if t.iter().all(|v| map.contains_key(&v)) {
-            let img = t.rename(map);
-            if !b.contains(c, &img) {
-                return false;
+impl Matcher<'_> {
+    /// Map `order[k..]` in every allowed way; true once `visit` stops.
+    fn extend(
+        &mut self,
+        k: usize,
+        visit: &mut impl FnMut(&BTreeMap<Value, Value>) -> bool,
+    ) -> bool {
+        let Some(&x) = self.order.get(k) else {
+            return visit(&self.map);
+        };
+        let own = [x];
+        let candidates = if self.rigid.contains(&x) {
+            &own[..]
+        } else {
+            self.targets
+        };
+        for &y in candidates {
+            if self.used.contains(&y)
+                || self.pre.get(&x).is_some_and(|&p| p != y)
+                || self.pre_inverse.get(&y).is_some_and(|&w| w != x)
+            {
+                continue;
             }
+            self.map.insert(x, y);
+            self.used.insert(y);
+            let fits = self.due[k + 1]
+                .iter()
+                .all(|(c, t)| self.other.contains(*c, &t.rename(&self.map)));
+            if fits && self.extend(k + 1, visit) {
+                return true;
+            }
+            self.map.remove(&x);
+            self.used.remove(&y);
         }
+        false
     }
-    true
 }
 
 #[cfg(test)]

@@ -32,8 +32,9 @@
 //! ([`Facts::dense`]): the per-slot occurrence counts are the lengths of
 //! its occurrence lists, so one pass that builds the context serves both
 //! the signature and, when one is needed, the canonical key. It is the
-//! prefilter of [`Facts::isomorphism`] and the bucket key of the
-//! deterministic abstraction's class index.
+//! bucket key of the deterministic abstraction's class index.
+//! [`Facts::isomorphism`] does not read it, so the guarantee is tested
+//! against an independent search.
 
 use crate::iso::{hash2, DenseCtx};
 use crate::{Facts, Value};

@@ -16,7 +16,8 @@ cargo test -q
 # so the differential suites below already ran; the named reruns keep the
 # gate loud if a target is ever renamed or feature-gated away.
 echo "== differential suites"
-# Query plans against the reference evaluator on generated UCQs and
+# Query plans against the reference evaluator on generated UCQs (the
+# parameterised plan also rejecting every non-answer head row) and
 # full-FO formulas (negation, universal quantifiers, ADOM steps, shadowing,
 # the empty instance), sorted-prefix probes against filtered scans row for
 # row, and compiled constraint checks, full and delta, against the
@@ -74,8 +75,23 @@ cargo test -q -p dcds-mucalc
 # `¬∃` block, `live` covered under `∨` and `¬`, uncovered, and rebound by
 # a shadowing binder; and open blocks, which both evaluators reject
 # until the valuation assigns their free variable and then agree on.
-# Closed µLA formulas also run through PROP(Φ).
+# On closed µLA formulas the staged engine on PROP(Φ) (Theorem 4.4:
+# quantifiers expanded over ADOM(Θ)) is held to the definition, the naive
+# evaluator on the formula itself; the seeded formulas must give at least
+# 346 such comparisons.
 cargo test -q --test mc_engine_differential
+# The isomorphism oracle: `Facts::for_each_isomorphism`, a plain
+# backtracking search over the active domain that reads no signature or
+# refinement colour. `canon_tests` holds the canonical key to it (equal
+# keys iff isomorphic) and the signature to its guarantee (isomorphic ⇒
+# equal signatures); `dcds-bisim` enumerates the isomorphisms extending a
+# partial bijection through it and checks both bisimulations with them;
+# `bisimulation_theorems` checks that the abstractions of Theorems 4.3
+# and 5.4 are history- / persistence-preserving bisimilar to their
+# systems, and the µLA / µLP invariance of Theorems 3.1 and 3.2.
+cargo test -q -p dcds-reldata --lib canon_tests
+cargo test -q -p dcds-bisim
+cargo test -q --test bisimulation_theorems
 # One front end for specs: on every shipped and `specs/bad/` spec and on
 # a few hundred seeded single-edit mutants of them, parsing, linting and
 # lowering never panic, `parse_dcds` fails exactly when `dcds lint`

@@ -86,9 +86,7 @@ pub mod prelude {
     pub use dcds_core::explore::{explore_det, explore_nondet, Limits};
     pub use dcds_core::{parse_dcds, Dcds, DcdsBuilder, ServiceKind, Ts};
     pub use dcds_folang::{parse_formula, Formula};
-    pub use dcds_mucalc::{
-        check, check_prop, classify, parse_mu, propositionalize, sugar, Fragment, Mu,
-    };
+    pub use dcds_mucalc::{check, classify, parse_mu, propositionalize, sugar, Fragment, Mu};
     pub use dcds_reldata::{ConstantPool, Instance, Schema, Tuple};
     pub use dcds_symbolic::{check_safety, SymOptions, SymVerdict};
 }

@@ -2,9 +2,9 @@
 //! naive Kleene evaluator it replaced: `engine::eval_traced` — quantifier
 //! blocks fused into single compiled queries — must compute the exact same
 //! extension as the unfused `mc::eval`, at every thread count, and its
-//! counters must not depend on the thread count. Closed µLA formulas are
-//! also checked through `PROP(Φ)` and the propositional model checker
-//! (Theorem 4.4).
+//! counters must not depend on the thread count. On closed µLA formulas
+//! the staged engine on `PROP(Φ)` (Theorem 4.4: quantifiers expanded over
+//! `ADOM(Θ)`) is held to the definition, `mc::eval` on the formula itself.
 //!
 //! Formulas come from a seeded SplitMix64 generator (so the suite runs
 //! offline and reproducibly) plus a hand-written list of the shapes the
@@ -21,7 +21,6 @@ use dcds_verify::bench::{examples, synthetic, travel};
 use dcds_verify::folang::{Formula, QTerm, Var};
 use dcds_verify::mucalc::fragments::check_monotone;
 use dcds_verify::mucalc::mc::{eval, Valuation};
-use dcds_verify::mucalc::prop_mc::eval_prop;
 use dcds_verify::mucalc::{
     check_traced, classify, eval_traced, propositionalize, sugar, CheckError, Fragment, McOptions,
     Mu, PredVar,
@@ -71,8 +70,10 @@ fn systems() -> Vec<System> {
 }
 
 /// Staged engine at 1/2/4 threads against the naive oracle, under `val`;
-/// for closed formulas also the `check_traced` entry point.
-fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) {
+/// for closed formulas also the `check_traced` entry point, and for closed
+/// µLA formulas the engine on `PROP(Φ)`. Returns whether that last
+/// comparison ran.
+fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) -> bool {
     let oracle = eval(phi, &sys.ts, &mut val.clone()).unwrap();
     let mut first = None;
     for threads in [1usize, 2, 4] {
@@ -98,22 +99,33 @@ fn assert_agrees(sys: &System, phi: &Mu, val: &Valuation) {
             ),
         }
     }
-    if phi.is_closed() {
-        let run = check_traced(phi, &sys.ts, McOptions::default(), &Obs::disabled()).unwrap();
-        assert_eq!(run.holds, oracle.contains(&sys.ts.initial()), "{phi:?}");
-        assert_eq!(run.extension, oracle, "{phi:?}");
-        // Theorem 4.4's pipeline: on µLA (and so µLP) formulas, PROP(Φ)
-        // over the union of the active domains agrees on every state.
-        if matches!(classify(phi), Ok(Fragment::MuLA | Fragment::MuLP)) {
-            let prop = propositionalize(phi, &sys.ts.adom_union()).unwrap();
-            assert_eq!(
-                eval_prop(&prop, &sys.ts, &mut BTreeMap::new()),
-                oracle,
-                "{}: PROP disagrees with naive on {phi:?}",
-                sys.name
-            );
-        }
+    if !phi.is_closed() {
+        return false;
     }
+    let run = check_traced(phi, &sys.ts, McOptions::default(), &Obs::disabled()).unwrap();
+    assert_eq!(run.holds, oracle.contains(&sys.ts.initial()), "{phi:?}");
+    assert_eq!(run.extension, oracle, "{phi:?}");
+    // Theorem 4.4's pipeline: on µLA (and so µLP) formulas, PROP(Φ) over
+    // the union of the active domains agrees on every state.
+    if !matches!(classify(phi), Ok(Fragment::MuLA | Fragment::MuLP)) {
+        return false;
+    }
+    let prop = propositionalize(phi, &sys.ts.adom_union()).unwrap();
+    let opts = McOptions::default();
+    let (via_prop, _) = eval_traced(
+        &prop,
+        &sys.ts,
+        &mut Valuation::default(),
+        opts,
+        &Obs::disabled(),
+    )
+    .unwrap();
+    assert_eq!(
+        via_prop, oracle,
+        "{}: the engine on PROP disagrees with naive on {phi:?}",
+        sys.name
+    );
+    true
 }
 
 /// Random µL formulas over a system's schema: variables V0..V2, a few of
@@ -222,6 +234,7 @@ fn close(f: Mu) -> Mu {
 
 #[test]
 fn engine_agrees_with_naive_on_seeded_random_formulas() {
+    let mut prop_runs = 0;
     for (k, sys) in systems().iter().enumerate() {
         let rels: Vec<(RelId, usize)> = sys
             .schema
@@ -244,16 +257,20 @@ fn engine_agrees_with_naive_on_seeded_random_formulas() {
             if check_monotone(&closed, &mut BTreeMap::new(), true).is_err() {
                 continue;
             }
-            assert_agrees(sys, &closed, &Valuation::default());
+            prop_runs += usize::from(assert_agrees(sys, &closed, &Valuation::default()));
             // The open formula under a random valuation of its free
             // variables.
             let mut val = Valuation::default();
             for v in open.free_vars() {
                 val.individuals.insert(v, gen.pick(&consts));
             }
-            assert_agrees(sys, &open, &val);
+            prop_runs += usize::from(assert_agrees(sys, &open, &val));
         }
     }
+    // The seeds draw 346 closed µLA formulas over the four systems: the
+    // PROP(Φ) comparison must not go quiet when the generator or the
+    // classifier changes.
+    assert!(prop_runs >= 346, "only {prop_runs} PROP(Φ) comparisons ran");
 }
 
 /// The shapes the fusion pass rewrites or deliberately leaves alone;
