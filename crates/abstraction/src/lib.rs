@@ -43,4 +43,4 @@ pub use det_abs::{
     DEFAULT_LEVEL_CHUNK,
 };
 pub use pruning::commitment_coverage_holds;
-pub use rcycl::{rcycl, rcycl_traced, RcyclResult, MAX_EVALS_PER_STEP};
+pub use rcycl::{rcycl, rcycl_traced, RcyclResult, StateKeys, MAX_EVALS_PER_STEP};

@@ -48,6 +48,31 @@
 //!   sorted vector that grows only with those minted values: per triple,
 //!   its first `|CALLS|` values outside `ADOM(I)` are `V`, if it has that
 //!   many.
+//!
+//! **Up to isomorphism** ([`StateKeys::UpToIsomorphism`]), the same loop
+//! keeps one state per isomorphism class, the isomorphisms fixing
+//! [`Dcds::rigid_constants`] (`ADOM(I₀)`, the spec's and the formula's
+//! constants). `Σ ∪= {I_next}` first looks the fact key up, as above; the
+//! map remembers every successor seen. On a miss it looks up the
+//! successor's canonical key ([`DenseCtx::discrete_key`] over its sorted
+//! rows) among the kept classes, and only a miss there too is admitted.
+//! The θ generator is unchanged: θ over `F` with `|V| = n` already yields
+//! every equality commitment of the calls up to renaming `V`, so, the
+//! system being generic, a class representative's successors are those
+//! of every state of its class, up to isomorphism. The result is the
+//! quotient of the concrete system, bisimilar to it (not
+//! persistence-preserving: values are not tracked across steps), and it
+//! decides exactly the formulas that read states through closed FO
+//! sentences (`dcds_mucalc::is_closed_leaf`). A state-bounded system has
+//! finitely many classes, so the search ends wherever RCYCL ends.
+//!
+//! Two guards keep the keys no dearer than the states they save. Only a
+//! successor whose colour refinement is discrete is canonicalised (an
+//! isomorphism-invariant test); the others are keyed by their facts
+//! alone, which at worst leaves isomorphic duplicates (counted as
+//! `rcycl.unkeyed_states`). And the run ends at the first new state the
+//! budget drops: a truncated run decides nothing, so keying the rest of
+//! its successors would be wasted.
 
 use dcds_core::do_op::{
     do_rows, legal_sigmas, publish_query_stats_delta, query_stats_snapshot, DoRows, DoTerm, Sigma,
@@ -55,7 +80,7 @@ use dcds_core::do_op::{
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
 use dcds_core::{Dcds, StateId, Ts};
 use dcds_obs::{event, span, Obs, PhaseClock};
-use dcds_reldata::{ConstantPool, Instance, RelId, Tuple, Value};
+use dcds_reldata::{CanonKey, ConstantPool, DenseCtx, Facts, Instance, RelId, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Steps whose `EVALS_F` enumeration would exceed this many evaluations
@@ -87,11 +112,28 @@ pub struct RcyclResult {
     pub triples_processed: usize,
     /// The constant pool extended with minted fresh values.
     pub pool: ConstantPool,
-    /// Observability counters. RCYCL deduplicates by *exact* instance
-    /// equality (the pruning recycles values, so isomorphic states really
-    /// are equal), hence the canonicalisation counters stay zero here;
-    /// `states_expanded` / `successors_generated` are the load metrics.
+    /// Observability counters: `states_expanded` / `successors_generated`
+    /// are the load metrics. With [`StateKeys::Exact`] the
+    /// canonicalisation counters stay zero; up to isomorphism,
+    /// `canon_keys_computed` counts the successors whose canonical key was
+    /// sought (one per exact-key miss, discrete or not).
     pub counters: EngineCounters,
+}
+
+/// How RCYCL recognises a successor as a state it already keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StateKeys {
+    /// By its facts, as the paper's RCYCL does: the pruning is
+    /// persistence-preserving bisimilar to the system (Thm 5.4), so it
+    /// decides µLP.
+    Exact,
+    /// Up to isomorphisms fixing [`Dcds::rigid_constants`]: a successor
+    /// isomorphic to a kept state is that state. The result is the
+    /// quotient of the system by those isomorphisms, bisimilar to it, so
+    /// it decides closed-leaf formulas only
+    /// (`dcds_mucalc::is_closed_leaf`); its states are class
+    /// representatives.
+    UpToIsomorphism,
 }
 
 /// Run Algorithm RCYCL with a state budget and the configured thread count
@@ -105,7 +147,8 @@ pub struct RcyclResult {
 /// budget: their per-step call count is fixed by the specification and
 /// their `F` recycles a bounded value pool.)
 pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
-    rcycl_traced(dcds, max_states, configured_threads(), &Obs::disabled())
+    let (threads, obs) = (configured_threads(), Obs::disabled());
+    rcycl_traced(dcds, max_states, threads, StateKeys::Exact, &obs)
 }
 
 /// The fact key of `db` (see the module docs).
@@ -186,6 +229,21 @@ impl ThetaKeys {
         &self.key
     }
 
+    /// The canonical key of the last built successor over `rigid`, when
+    /// its colour refinement is discrete ([`DenseCtx::discrete_key`]).
+    fn class_key(&self, rigid: &BTreeSet<Value>) -> Option<CanonKey> {
+        let facts = || {
+            self.spans.iter().map(|&(start, end)| {
+                let values = self.rows[start + 1..end].iter();
+                (
+                    self.rows[start],
+                    values.map(|&v| Value::from_index(v as usize)),
+                )
+            })
+        };
+        DenseCtx::from_sorted_facts(facts, rigid).discrete_key()
+    }
+
     /// The database of the last built key, loaded in one pass from its
     /// sorted, deduplicated rows.
     fn instance(&self) -> Instance {
@@ -210,9 +268,13 @@ enum Successor {
     State(StateId),
 }
 
-/// [`rcycl`] with an explicit worker-thread count and an observability
-/// handle: one span per dequeued state, θ-fan-out metrics, per-phase
-/// timers, and rate-limited heartbeats.
+/// [`rcycl`] with an explicit worker-thread count, state keys and an
+/// observability handle: one span per dequeued state, θ-fan-out metrics,
+/// per-phase timers, and rate-limited heartbeats.
+///
+/// Up to isomorphism ([`StateKeys::UpToIsomorphism`]) the θ loop is the
+/// same; only the lookup of a successor changes (see the module docs),
+/// and the run ends at the first state the budget drops.
 ///
 /// Output is identical for every `threads` value (including 1, the
 /// serial schedule). RCYCL's outer loop cannot be level-parallelised
@@ -223,10 +285,17 @@ enum Successor {
 /// successor's fact key into reused buffers and looks it up among the
 /// kept states' keys, and only a key not seen yet is turned into an
 /// [`Instance`] and checked against the constraints.
-pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
+pub fn rcycl_traced(
+    dcds: &Dcds,
+    max_states: usize,
+    threads: usize,
+    state_keys: StateKeys,
+    obs: &Obs,
+) -> RcyclResult {
     let _run = span!(obs, "rcycl", threads = threads, max_states = max_states);
     let query_stats0 = query_stats_snapshot(dcds);
-    let rigid = dcds.rigid_constants();
+    let rigid_set = dcds.rigid_constants();
+    let quotient = state_keys == StateKeys::UpToIsomorphism;
     let threads = threads.max(1);
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
@@ -234,6 +303,7 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
     let mut do_clock = PhaseClock::new(obs);
     let mut theta_clock = PhaseClock::new(obs);
     let mut admit_clock = PhaseClock::new(obs);
+    let mut canon_clock = PhaseClock::new(obs);
 
     let initial = &dcds.data.initial;
     let mut ts = Ts::new(initial.clone());
@@ -243,9 +313,21 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
     // check — except on an `I₀` that was never validated against them.
     let initial_id = StateId::from_index(0);
     let initial_ok = dcds.data.satisfies_constraints(initial);
+    // Up to isomorphism: the kept states by canonical key, where their
+    // refinement is discrete. `I₀`'s values are all rigid, so it has one.
+    let mut classes: HashMap<CanonKey, StateId> = HashMap::new();
+    if quotient {
+        if let Some(key) = Facts::from_instance(initial)
+            .dense(&rigid_set)
+            .discrete_key()
+        {
+            classes.insert(key, initial_id);
+        }
+    }
+    let mut unkeyed = 0u64;
     let mut used_values: BTreeSet<Value> = initial.active_domain();
-    used_values.extend(rigid.iter().copied());
-    let rigid: Vec<Value> = rigid.into_iter().collect();
+    used_values.extend(rigid_set.iter().copied());
+    let rigid: Vec<Value> = rigid_set.iter().copied().collect();
     // UsedValues − ADOM(I₀), ascending. It grows only when a freshly
     // minted V is used; each triple's RecyclableValues is this minus
     // ADOM(I).
@@ -264,7 +346,7 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
     let mut triples = 0usize;
     let mut keys = ThetaKeys::default();
 
-    while let Some(sid) = queue.pop_front() {
+    'run: while let Some(sid) = queue.pop_front() {
         counters.states_expanded += 1;
         // No levels to hang events on: report every 1024 dequeued states.
         if counters.states_expanded % 1024 == 0 {
@@ -340,7 +422,18 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
             }
             keys.start(n, &f);
             loop {
-                let found = theta_clock.time(|| ids.get(keys.build(tpl)).copied());
+                let mut found = theta_clock.time(|| ids.get(keys.build(tpl)).copied());
+                let mut class = None;
+                if found.is_none() && quotient {
+                    counters.canon_keys_computed += 1;
+                    class = canon_clock.time(|| keys.class_key(&rigid_set));
+                    found = class.as_ref().and_then(|k| classes.get(k)).copied();
+                    if let Some(id) = found {
+                        // An isomorphic copy of a kept state: that state,
+                        // remembered under this fact key too.
+                        ids.insert(keys.key.as_slice().into(), id);
+                    }
+                }
                 let succ = match found {
                     Some(id) if id == initial_id && !initial_ok => Successor::Rejected,
                     Some(id) => Successor::State(id),
@@ -354,6 +447,12 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                         }
                         let id = ts.add_state(next);
                         ids.insert(keys.key.as_slice().into(), id);
+                        match class {
+                            Some(key) => {
+                                classes.insert(key, id);
+                            }
+                            None => unkeyed += u64::from(quotient),
+                        }
                         queue.push_back(id);
                         Successor::State(id)
                     }),
@@ -363,6 +462,9 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                     Successor::OverBudget => {
                         counters.successors_generated += 1;
                         state_budget_hit = true;
+                        if quotient {
+                            break 'run;
+                        }
                     }
                     Successor::State(id) => {
                         counters.successors_generated += 1;
@@ -396,6 +498,10 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
     do_clock.publish(obs, "rcycl.do_us");
     theta_clock.publish(obs, "rcycl.theta_us");
     admit_clock.publish(obs, "rcycl.admit_us");
+    if quotient {
+        canon_clock.publish(obs, "rcycl.canon_us");
+        obs.counter_add("rcycl.unkeyed_states", unkeyed);
+    }
     counters.publish(obs, "rcycl");
     publish_query_stats_delta(dcds, obs, &query_stats0);
     event!(
@@ -467,12 +573,23 @@ mod tests {
     #[test]
     fn example_5_1_terminates_small() {
         // Figure 7b: the pruning is tiny (states of size 1; f's results are
-        // recycled). The paper draws 4 states; our deterministic pick order
-        // may produce a slightly different—but finite and bisimilar—pruning.
+        // recycled). The paper draws 4 states, one per isomorphism class;
+        // our deterministic pick order keeps 6 exactly, and up to
+        // isomorphism the 4 of the figure.
         let res = rcycl(&example_5_1(), 100);
         assert!(res.complete);
-        assert!(res.ts.num_states() <= 10, "got {}", res.ts.num_states());
+        assert_eq!(res.ts.num_states(), 6);
         assert_eq!(res.ts.max_state_adom(), 1);
+        let up_to_iso = rcycl_traced(
+            &example_5_1(),
+            100,
+            1,
+            StateKeys::UpToIsomorphism,
+            &Obs::disabled(),
+        );
+        assert!(up_to_iso.complete);
+        assert_eq!(up_to_iso.ts.num_states(), 4);
+        assert_eq!(up_to_iso.ts.max_state_adom(), 1);
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //! `BENCH_diff.json` is produced). The e2e stage keeps its best of
 //! `--reps` (default 3), like the committed baseline: a best-of-1 wall
 //! time of a 20 ms row strays past 1.75x on a shared machine.
+//! `--e2e-only` skips the scale stage too but rewrites `BENCH_e2e.json`
+//! (not `BENCH_scale.json`): the way to regenerate the e2e ledger alone.
 
-use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, StateKeys};
 use dcds_bench::e2e::{self, Row};
 use dcds_bench::report::{self, Kind, Thresholds};
 use dcds_bench::synthetic;
@@ -45,7 +47,7 @@ use std::process::{Command, Stdio};
 use std::str::FromStr;
 use std::time::Instant;
 
-const USAGE: &str = "usage: perf_report [--reps N] [--smoke] [--baseline DIR] \
+const USAGE: &str = "usage: perf_report [--reps N] [--smoke | --e2e-only] [--baseline DIR] \
                      [--max-slowdown F] [--inject-slowdown F]";
 
 /// The command line.
@@ -53,6 +55,8 @@ const USAGE: &str = "usage: perf_report [--reps N] [--smoke] [--baseline DIR] \
 struct Args {
     reps: usize,
     smoke: bool,
+    /// Run the e2e stage alone and write its ledger.
+    e2e_only: bool,
     baseline: Option<String>,
     thresholds: Thresholds,
     inject: Option<f64>,
@@ -64,6 +68,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut out = Args {
         reps: 3,
         smoke: false,
+        e2e_only: false,
         baseline: None,
         thresholds: Thresholds::default(),
         inject: None,
@@ -72,6 +77,10 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     while let Some(flag) = it.next() {
         if flag == "--smoke" {
             out.smoke = true;
+            continue;
+        }
+        if flag == "--e2e-only" {
+            out.e2e_only = true;
             continue;
         }
         let mut value = || {
@@ -86,6 +95,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--inject-slowdown" => out.inject = Some(positive(flag, value()?)?),
             _ => return Err(format!("unknown flag `{flag}`")),
         }
+    }
+    if out.smoke && out.e2e_only {
+        return Err("`--smoke` writes no ledger and `--e2e-only` does: pick one".into());
     }
     Ok(out)
 }
@@ -282,7 +294,7 @@ fn scale_run_det(dcds: &Dcds, budget: usize) -> ScaleRun {
 
 fn scale_run_rcycl(dcds: &Dcds, budget: usize) -> ScaleRun {
     let t0 = Instant::now();
-    let res = rcycl_traced(dcds, budget, 1, &Obs::disabled());
+    let res = rcycl_traced(dcds, budget, 1, StateKeys::Exact, &Obs::disabled());
     let secs = t0.elapsed().as_secs_f64();
     scale_run(budget, secs, &res.ts, res.complete, res.counters)
 }
@@ -479,6 +491,7 @@ fn main() {
     let Args {
         reps,
         smoke,
+        e2e_only,
         baseline: baseline_dir,
         thresholds,
         inject,
@@ -500,10 +513,11 @@ fn main() {
     artifacts.push(("BENCH_e2e.json", json));
 
     // ---- engines at scale ----
-    // The scale stage drives half-million-state budgets; in smoke mode it
-    // is skipped outright (its keys simply drop out of the comparison).
-    if smoke {
-        println!("\nsmoke mode: scale stage skipped");
+    // The scale stage drives half-million-state budgets; in smoke and
+    // e2e-only mode it is skipped outright (its keys simply drop out of
+    // the comparison).
+    if smoke || e2e_only {
+        println!("\nscale stage skipped");
         if let Some(dir) = &baseline_dir {
             gate_against_baseline(dir, &artifacts, thresholds, inject);
         }
@@ -632,7 +646,9 @@ mod tests {
         assert_eq!(args.inject, Some(10.0));
         assert_eq!(args.reps, 3);
         let smoke = parse(&["--reps", "5", "--smoke"]).unwrap();
-        assert!(smoke.smoke && smoke.reps == 5);
+        assert!(smoke.smoke && smoke.reps == 5 && !smoke.e2e_only);
+        let e2e = parse(&["--e2e-only"]).unwrap();
+        assert!(e2e.e2e_only && !e2e.smoke);
 
         for (bad, named) in [
             (&["--baselne", "."][..], "`--baselne`"),
@@ -641,6 +657,7 @@ mod tests {
             (&["--reps", "0"], "`--reps`"),
             (&["--baseline"], "`--baseline`"),
             (&["--scale", "2"], "`--scale`"),
+            (&["--smoke", "--e2e-only"], "pick one"),
         ] {
             let err = parse(bad).unwrap_err();
             assert!(err.contains(named), "{bad:?}: {err}");

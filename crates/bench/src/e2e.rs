@@ -154,7 +154,7 @@ pub fn rows() -> Vec<Row> {
             Family(synthetic::flush_ladder().into()),
             "true",
             8000,
-            decided(true, 22),
+            decided(true, 17),
         ),
         search("accumulator(3)@300", synthetic::accumulator(3), 300),
         explicit(
@@ -162,7 +162,7 @@ pub fn rows() -> Vec<Row> {
             Family(examples::example_5_1().into()),
             "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z",
             100,
-            decided(true, 6),
+            decided(true, 4),
         ),
         explicit(
             "service_cycle(6)@1500",
@@ -192,7 +192,7 @@ pub fn rows() -> Vec<Row> {
             Shipped("travel_request.dcds"),
             "nu Z . !(Status('requestConfirmed') & !(exists N . live(N) & Travel(N))) & [] Z",
             5000,
-            decided(true, 115),
+            decided(true, 79),
         ),
         symbolic(
             "unbounded_safe",

@@ -18,7 +18,7 @@
 //! filter, a call with a parameter argument, two effects that write the
 //! same fact, and rules that give the same σ twice.
 
-use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, StateKeys};
 use dcds_bench::{synthetic, travel};
 use dcds_core::{
     do_action, do_rows, legal_assignments, legal_sigmas, parse_dcds, ActionId, Dcds, DcdsBuilder,
@@ -113,7 +113,7 @@ fn reachable(dcds: &Dcds, max_states: usize) -> Ts {
     if dcds.is_deterministic() {
         det_abstraction_traced(dcds, max_states, AbsOptions::default(), &Obs::disabled()).ts
     } else {
-        rcycl_traced(dcds, max_states, 1, &Obs::disabled()).ts
+        rcycl_traced(dcds, max_states, 1, StateKeys::Exact, &Obs::disabled()).ts
     }
 }
 

@@ -13,6 +13,7 @@
 
 use dcds_abstraction::{
     det_abstraction_traced, rcycl_traced, reference, AbsOptions, DetAbstraction, RcyclResult,
+    StateKeys,
 };
 use dcds_bench::synthetic::{self, RandomParams};
 use dcds_bench::{examples, travel};
@@ -42,7 +43,7 @@ fn det_threads_agree(dcds: &Dcds, budget: usize, opts: AbsOptions) -> DetAbstrac
 
 /// The RCYCL analogue of [`det_threads_agree`].
 fn rcycl_threads_agree(dcds: &Dcds, budget: usize) -> RcyclResult {
-    let run = |threads| rcycl_traced(dcds, budget, threads, &Obs::disabled());
+    let run = |threads| rcycl_traced(dcds, budget, threads, StateKeys::Exact, &Obs::disabled());
     let serial = run(1);
     for threads in [2, 4, 8] {
         let par = run(threads);
@@ -241,7 +242,7 @@ mod key_path {
     /// kept.
     fn fanout_and_successors(dcds: &Dcds, budget: usize) -> (u64, u64) {
         let obs = Obs::enabled(ObsConfig::default());
-        let res = rcycl_traced(dcds, budget, 1, &obs);
+        let res = rcycl_traced(dcds, budget, 1, StateKeys::Exact, &obs);
         let metrics = obs.finish().unwrap().metrics;
         let fanout = metrics.histogram("rcycl.theta_fanout").unwrap().sum;
         let fanout = u64::try_from(fanout).unwrap();
@@ -259,7 +260,7 @@ mod key_path {
     #[test]
     fn resolution_merges_pre_facts() {
         let dcds = merging_heads();
-        let res = rcycl_traced(&dcds, 200, 1, &Obs::disabled());
+        let res = rcycl_traced(&dcds, 200, 1, StateKeys::Exact, &Obs::disabled());
         // From {R(a)}, θ(f(a)) = b reaches the one-fact state {R(b)}.
         let s0 = res.ts.initial();
         assert!(res
@@ -270,17 +271,22 @@ mod key_path {
         assert_rcycl_identical(&dcds, 200);
     }
 
+    /// Exact and up to isomorphism: a successor equal to, or in the class
+    /// of, an `I₀` that breaks a constraint is rejected. (`I₀`'s values
+    /// are all rigid, so its class is `I₀` alone.)
     #[test]
     fn an_unvalidated_initial_state_is_not_a_successor() {
         let dcds = invalid_initial();
         assert!(!dcds.data.satisfies_constraints(&dcds.data.initial));
-        let res = rcycl_traced(&dcds, 200, 1, &Obs::disabled());
-        let s0 = res.ts.initial();
-        assert!(!res.ts.successors(s0).is_empty());
-        assert!(res
-            .ts
-            .state_ids()
-            .all(|s| !res.ts.successors(s).contains(&s0)));
+        for keys in [StateKeys::Exact, StateKeys::UpToIsomorphism] {
+            let res = rcycl_traced(&dcds, 200, 1, keys, &Obs::disabled());
+            let s0 = res.ts.initial();
+            assert!(!res.ts.successors(s0).is_empty());
+            assert!(res
+                .ts
+                .state_ids()
+                .all(|s| !res.ts.successors(s).contains(&s0)));
+        }
         assert_rcycl_identical(&dcds, 200);
     }
 }

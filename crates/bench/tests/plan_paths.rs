@@ -10,7 +10,7 @@
 //! pruning, each constraint's compiled check is held to the definition on
 //! every candidate successor.
 
-use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome};
+use dcds_abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome, StateKeys};
 use dcds_bench::travel;
 use dcds_core::do_op::resolve_with_map;
 use dcds_core::nondet::evals_over;
@@ -91,7 +91,7 @@ fn constraint_checks_match_definition(dcds: &Dcds, ts: &Ts) -> (usize, usize) {
 #[test]
 fn do_and_legal_agree_on_all_rcycl_states() {
     let dcds = travel::request_system_small();
-    let res = rcycl_traced(&dcds, 5000, 1, &Obs::disabled());
+    let res = rcycl_traced(&dcds, 5000, 1, StateKeys::Exact, &Obs::disabled());
     assert!(res.complete, "travel pruning should saturate");
     assert_do_and_legal_match_definition(&dcds, &res.ts);
     // Two constraints on each of 410 candidate successors of 115 states.

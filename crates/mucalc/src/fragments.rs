@@ -11,6 +11,9 @@
 //! * A maximal quantifier block that the model checker fuses into one FO
 //!   query (modal-free, and domain-independent: its plan needs no ADOM
 //!   step) is a query leaf, guarded or not.
+//! * A **closed-leaf** formula ([`is_closed_leaf`]) has no modality inside
+//!   any quantifier block: its truth depends on states only up to
+//!   isomorphism, so RCYCL may keep one state per class for it.
 //! * All fragments require **syntactic monotonicity**: a bound predicate
 //!   variable occurs only under an even number of negations (with `φ → ψ`
 //!   counting as a negation of φ).
@@ -141,6 +144,42 @@ fn check_unique_binders(f: &Mu, seen: &mut BTreeSet<PredVar>) -> Result<(), Frag
             check_unique_binders(g, seen)
         }
     }
+}
+
+/// Whether `f` is *closed-leaf*: closed, and no quantifier block holds a
+/// modality, so every maximal quantifier block is a closed FO sentence
+/// about one state and no variable crosses a `[−]`/`⟨−⟩`. Such a formula
+/// reads each state only through isomorphism-invariant labels (its
+/// constants fixed), so the quotient of a generic system by the
+/// isomorphisms that fix `ADOM(I₀)` and the spec's and formula's
+/// constants, which is bisimilar to it, decides the formula. Formulas
+/// whose variables cross a modal step (µLP with `LIVE` across `[−]`/`⟨−⟩`)
+/// need value identity across steps, which only RCYCL's own pruning keeps
+/// (Thm 5.4).
+pub fn is_closed_leaf(f: &Mu) -> bool {
+    fn modal(f: &Mu) -> bool {
+        match f {
+            Mu::Diamond(_) | Mu::Box_(_) => true,
+            Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => false,
+            Mu::Not(g) | Mu::Exists(_, g) | Mu::Forall(_, g) | Mu::Lfp(_, g) | Mu::Gfp(_, g) => {
+                modal(g)
+            }
+            Mu::And(g, h) | Mu::Or(g, h) | Mu::Implies(g, h) => modal(g) || modal(h),
+        }
+    }
+    fn blocks_modal_free(f: &Mu) -> bool {
+        match f {
+            Mu::Exists(_, g) | Mu::Forall(_, g) => !modal(g),
+            Mu::Query(_) | Mu::Live(_) | Mu::Pvar(_) => true,
+            Mu::Not(g) | Mu::Diamond(g) | Mu::Box_(g) | Mu::Lfp(_, g) | Mu::Gfp(_, g) => {
+                blocks_modal_free(g)
+            }
+            Mu::And(g, h) | Mu::Or(g, h) | Mu::Implies(g, h) => {
+                blocks_modal_free(g) && blocks_modal_free(h)
+            }
+        }
+    }
+    f.is_closed() && blocks_modal_free(f)
 }
 
 /// µLA shape: quantifiers are LIVE-guarded.
@@ -377,6 +416,29 @@ mod tests {
         assert_eq!(classify(&g).unwrap(), Fragment::MuL);
         let h = Mu::exists("V", atom1(&s, "Stud", "V").diamond());
         assert_eq!(classify(&h).unwrap(), Fragment::MuL);
+    }
+
+    #[test]
+    fn closed_leaf_formulas_keep_variables_inside_one_state() {
+        let s = schema();
+        let z = || Mu::Pvar(PredVar::new("Z"));
+        let block = || Mu::exists("V", Mu::live("V").and(atom1(&s, "Stud", "V")));
+        // AG of a closed block, and no quantifier at all.
+        assert!(is_closed_leaf(&Mu::gfp("Z", block().and(z().boxed()))));
+        assert!(is_closed_leaf(&Mu::Query(Formula::True).diamond()));
+        // A block over a fixpoint variable but no modality.
+        assert!(is_closed_leaf(&Mu::gfp("Z", block().and(z()))));
+        // V crosses a step: Examples 3.2 and 3.3, and ∃V. LIVE(V) ∧ ⟨−⟩….
+        assert!(!is_closed_leaf(&example_3_2(&s)));
+        assert!(!is_closed_leaf(&example_3_3(&s)));
+        let crossing = Mu::exists(
+            "V",
+            Mu::live("V").and(Mu::live("V").and(atom1(&s, "Stud", "V")).diamond()),
+        );
+        assert!(!is_closed_leaf(&crossing));
+        // Open formulas are not closed-leaf.
+        assert!(!is_closed_leaf(&atom1(&s, "Stud", "V")));
+        assert!(!is_closed_leaf(&z()));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use diagnostics::{counterexample_ag, witness_ef};
 pub use engine::{
     check, check_traced, ensure_closed, eval_traced, CheckError, McCounters, McOptions, McRun,
 };
-pub use fragments::{classify, Fragment, FragmentError};
+pub use fragments::{classify, is_closed_leaf, Fragment, FragmentError};
 pub use mc::{eval, Valuation};
 pub use parser::parse_mu;
 pub use pretty::MuDisplay;

@@ -14,7 +14,8 @@
 //!    [`Facts::isomorphism`] witness is exact and fixes rigid values, and
 //!    isomorphic fact sets have equal [`Facts::signature`]s;
 //! 4. where refinement is discrete, the key written directly in class order
-//!    equals the search's key and stats.
+//!    equals the search's key and stats, and `DenseCtx::discrete_key`
+//!    returns it exactly there, alike for renamed copies.
 
 use crate::{CanonKey, ConstantPool, Facts, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -300,7 +301,8 @@ fn long_rigid_paths_refine_to_singletons() {
 /// order. It must equal the search's key and stats (one order, no
 /// cutoff) and the exhaustive oracle's key, on random fact sets whose
 /// refinement is discrete; a non-discrete set still goes through the
-/// search.
+/// search. [`crate::DenseCtx::discrete_key`] is that shortcut alone: the
+/// key where it applies, `None` elsewhere, the same for a renamed copy.
 #[test]
 fn discrete_refinement_shortcut_matches_the_search() {
     let mut discrete = 0;
@@ -312,6 +314,12 @@ fn discrete_refinement_shortcut_matches_the_search() {
             let f = random_facts(&mut rng, &vals);
             let rigid = random_rigid(&mut rng, &vals);
             let (key, stats, direct) = f.canonical_key_with(&rigid, true);
+            // `discrete_key` is the shortcut alone, and whether it applies
+            // does not change under a renaming that fixes `rigid`.
+            let ctx = f.dense(&rigid);
+            assert_eq!(ctx.discrete_key(), direct.then(|| key.clone()), "{f:?}");
+            let renamed = f.rename(&random_renaming(&mut rng, &vals, &rigid));
+            assert_eq!(renamed.dense(&rigid).discrete_key(), ctx.discrete_key());
             if !direct {
                 continue;
             }
@@ -333,6 +341,7 @@ fn discrete_refinement_shortcut_matches_the_search() {
     }
     let (key, stats, direct) = f.canonical_key_with(&BTreeSet::new(), true);
     assert!(!direct, "a ten-value class cannot be discrete");
+    assert_eq!(f.dense(&BTreeSet::new()).discrete_key(), None);
     assert_eq!((stats.orders_enumerated, stats.prune_cutoffs), (1, 45));
     assert_eq!(key.var_count(), 10);
 }

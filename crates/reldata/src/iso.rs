@@ -532,22 +532,28 @@ impl DenseCtx {
         (key, stats)
     }
 
-    /// [`DenseCtx::canonical_key_stats`], plus whether the key was written
-    /// without the search. `shortcut` off runs the search even where
-    /// refinement is discrete (tests compare the two paths).
-    fn canonical_key_with(&self, shortcut: bool) -> (CanonKey, CanonStats, bool) {
-        let one_order = CanonStats {
-            orders_enumerated: 1,
-            prune_cutoffs: 0,
-        };
+    /// The canonical key when colour refinement alone fixes the order —
+    /// every value rigid, or every free value in a refined class of its
+    /// own — and `None` otherwise, without starting the order search.
+    /// Refinement colours are isomorphism-invariant, so isomorphic fact
+    /// sets (over the same rigid set) either both have this key or both
+    /// have none.
+    pub fn discrete_key(&self) -> Option<CanonKey> {
+        self.forced_key(true).ok()
+    }
+
+    /// The key of the one class-respecting order when there is only one:
+    /// every value rigid, or, with `shortcut`, refinement discrete. Else
+    /// the free slots sorted by refined colour, for the order search:
+    /// class *order* is canonical because refined colours are computed
+    /// from iso-invariant signatures; within a class the slots stay
+    /// ascending.
+    fn forced_key(&self, shortcut: bool) -> Result<CanonKey, Vec<(u64, u32)>> {
         if (0..self.nslots).all(|s| self.rigid_code(s).is_some()) {
             // Every value is rigid: the encoding is forced.
-            return (self.encode(&[]), one_order, true);
+            return Ok(self.encode(&[]));
         }
         let colors = self.refine();
-        // The free slots in class order. Class *order* is canonical because
-        // refined colors are computed from iso-invariant signatures; within
-        // a class the slots stay ascending.
         let mut by_color: Vec<(u64, u32)> = (0..self.nslots as u32)
             .filter(|&s| self.rigid_code(s as usize).is_none())
             .map(|s| (colors[s as usize], s))
@@ -559,8 +565,25 @@ impl DenseCtx {
             for (i, &(_, s)) in by_color.iter().enumerate() {
                 assigned[s as usize] = i as u32;
             }
-            return (self.encode(&assigned), one_order, true);
+            return Ok(self.encode(&assigned));
         }
+        Err(by_color)
+    }
+
+    /// [`DenseCtx::canonical_key_stats`], plus whether the key was written
+    /// without the search. `shortcut` off runs the search even where
+    /// refinement is discrete (tests compare the two paths).
+    fn canonical_key_with(&self, shortcut: bool) -> (CanonKey, CanonStats, bool) {
+        let by_color = match self.forced_key(shortcut) {
+            Ok(key) => {
+                let one_order = CanonStats {
+                    orders_enumerated: 1,
+                    prune_cutoffs: 0,
+                };
+                return (key, one_order, true);
+            }
+            Err(by_color) => by_color,
+        };
         let mut class_list: Vec<Vec<u32>> = Vec::new();
         for (i, &(color, s)) in by_color.iter().enumerate() {
             if i == 0 || by_color[i - 1].0 != color {

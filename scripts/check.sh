@@ -47,6 +47,13 @@ cargo test -q -p dcds-bench --test do_program
 # with the model checker's extension size and counters pinned on every
 # explicit row.
 cargo test -q -p dcds-bench --test engine_differential --test plan_paths --test e2e_rows
+# RCYCL up to isomorphism against exact RCYCL: the quotient's states are
+# the isomorphism classes of the exact pruning's states, counted with the
+# definitional `Facts::isomorphic`, its edges the class graph, and every
+# generated closed-leaf formula (formula-only constants included) gets the
+# same verdict, on `phased_rings(2/3)`, the shipped nondet specs,
+# `flush_ladder` and 120 seeded random nondet systems.
+cargo test -q -p dcds-bench --test rcycl_quotient
 # `Instance` and `Facts`, each one sorted fact vector, against a B-tree
 # reference model on seeded operation sequences: every read after each
 # insert/remove, the bulk builders, union/extend/rename/project, and

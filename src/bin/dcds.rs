@@ -96,7 +96,7 @@
 //! other command.
 
 use dcds_verify::abstraction::{
-    det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome, MAX_EVALS_PER_STEP,
+    det_abstraction_traced, rcycl_traced, AbsOptions, AbsOutcome, StateKeys, MAX_EVALS_PER_STEP,
 };
 use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
@@ -109,8 +109,8 @@ use dcds_verify::core::{configured_threads, EngineCounters};
 use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
 use dcds_verify::mucalc::{
-    check_traced, classify, diagnostics, ensure_closed, parse_mu, Fragment, McCounters, McOptions,
-    Mu, SafetyMode,
+    check_traced, classify, diagnostics, ensure_closed, is_closed_leaf, parse_mu, Fragment,
+    McCounters, McOptions, Mu, SafetyMode,
 };
 use dcds_verify::obs::{export::json_escape, span, Obs};
 use dcds_verify::reldata::{ConstantPool, InstanceDisplay};
@@ -541,11 +541,13 @@ impl Truncation {
     }
 }
 
-/// Build the finite abstraction the spec's services call for.
+/// Build the finite abstraction the spec's services call for; RCYCL keys
+/// its states by `keys`.
 fn build_abstraction(
     dcds: &Dcds,
     max_states: usize,
     threads: usize,
+    keys: StateKeys,
     obs: &Obs,
 ) -> (Ts, ConstantPool, Truncation, &'static str, EngineCounters) {
     if dcds.is_deterministic() {
@@ -561,12 +563,15 @@ fn build_abstraction(
         let how = "deterministic abstraction (Thm 4.3)";
         (abs.ts, abs.pool, cut, how, abs.counters)
     } else {
-        let res = rcycl_traced(dcds, max_states, threads, obs);
+        let res = rcycl_traced(dcds, max_states, threads, keys, obs);
         let cut = Truncation {
             states: res.state_budget_hit,
             eval_skips: res.eval_budget_skips,
         };
-        let how = "RCYCL pruning (Thm 5.4)";
+        let how = match keys {
+            StateKeys::Exact => "RCYCL pruning (Thm 5.4)",
+            StateKeys::UpToIsomorphism => "RCYCL up to isomorphism (closed-leaf formula)",
+        };
         (res.ts, res.pool, cut, how, res.counters)
     }
 }
@@ -584,7 +589,8 @@ fn do_abstract(
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
+    let (ts, pool, cut, how, counters) =
+        build_abstraction(&dcds, max_states, threads, StateKeys::Exact, &obs);
     let complete = cut.complete();
     outln!(
         "{how}: {} states, {} edges, max |adom(state)| = {}, complete = {complete}",
@@ -633,7 +639,13 @@ fn do_check(
     let phi = parse_formula(&mut dcds, formula)?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
     ensure_closed(&phi).map_err(|e| e.to_string())?;
-    let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
+    // A closed-leaf formula reads states only up to isomorphism, so RCYCL
+    // may keep one state per class; any other keeps its exact pruning.
+    let keys = match is_closed_leaf(&phi) {
+        true => StateKeys::UpToIsomorphism,
+        false => StateKeys::Exact,
+    };
+    let (ts, pool, cut, how, counters) = build_abstraction(&dcds, max_states, threads, keys, &obs);
     let complete = cut.complete();
     // An abstraction that does not preserve the formula's fragment, or a
     // truncated one, decides nothing, so the fixpoint is not run and no

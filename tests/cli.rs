@@ -162,6 +162,61 @@ fn check_truncated_abstraction_is_inconclusive() {
 }
 
 #[test]
+fn check_keys_rcycl_states_up_to_isomorphism_for_closed_leaf_formulas() {
+    let ping_pong = spec("ping_pong.dcds");
+    // Closed-leaf: one state per isomorphism class, the 4 of Fig. 7b
+    // (exact RCYCL keeps 6).
+    let phi = "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z";
+    let (code, stdout, _) = dcds_streams(&["check", &ping_pong, phi, "--format", "json"]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(
+        stdout.contains(
+            "{\"how\":\"RCYCL up to isomorphism (closed-leaf formula)\",\"states\":4,\"edges\":6,"
+        ),
+        "{stdout}"
+    );
+    // `X` crosses a step: the exact pruning, unchanged, and no canonical
+    // key computed.
+    let phi = "exists X . live(X) & R(X) & <> (live(X) & Q(X))";
+    let (code, stdout, _) = dcds_streams(&["check", &ping_pong, phi, "--format", "json"]);
+    assert_eq!(code, 0, "{stdout}");
+    assert_eq!(
+        stdout,
+        "{\"fragment\":\"MuLP\",\"abstraction\":{\"how\":\"RCYCL pruning (Thm 5.4)\",\"states\":6,\
+         \"edges\":11,\"complete\":true},\"engine_counters\":{\"states_expanded\":6,\
+         \"successors_generated\":11,\"canon_keys_computed\":0,\"sig_filter_skips\":0,\
+         \"canon_orders_enumerated\":0,\"canon_prune_cutoffs\":0},\"mc_counters\":\
+         {\"query_state_evals\":72,\"cache_hits\":0,\"cache_misses\":25,\"fixpoint_iterations\":0,\
+         \"state_subformula_visits\":150},\"verdict\":true}\n"
+    );
+    // `dcds abstract` keeps the exact pruning.
+    let (code, text) = dcds_code(&["abstract", &ping_pong]);
+    assert_eq!(code, 0, "{text}");
+    assert!(
+        text.starts_with("RCYCL pruning (Thm 5.4): 6 states, 11 edges,"),
+        "{text}"
+    );
+    // A truncated run up to isomorphism ends at its state budget: exit 2,
+    // and the budget is named.
+    let (code, text) = dcds_code(&[
+        "check",
+        &spec("accumulator.dcds"),
+        "true",
+        "--max-states",
+        "50",
+    ]);
+    assert_eq!(code, 2, "{text}");
+    assert!(
+        text.contains("abstraction: RCYCL up to isomorphism (closed-leaf formula), 50 states, complete = false"),
+        "{text}"
+    );
+    assert!(
+        text.contains("verdict: inconclusive (state budget of 50 states hit)"),
+        "{text}"
+    );
+}
+
+#[test]
 fn check_runs_no_fixpoint_on_a_truncated_abstraction() {
     // The parity property does not fuse (`!(X = Y)` is evaluated per
     // binding over ADOM(Θ)²): its fixpoint over this truncated abstraction
@@ -208,7 +263,9 @@ fn check_runs_no_fixpoint_on_a_truncated_abstraction() {
 fn check_names_the_evaluation_budget_when_rcycl_skips_steps() {
     // Every step doubles R, so the calls per step grow until `EVALS_F`
     // exceeds the per-step evaluation budget; the state budget is never
-    // reached at the default, and the report must not claim it was.
+    // reached at the default, and the report must not claim it was. The
+    // closed-leaf formula keys states up to isomorphism (88 classes; exact
+    // RCYCL keeps 98 states).
     let path = std::env::temp_dir().join(format!("dcds_cli_doubler_{}.dcds", std::process::id()));
     std::fs::write(
         &path,
@@ -221,7 +278,7 @@ fn check_names_the_evaluation_budget_when_rcycl_skips_steps() {
 
     let (code, stdout, _stderr) = dcds_streams(&["check", path, phi, "--format", "json"]);
     assert_eq!(code, 2, "{stdout}");
-    assert!(stdout.contains("\"states\":98,"), "{stdout}");
+    assert!(stdout.contains("\"states\":88,"), "{stdout}");
     assert!(
         stdout.contains(
             "\"verdict\":null,\"reason\":\"evaluation budget of 20000 evaluations per step hit \
@@ -242,7 +299,20 @@ fn check_names_the_evaluation_budget_when_rcycl_skips_steps() {
     assert!(!text.contains("--max-states"), "{text}");
     assert!(!text.contains("state budget"), "{text}");
 
-    // With both budgets tripped, the reason names both.
+    // A run up to isomorphism ends at the first state its budget drops,
+    // so at 50 states only the state budget trips.
+    let (code, stdout, _stderr) =
+        dcds_streams(&["check", path, phi, "--max-states", "50", "--format", "json"]);
+    assert_eq!(code, 2, "{stdout}");
+    assert!(
+        stdout.contains("\"states\":50,")
+            && stdout.ends_with("\"verdict\":null,\"reason\":\"state budget of 50 states hit\"}\n"),
+        "{stdout}"
+    );
+
+    // Exact RCYCL (`X` crosses a step) runs on past the state budget:
+    // with both budgets tripped, the reason names both.
+    let phi = "exists X . live(X) & R(X) & <> (live(X) & R(X))";
     let (code, stdout, _stderr) =
         dcds_streams(&["check", path, phi, "--max-states", "50", "--format", "json"]);
     assert_eq!(code, 2, "{stdout}");

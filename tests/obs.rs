@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use dcds_verify::abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions};
+use dcds_verify::abstraction::{det_abstraction_traced, rcycl_traced, AbsOptions, StateKeys};
 use dcds_verify::bench::{examples, travel};
 use dcds_verify::core::par_map_obs;
 use dcds_verify::folang::Formula;
@@ -99,8 +99,8 @@ fn rcycl_tracing_is_invisible_and_metrics_deterministic() {
     let mut snapshots = Vec::new();
     for threads in THREADS {
         let obs = Obs::enabled(ObsConfig::default());
-        let traced = rcycl_traced(&dcds, 150, threads, &obs);
-        let plain = rcycl_traced(&dcds, 150, threads, &Obs::disabled());
+        let traced = rcycl_traced(&dcds, 150, threads, StateKeys::Exact, &obs);
+        let plain = rcycl_traced(&dcds, 150, threads, StateKeys::Exact, &Obs::disabled());
         assert_eq!(
             traced.ts, plain.ts,
             "tracing changed the pruning at {threads} threads"
@@ -121,7 +121,7 @@ fn rcycl_tracing_is_invisible_and_metrics_deterministic() {
 fn model_checker_metrics_are_thread_count_deterministic() {
     // Example 5.1 under RCYCL with the paper's µLP safety property.
     let e51 = examples::example_5_1();
-    let pruning = rcycl_traced(&e51, 100, 1, &Obs::disabled());
+    let pruning = rcycl_traced(&e51, 100, 1, StateKeys::Exact, &Obs::disabled());
     assert!(pruning.complete);
     let r = e51.data.schema.rel_id("R").unwrap();
     let q = e51.data.schema.rel_id("Q").unwrap();

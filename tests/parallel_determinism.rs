@@ -14,6 +14,7 @@
 
 use dcds_verify::abstraction::{
     det_abstraction_traced, rcycl_traced, reference, AbsOptions, DetAbstraction, RcyclResult,
+    StateKeys,
 };
 use dcds_verify::bench::{examples, travel};
 use dcds_verify::core::{Dcds, ServiceKind};
@@ -61,7 +62,15 @@ fn assert_det_runs_identical(name: &str, runs: &[DetAbstraction]) {
 fn rcycl_runs(dcds: &Dcds, max_states: usize) -> Vec<RcyclResult> {
     THREAD_COUNTS
         .into_iter()
-        .map(|threads| rcycl_traced(dcds, max_states, threads, &Obs::disabled()))
+        .map(|threads| {
+            rcycl_traced(
+                dcds,
+                max_states,
+                threads,
+                StateKeys::Exact,
+                &Obs::disabled(),
+            )
+        })
         .collect()
 }
 
